@@ -3,8 +3,8 @@
 //! Both engines replay the identical workload with the identical
 //! offline-optimal component map through the unified batch path
 //! ([`mvc_core::replay`] → `observe_batch`), so the comparison isolates the
-//! engine: routing, slice arithmetic, merge, and (threaded executor) queue
-//! traffic.  Two streams are measured:
+//! engine: routing, slice arithmetic, merge, and queue traffic.  Two streams
+//! are measured:
 //!
 //! * `uniform` — the acceptance stream: 64 threads × 64 objects, uniformly
 //!   random pairs; the offline-optimal clock is wide (≈64 components), so
@@ -12,16 +12,11 @@
 //! * `phase-shift` — the adversarial partition-churn family: the active
 //!   object window slides over the object space, so per-object rows keep
 //!   going cold — the worst case for the shards' working sets.
-//!
-//! The executor is picked by `ShardExecutor::auto()` (worker threads on
-//! multi-core machines, inline on single-CPU hosts); the measured executor
-//! is printed in each benchmark's name so recorded numbers are
-//! interpretable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
-use mvc_shard::{ShardExecutor, ShardedEngine};
+use mvc_shard::ShardedEngine;
 use mvc_trace::{Computation, WorkloadBuilder, WorkloadKind};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -35,17 +30,9 @@ fn stream(kind: WorkloadKind, seed: u64) -> Computation {
         .build()
 }
 
-fn executor_label(executor: ShardExecutor) -> &'static str {
-    match executor {
-        ShardExecutor::Inline => "inline",
-        ShardExecutor::Threads => "threads",
-    }
-}
-
 fn bench_stream(c: &mut Criterion, name: &str, workload: Computation) {
     let plan = OfflineOptimizer::new().plan_for_computation(&workload);
     let map = plan.components().clone();
-    let executor = ShardExecutor::auto();
 
     let mut group = c.benchmark_group(format!("sharded-{name}"));
     group.throughput(Throughput::Elements(EVENTS as u64));
@@ -67,15 +54,12 @@ fn bench_stream(c: &mut Criterion, name: &str, workload: Computation) {
     });
     for shards in SHARD_COUNTS {
         group.bench_with_input(
-            BenchmarkId::new(
-                format!("sharded-{}x-{}", shards, executor_label(executor)),
-                EVENTS,
-            ),
+            BenchmarkId::new(format!("sharded-{shards}x"), EVENTS),
             &workload,
             |b, w| {
                 let mut keep = None;
                 b.iter(|| {
-                    let mut engine = ShardedEngine::with_executor(map.clone(), shards, executor);
+                    let mut engine = ShardedEngine::with_components(map.clone(), shards);
                     let run = replay(&mut engine, w).expect("covered");
                     let stamped = run.timestamps.len();
                     keep = Some(run);

@@ -44,7 +44,6 @@ pub mod chain;
 pub mod chunked;
 pub mod compare;
 pub mod component;
-pub mod compress;
 pub mod lamport;
 pub mod mixed;
 pub mod validate;

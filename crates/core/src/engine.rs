@@ -11,14 +11,10 @@
 //! vector transparently (new components start at zero, which is always safe
 //! because no past event incremented them).
 
-//! The engine's working format is *chunked* by default (see
-//! [`mvc_clock::chunked`]): per-thread / per-object rows are stored in fixed
-//! 64-entry chunks with a nonzero-chunk bitmap, the protocol step mutates
-//! both rows in place (write-back, no full-width clone), and only the
-//! emitted stamp is dense.  [`StampFormat::Dense`] keeps plain `Vec<u64>`
-//! rows — same write-back discipline, but every merge walks the full width —
-//! and exists as the measured baseline for the wide-clock bench and the
-//! chunked-equals-dense conformance oracle.
+//! The engine's working format is *chunked* (see [`mvc_clock::chunked`]):
+//! per-thread / per-object rows are stored in fixed 64-entry chunks with a
+//! nonzero-chunk bitmap, the protocol step mutates both rows in place
+//! (write-back, no full-width clone), and only the emitted stamp is dense.
 
 use std::fmt;
 
@@ -68,68 +64,11 @@ impl std::error::Error for EngineError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimestampingEngine {
     components: ComponentMap,
-    rows: RowStore,
+    /// Per-thread rows, indexed by thread; materialised on first touch.
+    threads: Vec<ChunkedRow>,
+    /// Per-object rows, indexed by object.
+    objects: Vec<ChunkedRow>,
     events_observed: usize,
-}
-
-/// How a [`TimestampingEngine`] stores its per-thread / per-object rows.
-///
-/// The stamps are bit-for-bit identical either way (conformance oracle 10);
-/// only per-event cost differs.  The format is part of the engine's
-/// identity: engines with different formats never compare equal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StampFormat {
-    /// Plain `Vec<u64>` rows; every merge and write-back walks the full
-    /// clock width.  The measured baseline for the wide-clock bench.
-    Dense,
-    /// Chunked rows ([`mvc_clock::ChunkedRow`]): merges, increments, and
-    /// write-backs skip all-zero 64-entry chunks, so per-event cost tracks
-    /// the number of *touched* chunks, not the clock width.
-    #[default]
-    Chunked,
-}
-
-/// The format-selected row tables.  Both variants use write-back updates:
-/// the protocol step mutates the two rows in place and emits one owned
-/// dense stamp — no per-event full-width row clone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RowStore {
-    Dense {
-        threads: Vec<Vec<u64>>,
-        objects: Vec<Vec<u64>>,
-    },
-    Chunked {
-        threads: Vec<ChunkedRow>,
-        objects: Vec<ChunkedRow>,
-    },
-}
-
-impl Default for RowStore {
-    fn default() -> Self {
-        RowStore::new(StampFormat::default())
-    }
-}
-
-impl RowStore {
-    fn new(format: StampFormat) -> Self {
-        match format {
-            StampFormat::Dense => RowStore::Dense {
-                threads: Vec::new(),
-                objects: Vec::new(),
-            },
-            StampFormat::Chunked => RowStore::Chunked {
-                threads: Vec::new(),
-                objects: Vec::new(),
-            },
-        }
-    }
-
-    fn format(&self) -> StampFormat {
-        match self {
-            RowStore::Dense { .. } => StampFormat::Dense,
-            RowStore::Chunked { .. } => StampFormat::Chunked,
-        }
-    }
 }
 
 impl TimestampingEngine {
@@ -148,44 +87,18 @@ impl TimestampingEngine {
         }
     }
 
-    /// Creates an engine with an explicit row [`StampFormat`].
-    ///
-    /// The default ([`StampFormat::Chunked`]) is right for every workload;
-    /// [`StampFormat::Dense`] exists as the wide-clock bench baseline and
-    /// for the chunked-equals-dense conformance oracle.
-    pub fn with_format(components: ComponentMap, format: StampFormat) -> Self {
-        Self {
-            components,
-            rows: RowStore::new(format),
-            events_observed: 0,
-        }
-    }
-
-    /// The row format this engine stores its clocks in.
-    pub fn format(&self) -> StampFormat {
-        self.rows.format()
-    }
-
     /// Mean fraction of nonzero 64-entry chunks across every materialised
-    /// row — the measured sparsity the wide-clock bench reports.  `None`
-    /// for a [`StampFormat::Dense`] engine (which has no chunk bitmap),
-    /// `Some(0.0)` before any row is touched.
+    /// row — the measured sparsity of the clock.  `None` until the first
+    /// row is touched (a mean over zero rows).
     pub fn chunk_occupancy(&self) -> Option<f64> {
-        match &self.rows {
-            RowStore::Dense { .. } => None,
-            RowStore::Chunked { threads, objects } => {
-                let rows = threads
-                    .iter()
-                    .chain(objects)
-                    .filter(|r| r.chunk_count() > 0);
-                let (mut sum, mut n) = (0.0, 0usize);
-                for row in rows {
-                    sum += row.occupancy();
-                    n += 1;
-                }
-                Some(if n == 0 { 0.0 } else { sum / n as f64 })
+        let (mut sum, mut n) = (0.0, 0usize);
+        for row in self.threads.iter().chain(&self.objects) {
+            if row.chunk_count() > 0 {
+                sum += row.occupancy();
+                n += 1;
             }
         }
+        (n > 0).then(|| sum / n as f64)
     }
 
     /// The current component map.
@@ -238,49 +151,24 @@ impl TimestampingEngine {
 
         let width = self.components.len();
         let (t, o) = (thread.index(), object.index());
-        // Write-back step, either format: mutate both rows in place, emit
-        // one owned dense stamp.  (The thread and object tables are
-        // distinct, so the two row borrows never alias.)
-        let v = match &mut self.rows {
-            RowStore::Dense { threads, objects } => {
-                grow_dense(threads, t, width);
-                grow_dense(objects, o, width);
-                let (trow, orow) = (&mut threads[t], &mut objects[o]);
-                for (tk, &ok) in trow.iter_mut().zip(orow.iter()) {
-                    if ok > *tk {
-                        *tk = ok;
-                    }
-                }
-                trow[component] += 1;
-                orow.copy_from_slice(trow);
-                trow.clone()
-            }
-            RowStore::Chunked { threads, objects } => {
-                grow_rows(threads, t);
-                grow_rows(objects, o);
-                chunked::step(&mut threads[t], &mut objects[o], component, width)
-            }
-        };
+        // Write-back step: mutate both rows in place, emit one owned dense
+        // stamp.  (The thread and object tables are distinct, so the two
+        // row borrows never alias.)
+        grow_rows(&mut self.threads, t);
+        grow_rows(&mut self.objects, o);
+        let v = chunked::step(&mut self.threads[t], &mut self.objects[o], component, width);
         self.events_observed += 1;
         Ok(VectorTimestamp::from_components(v))
     }
 
     /// The current clock of a thread, padded to the current width.
     pub fn thread_clock(&self, thread: ThreadId) -> VectorTimestamp {
-        let width = self.width();
-        match &self.rows {
-            RowStore::Dense { threads, .. } => padded(threads.get(thread.index()), width),
-            RowStore::Chunked { threads, .. } => chunk_padded(threads.get(thread.index()), width),
-        }
+        chunk_padded(self.threads.get(thread.index()), self.width())
     }
 
     /// The current clock of an object, padded to the current width.
     pub fn object_clock(&self, object: ObjectId) -> VectorTimestamp {
-        let width = self.width();
-        match &self.rows {
-            RowStore::Dense { objects, .. } => padded(objects.get(object.index()), width),
-            RowStore::Chunked { objects, .. } => chunk_padded(objects.get(object.index()), width),
-        }
+        chunk_padded(self.objects.get(object.index()), self.width())
     }
 }
 
@@ -313,26 +201,10 @@ impl crate::timestamper::Timestamper for TimestampingEngine {
     }
 }
 
-/// Ensures `clocks[index]` exists and holds `width` counters (new entries
-/// are zero: a component no past event incremented).
-fn grow_dense(clocks: &mut Vec<Vec<u64>>, index: usize, width: usize) {
-    if index >= clocks.len() {
-        clocks.resize_with(index + 1, Vec::new);
-    }
-    let row = &mut clocks[index];
-    if row.len() < width {
-        row.resize(width, 0);
-    }
-}
-
 fn grow_rows(clocks: &mut Vec<ChunkedRow>, index: usize) {
     if index >= clocks.len() {
         clocks.resize_with(index + 1, ChunkedRow::new);
     }
-}
-
-fn padded(v: Option<&Vec<u64>>, width: usize) -> VectorTimestamp {
-    VectorTimestamp::from_components(v.cloned().unwrap_or_default()).padded_to(width)
 }
 
 fn chunk_padded(row: Option<&ChunkedRow>, width: usize) -> VectorTimestamp {
@@ -427,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn default_format_is_chunked_and_dense_is_available() {
-        let e = TimestampingEngine::new();
-        assert_eq!(e.format(), StampFormat::Chunked);
-        assert_eq!(e.chunk_occupancy(), Some(0.0), "no rows touched yet");
-        let d = TimestampingEngine::with_format(ComponentMap::new(), StampFormat::Dense);
-        assert_eq!(d.format(), StampFormat::Dense);
-        assert_eq!(d.chunk_occupancy(), None, "dense rows have no bitmap");
-    }
-
-    #[test]
     fn chunk_occupancy_tracks_touched_chunks() {
         // 128 components, but every event touches only component 0: each
         // touched row has exactly 1 of its 2 chunks nonzero.
@@ -445,6 +307,7 @@ mod tests {
             map.push(Component::Object(ObjectId(o)));
         }
         let mut e = TimestampingEngine::with_components(map);
+        assert_eq!(e.chunk_occupancy(), None, "no rows touched yet");
         e.observe(ThreadId(0), ObjectId(999)).unwrap();
         assert_eq!(e.width(), 128);
         assert_eq!(e.chunk_occupancy(), Some(0.5));
@@ -480,37 +343,6 @@ mod tests {
             prop_assert!(satisfies_vector_clock_condition(&c, &streamed, &oracle));
             prop_assert_eq!(engine.events_observed(), c.len());
             let _ = Computation::new();
-        }
-
-        /// The two row formats are the same engine bit-for-bit: stamps,
-        /// readback clocks, and mid-run component growth all agree.
-        #[test]
-        fn prop_dense_and_chunked_formats_agree(
-            threads in 1usize..7,
-            objects in 1usize..7,
-            ops in 1usize..80,
-            seed in 0u64..150,
-        ) {
-            let c = WorkloadBuilder::new(threads, objects).operations(ops).seed(seed).build();
-            let map = ComponentMap::all_threads(c.thread_index_bound());
-            let mut dense = TimestampingEngine::with_format(map.clone(), StampFormat::Dense);
-            let mut chunked = TimestampingEngine::with_format(map, StampFormat::Chunked);
-            for (i, e) in c.events().enumerate() {
-                if i == ops / 2 {
-                    // Grow the clock mid-run on both engines.
-                    dense.add_component(Component::Object(e.object));
-                    chunked.add_component(Component::Object(e.object));
-                }
-                let a = dense.observe(e.thread, e.object).unwrap();
-                let b = chunked.observe(e.thread, e.object).unwrap();
-                prop_assert_eq!(a, b);
-            }
-            for t in 0..threads {
-                prop_assert_eq!(dense.thread_clock(ThreadId(t)), chunked.thread_clock(ThreadId(t)));
-            }
-            for o in 0..objects {
-                prop_assert_eq!(dense.object_clock(ObjectId(o)), chunked.object_clock(ObjectId(o)));
-            }
         }
     }
 }

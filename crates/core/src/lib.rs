@@ -56,7 +56,7 @@ pub mod sink;
 pub mod timestamper;
 
 pub use analysis::{verify_assignment, ClockSizeReport};
-pub use engine::{EngineError, StampFormat, TimestampingEngine};
+pub use engine::{EngineError, TimestampingEngine};
 pub use offline::{OfflineOptimizer, OfflinePlan, OfflineSolution};
 pub use sink::{
     CodecSink, EventSink, MemoryRecorder, SinkError, SinkStats, StampedEvent, StatsSink, TeeSink,
@@ -68,7 +68,7 @@ pub use timestamper::{
 /// Convenient re-exports of the types most applications need.
 pub mod prelude {
     pub use crate::analysis::ClockSizeReport;
-    pub use crate::engine::{StampFormat, TimestampingEngine};
+    pub use crate::engine::TimestampingEngine;
     pub use crate::offline::{OfflineOptimizer, OfflinePlan, OfflineSolution};
     pub use crate::sink::{
         CodecSink, EventSink, MemoryRecorder, SinkError, StampedEvent, StatsSink, TeeSink,

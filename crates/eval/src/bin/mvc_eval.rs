@@ -6,7 +6,7 @@
 //! mvc-eval trajectory [--mechanisms a,b,c] [--workload uniform|nonuniform] [--trials N] [--csv DIR]
 //! mvc-eval throughput [--events N] [--threads N] [--objects N] [--shards 1,2,4,8]
 //!                     [--workload KIND] [--sink mem|codec|stats|conflict|reach|competitive|tee]
-//!                     [--net-clients N] [--clock-width N] [--csv DIR] [--out FILE]
+//!                     [--net-clients N] [--csv DIR] [--out FILE]
 //! mvc-eval serve [--addr HOST:PORT] [--clients N] [--out FILE] [--metrics-out FILE]
 //! mvc-eval produce --addr HOST:PORT [--threads N] [--objects N] [--events N] [--seed N]
 //! ```
@@ -28,14 +28,11 @@
 //! `BENCH_throughput.json` trajectory point), giving future changes a
 //! mechanical bench trajectory to compare against; with `--net-clients N`
 //! it also times the same workload streamed through the networked service
-//! over loopback TCP.  The report's `wide` section compares the sequential
-//! engine's dense and chunked stamp formats over clustered wide-clock
-//! workloads (widths 64 and 4096 by default; `--clock-width N` pins a
-//! single width instead).  The `serve` command runs the timestamping pipeline
-//! as a multi-client TCP service until the expected number of producer
-//! sessions completes and reports — as JSON — whether the merged networked
-//! result equals a sequential batch replay (the oracle CI gates on); the
-//! `produce` command is the matching workload-streaming client.
+//! over loopback TCP.  The `serve` command runs the timestamping pipeline as
+//! a multi-client TCP service until the expected number of producer sessions
+//! completes and reports — as JSON — whether the merged networked result
+//! equals a sequential batch replay (the oracle CI gates on); the `produce`
+//! command is the matching workload-streaming client.
 
 use std::env;
 use std::fs;
@@ -78,9 +75,6 @@ struct Options {
     out: Option<PathBuf>,
     /// `--net-clients`, used by `throughput` (loopback producers; 0 skips).
     net_clients: Option<usize>,
-    /// `--clock-width`, used by `throughput`: pin the `wide` section to one
-    /// width instead of the default 64-and-4096 pair.
-    clock_width: Option<usize>,
     /// `--addr`, used by `serve` (bind address) and `produce` (server).
     addr: Option<String>,
     /// `--clients`, used by `serve`: sessions to expect before exiting.
@@ -133,7 +127,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut sink = None;
     let mut out = None;
     let mut net_clients = None;
-    let mut clock_width = None;
     let mut addr = None;
     let mut clients = None;
     let mut seed = None;
@@ -253,18 +246,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("invalid client count: {value}"))?;
                 net_clients = Some(parsed);
             }
-            "--clock-width" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--clock-width requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid clock width: {value}"))?;
-                if parsed == 0 {
-                    return Err("clock width must be at least 1".into());
-                }
-                clock_width = Some(parsed);
-            }
             "--addr" => {
                 let value = iter
                     .next()
@@ -306,7 +287,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                      mvc-eval throughput [--events N] [--threads N] [--objects N] \
                      [--shards 1,2,4,8] [--workload KIND] \
                      [--sink mem|codec|stats|conflict|reach|competitive|tee] \
-                     [--net-clients N] [--clock-width N] [--csv DIR] [--out FILE]\n       \
+                     [--net-clients N] [--csv DIR] [--out FILE]\n       \
                      mvc-eval serve [--addr HOST:PORT] [--clients N] [--out FILE] \
                      [--metrics-out FILE]\n       \
                      mvc-eval produce --addr HOST:PORT [--threads N] [--objects N] \
@@ -333,7 +314,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         sink,
         out,
         net_clients,
-        clock_width,
         addr,
         clients,
         seed,
@@ -364,9 +344,6 @@ fn run_throughput(options: &Options) -> Result<String, String> {
     }
     if let Some(net_clients) = options.net_clients {
         config.net_clients = net_clients;
-    }
-    if let Some(width) = options.clock_width {
-        config.wide_widths = vec![width];
     }
     let report = measure_throughput(&config);
     Ok(render_throughput_json(&report))
@@ -591,7 +568,6 @@ mod tests {
             sink: None,
             out: None,
             net_clients: None,
-            clock_width: None,
             addr: None,
             clients: None,
             seed: None,
@@ -675,9 +651,6 @@ mod tests {
         assert!(parse_args(&args(&["--shards", "two"])).is_err());
         assert!(parse_args(&args(&["--sink"])).is_err());
         assert!(parse_args(&args(&["--sink", "paper"])).is_err());
-        assert!(parse_args(&args(&["--clock-width"])).is_err());
-        assert!(parse_args(&args(&["--clock-width", "0"])).is_err());
-        assert!(parse_args(&args(&["--clock-width", "wide"])).is_err());
         assert!(parse_args(&args(&["--out"])).is_err());
         assert!(parse_args(&args(&["--help"])).is_err());
         assert!(run_figure("fig99", &opts(1)).is_err());
@@ -701,8 +674,6 @@ mod tests {
             "stats",
             "--net-clients",
             "0",
-            "--clock-width",
-            "64",
             "--out",
             "/tmp/bench.json",
         ]))
@@ -713,7 +684,6 @@ mod tests {
         assert_eq!(o.objects, Some(8));
         assert_eq!(o.shards, Some(vec![1, 2]));
         assert_eq!(o.sink, Some(SinkKind::Stats));
-        assert_eq!(o.clock_width, Some(64));
         assert_eq!(
             o.out.as_deref(),
             Some(std::path::Path::new("/tmp/bench.json"))
@@ -723,14 +693,6 @@ mod tests {
         let json = run_throughput(&o).unwrap();
         assert!(json.contains("\"workload\": \"phase-shift\""));
         assert!(json.contains("\"events\": 2000"));
-        assert!(
-            json.contains("\"wide\": [") && json.contains("\"width\": 64"),
-            "--clock-width pins the wide section to one width"
-        );
-        assert!(
-            !json.contains("\"width\": 4096"),
-            "the default width pair is replaced"
-        );
         assert!(json.contains("\"threads\": 8"));
         assert!(json.contains("\"objects\": 8"));
         assert!(json.contains("\"sink\": \"stats\""));
@@ -790,8 +752,6 @@ mod tests {
             "1",
             "--net-clients",
             "2",
-            "--clock-width",
-            "64",
         ]))
         .unwrap();
         o.trials = 1;

@@ -17,14 +17,6 @@
 //!   interleaved timing also measures a sequential + mem-sink baseline, and
 //!   the report carries the selected sink's throughput relative to it
 //!   (`sink_relative_throughput`, the number CI gates on).
-//! * **`wide`** — the wide-clock stamping comparison: the sequential engine
-//!   in its dense row format vs. the default chunked format
-//!   ([`mvc_core::StampFormat`]), driven over a clustered workload at each
-//!   configured width (`--clock-width` pins one).  Each point also reports
-//!   the chunked rows' nonzero-chunk occupancy and the delta-encoder
-//!   transmission ratio of the produced stamps, so the speedup can be read
-//!   against the sparsity that produces it.  CI gates chunked ≥ dense at
-//!   width 64 and ≥ 3× dense at width 4096.
 //!
 //! The `mvc-eval throughput` command emits the result as JSON so successive
 //! PRs can compare bench trajectories mechanically (`jq`-able, no table
@@ -32,18 +24,15 @@
 //!
 //! Every engine sees the identical precomputed workload and the identical
 //! offline-optimal component map, so the numbers isolate engine overhead:
-//! routing, slice arithmetic, merge, and (for the threaded executor)
-//! queue traffic.
+//! routing, slice arithmetic, merge, and queue traffic.
 
 use std::any::Any;
 use std::time::Instant;
 
-use mvc_clock::compress::DeltaEncoder;
-use mvc_clock::{Component, ComponentMap};
 use mvc_core::sink::{CodecSink, EventSink, MemoryRecorder, StatsSink, TeeSink};
-use mvc_core::{replay, OfflineOptimizer, StampFormat, Timestamper, TimestampingEngine};
+use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
 use mvc_runtime::{CompetitiveSink, ConflictSink, ReachabilityIndexSink, TraceSession};
-use mvc_shard::{ShardExecutor, ShardedEngine};
+use mvc_shard::ShardedEngine;
 use mvc_trace::{Computation, WorkloadBuilder, WorkloadKind};
 
 /// The egress backend an ingest measurement drives
@@ -171,11 +160,6 @@ pub struct ThroughputConfig {
     pub sink: SinkKind,
     /// Producer clients for the loopback-TCP `net` section (0 skips it).
     pub net_clients: usize,
-    /// Clock widths for the `wide` dense-vs-chunked section (empty skips
-    /// it).  Each width gets its own clustered workload over `width`
-    /// components, capped at 40 000 events so the widest point stays
-    /// tractable.
-    pub wide_widths: Vec<usize>,
 }
 
 impl ThroughputConfig {
@@ -192,7 +176,6 @@ impl ThroughputConfig {
             repeats: 3,
             sink: SinkKind::Mem,
             net_clients: 4,
-            wide_widths: vec![64, 4096],
         }
     }
 }
@@ -204,9 +187,6 @@ pub struct EngineThroughput {
     pub engine: String,
     /// Shard count (1 for the sequential engine).
     pub shards: usize,
-    /// Executor label (`"none"` for the sequential engine, otherwise
-    /// `"inline"` / `"threads"`).
-    pub executor: String,
     /// Best elapsed wall-clock nanoseconds over the repeats.
     pub elapsed_ns: u128,
     /// Events per second derived from the best run.
@@ -231,34 +211,6 @@ pub struct NetThroughput {
     pub ingest_events_per_sec: f64,
     /// `events_per_sec / ingest_events_per_sec` — CI fails below 0.5.
     pub relative_to_ingest: f64,
-}
-
-/// One clock width's dense-vs-chunked stamping comparison (the `wide`
-/// section): the same sequential engine and the same clustered workload,
-/// timed once per [`StampFormat`] in an interleaved pair.
-#[derive(Debug, Clone)]
-pub struct WidePoint {
-    /// The clock width (components) both engines stamped at.
-    pub width: usize,
-    /// Communities in the clustered workload (`width / 64`, at least 1), so
-    /// each event touches roughly one 64-component chunk span.
-    pub clusters: usize,
-    /// Events stamped per run (the configured count, capped at 40 000).
-    pub events: usize,
-    /// Events per second with [`StampFormat::Dense`] rows.
-    pub dense_events_per_sec: f64,
-    /// Events per second with [`StampFormat::Chunked`] rows (the default).
-    pub chunked_events_per_sec: f64,
-    /// `chunked / dense` — the number CI gates on (≥ 0.95 at width 64,
-    /// ≥ 3.0 at width 4096).
-    pub speedup: f64,
-    /// Mean fraction of nonzero chunks across the chunked engine's rows
-    /// after the run — the sparsity the speedup comes from.
-    pub chunk_occupancy: f64,
-    /// Delta-encoder transmission ratio over a per-thread-encoded sample of
-    /// the produced stamps (fraction of entries actually shipped; lower is
-    /// sparser).
-    pub transmission_ratio: f64,
 }
 
 /// The observability overhead gate: the same sequential + mem-sink ingest
@@ -341,9 +293,6 @@ pub struct ThroughputReport {
     pub sink: String,
     /// Pure stamping (replay, no ingest/sink), sequential first.
     pub engines: Vec<EngineThroughput>,
-    /// The wide-clock dense-vs-chunked section, one point per configured
-    /// width (empty when `wide_widths` is).
-    pub wide: Vec<WidePoint>,
     /// Full pipeline (segmented ingest → merge → stamp → sink), sequential
     /// first.  Speedups are relative to the sequential *ingest* row.
     pub ingest: Vec<EngineThroughput>,
@@ -472,12 +421,11 @@ fn events_per_sec(events: usize, elapsed_ns: u128) -> f64 {
 /// Builds the report rows for one measured section: sequential first, then
 /// one sharded row per configured count, speedups relative to the
 /// sequential row of the *same* section.
-fn rows(config: &ThroughputConfig, executor_name: &str, timings: &[u128]) -> Vec<EngineThroughput> {
+fn rows(config: &ThroughputConfig, timings: &[u128]) -> Vec<EngineThroughput> {
     let sequential_ns = timings[0];
     let mut out = vec![EngineThroughput {
         engine: "sequential".to_owned(),
         shards: 1,
-        executor: "none".to_owned(),
         elapsed_ns: sequential_ns,
         events_per_sec: events_per_sec(config.events, sequential_ns),
         speedup: 1.0,
@@ -486,7 +434,6 @@ fn rows(config: &ThroughputConfig, executor_name: &str, timings: &[u128]) -> Vec
         out.push(EngineThroughput {
             engine: "sharded".to_owned(),
             shards,
-            executor: executor_name.to_owned(),
             elapsed_ns: ns,
             events_per_sec: events_per_sec(config.events, ns),
             speedup: if ns == 0 {
@@ -497,117 +444,6 @@ fn rows(config: &ThroughputConfig, executor_name: &str, timings: &[u128]) -> Vec
         });
     }
     out
-}
-
-/// Events per `observe_batch` window in the wide section: stamps are drained
-/// into a reused buffer per window, so a run's live stamp memory is one
-/// window (≤ 512 × width × 8 bytes) instead of the whole batch — at width
-/// 4096 the difference between ~16 MB and ~1.3 GB per slot.
-const WIDE_WINDOW: usize = 512;
-
-/// Event cap for one wide point: enough for stable rates at every width,
-/// small enough that the width-4096 dense slot stays in the tens of
-/// milliseconds.
-const WIDE_EVENT_CAP: usize = 40_000;
-
-/// Stamps timestamped by the delta-encoder sampling pass of a wide point.
-const WIDE_COMPRESSION_SAMPLE: usize = 2_000;
-
-/// Measures one width of the `wide` section: a clustered workload over
-/// `width` components (half thread components, half object components, in
-/// `width / 64` communities), stamped by the sequential engine once per
-/// [`StampFormat`] in an interleaved timing pair, plus an untimed chunked
-/// pass for the occupancy / compression diagnostics.
-fn measure_wide_point(config: &ThroughputConfig, width: usize) -> WidePoint {
-    let threads = (width / 2).max(1);
-    let objects = (width - threads).max(1);
-    let clusters = (width / 64).max(1);
-    let events = config.events.min(WIDE_EVENT_CAP);
-    let computation = WorkloadBuilder::new(threads, objects)
-        .operations(events)
-        .kind(WorkloadKind::Clustered { clusters })
-        .seed(config.seed)
-        .build();
-    let pairs: Vec<_> = computation.events().map(|e| (e.thread, e.object)).collect();
-    // Every thread and object is a component, in id order: community `i`'s
-    // components are two contiguous ranges (its threads, its objects), so a
-    // row's nonzero chunks track its community, not the full width.
-    let mut map = ComponentMap::new();
-    for t in 0..threads {
-        map.push(Component::Thread(mvc_trace::ThreadId(t)));
-    }
-    for o in 0..objects {
-        map.push(Component::Object(mvc_trace::ObjectId(o)));
-    }
-    let width = map.len();
-
-    // Slot 0 dense, slot 1 chunked; the engine (the slot's entire footprint
-    // — the stamp windows are recycled) is the keepalive product.
-    let timings = time_interleaved(2, config.repeats, |slot| {
-        let format = if slot == 0 {
-            StampFormat::Dense
-        } else {
-            StampFormat::Chunked
-        };
-        let mut engine = TimestampingEngine::with_format(map.clone(), format);
-        let mut out = Vec::new();
-        let start = Instant::now();
-        for window in pairs.chunks(WIDE_WINDOW) {
-            out.clear();
-            engine
-                .observe_batch(window, &mut out)
-                .expect("every endpoint is a component");
-        }
-        let elapsed = start.elapsed().as_nanos();
-        (elapsed, Box::new(engine) as Box<dyn Any>)
-    });
-
-    // Untimed diagnostics pass: occupancy needs the rows after the full
-    // run; the transmission ratio samples the first stamps through one
-    // delta encoder per thread (each thread's stamp stream is what a
-    // distributed deployment would ship).
-    let mut probe = TimestampingEngine::with_format(map.clone(), StampFormat::Chunked);
-    let mut encoders: Vec<DeltaEncoder> = (0..threads).map(|_| DeltaEncoder::new()).collect();
-    let mut encoded = 0usize;
-    let mut out = Vec::new();
-    for window in pairs.chunks(WIDE_WINDOW) {
-        out.clear();
-        probe
-            .observe_batch(window, &mut out)
-            .expect("every endpoint is a component");
-        for (&(thread, _), stamp) in window.iter().zip(&out) {
-            if encoded >= WIDE_COMPRESSION_SAMPLE {
-                break;
-            }
-            encoders[thread.index()].encode(stamp);
-            encoded += 1;
-        }
-    }
-    let (full, delta) = encoders.iter().fold((0usize, 0usize), |(f, d), e| {
-        let s = e.stats();
-        (f + s.full_entries, d + s.delta_entries)
-    });
-    let transmission_ratio = if full == 0 {
-        1.0
-    } else {
-        delta as f64 / full as f64
-    };
-    let chunk_occupancy = probe.chunk_occupancy().unwrap_or(1.0);
-
-    WidePoint {
-        width,
-        clusters,
-        events,
-        dense_events_per_sec: events_per_sec(events, timings[0]),
-        chunked_events_per_sec: events_per_sec(events, timings[1]),
-        speedup: if timings[1] == 0 {
-            0.0
-        } else {
-            timings[0] as f64 / timings[1] as f64
-        },
-        chunk_occupancy,
-        transmission_ratio,
-    }
 }
 
 /// Measures the sequential engine and the sharded engine (at every
@@ -623,20 +459,14 @@ pub fn measure_throughput(config: &ThroughputConfig) -> ThroughputReport {
     let plan = OfflineOptimizer::new().plan_for_computation(&computation);
     let map = plan.components().clone();
 
-    let executor = ShardExecutor::auto();
-    let executor_name = match executor {
-        ShardExecutor::Inline => "inline",
-        ShardExecutor::Threads => "threads",
-    };
     // Slot 0 is the sequential engine, slot k the k-th shard count.
     let make_engine = |slot: usize| -> Box<dyn mvc_core::Timestamper> {
         if slot == 0 {
             Box::new(TimestampingEngine::with_components(map.clone()))
         } else {
-            Box::new(ShardedEngine::with_executor(
+            Box::new(ShardedEngine::with_components(
                 map.clone(),
                 config.shard_counts[slot - 1],
-                executor,
             ))
         }
     };
@@ -645,11 +475,6 @@ pub fn measure_throughput(config: &ThroughputConfig) -> ThroughputReport {
     let stamping = time_interleaved(slots, config.repeats, |slot| {
         time_one(make_engine(slot), &computation)
     });
-    let wide = config
-        .wide_widths
-        .iter()
-        .map(|&w| measure_wide_point(config, w))
-        .collect();
     // When the selected sink is not `mem`, one extra slot measures the
     // sequential engine through a mem sink in the *same* interleaved run —
     // the baseline `sink_relative_throughput` (and the CI overhead gate)
@@ -671,11 +496,10 @@ pub fn measure_throughput(config: &ThroughputConfig) -> ThroughputReport {
             config.objects,
         )
     });
-    let ingest = rows(config, executor_name, &pipeline[..slots]);
+    let ingest = rows(config, &pipeline[..slots]);
     let ingest_baseline = (baseline_slots == 1).then(|| EngineThroughput {
         engine: "sequential".to_owned(),
         shards: 1,
-        executor: "none".to_owned(),
         elapsed_ns: pipeline[slots],
         events_per_sec: events_per_sec(config.events, pipeline[slots]),
         speedup: 1.0,
@@ -797,8 +621,7 @@ pub fn measure_throughput(config: &ThroughputConfig) -> ThroughputReport {
         events: config.events,
         clock_width: map.len(),
         sink: config.sink.name().to_owned(),
-        engines: rows(config, executor_name, &stamping),
-        wide,
+        engines: rows(config, &stamping),
         ingest,
         ingest_baseline,
         sink_relative_throughput,
@@ -821,7 +644,6 @@ fn render_row(out: &mut String, e: &EngineThroughput) {
     out.push('{');
     out.push_str(&format!("\"engine\": \"{}\", ", e.engine));
     out.push_str(&format!("\"shards\": {}, ", e.shards));
-    out.push_str(&format!("\"executor\": \"{}\", ", e.executor));
     out.push_str(&format!("\"elapsed_ns\": {}, ", e.elapsed_ns));
     out.push_str(&format!(
         "\"events_per_sec\": {}, ",
@@ -860,52 +682,6 @@ pub fn render_throughput_json(report: &ThroughputReport) -> String {
     out.push_str(&format!("  \"clock_width\": {},\n", report.clock_width));
     out.push_str(&format!("  \"sink\": \"{}\",\n", report.sink));
     render_rows(&mut out, "engines", &report.engines, true);
-    out.push_str("  \"wide\": [\n");
-    for (i, p) in report.wide.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"width\": {}, ", p.width));
-        out.push_str(&format!("\"clusters\": {}, ", p.clusters));
-        out.push_str(&format!("\"events\": {}, ", p.events));
-        out.push_str(&format!(
-            "\"dense_events_per_sec\": {}, ",
-            json_f64(p.dense_events_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"chunked_events_per_sec\": {}, ",
-            json_f64(p.chunked_events_per_sec)
-        ));
-        // Four decimals: the CI gates compare this against 0.95 and 3.0.
-        out.push_str(&format!(
-            "\"speedup\": {}, ",
-            if p.speedup.is_finite() {
-                format!("{:.4}", p.speedup)
-            } else {
-                "null".to_owned()
-            }
-        ));
-        out.push_str(&format!(
-            "\"chunk_occupancy\": {}, ",
-            if p.chunk_occupancy.is_finite() {
-                format!("{:.4}", p.chunk_occupancy)
-            } else {
-                "null".to_owned()
-            }
-        ));
-        out.push_str(&format!(
-            "\"transmission_ratio\": {}",
-            if p.transmission_ratio.is_finite() {
-                format!("{:.4}", p.transmission_ratio)
-            } else {
-                "null".to_owned()
-            }
-        ));
-        out.push('}');
-        if i + 1 < report.wide.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
     render_rows(&mut out, "ingest", &report.ingest, true);
     out.push_str("  \"ingest_baseline\": ");
     match &report.ingest_baseline {
@@ -1028,7 +804,6 @@ mod tests {
             repeats: 1,
             sink: SinkKind::Mem,
             net_clients: 0,
-            wide_widths: vec![],
         };
         let report = measure_throughput(&config);
         for section in [&report.engines, &report.ingest] {
@@ -1085,7 +860,6 @@ mod tests {
                 repeats: 1,
                 sink,
                 net_clients: 0,
-                wide_widths: vec![],
             };
             let report = measure_throughput(&config);
             assert_eq!(report.sink, sink.name());
@@ -1103,44 +877,6 @@ mod tests {
                 assert!(report.sink_relative_throughput > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn wide_section_measures_dense_and_chunked() {
-        let config = ThroughputConfig {
-            threads: 8,
-            objects: 8,
-            events: 3_000,
-            workload: WorkloadKind::Uniform,
-            shard_counts: vec![1],
-            seed: 3,
-            repeats: 1,
-            sink: SinkKind::Mem,
-            net_clients: 0,
-            wide_widths: vec![64, 256],
-        };
-        let report = measure_throughput(&config);
-        assert_eq!(report.wide.len(), 2);
-        let p = &report.wide[0];
-        assert_eq!(p.width, 64);
-        assert_eq!(p.clusters, 1, "width 64 is a single community");
-        assert_eq!(p.events, 3_000);
-        assert!(p.dense_events_per_sec > 0.0);
-        assert!(p.chunked_events_per_sec > 0.0);
-        assert!(p.speedup > 0.0);
-        assert!(p.chunk_occupancy > 0.0 && p.chunk_occupancy <= 1.0);
-        assert!(p.transmission_ratio > 0.0 && p.transmission_ratio <= 1.0);
-        let q = &report.wide[1];
-        assert_eq!(q.width, 256);
-        assert_eq!(q.clusters, 4);
-        // Clustered events confine each row to its community's chunk span,
-        // so wide rows stay sparse — the effect the section exists to show.
-        assert!(
-            q.chunk_occupancy < p.chunk_occupancy,
-            "width 256 occupancy {} should undercut width 64's {}",
-            q.chunk_occupancy,
-            p.chunk_occupancy
-        );
     }
 
     #[test]
@@ -1179,7 +915,6 @@ mod tests {
             repeats: 1,
             sink: SinkKind::Conflict,
             net_clients: 0,
-            wide_widths: vec![],
         };
         let sink = SinkKind::Conflict.build_for(config.objects);
         let conflict = sink.as_any().downcast_ref::<ConflictSink>().unwrap();
@@ -1203,7 +938,6 @@ mod tests {
             repeats: 1,
             sink: SinkKind::Tee,
             net_clients: 0,
-            wide_widths: vec![64],
         };
         let json = render_throughput_json(&measure_throughput(&config));
         for key in [
@@ -1213,12 +947,6 @@ mod tests {
             "\"clock_width\":",
             "\"sink\": \"tee\"",
             "\"engines\": [",
-            "\"wide\": [",
-            "\"width\": 64",
-            "\"dense_events_per_sec\":",
-            "\"chunked_events_per_sec\":",
-            "\"chunk_occupancy\":",
-            "\"transmission_ratio\":",
             "\"ingest\": [",
             "\"engine\": \"sequential\"",
             "\"engine\": \"sharded\"",

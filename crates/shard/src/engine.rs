@@ -9,10 +9,8 @@ use mvc_clock::{Component, ComponentMap, VectorTimestamp};
 use mvc_core::{TimestampError, TimestampReport, Timestamper};
 use mvc_trace::{ObjectId, ThreadId};
 
-use crate::assignment::{AssignmentTable, InteractionGraph, ShardAssignment};
-use crate::fused::FusedState;
-use crate::slicing::EventRec;
-use crate::worker::{spawn, Chunk, Reply, WorkerMsg};
+use crate::slicing::{local_width, EventRec};
+use crate::worker::{spawn, Chunk};
 
 /// Events per chunk: the granularity at which batches are broadcast to the
 /// shards and merged back.  Large enough to amortise one channel round-trip
@@ -26,46 +24,14 @@ pub(crate) const CHUNK_EVENTS: usize = 4096;
 /// slice values instead of the whole batch.
 pub(crate) const PIPELINE_CHUNKS: usize = 4;
 
-use crate::fused::NO_COMPONENT;
-
-/// How a [`ShardedEngine`] executes its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardExecutor {
-    /// All shards run fused on the caller's thread: one full-width pass per
-    /// event, no queues, no slice buffers, no merge.  On a single CPU there
-    /// is nothing to overlap, so this is both the correct and the fastest
-    /// execution of an N-shard engine — and it substantially outruns the
-    /// sequential engine, because the batch path routes through dense
-    /// tables and allocates once per stamp instead of three times.  The
-    /// stamps are identical to the threaded executor's; only scheduling and
-    /// internal layout differ.
-    Inline,
-    /// Every shard is a dedicated worker thread fed by its own event queue
-    /// (see the `worker` module); the caller's thread routes, merges,
-    /// and overlaps with the shards.  The right choice whenever more than
-    /// one CPU is available.
-    Threads,
-}
-
-impl ShardExecutor {
-    /// Picks the executor matching the machine: [`Threads`] when more than
-    /// one CPU is available, [`Inline`] otherwise.
-    ///
-    /// [`Threads`]: ShardExecutor::Threads
-    /// [`Inline`]: ShardExecutor::Inline
-    pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => ShardExecutor::Threads,
-            _ => ShardExecutor::Inline,
-        }
-    }
-}
+/// Marks "no component" in the dense thread / object → component tables.
+const NO_COMPONENT: u32 = u32::MAX;
 
 /// Handles into the process-global metrics registry, resolved once per
 /// engine. All recording is chunk-granular (a chunk is up to
-/// [`CHUNK_EVENTS`] events), so the threaded executor pays a few `Relaxed`
-/// atomics per chunk round-trip and nothing per event. Names are
-/// catalogued in `docs/OBSERVABILITY.md`.
+/// [`CHUNK_EVENTS`] events), so the engine pays a few `Relaxed` atomics per
+/// chunk round-trip and nothing per event. Names are catalogued in
+/// `docs/OBSERVABILITY.md`.
 #[derive(Debug)]
 struct EngineMetrics {
     /// `shard.chunk_ns` (histogram, ns): router-side latency of collecting
@@ -87,40 +53,19 @@ impl Default for EngineMetrics {
     }
 }
 
-#[derive(Debug)]
-enum Backend {
-    Inline {
-        /// All shards fused into one full-width state: on a single thread
-        /// there is nothing to overlap, so the fastest execution of an
-        /// N-shard engine is the one pass with no slice buffers and no
-        /// merge.  Bit-identical to the threaded slices (slicing is exact
-        /// for every shard count, including one).
-        state: FusedState,
-    },
-    Threads {
-        inputs: Vec<Sender<WorkerMsg>>,
-        replies: Vec<Receiver<Reply>>,
-        handles: Vec<JoinHandle<()>>,
-    },
-}
-
 /// The sharded counterpart of
 /// [`TimestampingEngine`](mvc_core::TimestampingEngine): the same incremental
-/// mixed-vector-clock protocol, with the clock's components divided across
-/// `N` shards that each own their slice of every per-thread / per-object
-/// vector (see the `slicing` module).  Which shard owns which component is
-/// a pluggable [`ShardAssignment`]: modulo striping by default, or a
-/// locality-aware partition of the observed component-interaction graph
-/// ([`ShardedEngine::repartition`]) — stamps are bit-identical either way,
-/// because the protocol is componentwise independent.
+/// mixed-vector-clock protocol, with the clock's components striped across
+/// `N` worker threads (component `k` on shard `k % N`) that each own their
+/// slice of every per-thread / per-object vector (see the `slicing` module).
 ///
 /// The engine implements [`Timestamper`], so every existing driver —
 /// [`replay`](mvc_core::replay), `TraceSession::live`, the benches, the
-/// `mvc-eval` CLI — picks it up unchanged.  Throughput comes from the batch
-/// path ([`Timestamper::observe_batch`]): a batch is routed once, broadcast
-/// to the shards in chunks, processed slice-parallel, and merged back in
-/// arrival order.  Observing single events works and is bit-identical, but
-/// pays one full fan-out per event; drive the engine with batches.
+/// `mvc-eval` CLI — picks it up unchanged.  A batch
+/// ([`Timestamper::observe_batch`]) is routed once, broadcast to the shards
+/// in chunks, processed slice-parallel, and merged back in arrival order.
+/// Observing single events works and is bit-identical, but pays one full
+/// fan-out per event; drive the engine with batches.
 ///
 /// ```
 /// use mvc_core::{replay, Timestamper, TimestampingEngine};
@@ -150,88 +95,43 @@ pub struct ShardedEngine {
     thread_comp: Vec<u32>,
     /// Dense object → component-index table.
     object_comp: Vec<u32>,
-    shards: usize,
-    /// The requested assignment policy (recorded for reports; the live
-    /// mapping is `table`).
-    assignment: ShardAssignment,
-    /// The live component → (shard, local index) bijection.
-    table: AssignmentTable,
-    /// The observed component-interaction graph [`ShardedEngine::repartition`]
-    /// partitions; `Some` iff the assignment is
-    /// [`ShardAssignment::Partitioned`].
-    interactions: Option<InteractionGraph>,
-    backend: Backend,
+    /// One chunk queue per shard worker.
+    inputs: Vec<Sender<Chunk>>,
+    /// One reply channel per shard worker (slice values, event-major).
+    replies: Vec<Receiver<Vec<u64>>>,
+    handles: Vec<JoinHandle<()>>,
     events_observed: usize,
 }
 
 impl ShardedEngine {
-    /// Creates an engine with no components over `shards` shards (clamped to
-    /// at least 1), with the executor picked by [`ShardExecutor::auto`].
+    /// Creates an engine with no components over `shards` worker threads
+    /// (clamped to at least 1).
     pub fn new(shards: usize) -> Self {
         Self::with_components(ComponentMap::new(), shards)
     }
 
     /// Creates an engine pre-loaded with a component map (e.g. one computed
-    /// by the offline optimizer), with the executor picked by
-    /// [`ShardExecutor::auto`].
+    /// by the offline optimizer).
     pub fn with_components(components: ComponentMap, shards: usize) -> Self {
-        Self::with_executor(components, shards, ShardExecutor::auto())
-    }
-
-    /// Creates an engine with an explicit executor.
-    ///
-    /// The executor affects scheduling only — the stamp stream is identical
-    /// either way (conformance oracle 6 checks all executors against the
-    /// sequential engine).
-    pub fn with_executor(components: ComponentMap, shards: usize, executor: ShardExecutor) -> Self {
-        Self::with_assignment(components, shards, executor, ShardAssignment::default())
-    }
-
-    /// Creates an engine with an explicit executor and shard-assignment
-    /// policy.
-    ///
-    /// Like the executor, the assignment affects placement only — the
-    /// protocol is componentwise independent, so the stamp stream is
-    /// bit-identical under any assignment (conformance oracle 10).
-    pub fn with_assignment(
-        components: ComponentMap,
-        shards: usize,
-        executor: ShardExecutor,
-        assignment: ShardAssignment,
-    ) -> Self {
         let shards = shards.max(1);
-        let backend = match executor {
-            ShardExecutor::Inline => Backend::Inline {
-                state: FusedState::new(),
-            },
-            ShardExecutor::Threads => {
-                let mut inputs = Vec::with_capacity(shards);
-                let mut replies = Vec::with_capacity(shards);
-                let mut handles = Vec::with_capacity(shards);
-                for s in 0..shards {
-                    let (to_shard, input) = unbounded();
-                    let (output, reply) = unbounded();
-                    handles.push(spawn(s, input, output));
-                    inputs.push(to_shard);
-                    replies.push(reply);
-                }
-                Backend::Threads {
-                    inputs,
-                    replies,
-                    handles,
-                }
-            }
-        };
+        let mut inputs = Vec::with_capacity(shards);
+        let mut replies = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        for s in 0..shards {
+            let (to_shard, input) = unbounded();
+            let (output, reply) = unbounded();
+            handles.push(spawn(s, input, output));
+            inputs.push(to_shard);
+            replies.push(reply);
+        }
         let mut engine = ShardedEngine {
             metrics: EngineMetrics::default(),
             components: ComponentMap::new(),
             thread_comp: Vec::new(),
             object_comp: Vec::new(),
-            shards,
-            assignment,
-            table: AssignmentTable::modulo(0, shards, assignment),
-            interactions: (assignment == ShardAssignment::Partitioned).then(InteractionGraph::new),
-            backend,
+            inputs,
+            replies,
+            handles,
             events_observed: 0,
         };
         for &component in components.components() {
@@ -240,81 +140,9 @@ impl ShardedEngine {
         engine
     }
 
-    /// The executor this engine runs on.
-    pub fn executor(&self) -> ShardExecutor {
-        match self.backend {
-            Backend::Inline { .. } => ShardExecutor::Inline,
-            Backend::Threads { .. } => ShardExecutor::Threads,
-        }
-    }
-
-    /// The logical shard count: how many slices the threaded executor
-    /// divides the components across.  The inline executor fuses all shards
-    /// into one pass, so there this only records what was requested.
+    /// How many shards (worker threads) the components are striped across.
     pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard-assignment policy this engine places components with.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
-    /// Recomputes the component placement from the interactions observed so
-    /// far, migrating worker slice state to the new layout.  Returns `true`
-    /// if the placement changed.
-    ///
-    /// Only meaningful under [`ShardAssignment::Partitioned`] (a modulo
-    /// engine observes no interactions and returns `false`).  Safe at any
-    /// batch boundary: the stamp stream is unaffected — the protocol is
-    /// componentwise independent, so moving a component only changes which
-    /// worker computes its values (conformance oracle 10 checks a mid-run
-    /// repartition against the modulo engine bit-for-bit).
-    pub fn repartition(&mut self) -> bool {
-        let mut new_table = self.table.clone();
-        match &self.interactions {
-            Some(graph) if new_table.repartition(graph) => {}
-            _ => return false,
-        }
-        if let Backend::Threads {
-            inputs, replies, ..
-        } = &self.backend
-        {
-            // Export every shard's slice rows (the reply channels are FIFO
-            // and no chunks are in flight between batches, so the next
-            // reply on each channel is the exported state).
-            let width = self.table.width();
-            let mut full_threads: Vec<Vec<u64>> = Vec::new();
-            let mut full_objects: Vec<Vec<u64>> = Vec::new();
-            for (s, (input, reply)) in inputs.iter().zip(replies).enumerate() {
-                input
-                    .send(WorkerMsg::Export)
-                    // mvc-lint: allow(hot-path-panic) — workers only exit after their input channel is dropped, which happens in our Drop
-                    .expect("shard worker is alive");
-                // mvc-lint: allow(hot-path-panic) — a worker replies once per export or the process is already panicking; see worker.rs
-                match reply.recv().expect("shard worker reply") {
-                    Reply::State { threads, objects } => {
-                        widen_rows(&mut full_threads, &threads, self.table.globals(s), width);
-                        widen_rows(&mut full_objects, &objects, self.table.globals(s), width);
-                    }
-                    Reply::Slices(_) => unreachable!("export is answered with state"),
-                }
-            }
-            // Re-slice under the new placement and load it back.
-            for (s, input) in inputs.iter().enumerate() {
-                input
-                    .send(WorkerMsg::Load {
-                        threads: slice_rows(&full_threads, new_table.globals(s)),
-                        objects: slice_rows(&full_objects, new_table.globals(s)),
-                    })
-                    // mvc-lint: allow(hot-path-panic) — workers only exit after their input channel is dropped, which happens in our Drop
-                    .expect("shard worker is alive");
-            }
-        }
-        // The inline executor's fused state is full-width and
-        // assignment-agnostic: swapping the table is the whole migration.
-        self.table = new_table;
-        true
+        self.inputs.len()
     }
 
     /// The current component map.
@@ -329,17 +157,12 @@ impl ShardedEngine {
 
     /// Adds a component (if not already present), returning its index.
     ///
-    /// The new component is placed by the engine's [`ShardAssignment`]
-    /// (shard `index % shard_count` under modulo, the lightest shard under
-    /// partitioned); no existing slice data moves (see the `slicing`
-    /// module).
+    /// Component `index` lands on shard `index % shard_count`; no existing
+    /// slice data moves (see the `slicing` module).
     pub fn add_component(&mut self, component: Component) -> usize {
         let index = self.components.push(component);
         // mvc-lint: allow(hot-path-panic) — a clock wider than u32::MAX components would exhaust memory long before this fires
         let index_u32 = u32::try_from(index).expect("clock width fits in u32");
-        while self.table.width() <= index {
-            self.table.push_component();
-        }
         match component {
             Component::Thread(t) => set_dense(&mut self.thread_comp, t.index(), index_u32),
             Component::Object(o) => set_dense(&mut self.object_comp, o.index(), index_u32),
@@ -366,37 +189,14 @@ impl ShardedEngine {
     }
 
     /// The batch pipeline: route → broadcast in chunks → apply per shard →
-    /// order-preserving merge (the inline executor routes and applies in a
-    /// single fused pass instead).  See the crate docs for the merge
-    /// invariant.
+    /// order-preserving merge.  See the crate docs for the merge invariant.
     fn process_batch(
         &mut self,
         events: &[(ThreadId, ObjectId)],
         out: &mut Vec<VectorTimestamp>,
     ) -> Result<(), TimestampError> {
         let width = self.components.len();
-        // Under the partitioned assignment, record which components
-        // co-occur in events — one cheap pre-pass per batch feeding the
-        // graph `repartition` coarsens.  Modulo engines skip this entirely.
-        if let Some(graph) = self.interactions.as_mut() {
-            for &(thread, object) in events {
-                let tc = dense_get(&self.thread_comp, thread.index());
-                let oc = dense_get(&self.object_comp, object.index());
-                if tc != NO_COMPONENT && oc != NO_COMPONENT {
-                    graph.record(tc, oc);
-                }
-            }
-        }
-        if let Backend::Inline { state } = &mut self.backend {
-            let before = out.len();
-            let failure =
-                state.apply_routed(width, events, &self.thread_comp, &self.object_comp, out);
-            self.events_observed += out.len() - before;
-            return match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
+        let shards = self.inputs.len();
         // Route the batch's longest coverable prefix.  Coverage cannot change
         // inside the batch (`add_component` needs `&mut self`), so checking
         // up front is equivalent to the sequential engine's per-event check.
@@ -404,13 +204,12 @@ impl ShardedEngine {
         let mut failure = None;
         for &(thread, object) in events {
             match self.route(thread, object) {
-                Some(c) => recs.push(EventRec {
-                    t: thread.index() as u32,
-                    o: object.index() as u32,
+                Some(c) => recs.push(EventRec::striped(
+                    thread.index() as u32,
+                    object.index() as u32,
                     c,
-                    c_shard: self.table.shard_of(c),
-                    c_local: self.table.local_of(c),
-                }),
+                    shards as u32,
+                )),
                 None => {
                     failure = Some(TimestampError::Uncovered { thread, object });
                     break;
@@ -420,55 +219,43 @@ impl ShardedEngine {
         let n = recs.len();
         self.events_observed += n;
         out.reserve(n);
-        match &mut self.backend {
-            Backend::Inline { .. } => unreachable!("handled above"),
-            Backend::Threads {
-                inputs, replies, ..
-            } => {
-                let windows: Vec<(usize, usize)> = (0..n)
-                    .step_by(CHUNK_EVENTS)
-                    .map(|start| (start, (start + CHUNK_EVENTS).min(n)))
-                    .collect();
-                // Keep a bounded window of chunks in flight: the shards work
-                // ahead of the merge, but the reply queues never buffer more
-                // than PIPELINE_CHUNKS chunks of slice data — without the
-                // bound, shards that outrun the merge would transiently hold
-                // the whole batch's slices (O(events × width)) in memory.
-                let shared = Arc::new(recs);
-                let mut sent = 0;
-                let mut bufs: Vec<Vec<u64>> = Vec::with_capacity(self.shards);
-                for (merged, &(start, end)) in windows.iter().enumerate() {
-                    while sent < windows.len() && sent < merged + PIPELINE_CHUNKS {
-                        let (s, e) = windows[sent];
-                        for (shard, input) in inputs.iter().enumerate() {
-                            input
-                                .send(WorkerMsg::Chunk(Chunk {
-                                    ln: self.table.ln(shard),
-                                    events: Arc::clone(&shared),
-                                    start: s,
-                                    end: e,
-                                }))
-                                // mvc-lint: allow(hot-path-panic) — workers only exit after their input channel is dropped, which happens in our Drop
-                                .expect("shard worker is alive");
-                        }
-                        sent += 1;
-                    }
-                    self.metrics.inflight_chunks.set((sent - merged) as i64);
-                    bufs.clear();
-                    let chunk_span = self.metrics.chunk_ns.span();
-                    for reply in replies.iter() {
-                        // mvc-lint: allow(hot-path-panic) — a worker replies once per chunk or the process is already panicking; see worker.rs
-                        match reply.recv().expect("shard worker reply") {
-                            Reply::Slices(buf) => bufs.push(buf),
-                            Reply::State { .. } => {
-                                unreachable!("chunks are answered with slices")
-                            }
-                        }
-                    }
-                    chunk_span.stop();
-                    merge_into(width, &self.table, &bufs, end - start, out);
+        let windows: Vec<(usize, usize)> = (0..n)
+            .step_by(CHUNK_EVENTS)
+            .map(|start| (start, (start + CHUNK_EVENTS).min(n)))
+            .collect();
+        // Keep a bounded window of chunks in flight: the shards work ahead of
+        // the merge, but the reply queues never buffer more than
+        // PIPELINE_CHUNKS chunks of slice data — without the bound, shards
+        // that outrun the merge would transiently hold the whole batch's
+        // slices (O(events × width)) in memory.
+        let shared = Arc::new(recs);
+        let mut sent = 0;
+        let mut bufs: Vec<Vec<u64>> = Vec::with_capacity(shards);
+        for (merged, &(start, end)) in windows.iter().enumerate() {
+            while sent < windows.len() && sent < merged + PIPELINE_CHUNKS {
+                let (s, e) = windows[sent];
+                for (shard, input) in self.inputs.iter().enumerate() {
+                    input
+                        .send(Chunk {
+                            ln: local_width(width, shard, shards),
+                            events: Arc::clone(&shared),
+                            start: s,
+                            end: e,
+                        })
+                        // mvc-lint: allow(hot-path-panic) — workers only exit after their input channel is dropped, which happens in our Drop
+                        .expect("shard worker is alive");
                 }
+                sent += 1;
             }
+            self.metrics.inflight_chunks.set((sent - merged) as i64);
+            bufs.clear();
+            let chunk_span = self.metrics.chunk_ns.span();
+            for reply in &self.replies {
+                // mvc-lint: allow(hot-path-panic) — a worker replies once per chunk or the process is already panicking; see worker.rs
+                bufs.push(reply.recv().expect("shard worker reply"));
+            }
+            chunk_span.stop();
+            merge_into(width, &bufs, end - start, out);
         }
         match failure {
             Some(e) => Err(e),
@@ -516,83 +303,34 @@ impl Timestamper for ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        if let Backend::Threads {
-            inputs,
-            replies,
-            handles,
-        } = &mut self.backend
-        {
-            // Dropping the senders lets every worker drain its queue and
-            // exit; dropping the reply receivers first would also work, but
-            // joining keeps thread teardown deterministic for tests.
-            inputs.clear();
-            replies.clear();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
+        // Dropping the senders lets every worker drain its queue and exit;
+        // dropping the reply receivers first would also work, but joining
+        // keeps thread teardown deterministic for tests.
+        self.inputs.clear();
+        self.replies.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
 /// Merges one chunk's per-shard slice buffers into full-width timestamps,
-/// in arrival order: component `table.globals(s)[j]` of event `i` is value
-/// `i * table.ln(s) + j` of shard `s`'s buffer — the inverse of the
-/// assignment bijection, for any assignment.
-fn merge_into(
-    width: usize,
-    table: &AssignmentTable,
-    bufs: &[Vec<u64>],
-    n_events: usize,
-    out: &mut Vec<VectorTimestamp>,
-) {
+/// in arrival order: value `i * ln + j` of shard `s`'s buffer (with `ln`
+/// that shard's slice width) is component `s + j * shards` of event `i` —
+/// the inverse of the striping.
+fn merge_into(width: usize, bufs: &[Vec<u64>], n_events: usize, out: &mut Vec<VectorTimestamp>) {
+    let shards = bufs.len();
+    let lns: Vec<usize> = (0..shards).map(|s| local_width(width, s, shards)).collect();
     for i in 0..n_events {
         let mut v = vec![0u64; width];
-        for (s, buf) in bufs.iter().enumerate() {
-            let globals = table.globals(s);
-            let base = i * globals.len();
-            for (j, &k) in globals.iter().enumerate() {
-                v[k as usize] = buf[base + j];
+        for (s, (buf, &ln)) in bufs.iter().zip(&lns).enumerate() {
+            let slice = &buf[i * ln..(i + 1) * ln];
+            for (dst, &value) in v.iter_mut().skip(s).step_by(shards).zip(slice) {
+                *dst = value;
             }
         }
         out.push(VectorTimestamp::from_components(v));
     }
-}
-
-/// Scatter one shard's exported local-index rows into full-width rows
-/// (repartition migration, gather side): local index `j` of shard rows maps
-/// to global component `globals[j]`.
-fn widen_rows(full: &mut Vec<Vec<u64>>, rows: &[Vec<u64>], globals: &[u32], width: usize) {
-    if full.len() < rows.len() {
-        full.resize_with(rows.len(), Vec::new);
-    }
-    for (full_row, row) in full.iter_mut().zip(rows) {
-        if !row.is_empty() && full_row.len() < width {
-            full_row.resize(width, 0);
-        }
-        // A row lazily padded short of this shard's ln simply contributes
-        // fewer (all-zero) entries.
-        for (j, &value) in row.iter().enumerate() {
-            full_row[globals[j] as usize] = value;
-        }
-    }
-}
-
-/// Gather full-width rows back into one shard's local-index rows under a
-/// new assignment (repartition migration, scatter side).  Rows never
-/// touched stay empty (the worker re-creates them lazily).
-fn slice_rows(full: &[Vec<u64>], globals: &[u32]) -> Vec<Vec<u64>> {
-    full.iter()
-        .map(|row| {
-            if row.is_empty() {
-                Vec::new()
-            } else {
-                globals
-                    .iter()
-                    .map(|&k| row.get(k as usize).copied().unwrap_or(0))
-                    .collect()
-            }
-        })
-        .collect()
 }
 
 fn dense_get(table: &[u32], index: usize) -> u32 {
@@ -616,36 +354,19 @@ mod tests {
         ComponentMap::all_threads(n)
     }
 
-    fn parity_case(shards: usize, executor: ShardExecutor) {
+    #[test]
+    fn sharded_engine_matches_sequential_engine() {
         let c = WorkloadBuilder::new(6, 9).operations(700).seed(13).build();
-        let map = {
-            let mut m = ComponentMap::new();
-            for t in 0..6 {
-                m.push(Component::Thread(ThreadId(t)));
-            }
-            m.push(Component::Object(ObjectId(0)));
-            m
-        };
-        let mut sharded = ShardedEngine::with_executor(map.clone(), shards, executor);
-        let mut sequential = TimestampingEngine::with_components(map);
-        let a = replay(&mut sharded, &c).unwrap();
-        let b = replay(&mut sequential, &c).unwrap();
-        assert_eq!(a.timestamps, b.timestamps);
-        assert_eq!(a.report.events, b.report.events);
-        assert_eq!(a.report.components, b.report.components);
-    }
-
-    #[test]
-    fn inline_executor_matches_sequential_engine() {
+        let mut map = thread_map(6);
+        map.push(Component::Object(ObjectId(0)));
         for shards in [1, 2, 3, 4, 8, 16] {
-            parity_case(shards, ShardExecutor::Inline);
-        }
-    }
-
-    #[test]
-    fn threaded_executor_matches_sequential_engine() {
-        for shards in [1, 2, 4] {
-            parity_case(shards, ShardExecutor::Threads);
+            let mut sharded = ShardedEngine::with_components(map.clone(), shards);
+            let mut sequential = TimestampingEngine::with_components(map.clone());
+            let a = replay(&mut sharded, &c).unwrap();
+            let b = replay(&mut sequential, &c).unwrap();
+            assert_eq!(a.timestamps, b.timestamps, "{shards} shards");
+            assert_eq!(a.report.events, b.report.events);
+            assert_eq!(a.report.components, b.report.components);
         }
     }
 
@@ -654,7 +375,7 @@ mod tests {
         let ops = CHUNK_EVENTS * 2 + 37;
         let c = WorkloadBuilder::new(8, 8).operations(ops).seed(3).build();
         let map = thread_map(8);
-        let mut sharded = ShardedEngine::with_executor(map.clone(), 4, ShardExecutor::Threads);
+        let mut sharded = ShardedEngine::with_components(map.clone(), 4);
         let mut sequential = TimestampingEngine::with_components(map);
         let a = replay(&mut sharded, &c).unwrap();
         let b = replay(&mut sequential, &c).unwrap();
@@ -666,7 +387,7 @@ mod tests {
     fn uncovered_event_fails_after_the_stampable_prefix() {
         let mut map = ComponentMap::new();
         map.push(Component::Thread(ThreadId(0)));
-        let mut engine = ShardedEngine::with_executor(map, 2, ShardExecutor::Inline);
+        let mut engine = ShardedEngine::with_components(map, 2);
         let events = [
             (ThreadId(0), ObjectId(0)),
             (ThreadId(0), ObjectId(1)),
@@ -697,7 +418,7 @@ mod tests {
         let half = 150;
         let events: Vec<_> = c.events().map(|e| (e.thread, e.object)).collect();
         let partial = ComponentMap::all_threads(5);
-        let mut sharded = ShardedEngine::with_executor(partial.clone(), 4, ShardExecutor::Inline);
+        let mut sharded = ShardedEngine::with_components(partial.clone(), 4);
         let mut sequential = TimestampingEngine::with_components(partial);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         sharded.observe_batch(&events[..half], &mut a).unwrap();
@@ -718,12 +439,12 @@ mod tests {
     fn single_observe_is_bit_identical_to_batching() {
         let c = WorkloadBuilder::new(4, 4).operations(60).seed(5).build();
         let map = thread_map(4);
-        let mut one_by_one = ShardedEngine::with_executor(map.clone(), 3, ShardExecutor::Inline);
+        let mut one_by_one = ShardedEngine::with_components(map.clone(), 3);
         let singles: Vec<_> = c
             .events()
             .map(|e| Timestamper::observe(&mut one_by_one, e.thread, e.object).unwrap())
             .collect();
-        let mut batched = ShardedEngine::with_executor(map, 3, ShardExecutor::Inline);
+        let mut batched = ShardedEngine::with_components(map, 3);
         let run = replay(&mut batched, &c).unwrap();
         assert_eq!(singles, run.timestamps);
     }
@@ -741,7 +462,7 @@ mod tests {
 
     #[test]
     fn add_component_is_idempotent_and_object_preferred() {
-        let mut e = ShardedEngine::with_executor(ComponentMap::new(), 2, ShardExecutor::Inline);
+        let mut e = ShardedEngine::new(2);
         let a = e.add_component(Component::Object(ObjectId(3)));
         let b = e.add_component(Component::Object(ObjectId(3)));
         assert_eq!(a, b);
@@ -756,7 +477,7 @@ mod tests {
     #[test]
     fn finish_reports_name_events_and_components() {
         let map = thread_map(2);
-        let mut e = ShardedEngine::with_executor(map.clone(), 2, ShardExecutor::Inline);
+        let mut e = ShardedEngine::with_components(map.clone(), 2);
         Timestamper::observe(&mut e, ThreadId(0), ObjectId(0)).unwrap();
         let report = e.finish();
         assert_eq!(report.name, "sharded-engine");
@@ -765,108 +486,13 @@ mod tests {
         assert_eq!(e.name(), "sharded-engine");
     }
 
-    fn object_heavy_map(threads: usize, objects: usize) -> ComponentMap {
-        let mut m = ComponentMap::new();
-        for t in 0..threads {
-            m.push(Component::Thread(ThreadId(t)));
-        }
-        for o in 0..objects {
-            m.push(Component::Object(ObjectId(o)));
-        }
-        m
-    }
-
-    #[test]
-    fn partitioned_assignment_matches_modulo_bit_for_bit() {
-        let c = WorkloadBuilder::new(6, 10).operations(900).seed(29).build();
-        let map = object_heavy_map(6, 10);
-        for executor in [ShardExecutor::Inline, ShardExecutor::Threads] {
-            for shards in [1, 2, 4] {
-                let mut part = ShardedEngine::with_assignment(
-                    map.clone(),
-                    shards,
-                    executor,
-                    ShardAssignment::Partitioned,
-                );
-                let mut modulo = ShardedEngine::with_assignment(
-                    map.clone(),
-                    shards,
-                    executor,
-                    ShardAssignment::Modulo,
-                );
-                assert_eq!(part.assignment(), ShardAssignment::Partitioned);
-                assert_eq!(modulo.assignment(), ShardAssignment::Modulo);
-                let a = replay(&mut part, &c).unwrap();
-                let b = replay(&mut modulo, &c).unwrap();
-                assert_eq!(a.timestamps, b.timestamps, "{executor:?} × {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn mid_run_repartition_leaves_the_stamp_stream_unchanged() {
-        let c = WorkloadBuilder::new(6, 10)
-            .operations(1200)
-            .seed(31)
-            .build();
-        let events: Vec<_> = c.events().map(|e| (e.thread, e.object)).collect();
-        let half = events.len() / 2;
-        let map = object_heavy_map(6, 10);
-        for executor in [ShardExecutor::Inline, ShardExecutor::Threads] {
-            let mut part = ShardedEngine::with_assignment(
-                map.clone(),
-                4,
-                executor,
-                ShardAssignment::Partitioned,
-            );
-            let mut sequential = TimestampingEngine::with_components(map.clone());
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            part.observe_batch(&events[..half], &mut a).unwrap();
-            sequential.observe_batch(&events[..half], &mut b).unwrap();
-            // Re-place components from the observed interaction graph; the
-            // migration must carry every counter to its new owner.
-            part.repartition();
-            part.observe_batch(&events[half..], &mut a).unwrap();
-            sequential.observe_batch(&events[half..], &mut b).unwrap();
-            assert_eq!(a, b, "{executor:?}");
-        }
-    }
-
-    #[test]
-    fn repartition_is_a_noop_for_modulo_and_converges_for_partitioned() {
-        let c = WorkloadBuilder::new(4, 6).operations(400).seed(17).build();
-        let map = object_heavy_map(4, 6);
-        let mut modulo = ShardedEngine::with_assignment(
-            map.clone(),
-            2,
-            ShardExecutor::Inline,
-            ShardAssignment::Modulo,
-        );
-        replay(&mut modulo, &c).unwrap();
-        assert!(!modulo.repartition(), "modulo observes no interactions");
-        let mut part = ShardedEngine::with_assignment(
-            map,
-            2,
-            ShardExecutor::Inline,
-            ShardAssignment::Partitioned,
-        );
-        replay(&mut part, &c).unwrap();
-        if part.repartition() {
-            // The layout is canonical, so repartitioning again from the same
-            // graph changes nothing.
-            assert!(!part.repartition(), "second repartition is stable");
-        }
-    }
-
     #[test]
     fn dropping_a_threaded_engine_joins_its_workers() {
         // Nothing to assert beyond "this terminates": Drop joins every
         // worker, so a hang here would fail the test by timeout.
         for _ in 0..3 {
-            let map = thread_map(2);
-            let mut e = ShardedEngine::with_executor(map, 4, ShardExecutor::Threads);
+            let mut e = ShardedEngine::with_components(thread_map(2), 4);
             Timestamper::observe(&mut e, ThreadId(0), ObjectId(0)).unwrap();
-            assert_eq!(e.executor(), ShardExecutor::Threads);
         }
     }
 }

@@ -2,15 +2,25 @@
 //! order-preserving merge.
 //!
 //! The sequential [`TimestampingEngine`](mvc_core::TimestampingEngine)
-//! processes one event at a time on one core, so the paper's online protocol
-//! can never exceed single-core throughput no matter how fast the mechanisms
-//! get.  This crate scales the *engine* out without changing a single stamp:
-//! [`ShardedEngine`] divides the clock's components across `N` shards under
-//! a pluggable [`ShardAssignment`] — modulo striping by default (component
-//! `k` belongs to shard `k % N`), or a locality-aware partition of the
-//! observed component-interaction graph — each shard owns its slice of
-//! every per-thread and per-object mixed vector, and a merge stage
+//! processes one event at a time on one core.  [`ShardedEngine`] runs the
+//! same protocol slice-parallel without changing a single stamp: the clock's
+//! components are striped across `N` worker threads (component `k` belongs
+//! to shard `k % N`), each shard owns its slice of every per-thread and
+//! per-object mixed vector as plain dense rows, and a merge stage
 //! reassembles full-width timestamps in arrival order.
+//!
+//! # When to use it
+//!
+//! Measure first.  Every shard applies every event and the merge scatters
+//! every component of every stamp, so the fan-out, the per-chunk channel
+//! round-trip and the merge are pure overhead unless the slice arithmetic
+//! dominates them.  On the one host this has been measured on (2 shards on
+//! 2 cores, `shard.vs_engine_ratio` in the benchmark's trace run) the
+//! sharded engine ran at 0.59× the sequential engine at width 64 and 0.15×
+//! at width 4096.  Use `TimestampingEngine` unless you have measured
+//! otherwise on your hardware.  The dense-slice kernel here is also the
+//! independent reference the chunked kernel is checked against
+//! (conformance oracles 6 and 10).
 //!
 //! # Why slicing is exact
 //!
@@ -37,9 +47,8 @@
 //! 2. **Stamps complete in order.**  The merge emits event `i`'s timestamp
 //!    only once every shard's slice for `i`'s chunk has arrived, and
 //!    component `k` of that timestamp is read from its owning shard's
-//!    buffer at `k`'s local index (under modulo striping, shard `k % N`,
-//!    local index `k / N`) — each component is produced by exactly one
-//!    shard, whatever the assignment.
+//!    buffer at `k`'s local index (shard `k % N`, local index `k / N`) —
+//!    each component is produced by exactly one shard.
 //! 3. **Program and chain order are preserved.**  Because all shards see
 //!    the single arrival order (the faithful interleaving
 //!    [`TraceSession`](../mvc_runtime/struct.TraceSession.html)'s
@@ -52,19 +61,13 @@
 //! The engine implements [`Timestamper`](mvc_core::Timestamper), so
 //! `TraceSession::live`, [`replay`](mvc_core::replay), `mvc-bench`, and the
 //! `mvc-eval` CLI pick it up with zero call-site changes; batches fan out,
-//! single observations still work.  [`ShardExecutor`] selects between
-//! dedicated worker threads (multi-core) and an inline executor
-//! (single-CPU hosts, tests) — the choice affects scheduling only, never
-//! stamps.
+//! single observations still work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assignment;
 mod engine;
-pub(crate) mod fused;
 pub(crate) mod slicing;
 pub(crate) mod worker;
 
-pub use assignment::ShardAssignment;
-pub use engine::{ShardExecutor, ShardedEngine};
+pub use engine::ShardedEngine;

@@ -1,14 +1,14 @@
 //! Component slicing: how the clock's components are divided across shards,
 //! and the per-shard state that applies the protocol to one slice.
 //!
-//! Which shard owns which component is decided by the engine's
-//! [`AssignmentTable`](crate::assignment): modulo striping by default
-//! (component `k` on shard `k % N` at local index `k / N`, so a component
-//! added mid-run lands on some shard without moving any existing slice
-//! data), or a locality-aware partition of the observed interaction graph.
-//! The shard itself is assignment-agnostic: every routed event arrives with
-//! its increment component pre-resolved to `(owning shard, local index)`,
-//! and the shard only ever sees local indices.
+//! Placement is modulo striping, in closed form: component `k` lives on
+//! shard `k % N` at local index `k / N`, shard `s` owns
+//! `local_width(width, s, N)` components, and the inverse is
+//! `k = s + j * N`.  A component added mid-run lands on some shard without
+//! moving any existing slice data.  Which shard owns a component cannot
+//! change anyone's work — every shard applies every event to its whole
+//! slice and the merge scatters every component of every stamp — so there is
+//! exactly one placement.
 //!
 //! The protocol itself is componentwise independent: for every component
 //! `k`, an event `e = (t, o)` performs
@@ -21,16 +21,12 @@
 //! and no other component's value participates.  A shard can therefore apply
 //! the *whole event stream in arrival order* to just its slice of every
 //! per-thread / per-object vector, and the concatenation of the slices is
-//! bit-for-bit the sequential engine's result — under *any* bijective
-//! component assignment.  That independence is the entire correctness
-//! argument for the sharded engine (and for repartitioning): shards never
+//! bit-for-bit the sequential engine's result.  That independence is the
+//! entire correctness argument for the sharded engine: shards never
 //! communicate, they only have to see the same events in the same order.
 
-/// Number of components a shard owns under modulo striping when the clock
-/// has `width` components: the size of `{k < width : k % shards == shard}`.
-/// (The router now asks its [`AssignmentTable`](crate::assignment) instead;
-/// the tests keep this closed form to cross-check striped layouts.)
-#[cfg(test)]
+/// Number of components shard `shard` owns when the clock has `width`
+/// components: the size of `{k < width : k % shards == shard}`.
 pub(crate) fn local_width(width: usize, shard: usize, shards: usize) -> usize {
     if width > shard {
         (width - shard).div_ceil(shards)
@@ -42,28 +38,23 @@ pub(crate) fn local_width(width: usize, shard: usize, shards: usize) -> usize {
 /// One routed event, as shipped to every shard: dense thread / object
 /// indices and the component the protocol increments (`e.c` in the paper —
 /// the object's component if the object is in the clock, otherwise the
-/// thread's), both as the *global* index (used by the fused executor and
-/// the tests) and pre-resolved to the owning shard and its local index
-/// (used by the shard workers, which never see global indices).
+/// thread's), pre-resolved to the owning shard and its local index (the
+/// shard workers never see global indices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EventRec {
     pub(crate) t: u32,
     pub(crate) o: u32,
-    pub(crate) c: u32,
     pub(crate) c_shard: u32,
     pub(crate) c_local: u32,
 }
 
 impl EventRec {
-    /// An event record under modulo striping (how the non-test router built
-    /// records before assignments became pluggable; tests use it to state
-    /// striped layouts concisely).
-    #[cfg(test)]
+    /// The record of an event of thread `t` on object `o` incrementing
+    /// global component `c`, striped over `shards` shards.
     pub(crate) fn striped(t: u32, o: u32, c: u32, shards: u32) -> Self {
         EventRec {
             t,
             o,
-            c,
             c_shard: c % shards,
             c_local: c / shards,
         }
@@ -125,23 +116,6 @@ impl ShardState {
                 out[base + local_c] = m;
             }
         }
-    }
-
-    /// Hands the slice rows to the router for a repartition migration,
-    /// leaving the shard empty (it will be re-seeded by [`restore`]).
-    ///
-    /// [`restore`]: ShardState::restore
-    pub(crate) fn export(&mut self) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-        (
-            std::mem::take(&mut self.threads),
-            std::mem::take(&mut self.objects),
-        )
-    }
-
-    /// Replaces the slice rows with re-sliced state from the router.
-    pub(crate) fn restore(&mut self, threads: Vec<Vec<u64>>, objects: Vec<Vec<u64>>) {
-        self.threads = threads;
-        self.objects = objects;
     }
 }
 
@@ -256,20 +230,5 @@ mod tests {
         // at zero for the existing thread/object rows.
         s.apply(2, &[EventRec::striped(0, 0, 2, 2)], &mut out);
         assert_eq!(out, vec![1, 1], "component 0 carried over, 2 incremented");
-    }
-
-    #[test]
-    fn export_and_restore_round_trip_the_slice() {
-        let mut s = ShardState::new(0);
-        let mut out = Vec::new();
-        s.apply(2, &[EventRec::striped(0, 1, 0, 1)], &mut out);
-        let (threads, objects) = s.export();
-        assert_eq!(threads[0], vec![1, 0]);
-        assert_eq!(objects[1], vec![1, 0]);
-        let mut fresh = ShardState::new(0);
-        fresh.restore(threads, objects);
-        out.clear();
-        fresh.apply(2, &[EventRec::striped(0, 1, 1, 1)], &mut out);
-        assert_eq!(out, vec![1, 1], "loaded state continues the protocol");
     }
 }

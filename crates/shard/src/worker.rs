@@ -1,20 +1,17 @@
-//! The threaded executor's shard workers.
+//! The shard workers.
 //!
 //! Each shard is one OS thread owning a [`ShardState`](crate::slicing) and
-//! fed by its own message queue.  The router broadcasts every chunk (a
-//! shared `Arc` of routed events plus a `start..end` window, so a whole
-//! batch is one allocation no matter how many chunks it splits into) to
-//! every shard; a shard applies the chunk to its slice and sends the
-//! resulting flat buffer back on its private reply channel.  Around
-//! repartitions the router additionally sends [`WorkerMsg::Export`] /
-//! [`WorkerMsg::Load`] to migrate slice state between assignments; `Load`
-//! produces no reply, so the chunk-reply discipline below is unaffected.
+//! fed by its own queue.  The router broadcasts every [`Chunk`] (a shared
+//! `Arc` of routed events plus a `start..end` window, so a whole batch is
+//! one allocation no matter how many chunks it splits into) to every shard;
+//! a shard applies the chunk to its slice and sends the resulting flat
+//! buffer (slice values, event-major) back on its private reply channel.
 //!
 //! Ordering needs no sequence numbers: both channels are FIFO and each
-//! worker processes its queue in order, so the `k`-th chunk reply on shard
-//! `s`'s channel is always shard `s`'s slice of the `k`-th chunk.  The
-//! router's merge consumes one reply per shard per chunk, which is exactly
-//! the epoch/watermark discipline described in the crate docs.
+//! worker processes its queue in order, so the `k`-th reply on shard `s`'s
+//! channel is always shard `s`'s slice of the `k`-th chunk.  The router's
+//! merge consumes one reply per shard per chunk, which is exactly the
+//! epoch/watermark discipline described in the crate docs.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,44 +34,15 @@ pub(crate) struct Chunk {
     pub(crate) end: usize,
 }
 
-/// Messages the router sends to a shard worker.
-#[derive(Debug)]
-pub(crate) enum WorkerMsg {
-    /// Apply a chunk of events; reply with [`Reply::Slices`].
-    Chunk(Chunk),
-    /// Hand the slice rows back for a repartition; reply with
-    /// [`Reply::State`] and continue with an empty slice until [`Load`].
-    ///
-    /// [`Load`]: WorkerMsg::Load
-    Export,
-    /// Adopt re-sliced rows after a repartition.  No reply.
-    Load {
-        threads: Vec<Vec<u64>>,
-        objects: Vec<Vec<u64>>,
-    },
-}
-
-/// Replies a shard worker sends to the router.
-#[derive(Debug)]
-pub(crate) enum Reply {
-    /// One chunk's slice values, event-major.
-    Slices(Vec<u64>),
-    /// The shard's slice rows, exported for migration.
-    State {
-        threads: Vec<Vec<u64>>,
-        objects: Vec<Vec<u64>>,
-    },
-}
-
 /// Spawns the worker thread for one shard.
 ///
-/// The worker exits when the router drops its `Sender` (every queued message
+/// The worker exits when the router drops its `Sender` (every queued chunk
 /// is still processed first, because the channel drains before reporting
 /// disconnection) or when the router stops listening for replies.
 pub(crate) fn spawn(
     shard: usize,
-    input: Receiver<WorkerMsg>,
-    output: Sender<Reply>,
+    input: Receiver<Chunk>,
+    output: Sender<Vec<u64>>,
 ) -> JoinHandle<()> {
     // `shard.apply_ns` (histogram, ns): one worker's slice application for
     // one chunk — resolved here, before the loop, so recording in the loop
@@ -84,24 +52,13 @@ pub(crate) fn spawn(
         .name(format!("mvc-shard-{shard}"))
         .spawn(move || {
             let mut state = ShardState::new(shard);
-            while let Ok(msg) = input.recv() {
-                match msg {
-                    WorkerMsg::Chunk(chunk) => {
-                        let mut out = Vec::new();
-                        let span = apply_ns.span();
-                        state.apply(chunk.ln, &chunk.events[chunk.start..chunk.end], &mut out);
-                        span.stop();
-                        if output.send(Reply::Slices(out)).is_err() {
-                            break;
-                        }
-                    }
-                    WorkerMsg::Export => {
-                        let (threads, objects) = state.export();
-                        if output.send(Reply::State { threads, objects }).is_err() {
-                            break;
-                        }
-                    }
-                    WorkerMsg::Load { threads, objects } => state.restore(threads, objects),
+            while let Ok(chunk) = input.recv() {
+                let mut out = Vec::new();
+                let span = apply_ns.span();
+                state.apply(chunk.ln, &chunk.events[chunk.start..chunk.end], &mut out);
+                span.stop();
+                if output.send(out).is_err() {
+                    break;
                 }
             }
         })
@@ -114,13 +71,6 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
 
-    fn slices(reply: Reply) -> Vec<u64> {
-        match reply {
-            Reply::Slices(v) => v,
-            other => panic!("expected slices, got {other:?}"),
-        }
-    }
-
     #[test]
     fn worker_processes_chunks_in_order_and_exits_on_disconnect() {
         let (to_shard, input) = unbounded();
@@ -132,56 +82,16 @@ mod tests {
         ]);
         for (start, end) in [(0, 1), (1, 2)] {
             to_shard
-                .send(WorkerMsg::Chunk(Chunk {
+                .send(Chunk {
                     ln: 1,
                     events: Arc::clone(&events),
                     start,
                     end,
-                }))
+                })
                 .unwrap();
         }
-        assert_eq!(slices(replies.recv().unwrap()), vec![1]);
-        assert_eq!(
-            slices(replies.recv().unwrap()),
-            vec![2],
-            "state persists FIFO"
-        );
-        drop(to_shard);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn export_then_load_migrates_state_through_the_worker() {
-        let (to_shard, input) = unbounded();
-        let (output, replies) = unbounded();
-        let handle = spawn(0, input, output);
-        let events = Arc::new(vec![EventRec::striped(0, 0, 0, 1)]);
-        to_shard
-            .send(WorkerMsg::Chunk(Chunk {
-                ln: 1,
-                events: Arc::clone(&events),
-                start: 0,
-                end: 1,
-            }))
-            .unwrap();
-        assert_eq!(slices(replies.recv().unwrap()), vec![1]);
-        to_shard.send(WorkerMsg::Export).unwrap();
-        let (threads, objects) = match replies.recv().unwrap() {
-            Reply::State { threads, objects } => (threads, objects),
-            other => panic!("expected state, got {other:?}"),
-        };
-        assert_eq!(threads[0], vec![1]);
-        // Load the state back (identity migration) and keep counting.
-        to_shard.send(WorkerMsg::Load { threads, objects }).unwrap();
-        to_shard
-            .send(WorkerMsg::Chunk(Chunk {
-                ln: 1,
-                events,
-                start: 0,
-                end: 1,
-            }))
-            .unwrap();
-        assert_eq!(slices(replies.recv().unwrap()), vec![2], "history kept");
+        assert_eq!(replies.recv().unwrap(), vec![1]);
+        assert_eq!(replies.recv().unwrap(), vec![2], "state persists FIFO");
         drop(to_shard);
         handle.join().unwrap();
     }

@@ -14,7 +14,8 @@
 //! * [`online`] — the Naive / Random / Popularity / Adaptive online
 //!   mechanisms.
 //! * [`shard`] — the sharded timestamping engine: components striped across
-//!   shards with an order-preserving merge, for multi-core recording.
+//!   worker threads with an order-preserving merge (an independent dense
+//!   kernel the sequential engine is checked against).
 //! * [`runtime`] — traced shared objects, trace sessions, the live causality
 //!   monitor and the conflict analyzer.
 //! * [`net`] — the pipeline as a networked multi-client service: framed
@@ -85,7 +86,7 @@ pub mod prelude {
         ConflictAnalyzer, LiveRun, LiveSession, OnlineMonitor, PipelineError, SharedObject,
         ThreadHandle, TraceSession,
     };
-    pub use mvc_shard::{ShardExecutor, ShardedEngine};
+    pub use mvc_shard::ShardedEngine;
     pub use mvc_trace::{WorkloadBuilder, WorkloadKind};
 }
 

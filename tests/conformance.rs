@@ -33,9 +33,9 @@
 //!    edges) — the incremental engine is a pure optimisation, never a new
 //!    algorithm.
 //! 6. **Sharded timestamping parity.**  The sharded engine — any shard
-//!    count, either executor, with or without mid-run component additions —
-//!    produces the sequential engine's stamp stream bit for bit: sharding
-//!    is a scheduling strategy, never a semantic change.
+//!    count, with or without mid-run component additions — produces the
+//!    sequential engine's stamp stream bit for bit: sharding is a
+//!    scheduling strategy, never a semantic change.
 //! 7. **Ingest pipeline faithfulness.**  A live multi-threaded run through
 //!    the segmented per-thread ingest buffers, the order-preserving merge,
 //!    the sharded engine and any sink backend produces timestamps
@@ -57,14 +57,12 @@
 //!    client receives exactly its own threads' stamps in its own record
 //!    order: the network is a scheduling strategy too, never a semantic
 //!    change.
-//! 10. **Wide-clock representations and shard assignments are invisible.**
-//!     The sequential engine's chunked stamp format produces the dense
-//!     format's stamps (and row readbacks) bit for bit at widths 64, 512 and
-//!     4096, and the sharded engine under the locality-aware partitioned
-//!     assignment — including a mid-run repartition that migrates worker
-//!     slice state — produces the modulo-striped engine's stamps bit for
-//!     bit on both executors: row layout and component placement are
-//!     representation choices, never semantic ones.
+//! 10. **The wide-clock representation is invisible.**  The sequential
+//!     engine's chunked kernel and the sharded engine's dense-slice kernel
+//!     are each other's oracle: at widths 64, 512 and 4096, over 1, 2 and 4
+//!     shards, they produce the same stamps bit for bit, and the chunked
+//!     rows read back as the protocol says they must (`T[t] = O[o] = v`:
+//!     each thread's and object's clock is the last stamp emitted for it).
 
 mod support;
 
@@ -72,8 +70,7 @@ use mvc_clock::chain::ChainClockAssigner;
 use mvc_clock::vector::{ObjectVectorClockAssigner, ThreadVectorClockAssigner};
 use mvc_clock::{ClockOrd, TimestampAssigner, VectorTimestamp};
 use mvc_core::{
-    replay, verify_assignment, EventSink, OfflineOptimizer, StampFormat, Timestamper,
-    TimestampingEngine,
+    replay, verify_assignment, EventSink, OfflineOptimizer, Timestamper, TimestampingEngine,
 };
 use mvc_graph::matching::{hopcroft_karp, simple_augmenting};
 use mvc_graph::{BipartiteGraph, IncrementalOptimum};
@@ -81,7 +78,7 @@ use mvc_online::{
     Adaptive, CompetitiveTracker, MechanismRegistry, Naive, OnlineMechanism, OnlineTimestamper,
     Popularity, Random,
 };
-use mvc_shard::{ShardAssignment, ShardExecutor, ShardedEngine};
+use mvc_shard::ShardedEngine;
 use mvc_trace::generator::computation_from_edge_stream;
 use mvc_trace::{
     CausalityOracle, Computation, EventId, ObjectId, ThreadId, WorkloadBuilder, WorkloadKind,
@@ -533,8 +530,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The sharded engine's stamp stream equals the sequential engine's
-    /// bit for bit — across random workloads, shard counts 1/2/4/8, and
-    /// both executors — and its report carries the same component layout.
+    /// bit for bit — across random workloads and shard counts 1/2/4/8 —
+    /// and its report carries the same component layout.
     #[test]
     fn sharded_engine_equals_sequential_engine(
         computation in ComputationStrategy::small(),
@@ -543,24 +540,19 @@ proptest! {
         let mut sequential = TimestampingEngine::with_components(plan.components().clone());
         let reference = replay(&mut sequential, &computation).unwrap();
         for shards in ORACLE6_SHARD_COUNTS {
-            for executor in [ShardExecutor::Inline, ShardExecutor::Threads] {
-                let mut sharded = ShardedEngine::with_executor(
-                    plan.components().clone(),
-                    shards,
-                    executor,
-                );
-                let run = replay(&mut sharded, &computation).unwrap();
-                prop_assert_eq!(&run.timestamps, &reference.timestamps);
-                prop_assert_eq!(&run.report.components, &reference.report.components);
-                prop_assert_eq!(run.report.events, reference.report.events);
-            }
+            let mut sharded =
+                ShardedEngine::with_components(plan.components().clone(), shards);
+            let run = replay(&mut sharded, &computation).unwrap();
+            prop_assert_eq!(&run.timestamps, &reference.timestamps);
+            prop_assert_eq!(&run.report.components, &reference.report.components);
+            prop_assert_eq!(run.report.events, reference.report.events);
         }
     }
 
     /// Mid-run component additions: both engines start from a half cover,
     /// recover from the same uncovered events by adding the same components,
-    /// and still agree bit for bit on every stamp — on both executors, so
-    /// the worker-side slice-widening path is exercised too.
+    /// and still agree bit for bit on every stamp (the worker-side
+    /// slice-widening path).
     #[test]
     fn sharded_engine_agrees_under_midrun_component_additions(
         computation in ComputationStrategy::small(),
@@ -576,34 +568,31 @@ proptest! {
         // retry — exercising clock growth while vectors already carry data.
         let half: mvc_clock::ComponentMap =
             full.iter().take(full.len() / 2).copied().collect();
-        for executor in [ShardExecutor::Inline, ShardExecutor::Threads] {
-            let mut sequential = TimestampingEngine::with_components(half.clone());
-            let mut sharded =
-                ShardedEngine::with_executor(half.clone(), shards, executor);
+        let mut sequential = TimestampingEngine::with_components(half.clone());
+        let mut sharded = ShardedEngine::with_components(half, shards);
 
-            let (mut seq_out, mut shard_out) = (Vec::new(), Vec::new());
-            let mut rest: &[(ThreadId, ObjectId)] = &events;
-            loop {
-                let a = Timestamper::observe_batch(&mut sequential, rest, &mut seq_out);
-                let b = sharded.observe_batch(rest, &mut shard_out);
-                // Same outcome — same error at the same position.
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(seq_out.len(), shard_out.len());
-                match a {
-                    Ok(()) => break,
-                    Err(mvc_core::TimestampError::Uncovered { thread, .. }) => {
-                        let done = seq_out.len() - (events.len() - rest.len());
-                        rest = &rest[done..];
-                        sequential.add_component(mvc_clock::Component::Thread(thread));
-                        sharded.add_component(mvc_clock::Component::Thread(thread));
-                    }
-                    Err(e) => prop_assert!(false, "unexpected error {e}"),
+        let (mut seq_out, mut shard_out) = (Vec::new(), Vec::new());
+        let mut rest: &[(ThreadId, ObjectId)] = &events;
+        loop {
+            let a = Timestamper::observe_batch(&mut sequential, rest, &mut seq_out);
+            let b = sharded.observe_batch(rest, &mut shard_out);
+            // Same outcome — same error at the same position.
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(seq_out.len(), shard_out.len());
+            match a {
+                Ok(()) => break,
+                Err(mvc_core::TimestampError::Uncovered { thread, .. }) => {
+                    let done = seq_out.len() - (events.len() - rest.len());
+                    rest = &rest[done..];
+                    sequential.add_component(mvc_clock::Component::Thread(thread));
+                    sharded.add_component(mvc_clock::Component::Thread(thread));
                 }
+                Err(e) => prop_assert!(false, "unexpected error {e}"),
             }
-            prop_assert_eq!(&seq_out, &shard_out);
-            prop_assert_eq!(seq_out.len(), events.len());
-            prop_assert_eq!(sequential.width(), Timestamper::width(&sharded));
         }
+        prop_assert_eq!(&seq_out, &shard_out);
+        prop_assert_eq!(seq_out.len(), events.len());
+        prop_assert_eq!(sequential.width(), Timestamper::width(&sharded));
     }
 }
 
@@ -629,7 +618,6 @@ fn run_live_pipeline<S: mvc_core::EventSink>(
     scripts: &[Vec<(usize, mvc_trace::OpKind)>],
     objects: usize,
     shards: usize,
-    executor: ShardExecutor,
     sink: S,
 ) -> (S, mvc_core::TimestampReport) {
     let session = mvc_runtime::TraceSession::new();
@@ -639,7 +627,7 @@ fn run_live_pipeline<S: mvc_core::EventSink>(
     let objs: Vec<_> = (0..objects)
         .map(|o| session.shared_object(&format!("o{o}"), 0u64))
         .collect();
-    let engine = ShardedEngine::with_executor(full_object_cover(objects), shards, executor);
+    let engine = ShardedEngine::with_components(full_object_cover(objects), shards);
     let mut live = session.live_with_sink(engine, sink);
     std::thread::scope(|scope| {
         for (script, handle) in scripts.iter().zip(&handles) {
@@ -700,22 +688,16 @@ proptest! {
     /// interleaving preserves every per-thread chain.
     #[test]
     fn live_segmented_ingest_equals_sequential_batch_replay(
-        config_idx in (0usize..4, 0usize..3, 0usize..2),
+        config_idx in (0usize..4, 0usize..3),
         seed_scripts in scripts_strategy(8, 5),
     ) {
-        let (threads_idx, shards_idx, executor_idx) = config_idx;
+        let (threads_idx, shards_idx) = config_idx;
         let threads = ORACLE7_THREADS[threads_idx];
         let shards = ORACLE7_SHARDS[shards_idx];
-        let executor = [ShardExecutor::Inline, ShardExecutor::Threads][executor_idx];
         let scripts = &seed_scripts[..threads];
 
-        let (recorder, report) = run_live_pipeline(
-            scripts,
-            5,
-            shards,
-            executor,
-            mvc_core::MemoryRecorder::new(),
-        );
+        let (recorder, report) =
+            run_live_pipeline(scripts, 5, shards, mvc_core::MemoryRecorder::new());
         let (computation, timestamps) = recorder.into_parts();
         // Every produced operation is drained.
         prop_assert_eq!(computation.len(), scripts.iter().map(Vec::len).sum::<usize>());
@@ -752,8 +734,7 @@ proptest! {
             Box::new(mvc_core::StatsSink::new()),
             Box::new(mvc_core::CodecSink::new()),
         ]);
-        let (tee, report) =
-            run_live_pipeline(&scripts, 4, shards, ShardExecutor::Inline, sink);
+        let (tee, report) = run_live_pipeline(&scripts, 4, shards, sink);
         let total: usize = scripts.iter().map(Vec::len).sum();
         prop_assert_eq!(report.events, total);
         prop_assert_eq!(tee.events_accepted(), total);
@@ -819,13 +800,12 @@ proptest! {
     /// like the bitset `CausalityOracle`.
     #[test]
     fn streaming_analyses_agree_with_post_hoc_analysis(
-        config_idx in (0usize..4, 0usize..3, 0usize..2),
+        config_idx in (0usize..4, 0usize..3),
         seed_scripts in scripts_strategy(8, 5),
     ) {
-        let (threads_idx, shards_idx, executor_idx) = config_idx;
+        let (threads_idx, shards_idx) = config_idx;
         let threads = ORACLE7_THREADS[threads_idx];
         let shards = ORACLE7_SHARDS[shards_idx];
-        let executor = [ShardExecutor::Inline, ShardExecutor::Threads][executor_idx];
         let scripts = &seed_scripts[..threads];
 
         let analyzer = mvc_runtime::ConflictAnalyzer::with_groups(oracle8_groups());
@@ -834,7 +814,7 @@ proptest! {
             Box::new(mvc_runtime::ConflictSink::mirroring(&analyzer)),
             Box::new(mvc_runtime::ReachabilityIndexSink::unbounded()),
         ]);
-        let (tee, report) = run_live_pipeline(scripts, 5, shards, executor, sink);
+        let (tee, report) = run_live_pipeline(scripts, 5, shards, sink);
         let total: usize = scripts.iter().map(Vec::len).sum();
         prop_assert_eq!(report.events, total);
 
@@ -900,7 +880,7 @@ proptest! {
             Box::new(mvc_core::MemoryRecorder::new()),
             Box::new(mvc_runtime::ReachabilityIndexSink::with_capacity(window)),
         ]);
-        let (tee, _) = run_live_pipeline(&scripts, 5, 2, ShardExecutor::Inline, sink);
+        let (tee, _) = run_live_pipeline(&scripts, 5, 2, sink);
         let children = tee.into_children();
         let recorder = children[0]
             .as_any()
@@ -964,7 +944,6 @@ fn run_networked(
     scripts: &[Vec<(usize, mvc_trace::OpKind)>],
     objects: usize,
     shards: usize,
-    executor: ShardExecutor,
     disconnect: bool,
 ) -> NetCase {
     use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
@@ -972,7 +951,7 @@ fn run_networked(
 
     const ZERO: Option<Duration> = Some(Duration::ZERO);
     let clients = scripts.len() / 2;
-    let engine = ShardedEngine::with_executor(mvc_clock::ComponentMap::new(), shards, executor);
+    let engine = ShardedEngine::new(shards);
     let mut server = NetServer::new(
         engine,
         Box::new(mvc_core::MemoryRecorder::new()),
@@ -1079,19 +1058,18 @@ proptest! {
     /// stamps bit-for-bit equal to a sequential batch replay of the same
     /// merged interleaving, and routes to each client exactly its own
     /// threads' stamps in its own record order.  Swept over client count ×
-    /// shard count × both shard executors.
+    /// shard count.
     #[test]
     fn networked_service_equals_sequential_batch_replay(
-        config_idx in (0usize..3, 0usize..3, 0usize..2, 0usize..2),
+        config_idx in (0usize..3, 0usize..3, 0usize..2),
         seed_scripts in scripts_strategy(6, 4),
     ) {
-        let (clients_idx, shards_idx, executor_idx, disconnect_idx) = config_idx;
+        let (clients_idx, shards_idx, disconnect_idx) = config_idx;
         let disconnect = disconnect_idx == 1;
         let clients = ORACLE9_CLIENTS[clients_idx];
         let shards = ORACLE7_SHARDS[shards_idx];
-        let executor = [ShardExecutor::Inline, ShardExecutor::Threads][executor_idx];
         let scripts = &seed_scripts[..2 * clients];
-        let case = run_networked(scripts, 4, shards, executor, disconnect);
+        let case = run_networked(scripts, 4, shards, disconnect);
 
         // Every produced operation was ingested exactly once, and every
         // session ran to a clean Goodbye.
@@ -1136,7 +1114,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 10: wide-clock representations and shard assignments are invisible
+// Oracle 10: the chunked kernel and the dense-slice kernel are each other's
+// oracle at every clock width
 // ---------------------------------------------------------------------------
 
 /// Clock widths the wide-clock oracle sweeps: exactly one chunk, several
@@ -1168,73 +1147,36 @@ fn wide_case(width: usize, events: usize, seed: u64) -> (mvc_clock::ComponentMap
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The chunked stamp format is bit-identical to the dense one at every
-    /// width — stamps and per-thread / per-object row readbacks alike — so
-    /// the sparse wide-clock hot path is a pure representation change.
+    /// The chunked sequential engine and the sharded engine's dense-slice
+    /// workers produce the same stamps bit for bit at every width and shard
+    /// count, and the chunked rows read back as the protocol's
+    /// `T[t] = O[o] = v`: each thread's / object's clock is the last stamp
+    /// emitted for it (all zeros if it never appeared).
     #[test]
     fn chunked_stamp_format_equals_dense_at_every_width(seed in 0u64..1000) {
         for width in ORACLE10_WIDTHS {
             let (map, computation) = wide_case(width, 300, seed);
-            let mut dense =
-                TimestampingEngine::with_format(map.clone(), StampFormat::Dense);
-            let mut chunked =
-                TimestampingEngine::with_format(map, StampFormat::Chunked);
-            let a = replay(&mut dense, &computation).unwrap();
-            let b = replay(&mut chunked, &computation).unwrap();
-            prop_assert_eq!(&a.timestamps, &b.timestamps);
-            for t in (0..width / 2).step_by((width / 7).max(1)) {
-                prop_assert_eq!(
-                    dense.thread_clock(ThreadId(t)),
-                    chunked.thread_clock(ThreadId(t))
-                );
+            let mut chunked = TimestampingEngine::with_components(map.clone());
+            let reference = replay(&mut chunked, &computation).unwrap().timestamps;
+            for shards in ORACLE7_SHARDS {
+                let mut dense = ShardedEngine::with_components(map.clone(), shards);
+                let run = replay(&mut dense, &computation).unwrap();
+                prop_assert_eq!(&run.timestamps, &reference);
             }
-            for o in (0..width - width / 2).step_by((width / 7).max(1)) {
-                prop_assert_eq!(
-                    dense.object_clock(ObjectId(o)),
-                    chunked.object_clock(ObjectId(o))
-                );
+
+            let zeros = VectorTimestamp::zeros(width);
+            let mut last_of_thread = vec![&zeros; width / 2];
+            let mut last_of_object = vec![&zeros; width - width / 2];
+            for (event, stamp) in computation.events().zip(&reference) {
+                last_of_thread[event.thread.index()] = stamp;
+                last_of_object[event.object.index()] = stamp;
             }
-        }
-    }
-
-    /// The partitioned shard assignment — including a mid-run repartition,
-    /// which migrates worker slice state to the recomputed placement —
-    /// produces the modulo assignment's stamps bit for bit on every
-    /// executor and shard count: component placement is scheduling, never
-    /// semantics.
-    #[test]
-    fn partitioned_assignment_equals_modulo_everywhere(
-        computation in ComputationStrategy::small(),
-        shards_index in 0usize..4,
-    ) {
-        let shards = ORACLE6_SHARD_COUNTS[shards_index];
-        let plan = OfflineOptimizer::new().plan_for_computation(&computation);
-        let events: Vec<(ThreadId, ObjectId)> =
-            computation.events().map(|e| (e.thread, e.object)).collect();
-        let half = events.len() / 2;
-        for executor in [ShardExecutor::Inline, ShardExecutor::Threads] {
-            let mut modulo = ShardedEngine::with_assignment(
-                plan.components().clone(),
-                shards,
-                executor,
-                ShardAssignment::Modulo,
-            );
-            let reference = replay(&mut modulo, &computation).unwrap();
-
-            let mut partitioned = ShardedEngine::with_assignment(
-                plan.components().clone(),
-                shards,
-                executor,
-                ShardAssignment::Partitioned,
-            );
-            prop_assert_eq!(partitioned.assignment(), ShardAssignment::Partitioned);
-            let mut stamps = Vec::new();
-            partitioned.observe_batch(&events[..half], &mut stamps).unwrap();
-            // Re-place components from the interactions observed so far;
-            // the stamp stream must not notice.
-            partitioned.repartition();
-            partitioned.observe_batch(&events[half..], &mut stamps).unwrap();
-            prop_assert_eq!(&stamps, &reference.timestamps);
+            for (t, last) in last_of_thread.into_iter().enumerate() {
+                prop_assert_eq!(&chunked.thread_clock(ThreadId(t)), last);
+            }
+            for (o, last) in last_of_object.into_iter().enumerate() {
+                prop_assert_eq!(&chunked.object_clock(ObjectId(o)), last);
+            }
         }
     }
 }

@@ -14,9 +14,10 @@ use mvc_clock::validate::satisfies_vector_clock_condition;
 use mvc_clock::ComponentMap;
 use mvc_core::{replay, TimestampingEngine};
 use mvc_runtime::TraceSession;
-use mvc_shard::{ShardExecutor, ShardedEngine};
+use mvc_shard::ShardedEngine;
 
-fn run_session(executor: ShardExecutor, shards: usize) {
+#[test]
+fn multithreaded_live_session_through_threaded_sharded_engine() {
     let session = TraceSession::new();
     let counter = session.shared_object("counter", 0u64);
     let flag = session.shared_object("flag", false);
@@ -36,7 +37,7 @@ fn run_session(executor: ShardExecutor, shards: usize) {
     // All four threads are registered up front, so the thread-sided cover is
     // known before any event drains; objects appear as they are touched.
     let map = ComponentMap::all_threads(4);
-    let live = session.live(ShardedEngine::with_executor(map.clone(), shards, executor));
+    let live = session.live(ShardedEngine::with_components(map.clone(), 4));
     for handle in handles {
         handle.join().unwrap();
     }
@@ -61,16 +62,6 @@ fn run_session(executor: ShardExecutor, shards: usize) {
         &run.timestamps,
         &oracle
     ));
-}
-
-#[test]
-fn multithreaded_live_session_through_inline_sharded_engine() {
-    run_session(ShardExecutor::Inline, 4);
-}
-
-#[test]
-fn multithreaded_live_session_through_threaded_sharded_engine() {
-    run_session(ShardExecutor::Threads, 4);
 }
 
 #[test]
