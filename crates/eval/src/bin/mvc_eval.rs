@@ -1,15 +1,6 @@
 //! Command-line entry point that regenerates the paper's figures.
 //!
-//! ```text
-//! mvc-eval [fig4|fig5|fig6|fig7|adaptive|star|trajectory|all] [--trials N] [--csv DIR]
-//! mvc-eval sweep [--mechanisms a,b,c] [--workload KIND] [--trials N] [--csv DIR]
-//! mvc-eval trajectory [--mechanisms a,b,c] [--workload uniform|nonuniform] [--trials N] [--csv DIR]
-//! mvc-eval throughput [--events N] [--threads N] [--objects N] [--shards 1,2,4,8]
-//!                     [--workload KIND] [--sink mem|codec|stats|conflict|reach|competitive|tee]
-//!                     [--net-clients N] [--csv DIR] [--out FILE]
-//! mvc-eval serve [--addr HOST:PORT] [--clients N] [--out FILE] [--metrics-out FILE]
-//! mvc-eval produce --addr HOST:PORT [--threads N] [--objects N] [--events N] [--seed N]
-//! ```
+//! `mvc-eval --help` prints the synopsis (`USAGE` below).
 //!
 //! Each figure is printed as an aligned table; with `--csv DIR` the raw series
 //! are additionally written as `DIR/<figure>.csv`.  The `sweep` command runs
@@ -17,27 +8,25 @@
 //! concrete types — over a synthetic workload family (`uniform`,
 //! `nonuniform`, `producer-consumer`, `lock-striped`, `phased`, the
 //! adversarial `star` and `matching` lower-bound streams, the
-//! partition-churning `phase-shift`, or the community-local `clustered`).  The `trajectory` command reports the
-//! per-reveal competitive trajectory (online size vs. the incrementally
-//! maintained offline optimum of the revealed prefix).  The `throughput`
-//! command times the sequential engine against the sharded engine at each
-//! requested shard count — both as pure stamping and through the full
-//! segmented-ingest pipeline with the `--sink`-selected egress backend —
-//! and prints the result as **JSON** (written to `DIR/throughput.json` with
-//! `--csv DIR`, or to an explicit path with `--out FILE`, e.g. the repo's
-//! `BENCH_throughput.json` trajectory point), giving future changes a
-//! mechanical bench trajectory to compare against; with `--net-clients N`
-//! it also times the same workload streamed through the networked service
-//! over loopback TCP.  The `serve` command runs the timestamping pipeline as
-//! a multi-client TCP service until the expected number of producer sessions
-//! completes and reports — as JSON — whether the merged networked result
-//! equals a sequential batch replay (the oracle CI gates on); the `produce`
-//! command is the matching workload-streaming client.
+//! partition-churning `phase-shift`, or the community-local `clustered`).  The
+//! `trajectory` command reports the per-reveal competitive trajectory (online
+//! size vs. the incrementally maintained offline optimum of the revealed
+//! prefix).
+//!
+//! Three subcommands print one **JSON** object on stdout (and to `--out FILE`;
+//! status lines go to stderr, so stdout pipes into `jq`): `throughput` times
+//! one interleaved slot set and reports each slot's rate `relative` to plain
+//! ingest — the ratios CI gates on, see [`mvc_eval::throughput`]; `serve` runs
+//! the pipeline as a TCP service until the expected producer sessions complete
+//! and reports whether the networked result equals a sequential batch replay
+//! (the oracle CI gates on); `produce` is the matching workload-streaming client.
 
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mvc_eval::{
     adaptive_ablation, competitive_trajectory, fig4, fig5, fig6, fig7, measure_throughput, produce,
@@ -51,8 +40,19 @@ use mvc_trace::WorkloadKind;
 
 const DEFAULT_TRIALS: usize = 10;
 
-#[derive(Debug, Clone)]
+const USAGE: &str = "\
+usage: mvc-eval [fig4|fig5|fig6|fig7|adaptive|star|trajectory|all] [--trials N] [--csv DIR]
+       mvc-eval sweep|trajectory [--mechanisms a,b,c] [--workload KIND] [--trials N] [--csv DIR]
+       mvc-eval throughput [--events N] [--threads N] [--objects N] [--workload KIND] \
+[--sink mem|codec|stats|conflict|reach|competitive|tee] [--net-clients N] [--out FILE]
+       mvc-eval serve [--addr HOST:PORT] [--clients N] [--out FILE] [--metrics-out FILE]
+       mvc-eval produce --addr HOST:PORT [--threads N] [--objects N] [--events N] [--seed N] \
+[--workload KIND] [--out FILE]";
+
+#[derive(Debug, Clone, Default)]
 struct Options {
+    /// `--help` / `-h` was given: print [`USAGE`] and do nothing else.
+    help: bool,
     figures: Vec<String>,
     trials: usize,
     csv_dir: Option<PathBuf>,
@@ -61,17 +61,15 @@ struct Options {
     /// `trajectory` to the nonuniform graph scenario, `throughput` to
     /// uniform.
     workload: Option<WorkloadKind>,
-    /// `--events`, used by `throughput`.
+    /// `--events`, used by `throughput` and `produce`.
     events: Option<usize>,
-    /// `--threads`, used by `throughput` (workload threads; default 64).
+    /// `--threads`, used by `throughput` (default 64) and `produce`.
     threads: Option<usize>,
-    /// `--objects`, used by `throughput` (workload objects; default 64).
+    /// `--objects`, used by `throughput` (default 64) and `produce`.
     objects: Option<usize>,
-    /// `--shards`, used by `throughput`.
-    shards: Option<Vec<usize>>,
     /// `--sink`, used by `throughput` (default `mem`).
     sink: Option<SinkKind>,
-    /// `--out`, used by `throughput`: write the JSON to this exact path.
+    /// `--out`, used by the JSON subcommands: also write the object here.
     out: Option<PathBuf>,
     /// `--net-clients`, used by `throughput` (loopback producers; 0 skips).
     net_clients: Option<usize>,
@@ -114,239 +112,80 @@ fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
     }
 }
 
+/// The value following `flag`, parsed as `T`.
+fn value<T: FromStr>(flag: &str, iter: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
+    let raw = iter
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .map_err(|_| format!("invalid value for {flag}: {raw}"))
+}
+
+/// [`value`] for the counts that must be at least 1.
+fn positive(flag: &str, iter: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
+    match value(flag, iter)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut figures = Vec::new();
-    let mut trials = DEFAULT_TRIALS;
-    let mut csv_dir = None;
-    let mut mechanisms = Vec::new();
-    let mut workload = None;
-    let mut events = None;
-    let mut threads = None;
-    let mut objects = None;
-    let mut shards = None;
-    let mut sink = None;
-    let mut out = None;
-    let mut net_clients = None;
-    let mut addr = None;
-    let mut clients = None;
-    let mut seed = None;
-    let mut metrics_out = None;
+    let mut o = Options {
+        trials: DEFAULT_TRIALS,
+        ..Options::default()
+    };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--trials" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--trials requires a value".to_string())?;
-                trials = value
-                    .parse()
-                    .map_err(|_| format!("invalid trial count: {value}"))?;
-                if trials == 0 {
-                    return Err("trial count must be at least 1".into());
-                }
-            }
-            "--csv" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--csv requires a directory".to_string())?;
-                csv_dir = Some(PathBuf::from(value));
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--trials" => o.trials = positive(flag, &mut iter)?,
+            "--csv" => o.csv_dir = Some(value(flag, &mut iter)?),
             "--mechanisms" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--mechanisms requires a comma-separated list".to_string())?;
+                let list: String = value(flag, &mut iter)?;
                 let registry = MechanismRegistry::new();
-                for name in value.split(',').filter(|n| !n.is_empty()) {
+                for name in list.split(',').filter(|n| !n.is_empty()) {
                     registry.from_name(name).map_err(|e| e.to_string())?;
-                    mechanisms.push(name.to_string());
+                    o.mechanisms.push(name.to_string());
                 }
-                if mechanisms.is_empty() {
+                if o.mechanisms.is_empty() {
                     return Err("--mechanisms requires at least one name".into());
                 }
             }
-            "--workload" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--workload requires a family name".to_string())?;
-                workload = Some(parse_workload(value)?);
-            }
-            "--events" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--events requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid event count: {value}"))?;
-                if parsed == 0 {
-                    return Err("event count must be at least 1".into());
-                }
-                events = Some(parsed);
-            }
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--threads requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid thread count: {value}"))?;
-                if parsed == 0 {
-                    return Err("thread count must be at least 1".into());
-                }
-                threads = Some(parsed);
-            }
-            "--objects" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--objects requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid object count: {value}"))?;
-                if parsed == 0 {
-                    return Err("object count must be at least 1".into());
-                }
-                objects = Some(parsed);
-            }
-            "--shards" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--shards requires a comma-separated list".to_string())?;
-                let mut counts = Vec::new();
-                for part in value.split(',').filter(|p| !p.is_empty()) {
-                    let shard: usize = part
-                        .parse()
-                        .map_err(|_| format!("invalid shard count: {part}"))?;
-                    if shard == 0 {
-                        return Err("shard counts must be at least 1".into());
-                    }
-                    counts.push(shard);
-                }
-                if counts.is_empty() {
-                    return Err("--shards requires at least one count".into());
-                }
-                shards = Some(counts);
-            }
-            "--sink" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--sink requires a backend name".to_string())?;
-                sink = Some(SinkKind::parse(value)?);
-            }
-            "--out" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--out requires a file path".to_string())?;
-                out = Some(PathBuf::from(value));
-            }
-            "--net-clients" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--net-clients requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid client count: {value}"))?;
-                net_clients = Some(parsed);
-            }
-            "--addr" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--addr requires HOST:PORT".to_string())?;
-                addr = Some(value.clone());
-            }
-            "--clients" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--clients requires a value".to_string())?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid client count: {value}"))?;
-                if parsed == 0 {
-                    return Err("client count must be at least 1".into());
-                }
-                clients = Some(parsed);
-            }
-            "--seed" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--seed requires a value".to_string())?;
-                let parsed: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid seed: {value}"))?;
-                seed = Some(parsed);
-            }
-            "--metrics-out" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--metrics-out requires a file path".to_string())?;
-                metrics_out = Some(PathBuf::from(value));
-            }
+            "--workload" => o.workload = Some(parse_workload(&value::<String>(flag, &mut iter)?)?),
+            "--events" => o.events = Some(positive(flag, &mut iter)?),
+            "--threads" => o.threads = Some(positive(flag, &mut iter)?),
+            "--objects" => o.objects = Some(positive(flag, &mut iter)?),
+            "--sink" => o.sink = Some(SinkKind::parse(&value::<String>(flag, &mut iter)?)?),
+            "--out" => o.out = Some(value(flag, &mut iter)?),
+            "--net-clients" => o.net_clients = Some(value(flag, &mut iter)?),
+            "--addr" => o.addr = Some(value(flag, &mut iter)?),
+            "--clients" => o.clients = Some(positive(flag, &mut iter)?),
+            "--seed" => o.seed = Some(value(flag, &mut iter)?),
+            "--metrics-out" => o.metrics_out = Some(value(flag, &mut iter)?),
             "--help" | "-h" => {
-                return Err(
-                    "usage: mvc-eval [fig4|fig5|fig6|fig7|adaptive|star|trajectory|all] \
-                     [--trials N] [--csv DIR]\n       mvc-eval sweep|trajectory \
-                     [--mechanisms a,b,c] [--workload KIND] [--trials N] [--csv DIR]\n       \
-                     mvc-eval throughput [--events N] [--threads N] [--objects N] \
-                     [--shards 1,2,4,8] [--workload KIND] \
-                     [--sink mem|codec|stats|conflict|reach|competitive|tee] \
-                     [--net-clients N] [--csv DIR] [--out FILE]\n       \
-                     mvc-eval serve [--addr HOST:PORT] [--clients N] [--out FILE] \
-                     [--metrics-out FILE]\n       \
-                     mvc-eval produce --addr HOST:PORT [--threads N] [--objects N] \
-                     [--events N] [--seed N] [--workload KIND]"
-                        .into(),
-                )
+                o.help = true;
+                return Ok(o);
             }
-            name => figures.push(name.to_string()),
+            name => o.figures.push(name.to_string()),
         }
     }
-    if figures.is_empty() {
-        figures.push("all".to_string());
+    if o.figures.is_empty() {
+        o.figures.push("all".to_string());
     }
-    Ok(Options {
-        figures,
-        trials,
-        csv_dir,
-        mechanisms,
-        workload,
-        events,
-        threads,
-        objects,
-        shards,
-        sink,
-        out,
-        net_clients,
-        addr,
-        clients,
-        seed,
-        metrics_out,
-    })
+    Ok(o)
 }
 
-/// Default stamped events for `mvc-eval throughput`.
-const DEFAULT_THROUGHPUT_EVENTS: usize = 200_000;
-
 fn run_throughput(options: &Options) -> Result<String, String> {
-    let mut config =
-        ThroughputConfig::uniform_64x64(options.events.unwrap_or(DEFAULT_THROUGHPUT_EVENTS));
-    if let Some(workload) = options.workload {
-        config.workload = workload;
-    }
-    if let Some(threads) = options.threads {
-        config.threads = threads;
-    }
-    if let Some(objects) = options.objects {
-        config.objects = objects;
-    }
-    if let Some(shards) = &options.shards {
-        config.shard_counts = shards.clone();
-    }
-    if let Some(sink) = options.sink {
-        config.sink = sink;
-    }
-    if let Some(net_clients) = options.net_clients {
-        config.net_clients = net_clients;
-    }
-    let report = measure_throughput(&config);
-    Ok(render_throughput_json(&report))
+    let defaults = ThroughputConfig::uniform_64x64(options.events.unwrap_or(200_000));
+    let config = ThroughputConfig {
+        workload: options.workload.unwrap_or(defaults.workload),
+        threads: options.threads.unwrap_or(defaults.threads),
+        objects: options.objects.unwrap_or(defaults.objects),
+        sink: options.sink.unwrap_or(defaults.sink),
+        net_clients: options.net_clients.unwrap_or(defaults.net_clients),
+        ..defaults
+    };
+    Ok(render_throughput_json(&measure_throughput(&config)))
 }
 
 /// `mvc-eval serve`: run the networked timestamping service until the
@@ -373,27 +212,29 @@ fn run_produce(options: &Options) -> Result<String, String> {
         .addr
         .as_deref()
         .ok_or_else(|| "produce requires --addr HOST:PORT".to_string())?;
-    let mut config = ProduceConfig::default();
-    if let Some(workload) = options.workload {
-        config.workload = workload;
-    }
-    if let Some(threads) = options.threads {
-        config.threads = threads;
-    }
-    if let Some(objects) = options.objects {
-        config.objects = objects;
-    }
-    if let Some(events) = options.events {
-        config.events = events;
-    }
-    if let Some(seed) = options.seed {
-        config.seed = seed;
-    }
+    let defaults = ProduceConfig::default();
+    let config = ProduceConfig {
+        workload: options.workload.unwrap_or(defaults.workload),
+        threads: options.threads.unwrap_or(defaults.threads),
+        objects: options.objects.unwrap_or(defaults.objects),
+        events: options.events.unwrap_or(defaults.events),
+        seed: options.seed.unwrap_or(defaults.seed),
+        ..defaults
+    };
     produce(addr, &config).map(|summary| render_produce_json(&summary))
 }
 
 fn run_figure(name: &str, options: &Options) -> Result<Vec<FigureData>, String> {
     let trials = options.trials;
+    // `--mechanisms`, or every registry mechanism (`sweep` and `trajectory`).
+    let names = if options.mechanisms.is_empty() {
+        MechanismRegistry::names()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    } else {
+        options.mechanisms.clone()
+    };
     match name {
         "fig4" => Ok(vec![fig4(trials)]),
         "fig5" => Ok(vec![fig5(trials)]),
@@ -402,14 +243,6 @@ fn run_figure(name: &str, options: &Options) -> Result<Vec<FigureData>, String> 
         "adaptive" => Ok(vec![adaptive_ablation(trials)]),
         "star" => Ok(vec![star_sweep(trials)]),
         "trajectory" => {
-            let names = if options.mechanisms.is_empty() {
-                MechanismRegistry::names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect()
-            } else {
-                options.mechanisms.clone()
-            };
             // The trajectory sweeps random *graph* scenarios, so only the
             // workloads with a graph-scenario counterpart are accepted.
             let scenario = match options.workload {
@@ -436,35 +269,30 @@ fn run_figure(name: &str, options: &Options) -> Result<Vec<FigureData>, String> 
                 .map_err(|e| e.to_string())
         }
         "sweep" => {
-            let names = if options.mechanisms.is_empty() {
-                MechanismRegistry::names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect()
-            } else {
-                options.mechanisms.clone()
-            };
             let workload = options.workload.unwrap_or(WorkloadKind::Star { hubs: 1 });
             registry_sweep(&names, workload, trials)
                 .map(|f| vec![f])
                 .map_err(|e| e.to_string())
         }
         "all" => {
-            let mut figures = vec![
-                fig4(trials),
-                fig5(trials),
-                fig6(trials),
-                fig7(trials),
-                adaptive_ablation(trials),
-                star_sweep(trials),
-            ];
             // `all` historically ignores `--workload` (it is a `sweep`/
             // `trajectory` refinement), so the trajectory leg always runs
             // with its default scenario rather than failing on a workload
             // the trajectory figure cannot represent.
             let mut defaults = options.clone();
             defaults.workload = None;
-            figures.extend(run_figure("trajectory", &defaults)?);
+            let mut figures = Vec::new();
+            for part in [
+                "fig4",
+                "fig5",
+                "fig6",
+                "fig7",
+                "adaptive",
+                "star",
+                "trajectory",
+            ] {
+                figures.extend(run_figure(part, &defaults)?);
+            }
             Ok(figures)
         }
         other => Err(format!(
@@ -474,105 +302,79 @@ fn run_figure(name: &str, options: &Options) -> Result<Vec<FigureData>, String> 
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let options = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Writes `contents` to `path` and reports it on `err` — never on stdout,
+/// which carries only the tables or the JSON object.
+fn write_file(path: &Path, contents: &str, err: &mut dyn Write) -> Result<(), String> {
+    fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    writeln!(err, "wrote {}", path.display()).map_err(|e| e.to_string())
+}
 
+/// Everything `main` does, with the two output streams passed in so tests
+/// can see what goes where.
+fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), String> {
+    let options = parse_args(args)?;
+    let io_err = |e: io::Error| e.to_string();
+    if options.help {
+        return writeln!(out, "{USAGE}").map_err(io_err);
+    }
     for name in &options.figures {
-        if matches!(name.as_str(), "throughput" | "serve" | "produce") {
-            let result = match name.as_str() {
-                "throughput" => run_throughput(&options),
-                "serve" => run_serve(&options),
-                _ => run_produce(&options),
-            };
-            let json = match result {
-                Ok(json) => json,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
+        let json = match name.as_str() {
+            "throughput" => run_throughput(&options)?,
+            "serve" => run_serve(&options)?,
+            "produce" => run_produce(&options)?,
+            _ => {
+                for figure in run_figure(name, &options)? {
+                    writeln!(out, "{}", render_table(&figure)).map_err(io_err)?;
+                    if let Some(dir) = &options.csv_dir {
+                        fs::create_dir_all(dir)
+                            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+                        let path = dir.join(format!("{}.csv", figure.id));
+                        write_file(&path, &render_csv(&figure), err)?;
+                    }
                 }
-            };
-            println!("{json}");
-            if let Some(dir) = &options.csv_dir {
-                if let Err(e) = fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                let path = dir.join(format!("{name}.json"));
-                if let Err(e) = fs::write(&path, &json) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {}", path.display());
-            }
-            if let Some(path) = &options.out {
-                if let Err(e) = fs::write(path, &json) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {}", path.display());
-            }
-            continue;
-        }
-        let figures = match run_figure(name, &options) {
-            Ok(f) => f,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
+                continue;
             }
         };
-        for figure in figures {
-            println!("{}", render_table(&figure));
-            if let Some(dir) = &options.csv_dir {
-                if let Err(e) = fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                let path = dir.join(format!("{}.csv", figure.id));
-                if let Err(e) = fs::write(&path, render_csv(&figure)) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {}", path.display());
-            }
+        writeln!(out, "{json}").map_err(io_err)?;
+        if let Some(path) = &options.out {
+            write_file(path, &json, err)?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    match run(&args, &mut io::stdout().lock(), &mut io::stderr()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
     fn opts(trials: usize) -> Options {
         Options {
-            figures: vec![],
             trials,
-            csv_dir: None,
-            mechanisms: vec![],
-            workload: None,
-            events: None,
-            threads: None,
-            objects: None,
-            shards: None,
-            sink: None,
-            out: None,
-            net_clients: None,
-            addr: None,
-            clients: None,
-            seed: None,
-            metrics_out: None,
+            ..Options::default()
         }
+    }
+
+    /// Runs the whole CLI in-process; returns (result, stdout, stderr).
+    fn run_captured(line: &str) -> (Result<(), String>, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let result = run(&args(line), &mut out, &mut err);
+        let text = |bytes| String::from_utf8(bytes).unwrap();
+        (result, text(out), text(err))
     }
 
     #[test]
@@ -586,44 +388,32 @@ mod tests {
 
     #[test]
     fn explicit_figure_and_trials() {
-        let o = parse_args(&args(&["fig6", "--trials", "3", "--csv", "/tmp/out"])).unwrap();
+        let o = parse_args(&args("fig6 --trials 3 --csv /tmp/out")).unwrap();
         assert_eq!(o.figures, vec!["fig6"]);
         assert_eq!(o.trials, 3);
-        assert_eq!(o.csv_dir.as_deref(), Some(std::path::Path::new("/tmp/out")));
+        assert_eq!(o.csv_dir, Some(PathBuf::from("/tmp/out")));
     }
 
     #[test]
     fn sweep_options_validate_mechanisms_through_the_registry() {
-        let o = parse_args(&args(&[
-            "sweep",
-            "--mechanisms",
-            "popularity,adaptive",
-            "--workload",
-            "star",
-        ]))
+        let o = parse_args(&args(
+            "sweep --mechanisms popularity,adaptive --workload star",
+        ))
         .unwrap();
         assert_eq!(o.figures, vec!["sweep"]);
         assert_eq!(o.mechanisms, vec!["popularity", "adaptive"]);
         assert_eq!(o.workload, Some(WorkloadKind::Star { hubs: 1 }));
 
-        let err = parse_args(&args(&["sweep", "--mechanisms", "quantum"])).unwrap_err();
+        let err = parse_args(&args("sweep --mechanisms quantum")).unwrap_err();
         assert!(err.contains("unknown mechanism 'quantum'"));
         assert!(err.contains("popularity"), "error lists the candidates");
     }
 
     #[test]
     fn workload_names_parse() {
-        for name in [
-            "uniform",
-            "nonuniform",
-            "producer-consumer",
-            "lock-striped",
-            "phased",
-            "star",
-            "matching",
-            "phase-shift",
-            "clustered",
-        ] {
+        let names = "uniform nonuniform producer-consumer lock-striped phased star matching \
+                     phase-shift clustered";
+        for name in names.split_whitespace() {
             assert_eq!(parse_workload(name).unwrap().name(), name);
         }
         assert!(parse_workload("fractal").is_err());
@@ -631,140 +421,74 @@ mod tests {
 
     #[test]
     fn invalid_arguments_are_rejected() {
-        assert!(parse_args(&args(&["--trials"])).is_err());
-        assert!(parse_args(&args(&["--trials", "zero"])).is_err());
-        assert!(parse_args(&args(&["--trials", "0"])).is_err());
-        assert!(parse_args(&args(&["--csv"])).is_err());
-        assert!(parse_args(&args(&["--mechanisms"])).is_err());
-        assert!(parse_args(&args(&["--mechanisms", ""])).is_err());
-        assert!(parse_args(&args(&["--workload"])).is_err());
-        assert!(parse_args(&args(&["--events"])).is_err());
-        assert!(parse_args(&args(&["--events", "0"])).is_err());
-        assert!(parse_args(&args(&["--events", "many"])).is_err());
-        assert!(parse_args(&args(&["--threads"])).is_err());
-        assert!(parse_args(&args(&["--threads", "0"])).is_err());
-        assert!(parse_args(&args(&["--objects"])).is_err());
-        assert!(parse_args(&args(&["--objects", "0"])).is_err());
-        assert!(parse_args(&args(&["--shards"])).is_err());
-        assert!(parse_args(&args(&["--shards", ""])).is_err());
-        assert!(parse_args(&args(&["--shards", "2,0"])).is_err());
-        assert!(parse_args(&args(&["--shards", "two"])).is_err());
-        assert!(parse_args(&args(&["--sink"])).is_err());
-        assert!(parse_args(&args(&["--sink", "paper"])).is_err());
-        assert!(parse_args(&args(&["--out"])).is_err());
-        assert!(parse_args(&args(&["--help"])).is_err());
+        let lines = "--trials|--trials zero|--trials 0|--csv|--mechanisms|--workload|--events|\
+                     --events 0|--events many|--threads|--threads 0|--objects|--objects 0|\
+                     --sink|--sink paper|--out";
+        for line in lines.split('|') {
+            assert!(parse_args(&args(line)).is_err(), "{line}");
+        }
+        assert!(parse_args(&["--mechanisms".to_string(), String::new()]).is_err());
         assert!(run_figure("fig99", &opts(1)).is_err());
     }
 
     #[test]
     fn throughput_options_parse_and_run() {
-        let o = parse_args(&args(&[
-            "throughput",
-            "--events",
-            "2000",
-            "--threads",
-            "8",
-            "--objects",
-            "8",
-            "--shards",
-            "1,2",
-            "--workload",
-            "phase-shift",
-            "--sink",
-            "stats",
-            "--net-clients",
-            "0",
-            "--out",
-            "/tmp/bench.json",
-        ]))
+        let o = parse_args(&args(
+            "throughput --events 2000 --threads 8 --objects 8 --workload phase-shift \
+             --sink stats --net-clients 0 --out /tmp/bench.json",
+        ))
         .unwrap();
         assert_eq!(o.figures, vec!["throughput"]);
         assert_eq!(o.events, Some(2000));
         assert_eq!(o.threads, Some(8));
         assert_eq!(o.objects, Some(8));
-        assert_eq!(o.shards, Some(vec![1, 2]));
         assert_eq!(o.sink, Some(SinkKind::Stats));
-        assert_eq!(
-            o.out.as_deref(),
-            Some(std::path::Path::new("/tmp/bench.json"))
-        );
-
+        assert_eq!(o.out, Some(PathBuf::from("/tmp/bench.json")));
         assert_eq!(o.net_clients, Some(0));
         let json = run_throughput(&o).unwrap();
-        assert!(json.contains("\"workload\": \"phase-shift\""));
-        assert!(json.contains("\"events\": 2000"));
-        assert!(json.contains("\"threads\": 8"));
-        assert!(json.contains("\"objects\": 8"));
-        assert!(json.contains("\"sink\": \"stats\""));
-        assert!(json.contains("\"ingest\": ["));
-        assert!(json.contains("\"engine\": \"sharded\""));
-        assert!(json.contains("\"ingest_baseline\": {"));
-        assert!(json.contains("\"sink_relative_throughput\":"));
-        assert!(
-            json.contains("\"net\": null"),
-            "--net-clients 0 skips the slot"
-        );
+        let head = "{\n  \"workload\": \"phase-shift\",\n  \"threads\": 8,\n  \"objects\": 8,\n  \
+                    \"events\": 2000,";
+        assert!(json.starts_with(head), "{json}");
+        assert!(json.contains("{\"name\": \"ingest\", "));
+        assert!(json.contains("{\"name\": \"sink:stats\", "));
+        assert!(json.contains("{\"name\": \"obs:enabled\", "));
+        assert!(!json.contains("\"net:"), "--net-clients 0 skips the slot");
     }
 
     #[test]
     fn serve_and_produce_options_parse() {
-        let o = parse_args(&args(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--clients",
-            "2",
-            "--metrics-out",
-            "/tmp/metrics.prom",
-        ]))
+        let o = parse_args(&args(
+            "serve --addr 127.0.0.1:0 --clients 2 --metrics-out /tmp/metrics.prom",
+        ))
         .unwrap();
         assert_eq!(o.figures, vec!["serve"]);
         assert_eq!(o.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.clients, Some(2));
-        assert_eq!(
-            o.metrics_out.as_deref(),
-            Some(std::path::Path::new("/tmp/metrics.prom"))
-        );
-        assert!(parse_args(&args(&["serve", "--metrics-out"])).is_err());
+        assert_eq!(o.metrics_out, Some(PathBuf::from("/tmp/metrics.prom")));
+        assert!(parse_args(&args("serve --metrics-out")).is_err());
 
-        let o = parse_args(&args(&["produce", "--addr", "127.0.0.1:9", "--seed", "11"])).unwrap();
+        let o = parse_args(&args("produce --addr 127.0.0.1:9 --seed 11")).unwrap();
         assert_eq!(o.figures, vec!["produce"]);
         assert_eq!(o.seed, Some(11));
 
-        assert!(parse_args(&args(&["serve", "--clients", "0"])).is_err());
-        assert!(parse_args(&args(&["serve", "--clients"])).is_err());
-        assert!(parse_args(&args(&["produce", "--seed", "x"])).is_err());
-        assert!(parse_args(&args(&["throughput", "--net-clients", "x"])).is_err());
+        assert!(parse_args(&args("serve --clients 0")).is_err());
+        assert!(parse_args(&args("serve --clients")).is_err());
+        assert!(parse_args(&args("produce --seed x")).is_err());
+        assert!(parse_args(&args("throughput --net-clients x")).is_err());
         assert!(run_produce(&opts(1)).unwrap_err().contains("--addr"));
     }
 
     #[test]
     fn throughput_measures_the_networked_service_when_asked() {
-        let mut o = parse_args(&args(&[
-            "throughput",
-            "--events",
-            "1500",
-            "--threads",
-            "4",
-            "--objects",
-            "4",
-            "--shards",
-            "1",
-            "--net-clients",
-            "2",
-        ]))
-        .unwrap();
-        o.trials = 1;
-        let json = run_throughput(&o).unwrap();
-        assert!(json.contains("\"net\": {"), "{json}");
-        assert!(json.contains("\"clients\": 2"), "{json}");
-        assert!(json.contains("\"relative_to_ingest\":"), "{json}");
+        let line = "throughput --events 1500 --threads 4 --objects 4 --net-clients 2";
+        let json = run_throughput(&parse_args(&args(line)).unwrap()).unwrap();
+        assert!(json.contains("{\"name\": \"net:2\", "), "{json}");
     }
 
     #[test]
     fn analysis_sink_names_are_accepted() {
         for name in ["conflict", "reach", "competitive"] {
-            let o = parse_args(&args(&["throughput", "--sink", name])).unwrap();
+            let o = parse_args(&args(&format!("throughput --sink {name}"))).unwrap();
             assert_eq!(o.sink.unwrap().name(), name);
         }
     }
@@ -818,5 +542,34 @@ mod tests {
             figures[0].series.len(),
             MechanismRegistry::names().len() + 1
         );
+    }
+
+    #[test]
+    fn json_subcommands_keep_stdout_pure_json() {
+        let path = env::temp_dir().join(format!("mvc-eval-out-{}.json", std::process::id()));
+        let file = path.to_str().unwrap();
+        let (result, out, err) = run_captured(&format!(
+            "throughput --events 500 --threads 4 --objects 4 --net-clients 0 --out {file}"
+        ));
+        result.unwrap();
+        assert!(out.starts_with("{\n") && out.ends_with("}\n"), "{out}");
+        assert!(!out.contains("wrote"), "status line on stdout: {out}");
+        assert_eq!(err, format!("wrote {file}\n"));
+        assert_eq!(fs::read_to_string(&path).unwrap(), out.trim_end());
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn help_prints_usage_on_stdout_and_succeeds() {
+        for flag in ["--help", "-h"] {
+            let (result, out, err) = run_captured(&format!("fig4 {flag} --trials 0"));
+            assert_eq!(result, Ok(()), "help is not an error");
+            assert_eq!(out, format!("{USAGE}\n"));
+            assert!(err.is_empty(), "{err}");
+        }
+        // Errors before the flag still win, as they always did.
+        let (result, out, _) = run_captured("--trials 0 --help");
+        assert!(result.unwrap_err().contains("--trials"));
+        assert!(out.is_empty());
     }
 }

@@ -54,18 +54,9 @@ pub struct ServeSummary {
 /// complete, then replays the recorded trace sequentially and compares.
 ///
 /// The run executes with the global [`mvc_obs`] registry enabled; the
-/// summary carries the snapshot delta it produced.
-///
-/// # Errors
-///
-/// Returns a rendered message when the server loop or the replay fails.
-pub fn serve(listener: TcpListener, expected_clients: usize) -> Result<ServeSummary, String> {
-    serve_with_metrics(listener, expected_clients, None)
-}
-
-/// [`serve`], additionally writing the registry snapshot to `metrics_out`
-/// in the Prometheus text exposition format — every 500 ms while the
-/// server runs, and once more on shutdown.
+/// summary carries the snapshot delta it produced.  With `metrics_out` the
+/// registry snapshot is also written there in the Prometheus text exposition
+/// format — every 500 ms while the server runs, and once more on shutdown.
 ///
 /// # Errors
 ///
@@ -355,7 +346,7 @@ mod tests {
     fn serve_and_produce_round_trip_over_loopback() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let server = thread::spawn(move || serve(listener, 2));
+        let server = thread::spawn(move || serve_with_metrics(listener, 2, None));
         let producers: Vec<_> = (0..2)
             .map(|i| {
                 let addr = addr.clone();

@@ -3,8 +3,8 @@
 //! The pipeline reports through `EventSink`s and returned errors, never
 //! stdout; a stray `println!` in a drain loop is both a perf hazard (stdout
 //! takes a process-global lock) and an observability lie. `todo!` is a panic
-//! wearing a disguise. Binaries (`main.rs`, `src/bin/`) and allowlisted
-//! paths (the criterion shim prints as its API) are exempt.
+//! wearing a disguise. Binaries (`main.rs`, `src/bin/`) and the path
+//! prefixes `lint.toml` allowlists (none today) are exempt.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;

@@ -1157,56 +1157,3 @@ mod tests {
     // (see lint.toml and docs/LINTS.md), which replaced the source-scan
     // test that used to live here.
 }
-
-/// Ignored-by-default profiling probe for the conflict sink's hot path.
-/// Run with `cargo test --release -p mvc-runtime profile_conflict_sink --
-/// --ignored --nocapture` when tuning; the conflict and retained counts
-/// double as a quick parity sanity check across optimisations (overlapping
-/// groups deliberately stress the multi-membership path).
-#[cfg(test)]
-mod profiling {
-    use super::*;
-    use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
-    use mvc_trace::{WorkloadBuilder, WorkloadKind};
-
-    #[test]
-    #[ignore]
-    fn profile_conflict_sink() {
-        for (threads, objects) in [(8usize, 8usize), (8, 64)] {
-            let c = WorkloadBuilder::new(threads, objects)
-                .operations(100_000)
-                .kind(WorkloadKind::Uniform)
-                .seed(42)
-                .build();
-            let plan = OfflineOptimizer::new().plan_for_computation(&c);
-            let mut engine = TimestampingEngine::with_components(plan.components().clone());
-            let run = replay(&mut engine, &c).unwrap();
-            let events: Vec<StampedEvent> = c
-                .events()
-                .zip(run.timestamps)
-                .map(|(e, timestamp)| StampedEvent {
-                    thread: e.thread,
-                    object: e.object,
-                    kind: e.kind,
-                    timestamp,
-                })
-                .collect();
-            let mut sink = ConflictSink::with_groups(
-                (0..objects - 1).map(|o| vec![ObjectId(o), ObjectId(o + 1)]),
-            );
-            let start = std::time::Instant::now();
-            for chunk in events.chunks(4096) {
-                sink.accept_batch(chunk).unwrap();
-            }
-            let elapsed = start.elapsed();
-            println!(
-                "{threads}x{objects}: width={} {:?} for 100k events ({:.0} eps), {} conflicts, {} retained",
-                plan.components().len(),
-                elapsed,
-                100_000.0 / elapsed.as_secs_f64(),
-                sink.conflicts().len(),
-                sink.retained_events()
-            );
-        }
-    }
-}

@@ -59,9 +59,9 @@
 //!    but as the identical stamp sequence.
 //!
 //! The engine implements [`Timestamper`](mvc_core::Timestamper), so
-//! `TraceSession::live`, [`replay`](mvc_core::replay), `mvc-bench`, and the
-//! `mvc-eval` CLI pick it up with zero call-site changes; batches fan out,
-//! single observations still work.
+//! `TraceSession::live`, [`replay`](mvc_core::replay) and the network
+//! server pick it up with zero call-site changes; batches fan out, single
+//! observations still work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,17 +7,11 @@
 //! Throughput is adequate for trace recording; swap in the real crossbeam
 //! for contended production use.
 //!
-//! Beyond the real crate's API subset, the shim adds two **extensions**:
-//!
-//! * [`Receiver::try_recv_batch`](channel::Receiver::try_recv_batch), which
-//!   moves up to `max` queued messages under a single lock acquisition — the
-//!   batched drain path for channel consumers.  When swapping in the real
-//!   crossbeam, replace each call with `receiver.try_iter().take(max)`
-//!   (lock-free there), or keep a one-function adapter.
-//! * [`SegQueue::pop_batch`](queue::SegQueue::pop_batch), the same batched
-//!   drain for the segmented queue.  The real `crossbeam::queue::SegQueue`
-//!   is lock-free; replace `pop_batch` with a `while let Some(v) = q.pop()`
-//!   loop (bounded by `max`) when swapping it in.
+//! Beyond the real crate's API subset, the shim adds one **extension**:
+//! [`SegQueue::pop_batch`](queue::SegQueue::pop_batch), which moves up to
+//! `max` queued elements under a single lock acquisition.  The real
+//! `crossbeam::queue::SegQueue` is lock-free; replace `pop_batch` with a
+//! `while let Some(v) = q.pop()` loop (bounded by `max`) when swapping it in.
 
 #![forbid(unsafe_code)]
 
@@ -194,15 +188,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
-        /// All senders have been dropped and the queue is drained.
-        Disconnected,
-    }
-
     /// Error returned by [`Receiver::recv`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
@@ -257,18 +242,6 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        /// Pops a message if one is queued.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.queue.lock().unwrap();
-            match queue.pop_front() {
-                Some(value) => Ok(value),
-                None if self.shared.senders.load(Ordering::Acquire) == 0 => {
-                    Err(TryRecvError::Disconnected)
-                }
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
         /// Blocks until a message arrives or every sender is dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut queue = self.shared.queue.lock().unwrap();
@@ -282,28 +255,6 @@ pub mod channel {
                 queue = self.shared.ready.wait(queue).unwrap();
             }
         }
-
-        /// Iterator over currently queued messages; stops when the queue is
-        /// momentarily empty.
-        pub fn try_iter(&self) -> TryIter<'_, T> {
-            TryIter { receiver: self }
-        }
-
-        /// Moves up to `max` currently queued messages into `buf` under a
-        /// single lock acquisition, returning how many were moved.
-        ///
-        /// This is the batched counterpart of [`try_recv`](Self::try_recv):
-        /// a drain loop pays one lock round-trip per *batch* instead of one
-        /// per message, which is what makes the sequential engine's pump
-        /// path cheap under multi-producer contention.  (Shim extension —
-        /// see the crate docs for the real-crossbeam equivalent.)
-        pub fn try_recv_batch(&self, buf: &mut Vec<T>, max: usize) -> usize {
-            let mut queue = self.shared.queue.lock().unwrap();
-            let take = queue.len().min(max);
-            buf.reserve(take);
-            buf.extend(queue.drain(..take));
-            take
-        }
     }
 
     impl<T> fmt::Debug for Receiver<T> {
@@ -311,24 +262,11 @@ pub mod channel {
             f.write_str("Receiver { .. }")
         }
     }
-
-    /// Iterator returned by [`Receiver::try_iter`].
-    pub struct TryIter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for TryIter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.try_recv().ok()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{unbounded, TryRecvError};
+    use super::channel::{unbounded, RecvError};
     use std::sync::Arc;
     use std::thread;
 
@@ -351,26 +289,11 @@ mod tests {
         }
         drop(sender);
         let mut got = 0;
-        while receiver.try_recv().is_ok() {
+        while receiver.recv().is_ok() {
             got += 1;
         }
         assert_eq!(got, 400);
-        assert_eq!(receiver.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn try_recv_batch_moves_up_to_max_in_order() {
-        let (sender, receiver) = unbounded();
-        for i in 0..10 {
-            sender.send(i).unwrap();
-        }
-        let mut buf = Vec::new();
-        assert_eq!(receiver.try_recv_batch(&mut buf, 4), 4);
-        assert_eq!(buf, vec![0, 1, 2, 3]);
-        assert_eq!(receiver.try_recv_batch(&mut buf, 100), 6);
-        assert_eq!(buf, (0..10).collect::<Vec<_>>(), "appends, keeps order");
-        assert_eq!(receiver.try_recv_batch(&mut buf, 8), 0, "queue is empty");
-        assert_eq!(receiver.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(receiver.recv(), Err(RecvError), "disconnected and drained");
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync;
 
-pub use sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use sync::MutexGuard;
 
 /// Mutual exclusion lock, mirroring `parking_lot::Mutex`.
 #[derive(Debug, Default)]
@@ -40,51 +40,6 @@ impl<T: ?Sized> Mutex<T> {
             .lock()
             .unwrap_or_else(sync::PoisonError::into_inner)
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-/// Reader–writer lock, mirroring `parking_lot::RwLock`.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader–writer lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 #[cfg(test)]
@@ -97,12 +52,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
     }
 }

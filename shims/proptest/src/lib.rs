@@ -87,19 +87,6 @@ pub mod strategy {
 
     impl_range_strategy!(u8, u16, u32, u64, usize, f32, f64);
 
-    /// Strategy that always yields a clone of the same value, mirroring
-    /// `proptest::strategy::Just`.
-    #[derive(Debug, Clone)]
-    pub struct Just<T: Clone + std::fmt::Debug>(pub T);
-
-    impl<T: Clone + std::fmt::Debug> Strategy for Just<T> {
-        type Value = T;
-
-        fn generate(&self, _rng: &mut StdRng) -> T {
-            self.0.clone()
-        }
-    }
-
     macro_rules! impl_tuple_strategy {
         ($(($($s:ident $idx:tt),+))*) => {$(
             impl<$($s: Strategy),+> Strategy for ($($s,)+) {
@@ -256,9 +243,9 @@ pub mod test_runner {
 /// The common imports, mirroring `proptest::prelude`.
 pub mod prelude {
     pub use crate::collection;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Defines property tests over `arg in strategy` parameters.
@@ -335,21 +322,6 @@ macro_rules! prop_assert_eq {
             stringify!($right),
             left,
             right,
-        );
-    }};
-}
-
-/// Asserts two values are unequal inside a `proptest!` body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            left != right,
-            "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left),
-            stringify!($right),
-            left,
         );
     }};
 }

@@ -14,11 +14,6 @@
 pub trait RngCore {
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {

@@ -1,0 +1,55 @@
+//! Tier-1 gate: the root manifest's two member lists cannot drift.
+//!
+//! `cargo test -q` covers the whole workspace only because `[workspace]
+//! default-members` repeats every entry of `members` after the root package;
+//! a crate missing from either list would silently drop out of tier-1.
+
+use std::fs;
+use std::path::Path;
+
+/// The quoted entries of the `key = [ ... ]` array in `manifest`.
+fn string_array(manifest: &str, key: &str) -> Vec<String> {
+    let start = manifest
+        .find(&format!("\n{key} = ["))
+        .unwrap_or_else(|| panic!("root Cargo.toml has no `{key}` array"));
+    let body = &manifest[start..];
+    let body = &body[..body.find(']').expect("array closes")];
+    body.split('"')
+        .skip(1)
+        .step_by(2)
+        .map(String::from)
+        .collect()
+}
+
+#[test]
+fn default_members_is_the_root_plus_every_member_and_every_crate_is_a_member() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = string_array(&manifest, "members");
+    let default_members = string_array(&manifest, "default-members");
+
+    let mut expected = vec![".".to_owned()];
+    expected.extend(members.iter().cloned());
+    assert_eq!(
+        default_members, expected,
+        "`default-members` must be \".\" followed by `members`, in the same order"
+    );
+
+    let mut on_disk = Vec::new();
+    for parent in ["crates", "shims"] {
+        for entry in fs::read_dir(root.join(parent)).expect("member parent directory") {
+            let dir = entry.expect("directory entry").path();
+            if dir.join("Cargo.toml").is_file() {
+                let relative = dir.strip_prefix(root).expect("under the root");
+                on_disk.push(relative.to_string_lossy().into_owned());
+            }
+        }
+    }
+    on_disk.sort();
+    let mut listed = members;
+    listed.sort();
+    assert_eq!(
+        listed, on_disk,
+        "`members` must list exactly the crates under crates/ and shims/"
+    );
+}
