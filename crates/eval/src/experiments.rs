@@ -343,8 +343,8 @@ const TRAJECTORY_SAMPLES: usize = 24;
 /// seeded reveal streams through a [`CompetitiveTracker`], and the figure
 /// reports the online clock size after every revealed edge next to an
 /// `offline-optimal` series — the optimum of the revealed prefix, maintained
-/// incrementally by [`mvc_graph::IncrementalOptimum`] (one augmenting-path
-/// attempt per edge) rather than recomputed from scratch, which is what makes
+/// incrementally by [`mvc_graph::IncrementalOptimum`] (its module states the
+/// cost per edge) rather than recomputed from scratch, which is what makes
 /// sweeping whole trajectories affordable.
 ///
 /// The x axis is the number of revealed edges, sampled at up to

@@ -15,10 +15,11 @@
 //!   incremental edge insertion (used both offline and online).
 //! * [`matching`] — maximum bipartite matching: the Hopcroft–Karp algorithm
 //!   (`O(E √V)`) and a simple augmenting-path baseline (`O(V·E)`).
-//! * [`incremental`] — maintenance of a maximum matching and the offline
-//!   optimum under single edge insertions (one augmenting-path attempt per
-//!   edge, `O(1)` cover size between insertions) — the engine behind the
-//!   competitive-trajectory experiments.
+//! * [`incremental`] — maintenance of a maximum matching, Algorithm 1's
+//!   reachable set `Z` and the offline optimum under single edge insertions
+//!   (`O(1)` cover size between insertions; its module docs state what an
+//!   insertion costs) — the engine behind the competitive-trajectory
+//!   experiments.
 //! * [`cover`] — minimum vertex cover via the constructive Kőnig–Egerváry
 //!   proof, plus a greedy 2-approximation baseline.
 //! * [`generate`] — random graph generators for the paper's *Uniform* and

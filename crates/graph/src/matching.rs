@@ -2,8 +2,7 @@
 //!
 //! The paper's offline algorithm (Algorithm 1) starts from a maximum matching
 //! of the thread–object bipartite graph.  We provide two batch algorithms
-//! (plus the incremental maintenance in [`crate::incremental`], which reuses
-//! the augmenting-path machinery defined here):
+//! (plus the incremental maintenance in [`crate::incremental`]):
 //!
 //! * [`hopcroft_karp`] — the Hopcroft–Karp algorithm referenced by the paper
 //!   (`O(E √V)`).  Each BFS phase records the level `dist_nil` at which a
@@ -256,7 +255,7 @@ fn hk_bfs(
 /// which the search descended (or succeeded), which is exactly the edge to
 /// flip when an augmenting path is found.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SearchFrame {
+struct SearchFrame {
     vertex: usize,
     next: usize,
 }
@@ -324,28 +323,27 @@ fn flip_stack(
     }
 }
 
-/// Reusable scratch space for single augmenting-path searches, shared by
-/// [`simple_augmenting`] and the incremental matching in
-/// [`crate::incremental`].
+/// Reusable scratch space for the single augmenting-path searches of
+/// [`simple_augmenting`].
 ///
 /// Visited marks are epoch-stamped so clearing between searches is `O(1)`,
 /// and the explicit stack is reused across searches so a search allocates
 /// nothing once the buffers have grown to the graph size.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AugmentScratch {
+struct AugmentScratch {
     visited: Vec<u32>,
     epoch: u32,
     stack: Vec<SearchFrame>,
 }
 
 impl AugmentScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Starts a fresh search wave over `n` markable vertices: all visited
     /// marks are invalidated in `O(1)` (amortised).
-    pub(crate) fn begin(&mut self, n: usize) {
+    fn begin(&mut self, n: usize) {
         if self.visited.len() < n {
             self.visited.resize(n, self.epoch);
         }
@@ -371,7 +369,7 @@ impl AugmentScratch {
     /// search proves its alternating tree cannot lie on any augmenting path
     /// for the current matching, so later roots in the same wave may share
     /// the marks.
-    pub(crate) fn augment_from_left(
+    fn augment_from_left(
         &mut self,
         graph: &BipartiteGraph,
         root: usize,
@@ -403,53 +401,6 @@ impl AugmentScratch {
             }
             stack.push(SearchFrame {
                 vertex: pair_right[r],
-                next: 0,
-            });
-        }
-        self.stack = stack;
-        found
-    }
-
-    /// Mirror image of [`augment_from_left`](Self::augment_from_left): walks
-    /// from the free *right* vertex `root` towards a free left vertex,
-    /// marking left vertices.  Needed by the incremental matching when the
-    /// newly inserted edge's right endpoint is the only free endpoint.
-    pub(crate) fn augment_from_right(
-        &mut self,
-        graph: &BipartiteGraph,
-        root: usize,
-        pair_left: &mut [usize],
-        pair_right: &mut [usize],
-    ) -> bool {
-        debug_assert_eq!(pair_right[root], NIL, "root must be free");
-        let mut stack = std::mem::take(&mut self.stack);
-        stack.clear();
-        stack.push(SearchFrame {
-            vertex: root,
-            next: 0,
-        });
-        let mut found = false;
-        while let Some(top) = stack.last_mut() {
-            let r = top.vertex;
-            let Some(&l) = graph.neighbors_of_right(r).get(top.next) else {
-                stack.pop();
-                continue;
-            };
-            top.next += 1;
-            if !self.mark(l) {
-                continue;
-            }
-            if pair_left[l] == NIL {
-                for frame in &stack {
-                    let l = graph.neighbors_of_right(frame.vertex)[frame.next - 1];
-                    pair_right[frame.vertex] = l;
-                    pair_left[l] = frame.vertex;
-                }
-                found = true;
-                break;
-            }
-            stack.push(SearchFrame {
-                vertex: pair_left[l],
                 next: 0,
             });
         }

@@ -23,9 +23,10 @@
 //!   oracle 8).
 //! * [`CompetitiveSink`] — windowed competitive-ratio tracking: every
 //!   stamped batch feeds its revealed thread–object edges into an
-//!   [`IncrementalOptimum`], so the gap between the provisioned clock width
-//!   and the offline optimum of the revealed graph is visible while the
-//!   run is still going.
+//!   [`IncrementalOptimum`] (cost per edge: [`mvc_graph::incremental`]), so
+//!   the gap between the provisioned clock width and the offline optimum of
+//!   the revealed graph is visible while the run is still going — also as
+//!   the `analysis.competitive.*` gauges.
 //!
 //! All three are infallible sinks (they never reject a batch), so they
 //! compose freely under [`TeeSink`](mvc_core::sink::TeeSink) with
@@ -743,6 +744,29 @@ pub struct CompetitiveSink {
     accepted: usize,
     capacity: usize,
     trajectory: VecDeque<TrajectoryPoint>,
+    metrics: CompetitiveMetrics,
+}
+
+/// Process-global metric handles for the competitive sink (resolved once
+/// per sink; see `docs/OBSERVABILITY.md`).  Both gauges are set once per
+/// sampled batch, to the values of that batch's [`TrajectoryPoint`].
+#[derive(Debug, Clone)]
+struct CompetitiveMetrics {
+    /// `analysis.competitive.optimum` (gauge, components): the offline
+    /// optimum of the revealed graph.
+    optimum: mvc_obs::Gauge,
+    /// `analysis.competitive.online_width` (gauge, components): the widest
+    /// stamp seen.
+    online_width: mvc_obs::Gauge,
+}
+
+impl Default for CompetitiveMetrics {
+    fn default() -> Self {
+        Self {
+            optimum: mvc_obs::global().gauge("analysis.competitive.optimum"),
+            online_width: mvc_obs::global().gauge("analysis.competitive.online_width"),
+        }
+    }
 }
 
 impl CompetitiveSink {
@@ -767,6 +791,7 @@ impl CompetitiveSink {
             accepted: 0,
             capacity,
             trajectory: VecDeque::new(),
+            metrics: CompetitiveMetrics::default(),
         }
     }
 
@@ -817,11 +842,14 @@ impl CompetitiveSink {
     }
 
     fn sample(&mut self) {
-        self.trajectory.push_back(TrajectoryPoint {
+        let point = TrajectoryPoint {
             revealed_edges: self.revealed_edges(),
             online_size: self.online_width,
             offline_optimum: self.optimum.cover_size(),
-        });
+        };
+        self.metrics.optimum.set(point.offline_optimum as i64);
+        self.metrics.online_width.set(point.online_size as i64);
+        self.trajectory.push_back(point);
         if self.trajectory.len() > self.capacity {
             self.trajectory.pop_front();
         }

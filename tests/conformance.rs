@@ -1,7 +1,7 @@
 //! Cross-crate conformance suite: the paper's load-bearing theorems as
 //! executable oracles.
 //!
-//! Ten invariant families are encoded so that any future refactor of the
+//! Eleven invariant families are encoded so that any future refactor of the
 //! graph, clock, core, online, shard, runtime or net crates is checked
 //! against the mathematics rather than against snapshots:
 //!
@@ -63,6 +63,12 @@
 //!     shards, they produce the same stamps bit for bit, and the chunked
 //!     rows read back as the protocol says they must (`T[t] = O[o] = v`:
 //!     each thread's and object's clock is the last stamp emitted for it).
+//! 11. **The optimum has an independent witness.**  A test-only minimum
+//!     vertex cover read from a max-flow minimum cut (`support::flow_cut`,
+//!     no code shared with `mvc_graph`) equals, member for member, the Kőnig
+//!     cover of Hopcroft–Karp's matching and the cover `IncrementalOptimum`
+//!     reads off its maintained `Z`, at every prefix of streams long enough
+//!     to interleave growth of `Z`, augmentation and rebuild.
 
 mod support;
 
@@ -73,7 +79,9 @@ use mvc_core::{
     replay, verify_assignment, EventSink, OfflineOptimizer, Timestamper, TimestampingEngine,
 };
 use mvc_graph::matching::{hopcroft_karp, simple_augmenting};
-use mvc_graph::{BipartiteGraph, IncrementalOptimum};
+use mvc_graph::{
+    minimum_vertex_cover, BipartiteGraph, GraphScenario, IncrementalOptimum, RandomGraphBuilder,
+};
 use mvc_online::{
     Adaptive, CompetitiveTracker, MechanismRegistry, Naive, OnlineMechanism, OnlineTimestamper,
     Popularity, Random,
@@ -85,6 +93,7 @@ use mvc_trace::{
 };
 use proptest::prelude::*;
 
+use support::flow_cut::flow_cut_cover;
 use support::{ComputationStrategy, EdgeStreamStrategy, GraphComputationStrategy};
 
 // ---------------------------------------------------------------------------
@@ -527,7 +536,7 @@ proptest! {
 const ORACLE6_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The sharded engine's stamp stream equals the sequential engine's
     /// bit for bit — across random workloads and shard counts 1/2/4/8 —
@@ -1177,6 +1186,54 @@ proptest! {
             for (o, last) in last_of_object.into_iter().enumerate() {
                 prop_assert_eq!(&chunked.object_clock(ObjectId(o)), last);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 11: max-flow min-cut cover == Kőnig cover == maintained cover
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// 16–48 vertices per side at mean degree 2–4, both scenarios: the
+    /// regime where free threads survive long enough for insertions to be
+    /// rejected against `Z`, to grow it, to augment and to force a rebuild
+    /// within one stream (oracle 5's 2–12-vertex streams almost never do).
+    /// The source side of the minimum cut closest to the source is unique,
+    /// and so is `Z` across maximum matchings: all three covers must agree
+    /// member for member after every insertion.
+    #[test]
+    fn flow_cut_cover_equals_batch_and_incremental_cover_at_every_prefix(
+        nodes in 16usize..49,
+        mean_degree in 2.0f64..4.0,
+        scenario in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let scenario = [GraphScenario::Uniform, GraphScenario::default_nonuniform()][scenario];
+        let (_, edges) = RandomGraphBuilder::new(nodes, nodes)
+            .density(mean_degree / nodes as f64)
+            .scenario(scenario)
+            .seed(seed)
+            .build_edge_stream();
+        let mut incremental = IncrementalOptimum::new();
+        let mut revealed = BipartiteGraph::new(0, 0);
+        for &(l, r) in &edges {
+            incremental.insert_edge(l, r);
+            revealed.add_edge_growing(l, r);
+            let matching = hopcroft_karp(&revealed);
+            let cut = flow_cut_cover(&revealed);
+            prop_assert_eq!(cut.size(), matching.size());
+            prop_assert!(cut.covers_all_edges(&revealed));
+            prop_assert_eq!(&cut, &minimum_vertex_cover(&revealed, &matching));
+            prop_assert_eq!(incremental.cover_size(), cut.size());
+            let maintained = incremental.cover().clone();
+            prop_assert!(maintained == cut, "diverged after ({}, {})", l, r);
+            // Given the matching, Z is unique: the batch BFS in `cover.rs`
+            // is the maintained marks' reference.
+            let own = incremental.matching().to_matching(&revealed);
+            prop_assert_eq!(&maintained, &minimum_vertex_cover(&revealed, &own));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Tier-1 metrics parity: the observability layer's counters must agree
 //! with ground truth the rest of the workspace already measures.
 //!
-//! Three oracles:
+//! Four oracles:
 //!
 //! 1. An 8-thread contended `TraceSession` workload drained through the
 //!    live pipeline into a `StatsSink`: the global registry's
@@ -15,9 +15,13 @@
 //! 3. A snapshot-merge property: values recorded into one histogram and
 //!    one counter from many threads are never lost or double-counted —
 //!    the merged snapshot equals the sequential totals.
+//! 4. The paper's own quantities: after a live run into a
+//!    `CompetitiveSink`, the `analysis.competitive.*` gauges equal the
+//!    sink's `offline_optimum()` / `online_size()`, and stay zero while
+//!    the registry is disabled.
 //!
-//! The first two oracles share the process-global registry, so they are
-//! serialized behind one mutex and assert on snapshot *deltas* only.
+//! Oracles 1, 2 and 4 share the process-global registry, so they are
+//! serialized behind one mutex; 1 and 2 assert on snapshot *deltas* only.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -26,7 +30,8 @@ use std::time::Duration;
 use mvc_clock::ComponentMap;
 use mvc_core::{StatsSink, TimestampingEngine};
 use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
-use mvc_runtime::TraceSession;
+use mvc_online::{OnlineTimestamper, Popularity};
+use mvc_runtime::{CompetitiveSink, TraceSession};
 use mvc_trace::OpKind;
 use proptest::prelude::*;
 
@@ -177,6 +182,61 @@ fn net_frames_sent_equal_frames_received_at_quiescence() {
     // The server-side ingest counter matches the 2 x 60 recorded events.
     assert_eq!(delta.counter("net.server.events_ingested"), Some(120));
     assert_eq!(delta.counter("net.server.sessions_opened"), Some(2));
+}
+
+/// One live run into a fresh [`CompetitiveSink`]: four threads over three
+/// objects, stamped by an online mechanism so the clock width grows mid-run.
+fn competitive_run() -> CompetitiveSink {
+    let session = TraceSession::new();
+    let objects: Vec<_> = (0..3)
+        .map(|o| session.shared_object(&format!("o{o}"), 0u64))
+        .collect();
+    let workers: Vec<_> = (0..4)
+        .map(|t| session.register_thread(&format!("t{t}")))
+        .collect();
+    let timestamper = OnlineTimestamper::new(Popularity::new());
+    let mut live = session.live_with_sink(timestamper, CompetitiveSink::new());
+    for round in 0..6 {
+        for (t, worker) in workers.iter().enumerate() {
+            objects[(t + round) % 3].write(worker, |v| *v += 1);
+        }
+        live.pump().expect("the competitive sink never refuses");
+    }
+    let (sink, _) = live.finish_into_sink().expect("pipeline drains clean");
+    sink
+}
+
+#[test]
+fn competitive_gauges_equal_the_sinks_optimum_and_width() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+    let gauges = |snapshot: &mvc_obs::Snapshot| {
+        (
+            snapshot.gauge("analysis.competitive.optimum"),
+            snapshot.gauge("analysis.competitive.online_width"),
+        )
+    };
+
+    // No other test in this process builds a competitive sink, so a disabled
+    // run must leave both (registered) gauges at their initial zero.
+    registry.set_enabled(false);
+    let sink = competitive_run();
+    assert_eq!(sink.offline_optimum(), 3, "3 objects cover 4 x 3 edges");
+    assert_eq!(gauges(&registry.snapshot()), (Some(0), Some(0)));
+
+    registry.set_enabled(true);
+    let sink = competitive_run();
+    let snapshot = registry.snapshot();
+    registry.set_enabled(was_enabled);
+    assert!(sink.online_size() >= sink.offline_optimum());
+    assert_eq!(
+        gauges(&snapshot),
+        (
+            Some(sink.offline_optimum() as i64),
+            Some(sink.online_size() as i64)
+        )
+    );
 }
 
 proptest! {

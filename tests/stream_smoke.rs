@@ -3,8 +3,8 @@
 //! driven through [`CompetitiveTracker`] — the workload the tracker could
 //! not handle before the incremental rewrite without `O(E · E√V)` replans.
 //!
-//! Runs under the tier-1 suite (`cargo test`) in debug and is fast in
-//! release, because a tracked reveal is now amortised `O(E)`.
+//! Runs under the tier-1 suite (`cargo test`) in debug; what a tracked
+//! reveal costs is stated in `mvc_graph::incremental`'s module docs.
 
 use mvc_core::OfflineOptimizer;
 use mvc_graph::{GraphScenario, RandomGraphBuilder};

@@ -3,10 +3,13 @@
 //! Lives in a subdirectory (not compiled as its own integration-test crate)
 //! and is pulled in with `mod support;` by `conformance.rs`,
 //! `clock_properties.rs` and `trace_roundtrip.rs`, so every suite draws its
-//! computations and graphs from the same distributions.
+//! computations and graphs from the same distributions.  [`flow_cut`] is the
+//! independent minimum-vertex-cover oracle (conformance oracle 11).
 
 // Each integration-test crate uses a subset of these strategies.
 #![allow(dead_code)]
+
+pub mod flow_cut;
 
 use std::ops::Range;
 
