@@ -1,43 +1,131 @@
-//! Chunked sparse stamp rows: the engines' wide-clock working format.
+//! Packed chunks: the one storage rule for rows and stamps.
 //!
 //! The paper makes timestamps *small* (a minimum vertex cover instead of one
-//! entry per thread plus one per object), but a dense `Vec<u64>` row still
-//! pays O(width) per event even when almost every entry is zero — which is
+//! entry per thread plus one per object), but a dense `Vec<u64>` still pays
+//! O(width) per event even when almost every entry is zero — which is
 //! exactly the wide-clock regime (thousands of components, a handful touched
 //! per event) the Singhal–Kshemkalyani observation in the paper's Section VI
-//! predicts.  This module keeps each per-thread / per-object row in fixed
-//! [`CHUNK`]-entry chunks with a one-bit-per-chunk nonzero bitmap, so the
-//! protocol's `max`-merge, increment, and comparison skip all-zero chunks
-//! entirely and run tight 64-iteration inner loops over the rest.
+//! predicts.  A [`ChunkedRow`] therefore stores only the [`CHUNK`]-entry
+//! chunks that hold a nonzero entry, packed in chunk order, plus one mask bit
+//! per chunk: a row that has touched one chunk of a width-4096 clock stores
+//! 64 words, not 4096.  The protocol's `max`-merge, increment and comparison
+//! visit stored chunks only.
 //!
-//! The representation is *internal*: engines emit ordinary dense
-//! [`VectorTimestamp`](crate::VectorTimestamp) stamps, so `Timestamper`
-//! impls, sinks, and the codec are untouched.  [`step`] is the shared
-//! write-back kernel — one protocol step mutating the two rows in place and
-//! emitting the event's dense stamp, with no full-width row clone anywhere.
+//! A stamp is a copy of its thread's row under the same rule
+//! ([`step`] ends in one): mask and packed chunks, `O(nonzero chunks)` to
+//! emit, compare and pad.  When every chunk is stored the packed chunks *are*
+//! the dense vector, so narrow and fully occupied clocks emit a plain
+//! `Vec<u64>` — the same rule, not a second format.  See
+//! `docs/WIDE_CLOCKS.md` for the contract
+//! [`VectorTimestamp`] keeps on top of it.
 //!
-//! Invariant maintained by every method: a clear mask bit implies the whole
-//! chunk is zero (a set bit implies at least one nonzero entry, so occupancy
-//! numbers are exact, not conservative).
+//! Invariant maintained by every method: a mask bit is set ⇔ the chunk is
+//! stored ⇔ the chunk has a nonzero entry, so occupancy numbers are exact,
+//! derived equality is value equality, and `values.len()` is `CHUNK` times
+//! the number of set bits.
+
+use crate::compare::{self, ClockOrd, VectorTimestamp};
 
 /// Entries per chunk.  64 keeps a chunk one cache-line pair (512 bytes of
 /// `u64`s) and makes the bitmap arithmetic plain shifts.
 pub const CHUNK: usize = 64;
 
-/// One mixed-vector row (a thread's or an object's clock) in chunked form.
+/// What every chunk that is not stored reads as.
+static ZEROS: [u64; CHUNK] = [0; CHUNK];
+
+/// One mixed-vector row (a thread's or an object's clock) as packed chunks.
 ///
-/// `values` is zero-padded to a whole number of chunks; bit `c % 64` of
-/// `mask[c / 64]` is set iff chunk `c` contains a nonzero entry.
+/// The row covers `chunks` chunks; bit `c % 64` of `mask[c / 64]` is set iff
+/// chunk `c` contains a nonzero entry, and `values` holds exactly those
+/// chunks, [`CHUNK`] entries each, in chunk order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkedRow {
-    values: Vec<u64>,
+    chunks: usize,
     mask: Vec<u64>,
+    values: Vec<u64>,
 }
 
 /// Number of chunks needed to hold `width` entries.
 #[inline]
 fn chunks_for(width: usize) -> usize {
     width.div_ceil(CHUNK)
+}
+
+/// What a walker sees of a vector, packed or dense: its stored chunks and
+/// which ones they are.  `mask: None` is a dense vector — every chunk
+/// stored, the last one possibly short.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkView<'a> {
+    mask: Option<&'a [u64]>,
+    values: &'a [u64],
+}
+
+impl<'a> ChunkView<'a> {
+    /// The view of a dense vector.
+    pub(crate) fn dense(values: &'a [u64]) -> Self {
+        Self { mask: None, values }
+    }
+
+    /// `(chunk index, entries)` of every stored chunk, in chunk order.
+    pub(crate) fn stored(self) -> Stored<'a> {
+        Stored {
+            mask: self.mask,
+            values: self.values.chunks(CHUNK),
+            chunk: 0,
+        }
+    }
+}
+
+/// Iterator behind [`ChunkView::stored`].
+#[derive(Debug)]
+pub(crate) struct Stored<'a> {
+    mask: Option<&'a [u64]>,
+    values: std::slice::Chunks<'a, u64>,
+    /// The next chunk index to consider.
+    chunk: usize,
+}
+
+impl<'a> Iterator for Stored<'a> {
+    type Item = (usize, &'a [u64]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(mask) = self.mask {
+            // Skip to the next set bit at or after `self.chunk`.
+            loop {
+                let rest = mask.get(self.chunk / 64)? >> (self.chunk % 64);
+                if rest != 0 {
+                    self.chunk += rest.trailing_zeros() as usize;
+                    break;
+                }
+                self.chunk = (self.chunk / 64 + 1) * 64;
+            }
+        }
+        let entries = self.values.next()?;
+        self.chunk += 1;
+        Some((self.chunk - 1, entries))
+    }
+}
+
+/// The two-cursor union walk: one `(a, b)` pair of equally long slices per
+/// chunk stored on either side, in chunk order, with zeros standing in for
+/// the side that does not store it.  (A short dense tail chunk truncates its
+/// partner: entries beyond a vector's width are zero.)
+pub(crate) fn union<'a>(
+    a: ChunkView<'a>,
+    b: ChunkView<'a>,
+) -> impl Iterator<Item = (&'a [u64], &'a [u64])> {
+    let (mut a, mut b) = (a.stored().peekable(), b.stored().peekable());
+    std::iter::from_fn(move || {
+        let chunk = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(&(i, _)), None) | (None, Some(&(i, _))) => i,
+            (Some(&(i, _)), Some(&(j, _))) => i.min(j),
+        };
+        let x = a.next_if(|&(i, _)| i == chunk).map_or(&ZEROS[..], |c| c.1);
+        let y = b.next_if(|&(j, _)| j == chunk).map_or(&ZEROS[..], |c| c.1);
+        let n = x.len().min(y.len());
+        Some((&x[..n], &y[..n]))
+    })
 }
 
 impl ChunkedRow {
@@ -53,181 +141,148 @@ impl ChunkedRow {
         row
     }
 
-    /// Grows the row (with zeros) so it covers at least `width` entries.
-    /// Never shrinks: the clock only grows.
+    /// Grows the row (with zeros) so it covers at least `width` entries:
+    /// `O(mask words)`, no chunk is stored for it.  Never shrinks: the
+    /// clock only grows.
     pub fn ensure_width(&mut self, width: usize) {
         let chunks = chunks_for(width);
-        if self.values.len() < chunks * CHUNK {
-            self.values.resize(chunks * CHUNK, 0);
+        if chunks > self.chunks {
+            self.chunks = chunks;
             self.mask.resize(chunks.div_ceil(64), 0);
         }
     }
 
     /// Entries the row currently covers (a multiple of [`CHUNK`]; entries
-    /// beyond the logical clock width are zero padding).
+    /// beyond the logical clock width are zero).
     pub fn padded_width(&self) -> usize {
-        self.values.len()
+        self.chunks * CHUNK
     }
 
-    /// Number of chunks the row currently holds.
+    /// Number of chunks the row currently covers.
     pub fn chunk_count(&self) -> usize {
-        self.values.len() / CHUNK
+        self.chunks
     }
 
-    /// Number of chunks containing at least one nonzero entry.
+    /// Number of chunks containing at least one nonzero entry — the chunks
+    /// the row stores.
     pub fn nonzero_chunks(&self) -> usize {
-        self.mask.iter().map(|w| w.count_ones() as usize).sum()
+        self.values.len() / CHUNK
     }
 
     /// Fraction of chunks that are nonzero (0.0 for an empty row): the
     /// per-row sparsity number the wide-clock bench reports.
     pub fn occupancy(&self) -> f64 {
-        let chunks = self.chunk_count();
-        if chunks == 0 {
+        if self.chunks == 0 {
             0.0
         } else {
-            self.nonzero_chunks() as f64 / chunks as f64
+            self.nonzero_chunks() as f64 / self.chunks as f64
         }
     }
 
-    #[cfg(test)]
-    fn mask_bit(&self, chunk: usize) -> bool {
-        (self.mask[chunk / 64] >> (chunk % 64)) & 1 != 0
+    /// `u64` words the row stores: its packed chunks plus its mask.
+    pub(crate) fn stored_words(&self) -> usize {
+        self.values.len() + self.mask.len()
+    }
+
+    pub(crate) fn view(&self) -> ChunkView<'_> {
+        ChunkView {
+            mask: Some(&self.mask),
+            values: &self.values,
+        }
     }
 
     #[inline]
-    fn set_mask_bit(&mut self, chunk: usize) {
-        self.mask[chunk / 64] |= 1u64 << (chunk % 64);
+    fn has(&self, chunk: usize) -> bool {
+        let word = self.mask.get(chunk / 64).copied().unwrap_or(0);
+        (word >> (chunk % 64)) & 1 != 0
+    }
+
+    /// Offset in `values` at which a covered chunk is (or would be) stored.
+    #[inline]
+    fn offset(&self, chunk: usize) -> usize {
+        let below = self.mask[chunk / 64] & ((1u64 << (chunk % 64)) - 1);
+        let before: u32 = self.mask[..chunk / 64].iter().map(|w| w.count_ones()).sum();
+        (before + below.count_ones()) as usize * CHUNK
+    }
+
+    /// Entry `k` by reference (a shared zero when its chunk is not stored).
+    pub(crate) fn entry(&self, k: usize) -> &u64 {
+        if self.has(k / CHUNK) {
+            &self.values[self.offset(k / CHUNK) + k % CHUNK]
+        } else {
+            &ZEROS[0]
+        }
     }
 
     /// Entry `k` (zero beyond the padded width).
     pub fn get(&self, k: usize) -> u64 {
-        self.values.get(k).copied().unwrap_or(0)
+        *self.entry(k)
     }
 
-    /// Increments entry `k`, growing the row if needed.
+    /// Increments entry `k`, growing the row if needed.  A chunk that was
+    /// all-zero is inserted at its rank: one bounded `memmove`, at most
+    /// once per chunk in the row's life.
     pub fn increment(&mut self, k: usize) {
         self.ensure_width(k + 1);
-        self.values[k] += 1;
-        self.set_mask_bit(k / CHUNK);
+        let chunk = k / CHUNK;
+        let at = self.offset(chunk);
+        if !self.has(chunk) {
+            self.values.splice(at..at, ZEROS);
+            self.mask[chunk / 64] |= 1u64 << (chunk % 64);
+        }
+        self.values[at + k % CHUNK] += 1;
     }
 
-    /// Elementwise `max` of `other` into `self`, visiting only `other`'s
-    /// nonzero chunks (an all-zero chunk cannot raise anything).
+    /// Elementwise `max` of `other` into `self`.  In place when both rows
+    /// store the same chunks (the steady state — the object was last written
+    /// from a row like this one — and always at full occupancy); otherwise
+    /// the stored chunks are rebuilt by one union walk.
     pub fn merge_max(&mut self, other: &ChunkedRow) {
-        self.ensure_width(other.values.len());
-        for (word, &obits) in other.mask.iter().enumerate() {
-            let mut bits = obits;
-            while bits != 0 {
-                let chunk = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let base = chunk * CHUNK;
-                let dst = &mut self.values[base..base + CHUNK];
-                let src = &other.values[base..base + CHUNK];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = (*d).max(s);
-                }
+        self.ensure_width(other.padded_width());
+        if self.mask == other.mask {
+            // The same chunks at the same offsets.
+            for (d, &s) in self.values.iter_mut().zip(&other.values) {
+                *d = (*d).max(s);
             }
-            self.mask[word] |= obits;
+            return;
+        }
+        let theirs = other.mask.iter().chain(std::iter::repeat(&0));
+        let stored = self
+            .mask
+            .iter()
+            .zip(theirs)
+            .map(|(s, o)| (s | o).count_ones());
+        let mut values = Vec::with_capacity(stored.sum::<u32>() as usize * CHUNK);
+        for (a, b) in union(self.view(), other.view()) {
+            values.extend(a.iter().zip(b).map(|(a, b)| *a.max(b)));
+        }
+        self.values = values;
+        for (s, o) in self.mask.iter_mut().zip(&other.mask) {
+            *s |= o;
         }
     }
 
     /// `self < other` in the vector-clock order: every entry `<=` and at
-    /// least one `<`.  Chunks zero on both sides are skipped; a chunk
-    /// nonzero only in `self` refutes `<=` without touching its entries.
+    /// least one `<`.  Chunks stored on neither side are skipped.
     pub fn strictly_less_than(&self, other: &ChunkedRow) -> bool {
-        let words = self.mask.len().max(other.mask.len());
-        let mut strict = false;
-        for word in 0..words {
-            let sbits = self.mask.get(word).copied().unwrap_or(0);
-            let obits = other.mask.get(word).copied().unwrap_or(0);
-            // A chunk nonzero in self but all-zero in other has some entry
-            // greater than other's zero.
-            if sbits & !obits != 0 {
-                return false;
-            }
-            // Chunks nonzero only in other make the comparison strict.
-            if obits & !sbits != 0 {
-                strict = true;
-            }
-            let mut bits = sbits & obits;
-            while bits != 0 {
-                let chunk = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let base = chunk * CHUNK;
-                for (s, o) in self.values[base..base + CHUNK]
-                    .iter()
-                    .zip(&other.values[base..base + CHUNK])
-                {
-                    if s > o {
-                        return false;
-                    }
-                    if s < o {
-                        strict = true;
-                    }
-                }
-            }
-        }
-        strict
+        compare::order(union(self.view(), other.view())) == ClockOrd::Before
     }
 
-    /// Makes `self` bit-identical to `src`, copying only chunks that are
-    /// nonzero on either side (both rows' zero chunks already agree).
+    /// Makes `self` identical to `src`, reusing `self`'s buffers.
     pub fn copy_from(&mut self, src: &ChunkedRow) {
-        self.ensure_width(src.values.len());
-        for word in 0..self.mask.len() {
-            let sbits = src.mask.get(word).copied().unwrap_or(0);
-            let mut bits = sbits | self.mask[word];
-            while bits != 0 {
-                let chunk = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let base = chunk * CHUNK;
-                if (sbits >> (chunk % 64)) & 1 != 0 {
-                    let (dst, s) = (&mut self.values[base..base + CHUNK], &src.values);
-                    dst.copy_from_slice(&s[base..base + CHUNK]);
-                } else {
-                    self.values[base..base + CHUNK].fill(0);
-                }
-            }
-            self.mask[word] = sbits;
-        }
+        self.chunks = src.chunks;
+        self.mask.clone_from(&src.mask);
+        self.values.clone_from(&src.values);
     }
 
     /// The row as a dense vector truncated/padded to exactly `width`
-    /// entries.  Two strategies, picked by occupancy: a mostly-zero row
-    /// zero-fills once and scatters its few nonzero chunks (one big
-    /// `calloc`-backed memset beats many segmented ones); a mostly-live row
-    /// is built chunk by chunk so every output byte is written exactly once
-    /// (zero-filling first would write the live chunks twice, a measurable
-    /// tax at full occupancy).
+    /// entries: zero-fill, then scatter the stored chunks.
     pub fn to_dense(&self, width: usize) -> Vec<u64> {
-        if 2 * self.nonzero_chunks() < chunks_for(width) {
-            let mut out = vec![0u64; width];
-            for (word, &bits) in self.mask.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let chunk = word * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let base = chunk * CHUNK;
-                    if base >= width {
-                        continue;
-                    }
-                    let len = CHUNK.min(width - base);
-                    out[base..base + len].copy_from_slice(&self.values[base..base + len]);
-                }
-            }
-            return out;
-        }
-        let mut out = Vec::with_capacity(width);
-        let covered = self.chunk_count();
-        for chunk in 0..chunks_for(width) {
-            let base = chunk * CHUNK;
-            let len = CHUNK.min(width - base);
-            let nonzero = chunk < covered && (self.mask[chunk / 64] >> (chunk % 64)) & 1 != 0;
-            if nonzero {
-                out.extend_from_slice(&self.values[base..base + len]);
-            } else {
-                out.resize(out.len() + len, 0);
+        let mut out = vec![0u64; width];
+        for (chunk, src) in self.view().stored() {
+            if let Some(dst) = out.get_mut(chunk * CHUNK..) {
+                let len = dst.len().min(CHUNK);
+                dst[..len].copy_from_slice(&src[..len]);
             }
         }
         out
@@ -238,35 +293,46 @@ impl ChunkedRow {
         let mut row = Self::with_width(dense.len());
         for (chunk, window) in dense.chunks(CHUNK).enumerate() {
             if window.iter().any(|&v| v != 0) {
-                let base = chunk * CHUNK;
-                row.values[base..base + window.len()].copy_from_slice(window);
-                row.set_mask_bit(chunk);
+                row.values.extend_from_slice(window);
+                row.values.extend_from_slice(&ZEROS[window.len()..]);
+                row.mask[chunk / 64] |= 1u64 << (chunk % 64);
             }
         }
         row
     }
+
+    /// The row as a stamp of `width` components (the row must cover exactly
+    /// that): a copy of its mask and packed chunks — or, when every chunk is
+    /// stored, of the entries themselves, which then *are* the dense vector.
+    fn to_stamp(&self, width: usize) -> VectorTimestamp {
+        debug_assert_eq!(self.chunks, chunks_for(width));
+        if self.nonzero_chunks() == self.chunks {
+            VectorTimestamp::from_components(self.values[..width].to_vec())
+        } else {
+            VectorTimestamp::packed(width, self.clone())
+        }
+    }
 }
 
 /// One write-back protocol step (the paper's Section III-C update) over
-/// chunked rows: merge the object's row into the thread's, increment the
+/// packed rows: merge the object's row into the thread's, increment the
 /// event's component, copy the result back to the object, and return the
-/// event's dense stamp.  The only full-width work is zero-filling the
-/// emitted stamp; everything else is proportional to the rows' nonzero
-/// chunks, and neither row is ever cloned.
+/// event's stamp — a copy of the thread's row.  All of it is proportional to
+/// the rows' nonzero chunks; nothing is `O(width)`.
 ///
 /// `thread` and `object` must be distinct rows (they live in distinct
-/// per-thread / per-object tables).
+/// per-thread / per-object tables), neither wider than `width`.
 pub fn step(
     thread: &mut ChunkedRow,
     object: &mut ChunkedRow,
     component: usize,
     width: usize,
-) -> Vec<u64> {
+) -> VectorTimestamp {
     thread.ensure_width(width);
     thread.merge_max(object);
     thread.increment(component);
     object.copy_from(thread);
-    thread.to_dense(width)
+    thread.to_stamp(width)
 }
 
 #[cfg(test)]
@@ -280,12 +346,15 @@ mod tests {
         (0..n).all(|i| at(a, i) <= at(b, i)) && (0..n).any(|i| at(a, i) < at(b, i))
     }
 
+    /// The strict invariant: bit set ⇔ chunk stored ⇔ chunk has a nonzero
+    /// entry, and no storage beyond that.
     fn assert_mask_exact(row: &ChunkedRow) {
-        for chunk in 0..row.chunk_count() {
-            let nonzero = row.values[chunk * CHUNK..(chunk + 1) * CHUNK]
-                .iter()
-                .any(|&v| v != 0);
-            assert_eq!(row.mask_bit(chunk), nonzero, "chunk {chunk}");
+        assert_eq!(row.mask.len(), row.chunks.div_ceil(64));
+        let set: Vec<usize> = (0..row.mask.len() * 64).filter(|&c| row.has(c)).collect();
+        assert!(set.iter().all(|&c| c < row.chunks), "bit beyond the row");
+        assert_eq!(row.values.len(), CHUNK * set.len(), "one chunk per bit");
+        for (stored, chunk) in row.values.chunks(CHUNK).zip(&set) {
+            assert!(stored.iter().any(|&v| v != 0), "chunk {chunk} is all zero");
         }
     }
 
@@ -339,6 +408,29 @@ mod tests {
     }
 
     #[test]
+    fn merge_is_in_place_when_both_rows_store_the_same_chunks() {
+        let mut dense = vec![0u64; 320];
+        (dense[3], dense[130], dense[300]) = (1, 2, 3);
+        let mut a = ChunkedRow::from_dense(&dense);
+        let mut b = a.clone();
+        b.increment(131);
+        b.increment(300);
+        let buffer = a.values.as_ptr();
+        a.merge_max(&b);
+        assert_eq!(a.values.as_ptr(), buffer);
+        assert_eq!(a, b);
+        // Different chunk sets, either way round: rebuilt, in chunk order.
+        let mut c = ChunkedRow::with_width(320);
+        c.increment(200);
+        a.merge_max(&c);
+        c.merge_max(&b);
+        assert_eq!(a, c);
+        assert_eq!((a.get(3), a.get(131), a.get(200), a.get(300)), (1, 1, 1, 4));
+        assert_eq!(a.values.len(), 4 * CHUNK);
+        assert_mask_exact(&a);
+    }
+
+    #[test]
     fn strict_order_matches_dense_semantics() {
         let zero = ChunkedRow::with_width(64);
         let one = ChunkedRow::from_dense(&[0, 1]);
@@ -364,9 +456,9 @@ mod tests {
         let mut threads = vec![ChunkedRow::new(), ChunkedRow::new()];
         let mut objects = vec![ChunkedRow::new(), ChunkedRow::new()];
         let (t, o) = (&mut threads, &mut objects);
-        assert_eq!(step(&mut t[0], &mut o[0], 0, 2), vec![1, 0]);
-        assert_eq!(step(&mut t[1], &mut o[0], 0, 2), vec![2, 0]);
-        assert_eq!(step(&mut t[0], &mut o[1], 1, 2), vec![1, 1]);
+        assert_eq!(step(&mut t[0], &mut o[0], 0, 2).as_slice(), [1, 0]);
+        assert_eq!(step(&mut t[1], &mut o[0], 0, 2).as_slice(), [2, 0]);
+        assert_eq!(step(&mut t[0], &mut o[1], 1, 2).as_slice(), [1, 1]);
         assert_eq!(t[0].to_dense(2), vec![1, 1], "write-back reached the row");
         assert_eq!(o[0].to_dense(2), vec![2, 0]);
         for row in threads.iter().chain(objects.iter()) {
@@ -438,7 +530,7 @@ mod tests {
                     .collect();
                 dt[t] = merged.clone();
                 dobj[o] = merged.clone();
-                prop_assert_eq!(&stamp, &merged);
+                prop_assert_eq!(stamp.as_slice(), &merged[..]);
             }
             for (row, dense) in threads.iter().zip(&dt).chain(objects.iter().zip(&dobj)) {
                 prop_assert_eq!(row.to_dense(width), dense.clone());

@@ -1,10 +1,17 @@
 //! Vector timestamps and their partial order.
+//!
+//! A [`VectorTimestamp`] is a value: it may hold the plain vector or a copy
+//! of a packed row (see [`chunked`]), and no operation tells the two apart.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
+
+use crate::chunked::{self, ChunkView, ChunkedRow, CHUNK};
 
 /// Outcome of comparing two vector timestamps under the component-wise
 /// partial order.
@@ -50,37 +57,147 @@ impl fmt::Display for ClockOrd {
 /// is determined by the assigner that produced the timestamp; two timestamps
 /// may only be compared when they were produced by the same assigner over the
 /// same computation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct VectorTimestamp {
-    components: Vec<u64>,
+///
+/// A timestamp is stored under the one rule of [`chunked`]:
+/// its nonzero 64-entry chunks plus a mask — or, when every chunk is nonzero
+/// (and always for one built from explicit components), the plain vector.
+/// Which of the two a timestamp holds is not observable: equality, hashing,
+/// formatting and the order are by *value*.  Only [`as_slice`](Self::as_slice)
+/// (and what goes through it: `Hash`, `Display`, `Debug`) pays `O(width)` on
+/// a packed timestamp; everything else walks masks.
+#[derive(Clone, Default)]
+pub struct VectorTimestamp(Repr);
+
+/// 24 bytes on the pinned toolchain (the `Box` fits `Vec`'s capacity niche):
+/// a recorder holds one of these per event, and a wider one costs the narrow
+/// workloads throughput and memory (docs/WIDE_CLOCKS.md has the measurement).
+#[derive(Clone)]
+enum Repr {
+    Dense(Vec<u64>),
+    Packed(Box<Packed>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Dense(Vec::new())
+    }
+}
+
+/// A copy of a row that covers exactly `len` entries.  (The engine packs a
+/// row only while some chunk of it is zero; nothing here relies on that.)
+struct Packed {
+    len: usize,
+    row: ChunkedRow,
+    /// The dense form, materialised by the first `as_slice()`.
+    dense: OnceLock<Vec<u64>>,
+}
+
+impl Clone for Packed {
+    /// Copies the packed form only; the clone materialises for itself.
+    fn clone(&self) -> Self {
+        Packed {
+            len: self.len,
+            row: self.row.clone(),
+            dense: OnceLock::new(),
+        }
+    }
+}
+
+/// The four-way outcome over `(a, b)` pairs of equally long slices that
+/// together cover every entry nonzero on either side.
+pub(crate) fn order<'a>(pairs: impl Iterator<Item = (&'a [u64], &'a [u64])>) -> ClockOrd {
+    let mut less = false;
+    let mut greater = false;
+    for (a, b) in pairs {
+        for (a, b) in a.iter().zip(b) {
+            match a.cmp(b) {
+                Ordering::Less => less = true,
+                Ordering::Greater => greater = true,
+                Ordering::Equal => {}
+            }
+        }
+    }
+    match (less, greater) {
+        (false, false) => ClockOrd::Equal,
+        (true, false) => ClockOrd::Before,
+        (false, true) => ClockOrd::After,
+        (true, true) => ClockOrd::Concurrent,
+    }
 }
 
 impl VectorTimestamp {
     /// Creates the zero timestamp with `len` components.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            components: vec![0; len],
-        }
+        Self::from_components(vec![0; len])
     }
 
     /// Creates a timestamp from explicit component values.
     pub fn from_components(components: Vec<u64>) -> Self {
-        Self { components }
+        Self(Repr::Dense(components))
+    }
+
+    /// A timestamp of `len` components holding `row`, which covers exactly
+    /// `len` entries.
+    pub(crate) fn packed(len: usize, row: ChunkedRow) -> Self {
+        Self(Repr::Packed(Box::new(Packed {
+            len,
+            row,
+            dense: OnceLock::new(),
+        })))
+    }
+
+    fn chunks(&self) -> ChunkView<'_> {
+        match &self.0 {
+            Repr::Dense(v) => ChunkView::dense(v),
+            Repr::Packed(p) => p.row.view(),
+        }
+    }
+
+    /// Turns a packed timestamp into its dense form (reusing a materialised
+    /// one) and returns the vector either way.
+    fn dense_mut(&mut self) -> &mut Vec<u64> {
+        if let Repr::Packed(p) = &mut self.0 {
+            let dense = p.dense.take().unwrap_or_else(|| p.row.to_dense(p.len));
+            self.0 = Repr::Dense(dense);
+        }
+        match &mut self.0 {
+            Repr::Dense(v) => v,
+            Repr::Packed(_) => unreachable!("densified above"),
+        }
     }
 
     /// Number of components.
     pub fn len(&self) -> usize {
-        self.components.len()
+        match &self.0 {
+            Repr::Dense(v) => v.len(),
+            Repr::Packed(p) => p.len,
+        }
     }
 
     /// Returns `true` if the timestamp has no components.
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.len() == 0
+    }
+
+    /// `u64` words this timestamp stores: its components, or — packed — its
+    /// nonzero chunks plus their mask.
+    pub fn stored_words(&self) -> usize {
+        match &self.0 {
+            Repr::Dense(v) => v.len(),
+            Repr::Packed(p) => p.row.stored_words(),
+        }
     }
 
     /// The components as a slice.
+    ///
+    /// On a packed timestamp the first call materialises the dense vector
+    /// (`O(width)`) and every later call serves it; the timestamp holds both
+    /// forms from then on.  A clone starts without it.
     pub fn as_slice(&self) -> &[u64] {
-        &self.components
+        match &self.0 {
+            Repr::Dense(v) => v,
+            Repr::Packed(p) => p.dense.get_or_init(|| p.row.to_dense(p.len)),
+        }
     }
 
     /// The value of component `i`.
@@ -89,7 +206,7 @@ impl VectorTimestamp {
     ///
     /// Panics if `i` is out of range.
     pub fn component(&self, i: usize) -> u64 {
-        self.components[i]
+        self[i]
     }
 
     /// Increments component `i` by one.
@@ -98,7 +215,7 @@ impl VectorTimestamp {
     ///
     /// Panics if `i` is out of range.
     pub fn increment(&mut self, i: usize) {
-        self.components[i] += 1;
+        self.dense_mut()[i] += 1;
     }
 
     /// Sets this timestamp to the component-wise maximum of itself and
@@ -113,8 +230,11 @@ impl VectorTimestamp {
             other.len(),
             "cannot merge timestamps of different widths"
         );
-        for (a, b) in self.components.iter_mut().zip(other.components.iter()) {
-            *a = (*a).max(*b);
+        let dst = self.dense_mut();
+        for (chunk, src) in other.chunks().stored() {
+            for (a, b) in dst[chunk * CHUNK..].iter_mut().zip(src) {
+                *a = (*a).max(*b);
+            }
         }
     }
 
@@ -129,20 +249,9 @@ impl VectorTimestamp {
             other.len(),
             "cannot compare timestamps of different widths"
         );
-        let mut less = false;
-        let mut greater = false;
-        for (a, b) in self.components.iter().zip(other.components.iter()) {
-            match a.cmp(b) {
-                Ordering::Less => less = true,
-                Ordering::Greater => greater = true,
-                Ordering::Equal => {}
-            }
-        }
-        match (less, greater) {
-            (false, false) => ClockOrd::Equal,
-            (true, false) => ClockOrd::Before,
-            (false, true) => ClockOrd::After,
-            (true, true) => ClockOrd::Concurrent,
+        match (&self.0, &other.0) {
+            (Repr::Dense(a), Repr::Dense(b)) => order(std::iter::once((&a[..], &b[..]))),
+            _ => order(chunked::union(self.chunks(), other.chunks())),
         }
     }
 
@@ -155,7 +264,10 @@ impl VectorTimestamp {
     /// Sum of all components — a cheap upper bound on the number of events
     /// this timestamp is aware of; used only for diagnostics.
     pub fn magnitude(&self) -> u64 {
-        self.components.iter().sum()
+        self.chunks()
+            .stored()
+            .flat_map(|(_, entries)| entries)
+            .sum()
     }
 
     /// Returns a copy padded with zeros to `width` components.
@@ -170,19 +282,14 @@ impl VectorTimestamp {
     /// Panics if `width` is smaller than the current length — truncation
     /// would silently discard counters.
     pub fn padded_to(&self, width: usize) -> VectorTimestamp {
-        assert!(
-            width >= self.len(),
-            "cannot pad a width-{} timestamp down to {width} components",
-            self.len()
-        );
-        let mut components = self.components.clone();
-        components.resize(width, 0);
-        Self { components }
+        self.clone().into_padded_to(width)
     }
 
     /// The by-value form of [`padded_to`](Self::padded_to): pads in place,
     /// so a timestamp already at `width` — the common case when replaying
-    /// with a fixed component map — passes through without cloning.
+    /// with a fixed component map — passes through without cloning, and a
+    /// packed one only widens its mask (`O(mask words)`, no chunk is stored
+    /// for zeros).
     ///
     /// # Panics
     ///
@@ -194,8 +301,33 @@ impl VectorTimestamp {
             "cannot pad a width-{} timestamp down to {width} components",
             self.len()
         );
-        self.components.resize(width, 0);
+        match &mut self.0 {
+            Repr::Dense(v) => v.resize(width, 0),
+            Repr::Packed(p) => {
+                p.len = width;
+                p.row.ensure_width(width);
+                p.dense.take();
+            }
+        }
         self
+    }
+}
+
+impl PartialEq for VectorTimestamp {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && match (&self.0, &other.0) {
+                (Repr::Dense(a), Repr::Dense(b)) => a == b,
+                _ => chunked::union(self.chunks(), other.chunks()).all(|(a, b)| a == b),
+            }
+    }
+}
+
+impl Eq for VectorTimestamp {}
+
+impl Hash for VectorTimestamp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
@@ -203,7 +335,17 @@ impl Index<usize> for VectorTimestamp {
     type Output = u64;
 
     fn index(&self, index: usize) -> &Self::Output {
-        &self.components[index]
+        match &self.0 {
+            Repr::Dense(v) => &v[index],
+            Repr::Packed(p) => {
+                assert!(
+                    index < p.len,
+                    "index out of bounds: the len is {} but the index is {index}",
+                    p.len
+                );
+                p.row.entry(index)
+            }
+        }
     }
 }
 
@@ -213,10 +355,18 @@ impl From<Vec<u64>> for VectorTimestamp {
     }
 }
 
+impl fmt::Debug for VectorTimestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VectorTimestamp")
+            .field("components", &self.as_slice())
+            .finish()
+    }
+}
+
 impl fmt::Display for VectorTimestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, c) in self.components.iter().enumerate() {
+        for (i, c) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -229,6 +379,23 @@ impl fmt::Display for VectorTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+
+    /// `dense` the way the engine emits a row that is not full.
+    fn packed(dense: &[u64]) -> VectorTimestamp {
+        VectorTimestamp::packed(dense.len(), ChunkedRow::from_dense(dense))
+    }
+
+    fn materialised(stamp: &VectorTimestamp) -> bool {
+        matches!(&stamp.0, Repr::Packed(p) if p.dense.get().is_some())
+    }
+
+    fn hash_of(stamp: &VectorTimestamp) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        stamp.hash(&mut hasher);
+        hasher.finish()
+    }
 
     #[test]
     fn zeros_and_accessors() {
@@ -321,5 +488,144 @@ mod tests {
         assert_eq!(VectorTimestamp::zeros(0).to_string(), "[]");
         assert_eq!(ClockOrd::Concurrent.to_string(), "concurrent");
         assert_eq!(ClockOrd::Before.to_string(), "before");
+    }
+
+    #[test]
+    fn a_timestamp_is_three_words() {
+        // docs/WIDE_CLOCKS.md: an 80-byte stamp cost `live-narrow` 15 % of
+        // its events/s and 28 MiB; the recorder holds one per event.
+        assert_eq!(std::mem::size_of::<VectorTimestamp>(), 24);
+    }
+
+    #[test]
+    fn a_packed_stamp_materialises_once_and_its_clone_not_at_all() {
+        let mut dense = vec![0u64; 4096];
+        dense[2100] = 7;
+        let stamp = packed(&dense);
+        assert_eq!(stamp.stored_words(), CHUNK + 1, "one chunk, one mask word");
+        assert!(!materialised(&stamp));
+        let first = stamp.as_slice().as_ptr();
+        assert_eq!(stamp.as_slice().as_ptr(), first, "served from the cache");
+        assert_eq!(stamp.as_slice(), &dense[..]);
+        let clone = stamp.clone();
+        assert!(materialised(&stamp) && !materialised(&clone));
+        assert_eq!(clone, stamp);
+        assert!(!materialised(&clone), "== reads masks");
+
+        let plain = VectorTimestamp::from(dense);
+        assert_eq!(plain.stored_words(), 4096);
+        let slice = plain.as_slice().as_ptr();
+        assert!(matches!(&plain.0, Repr::Dense(own) if own.as_ptr() == slice));
+    }
+
+    #[test]
+    fn padding_a_packed_stamp_stores_nothing_for_the_zeros() {
+        let stamp = packed(&[0, 3]).into_padded_to(1 << 20);
+        assert_eq!(stamp.len(), 1 << 20);
+        assert_eq!(stamp.stored_words(), CHUNK + (1 << 20) / (CHUNK * 64));
+        assert_eq!(stamp[1], 3);
+        assert_eq!(stamp[(1 << 20) - 1], 0);
+        assert!(!materialised(&stamp));
+    }
+
+    #[test]
+    #[should_panic(expected = "different widths")]
+    fn comparing_packed_stamps_of_different_widths_panics() {
+        let _ = packed(&[0; 70]).compare(&packed(&[0; 71]));
+    }
+
+    #[test]
+    #[should_panic(expected = "different widths")]
+    fn merging_a_packed_stamp_of_another_width_panics() {
+        VectorTimestamp::zeros(70).merge_max(&packed(&[0; 130]));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pad")]
+    fn padding_a_packed_stamp_down_panics() {
+        let _ = packed(&[0; 130]).padded_to(70);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn indexing_a_packed_stamp_beyond_its_width_panics() {
+        // Index 70 lies inside the stored tail chunk, but not inside the stamp.
+        let _ = packed(&[1; 70])[70];
+    }
+
+    /// Zeroes the chunks of `values` that `live` does not keep, so that the
+    /// packed form has something to skip.
+    fn sparse(mut values: Vec<u64>, live: &[bool]) -> Vec<u64> {
+        for (chunk, keep) in values.chunks_mut(CHUNK).zip(live) {
+            if !keep {
+                chunk.fill(0);
+            }
+        }
+        values
+    }
+
+    proptest! {
+        /// Every operation answers the same on the packed and on the dense
+        /// form of a vector, and the ones that walk masks leave the packed
+        /// form unmaterialised.
+        #[test]
+        fn prop_packed_and_dense_forms_are_one_value(
+            len in 0usize..300,
+            a in proptest::collection::vec(0u64..4, 300),
+            b in proptest::collection::vec(0u64..4, 300),
+            live_a in proptest::collection::vec(0u8..2, 5),
+            live_b in proptest::collection::vec(0u8..2, 5),
+            at in 0usize..300,
+            extra in 0usize..200,
+        ) {
+            let keep = |live: &[u8]| live.iter().map(|&l| l == 1).collect::<Vec<_>>();
+            let a = sparse(a[..len].to_vec(), &keep(&live_a));
+            let b = sparse(b[..len].to_vec(), &keep(&live_b));
+            let (da, db) = (VectorTimestamp::from(a.clone()), VectorTimestamp::from(b.clone()));
+            let (pa, pb) = (packed(&a), packed(&b));
+
+            prop_assert_eq!(pa.len(), len);
+            prop_assert_eq!(pa.is_empty(), da.is_empty());
+            prop_assert_eq!(pa.magnitude(), da.magnitude());
+            for i in 0..len {
+                prop_assert_eq!(pa.component(i), a[i]);
+                prop_assert_eq!(pa[i], da[i]);
+            }
+            prop_assert!(pa == da);
+            prop_assert!(da == pa);
+            prop_assert_eq!(pa == pb, a == b);
+            prop_assert_eq!(pa == db, a == b);
+            for (x, y) in [(&pa, &pb), (&pa, &db), (&da, &pb)] {
+                prop_assert_eq!(x.compare(y), da.compare(&db));
+                prop_assert_eq!(x.strictly_less_than(y), da.strictly_less_than(&db));
+                let (mut merged, mut expect) = (x.clone(), da.clone());
+                merged.merge_max(y);
+                expect.merge_max(&db);
+                prop_assert_eq!(&merged, &expect);
+                prop_assert_eq!(merged.as_slice(), expect.as_slice());
+            }
+            let width = len + extra;
+            prop_assert_eq!(&pa.padded_to(width), &da.padded_to(width));
+            let padded = pa.clone().into_padded_to(width);
+            prop_assert_eq!(&padded, &da.clone().into_padded_to(width));
+            // Padding adds mask words, never chunks.
+            let mask_words = |w: usize| w.div_ceil(CHUNK).div_ceil(64);
+            prop_assert_eq!(
+                padded.stored_words() - mask_words(width),
+                pa.stored_words() - mask_words(len)
+            );
+            prop_assert!(!materialised(&pa) && !materialised(&pb) && !materialised(&padded));
+
+            if len > 0 {
+                let (mut bumped, mut expect) = (pa.clone(), da.clone());
+                bumped.increment(at % len);
+                expect.increment(at % len);
+                prop_assert_eq!(&bumped, &expect);
+            }
+            prop_assert_eq!(pa.to_string(), da.to_string());
+            prop_assert_eq!(format!("{pa:?}"), format!("{da:?}"));
+            prop_assert_eq!(hash_of(&pa), hash_of(&da));
+            prop_assert_eq!(pa.as_slice(), &a[..]);
+        }
     }
 }

@@ -16,9 +16,10 @@
 //!   components.
 //! * [`mixed`] — the paper's mixed-vector-clock timestamping protocol
 //!   (Section III-C), parameterised by a [`ComponentMap`].
-//! * [`chunked`] — [`ChunkedRow`]: the wide-clock working format (fixed
-//!   64-entry chunks with a nonzero-chunk bitmap) and the write-back
-//!   protocol-step kernel shared by the timestamping engines.
+//! * [`chunked`] — [`ChunkedRow`]: the storage rule rows and stamps share
+//!   (the nonzero 64-entry chunks, packed, plus a mask bit per chunk) and
+//!   the write-back protocol-step kernel that ends in a copy of the
+//!   thread's row.
 //! * [`chain`] — a dynamic chain-clock baseline in the spirit of
 //!   Agarwal & Garg (PODC 2005), the closest related work (Section VI).
 //! * [`validate`] — checking the vector clock condition

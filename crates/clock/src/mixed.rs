@@ -95,9 +95,13 @@ impl MixedVectorClockAssigner {
             let t = e.thread.index();
             let o = e.object.index();
             // The shared write-back kernel: both rows mutate in place and
-            // only the emitted stamp is owned — no full-width row clones.
-            let v = chunked::step(&mut thread_clock[t], &mut object_clock[o], component, width);
-            stamps.push(VectorTimestamp::from_components(v));
+            // the emitted stamp is a copy of the thread's packed row.
+            stamps.push(chunked::step(
+                &mut thread_clock[t],
+                &mut object_clock[o],
+                component,
+                width,
+            ));
         }
         Ok(stamps)
     }

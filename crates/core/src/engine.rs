@@ -10,11 +10,12 @@
 //! new component (the event's thread or object) and the engine widens every
 //! vector transparently (new components start at zero, which is always safe
 //! because no past event incremented them).
-
-//! The engine's working format is *chunked* (see [`mvc_clock::chunked`]):
-//! per-thread / per-object rows are stored in fixed 64-entry chunks with a
-//! nonzero-chunk bitmap, the protocol step mutates both rows in place
-//! (write-back, no full-width clone), and only the emitted stamp is dense.
+//!
+//! Rows and stamps share one storage rule (see [`mvc_clock::chunked`]): the
+//! nonzero 64-entry chunks, packed, plus a mask bit per chunk.  The protocol
+//! step mutates both rows in place (write-back) and the emitted stamp is a
+//! copy of the thread's row, so an event costs `O(nonzero chunks)`, never
+//! `O(width)` — unless a consumer asks a stamp for `as_slice()`.
 
 use std::fmt;
 
@@ -151,14 +152,14 @@ impl TimestampingEngine {
 
         let width = self.components.len();
         let (t, o) = (thread.index(), object.index());
-        // Write-back step: mutate both rows in place, emit one owned dense
-        // stamp.  (The thread and object tables are distinct, so the two
-        // row borrows never alias.)
+        // Write-back step: mutate both rows in place, emit a copy of the
+        // thread's packed row.  (The thread and object tables are distinct,
+        // so the two row borrows never alias.)
         grow_rows(&mut self.threads, t);
         grow_rows(&mut self.objects, o);
-        let v = chunked::step(&mut self.threads[t], &mut self.objects[o], component, width);
+        let stamp = chunked::step(&mut self.threads[t], &mut self.objects[o], component, width);
         self.events_observed += 1;
-        Ok(VectorTimestamp::from_components(v))
+        Ok(stamp)
     }
 
     /// The current clock of a thread, padded to the current width.
@@ -311,6 +312,66 @@ mod tests {
         e.observe(ThreadId(0), ObjectId(999)).unwrap();
         assert_eq!(e.width(), 128);
         assert_eq!(e.chunk_occupancy(), Some(0.5));
+    }
+
+    /// Every thread then every object, in id order.
+    fn all_endpoints(threads: usize, objects: usize) -> ComponentMap {
+        let mut map = ComponentMap::all_threads(threads);
+        for o in 0..objects {
+            map.push(Component::Object(ObjectId(o)));
+        }
+        map
+    }
+
+    #[test]
+    fn wide_clustered_rows_and_stamps_store_only_the_chunks_they_touched() {
+        // `live-wide` in small: width 4096, 64 clusters of 32 threads and 32
+        // objects, so a row only ever sees its own cluster's chunk.
+        let c = WorkloadBuilder::new(2048, 2048)
+            .operations(1500)
+            .kind(mvc_trace::WorkloadKind::Clustered { clusters: 64 })
+            .seed(9)
+            .build();
+        let nonzero_chunks = |dense: &[u64]| {
+            dense
+                .chunks(64)
+                .filter(|c| c.iter().any(|&v| v != 0))
+                .count()
+        };
+        let mut e = TimestampingEngine::with_components(all_endpoints(2048, 2048));
+        for event in c.events() {
+            let stamp = e.observe(event.thread, event.object).unwrap();
+            assert_eq!(stamp.len(), 4096);
+            let chunks = nonzero_chunks(stamp.clone().as_slice());
+            assert_eq!(
+                stamp.stored_words(),
+                64 * chunks + 1,
+                "chunks + one mask word"
+            );
+            assert_eq!(chunks, 1);
+        }
+        // The rows hold what they touched, not `rows x width`.
+        let rows = || e.threads.iter().chain(&e.objects);
+        let stored: usize = rows().map(|row| 64 * row.nonzero_chunks()).sum();
+        let touched: usize = rows().map(|row| nonzero_chunks(&row.to_dense(4096))).sum();
+        assert_eq!(stored, 64 * touched);
+        assert_eq!(touched, rows().filter(|row| row.chunk_count() > 0).count());
+    }
+
+    #[test]
+    fn a_full_row_emits_the_plain_vector() {
+        // One chunk is full from the first event on.
+        let mut narrow = TimestampingEngine::with_components(all_endpoints(0, 64));
+        let stamp = narrow.observe(ThreadId(0), ObjectId(5)).unwrap();
+        assert_eq!(stamp.stored_words(), 64);
+        assert_eq!(stamp.as_slice().len(), 64);
+        // Two chunks: packed until the thread has seen both, plain after.
+        let mut two = TimestampingEngine::with_components(all_endpoints(0, 100));
+        let first = two.observe(ThreadId(0), ObjectId(5)).unwrap();
+        assert_eq!(first.stored_words(), 64 + 1);
+        let second = two.observe(ThreadId(0), ObjectId(99)).unwrap();
+        assert_eq!(second.stored_words(), 100);
+        assert!(first.strictly_less_than(&second));
     }
 
     #[test]

@@ -56,9 +56,10 @@ use mvc_trace::{EventId, ObjectId, OpKind, ThreadId};
 use crate::conflict::ConflictPair;
 
 /// Compares two stamps that may have been taken at different clock widths,
-/// zero-padding the narrower one (widths only grow, and a new component's
-/// counter is implicitly zero before its first increment).
-fn compare_padded(a: &VectorTimestamp, b: &VectorTimestamp) -> ClockOrd {
+/// zero-padding a copy of the narrower one (widths only grow, and a new
+/// component's counter is implicitly zero before its first increment).
+/// Equal widths — every pair under a fixed component map — copy nothing.
+pub(crate) fn compare_padded(a: &VectorTimestamp, b: &VectorTimestamp) -> ClockOrd {
     match a.len().cmp(&b.len()) {
         Ordering::Equal => a.compare(b),
         Ordering::Less => a.padded_to(b.len()).compare(b),

@@ -79,8 +79,7 @@ impl<M: OnlineMechanism> OnlineMonitor<M> {
     /// before comparison — a missing component is exactly a counter that was
     /// still zero when the earlier timestamp was taken.
     pub fn compare(&self, a: &VectorTimestamp, b: &VectorTimestamp) -> ClockOrd {
-        let width = a.len().max(b.len());
-        a.padded_to(width).compare(&b.padded_to(width))
+        crate::analysis::compare_padded(a, b)
     }
 
     /// Returns `true` iff the operation stamped `a` happened before the
@@ -141,6 +140,29 @@ mod tests {
         assert!(a.len() < c.len());
         assert!(m.happened_before(&a, &c));
         assert!(!m.happened_before(&c, &a));
+    }
+
+    #[test]
+    fn packed_stamps_compare_with_narrower_wider_and_equal_ones() {
+        // 131 thread components; a thread that kept to its own object has
+        // seen one chunk of them, so its stamps are packed.
+        let m = OnlineMonitor::with_mechanism(Naive::threads());
+        let a = m.record(ThreadId(0), ObjectId(0)).unwrap();
+        let own: Vec<_> = (1..=130)
+            .map(|t| m.record(ThreadId(t), ObjectId(1000 + t)).unwrap())
+            .collect();
+        let c = m.record(ThreadId(130), ObjectId(0)).unwrap(); // sees a via object 0
+        assert_eq!((a.len(), own[64].len(), c.len()), (1, 66, 131));
+        assert!(own[64].stored_words() < 66 && c.stored_words() < 131);
+        // Narrower against wider, both ways round.
+        assert_eq!(m.compare(&a, &c), ClockOrd::Before);
+        assert_eq!(m.compare(&c, &a), ClockOrd::After);
+        assert_eq!(m.compare(&own[64], &c), ClockOrd::Concurrent);
+        assert_eq!(m.compare(&own[129], &c), ClockOrd::Before);
+        // Equal widths: nothing is padded.
+        let d = m.record(ThreadId(130), ObjectId(7)).unwrap();
+        assert_eq!(m.compare(&c, &d), ClockOrd::Before);
+        assert_eq!(m.compare(&d, &d.clone()), ClockOrd::Equal);
     }
 
     #[test]

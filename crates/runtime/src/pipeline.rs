@@ -82,9 +82,9 @@ impl PipelineError {
 
 /// Handles into the process-global metrics registry, resolved once per
 /// pipeline. Names are catalogued in `docs/OBSERVABILITY.md`; everything
-/// records at stamped-window granularity, so a disabled registry costs one
-/// `Relaxed` load per window and an enabled one a few atomics plus two
-/// clock reads per window.
+/// records at stamped-window granularity, so a disabled registry costs a
+/// few `Relaxed` loads per window and an enabled one a few atomics, two
+/// clock reads and one pass over the window's stamps.
 #[derive(Debug)]
 struct PipelineMetrics {
     /// `pipeline.batch_events` (histogram, events): size of each stamped
@@ -96,6 +96,10 @@ struct PipelineMetrics {
     /// `pipeline.sink_ns` (histogram, ns): latency of one
     /// `accept_columns` call.
     sink_ns: mvc_obs::Histogram,
+    /// `pipeline.stamp_words` (histogram, `u64` words): mean
+    /// [`VectorTimestamp::stored_words`] over each stamped window — what a
+    /// stamp really occupies, as opposed to its width.
+    stamp_words: mvc_obs::Histogram,
     /// `pipeline.events_accepted` (counter, events): delivered to and
     /// accepted by the sink.
     events_accepted: mvc_obs::Counter,
@@ -114,6 +118,7 @@ impl Default for PipelineMetrics {
             batch_events: registry.histogram("pipeline.batch_events"),
             stamp_ns: registry.histogram("pipeline.stamp_ns"),
             sink_ns: registry.histogram("pipeline.sink_ns"),
+            stamp_words: registry.histogram("pipeline.stamp_words"),
             events_accepted: registry.counter("pipeline.events_accepted"),
             events_refused: registry.counter("pipeline.events_refused"),
             backlog_retries: registry.counter("pipeline.backlog_retries"),
@@ -228,6 +233,10 @@ impl PipelineState {
             let done = self.stamps.len();
             if done > 0 {
                 self.metrics.batch_events.record(done as u64);
+                if mvc_obs::global().enabled() {
+                    let words: usize = self.stamps.iter().map(|s| s.stored_words()).sum();
+                    self.metrics.stamp_words.record((words / done) as u64);
+                }
                 let events = &self.pending[self.cursor..self.cursor + done];
                 let sink_span = self.metrics.sink_ns.span();
                 let sink_result = sink.accept_columns(events, &mut self.stamps);

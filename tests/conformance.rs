@@ -1,7 +1,7 @@
 //! Cross-crate conformance suite: the paper's load-bearing theorems as
 //! executable oracles.
 //!
-//! Eleven invariant families are encoded so that any future refactor of the
+//! Twelve invariant families are encoded so that any future refactor of the
 //! graph, clock, core, online, shard, runtime or net crates is checked
 //! against the mathematics rather than against snapshots:
 //!
@@ -69,6 +69,13 @@
 //!     cover of Hopcroft–Karp's matching and the cover `IncrementalOptimum`
 //!     reads off its maintained `Z`, at every prefix of streams long enough
 //!     to interleave growth of `Z`, augmentation and rebuild.
+//! 12. **A stamp's storage is not observable.**  The engine emits a stamp as
+//!     a copy of its thread's packed row — or as the plain vector once every
+//!     chunk is nonzero — and either way it equals the dense-slice kernel's
+//!     stamp three ways: `==` (which reads masks, not a materialised copy),
+//!     `as_slice()` and `Hash`.  Widths 70 and 150 put a truncated chunk at
+//!     the tail; a uniform workload fills rows mid-run, so one stream holds
+//!     both forms; an online mechanism grows the width mid-run.
 
 mod support;
 
@@ -1235,5 +1242,101 @@ proptest! {
             let own = incremental.matching().to_matching(&revealed);
             prop_assert_eq!(&maintained, &minimum_vertex_cover(&revealed, &own));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 12: a packed stamp and the dense stamp of the same vector are the
+// same value
+// ---------------------------------------------------------------------------
+
+/// Oracle 10's widths plus two that end in a truncated chunk.
+const ORACLE12_WIDTHS: [usize; 5] = [64, 70, 150, 512, 4096];
+
+fn hash_of(stamp: &VectorTimestamp) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    stamp.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Holds the chunked engine's stamp equal to the dense kernel's three ways.
+/// `==` goes first, in both directions, while nothing has asked either stamp
+/// for a slice.
+fn assert_same_stamp(chunked: &VectorTimestamp, dense: &VectorTimestamp) {
+    assert_eq!(dense.stored_words(), dense.len(), "the reference is dense");
+    assert!(chunked == dense, "{chunked} != {dense}");
+    assert!(dense == chunked, "{dense} != {chunked}");
+    assert_eq!(chunked.as_slice(), dense.as_slice());
+    assert_eq!(hash_of(chunked), hash_of(dense));
+}
+
+/// Replays `computation` through the chunked engine and the two-shard dense
+/// kernel, holds the streams equal, and returns the chunked engine's stamps.
+fn chunked_equals_dense_kernel(
+    map: &mvc_clock::ComponentMap,
+    computation: &Computation,
+) -> Vec<VectorTimestamp> {
+    let mut chunked = TimestampingEngine::with_components(map.clone());
+    let mut dense = ShardedEngine::with_components(map.clone(), 2);
+    let chunked = replay(&mut chunked, computation).unwrap().timestamps;
+    let dense = replay(&mut dense, computation).unwrap().timestamps;
+    assert_eq!(chunked.len(), dense.len());
+    for (c, d) in chunked.iter().zip(&dense) {
+        assert_same_stamp(c, d);
+    }
+    chunked
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Clustered rows never leave their chunks, so every stamp wider than
+    /// one chunk stays packed; uniform rows over an all-object map fill
+    /// chunk by chunk, so the stream starts packed and ends dense.
+    #[test]
+    fn packed_stamps_equal_the_dense_kernel_at_every_width(seed in 0u64..1000) {
+        for width in ORACLE12_WIDTHS {
+            let (map, clustered) = wide_case(width, 300, seed);
+            let stamps = chunked_equals_dense_kernel(&map, &clustered);
+            // One chunk is always full.  Thread components are never
+            // incremented (objects win), so from 64 threads up the first
+            // chunk stays zero.  Width 70 may do either.
+            let packed = stamps.iter().filter(|s| s.stored_words() < width).count();
+            prop_assert!(width != 64 || packed == 0);
+            prop_assert!(width / 2 < 64 || packed == stamps.len(), "width {}", width);
+
+            let uniform = WorkloadBuilder::new(4, width)
+                .operations(40 * width.div_ceil(64))
+                .seed(seed)
+                .build();
+            let stamps = chunked_equals_dense_kernel(&full_object_cover(width), &uniform);
+            let full = stamps.iter().filter(|s| s.stored_words() == width).count();
+            prop_assert!(full > 0, "width {}: no row filled", width);
+            prop_assert!((full == stamps.len()) == (width <= 64), "width {}", width);
+        }
+    }
+
+    /// `Naive::threads` adds a component per new thread: over 150 threads
+    /// the width crosses two chunk boundaries while rows carry data.  The
+    /// dense kernel is handed the same components at the same events.
+    #[test]
+    fn packed_stamps_equal_the_dense_kernel_while_the_width_grows(seed in 0u64..1000) {
+        let computation = WorkloadBuilder::new(150, 40).operations(600).seed(seed).build();
+        let mut online = OnlineTimestamper::new(Naive::threads());
+        let mut dense = ShardedEngine::with_components(mvc_clock::ComponentMap::new(), 2);
+        let mut packed = 0;
+        for event in computation.events() {
+            let stamp = online.observe(event.thread, event.object).unwrap();
+            let components = online.engine().components().components();
+            for &component in &components[Timestamper::width(&dense)..] {
+                dense.add_component(component);
+            }
+            let reference = dense.observe(event.thread, event.object).unwrap();
+            assert_same_stamp(&stamp, &reference);
+            packed += usize::from(stamp.stored_words() < stamp.len());
+        }
+        prop_assert!(online.clock_size() > 128);
+        prop_assert!(packed > 0, "no stamp was emitted packed");
     }
 }

@@ -1,7 +1,7 @@
 //! Tier-1 metrics parity: the observability layer's counters must agree
 //! with ground truth the rest of the workspace already measures.
 //!
-//! Four oracles:
+//! Five oracles:
 //!
 //! 1. An 8-thread contended `TraceSession` workload drained through the
 //!    live pipeline into a `StatsSink`: the global registry's
@@ -20,19 +20,24 @@
 //!    sink's `offline_optimum()` / `online_size()`, and stay zero while
 //!    the registry is disabled.
 //!
-//! Oracles 1, 2 and 4 share the process-global registry, so they are
-//! serialized behind one mutex; 1 and 2 assert on snapshot *deltas* only.
+//! 5. What a stamp stores: after a live run of clustered events at width
+//!    4096 (one nonzero chunk of 64 per row) `pipeline.stamp_words` reads
+//!    65 — the chunk and its mask word — not 4096; at width 64 it reads
+//!    the width; and a disabled registry records nothing.
+//!
+//! Oracles 1, 2, 4 and 5 share the process-global registry, so they are
+//! serialized behind one mutex; 1, 2 and 5 assert on snapshot *deltas* only.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-use mvc_clock::ComponentMap;
+use mvc_clock::{Component, ComponentMap};
 use mvc_core::{StatsSink, TimestampingEngine};
 use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
 use mvc_online::{OnlineTimestamper, Popularity};
 use mvc_runtime::{CompetitiveSink, TraceSession};
-use mvc_trace::OpKind;
+use mvc_trace::{ObjectId, OpKind, WorkloadBuilder, WorkloadKind};
 use proptest::prelude::*;
 
 /// Serializes the tests that touch the process-global registry.
@@ -237,6 +242,62 @@ fn competitive_gauges_equal_the_sinks_optimum_and_width() {
             Some(sink.online_size() as i64)
         )
     );
+}
+
+/// One live run of 600 clustered events (clusters of 32 threads and 32
+/// objects, like `live-wide`) with every endpoint a component — width
+/// `2 * side` — and the `pipeline.stamp_words` it recorded as `(count, sum)`.
+fn stamp_words_of_a_clustered_run(side: usize) -> (u64, u64) {
+    let registry = mvc_obs::global();
+    let before = registry.snapshot();
+    let session = TraceSession::new();
+    let workers: Vec<_> = (0..side)
+        .map(|t| session.register_thread(&format!("t{t}")))
+        .collect();
+    let objects: Vec<_> = (0..side)
+        .map(|o| session.shared_object(&format!("o{o}"), ()))
+        .collect();
+    let mut map = ComponentMap::all_threads(side);
+    for o in 0..side {
+        map.push(Component::Object(ObjectId(o)));
+    }
+    let live = session.live_with_sink(TimestampingEngine::with_components(map), StatsSink::new());
+    let computation = WorkloadBuilder::new(side, side)
+        .operations(600)
+        .kind(WorkloadKind::Clustered {
+            clusters: side.div_ceil(32),
+        })
+        .seed(5)
+        .build();
+    for event in computation.events() {
+        objects[event.object.index()].apply(&workers[event.thread.index()], event.kind, |_| ());
+    }
+    let (sink, _) = live.finish_into_sink().expect("pipeline drains clean");
+    assert_eq!(sink.stats().events, 600);
+    let delta = registry.snapshot().delta(&before);
+    delta
+        .histogram("pipeline.stamp_words")
+        .map_or((0, 0), |words| (words.count, words.sum))
+}
+
+#[test]
+fn stamp_words_histogram_reports_what_stamps_store() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+
+    registry.set_enabled(false);
+    assert_eq!(stamp_words_of_a_clustered_run(2048), (0, 0));
+
+    registry.set_enabled(true);
+    let wide = stamp_words_of_a_clustered_run(2048);
+    let narrow = stamp_words_of_a_clustered_run(32);
+    registry.set_enabled(was_enabled);
+    // Every window's mean is exact here: each stamp stores one chunk and one
+    // mask word at width 4096, and the whole vector at width 64.
+    assert!(wide.0 > 0 && narrow.0 > 0);
+    assert_eq!(wide.1, 65 * wide.0);
+    assert_eq!(narrow.1, 64 * narrow.0);
 }
 
 proptest! {
