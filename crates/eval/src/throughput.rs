@@ -6,7 +6,7 @@
 //! One `time_interleaved` call times one list of slots over the identical
 //! precomputed workload and offline-optimal component map:
 //!
-//! * `ingest` — the baseline: events staged into per-thread segmented
+//! * `ingest` — the baseline: events staged into per-thread ingest
 //!   buffers, then timed through merge → sequential
 //!   [`TimestampingEngine`] → [`MemoryRecorder`], metrics registry off;
 //! * `sink:<kind>` — the same with the `--sink`-selected [`EventSink`]
@@ -189,7 +189,7 @@ pub struct ThroughputReport {
 }
 
 /// Times one pass of `computation` through the full runtime pipeline with a
-/// fresh engine and sink: the events are staged into per-thread segmented
+/// fresh engine and sink: the events are staged into the per-thread
 /// ingest buffers (untimed — that is the producers' cost, paid on their own
 /// threads in production), then the drain — order-preserving merge, bulk
 /// stamping, sink delivery — is timed as one `pump`.

@@ -7,13 +7,14 @@
 //!
 //! * [`session`] — [`TraceSession`]: registers threads, creates
 //!   [`SharedObject`]s, and collects every operation into a
-//!   [`Computation`](mvc_trace::Computation).  Each registered thread owns a
-//!   segmented ingest buffer and each operation draws a per-object
-//!   serialization ticket while the object's lock is held, so the trace is
-//!   exactly the interleaving the paper's model assumes — with no global
-//!   queue for producers to contend on.
-//! * [`ingest`] — the per-thread segmented buffers and the order-preserving
-//!   merge that reassembles a faithful interleaving on the drain side.
+//!   [`Computation`](mvc_trace::Computation).  Each registered thread owns
+//!   an ingest buffer and each operation draws a per-object serialization
+//!   ticket while the object's lock is held, so the trace is exactly the
+//!   interleaving the paper's model assumes — with no global queue for
+//!   producers to contend on.
+//! * [`ingest`] — the per-thread buffers, the publish signal that lets a
+//!   drain visit only the buffers with something in them, and the
+//!   order-preserving merge that reassembles a faithful interleaving.
 //! * [`pipeline`] — the shared drain driver (ingest →
 //!   [`Timestamper`](mvc_core::Timestamper) → [`EventSink`](mvc_core::sink::EventSink))
 //!   and its [`PipelineError`].

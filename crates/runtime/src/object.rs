@@ -8,7 +8,10 @@
 //! and the event is published to the thread's ingest buffer *before the lock
 //! is released*, the ticket stream is the true serialization order — the
 //! assumption the paper's system model makes about objects — and the
-//! drain-side merge can replay it (see [`crate::ingest`]).
+//! drain-side merge can replay it (see [`crate::ingest`]).  Publishing is one
+//! uncontended lock on the thread's own buffer plus, for the first event
+//! since the drain last visited it, a push onto the session's `published`
+//! list.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,9 +75,10 @@ impl<T> SharedObject<T> {
         let mut guard = self.value.lock();
         let result = f(&mut guard);
         // Draw the serialization ticket and publish to the thread's own
-        // buffer while the lock is held, so the ticket stream matches the
-        // object's serialization order and the drain-side merge never sees
-        // a drawn-but-unpublished ticket from a released lock.
+        // buffer (all of `push`: append, flag, list) while the lock is held,
+        // so the ticket stream matches the object's serialization order and
+        // the merge never sees a drawn-but-unpublished ticket from a
+        // released lock.
         let object_seq = self.seq.fetch_add(1, Ordering::Relaxed);
         thread.buffer.push(SequencedEvent {
             thread: thread.id(),

@@ -1,9 +1,10 @@
 //! The pipeline driver: ingest → [`Timestamper::observe_batch`] →
 //! [`EventSink`].
 //!
-//! `PipelineState` owns everything between the producers' segmented
-//! buffers and the sink: the order-preserving merge, the merged-but-
-//! unstamped backlog, and the stamped-but-unsunk backlog.  Both
+//! `PipelineState` owns everything between the producers' buffers and the
+//! sink: the order-preserving merge (it visits only the buffers that
+//! published since the last pump; an idle pump is two uncontended locks), the
+//! merged-but-unstamped backlog, and the stamped-but-unsunk backlog.  Both
 //! [`LiveSession::pump`](crate::LiveSession::pump) and
 //! [`TraceSession::into_computation`](crate::TraceSession::into_computation)
 //! are thin wrappers over it, so there is exactly one drain loop in the
@@ -209,8 +210,11 @@ impl PipelineState {
             if self.cursor == self.pending.len() {
                 self.pending.clear();
                 self.cursor = 0;
-                let buffers = inner.buffer_snapshot();
-                if self.merge.drain(&buffers, &mut self.pending, STAMP_WINDOW) == 0 {
+                if self
+                    .merge
+                    .drain(&inner.ingest, &mut self.pending, STAMP_WINDOW)
+                    == 0
+                {
                     return Ok(delivered);
                 }
             }

@@ -2,13 +2,15 @@
 //!
 //! A [`TraceSession`] owns the identifier spaces (threads and objects get
 //! dense ids in registration order) and the ingest side of the event
-//! pipeline.  Each registered thread owns a segmented ingest buffer and each
+//! pipeline.  Each registered thread owns an ingest buffer and each
 //! [`SharedObject`] draws a per-object sequence ticket *while still holding
 //! its lock* (see [`crate::ingest`]), so the per-thread buffers plus the
 //! ticket stream carry exactly the two orders the paper's model requires —
 //! per-thread program order and per-object serialization order — without a
-//! global queue for producers to contend on.  The drain side reassembles a
-//! faithful interleaving with an order-preserving merge.
+//! global queue for events to contend on.  All producers share is the
+//! session's `published` list, which a thread joins once per drain it has
+//! something for; the drain side visits the buffers it names and reassembles
+//! a faithful interleaving with an order-preserving merge.
 
 use std::sync::Arc;
 
@@ -16,7 +18,7 @@ use parking_lot::Mutex;
 
 use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
 
-use crate::ingest::{new_thread_buffer, OrderedMerge, SequencedEvent, ThreadBuffer, DRAIN_BUDGET};
+use crate::ingest::{IngestShared, OrderedMerge, SequencedEvent, ThreadBuffer, DRAIN_BUDGET};
 use crate::object::SharedObject;
 
 /// One recorded operation, as emitted by the order-preserving merge — the
@@ -35,7 +37,7 @@ pub(crate) type RawEvent = (ThreadId, ObjectId, OpKind);
 pub struct ThreadHandle {
     id: ThreadId,
     name: Arc<str>,
-    pub(crate) buffer: ThreadBuffer,
+    pub(crate) buffer: Arc<ThreadBuffer>,
 }
 
 impl ThreadHandle {
@@ -83,9 +85,9 @@ impl ThreadHandle {
 /// atomically — concurrent registrations can never mis-associate them.
 #[derive(Debug)]
 pub(crate) struct SessionInner {
-    /// Every registered thread's ingest buffer, indexed by thread id — the
-    /// drain side snapshots this to run the merge.
-    buffers: Mutex<Vec<ThreadBuffer>>,
+    /// Every registered thread's ingest buffer and the list of threads that
+    /// published since the last drain: what the drain side merges from.
+    pub(crate) ingest: IngestShared,
     names: Mutex<SessionNames>,
 }
 
@@ -98,20 +100,19 @@ struct SessionNames {
 impl SessionInner {
     pub(crate) fn new() -> Self {
         SessionInner {
-            buffers: Mutex::new(Vec::new()),
+            ingest: IngestShared::default(),
             names: Mutex::new(SessionNames::default()),
         }
     }
 
     pub(crate) fn register_thread_handle(&self, name: &str) -> ThreadHandle {
-        let buffer = new_thread_buffer();
         let mut names = self.names.lock();
         let id = ThreadId(names.threads.len());
         names.threads.push(name.to_owned());
-        // Push the buffer while still holding the names lock, so
-        // `buffers[i]` really is thread `i`'s buffer (the merge itself only
-        // needs the set, but the invariant keeps diagnostics sane).
-        self.buffers.lock().push(Arc::clone(&buffer));
+        // Register the buffer while still holding the names lock, so the
+        // registry's slot `i` really is thread `i`'s buffer: the drain
+        // finds a listed thread's buffer by its id.
+        let buffer = self.ingest.register_buffer();
         drop(names);
         ThreadHandle {
             id,
@@ -133,11 +134,6 @@ impl SessionInner {
 
     pub(crate) fn object_count(&self) -> usize {
         self.names.lock().objects.len()
-    }
-
-    /// Snapshot of every thread buffer registered so far.
-    pub(crate) fn buffer_snapshot(&self) -> Vec<ThreadBuffer> {
-        self.buffers.lock().clone()
     }
 }
 
@@ -214,13 +210,9 @@ impl TraceSession {
         let mut computation = Computation::new();
         let mut merge = OrderedMerge::new();
         let mut batch = Vec::new();
-        loop {
-            let buffers = inner.buffer_snapshot();
-            // Bounded batches: each one is appended while still cache-warm
-            // from the merge.
-            if merge.drain(&buffers, &mut batch, DRAIN_BUDGET) == 0 {
-                break;
-            }
+        // Bounded batches: each one is appended while still cache-warm
+        // from the merge.
+        while merge.drain(&inner.ingest, &mut batch, DRAIN_BUDGET) > 0 {
             computation.record_ops(batch.drain(..));
         }
         computation

@@ -52,7 +52,7 @@
 //! 3. **Program and chain order are preserved.**  Because all shards see
 //!    the single arrival order (the faithful interleaving
 //!    [`TraceSession`](../mvc_runtime/struct.TraceSession.html)'s
-//!    order-preserving ingest merge produces from the per-thread segmented
+//!    order-preserving ingest merge produces from the per-thread ingest
 //!    buffers and the serialization tickets drawn under each object's
 //!    lock), per-thread program order and per-object chain order in the
 //!    output equal the sequential engine's — not just up to equivalence,

@@ -37,7 +37,7 @@
 //!    sequential engine's stamp stream bit for bit: sharding is a
 //!    scheduling strategy, never a semantic change.
 //! 7. **Ingest pipeline faithfulness.**  A live multi-threaded run through
-//!    the segmented per-thread ingest buffers, the order-preserving merge,
+//!    the per-thread ingest buffers, the order-preserving merge,
 //!    the sharded engine and any sink backend produces timestamps
 //!    bit-for-bit equal to a post-hoc sequential batch replay of the merged
 //!    interleaving — contention-free ingest is a scheduling strategy too,
@@ -613,7 +613,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 7: segmented ingest + sharded engine + any sink == sequential batch
+// Oracle 7: per-thread ingest + sharded engine + any sink == sequential batch
 // replay of the merged interleaving, bit for bit
 // ---------------------------------------------------------------------------
 
@@ -629,7 +629,7 @@ fn full_object_cover(objects: usize) -> mvc_clock::ComponentMap {
 /// Runs one live multi-threaded session: `scripts[t]` is thread `t`'s
 /// program (object index, kind) in program order, executed on a real OS
 /// thread over shared contended objects, stamped as it drains through the
-/// segmented ingest pipeline by a sharded engine into `sink`.
+/// ingest pipeline by a sharded engine into `sink`.
 fn run_live_pipeline<S: mvc_core::EventSink>(
     scripts: &[Vec<(usize, mvc_trace::OpKind)>],
     objects: usize,
@@ -698,7 +698,7 @@ const ORACLE7_SHARDS: [usize; 3] = [1, 2, 4];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A live multi-threaded run through segmented ingest + sharded engine +
+    /// A live multi-threaded run through per-thread ingest + sharded engine +
     /// memory sink produces timestamps bit-for-bit equal to a post-hoc
     /// sequential batch replay of the merged interleaving, and the merged
     /// interleaving preserves every per-thread chain.

@@ -1,7 +1,7 @@
 //! Tier-1 metrics parity: the observability layer's counters must agree
 //! with ground truth the rest of the workspace already measures.
 //!
-//! Five oracles:
+//! Six oracles:
 //!
 //! 1. An 8-thread contended `TraceSession` workload drained through the
 //!    live pipeline into a `StatsSink`: the global registry's
@@ -25,8 +25,15 @@
 //!    65 — the chunk and its mask word — not 4096; at width 64 it reads
 //!    the width; and a disabled registry records nothing.
 //!
-//! Oracles 1, 2, 4 and 5 share the process-global registry, so they are
-//! serialized behind one mutex; 1, 2 and 5 assert on snapshot *deltas* only.
+//! 6. What a drain touches: `ingest.drain.buffers` sums to the number of
+//!    clean→flagged edges the producers made — the distinct threads that
+//!    published between two pumps, 3 of 2 048 registered in the first
+//!    shape — with one record per drain that visited any buffer, none for
+//!    an idle pump and none while the registry is disabled.
+//!
+//! Oracles 1, 2, 4, 5 and 6 share the process-global registry, so they are
+//! serialized behind one mutex; 1, 2, 5 and 6 assert on snapshot *deltas*
+//! only.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -298,6 +305,58 @@ fn stamp_words_histogram_reports_what_stamps_store() {
     assert!(wide.0 > 0 && narrow.0 > 0);
     assert_eq!(wide.1, 65 * wide.0);
     assert_eq!(narrow.1, 64 * narrow.0);
+}
+
+/// One live run over 2 048 registered threads: each round performs one
+/// write per listed thread (a thread listed twice publishes twice), then
+/// pumps twice — the second pump is idle.  Returns what the run recorded
+/// into `ingest.drain.buffers` as `(count, sum)`.
+fn drain_buffers_of_a_run(rounds: &[&[usize]]) -> (u64, u64) {
+    let registry = mvc_obs::global();
+    let before = registry.snapshot();
+    let session = TraceSession::new();
+    let workers: Vec<_> = (0..2048)
+        .map(|t| session.register_thread(&format!("t{t}")))
+        .collect();
+    let object = session.shared_object("o", 0u64);
+    let timestamper = OnlineTimestamper::new(Popularity::new());
+    let mut live = session.live_with_sink(timestamper, StatsSink::new());
+    for round in rounds {
+        for &t in *round {
+            object.write(&workers[t], |v| *v += 1);
+        }
+        assert_eq!(live.pump().expect("pump"), round.len());
+        assert_eq!(live.pump().expect("idle pump"), 0);
+    }
+    let (sink, _) = live.finish_into_sink().expect("pipeline drains clean");
+    assert_eq!(
+        sink.stats().events,
+        rounds.iter().map(|r| r.len()).sum::<usize>()
+    );
+    let delta = registry.snapshot().delta(&before);
+    delta
+        .histogram("ingest.drain.buffers")
+        .map_or((0, 0), |visits| (visits.count, visits.sum))
+}
+
+#[test]
+fn drain_buffers_histogram_sums_to_the_clean_to_flagged_edges() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+
+    registry.set_enabled(false);
+    assert_eq!(drain_buffers_of_a_run(&[&[7, 1000, 2047]]), (0, 0));
+
+    registry.set_enabled(true);
+    let sparse = drain_buffers_of_a_run(&[&[7, 1000, 2047]]);
+    let repeated = drain_buffers_of_a_run(&[&[5, 5, 9], &[], &[9], &[0, 1, 2, 3, 0, 1, 2, 3]]);
+    registry.set_enabled(was_enabled);
+    // One drain visited three of the 2 048 buffers; the idle pump, and the
+    // final drain of `finish`, visited none and recorded nothing.
+    assert_eq!(sparse, (1, 3));
+    // Distinct publishers per round: 2 + 0 + 1 + 4, over three drains.
+    assert_eq!(repeated, (3, 7));
 }
 
 proptest! {
