@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunked::{self, ChunkView, ChunkedRow, CHUNK};
+use crate::chunked::{self, ChunkView, ChunkedRow, StampPatch, CHUNK};
 
 /// Outcome of comparing two vector timestamps under the component-wise
 /// partial order.
@@ -268,6 +268,38 @@ impl VectorTimestamp {
             .stored()
             .flat_map(|(_, entries)| entries)
             .sum()
+    }
+
+    /// The chunk-by-chunk view of `self` against `base` that a differential
+    /// encoder walks: one `(chunk, mine, base's)` triple per 64-entry chunk
+    /// that either timestamp stores, in chunk order; chunks stored by neither
+    /// are zero on both sides and are skipped.  A slice starts at component
+    /// `64 * chunk` and an entry past its end is zero (a chunk its side does
+    /// not store reads as 64 zeros; the last chunk of a plain vector stops at
+    /// the width).  `O(stored chunks)`: a packed timestamp is not
+    /// materialised.  [`patch`](Self::patch) is the inverse.
+    pub fn chunk_pairs<'a>(
+        &'a self,
+        base: &'a VectorTimestamp,
+    ) -> impl Iterator<Item = (usize, &'a [u64], &'a [u64])> + 'a {
+        chunked::indexed_union(self.chunks(), base.chunks())
+    }
+
+    /// Starts a timestamp of `len` components that equals `self`, padded
+    /// with zeros, except in the chunks the caller then edits — see
+    /// [`StampPatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is smaller than the current length — truncation
+    /// would silently discard counters.
+    pub fn patch(&self, len: usize) -> StampPatch<'_> {
+        assert!(
+            len >= self.len(),
+            "cannot patch a width-{} timestamp down to {len} components",
+            self.len()
+        );
+        StampPatch::new(self.chunks(), len)
     }
 
     /// Returns a copy padded with zeros to `width` components.
@@ -553,6 +585,84 @@ mod tests {
         let _ = packed(&[1; 70])[70];
     }
 
+    /// `stamp` rebuilt from `base` and the chunks in which the two differ,
+    /// the way a differential codec does it.
+    fn rebuilt(stamp: &VectorTimestamp, base: &VectorTimestamp) -> VectorTimestamp {
+        let at = |s: &[u64], i: usize| s.get(i).copied().unwrap_or(0);
+        let mut patch = base.patch(stamp.len());
+        let mut bounds = vec![patch.min_words()];
+        for (chunk, new, old) in stamp.chunk_pairs(base) {
+            if (0..CHUNK).all(|i| at(new, i) == at(old, i)) {
+                continue;
+            }
+            let entries = patch.chunk_mut(chunk).expect("ascending and in range");
+            assert!(CHUNK * chunk + entries.len() <= stamp.len());
+            for (i, entry) in entries.iter_mut().enumerate() {
+                *entry = at(new, i);
+            }
+            bounds.push(patch.min_words());
+        }
+        assert!(patch.chunk_mut(stamp.len().div_ceil(CHUNK)).is_none());
+        let built = patch.finish();
+        assert!(bounds.iter().all(|&b| b <= built.stored_words()));
+        built
+    }
+
+    /// What the storage rule says a vector stores.
+    fn canonical_words(dense: &[u64]) -> usize {
+        let nonzero = dense
+            .chunks(CHUNK)
+            .filter(|c| c.iter().any(|&v| v != 0))
+            .count();
+        if nonzero == dense.len().div_ceil(CHUNK) {
+            dense.len()
+        } else {
+            CHUNK * nonzero + dense.len().div_ceil(CHUNK).div_ceil(64)
+        }
+    }
+
+    #[test]
+    fn a_one_chunk_stamp_at_width_4096_is_patched_without_a_dense_vector() {
+        let mut dense = vec![0u64; 4096];
+        dense[2100] = 7;
+        let base = packed(&dense);
+        dense[2101] = 1;
+        let stamp = packed(&dense);
+        let pairs: Vec<_> = stamp.chunk_pairs(&base).map(|(c, ..)| c).collect();
+        assert_eq!(pairs, [2100 / CHUNK], "one stored chunk, one pair");
+        let built = rebuilt(&stamp, &base);
+        assert_eq!(built, stamp);
+        assert_eq!(built.stored_words(), CHUNK + 1);
+        assert!(!materialised(&base) && !materialised(&stamp) && !materialised(&built));
+        // From the zero vector, and a chunk that goes back to zero.
+        let zero = VectorTimestamp::default();
+        assert_eq!(rebuilt(&stamp, &zero).stored_words(), CHUNK + 1);
+        let emptied = rebuilt(&packed(&[0; 4096]), &stamp);
+        assert_eq!(emptied.stored_words(), 1, "the mask alone");
+        assert_eq!(emptied, VectorTimestamp::zeros(4096));
+    }
+
+    #[test]
+    fn a_patch_hands_out_chunks_in_ascending_order_only() {
+        let base = VectorTimestamp::from(vec![1; 200]);
+        let mut patch = base.patch(260);
+        assert_eq!(patch.chunk_mut(1).map(|e| e.len()), Some(CHUNK));
+        assert!(patch.chunk_mut(1).is_none(), "visited");
+        assert!(patch.chunk_mut(0).is_none(), "behind");
+        assert_eq!(patch.chunk_mut(4).map(|e| e.len()), Some(4), "the tail");
+        assert!(patch.chunk_mut(5).is_none(), "beyond the width");
+        let built = patch.finish();
+        let mut expect = vec![1; 200];
+        expect.resize(260, 0);
+        assert_eq!(built.as_slice(), &expect[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot patch")]
+    fn patching_down_panics() {
+        let _ = VectorTimestamp::zeros(70).patch(64);
+    }
+
     /// Zeroes the chunks of `values` that `live` does not keep, so that the
     /// packed form has something to skip.
     fn sparse(mut values: Vec<u64>, live: &[bool]) -> Vec<u64> {
@@ -615,6 +725,20 @@ mod tests {
                 pa.stored_words() - mask_words(len)
             );
             prop_assert!(!materialised(&pa) && !materialised(&pb) && !materialised(&padded));
+
+            // The difference walk and its inverse, in every mix of forms,
+            // onto a base that is narrower or as wide.
+            let cut = at % (len + 1);
+            let (short_d, short_p) = (VectorTimestamp::from(b[..cut].to_vec()), packed(&b[..cut]));
+            for base in [&db, &pb, &short_d, &short_p, &VectorTimestamp::default()] {
+                for stamp in [&da, &pa] {
+                    let built = rebuilt(stamp, base);
+                    prop_assert_eq!(&built, &da);
+                    prop_assert_eq!(built.stored_words(), canonical_words(&a));
+                    prop_assert!(!materialised(&built));
+                }
+            }
+            prop_assert!(!materialised(&pa) && !materialised(&pb) && !materialised(&short_p));
 
             if len > 0 {
                 let (mut bumped, mut expect) = (pa.clone(), da.clone());

@@ -50,7 +50,7 @@ pub mod mixed;
 pub mod validate;
 pub mod vector;
 
-pub use chunked::ChunkedRow;
+pub use chunked::{ChunkedRow, StampPatch};
 pub use compare::{ClockOrd, VectorTimestamp};
 pub use component::{Component, ComponentMap};
 pub use mixed::MixedVectorClockAssigner;

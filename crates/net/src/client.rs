@@ -140,6 +140,9 @@ pub struct ProducerClient<T: Transport> {
     goodbye_sent: bool,
     reconnects: u32,
     scratch: Vec<u8>,
+    /// Receive buffer, sized like the server handler's: a burst of stamps
+    /// takes a few `recv` calls, not one per 16 KiB.
+    recv_buf: Vec<u8>,
     metrics: ClientMetrics,
     /// Always-on per-client RTT histogram (detached from the registry so
     /// each client's summary is exact even with many clients sharing the
@@ -193,6 +196,7 @@ impl<T: Transport> ProducerClient<T> {
             goodbye_sent: false,
             reconnects: 0,
             scratch,
+            recv_buf: vec![0; 256 * 1024],
             metrics: ClientMetrics::default(),
             rtt: mvc_obs::Histogram::detached(),
             rtt_pending: VecDeque::new(),
@@ -336,12 +340,11 @@ impl<T: Transport> ProducerClient<T> {
 
     fn read_frames(&mut self, wait: Option<Duration>) -> Result<bool, NetError> {
         let mut progress = false;
-        let mut buf = [0u8; 16 * 1024];
         let mut timeout = wait;
         loop {
-            match self.transport.recv(&mut buf, timeout) {
+            match self.transport.recv(&mut self.recv_buf, timeout) {
                 Ok(Recv::Bytes(n)) => {
-                    self.reader.feed(&buf[..n]);
+                    self.reader.feed(&self.recv_buf[..n]);
                     progress = true;
                 }
                 Ok(Recv::Empty) => break,

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! stream    := header frame*
-//! header    := "MVN" version            (4 bytes, version = 0x01)
+//! header    := "MVN" version            (4 bytes, version = 0x02)
 //! frame     := varint(len) body         (len = |body|, body >= 1 byte)
 //! body      := tag payload              (tag selects the Frame variant)
 //! ```
@@ -21,6 +21,22 @@
 //! leaves an incomplete frame in the buffer, which is discarded when the
 //! [`FrameReader`] is replaced on reconnect.  `len` is bounded by
 //! [`MAX_FRAME_LEN`]; anything larger is rejected before buffering.
+//!
+//! ## Differential stamps
+//!
+//! A `Stamps` frame does not carry vectors, it carries differences: each
+//! stamp names an earlier stamp *of the same frame* as its base (or the zero
+//! vector) and lists the 64-entry chunks in which it differs from it — the
+//! paper's Section VI pointer to Singhal–Kshemkalyani, cut so that it needs
+//! no state: every base lives in the frame, so any reader decodes any frame.
+//! The writer ([`write_stamps_frame`]) takes each stamp with a *lane* — the
+//! session-local thread it belongs to — and bases it on the lane's latest
+//! stamp in the frame, since successive stamps of one thread differ in few
+//! components; a lane's first stamp in a frame falls back to the stamp
+//! before it.  Both directions walk stored chunks only
+//! ([`VectorTimestamp::chunk_pairs`], [`VectorTimestamp::patch`]): a
+//! width-4096 stamp that stores one chunk costs one chunk to encode and to
+//! decode, and arrives packed.
 //!
 //! See `docs/PROTOCOL.md` for the full wire specification, including the
 //! handshake and credit rules built on these frames.
@@ -63,7 +79,7 @@ fn wire_metrics() -> &'static WireMetrics {
 pub const NET_MAGIC: [u8; 3] = *b"MVN";
 
 /// Protocol version this build speaks, the fourth header byte.
-pub const NET_VERSION: u8 = 1;
+pub const NET_VERSION: u8 = 2;
 
 /// Size of the per-direction stream header in bytes.
 pub const HEADER_LEN: usize = 4;
@@ -71,6 +87,30 @@ pub const HEADER_LEN: usize = 4;
 /// Upper bound on a frame body's length (16 MiB).  A peer announcing a
 /// larger frame is corrupt or hostile and is rejected before any buffering.
 pub const MAX_FRAME_LEN: u64 = 1 << 24;
+
+/// Upper bound on the `u64` words the stamps of one `Stamps` frame store
+/// between them ([`VectorTimestamp::stored_words`]): what a body of
+/// [`MAX_FRAME_LEN`] one-byte components could carry.  Differences are small
+/// where the stamps they rebuild are not, so the bytes of a frame no longer
+/// bound what it decodes to; this does.  [`write_stamps_frame`] closes a
+/// frame before it, the reader rejects a frame beyond it.
+pub const MAX_FRAME_STAMP_WORDS: usize = 1 << 24;
+
+/// What one `Stamps` frame may hold.  (A parameter of the codec's inner
+/// functions only so that the tests can reach a limit with small inputs.)
+struct StampLimits {
+    /// Bytes of encoded stamps.
+    bytes: usize,
+    /// Words the decoded stamps store.
+    words: usize,
+}
+
+/// [`MAX_FRAME_LEN`], less room for the tag and the two varints in front of
+/// the stamps, and [`MAX_FRAME_STAMP_WORDS`].
+const FRAME_LIMITS: StampLimits = StampLimits {
+    bytes: MAX_FRAME_LEN as usize - 32,
+    words: MAX_FRAME_STAMP_WORDS,
+};
 
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
@@ -125,7 +165,10 @@ pub enum Frame {
         events: Vec<(u32, u32, OpKind)>,
     },
     /// Server → client: stamped results for this session's events
-    /// `first..first + stamps.len()`, in the client's send order.
+    /// `first..first + stamps.len()`, in the client's send order.  Written
+    /// through [`write_frame`] every stamp is based on the one before it;
+    /// the server writes stamps by reference, with their threads, through
+    /// [`write_stamps_frame`].
     Stamps {
         /// Index (in the client's event order) of the first stamp.
         first: u64,
@@ -199,6 +242,16 @@ pub enum FrameError {
     BadUtf8,
     /// A local id field exceeded `u32::MAX`.
     IdOverflow,
+    /// A stamp named a base that does not precede it in its frame (carries
+    /// the back-reference).
+    BadBackReference(u64),
+    /// A stamp listed a chunk beyond its width.
+    ChunkOutOfRange,
+    /// A change mask had bits set beyond the stamp's width.
+    MaskBeyondWidth,
+    /// The stamps of one frame store more than [`MAX_FRAME_STAMP_WORDS`]
+    /// words.
+    StampBudget,
 }
 
 impl std::fmt::Display for FrameError {
@@ -222,6 +275,18 @@ impl std::fmt::Display for FrameError {
             FrameError::BadOpKind(tag) => write!(f, "unknown operation kind tag {tag}"),
             FrameError::BadUtf8 => write!(f, "name field is not valid UTF-8"),
             FrameError::IdOverflow => write!(f, "local id exceeds u32::MAX"),
+            FrameError::BadBackReference(back) => write!(
+                f,
+                "stamp refers {back} stamps back, beyond the start of its frame"
+            ),
+            FrameError::ChunkOutOfRange => write!(f, "stamp lists a chunk beyond its width"),
+            FrameError::MaskBeyondWidth => {
+                write!(f, "change mask has bits beyond the stamp's width")
+            }
+            FrameError::StampBudget => write!(
+                f,
+                "stamps of one frame store more than {MAX_FRAME_STAMP_WORDS} words"
+            ),
         }
     }
 }
@@ -287,17 +352,179 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends `frame` to `out` as `varint(len) body`.
-pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
-    let before = out.len();
-    let mut body = Vec::with_capacity(32);
-    encode_body(&mut body, frame);
-    debug_assert!((body.len() as u64) <= MAX_FRAME_LEN, "frame body too large");
-    put_varint(out, body.len() as u64);
-    out.extend_from_slice(&body);
+/// Bytes [`put_varint`] writes for `value`.
+fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The wrapping difference `new - old`, small magnitudes first.
+fn zigzag(new: u64, old: u64) -> u64 {
+    let delta = new.wrapping_sub(old) as i64;
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+/// `old` plus the difference [`zigzag`] encoded.
+fn unzigzag(old: u64, code: u64) -> u64 {
+    old.wrapping_add((code >> 1) ^ (code & 1).wrapping_neg())
+}
+
+fn count_sent(framed: usize) {
     let metrics = wire_metrics();
     metrics.frames_sent.inc();
-    metrics.bytes_sent.add((out.len() - before) as u64);
+    metrics.bytes_sent.add(framed as u64);
+}
+
+/// Appends `frame` to `out` as `varint(len) body`.
+///
+/// A `Frame::Stamps` is one frame whatever it holds; the caller keeps it
+/// within [`MAX_FRAME_LEN`] and [`MAX_FRAME_STAMP_WORDS`], or uses
+/// [`write_stamps_frame`], which splits.
+pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
+    let start = out.len();
+    encode_body(out, frame);
+    let body = out.len() - start;
+    debug_assert!((body as u64) <= MAX_FRAME_LEN, "frame body too large");
+    // The body was encoded in place; its length goes in front of it.
+    put_varint(out, body as u64);
+    let prefix = out.len() - start - body;
+    out[start..].rotate_right(prefix);
+    count_sent(out.len() - start);
+}
+
+/// Appends one `Stamps` frame holding a prefix of `stamps` — each with its
+/// lane, see the module docs — numbered from `first`, and returns how many
+/// it took: `max_stamps`, unless [`MAX_FRAME_LEN`] or
+/// [`MAX_FRAME_STAMP_WORDS`] closes the frame earlier.  It takes at least
+/// one when there is one, so a caller looping until its stamps are gone
+/// terminates (a single stamp beyond either limit makes a frame the peer
+/// rejects).
+///
+/// Nothing is cloned and nothing materialised: stamps are read where they
+/// lie and encoded straight into `out`.
+pub fn write_stamps_frame<'a>(
+    out: &mut Vec<u8>,
+    first: u64,
+    stamps: impl Iterator<Item = (u32, &'a VectorTimestamp)>,
+    max_stamps: usize,
+) -> usize {
+    let start = out.len();
+    let count = encode_stamps(out, stamps, max_stamps, &FRAME_LIMITS);
+    // The count is known only now: the fields in front of the stamps are
+    // written behind them and rotated into place.
+    let stamps_end = out.len();
+    let body = 1 + varint_len(first) + varint_len(count as u64) + (stamps_end - start);
+    put_varint(out, body as u64);
+    out.push(TAG_STAMPS);
+    put_varint(out, first);
+    put_varint(out, count as u64);
+    let fields = out.len() - stamps_end;
+    out[start..].rotate_right(fields);
+    count_sent(out.len() - start);
+    count
+}
+
+/// Appends the `stamp*` part of a `Stamps` body for a prefix of `stamps` and
+/// returns how many stamps that is (see [`write_stamps_frame`] for when it
+/// stops).
+fn encode_stamps<'a>(
+    out: &mut Vec<u8>,
+    stamps: impl Iterator<Item = (u32, &'a VectorTimestamp)>,
+    max_stamps: usize,
+    limits: &StampLimits,
+) -> usize {
+    let start = out.len();
+    let zero = VectorTimestamp::default();
+    let mut written: Vec<&VectorTimestamp> = Vec::new();
+    // Per lane, how many stamps the frame held once the lane's latest was
+    // written (0: none yet).
+    let mut latest: Vec<usize> = Vec::new();
+    let mut words = 0usize;
+    // Scratch for the short last chunk of a plain vector.
+    let mut pads = [[0; 64]; 2];
+    for (lane, stamp) in stamps.take(max_stamps) {
+        words = words.saturating_add(stamp.stored_words());
+        if !written.is_empty() && words > limits.words {
+            break;
+        }
+        let lane = lane as usize;
+        if latest.len() <= lane {
+            latest.resize(lane + 1, 0);
+        }
+        // The lane's latest stamp, else the stamp before this one, else (or
+        // if that one is wider: widths only grow along a base chain) zero.
+        let at = match latest[lane] {
+            0 => written.len(),
+            at => at,
+        };
+        let (back, base) = match written.get(at.wrapping_sub(1)) {
+            Some(base) if base.len() <= stamp.len() => (written.len() + 1 - at, *base),
+            _ => (0, &zero),
+        };
+        let before = out.len();
+        encode_stamp(out, stamp, back, base, &mut pads);
+        if !written.is_empty() && out.len() - start > limits.bytes {
+            out.truncate(before);
+            break;
+        }
+        written.push(stamp);
+        latest[lane] = written.len();
+    }
+    written.len()
+}
+
+/// `entries` as a whole chunk: itself, or — the short last chunk of a plain
+/// vector — a zero-padded copy in `pad`.
+fn whole_chunk<'a>(entries: &'a [u64], pad: &'a mut [u64; 64]) -> &'a [u64; 64] {
+    match entries.try_into() {
+        Ok(whole) => whole,
+        Err(_) => {
+            *pad = [0; 64];
+            pad[..entries.len()].copy_from_slice(entries);
+            pad
+        }
+    }
+}
+
+/// Appends one stamp as its difference from `base`, `back` stamps before it
+/// (0: the zero vector), which is no wider than `stamp`.
+fn encode_stamp(
+    out: &mut Vec<u8>,
+    stamp: &VectorTimestamp,
+    back: usize,
+    base: &VectorTimestamp,
+    pads: &mut [[u64; 64]; 2],
+) {
+    put_varint(out, back as u64);
+    put_varint(out, (stamp.len() - base.len()) as u64);
+    let [pad_new, pad_old] = pads;
+    // The chunk after the last one written.
+    let mut next = 0;
+    for (chunk, new, old) in stamp.chunk_pairs(base) {
+        let new = whole_chunk(new, pad_new);
+        let old = whole_chunk(old, pad_old);
+        let mut mask = 0u64;
+        for (group, (a, b)) in new.chunks_exact(8).zip(old.chunks_exact(8)).enumerate() {
+            let mut differ = [0u8; 8];
+            for ((d, a), b) in differ.iter_mut().zip(a).zip(b) {
+                *d = u8::from(a != b);
+            }
+            // Eight 0/1 bytes to eight bits.
+            let bits = u64::from_le_bytes(differ).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+            mask |= bits << (8 * group);
+        }
+        if mask == 0 {
+            continue;
+        }
+        put_varint(out, (chunk - next + 1) as u64);
+        out.extend_from_slice(&mask.to_le_bytes());
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize % 64;
+            mask &= mask - 1;
+            put_varint(out, zigzag(new[i], old[i]));
+        }
+        next = chunk + 1;
+    }
+    out.push(0);
 }
 
 fn encode_body(body: &mut Vec<u8>, frame: &Frame) {
@@ -355,12 +582,10 @@ fn encode_body(body: &mut Vec<u8>, frame: &Frame) {
             body.push(TAG_STAMPS);
             put_varint(body, *first);
             put_varint(body, stamps.len() as u64);
-            for stamp in stamps {
-                put_varint(body, stamp.len() as u64);
-                for &component in stamp.as_slice() {
-                    put_varint(body, component);
-                }
-            }
+            // One lane: every stamp is based on the one before it.
+            let lane = stamps.iter().map(|s| (0, s));
+            let written = encode_stamps(body, lane, stamps.len(), &FRAME_LIMITS);
+            debug_assert_eq!(written, stamps.len(), "stamps beyond one frame's limits");
         }
         Frame::Credit { acked, more } => {
             body.push(TAG_CREDIT);
@@ -401,6 +626,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, FrameError> {
+        // Most varints on this wire are one byte.
+        if let Some(&byte) = self.buf.get(self.pos).filter(|&&byte| byte < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
         match peek_varint(&self.buf[self.pos..])? {
             Some((value, used)) => {
                 self.pos += used;
@@ -408,6 +638,16 @@ impl<'a> Cursor<'a> {
             }
             None => Err(FrameError::Truncated),
         }
+    }
+
+    fn u64_le(&mut self) -> Result<u64, FrameError> {
+        let bytes = self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<8>())
+            .ok_or(FrameError::Truncated)?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(*bytes))
     }
 
     fn local_id(&mut self) -> Result<u32, FrameError> {
@@ -437,8 +677,57 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one fully-buffered frame body (`tag payload`).
-fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
+/// Decodes one stamp as `base` plus the chunks that follow.  `words` is what
+/// the frame's stamps store so far; it never passes `max_words`, and what is
+/// allocated on the way passes it by no more than a copy of `base`.
+fn decode_stamp(
+    c: &mut Cursor<'_>,
+    base: &VectorTimestamp,
+    words: &mut usize,
+    max_words: usize,
+) -> Result<VectorTimestamp, FrameError> {
+    // A width no machine can hold would break the budget anyway.
+    let width = usize::try_from(c.varint()?)
+        .ok()
+        .and_then(|grown| base.len().checked_add(grown))
+        .ok_or(FrameError::StampBudget)?;
+    let mut patch = base.patch(width);
+    let mut next = 0usize;
+    loop {
+        if words.saturating_add(patch.min_words()) > max_words {
+            return Err(FrameError::StampBudget);
+        }
+        let skip = c.varint()?;
+        if skip == 0 {
+            break;
+        }
+        let chunk = usize::try_from(skip - 1)
+            .ok()
+            .and_then(|skipped| next.checked_add(skipped))
+            .ok_or(FrameError::ChunkOutOfRange)?;
+        let mut mask = c.u64_le()?;
+        let entries = patch.chunk_mut(chunk).ok_or(FrameError::ChunkOutOfRange)?;
+        if entries.len() < 64 && mask >> entries.len() != 0 {
+            return Err(FrameError::MaskBeyondWidth);
+        }
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            entries[i] = unzigzag(entries[i], c.varint()?);
+        }
+        next = chunk + 1;
+    }
+    let stamp = patch.finish();
+    *words = words.saturating_add(stamp.stored_words());
+    if *words > max_words {
+        return Err(FrameError::StampBudget);
+    }
+    Ok(stamp)
+}
+
+/// Decodes one fully-buffered frame body (`tag payload`) whose stamps, if it
+/// has any, store at most `max_words` words.
+fn decode_body(body: &[u8], max_words: usize) -> Result<Frame, FrameError> {
     let mut c = Cursor::new(body);
     let tag = c.u8()?;
     let frame = match tag {
@@ -500,14 +789,18 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
         TAG_STAMPS => {
             let first = c.varint()?;
             let count = c.varint()?;
-            let mut stamps = Vec::with_capacity(c.capacity_for(count, 1));
+            let mut stamps: Vec<VectorTimestamp> = Vec::with_capacity(c.capacity_for(count, 3));
+            let zero = VectorTimestamp::default();
+            let mut words = 0usize;
             for _ in 0..count {
-                let width = c.varint()?;
-                let mut components = Vec::with_capacity(c.capacity_for(width, 1));
-                for _ in 0..width {
-                    components.push(c.varint()?);
-                }
-                stamps.push(VectorTimestamp::from_components(components));
+                let back = c.varint()?;
+                let base = match usize::try_from(back) {
+                    Ok(0) => &zero,
+                    Ok(back) if back <= stamps.len() => &stamps[stamps.len() - back],
+                    _ => return Err(FrameError::BadBackReference(back)),
+                };
+                let stamp = decode_stamp(&mut c, base, &mut words, max_words)?;
+                stamps.push(stamp);
             }
             Frame::Stamps { first, stamps }
         }
@@ -598,7 +891,7 @@ impl FrameReader {
         if unread.len() < total {
             return Ok(None);
         }
-        let frame = decode_body(&unread[used..total])?;
+        let frame = decode_body(&unread[used..total], FRAME_LIMITS.words)?;
         self.pos += total;
         self.compact();
         let metrics = wire_metrics();
@@ -619,6 +912,31 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A timestamp of `len` components, zero but for `entries`, in the form
+    /// the storage rule gives it (packed unless every chunk is nonzero).
+    fn sparse(len: usize, entries: &[(usize, u64)]) -> VectorTimestamp {
+        let mut dense = vec![0u64; len];
+        for &(at, value) in entries {
+            dense[at] = value;
+        }
+        stored(&dense)
+    }
+
+    /// `dense` in the form the storage rule gives it.
+    fn stored(dense: &[u64]) -> VectorTimestamp {
+        let zero = VectorTimestamp::default();
+        let mut patch = zero.patch(dense.len());
+        for (chunk, entries) in dense.chunks(64).enumerate() {
+            if entries.iter().any(|&v| v != 0) {
+                patch
+                    .chunk_mut(chunk)
+                    .expect("ascending")
+                    .copy_from_slice(entries);
+            }
+        }
+        patch.finish()
+    }
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -645,9 +963,17 @@ mod tests {
             },
             Frame::Stamps {
                 first: 3,
+                // Bases one stamp back, a width that grows and then shrinks
+                // (the narrower stamp starts over from zero), more than one
+                // chunk, a chunk that is all zero.
                 stamps: vec![
                     VectorTimestamp::from_components(vec![1, 0, 2]),
                     VectorTimestamp::from_components(vec![1, 1, 300]),
+                    VectorTimestamp::from_components(vec![1, 1, 300, 0, u64::MAX]),
+                    sparse(150, &[(3, 9), (140, 1)]),
+                    sparse(150, &[(3, 9), (140, 2)]),
+                    VectorTimestamp::from_components(vec![2, 1]),
+                    sparse(150, &[(3, 8), (70, 1), (140, 2)]),
                 ],
             },
             Frame::Credit {
@@ -856,5 +1182,306 @@ mod tests {
         // Reconnect: the peer starts a fresh stream from the watermark.
         let reader = FrameReader::new();
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// The body of a `Stamps` frame numbered from 0 around hand-written
+    /// `stamps` bytes, behind a stream header.
+    fn stamps_wire(count: u64, stamps: &[u8]) -> Vec<u8> {
+        let mut body = vec![TAG_STAMPS, 0];
+        put_varint(&mut body, count);
+        body.extend_from_slice(stamps);
+        let mut wire = Vec::new();
+        write_stream_header(&mut wire);
+        put_varint(&mut wire, body.len() as u64);
+        wire.extend_from_slice(&body);
+        wire
+    }
+
+    fn decode_one(wire: &[u8]) -> Result<Option<Frame>, FrameError> {
+        let mut reader = FrameReader::new();
+        reader.feed(wire);
+        reader.try_next()
+    }
+
+    #[test]
+    fn a_stamp_is_a_back_reference_and_the_chunks_that_changed() {
+        let mut wire = Vec::new();
+        write_frame(
+            &mut wire,
+            &Frame::Stamps {
+                first: 3,
+                stamps: vec![
+                    VectorTimestamp::from_components(vec![1, 0, 2]),
+                    VectorTimestamp::from_components(vec![1, 1, 300]),
+                ],
+            },
+        );
+        #[rustfmt::skip]
+        let expect = [
+            32, TAG_STAMPS, 3, 2,
+            // From zero, 3 wider: chunk 0, components 0 and 2 up by 1 and 2.
+            0, 3,  1, 0b101, 0, 0, 0, 0, 0, 0, 0, 2, 4,  0,
+            // From the stamp before, as wide: components 1 and 2 up by 1 and
+            // 298 (zig-zag 596 = 0x54 + 4 * 128).
+            1, 0,  1, 0b110, 0, 0, 0, 0, 0, 0, 0, 2, 0xd4, 4,  0,
+        ];
+        assert_eq!(wire, expect);
+    }
+
+    #[test]
+    fn a_lane_is_based_on_its_own_latest_stamp_in_the_frame() {
+        let a0 = sparse(4096, &[(2100, 5)]);
+        let b0 = sparse(4096, &[(70, 1)]);
+        let a1 = sparse(4096, &[(2100, 5), (2101, 1)]);
+        let b1 = sparse(4096, &[(70, 2)]);
+        let lanes = [(0u32, &a0), (1, &b0), (0, &a1), (1, &b1)];
+        let mut wire = Vec::new();
+        write_stream_header(&mut wire);
+        let taken = write_stamps_frame(&mut wire, 10, lanes.iter().copied(), 3);
+        assert_eq!(taken, 3, "the count limit closes the frame");
+        // `a1` refers two stamps back and costs the one entry that changed:
+        // component 2101 is bit 53 of chunk 32.
+        assert!(wire.ends_with(&[2, 0, 33, 0, 0, 0, 0, 0, 0, 1 << 5, 0, 2, 0]));
+        let taken = write_stamps_frame(&mut wire, 13, lanes[3..].iter().copied(), 3);
+        assert_eq!(taken, 1);
+
+        let mut reader = FrameReader::new();
+        reader.feed(&wire);
+        for (first, expect) in [(10, &lanes[..3]), (13, &lanes[3..])] {
+            match reader.try_next() {
+                Ok(Some(Frame::Stamps { first: got, stamps })) => {
+                    assert_eq!(got, first);
+                    assert_eq!(stamps.len(), expect.len());
+                    for (stamp, (_, sent)) in stamps.iter().zip(expect) {
+                        assert_eq!(&stamp, sent);
+                        // One chunk and one mask word, never 4096 components.
+                        assert_eq!(stamp.stored_words(), 65);
+                    }
+                }
+                other => panic!("expected Stamps, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn wide_stamps_of_nine_byte_varints_split_at_the_byte_budget() {
+        // Every component swings by 2^62 from stamp to stamp: nine bytes
+        // each, 18 KiB a stamp, and 1000 of them do not fit 16 MiB.
+        let width = 2048;
+        let stamps: Vec<VectorTimestamp> = (0..1000u64)
+            .map(|i| VectorTimestamp::from_components(vec![(i % 2) << 62; width]))
+            .collect();
+        let mut wire = Vec::new();
+        write_stream_header(&mut wire);
+        let mut sent = 0;
+        let mut frames = 0;
+        while sent < stamps.len() {
+            let before = wire.len();
+            let pending = stamps[sent..].iter().map(|s| (0, s));
+            let taken = write_stamps_frame(&mut wire, sent as u64, pending, 4096);
+            assert!(taken > 0 && taken < stamps.len(), "one frame took {taken}");
+            assert!((wire.len() - before) as u64 <= MAX_FRAME_LEN);
+            sent += taken;
+            frames += 1;
+        }
+        assert_eq!(frames, 2);
+        let mut reader = FrameReader::new();
+        reader.feed(&wire);
+        let mut got = Vec::new();
+        while let Some(frame) = reader.try_next().expect("within the limit") {
+            match frame {
+                Frame::Stamps { first, stamps } => {
+                    assert_eq!(first, got.len() as u64);
+                    got.extend(stamps);
+                }
+                other => panic!("expected Stamps, got {other:?}"),
+            }
+        }
+        assert_eq!(got, stamps);
+    }
+
+    #[test]
+    fn a_frame_closes_before_its_stamps_store_too_many_words() {
+        let stamps: Vec<VectorTimestamp> = (1..=10u64)
+            .map(|i| VectorTimestamp::from_components(vec![i; 100]))
+            .collect();
+        let limits = StampLimits {
+            bytes: usize::MAX,
+            words: 350,
+        };
+        let mut body = Vec::new();
+        let lane = || stamps.iter().map(|s| (0, s));
+        assert_eq!(encode_stamps(&mut body, lane(), 4096, &limits), 3);
+        // The reader holds the same line, mid-stamp: a fourth stamp that
+        // repeats the third costs three bytes on the wire and 100 words.
+        body.extend_from_slice(&[1, 0, 0]);
+        let mut framed = vec![TAG_STAMPS, 0, 4];
+        framed.extend_from_slice(&body);
+        assert_eq!(decode_body(&framed, 350), Err(FrameError::StampBudget));
+        assert!(decode_body(&framed, 400).is_ok());
+        // A single stamp beyond the limit still makes a frame (which the
+        // reader then refuses): the writer's caller always makes progress.
+        let tight = StampLimits {
+            bytes: 16,
+            words: 50,
+        };
+        assert_eq!(encode_stamps(&mut Vec::new(), lane(), 4096, &tight), 1);
+        let bytes_only = StampLimits {
+            bytes: 16,
+            words: usize::MAX,
+        };
+        assert_eq!(encode_stamps(&mut Vec::new(), lane(), 4096, &bytes_only), 1);
+    }
+
+    #[test]
+    fn malformed_stamps_are_typed_errors_not_panics_or_allocations() {
+        // A base that is not in the frame.
+        assert_eq!(
+            decode_one(&stamps_wire(1, &[1, 0, 0])),
+            Err(FrameError::BadBackReference(1))
+        );
+        assert_eq!(
+            decode_one(&stamps_wire(2, &[0, 3, 0, 2, 0, 0])),
+            Err(FrameError::BadBackReference(2))
+        );
+        // A chunk beyond a 3-wide stamp; a chunk index that overflows.
+        let mask = [1, 0, 0, 0, 0, 0, 0, 0];
+        let chunk = |skip: &[u8], mask: [u8; 8]| {
+            let mut stamp = vec![0, 3];
+            stamp.extend_from_slice(skip);
+            stamp.extend_from_slice(&mask);
+            stamp.extend_from_slice(&[2, 0]);
+            stamps_wire(1, &stamp)
+        };
+        assert!(matches!(decode_one(&chunk(&[1], mask)), Ok(Some(_))));
+        assert_eq!(
+            decode_one(&chunk(&[2], mask)),
+            Err(FrameError::ChunkOutOfRange)
+        );
+        let mut skip_max = Vec::new();
+        put_varint(&mut skip_max, u64::MAX);
+        assert_eq!(
+            decode_one(&chunk(&skip_max, mask)),
+            Err(FrameError::ChunkOutOfRange)
+        );
+        // A change to component 3 of a 3-wide stamp.
+        assert_eq!(
+            decode_one(&chunk(&[1], [0b1000, 0, 0, 0, 0, 0, 0, 0])),
+            Err(FrameError::MaskBeyondWidth)
+        );
+        assert_eq!(
+            decode_one(&chunk(&[1], [0, 0, 0, 0, 0, 0, 0, 0x80])),
+            Err(FrameError::MaskBeyondWidth)
+        );
+        // A width whose mask alone is beyond the budget, and one beyond
+        // `usize`: refused before anything is allocated for it.
+        let mut wide = vec![0];
+        put_varint(&mut wide, 1 << 40);
+        wide.push(0);
+        assert_eq!(
+            decode_one(&stamps_wire(1, &wide)),
+            Err(FrameError::StampBudget)
+        );
+        let mut wider = vec![0, 3, 0, 1];
+        put_varint(&mut wider, u64::MAX);
+        wider.push(0);
+        assert_eq!(
+            decode_one(&stamps_wire(2, &wider)),
+            Err(FrameError::StampBudget)
+        );
+        // A mask or a count that the body does not back.
+        assert_eq!(
+            decode_one(&stamps_wire(1, &[0, 3, 1, 1, 0, 0])),
+            Err(FrameError::Truncated)
+        );
+        assert_eq!(
+            decode_one(&stamps_wire(u64::MAX, &[0, 3, 0])),
+            Err(FrameError::Truncated)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever the stamps, their forms, their widths and their lanes, a
+        /// fresh reader fed one byte at a time decodes what was sent, in the
+        /// form the storage rule gives it.
+        #[test]
+        fn prop_stamps_round_trip_by_value_and_by_form(
+            stamps in proptest::collection::vec(
+                (
+                    (0u32..4, 0usize..7, 0u8..2),
+                    proptest::collection::vec((0usize..4096, 0u8..4, 0u64..=u64::MAX), 0..6),
+                ),
+                1..24,
+            ),
+            per_frame in 1usize..12,
+        ) {
+            const WIDTHS: [usize; 7] = [0, 1, 64, 70, 150, 512, 4096];
+            // Each lane edits its own vector, so that successive stamps of
+            // a lane share most components, and resizes it to the width
+            // drawn, so that widths grow and shrink inside a frame.
+            let mut lanes = vec![Vec::<u64>::new(); 4];
+            let sent: Vec<(u32, VectorTimestamp)> = stamps
+                .iter()
+                .map(|((lane, width, form), edits)| {
+                    let width = WIDTHS[*width];
+                    let vector = &mut lanes[*lane as usize];
+                    vector.resize(width, 0);
+                    for &(at, kind, value) in edits {
+                        if width > 0 {
+                            vector[at % width] = match kind {
+                                0 => 0,
+                                1 => value % 8,
+                                2 => u64::MAX - value % 4,
+                                _ => value,
+                            };
+                        }
+                    }
+                    let stamp = match form {
+                        0 => VectorTimestamp::from_components(vector.clone()),
+                        _ => stored(vector),
+                    };
+                    (*lane, stamp)
+                })
+                .collect();
+
+            let mut wire = Vec::new();
+            write_stream_header(&mut wire);
+            let mut at = 0;
+            while at < sent.len() {
+                let pending = sent[at..].iter().map(|(lane, stamp)| (*lane, stamp));
+                at += write_stamps_frame(&mut wire, at as u64, pending, per_frame);
+            }
+            // The same stamps without their lanes, as one frame.
+            write_frame(&mut wire, &Frame::Stamps {
+                first: 0,
+                stamps: sent.iter().map(|(_, stamp)| stamp.clone()).collect(),
+            });
+
+            let mut reader = FrameReader::new();
+            let mut got: Vec<VectorTimestamp> = Vec::new();
+            for &byte in &wire {
+                reader.feed(&[byte]);
+                while let Some(frame) = reader.try_next().expect("decode") {
+                    match frame {
+                        Frame::Stamps { first, stamps } => {
+                            proptest::prop_assert_eq!(first as usize, got.len() % sent.len());
+                            proptest::prop_assert!(stamps.len() <= per_frame.max(sent.len()));
+                            got.extend(stamps);
+                        }
+                        other => panic!("expected Stamps, got {other:?}"),
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(reader.buffered(), 0);
+            proptest::prop_assert_eq!(got.len(), 2 * sent.len());
+            for (i, stamp) in got.iter().enumerate() {
+                let expect = &sent[i % sent.len()].1;
+                proptest::prop_assert_eq!(stamp, expect);
+                proptest::prop_assert_eq!(stamp.len(), expect.len());
+                proptest::prop_assert_eq!(stamp.stored_words(), stored(expect.as_slice()).stored_words());
+            }
+        }
     }
 }

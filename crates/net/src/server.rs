@@ -36,7 +36,9 @@ use mvc_runtime::{LiveSession, ThreadHandle, TraceSession};
 use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
 
-use crate::frame::{error_code, write_frame, write_stream_header, Frame, FrameReader};
+use crate::frame::{
+    error_code, write_frame, write_stamps_frame, write_stream_header, Frame, FrameReader,
+};
 use crate::transport::{Recv, Transport, TransportError};
 use crate::NetError;
 
@@ -78,7 +80,8 @@ pub struct ServerConfig {
     /// server's per-session buffering: a client can never have more than
     /// this many unstamped events in flight.
     pub credit_window: u64,
-    /// Maximum stamps packed into one `Stamps` frame.
+    /// Maximum stamps packed into one `Stamps` frame (a frame also closes
+    /// at the protocol's byte and word limits, whichever comes first).
     pub stamps_per_frame: usize,
 }
 
@@ -219,12 +222,15 @@ struct Session {
     /// awaiting stamps.  Maps merge-order stamps (which arrive per thread
     /// in ingest order) back to the client's send order.
     pending_seq: Vec<VecDeque<u64>>,
-    /// Reorder window: stamps for `slot_base..` not yet contiguous.
-    slots: VecDeque<Option<VectorTimestamp>>,
+    /// Reorder window: stamps for `slot_base..` not yet contiguous, each
+    /// with the local thread it belongs to (its lane on the wire).
+    slots: VecDeque<Option<(u32, VectorTimestamp)>>,
     slot_base: u64,
     /// Contiguous stamps awaiting delivery/acknowledgement;
-    /// `stamp_log[0]` is stamp number `stamp_base`.
-    stamp_log: VecDeque<VectorTimestamp>,
+    /// `stamp_log[0]` is stamp number `stamp_base`.  Frames are encoded
+    /// straight from here, so a retransmission after a reconnect is simply
+    /// framed again.
+    stamp_log: VecDeque<(u32, VectorTimestamp)>,
     stamp_base: u64,
     /// Next stamp index to encode into the connection's outbox.
     next_send: u64,
@@ -252,6 +258,9 @@ struct ServerMetrics {
     /// `net.server.credit_occupancy` (events): how much of a session's
     /// credit window was in flight when a refill fired.
     credit_occupancy: mvc_obs::Histogram,
+    /// `net.server.stamp_wire_bytes` (bytes): framed bytes per stamp of
+    /// each `Stamps` frame written.
+    stamp_wire_bytes: mvc_obs::Histogram,
 }
 
 impl Default for ServerMetrics {
@@ -262,6 +271,7 @@ impl Default for ServerMetrics {
             sessions_resumed: registry.counter("net.server.sessions_resumed"),
             events_ingested: registry.counter("net.server.events_ingested"),
             credit_occupancy: registry.histogram("net.server.credit_occupancy"),
+            stamp_wire_bytes: registry.histogram("net.server.stamp_wire_bytes"),
         }
     }
 }
@@ -713,10 +723,10 @@ impl<E: ServeEngine> NetServer<E> {
             if session.slots.len() <= idx {
                 session.slots.resize(idx + 1, None);
             }
-            session.slots[idx] = Some(stamp);
-            while let Some(stamp) = session.slots.front_mut().and_then(Option::take) {
+            session.slots[idx] = Some((local_thread as u32, stamp));
+            while let Some(routed) = session.slots.front_mut().and_then(Option::take) {
                 session.slots.pop_front();
-                session.stamp_log.push_back(stamp);
+                session.stamp_log.push_back(routed);
                 session.slot_base += 1;
             }
         }
@@ -727,31 +737,26 @@ impl<E: ServeEngine> NetServer<E> {
     /// into each connected session's outbox.
     fn flush_sessions(&mut self) {
         let window = self.config.credit_window;
-        let per_frame = self.config.stamps_per_frame;
+        let per_frame = self.config.stamps_per_frame.max(1);
         for session in &mut self.sessions {
             let Some(conn) = session.conn else { continue };
             let conn = &mut self.conns[conn];
             if !conn.open {
                 continue;
             }
-            // Stream newly produced stamps.
+            // Stream newly produced stamps, encoded where they lie.
             while session.next_send < session.stamps_ready() {
                 let start = (session.next_send - session.stamp_base) as usize;
-                let count = (session.stamp_log.len() - start).min(per_frame);
-                let stamps: Vec<VectorTimestamp> = session
-                    .stamp_log
-                    .iter()
-                    .skip(start)
-                    .take(count)
-                    .cloned()
-                    .collect();
-                write_frame(
+                let pending = session.stamp_log.range(start..);
+                let before = conn.outbox.len();
+                let count = write_stamps_frame(
                     &mut conn.outbox,
-                    &Frame::Stamps {
-                        first: session.next_send,
-                        stamps,
-                    },
+                    session.next_send,
+                    pending.map(|(lane, stamp)| (*lane, stamp)),
+                    per_frame,
                 );
+                let framed = (conn.outbox.len() - before) as u64;
+                self.metrics.stamp_wire_bytes.record(framed / count as u64);
                 session.next_send += count as u64;
             }
             // Refill credit once half the window is consumed.

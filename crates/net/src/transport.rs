@@ -144,23 +144,23 @@ fn is_disconnect(kind: ErrorKind) -> bool {
 
 impl Transport for TcpTransport {
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        // Writes must block regardless of the current read mode; a
-        // nonblocking socket makes write_all fail spuriously, so drive the
-        // partial-write loop by hand and wait out WouldBlock.
-        let mut sent = 0;
-        while sent < bytes.len() {
-            match self.stream.write(&bytes[sent..]) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => sent += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(e) if is_disconnect(e.kind()) => return Err(TransportError::Closed),
-                Err(e) => return Err(TransportError::Io(e.to_string())),
-            }
+        // Writes block whatever the last read's mode was.  A poll leaves the
+        // socket non-blocking, where a burst larger than the socket buffer
+        // fails with `WouldBlock`: make it blocking again (`None`: the next
+        // `recv` sets its mode afresh).
+        if self.mode == Some(TcpMode::Poll) {
+            self.stream
+                .set_nonblocking(false)
+                .map_err(|e| TransportError::Io(e.to_string()))?;
+            self.mode = None;
         }
-        Ok(())
+        match self.stream.write_all(bytes) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == ErrorKind::WriteZero || is_disconnect(e.kind()) => {
+                Err(TransportError::Closed)
+            }
+            Err(e) => Err(TransportError::Io(e.to_string())),
+        }
     }
 
     fn recv(&mut self, buf: &mut [u8], timeout: Option<Duration>) -> Result<Recv, TransportError> {

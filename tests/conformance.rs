@@ -56,7 +56,9 @@
 //!    sequential batch replay of the same merged interleaving, and every
 //!    client receives exactly its own threads' stamps in its own record
 //!    order: the network is a scheduling strategy too, never a semantic
-//!    change.
+//!    change.  The severed connection is cut inside a `Stamps` frame, so
+//!    the stamps after the reconnect are differences re-framed against new
+//!    bases.
 //! 10. **The wide-clock representation is invisible.**  The sequential
 //!     engine's chunked kernel and the sharded engine's dense-slice kernel
 //!     are each other's oracle: at widths 64, 512 and 4096, over 1, 2 and 4
@@ -75,7 +77,10 @@
 //!     stamp three ways: `==` (which reads masks, not a materialised copy),
 //!     `as_slice()` and `Hash`.  Widths 70 and 150 put a truncated chunk at
 //!     the tail; a uniform workload fills rows mid-run, so one stream holds
-//!     both forms; an online mechanism grows the width mid-run.
+//!     both forms; an online mechanism grows the width mid-run.  The wire is
+//!     held to the same: a stamp decoded from a differential `Stamps` frame
+//!     equals the one sent and stores the same words — the decoder built
+//!     the packed form, it never saw a dense vector.
 
 mod support;
 
@@ -954,7 +959,7 @@ struct NetCase {
 /// `scripts[2c]` / `scripts[2c + 1]` interleaved in record order) through a
 /// [`mvc_net::NetServer`] over in-process transports, single-threaded and
 /// deterministic.  When `disconnect` is set, client 0's link is severed
-/// mid-stream — keeping only half of the stamp bytes in flight — and the
+/// mid-stream — in the middle of the first `Stamps` frame in flight — and the
 /// client reconnects on a fresh pair, replaying its un-acknowledged suffix.
 fn run_networked(
     scripts: &[Vec<(usize, mvc_trace::OpKind)>],
@@ -962,10 +967,14 @@ fn run_networked(
     shards: usize,
     disconnect: bool,
 ) -> NetCase {
-    use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
+    use mvc_net::{
+        ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig, Transport,
+    };
     use std::time::Duration;
 
     const ZERO: Option<Duration> = Some(Duration::ZERO);
+    /// The `Stamps` row of docs/PROTOCOL.md's frame table.
+    const STAMPS_TAG: u8 = 4;
     let clients = scripts.len() / 2;
     let engine = ShardedEngine::new(shards);
     let mut server = NetServer::new(
@@ -980,6 +989,7 @@ fn run_networked(
     let object_names: Vec<String> = (0..objects).map(|o| format!("o{o}")).collect();
     let mut conns = Vec::new();
     let mut fars = Vec::new();
+    let mut nears = Vec::new();
     let mut cs = Vec::new();
     for c in 0..clients {
         let (near, far) = InProcTransport::pair();
@@ -989,6 +999,7 @@ fn run_networked(
             object_names.clone(),
             true,
         );
+        nears.push(near.clone());
         let client = ProducerClient::connect(near, config).unwrap();
         conns.push(conn);
         fars.push(far);
@@ -1014,11 +1025,27 @@ fn run_networked(
     }
 
     if disconnect {
-        // Push client 0's whole stream, let the server ingest and queue the
-        // stamps, then kill the link with half the stamp bytes undelivered.
+        // Push client 0's whole stream, let the server ingest and send the
+        // stamps, then take what is in flight off the wire, put back as
+        // much as ends in the middle of the first `Stamps` frame, and kill
+        // the link.
         cs[0].step(ZERO).unwrap();
         server.service(conns[0], &mut fars[0]).unwrap();
-        fars[0].sever_keeping(fars[0].pending() / 2);
+        let mut in_flight = vec![0u8; fars[0].pending()];
+        let taken = nears[0].recv(&mut in_flight, ZERO).unwrap();
+        assert_eq!(taken, mvc_net::Recv::Bytes(in_flight.len()));
+        // (Half of whatever there is when client 0 recorded nothing.)
+        let mut cut = in_flight.len() / 2;
+        let mut at = 0;
+        while let Ok(Some((len, used))) = mvc_trace::codec::peek_varint(&in_flight[at..]) {
+            if in_flight[at + used] == STAMPS_TAG {
+                cut = at + used + len as usize / 2;
+                break;
+            }
+            at += used + len as usize;
+        }
+        fars[0].send(&in_flight[..cut]).unwrap();
+        fars[0].sever();
         server.service(conns[0], &mut fars[0]).unwrap();
         cs[0]
             .step(ZERO)
@@ -1288,6 +1315,39 @@ fn chunked_equals_dense_kernel(
     chunked
 }
 
+/// Oracle 12's wire half: `stamps` — each on the lane of its event's thread —
+/// through differential `Stamps` frames and a fresh reader come out equal by
+/// value and stored the same: the decoder rebuilt the packed form from chunks.
+fn assert_the_wire_keeps(computation: &Computation, stamps: &[VectorTimestamp]) {
+    use mvc_net::frame::{write_stamps_frame, write_stream_header};
+    let mut wire = Vec::new();
+    write_stream_header(&mut wire);
+    let mut sent = 0;
+    while sent < stamps.len() {
+        let pending = computation.events().zip(stamps).skip(sent);
+        let lanes = pending.map(|(event, stamp)| (event.thread.index() as u32, stamp));
+        sent += write_stamps_frame(&mut wire, sent as u64, lanes, 128);
+    }
+    let mut reader = mvc_net::FrameReader::new();
+    reader.feed(&wire);
+    let mut decoded: Vec<VectorTimestamp> = Vec::new();
+    while let Some(frame) = reader.try_next().expect("a well-formed stream") {
+        match frame {
+            mvc_net::Frame::Stamps { first, stamps } => {
+                assert_eq!(first, decoded.len() as u64);
+                decoded.extend(stamps);
+            }
+            other => panic!("expected Stamps, got {other:?}"),
+        }
+    }
+    assert_eq!(decoded.len(), stamps.len());
+    for (got, sent) in decoded.iter().zip(stamps) {
+        assert!(got == sent, "{got} != {sent}");
+        assert_eq!(got.len(), sent.len());
+        assert_eq!(got.stored_words(), sent.stored_words());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -1305,6 +1365,7 @@ proptest! {
             let packed = stamps.iter().filter(|s| s.stored_words() < width).count();
             prop_assert!(width != 64 || packed == 0);
             prop_assert!(width / 2 < 64 || packed == stamps.len(), "width {}", width);
+            assert_the_wire_keeps(&clustered, &stamps);
 
             let uniform = WorkloadBuilder::new(4, width)
                 .operations(40 * width.div_ceil(64))
@@ -1314,6 +1375,7 @@ proptest! {
             let full = stamps.iter().filter(|s| s.stored_words() == width).count();
             prop_assert!(full > 0, "width {}: no row filled", width);
             prop_assert!((full == stamps.len()) == (width <= 64), "width {}", width);
+            assert_the_wire_keeps(&uniform, &stamps);
         }
     }
 
@@ -1326,6 +1388,7 @@ proptest! {
         let mut online = OnlineTimestamper::new(Naive::threads());
         let mut dense = ShardedEngine::with_components(mvc_clock::ComponentMap::new(), 2);
         let mut packed = 0;
+        let mut stamps = Vec::new();
         for event in computation.events() {
             let stamp = online.observe(event.thread, event.object).unwrap();
             let components = online.engine().components().components();
@@ -1335,7 +1398,10 @@ proptest! {
             let reference = dense.observe(event.thread, event.object).unwrap();
             assert_same_stamp(&stamp, &reference);
             packed += usize::from(stamp.stored_words() < stamp.len());
+            stamps.push(stamp);
         }
+        // Widths grow from frame to frame and inside a frame.
+        assert_the_wire_keeps(&computation, &stamps);
         prop_assert!(online.clock_size() > 128);
         prop_assert!(packed > 0, "no stamp was emitted packed");
     }

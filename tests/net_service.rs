@@ -12,6 +12,7 @@
 
 use std::time::Duration;
 
+use mvc_clock::VectorTimestamp;
 use mvc_core::{MemoryRecorder, TimestampingEngine};
 use mvc_net::frame::{self, Frame, FrameReader};
 use mvc_net::{
@@ -480,6 +481,63 @@ fn stamps_lost_with_the_connection_are_retransmitted_after_reconnect() {
 }
 
 #[test]
+fn a_wide_sparse_session_gets_its_stamps_back_in_frames_that_fit() {
+    // 4 096 registered objects make every stamp 4 096 components wide.  Sent
+    // as whole vectors, a default frame of 4 096 of them is 16 785 412
+    // bytes, beyond `MAX_FRAME_LEN`: the client used to fail with
+    // `Frame(Oversize(..))`.  As differences they cost what they store.
+    let threads: Vec<String> = (0..4).map(|t| format!("t{t}")).collect();
+    let objects: Vec<String> = (0..4096).map(|o| format!("o{o}")).collect();
+    let touched = [3usize, 64, 2100, 4095];
+    let script: Vec<(usize, usize)> = (0..5000).map(|i| (i % 4, touched[(i / 3) % 4])).collect();
+
+    let mut server = new_server(ServerConfig::default());
+    let (mut client, mut link, _) = connect(&mut server, ClientConfig::new(threads, objects, true));
+    for &(t, o) in &script {
+        client.record(t, o, OpKind::Write);
+    }
+    client.request_finish();
+    // Driven by hand, to see what the server puts on the wire per round.
+    let mut most_in_flight = 0;
+    while !client.is_finished() {
+        client.step(ZERO).expect("client step");
+        server.service(link.conn, &mut link.far).expect("service");
+        most_in_flight = most_in_flight.max(link.far.pending());
+    }
+    assert!(
+        (most_in_flight as u64) < frame::MAX_FRAME_LEN / 16,
+        "{most_in_flight} bytes in flight for 5 000 one-chunk stamps"
+    );
+    let run = client.into_run().expect("finished");
+    let server_run = server.finish().expect("finish");
+
+    // One client, so its ids are the global ones and its send order is
+    // every object's order: the reference is a plain sequential replay.
+    let mut computation = mvc_trace::Computation::new();
+    for &(t, o) in &script {
+        computation.record_op(
+            mvc_trace::ThreadId(run.thread_ids[t] as usize),
+            mvc_trace::ObjectId(run.object_ids[o] as usize),
+            OpKind::Write,
+        );
+    }
+    let mut engine = TimestampingEngine::with_components(server_run.report.components.clone());
+    let reference = mvc_core::replay(&mut engine, &computation)
+        .unwrap()
+        .timestamps;
+    assert_eq!(run.stamps.len(), 5000);
+    assert_eq!(run.stamps, reference);
+    for (stamp, expect) in run.stamps.iter().zip(&reference) {
+        assert_eq!(stamp.len(), 4096);
+        assert_eq!(
+            stamp.stored_words(),
+            expect.stored_words(),
+            "decoded packed"
+        );
+    }
+}
+
+#[test]
 fn truncated_streams_pend_and_corrupted_padding_never_panics_the_server() {
     // Fuzz the server at every frame-type boundary: a valid session
     // prologue cut at every byte position is fed to a fresh server — each
@@ -505,6 +563,15 @@ fn truncated_streams_pend_and_corrupted_padding_never_panics_the_server() {
     );
     frame::write_frame(&mut stream, &Frame::StampsAck { received: 0 });
     frame::write_frame(&mut stream, &Frame::Goodbye { events: 2 });
+    // Not a frame a client sends, but one whose decoder must hold up all the
+    // same: stamps that refer back to each other, over two chunks.
+    let mut wide = vec![0u64; 100];
+    let stamps = [(3, 1), (70, 1), (3, 2), (99, u64::MAX)].map(|(at, value)| {
+        wide[at] = value;
+        VectorTimestamp::from_components(wide.clone())
+    });
+    let lanes = [0, 1, 0, 1].into_iter().zip(&stamps);
+    frame::write_stamps_frame(&mut stream, 0, lanes, 4096);
 
     for cut in 0..stream.len() {
         let mut server = new_server(ServerConfig::default());
