@@ -147,7 +147,7 @@ impl ChunkedRow {
     }
 
     /// Creates an all-zero row covering at least `width` entries.
-    pub fn with_width(width: usize) -> Self {
+    fn with_width(width: usize) -> Self {
         let mut row = Self::default();
         row.ensure_width(width);
         row
@@ -166,7 +166,7 @@ impl ChunkedRow {
 
     /// Entries the row currently covers (a multiple of [`CHUNK`]; entries
     /// beyond the logical clock width are zero).
-    pub fn padded_width(&self) -> usize {
+    fn padded_width(&self) -> usize {
         self.chunks * CHUNK
     }
 
@@ -281,7 +281,7 @@ impl ChunkedRow {
     }
 
     /// Makes `self` identical to `src`, reusing `self`'s buffers.
-    pub fn copy_from(&mut self, src: &ChunkedRow) {
+    fn copy_from(&mut self, src: &ChunkedRow) {
         self.chunks = src.chunks;
         self.mask.clone_from(&src.mask);
         self.values.clone_from(&src.values);

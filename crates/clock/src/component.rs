@@ -86,15 +86,6 @@ impl ComponentMap {
         map
     }
 
-    /// Builds the object-based component map for objects `0..n`.
-    pub fn all_objects(n: usize) -> Self {
-        let mut map = Self::new();
-        for o in 0..n {
-            map.push(Component::Object(ObjectId(o)));
-        }
-        map
-    }
-
     /// Appends a component, returning its index. Adding a component that is
     /// already present returns the existing index and does not grow the map.
     pub fn push(&mut self, component: Component) -> usize {
@@ -227,16 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn all_threads_and_all_objects_layouts() {
+    fn all_threads_layout() {
         let t = ComponentMap::all_threads(3);
         assert_eq!(t.len(), 3);
         assert_eq!(t.thread_component(ThreadId(2)), Some(2));
         assert!(!t.contains_object(ObjectId(0)));
-
-        let o = ComponentMap::all_objects(2);
-        assert_eq!(o.len(), 2);
-        assert_eq!(o.object_component(ObjectId(1)), Some(1));
-        assert!(!o.contains_thread(ThreadId(0)));
     }
 
     #[test]

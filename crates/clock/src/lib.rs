@@ -7,8 +7,6 @@
 //! * [`compare`] — [`VectorTimestamp`] (the vector value attached to an
 //!   event) and [`ClockOrd`], the four-way outcome of comparing two
 //!   timestamps.
-//! * [`lamport`] — scalar Lamport clocks (consistent with, but not
-//!   characterising, happened-before; included as the cheapest baseline).
 //! * [`vector`] — the traditional thread-based and object-based vector clock
 //!   assigners from Section II.
 //! * [`component`] — [`ComponentMap`]: the mapping from a chosen set of
@@ -45,7 +43,6 @@ pub mod chain;
 pub mod chunked;
 pub mod compare;
 pub mod component;
-pub mod lamport;
 pub mod mixed;
 pub mod validate;
 pub mod vector;

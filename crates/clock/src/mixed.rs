@@ -18,38 +18,15 @@
 //! component per event, preferring the object.)
 //!
 //! Validity requires every event to be *covered*: at least one endpoint must
-//! be a component.  [`MixedVectorClockAssigner::assign_checked`] reports the
-//! first uncovered event instead of producing an invalid clock.
+//! be a component.  [`MixedVectorClockAssigner`] panics on the first
+//! uncovered event instead of producing an invalid clock.
 
-use std::fmt;
-
-use mvc_trace::{Computation, EventId};
+use mvc_trace::Computation;
 
 use crate::chunked::{self, ChunkedRow};
 use crate::compare::VectorTimestamp;
 use crate::component::ComponentMap;
 use crate::TimestampAssigner;
-
-/// Error returned when a computation contains an event whose thread *and*
-/// object both lack a component — the chosen component set is not a vertex
-/// cover of the computation's bipartite graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UncoveredEventError {
-    /// The first uncovered event encountered in append order.
-    pub event: EventId,
-}
-
-impl fmt::Display for UncoveredEventError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "event {} is not covered by any mixed-clock component",
-            self.event
-        )
-    }
-}
-
-impl std::error::Error for UncoveredEventError {}
 
 /// Assigns mixed vector clocks driven by an explicit [`ComponentMap`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,39 +49,6 @@ impl MixedVectorClockAssigner {
     pub fn width(&self) -> usize {
         self.components.len()
     }
-
-    /// Assigns timestamps, returning an error if some event is not covered by
-    /// the component map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UncoveredEventError`] naming the first uncovered event.
-    pub fn assign_checked(
-        &self,
-        computation: &Computation,
-    ) -> Result<Vec<VectorTimestamp>, UncoveredEventError> {
-        let width = self.width();
-        let mut thread_clock = vec![ChunkedRow::new(); computation.thread_index_bound()];
-        let mut object_clock = vec![ChunkedRow::new(); computation.object_index_bound()];
-        let mut stamps = Vec::with_capacity(computation.len());
-        for e in computation.events() {
-            let component = self
-                .components
-                .event_component(e)
-                .ok_or(UncoveredEventError { event: e.id })?;
-            let t = e.thread.index();
-            let o = e.object.index();
-            // The shared write-back kernel: both rows mutate in place and
-            // the emitted stamp is a copy of the thread's packed row.
-            stamps.push(chunked::step(
-                &mut thread_clock[t],
-                &mut object_clock[o],
-                component,
-                width,
-            ));
-        }
-        Ok(stamps)
-    }
 }
 
 impl TimestampAssigner for MixedVectorClockAssigner {
@@ -120,12 +64,29 @@ impl TimestampAssigner for MixedVectorClockAssigner {
     ///
     /// # Panics
     ///
-    /// Panics if some event is not covered by the component map; use
-    /// [`MixedVectorClockAssigner::assign_checked`] to handle that case
-    /// gracefully.
+    /// Panics if some event's thread *and* object both lack a component —
+    /// the component set is not a vertex cover of the computation's graph.
     fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
-        self.assign_checked(computation)
-            .expect("component map does not cover the computation")
+        let width = self.width();
+        let mut thread_clock = vec![ChunkedRow::new(); computation.thread_index_bound()];
+        let mut object_clock = vec![ChunkedRow::new(); computation.object_index_bound()];
+        let mut stamps = Vec::with_capacity(computation.len());
+        for e in computation.events() {
+            let component = self.components.event_component(e).unwrap_or_else(|| {
+                panic!("component map does not cover the computation: {}", e.id)
+            });
+            let t = e.thread.index();
+            let o = e.object.index();
+            // The shared write-back kernel: both rows mutate in place and
+            // the emitted stamp is a copy of the thread's packed row.
+            stamps.push(chunked::step(
+                &mut thread_clock[t],
+                &mut object_clock[o],
+                component,
+                width,
+            ));
+        }
+        stamps
     }
 }
 
@@ -176,25 +137,14 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_event_is_reported() {
+    #[should_panic(expected = "does not cover the computation: e1")]
+    fn assign_panics_on_uncovered_event() {
         let mut c = Computation::new();
         c.record(ThreadId(0), ObjectId(0));
         c.record(ThreadId(1), ObjectId(1));
         let mut map = ComponentMap::new();
         map.push(Component::Thread(ThreadId(0)));
-        let a = MixedVectorClockAssigner::new(map);
-        let err = a.assign_checked(&c).unwrap_err();
-        assert_eq!(err.event, EventId(1));
-        assert!(err.to_string().contains("e1"));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not cover")]
-    fn assign_panics_on_uncovered_event() {
-        let mut c = Computation::new();
-        c.record(ThreadId(0), ObjectId(0));
-        let a = MixedVectorClockAssigner::new(ComponentMap::new());
-        let _ = a.assign(&c);
+        let _ = MixedVectorClockAssigner::new(map).assign(&c);
     }
 
     #[test]

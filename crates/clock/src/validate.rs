@@ -16,96 +16,6 @@ use mvc_trace::{CausalityOracle, Computation, EventId};
 
 use crate::compare::VectorTimestamp;
 
-/// A single violation of the vector clock condition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Violation {
-    /// `s → t` but `s.v < t.v` does not hold.
-    MissingOrder {
-        /// The causally earlier event.
-        earlier: EventId,
-        /// The causally later event.
-        later: EventId,
-    },
-    /// `s.v < t.v` but `s → t` does not hold (the clock invents an ordering).
-    SpuriousOrder {
-        /// The event whose timestamp is smaller.
-        smaller: EventId,
-        /// The event whose timestamp is larger.
-        larger: EventId,
-    },
-    /// The assignment does not contain a timestamp for every event.
-    LengthMismatch {
-        /// Number of events in the computation.
-        events: usize,
-        /// Number of timestamps supplied.
-        timestamps: usize,
-    },
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Violation::MissingOrder { earlier, later } => {
-                write!(
-                    f,
-                    "{earlier} happened before {later} but its timestamp is not smaller"
-                )
-            }
-            Violation::SpuriousOrder { smaller, larger } => {
-                write!(
-                    f,
-                    "timestamp of {smaller} is smaller than {larger} but they are not ordered"
-                )
-            }
-            Violation::LengthMismatch { events, timestamps } => {
-                write!(
-                    f,
-                    "computation has {events} events but {timestamps} timestamps were supplied"
-                )
-            }
-        }
-    }
-}
-
-/// Returns every violation of the vector clock condition (empty if the
-/// assignment is a valid vector clock).
-pub fn violations(
-    computation: &Computation,
-    timestamps: &[VectorTimestamp],
-    oracle: &CausalityOracle,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if timestamps.len() != computation.len() {
-        out.push(Violation::LengthMismatch {
-            events: computation.len(),
-            timestamps: timestamps.len(),
-        });
-        return out;
-    }
-    let n = computation.len();
-    for a in 0..n {
-        for b in 0..n {
-            if a == b {
-                continue;
-            }
-            let hb = oracle.happened_before(EventId(a), EventId(b));
-            let lt = timestamps[a].strictly_less_than(&timestamps[b]);
-            match (hb, lt) {
-                (true, false) => out.push(Violation::MissingOrder {
-                    earlier: EventId(a),
-                    later: EventId(b),
-                }),
-                (false, true) => out.push(Violation::SpuriousOrder {
-                    smaller: EventId(a),
-                    larger: EventId(b),
-                }),
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 /// Returns `true` iff the assignment satisfies the vector clock condition
 /// `s → t ⇔ s.v < t.v` for every pair of distinct events.
 pub fn satisfies_vector_clock_condition(
@@ -125,30 +35,6 @@ pub fn satisfies_vector_clock_condition(
             let hb = oracle.happened_before(EventId(a), EventId(b));
             let lt = timestamps[a].strictly_less_than(&timestamps[b]);
             if hb != lt {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Returns `true` iff the assignment is merely *consistent* with
-/// happened-before (`s → t ⇒ s.v < t.v`), the weaker Lamport-clock property.
-pub fn consistent_with_causality(
-    computation: &Computation,
-    timestamps: &[VectorTimestamp],
-    oracle: &CausalityOracle,
-) -> bool {
-    if timestamps.len() != computation.len() {
-        return false;
-    }
-    let n = computation.len();
-    for a in 0..n {
-        for b in 0..n {
-            if a != b
-                && oracle.happened_before(EventId(a), EventId(b))
-                && !timestamps[a].strictly_less_than(&timestamps[b])
-            {
                 return false;
             }
         }
@@ -176,8 +62,6 @@ mod tests {
         let stamps = ThreadVectorClockAssigner::new().assign(&c);
         let oracle = c.causality_oracle();
         assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
-        assert!(consistent_with_causality(&c, &stamps, &oracle));
-        assert!(violations(&c, &stamps, &oracle).is_empty());
     }
 
     #[test]
@@ -186,14 +70,6 @@ mod tests {
         let oracle = c.causality_oracle();
         let stamps = vec![VectorTimestamp::zeros(2); 2];
         assert!(!satisfies_vector_clock_condition(&c, &stamps, &oracle));
-        assert!(!consistent_with_causality(&c, &stamps, &oracle));
-        assert_eq!(
-            violations(&c, &stamps, &oracle),
-            vec![Violation::LengthMismatch {
-                events: 4,
-                timestamps: 2
-            }]
-        );
     }
 
     #[test]
@@ -203,13 +79,6 @@ mod tests {
         // All-equal timestamps can never express any ordering.
         let stamps = vec![VectorTimestamp::zeros(2); c.len()];
         assert!(!satisfies_vector_clock_condition(&c, &stamps, &oracle));
-        let v = violations(&c, &stamps, &oracle);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::MissingOrder { .. })));
-        // Equal stamps fail even the weaker Lamport-style consistency check:
-        // ordered events must receive strictly increasing timestamps.
-        assert!(!consistent_with_causality(&c, &stamps, &oracle));
     }
 
     #[test]
@@ -221,28 +90,6 @@ mod tests {
         let stamps: Vec<_> = (0..c.len())
             .map(|i| VectorTimestamp::from_components(vec![i as u64, 0]))
             .collect();
-        let v = violations(&c, &stamps, &oracle);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::SpuriousOrder { .. })));
-    }
-
-    #[test]
-    fn violation_display() {
-        let m = Violation::MissingOrder {
-            earlier: EventId(1),
-            later: EventId(2),
-        };
-        let s = Violation::SpuriousOrder {
-            smaller: EventId(3),
-            larger: EventId(4),
-        };
-        let l = Violation::LengthMismatch {
-            events: 5,
-            timestamps: 4,
-        };
-        assert!(m.to_string().contains("happened before"));
-        assert!(s.to_string().contains("not ordered"));
-        assert!(l.to_string().contains("5 events"));
+        assert!(!satisfies_vector_clock_condition(&c, &stamps, &oracle));
     }
 }

@@ -18,25 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use mvc_clock::{ComponentMap, MixedVectorClockAssigner};
 use mvc_graph::{
-    cover::minimum_vertex_cover, matching::hopcroft_karp, matching::simple_augmenting,
-    BipartiteGraph, GraphStats, VertexCover,
+    cover::minimum_vertex_cover, matching::hopcroft_karp, BipartiteGraph, GraphStats, VertexCover,
 };
 use mvc_trace::Computation;
-
-/// Which maximum-matching algorithm the optimizer runs.
-///
-/// Both produce maximum matchings (and therefore identical cover sizes); the
-/// option exists so the benchmarks can compare their running times, mirroring
-/// the paper's reference to Hopcroft–Karp as "one simple and efficient"
-/// choice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatchingAlgorithm {
-    /// Hopcroft–Karp, `O(E √V)` — the paper's choice and the default.
-    #[default]
-    HopcroftKarp,
-    /// Single augmenting path per left vertex, `O(V · E)`.
-    SimpleAugmenting,
-}
 
 /// The algorithmic output of Algorithm 1 on a *borrowed* graph: matching
 /// size, minimum cover, and the component layout of the mixed vector clock.
@@ -75,7 +59,7 @@ impl OfflineSolution {
     }
 
     /// Attaches the analysed graph, upgrading to a full [`OfflinePlan`].
-    pub fn into_plan(self, graph: BipartiteGraph) -> OfflinePlan {
+    fn into_plan(self, graph: BipartiteGraph) -> OfflinePlan {
         OfflinePlan {
             graph,
             matching_size: self.matching_size,
@@ -147,26 +131,15 @@ impl OfflinePlan {
 }
 
 /// The offline optimizer: computes an [`OfflinePlan`] for a computation or a
-/// pre-built thread–object graph.
+/// pre-built thread–object graph, matching with Hopcroft–Karp (`O(E √V)`, the
+/// paper's "simple and efficient" choice).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OfflineOptimizer {
-    algorithm: MatchingAlgorithm,
-}
+pub struct OfflineOptimizer;
 
 impl OfflineOptimizer {
-    /// Creates an optimizer using Hopcroft–Karp matching.
+    /// Creates the optimizer.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an optimizer using the given matching algorithm.
-    pub fn with_algorithm(algorithm: MatchingAlgorithm) -> Self {
-        Self { algorithm }
-    }
-
-    /// The matching algorithm this optimizer runs.
-    pub fn algorithm(&self) -> MatchingAlgorithm {
-        self.algorithm
+        Self
     }
 
     /// Runs Algorithm 1 on the thread–object graph of a computation.
@@ -187,10 +160,7 @@ impl OfflineOptimizer {
     /// that keep (or immediately discard) the graph and must not pay a
     /// clone per call — per-trial sweeps, benchmarks, prefix recomputes.
     pub fn solve(&self, graph: &BipartiteGraph) -> OfflineSolution {
-        let matching = match self.algorithm {
-            MatchingAlgorithm::HopcroftKarp => hopcroft_karp(graph),
-            MatchingAlgorithm::SimpleAugmenting => simple_augmenting(graph),
-        };
+        let matching = hopcroft_karp(graph);
         let cover = minimum_vertex_cover(graph, &matching);
         let components = ComponentMap::from_cover(&cover);
         OfflineSolution {
@@ -235,26 +205,6 @@ mod tests {
         // T2 (thread index 1) and O3 (object index 2) are in every minimum cover.
         assert!(plan.cover().contains_left(1));
         assert!(plan.cover().contains_right(2));
-    }
-
-    #[test]
-    fn both_matching_algorithms_give_same_cover_size() {
-        for seed in 0..10 {
-            let g = RandomGraphBuilder::new(40, 40)
-                .density(0.08)
-                .scenario(GraphScenario::default_nonuniform())
-                .seed(seed)
-                .build();
-            let hk = OfflineOptimizer::with_algorithm(MatchingAlgorithm::HopcroftKarp)
-                .plan_for_graph(g.clone());
-            let simple = OfflineOptimizer::with_algorithm(MatchingAlgorithm::SimpleAugmenting)
-                .plan_for_graph(g);
-            assert_eq!(hk.clock_size(), simple.clock_size());
-            assert_eq!(
-                OfflineOptimizer::new().algorithm(),
-                MatchingAlgorithm::HopcroftKarp
-            );
-        }
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl CodecSink {
         Self::default()
     }
 
-    /// Encoded body size so far, in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.encoder.body_len()
-    }
-
     /// Seals the encoding (magic + count + records); the result decodes with
     /// `mvc_trace::codec::decode` and is byte-identical to encoding the
     /// recorded interleaving in one batch.
@@ -520,7 +515,8 @@ impl TeeSink {
     }
 
     /// The child sinks, in fan-out order.
-    pub fn children(&self) -> &[Box<dyn EventSink>] {
+    #[cfg(test)]
+    fn children(&self) -> &[Box<dyn EventSink>] {
         &self.children
     }
 
@@ -626,7 +622,6 @@ mod tests {
         sink.accept_batch(&batch).unwrap();
         sink.accept_batch(&batch).unwrap();
         assert_eq!(sink.events_accepted(), 6);
-        assert!(sink.encoded_len() > 0);
         let decoded = codec::decode(&sink.into_bytes()).unwrap();
         assert_eq!(decoded.len(), 6);
         let mut reference = Computation::new();

@@ -24,9 +24,10 @@ pub struct Series {
     pub points: Vec<DataPoint>,
 }
 
+#[cfg(test)]
 impl Series {
     /// The mean size at the given x value, if that x was measured.
-    pub fn mean_at(&self, x: f64) -> Option<f64> {
+    fn mean_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|p| (p.x - x).abs() < 1e-9)
@@ -51,7 +52,8 @@ pub struct FigureData {
 
 impl FigureData {
     /// Looks up a series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
+    #[cfg(test)]
+    fn series_named(&self, name: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.name == name)
     }
 
@@ -65,16 +67,16 @@ impl FigureData {
 }
 
 /// Densities swept by the density figures (Figures 4 and 6).
-pub const DENSITY_SWEEP: &[f64] = &[0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.9];
+const DENSITY_SWEEP: &[f64] = &[0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.9];
 
 /// Node counts per side swept by the size figures (Figures 5 and 7).
-pub const NODE_SWEEP: &[usize] = &[10, 20, 30, 40, 50, 70, 90, 110, 130, 150];
+const NODE_SWEEP: &[usize] = &[10, 20, 30, 40, 50, 70, 90, 110, 130, 150];
 
 /// Density used by the node-count figures (matches the paper).
-pub const FIXED_DENSITY: f64 = 0.05;
+const FIXED_DENSITY: f64 = 0.05;
 
 /// Nodes per side used by the density figures (matches the paper).
-pub const FIXED_NODES: usize = 50;
+const FIXED_NODES: usize = 50;
 
 fn scenario_label(scenario: GraphScenario) -> &'static str {
     scenario.name()
@@ -252,7 +254,7 @@ const SWEEP_OPS_PER_NODE: usize = 4;
 /// — rather than the decision-only simulation the graph figures use.  An
 /// `offline-optimal` reference series over the same computations is appended.
 ///
-/// The x axis is the thread count per side over [`NODE_SWEEP`].
+/// The x axis is the thread count per side, 10 to 150 as in Figures 5 and 7.
 ///
 /// # Errors
 ///
@@ -629,20 +631,5 @@ mod tests {
         for (p, o) in pop.points.iter().zip(offline.points.iter()) {
             assert!(p.mean_size >= o.mean_size, "online below offline optimum");
         }
-    }
-
-    #[test]
-    fn series_mean_at_missing_x_is_none() {
-        let s = Series {
-            name: "x".into(),
-            points: vec![DataPoint {
-                x: 1.0,
-                mean_size: 2.0,
-                min_size: 2,
-                max_size: 2,
-            }],
-        };
-        assert_eq!(s.mean_at(1.0), Some(2.0));
-        assert_eq!(s.mean_at(3.0), None);
     }
 }

@@ -49,7 +49,7 @@ pub use experiments::{
     FigureData, Series,
 };
 pub use report::{render_csv, render_table};
-pub use runner::{average_size, single_run, AlgorithmKind, DataPoint, SweepConfig};
+pub use runner::{average_size, AlgorithmKind, DataPoint, SweepConfig};
 pub use serve::{
     produce, render_produce_json, render_serve_json, serve_with_metrics, ProduceConfig,
     ProduceSummary, ServeSummary,

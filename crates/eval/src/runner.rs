@@ -101,14 +101,7 @@ pub(crate) fn mechanism_seed(graph_seed: u64) -> u64 {
 
 /// Measures the final clock size of `algorithm` on one random graph drawn
 /// with `seed`.
-///
-/// # Panics
-///
-/// Panics when an [`AlgorithmKind::Online`] name is not in the
-/// [`MechanismRegistry`]; callers exposing user-supplied names should
-/// validate them with [`MechanismRegistry::from_name`] first (the `mvc_eval`
-/// binary does).
-pub fn single_run(config: &SweepConfig, algorithm: &AlgorithmKind, seed: u64) -> usize {
+fn single_run(config: &SweepConfig, algorithm: &AlgorithmKind, seed: u64) -> usize {
     let builder = RandomGraphBuilder::new(config.threads, config.objects)
         .density(config.density)
         .scenario(config.scenario)
@@ -133,9 +126,15 @@ pub fn single_run(config: &SweepConfig, algorithm: &AlgorithmKind, seed: u64) ->
     }
 }
 
-/// Averages [`single_run`] over `config.trials` seeds (seeds `0..trials`
-/// offset by a per-algorithm stride so different algorithms see the same
-/// graphs).
+/// Averages the final clock size of `algorithm` over `config.trials` random
+/// graphs (seeds `0..trials`, so different algorithms see the same graphs).
+///
+/// # Panics
+///
+/// Panics when an [`AlgorithmKind::Online`] name is not in the
+/// [`MechanismRegistry`]; callers exposing user-supplied names should
+/// validate them with [`MechanismRegistry::from_name`] first (the `mvc_eval`
+/// binary does).
 pub fn average_size(config: &SweepConfig, algorithm: &AlgorithmKind, x: f64) -> DataPoint {
     assert!(config.trials > 0, "at least one trial is required");
     let mut total = 0usize;

@@ -92,7 +92,7 @@ impl SinkKind {
     /// exactly one group, so the measured overhead reflects full-coverage
     /// monitoring at a realistic invariant density (overlapping groups
     /// would charge every event twice).
-    pub fn build_for(self, objects: usize) -> Box<dyn EventSink> {
+    fn build_for(self, objects: usize) -> Box<dyn EventSink> {
         use mvc_trace::ObjectId;
         match self {
             SinkKind::Mem => Box::new(MemoryRecorder::new()),

@@ -39,16 +39,6 @@ impl Vertex {
             Vertex::Left(i) | Vertex::Right(i) => i,
         }
     }
-
-    /// Returns `true` if this is a left-side (thread) vertex.
-    pub fn is_left(&self) -> bool {
-        matches!(self, Vertex::Left(_))
-    }
-
-    /// Returns `true` if this is a right-side (object) vertex.
-    pub fn is_right(&self) -> bool {
-        matches!(self, Vertex::Right(_))
-    }
 }
 
 impl fmt::Display for Vertex {
@@ -142,11 +132,6 @@ impl BipartiteGraph {
         self.n_right
     }
 
-    /// Total number of vertices on both sides.
-    pub fn n_vertices(&self) -> usize {
-        self.n_left + self.n_right
-    }
-
     /// Number of distinct edges.
     pub fn edge_count(&self) -> usize {
         self.edge_set.len()
@@ -158,7 +143,7 @@ impl BipartiteGraph {
     }
 
     /// Grows the left side to at least `n` vertices (no-op if already larger).
-    pub fn ensure_left(&mut self, n: usize) {
+    fn ensure_left(&mut self, n: usize) {
         if n > self.n_left {
             self.adj_left.resize_with(n, Vec::new);
             self.n_left = n;
@@ -166,7 +151,7 @@ impl BipartiteGraph {
     }
 
     /// Grows the right side to at least `n` vertices (no-op if already larger).
-    pub fn ensure_right(&mut self, n: usize) {
+    fn ensure_right(&mut self, n: usize) {
         if n > self.n_right {
             self.adj_right.resize_with(n, Vec::new);
             self.n_right = n;
@@ -183,8 +168,7 @@ impl BipartiteGraph {
     /// # Panics
     ///
     /// Panics if `left >= n_left()` or `right >= n_right()`. Use
-    /// [`ensure_left`](Self::ensure_left) / [`ensure_right`](Self::ensure_right)
-    /// or [`add_edge_growing`](Self::add_edge_growing) for dynamically sized
+    /// [`add_edge_growing`](Self::add_edge_growing) for dynamically sized
     /// graphs.
     pub fn add_edge(&mut self, left: usize, right: usize) -> bool {
         assert!(
@@ -231,11 +215,6 @@ impl BipartiteGraph {
         &self.adj_left[left]
     }
 
-    /// Neighbours (left-side indices) of a right vertex.
-    pub fn neighbors_of_right(&self, right: usize) -> &[usize] {
-        &self.adj_right[right]
-    }
-
     /// Degree of a left vertex.
     pub fn degree_left(&self, left: usize) -> usize {
         self.adj_left[left].len()
@@ -247,7 +226,7 @@ impl BipartiteGraph {
     }
 
     /// Degree of an arbitrary vertex.
-    pub fn degree(&self, v: Vertex) -> usize {
+    fn degree(&self, v: Vertex) -> usize {
         match v {
             Vertex::Left(i) => self.degree_left(i),
             Vertex::Right(i) => self.degree_right(i),
@@ -348,7 +327,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::new(0, 0);
-        assert_eq!(g.n_vertices(), 0);
+        assert_eq!((g.n_left(), g.n_right()), (0, 0));
         assert_eq!(g.edge_count(), 0);
         assert!(g.is_empty());
         assert_eq!(g.density(), 0.0);
@@ -458,8 +437,6 @@ mod tests {
     fn vertex_display_and_accessors() {
         assert_eq!(Vertex::Left(3).to_string(), "T3");
         assert_eq!(Vertex::Right(0).to_string(), "O0");
-        assert!(Vertex::Left(1).is_left());
-        assert!(Vertex::Right(1).is_right());
         assert_eq!(Vertex::Right(7).index(), 7);
         assert_eq!(Vertex::from(LeftVertex(2)), Vertex::Left(2));
         assert_eq!(Vertex::from(RightVertex(5)), Vertex::Right(5));

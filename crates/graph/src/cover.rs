@@ -48,18 +48,6 @@ impl VertexCover {
         }
     }
 
-    /// Builds the trivial cover consisting of *all* left vertices with at
-    /// least one edge (the thread-based vector clock of the computation).
-    pub fn all_left(graph: &BipartiteGraph) -> Self {
-        Self::from_sets(graph.active_left(), std::iter::empty())
-    }
-
-    /// Builds the trivial cover consisting of *all* right vertices with at
-    /// least one edge (the object-based vector clock of the computation).
-    pub fn all_right(graph: &BipartiteGraph) -> Self {
-        Self::from_sets(std::iter::empty(), graph.active_right())
-    }
-
     /// Number of vertices in the cover (= size of the mixed vector clock).
     pub fn size(&self) -> usize {
         self.left.len() + self.right.len()
@@ -68,16 +56,6 @@ impl VertexCover {
     /// Returns `true` if the cover has no vertices.
     pub fn is_empty(&self) -> bool {
         self.left.is_empty() && self.right.is_empty()
-    }
-
-    /// Left-side (thread) members of the cover.
-    pub fn left_members(&self) -> impl Iterator<Item = usize> + '_ {
-        self.left.iter().copied()
-    }
-
-    /// Right-side (object) members of the cover.
-    pub fn right_members(&self) -> impl Iterator<Item = usize> + '_ {
-        self.right.iter().copied()
     }
 
     /// All members of the cover as [`Vertex`] values, left side first,
@@ -125,11 +103,6 @@ impl VertexCover {
         graph
             .edges()
             .all(|(l, r)| self.contains_left(l) || self.contains_right(r))
-    }
-
-    /// Checks whether a single edge is covered.
-    pub fn covers_edge(&self, l: usize, r: usize) -> bool {
-        self.contains_left(l) || self.contains_right(r)
     }
 }
 
@@ -212,23 +185,6 @@ pub fn minimum_vertex_cover(graph: &BipartiteGraph, matching: &Matching) -> Vert
 pub fn minimum_vertex_cover_of(graph: &BipartiteGraph) -> VertexCover {
     let matching = hopcroft_karp(graph);
     minimum_vertex_cover(graph, &matching)
-}
-
-/// A greedy 2-approximation of minimum vertex cover (pick an uncovered edge,
-/// add both endpoints, repeat).
-///
-/// This is *not* used by the paper; it exists as an ablation baseline so the
-/// benchmarks can show how much the exact Kőnig construction buys over a
-/// cheap approximation.
-pub fn greedy_vertex_cover(graph: &BipartiteGraph) -> VertexCover {
-    let mut cover = VertexCover::new();
-    for (l, r) in graph.edges() {
-        if !cover.covers_edge(l, r) {
-            cover.insert(Vertex::Left(l));
-            cover.insert(Vertex::Right(r));
-        }
-    }
-    cover
 }
 
 #[cfg(test)]
@@ -328,27 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn trivial_covers_cover_everything() {
-        let g = RandomGraphBuilder::new(15, 15).density(0.2).seed(7).build();
-        assert!(VertexCover::all_left(&g).covers_all_edges(&g));
-        assert!(VertexCover::all_right(&g).covers_all_edges(&g));
-    }
-
-    #[test]
-    fn greedy_cover_is_valid_and_at_most_twice_optimal() {
-        for seed in 0..10 {
-            let g = RandomGraphBuilder::new(25, 25)
-                .density(0.15)
-                .seed(seed)
-                .build();
-            let greedy = greedy_vertex_cover(&g);
-            let optimal = cover_of(&g);
-            assert!(greedy.covers_all_edges(&g));
-            assert!(greedy.size() <= 2 * optimal.size().max(1));
-        }
-    }
-
-    #[test]
     fn members_are_sorted_and_typed() {
         let cover = VertexCover::from_sets([2, 0], [1]);
         assert_eq!(
@@ -403,20 +338,6 @@ mod tests {
             let c = minimum_vertex_cover(&g, &m);
             prop_assert!(c.covers_all_edges(&g));
             prop_assert_eq!(c.size(), m.size());
-        }
-
-        /// No vertex cover can be smaller than a matching (weak duality), so the
-        /// greedy cover must be at least the matching size.
-        #[test]
-        fn prop_weak_duality(
-            n in 1usize..25,
-            density in 0.0f64..1.0,
-            seed in 0u64..300,
-        ) {
-            let g = RandomGraphBuilder::new(n, n).density(density).seed(seed).build();
-            let m = hopcroft_karp(&g);
-            let greedy = greedy_vertex_cover(&g);
-            prop_assert!(greedy.size() >= m.size());
         }
     }
 }

@@ -121,9 +121,8 @@ impl RandomGraphBuilder {
         self.build_with_rng(&mut rng)
     }
 
-    /// Generates the graph using a caller-provided RNG (useful when a single
-    /// RNG stream must drive a whole experiment).
-    pub fn build_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> BipartiteGraph {
+    /// Generates the graph from `rng`.
+    fn build_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> BipartiteGraph {
         let mut g = BipartiteGraph::new(self.n_left, self.n_right);
         match self.scenario {
             GraphScenario::Uniform => {

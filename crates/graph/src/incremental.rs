@@ -272,16 +272,6 @@ impl IncrementalOptimum {
         Self::default()
     }
 
-    /// Creates a tracker whose graph starts with the given side sizes
-    /// (avoids growth reallocations when the extent is known up front).
-    pub fn with_sides(n_left: usize, n_right: usize) -> Self {
-        Self {
-            graph: BipartiteGraph::new(n_left, n_right),
-            matching: IncrementalMatching::new(),
-            cover: None,
-        }
-    }
-
     /// Reveals the edge `(l, r)`, growing the graph as needed.  Returns
     /// `true` if the edge is new; repeats are `O(1)` no-ops.
     pub fn insert_edge(&mut self, l: usize, r: usize) -> bool {
@@ -426,15 +416,6 @@ mod tests {
                 .build_edge_stream();
             check_stream(&stream);
         }
-    }
-
-    #[test]
-    fn with_sides_presizes_the_graph() {
-        let mut opt = IncrementalOptimum::with_sides(10, 10);
-        assert_eq!(opt.graph().n_left(), 10);
-        opt.insert_edge(3, 7);
-        assert_eq!(opt.cover_size(), 1);
-        assert_eq!(opt.graph().n_left(), 10, "no growth needed");
     }
 
     #[test]

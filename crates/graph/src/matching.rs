@@ -70,11 +70,6 @@ impl Matching {
         self.partner_of_left(l).is_some()
     }
 
-    /// Returns `true` if right vertex `r` is matched.
-    pub fn is_right_matched(&self, r: usize) -> bool {
-        self.partner_of_right(r).is_some()
-    }
-
     /// Returns `true` if the edge `(l, r)` is in the matching.
     pub fn contains_edge(&self, l: usize, r: usize) -> bool {
         self.partner_of_left(l) == Some(r)
@@ -474,7 +469,7 @@ mod tests {
         assert_eq!(m.size(), 1);
         assert!(m.contains_edge(0, 0));
         assert!(m.is_left_matched(0));
-        assert!(m.is_right_matched(0));
+        assert_eq!(m.partner_of_right(0), Some(0));
     }
 
     #[test]
@@ -717,7 +712,7 @@ mod tests {
             let g = RandomGraphBuilder::new(n, n).density(density).seed(seed).build();
             let m = hopcroft_karp(&g);
             for (l, r) in g.edges() {
-                prop_assert!(m.is_left_matched(l) || m.is_right_matched(r));
+                prop_assert!(m.is_left_matched(l) || m.partner_of_right(r).is_some());
             }
         }
     }

@@ -47,6 +47,17 @@ pub struct ForbiddenRule {
     pub reason: String,
 }
 
+/// A source file some entry of the config is keyed on, and where.
+#[derive(Debug, Clone)]
+pub struct NamedFile {
+    /// The workspace-relative path as written.
+    pub path: String,
+    /// The key naming it, e.g. `[hot_path] modules`.
+    pub key: &'static str,
+    /// Line of that entry's section header.
+    pub line: u32,
+}
+
 /// Parsed `lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -62,6 +73,9 @@ pub struct Config {
     pub require_forbid_unsafe: bool,
     /// Declarative forbidden-pattern rules.
     pub forbidden: Vec<ForbiddenRule>,
+    /// Every file the entries above are keyed on (see
+    /// [`crate::rules::config_path`]).
+    pub named_files: Vec<NamedFile>,
 }
 
 /// Config-file problem, reported with a line number.
@@ -96,9 +110,20 @@ impl Config {
         };
 
         for (section, line, table) in &doc {
+            let mut name_file = |key, path: &String| {
+                cfg.named_files.push(NamedFile {
+                    path: path.clone(),
+                    key,
+                    line: *line as u32,
+                });
+            };
             match section.as_str() {
                 "hot_path" => {
-                    cfg.hot_path_modules = take_list(table, "modules", *line)?;
+                    let modules = take_list(table, "modules", *line)?;
+                    for module in &modules {
+                        name_file("[hot_path] modules", module);
+                    }
+                    cfg.hot_path_modules = modules;
                 }
                 "lock_order" => {
                     for chain in take_list(table, "chains", *line)? {
@@ -130,6 +155,7 @@ impl Config {
                             ),
                         });
                     }
+                    name_file("[[atomic.allow_seqcst]] file", &entry.file);
                     cfg.seqcst_allow.push(entry);
                 }
                 "debug_output" => {
@@ -163,6 +189,7 @@ impl Config {
                             message: format!("forbidden rule `{}` has no patterns", rule.id),
                         });
                     }
+                    name_file("[[forbidden]] file", &rule.file);
                     cfg.forbidden.push(rule);
                 }
                 other => {

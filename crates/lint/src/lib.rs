@@ -69,6 +69,7 @@ pub fn lint_sources(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
         raw.extend(file.suppression_diagnostics());
     }
     raw.extend(rules::lock_order::finish(&edges, cfg));
+    raw.extend(rules::config_path::check(files, cfg));
 
     // Apply inline suppressions (a suppression needs a reason to count).
     let mut out: Vec<Diagnostic> = raw

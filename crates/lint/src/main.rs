@@ -62,7 +62,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let paths = if files.is_empty() {
+    let whole_workspace = files.is_empty();
+    let paths = if whole_workspace {
         match mvc_lint::workspace_files(&root) {
             Ok(p) => p,
             Err(e) => {
@@ -74,13 +75,19 @@ fn main() -> ExitCode {
         files
     };
 
-    let diags = match mvc_lint::lint_paths(&root, &paths, &cfg) {
+    let mut diags = match mvc_lint::lint_paths(&root, &paths, &cfg) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("mvc-lint: {e}");
             return ExitCode::FAILURE;
         }
     };
+
+    if !whole_workspace {
+        // Given FILES, a config entry for any other file matches nothing:
+        // only a whole-workspace run can tell that an entry is stale.
+        diags.retain(|d| d.rule != mvc_lint::rules::config_path::RULE);
+    }
 
     for d in &diags {
         println!("{d}");

@@ -3,6 +3,7 @@
 //! filters suppressed findings.
 
 pub mod atomics;
+pub mod config_path;
 pub mod debug_output;
 pub mod forbidden;
 pub mod hot_path;

@@ -101,6 +101,11 @@ fn debug_output_fixture() {
     check("debug_output");
 }
 
+#[test]
+fn config_path_fixture() {
+    check("config_path");
+}
+
 /// Every fixture directory on disk must be claimed by a named test above —
 /// a new rule's fixture can't silently go unasserted.
 #[test]
@@ -112,6 +117,7 @@ fn all_fixture_dirs_are_covered() {
         "unsafety",
         "forbidden",
         "debug_output",
+        "config_path",
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for entry in std::fs::read_dir(&root).unwrap() {

@@ -82,7 +82,7 @@ pub const NET_MAGIC: [u8; 3] = *b"MVN";
 pub const NET_VERSION: u8 = 2;
 
 /// Size of the per-direction stream header in bytes.
-pub const HEADER_LEN: usize = 4;
+const HEADER_LEN: usize = 4;
 
 /// Upper bound on a frame body's length (16 MiB).  A peer announcing a
 /// larger frame is corrupt or hostile and is rejected before any buffering.
@@ -94,7 +94,7 @@ pub const MAX_FRAME_LEN: u64 = 1 << 24;
 /// where the stamps they rebuild are not, so the bytes of a frame no longer
 /// bound what it decodes to; this does.  [`write_stamps_frame`] closes a
 /// frame before it, the reader rejects a frame beyond it.
-pub const MAX_FRAME_STAMP_WORDS: usize = 1 << 24;
+const MAX_FRAME_STAMP_WORDS: usize = 1 << 24;
 
 /// What one `Stamps` frame may hold.  (A parameter of the codec's inner
 /// functions only so that the tests can reach a limit with small inputs.)
@@ -211,10 +211,6 @@ pub mod error_code {
     /// The peer violated the protocol (bad frame sequence, credit overrun,
     /// unknown ids…).
     pub const PROTOCOL: u8 = 1;
-    /// The server's timestamping pipeline failed.
-    pub const PIPELINE: u8 = 2;
-    /// The server is shutting down.
-    pub const SHUTDOWN: u8 = 3;
 }
 
 /// Errors produced while decoding the framed stream.
@@ -249,7 +245,7 @@ pub enum FrameError {
     ChunkOutOfRange,
     /// A change mask had bits set beyond the stamp's width.
     MaskBeyondWidth,
-    /// The stamps of one frame store more than [`MAX_FRAME_STAMP_WORDS`]
+    /// The stamps of one frame store more than `MAX_FRAME_STAMP_WORDS` (2²⁴)
     /// words.
     StampBudget,
 }
@@ -296,7 +292,8 @@ impl std::error::Error for FrameError {}
 impl From<DecodeError> for FrameError {
     fn from(e: DecodeError) -> Self {
         match e {
-            DecodeError::VarintOverflow => FrameError::VarintOverflow,
+            // The framing calls `peek_varint` only, which reads no ids.
+            DecodeError::VarintOverflow | DecodeError::IdOutOfRange => FrameError::VarintOverflow,
             DecodeError::BadOpKind(tag) => FrameError::BadOpKind(tag),
             DecodeError::VersionMismatch(found) => FrameError::VersionMismatch(found),
             DecodeError::BadMagic => FrameError::BadMagic,
@@ -377,7 +374,7 @@ fn count_sent(framed: usize) {
 /// Appends `frame` to `out` as `varint(len) body`.
 ///
 /// A `Frame::Stamps` is one frame whatever it holds; the caller keeps it
-/// within [`MAX_FRAME_LEN`] and [`MAX_FRAME_STAMP_WORDS`], or uses
+/// within [`MAX_FRAME_LEN`] and `MAX_FRAME_STAMP_WORDS` (2²⁴), or uses
 /// [`write_stamps_frame`], which splits.
 pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
     let start = out.len();
@@ -394,7 +391,7 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
 /// Appends one `Stamps` frame holding a prefix of `stamps` — each with its
 /// lane, see the module docs — numbered from `first`, and returns how many
 /// it took: `max_stamps`, unless [`MAX_FRAME_LEN`] or
-/// [`MAX_FRAME_STAMP_WORDS`] closes the frame earlier.  It takes at least
+/// `MAX_FRAME_STAMP_WORDS` closes the frame earlier.  It takes at least
 /// one when there is one, so a caller looping until its stamps are gone
 /// terminates (a single stamp beyond either limit makes a frame the peer
 /// rejects).
@@ -852,7 +849,8 @@ impl FrameReader {
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.buf.len() - self.pos
     }
 

@@ -368,12 +368,12 @@ impl<E: ServeEngine> NetServer<E> {
     }
 
     /// Sessions that have completed their goodbye handshake.
-    pub fn sessions_done(&self) -> usize {
+    fn sessions_done(&self) -> usize {
         self.sessions.iter().filter(|s| s.done).count()
     }
 
     /// Connections still open.
-    pub fn conns_open(&self) -> usize {
+    fn conns_open(&self) -> usize {
         self.conns.iter().filter(|c| c.open).count()
     }
 

@@ -206,10 +206,6 @@ impl Gauge {
     pub fn value(&self) -> i64 {
         self.cell.value()
     }
-
-    pub(crate) fn cell(&self) -> Arc<GaugeCell> {
-        Arc::clone(&self.cell)
-    }
 }
 
 impl std::fmt::Debug for Gauge {
@@ -343,10 +339,6 @@ impl Histogram {
     pub fn summary(&self) -> HistogramSummary {
         self.cell.summary()
     }
-
-    pub(crate) fn cell(&self) -> Arc<HistogramCell> {
-        Arc::clone(&self.cell)
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -370,11 +362,6 @@ impl SpanTimer<'_> {
     /// Stops the timer now and records the elapsed nanoseconds.
     pub fn stop(self) {
         // Dropping does the recording.
-    }
-
-    /// Abandons the span without recording anything.
-    pub fn discard(mut self) {
-        self.start = None;
     }
 }
 
@@ -449,11 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn span_timer_records_once_and_discard_records_nothing() {
+    fn span_timer_records_once_per_span() {
         let h = Histogram::detached();
         h.span().stop();
-        assert_eq!(h.summary().count, 1);
-        h.span().discard();
         assert_eq!(h.summary().count, 1);
         {
             let _guard = h.span();

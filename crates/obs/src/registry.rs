@@ -154,36 +154,6 @@ impl Registry {
         }
     }
 
-    /// Publishes an existing gauge under `name`; see
-    /// [`adopt_counter`](Self::adopt_counter).
-    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) {
-        let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = MetricCell::Gauge(gauge.cell());
-        if let Some(entry) = metrics.iter_mut().find(|e| e.name == name) {
-            entry.cell = cell;
-        } else {
-            metrics.push(MetricEntry {
-                name: name.to_string(),
-                cell,
-            });
-        }
-    }
-
-    /// Publishes an existing histogram under `name`; see
-    /// [`adopt_counter`](Self::adopt_counter).
-    pub fn adopt_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = MetricCell::Histogram(histogram.cell());
-        if let Some(entry) = metrics.iter_mut().find(|e| e.name == name) {
-            entry.cell = cell;
-        } else {
-            metrics.push(MetricEntry {
-                name: name.to_string(),
-                cell,
-            });
-        }
-    }
-
     /// Takes a point-in-time view of every registered metric, sorted by
     /// name. Shards are merged here — the snapshot side pays the sum, the
     /// record side never does.

@@ -109,7 +109,7 @@ impl<M: OnlineMechanism> CompetitiveTracker<M> {
 
     /// Reveals one event.  A trajectory point is appended only when the event
     /// introduces a new (thread, object) edge — repeats change nothing.
-    pub fn reveal(&mut self, thread: ThreadId, object: ObjectId) {
+    fn reveal(&mut self, thread: ThreadId, object: ObjectId) {
         let is_new = self.optimum.insert_edge(thread.index(), object.index());
         if !is_new {
             return;

@@ -40,7 +40,5 @@ pub mod timestamper;
 
 pub use competitive::{CompetitiveReport, CompetitiveTracker, TrajectoryPoint};
 pub use mechanism::{Adaptive, Naive, NaiveSide, OnlineMechanism, Popularity, Random};
-pub use registry::{mechanism_from_name, MechanismRegistry, UnknownMechanismError};
-pub use timestamper::{
-    simulate_components, simulate_final_size, MechanismStats, OnlineRun, OnlineTimestamper,
-};
+pub use registry::{MechanismRegistry, UnknownMechanismError};
+pub use timestamper::{simulate_final_size, MechanismStats, OnlineRun, OnlineTimestamper};

@@ -166,10 +166,10 @@ impl OnlineMechanism for Popularity {
 /// a node-count threshold, behave like [`Naive`] for all later decisions.
 ///
 /// Density is measured over the *active* vertices of the revealed graph and
-/// only consulted once at least [`Adaptive::DENSITY_WARMUP_ACTIVE_NODES`]
-/// vertices are active: a freshly revealed graph of a handful of nodes is
-/// always near density 1.0, and switching on that noise would collapse the
-/// mechanism into plain Naive from the first event.
+/// only consulted once at least 16 vertices are active: a freshly revealed
+/// graph of a handful of nodes is always near density 1.0, and switching on
+/// that noise would collapse the mechanism into plain Naive from the first
+/// event.
 #[derive(Debug, Clone)]
 pub struct Adaptive {
     popularity: Popularity,
@@ -183,7 +183,7 @@ impl Adaptive {
     /// Minimum number of active vertices before the density trigger is
     /// consulted (below this, observed density is dominated by small-sample
     /// noise).
-    pub const DENSITY_WARMUP_ACTIVE_NODES: usize = 16;
+    const DENSITY_WARMUP_ACTIVE_NODES: usize = 16;
 
     /// Creates the hybrid with explicit thresholds.
     ///

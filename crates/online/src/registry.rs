@@ -5,13 +5,12 @@
 //! evaluates" without hard-coding concrete types in each place.
 //! [`MechanismRegistry`] is that single construction point: it resolves a
 //! stable name (`"popularity"`, `"adaptive"`, …) to a boxed
-//! [`OnlineMechanism`], carrying the knobs some mechanisms need — the RNG
-//! seed for [`Random`], the switch thresholds for [`Adaptive`] — so callers
-//! configure once and build by name.
+//! [`OnlineMechanism`], carrying the one knob a mechanism needs — the RNG
+//! seed for [`Random`] — so callers configure once and build by name.
 
 use std::fmt;
 
-use crate::mechanism::{Adaptive, Naive, NaiveSide, OnlineMechanism, Popularity, Random};
+use crate::mechanism::{Adaptive, Naive, OnlineMechanism, Popularity, Random};
 
 /// Error returned when a mechanism name is not in the registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +34,10 @@ impl std::error::Error for UnknownMechanismError {}
 
 /// Factory for the paper's online mechanisms, resolved by name.
 ///
-/// The default configuration reproduces the paper's evaluation: seed 0 for
-/// the Random mechanism and the Section V crossover thresholds (density 0.2,
-/// 70 active nodes, naive side = threads) for Adaptive.
+/// It reproduces the paper's evaluation: Adaptive is built with the Section V
+/// crossover thresholds ([`Adaptive::with_paper_thresholds`]: density 0.2,
+/// 70 active nodes, naive side = threads), and Random draws from seed 0
+/// unless [`seed`](Self::seed) says otherwise.
 ///
 /// ```
 /// use mvc_online::{simulate_final_size, MechanismRegistry};
@@ -50,9 +50,6 @@ impl std::error::Error for UnknownMechanismError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct MechanismRegistry {
     seed: u64,
-    density_threshold: f64,
-    node_threshold: usize,
-    naive_side: NaiveSide,
 }
 
 impl Default for MechanismRegistry {
@@ -62,41 +59,14 @@ impl Default for MechanismRegistry {
 }
 
 impl MechanismRegistry {
-    /// Creates a registry with the paper's configuration.
+    /// Creates a registry with seed 0.
     pub fn new() -> Self {
-        Self {
-            seed: 0,
-            density_threshold: 0.2,
-            node_threshold: 70,
-            naive_side: NaiveSide::Threads,
-        }
+        Self { seed: 0 }
     }
 
     /// Sets the seed used by seeded mechanisms (currently only `"random"`).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the Adaptive mechanism's switch thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density_threshold` is not in `[0, 1]` (the same contract as
-    /// [`Adaptive::new`]).
-    pub fn adaptive_thresholds(mut self, density_threshold: f64, node_threshold: usize) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&density_threshold),
-            "density threshold must be within [0, 1], got {density_threshold}"
-        );
-        self.density_threshold = density_threshold;
-        self.node_threshold = node_threshold;
-        self
-    }
-
-    /// Sets the side Adaptive falls back to after its switch.
-    pub fn naive_side(mut self, side: NaiveSide) -> Self {
-        self.naive_side = side;
         self
     }
 
@@ -127,38 +97,12 @@ impl MechanismRegistry {
             "naive-objects" => Ok(Box::new(Naive::objects())),
             "random" => Ok(Box::new(Random::seeded(self.seed))),
             "popularity" => Ok(Box::new(Popularity::new())),
-            "adaptive" => Ok(Box::new(Adaptive::new(
-                self.density_threshold,
-                self.node_threshold,
-                self.naive_side,
-            ))),
+            "adaptive" => Ok(Box::new(Adaptive::with_paper_thresholds())),
             _ => Err(UnknownMechanismError {
                 name: name.to_owned(),
             }),
         }
     }
-
-    /// Builds every registered mechanism, in [`MechanismRegistry::names`]
-    /// order.
-    pub fn all_paper_mechanisms(&self) -> Vec<Box<dyn OnlineMechanism>> {
-        Self::names()
-            .iter()
-            .map(|name| {
-                self.from_name(name)
-                    .expect("every registered name constructs")
-            })
-            .collect()
-    }
-}
-
-/// Builds a mechanism by name with the paper's default configuration —
-/// shorthand for `MechanismRegistry::new().from_name(name)`.
-///
-/// # Errors
-///
-/// Returns [`UnknownMechanismError`] for names outside the registry.
-pub fn mechanism_from_name(name: &str) -> Result<Box<dyn OnlineMechanism>, UnknownMechanismError> {
-    MechanismRegistry::new().from_name(name)
 }
 
 #[cfg(test)]
@@ -174,21 +118,17 @@ mod tests {
             let mechanism = registry.from_name(name).unwrap();
             assert_eq!(mechanism.name(), name, "registry name mismatch");
         }
-        assert_eq!(
-            MechanismRegistry::names().len(),
-            registry.all_paper_mechanisms().len()
-        );
     }
 
     #[test]
     fn naive_alias_resolves_to_thread_side() {
-        let m = mechanism_from_name("naive").unwrap();
+        let m = MechanismRegistry::new().from_name("naive").unwrap();
         assert_eq!(m.name(), "naive-threads");
     }
 
     #[test]
     fn unknown_name_is_reported_with_candidates() {
-        let err = mechanism_from_name("optimal").err().unwrap();
+        let err = MechanismRegistry::new().from_name("optimal").err().unwrap();
         assert_eq!(err.name, "optimal");
         let msg = err.to_string();
         assert!(msg.contains("optimal") && msg.contains("popularity"));
@@ -197,7 +137,8 @@ mod tests {
     #[test]
     fn boxed_mechanisms_are_usable_through_the_trait() {
         let g = BipartiteGraph::from_edges(3, 3, &[(0, 0)]);
-        for mut mechanism in MechanismRegistry::new().all_paper_mechanisms() {
+        for name in MechanismRegistry::names() {
+            let mut mechanism = MechanismRegistry::new().from_name(name).unwrap();
             let c = mechanism.choose(&g, ThreadId(0), ObjectId(0));
             assert!(
                 c == mvc_clock::Component::Thread(ThreadId(0))
@@ -221,26 +162,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(draws(5), draws(5));
-    }
-
-    #[test]
-    fn registry_thresholds_control_adaptive() {
-        // Zero thresholds force the switch on the first decision.
-        let mut eager = MechanismRegistry::new()
-            .adaptive_thresholds(0.0, 0)
-            .naive_side(NaiveSide::Objects)
-            .from_name("adaptive")
-            .unwrap();
-        let g = BipartiteGraph::from_edges(2, 2, &[(0, 0)]);
-        assert_eq!(
-            eager.choose(&g, ThreadId(0), ObjectId(0)),
-            mvc_clock::Component::Object(ObjectId(0))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "density threshold")]
-    fn registry_rejects_bad_density() {
-        let _ = MechanismRegistry::new().adaptive_thresholds(7.0, 1);
     }
 }

@@ -196,7 +196,7 @@ impl<M: OnlineMechanism> Timestamper for OnlineTimestamper<M> {
 /// can be omitted).  The cover bookkeeping is the same [`ComponentMap`] the
 /// full timestamping pipeline uses — only the engine's vector arithmetic is
 /// skipped.
-pub fn simulate_components<M: OnlineMechanism + ?Sized>(
+fn simulate_components<M: OnlineMechanism + ?Sized>(
     mechanism: &mut M,
     edges: &[(usize, usize)],
 ) -> ComponentMap {
@@ -215,7 +215,8 @@ pub fn simulate_components<M: OnlineMechanism + ?Sized>(
 
 /// Replays only the component-selection decisions over an edge-reveal stream
 /// and returns the final clock size — the quantity plotted on the y-axis of
-/// Figures 4–7.  See [`simulate_components`].
+/// Figures 4–7.  `edges` is the order in which distinct `(thread, object)`
+/// pairs are first revealed; repeats never trigger a decision.
 pub fn simulate_final_size<M: OnlineMechanism + ?Sized>(
     mechanism: &mut M,
     edges: &[(usize, usize)],
@@ -434,7 +435,9 @@ mod tests {
 
     #[test]
     fn simulate_accepts_dyn_mechanisms() {
-        let mut boxed = crate::registry::mechanism_from_name("popularity").unwrap();
+        let mut boxed = crate::MechanismRegistry::new()
+            .from_name("popularity")
+            .unwrap();
         let size = simulate_final_size(boxed.as_mut(), &[(0, 0), (1, 0), (2, 0)]);
         assert_eq!(size, 1);
     }

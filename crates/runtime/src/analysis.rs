@@ -9,9 +9,9 @@
 //! merge → stamp → sink loop instead of waiting for a materialised
 //! [`Computation`](mvc_trace::Computation):
 //!
-//! * [`ReachabilityIndexSink`] — a bounded window of recent stamps plus
-//!   per-chain frontier stamps; `happened_before` / `concurrent` queries on
-//!   in-window events are single clock compares.  Replaces
+//! * [`ReachabilityIndexSink`] — a bounded window of recent stamps;
+//!   `happened_before` / `concurrent` queries on in-window events are
+//!   single clock compares.  Replaces
 //!   [`CausalityOracle`](mvc_trace::CausalityOracle)'s `O(n²/64)` bitsets
 //!   for live use.
 //! * [`ConflictSink`] — the streaming form of
@@ -67,15 +67,6 @@ pub(crate) fn compare_padded(a: &VectorTimestamp, b: &VectorTimestamp) -> ClockO
     }
 }
 
-/// Stores `stamp` as the new frontier of chain `index`, growing the table on
-/// demand.
-fn set_frontier(table: &mut Vec<Option<VectorTimestamp>>, index: usize, stamp: &VectorTimestamp) {
-    if index >= table.len() {
-        table.resize(index + 1, None);
-    }
-    table[index] = Some(stamp.clone());
-}
-
 // ---------------------------------------------------------------------------
 // ReachabilityIndexSink
 // ---------------------------------------------------------------------------
@@ -88,8 +79,7 @@ struct WindowEntry {
     stamp: VectorTimestamp,
 }
 
-/// A streaming happened-before index: a bounded window of recent stamps
-/// plus per-chain frontier stamps.
+/// A streaming happened-before index: a bounded window of recent stamps.
 ///
 /// Events are identified by their stamping sequence number (which equals
 /// their post-hoc [`EventId`], because the sink sees the merged
@@ -98,16 +88,13 @@ struct WindowEntry {
 /// return `None` — the caller chose the window, so "too old to answer" is
 /// an explicit outcome, not a wrong one.
 ///
-/// Memory is `O(window × width)` regardless of run length: the window is a
-/// ring, and the per-chain frontiers (the latest stamp of every thread and
-/// object chain) are one stamp each.
+/// Memory is `O(window × width)` regardless of run length: the window is
+/// a ring.
 #[derive(Debug, Clone)]
 pub struct ReachabilityIndexSink {
     capacity: usize,
     window: VecDeque<WindowEntry>,
     accepted: usize,
-    thread_frontier: Vec<Option<VectorTimestamp>>,
-    object_frontier: Vec<Option<VectorTimestamp>>,
     metrics: ReachMetrics,
 }
 
@@ -140,8 +127,6 @@ impl ReachabilityIndexSink {
             capacity,
             window: VecDeque::new(),
             accepted: 0,
-            thread_frontier: Vec::new(),
-            object_frontier: Vec::new(),
             metrics: ReachMetrics::default(),
         }
     }
@@ -150,11 +135,6 @@ impl ReachabilityIndexSink {
     /// pair must stay answerable).
     pub fn unbounded() -> Self {
         Self::with_capacity(usize::MAX)
-    }
-
-    /// The configured window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of events evicted from the window so far.
@@ -175,7 +155,7 @@ impl ReachabilityIndexSink {
     }
 
     /// The retained stamp of `e`, if it is still in the window.
-    pub fn stamp_of(&self, e: EventId) -> Option<&VectorTimestamp> {
+    fn stamp_of(&self, e: EventId) -> Option<&VectorTimestamp> {
         self.entry(e).map(|w| &w.stamp)
     }
 
@@ -202,22 +182,7 @@ impl ReachabilityIndexSink {
         Some(a != b && self.compare(a, b)?.is_concurrent())
     }
 
-    /// The latest stamp of thread `t`'s chain, if the thread has produced
-    /// any event.  Anything stamped `≤` this frontier happened before every
-    /// *future* event of `t`.
-    pub fn thread_frontier(&self, t: ThreadId) -> Option<&VectorTimestamp> {
-        self.thread_frontier.get(t.index())?.as_ref()
-    }
-
-    /// The latest stamp of object `o`'s chain, if the object has been
-    /// touched.
-    pub fn object_frontier(&self, o: ObjectId) -> Option<&VectorTimestamp> {
-        self.object_frontier.get(o.index())?.as_ref()
-    }
-
     fn ingest(&mut self, thread: ThreadId, object: ObjectId, stamp: VectorTimestamp) {
-        set_frontier(&mut self.thread_frontier, thread.index(), &stamp);
-        set_frontier(&mut self.object_frontier, object.index(), &stamp);
         self.window.push_back(WindowEntry {
             thread,
             object,
@@ -433,29 +398,16 @@ impl ConflictSink {
         self.groups.len()
     }
 
-    /// The (deduplicated) objects of group `gi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gi` is out of range.
-    pub fn group_objects(&self, gi: usize) -> &[ObjectId] {
-        &self.groups[gi].objects
-    }
-
     /// Every pair flagged so far, in discovery order (second event's
     /// stamping order, then group index).
     pub fn conflicts(&self) -> &[ConflictPair] {
         &self.conflicts
     }
 
-    /// Consumes the sink and returns the flagged pairs.
-    pub fn into_conflicts(self) -> Vec<ConflictPair> {
-        self.conflicts
-    }
-
     /// Total events currently retained across all groups — bounded on
     /// contended workloads by the low-watermark prune.
-    pub fn retained_events(&self) -> usize {
+    #[cfg(test)]
+    fn retained_events(&self) -> usize {
         self.groups.iter().map(|g| g.meta.len()).sum()
     }
 
@@ -734,7 +686,7 @@ impl EventSink for ConflictSink {
 /// [`TrajectoryPoint`] per batch records the provisioned clock width (the
 /// widest stamp seen) against the offline optimum of the revealed graph.
 ///
-/// The trajectory window keeps the last `capacity` points, so memory stays
+/// The trajectory window keeps the last 64 points, so memory stays
 /// constant over arbitrarily long runs while the recent trend — is the
 /// provisioned clock drifting away from what the revealed graph actually
 /// needs? — remains queryable.
@@ -743,7 +695,6 @@ pub struct CompetitiveSink {
     optimum: IncrementalOptimum,
     online_width: usize,
     accepted: usize,
-    capacity: usize,
     trajectory: VecDeque<TrajectoryPoint>,
     metrics: CompetitiveMetrics,
 }
@@ -771,26 +722,15 @@ impl Default for CompetitiveMetrics {
 }
 
 impl CompetitiveSink {
-    /// The default trajectory window (in stamped batches).
-    pub const DEFAULT_WINDOW: usize = 64;
+    /// The trajectory window: the per-batch points kept.
+    const WINDOW: usize = 64;
 
-    /// Creates a tracker with the default trajectory window.
+    /// Creates a tracker keeping the last 64 per-batch points.
     pub fn new() -> Self {
-        Self::with_window(Self::DEFAULT_WINDOW)
-    }
-
-    /// Creates a tracker keeping the last `capacity` per-batch points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_window(capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity trajectory records nothing");
         Self {
             optimum: IncrementalOptimum::new(),
             online_width: 0,
             accepted: 0,
-            capacity,
             trajectory: VecDeque::new(),
             metrics: CompetitiveMetrics::default(),
         }
@@ -811,14 +751,13 @@ impl CompetitiveSink {
         self.online_width
     }
 
-    /// The in-window trajectory, oldest first (at most the configured
-    /// window length).
+    /// The in-window trajectory, oldest first (at most 64 points).
     pub fn trajectory(&self) -> impl Iterator<Item = &TrajectoryPoint> {
         self.trajectory.iter()
     }
 
     /// The most recent per-batch point, if any batch carried events.
-    pub fn latest(&self) -> Option<TrajectoryPoint> {
+    fn latest(&self) -> Option<TrajectoryPoint> {
         self.trajectory.back().copied()
     }
 
@@ -851,7 +790,7 @@ impl CompetitiveSink {
         self.metrics.optimum.set(point.offline_optimum as i64);
         self.metrics.online_width.set(point.online_size as i64);
         self.trajectory.push_back(point);
-        if self.trajectory.len() > self.capacity {
+        if self.trajectory.len() > Self::WINDOW {
             self.trajectory.pop_front();
         }
     }
@@ -969,7 +908,6 @@ mod tests {
         let mut sink = ReachabilityIndexSink::with_capacity(4);
         sink.accept_batch(&events).unwrap();
         assert_eq!(sink.spilled(), 6);
-        assert_eq!(sink.capacity(), 4);
         assert!(!sink.contains(EventId(5)));
         assert!(sink.contains(EventId(6)));
         assert_eq!(sink.compare(EventId(0), EventId(9)), None, "evicted");
@@ -979,31 +917,6 @@ mod tests {
             "same object chain, both in window"
         );
         assert_eq!(sink.compare(EventId(9), EventId(10)), None, "not accepted");
-    }
-
-    #[test]
-    fn reach_sink_frontiers_track_latest_chain_stamps() {
-        let (_, events) = stamped(&[
-            (0, 0, OpKind::Write),
-            (1, 0, OpKind::Write),
-            (0, 1, OpKind::Write),
-        ]);
-        let mut sink = ReachabilityIndexSink::with_capacity(1);
-        sink.accept_batch(&events).unwrap();
-        // Frontiers survive eviction: thread 1's last stamp is event 1's.
-        assert_eq!(
-            sink.thread_frontier(ThreadId(1)),
-            Some(&events[1].timestamp)
-        );
-        assert_eq!(
-            sink.object_frontier(ObjectId(0)),
-            Some(&events[1].timestamp)
-        );
-        assert_eq!(
-            sink.object_frontier(ObjectId(1)),
-            Some(&events[2].timestamp)
-        );
-        assert_eq!(sink.thread_frontier(ThreadId(7)), None);
     }
 
     #[test]
@@ -1025,7 +938,7 @@ mod tests {
         for chunk in events.chunks(2) {
             sink.accept_batch(chunk).unwrap();
         }
-        let mut streaming = sink.into_conflicts();
+        let mut streaming = sink.conflicts().to_vec();
         let mut posthoc = analyzer.analyze(&c);
         streaming.sort();
         posthoc.sort();
@@ -1067,8 +980,7 @@ mod tests {
     #[test]
     fn conflict_sink_dedupes_group_objects() {
         let mut sink = ConflictSink::new();
-        let g = sink.add_group([ObjectId(0), ObjectId(1), ObjectId(0)]);
-        assert_eq!(sink.group_objects(g), &[ObjectId(0), ObjectId(1)]);
+        sink.add_group([ObjectId(0), ObjectId(1), ObjectId(0)]);
         let (_, events) = stamped(&[(0, 0, OpKind::Write), (1, 1, OpKind::Write)]);
         sink.accept_batch(&events).unwrap();
         assert_eq!(sink.conflicts().len(), 1, "one membership, one pair");
@@ -1094,7 +1006,7 @@ mod tests {
             "watermark prune failed: {} events retained",
             sink.retained_events()
         );
-        let mut streaming = sink.into_conflicts();
+        let mut streaming = sink.conflicts().to_vec();
         let mut posthoc = analyzer.analyze(&c);
         streaming.sort();
         posthoc.sort();
@@ -1131,11 +1043,11 @@ mod tests {
     #[test]
     fn competitive_sink_window_is_bounded() {
         let (_, events) = stamped(&[(0, 0, OpKind::Write), (1, 1, OpKind::Write)]);
-        let mut sink = CompetitiveSink::with_window(3);
-        for _ in 0..10 {
+        let mut sink = CompetitiveSink::new();
+        for _ in 0..CompetitiveSink::WINDOW + 10 {
             sink.accept_batch(&events).unwrap();
         }
-        assert_eq!(sink.trajectory().count(), 3);
+        assert_eq!(sink.trajectory().count(), CompetitiveSink::WINDOW);
         assert!(sink.worst_ratio() >= 1.0);
         assert!(sink.latest().is_some());
         // Ratio is provisioned width over revealed optimum — both 2 here.

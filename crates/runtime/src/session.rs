@@ -179,16 +179,6 @@ impl TraceSession {
         self.inner.register_object(name)
     }
 
-    /// The name a thread was registered with, if the id is known.
-    pub fn thread_name(&self, id: ThreadId) -> Option<String> {
-        self.inner.names.lock().threads.get(id.index()).cloned()
-    }
-
-    /// The name an object was created with, if the id is known.
-    pub fn object_name(&self, id: ObjectId) -> Option<String> {
-        self.inner.names.lock().objects.get(id.index()).cloned()
-    }
-
     /// Number of threads registered so far.
     pub fn thread_count(&self) -> usize {
         self.inner.thread_count()
@@ -232,13 +222,12 @@ mod tests {
         assert_eq!(a.id(), ThreadId(0));
         assert_eq!(b.id(), ThreadId(1));
         assert_eq!(a.name(), "a");
-        assert_eq!(session.thread_name(ThreadId(1)).as_deref(), Some("b"));
-        assert_eq!(session.thread_name(ThreadId(9)), None);
+        assert_eq!(session.inner.names.lock().threads, ["a", "b"]);
         assert_eq!(session.thread_count(), 2);
 
         let o = session.shared_object("obj", 1i32);
         assert_eq!(o.id(), ObjectId(0));
-        assert_eq!(session.object_name(ObjectId(0)).as_deref(), Some("obj"));
+        assert_eq!(session.inner.names.lock().objects, ["obj"]);
         assert_eq!(session.object_count(), 1);
     }
 
@@ -257,10 +246,11 @@ mod tests {
             spawned.into_iter().map(|j| j.join().unwrap()).collect()
         });
         assert_eq!(session.thread_count(), 8);
+        let names = session.inner.names.lock();
         for (i, handle) in handles.iter().enumerate() {
             assert_eq!(
-                session.thread_name(handle.id()).as_deref(),
-                Some(format!("w{i}").as_str()),
+                names.threads[handle.id().index()],
+                format!("w{i}"),
                 "handle {i} mis-associated"
             );
         }

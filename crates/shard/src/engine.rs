@@ -140,11 +140,6 @@ impl ShardedEngine {
         engine
     }
 
-    /// How many shards (worker threads) the components are striped across.
-    pub fn shard_count(&self) -> usize {
-        self.inputs.len()
-    }
-
     /// The current component map.
     pub fn components(&self) -> &ComponentMap {
         &self.components
@@ -452,7 +447,7 @@ mod tests {
     #[test]
     fn zero_shards_clamps_to_one_and_empty_engine_rejects() {
         let mut e = ShardedEngine::new(0);
-        assert_eq!(e.shard_count(), 1);
+        assert_eq!(e.inputs.len(), 1);
         assert_eq!(e.width(), 0);
         assert!(!e.covers(ThreadId(0), ObjectId(0)));
         let err = Timestamper::observe(&mut e, ThreadId(0), ObjectId(0)).unwrap_err();

@@ -33,7 +33,7 @@ impl CausalityOracle {
     /// ground truth, and at `O(n²/64)` memory a million-event build would
     /// silently eat ~2 TB.  Debug builds assert the bound so a misuse fails
     /// in tests, not in production sizing.
-    pub const MAX_ORACLE_EVENTS: usize = 100_000;
+    const MAX_ORACLE_EVENTS: usize = 100_000;
 
     /// Builds the oracle for a computation.
     ///
@@ -113,14 +113,6 @@ impl CausalityOracle {
     /// `a == b`).
     pub fn comparable(&self, a: EventId, b: EventId) -> bool {
         !self.concurrent(a, b)
-    }
-
-    /// Number of events that happened before `e`.
-    pub fn predecessor_count(&self, e: EventId) -> usize {
-        self.pred[e.index()]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
     }
 
     /// All `(a, b)` pairs with `a → b`, in lexicographic order. Intended for
@@ -226,15 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn predecessor_counts() {
-        let c = comp(&[(0, 0), (0, 1), (1, 1)]);
-        let o = c.causality_oracle();
-        assert_eq!(o.predecessor_count(EventId(0)), 0);
-        assert_eq!(o.predecessor_count(EventId(1)), 1);
-        assert_eq!(o.predecessor_count(EventId(2)), 2);
-    }
-
-    #[test]
     fn all_ordered_pairs_enumerates_closure() {
         let c = comp(&[(0, 0), (0, 1), (1, 1)]);
         let o = c.causality_oracle();
@@ -298,6 +281,5 @@ mod tests {
         assert!(o.happened_before(EventId(63), EventId(64)));
         assert!(o.happened_before(EventId(64), EventId(128)));
         assert!(!o.happened_before(EventId(199), EventId(0)));
-        assert_eq!(o.predecessor_count(EventId(199)), 199);
     }
 }

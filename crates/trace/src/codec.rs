@@ -6,39 +6,41 @@
 //! variable-length integers, built on the [`bytes`] crate.
 //!
 //! The format is versioned: a 3-byte magic (`MVC`) followed by an explicit
-//! protocol-version byte ([`FORMAT_VERSION`]).  Accidental decoding of
-//! unrelated data fails loudly with [`DecodeError::BadMagic`], and a stream
-//! written by a future format fails with [`DecodeError::VersionMismatch`]
-//! instead of misparsing.  The version byte has carried `1` since the first
-//! release (the historical 4-byte magic was the same `MVC\x01`), so every
-//! existing trace still decodes.
+//! protocol-version byte (`1`).  Accidental decoding of unrelated data fails
+//! loudly with [`DecodeError::BadMagic`], and a stream written by a future
+//! format fails with [`DecodeError::VersionMismatch`] instead of misparsing.
+//! The version byte has carried `1` since the first release (the historical
+//! 4-byte magic was the same `MVC\x01`), so every existing trace still
+//! decodes.
 //!
-//! Besides the whole-computation [`encode`]/[`decode`] pair, the module has
-//! a streaming pair for the event-sink pipeline: [`StreamEncoder`] appends
-//! events one batch at a time and emits output byte-identical to [`encode`]
-//! of the equivalent computation (so a trace can be persisted without ever
-//! materialising a [`Computation`]), and [`StreamDecoder`] consumes the
-//! encoding in arbitrary chunks, yielding events as soon as their bytes are
-//! complete.
+//! There is one encoder and one decoder.  [`StreamEncoder`] appends events
+//! one at a time, so the event-sink pipeline can persist a trace without
+//! ever materialising a [`Computation`]; [`encode`] drives it over a whole
+//! computation.  [`decode`] reads a complete encoding back, and every
+//! integer of it through [`peek_varint`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::computation::Computation;
 use crate::event::OpKind;
 use crate::ids::{ObjectId, ThreadId};
-
-/// The three magic bytes identifying a serialized computation; the byte
-/// after them is the explicit [`FORMAT_VERSION`].
-const MAGIC_PREFIX: &[u8; 3] = b"MVC";
 
 /// The protocol version this build reads and writes, carried as the fourth
 /// header byte.  Streams written by every release so far carry version 1
 /// (the historical magic was the same four bytes `MVC\x01`), so old traces
 /// keep decoding unchanged; a stream from a future format fails with
 /// [`DecodeError::VersionMismatch`] instead of misparsing.
-pub const FORMAT_VERSION: u8 = 1;
+const FORMAT_VERSION: u8 = 1;
 
-/// The full 4-byte header prefix: magic + version.
+/// The largest thread or object id [`decode`] accepts.  A [`Computation`]
+/// keeps one chain per id up to the largest it has seen, so an id read from
+/// the input is a length to allocate for: this bounds it (to ≈ 25 MB of
+/// empty chains per side) before it gets there.  The widest workload in the
+/// tree stays below 2¹⁷.
+const MAX_ID: u64 = (1 << 20) - 1;
+
+/// The 4-byte header: the three magic bytes identifying a serialized
+/// computation, then [`FORMAT_VERSION`].
 const MAGIC: &[u8; 4] = b"MVC\x01";
 
 /// Errors produced when decoding a serialized computation.
@@ -55,6 +57,9 @@ pub enum DecodeError {
     BadOpKind(u8),
     /// A varint was longer than the maximum allowed length.
     VarintOverflow,
+    /// A thread or object id was larger than any computation this build
+    /// holds (2²⁰ − 1).
+    IdOutOfRange,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -68,20 +73,14 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnexpectedEof => write!(f, "unexpected end of buffer"),
             DecodeError::BadOpKind(k) => write!(f, "unknown operation kind tag {k}"),
             DecodeError::VarintOverflow => write!(f, "variable-length integer overflows u64"),
+            DecodeError::IdOutOfRange => {
+                write!(
+                    f,
+                    "thread or object id above the largest accepted, {MAX_ID}"
+                )
+            }
         }
     }
-}
-
-/// Checks the 4-byte header prefix: wrong magic and wrong version are
-/// distinguished so a future-format stream fails loudly as such.
-fn check_header_prefix(bytes: &[u8; 4]) -> Result<(), DecodeError> {
-    if &bytes[..3] != MAGIC_PREFIX {
-        return Err(DecodeError::BadMagic);
-    }
-    if bytes[3] != FORMAT_VERSION {
-        return Err(DecodeError::VersionMismatch(bytes[3]));
-    }
-    Ok(())
 }
 
 impl std::error::Error for DecodeError {}
@@ -122,67 +121,93 @@ pub fn put_varint(buf: &mut BytesMut, mut value: u64) {
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
+/// Attempts to read one varint from the front of `buf` without consuming on
+/// failure.  `Ok(None)` means more bytes are needed.
+///
+/// Public for the layers that frame this codec (notably `mvc-net`), so every
+/// wire varint in the workspace has exactly one decoder.
+pub fn peek_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, DecodeError> {
     let mut value = 0u64;
     let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEof);
-        }
+    for (i, &byte) in buf.iter().enumerate() {
         if shift >= 64 {
             return Err(DecodeError::VarintOverflow);
         }
-        let byte = buf.get_u8();
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(value);
+            return Ok(Some((value, i + 1)));
         }
         shift += 7;
     }
+    // Ran out of buffered bytes mid-varint.  A u64 varint is at most 10
+    // bytes (the 10th must terminate), so 10 buffered continuation bytes
+    // are already overlong — report it now rather than waiting for the
+    // terminating byte that can never make the value fit.
+    if buf.len() >= 10 {
+        return Err(DecodeError::VarintOverflow);
+    }
+    Ok(None)
 }
 
 /// Serializes a computation into a compact binary buffer.
 pub fn encode(computation: &Computation) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + computation.len() * 4);
-    buf.put_slice(MAGIC);
-    put_varint(&mut buf, computation.len() as u64);
+    let mut encoder = StreamEncoder::new();
     for e in computation.events() {
-        put_varint(&mut buf, e.thread.index() as u64);
-        put_varint(&mut buf, e.object.index() as u64);
-        buf.put_u8(op_kind_tag(e.kind));
+        encoder.push(e.thread, e.object, e.kind);
     }
-    buf.freeze()
+    encoder.finish()
 }
 
-/// Decodes a computation previously produced by [`encode`].
+/// Takes one varint off the front of `input`; the input ending inside it is
+/// a truncated buffer.
+fn take_varint(input: &mut &[u8]) -> Result<u64, DecodeError> {
+    let (value, used) = peek_varint(input)?.ok_or(DecodeError::UnexpectedEof)?;
+    *input = &input[used..];
+    Ok(value)
+}
+
+/// Takes one thread or object id off the front of `input`, within
+/// [`MAX_ID`].
+fn take_id(input: &mut &[u8]) -> Result<usize, DecodeError> {
+    match take_varint(input)? {
+        id if id <= MAX_ID => Ok(id as usize),
+        _ => Err(DecodeError::IdOutOfRange),
+    }
+}
+
+/// Decodes a computation previously produced by [`encode`] or a
+/// [`StreamEncoder`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the buffer is malformed or truncated.
+/// Returns a [`DecodeError`] if the buffer is malformed or truncated, or
+/// names a thread or object id above 2²⁰ − 1.
 pub fn decode(bytes: &[u8]) -> Result<Computation, DecodeError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < MAGIC.len() {
+    let Some((header, mut input)) = bytes.split_first_chunk::<4>() else {
+        return Err(DecodeError::BadMagic);
+    };
+    // Wrong magic and wrong version are distinguished so a future-format
+    // stream fails loudly as such.
+    if header[..3] != MAGIC[..3] {
         return Err(DecodeError::BadMagic);
     }
-    let header: [u8; 4] = buf.copy_to_bytes(MAGIC.len())[..].try_into().unwrap();
-    check_header_prefix(&header)?;
-    let count = get_varint(&mut buf)?;
+    if header[3] != FORMAT_VERSION {
+        return Err(DecodeError::VersionMismatch(header[3]));
+    }
+    let count = take_varint(&mut input)?;
     let mut computation = Computation::new();
     for _ in 0..count {
-        let thread = get_varint(&mut buf)? as usize;
-        let object = get_varint(&mut buf)? as usize;
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let kind = op_kind_from_tag(buf.get_u8())?;
-        computation.record_op(ThreadId(thread), ObjectId(object), kind);
+        let thread = take_id(&mut input)?;
+        let object = take_id(&mut input)?;
+        let (&tag, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
+        input = rest;
+        computation.record_op(ThreadId(thread), ObjectId(object), op_kind_from_tag(tag)?);
     }
     Ok(computation)
 }
 
-/// Incremental encoder: accepts events one at a time and produces output
-/// **byte-identical** to [`encode`] of a computation holding the same event
-/// sequence.
+/// Incremental encoder: accepts events one at a time; [`encode`] is this
+/// encoder driven over a whole computation.
 ///
 /// The record body is encoded as each event arrives; only the header (magic
 /// plus the varint event count, whose byte length depends on the final
@@ -213,12 +238,6 @@ impl StreamEncoder {
         self.count
     }
 
-    /// Encoded size so far in bytes, excluding the header written by
-    /// [`finish`](Self::finish).
-    pub fn body_len(&self) -> usize {
-        self.body.len()
-    }
-
     /// Seals the encoding: magic, event count, then the accumulated body.
     pub fn finish(self) -> Bytes {
         let mut buf = BytesMut::with_capacity(MAGIC.len() + 10 + self.body.len());
@@ -226,184 +245,6 @@ impl StreamEncoder {
         put_varint(&mut buf, self.count);
         buf.put_slice(&self.body);
         buf.freeze()
-    }
-}
-
-/// Incremental decoder: the inverse of [`StreamEncoder`], consuming an
-/// encoding in arbitrary chunks.
-///
-/// Feed bytes with [`feed`](StreamDecoder::feed) and pull completed events
-/// with [`try_next`](StreamDecoder::try_next), which returns `Ok(None)`
-/// whenever the buffered bytes end mid-record (more input is needed).
-/// Malformed input — bad magic, an unknown op-kind tag, an overlong varint —
-/// fails as soon as the offending bytes are seen, with the same
-/// [`DecodeError`] the batch [`decode`] reports.  Truncation is only
-/// detectable by the caller declaring the input complete:
-/// [`finish`](StreamDecoder::finish) returns [`DecodeError::UnexpectedEof`]
-/// if the declared event count has not been reached.
-#[derive(Debug, Clone)]
-pub struct StreamDecoder {
-    /// Buffered input; `pos` marks the consumed prefix, compacted away once
-    /// it grows past a threshold so memory stays proportional to the unread
-    /// tail, not the whole stream.
-    buf: Vec<u8>,
-    pos: usize,
-    /// `None` until the header has been decoded; then the declared count.
-    expected: Option<u64>,
-    yielded: u64,
-}
-
-impl Default for StreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Attempts to read one varint from the front of `buf` without consuming on
-/// failure.  `Ok(None)` means more bytes are needed.
-///
-/// Public for the layers that frame this codec (notably `mvc-net`), so every
-/// wire varint in the workspace has exactly one decoder.
-pub fn peek_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, DecodeError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    for (i, &byte) in buf.iter().enumerate() {
-        if shift >= 64 {
-            return Err(DecodeError::VarintOverflow);
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(Some((value, i + 1)));
-        }
-        shift += 7;
-    }
-    // Ran out of buffered bytes mid-varint.  A u64 varint is at most 10
-    // bytes (the 10th must terminate), so 10 buffered continuation bytes
-    // are already overlong — report it now rather than waiting for the
-    // terminating byte that can never make the value fit.
-    if buf.len() >= 10 {
-        return Err(DecodeError::VarintOverflow);
-    }
-    Ok(None)
-}
-
-impl StreamDecoder {
-    /// Creates a decoder expecting a fresh encoding (magic first).
-    pub fn new() -> Self {
-        Self {
-            buf: Vec::new(),
-            pos: 0,
-            expected: None,
-            yielded: 0,
-        }
-    }
-
-    /// Appends a chunk of encoded bytes to the decoder's buffer.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    fn unread(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.pos += n;
-        if self.pos >= 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-
-    /// Declared event count, once the header has been decoded.
-    pub fn expected_events(&self) -> Option<u64> {
-        self.expected
-    }
-
-    /// Events yielded so far.
-    pub fn events_decoded(&self) -> u64 {
-        self.yielded
-    }
-
-    /// Returns `true` once every declared event has been yielded.
-    pub fn is_complete(&self) -> bool {
-        self.expected == Some(self.yielded)
-    }
-
-    fn decode_header(&mut self) -> Result<bool, DecodeError> {
-        if self.expected.is_some() {
-            return Ok(true);
-        }
-        let unread = self.unread();
-        if unread.len() < MAGIC.len() {
-            // A wrong magic is reported as soon as the prefix diverges.  (A
-            // version byte can only be judged once all three magic bytes
-            // precede it, so divergence before byte 4 is always BadMagic.)
-            if !MAGIC_PREFIX.starts_with(&unread[..unread.len().min(3)]) {
-                return Err(DecodeError::BadMagic);
-            }
-            return Ok(false);
-        }
-        let header: [u8; 4] = unread[..MAGIC.len()].try_into().unwrap();
-        check_header_prefix(&header)?;
-        match peek_varint(&unread[MAGIC.len()..])? {
-            None => Ok(false),
-            Some((count, used)) => {
-                self.consume(MAGIC.len() + used);
-                self.expected = Some(count);
-                Ok(true)
-            }
-        }
-    }
-
-    /// Yields the next event if its bytes are fully buffered.
-    ///
-    /// `Ok(None)` means "need more input" (or, once
-    /// [`is_complete`](Self::is_complete), "finished").
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`DecodeError`] variants as [`decode`], as soon as
-    /// the malformed bytes are observed.
-    pub fn try_next(&mut self) -> Result<Option<(ThreadId, ObjectId, OpKind)>, DecodeError> {
-        if !self.decode_header()? {
-            return Ok(None);
-        }
-        if self.is_complete() {
-            return Ok(None);
-        }
-        let unread = self.unread();
-        let Some((thread, t_used)) = peek_varint(unread)? else {
-            return Ok(None);
-        };
-        let Some((object, o_used)) = peek_varint(&unread[t_used..])? else {
-            return Ok(None);
-        };
-        let Some(&tag) = unread.get(t_used + o_used) else {
-            return Ok(None);
-        };
-        let kind = op_kind_from_tag(tag)?;
-        self.consume(t_used + o_used + 1);
-        self.yielded += 1;
-        Ok(Some((
-            ThreadId(thread as usize),
-            ObjectId(object as usize),
-            kind,
-        )))
-    }
-
-    /// Declares the input complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnexpectedEof`] if the header never arrived or
-    /// fewer events than declared were yielded (a truncated stream).
-    pub fn finish(self) -> Result<(), DecodeError> {
-        if self.is_complete() {
-            Ok(())
-        } else {
-            Err(DecodeError::UnexpectedEof)
-        }
     }
 }
 
@@ -464,17 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decoder_reports_version_mismatch_at_the_fourth_byte() {
-        // The streaming decoder must flag the wrong version as soon as the
-        // version byte arrives, before any record bytes are seen.
-        let mut decoder = StreamDecoder::new();
-        decoder.feed(b"MVC");
-        assert_eq!(decoder.try_next(), Ok(None), "magic prefix alone is fine");
-        decoder.feed(&[9]);
-        assert_eq!(decoder.try_next(), Err(DecodeError::VersionMismatch(9)));
-    }
-
-    #[test]
     fn current_version_streams_still_decode() {
         // The wire bytes are unchanged from the pre-versioned format: the
         // header is still exactly `MVC\x01`, so old traces decode as-is.
@@ -519,6 +349,7 @@ mod tests {
             msg.contains("version 3") && msg.contains("version 1"),
             "{msg}"
         );
+        assert!(DecodeError::IdOutOfRange.to_string().contains("1048575"));
     }
 
     #[test]
@@ -527,10 +358,55 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             put_varint(&mut buf, v);
         }
-        let mut bytes = buf.freeze();
+        let mut bytes = &buf[..];
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
-            assert_eq!(get_varint(&mut bytes).unwrap(), v);
+            assert_eq!(take_varint(&mut bytes).unwrap(), v);
         }
+        assert_eq!(take_varint(&mut bytes), Err(DecodeError::UnexpectedEof));
+    }
+
+    #[test]
+    fn overlong_varint_rejected() {
+        // An 11-byte all-continuation count can never fit a u64 ...
+        let mut raw = MAGIC.to_vec();
+        raw.extend([0x80u8; 11]);
+        assert_eq!(decode(&raw), Err(DecodeError::VarintOverflow));
+        // ... nor can a 10-byte one, whatever byte would follow: that is an
+        // overlong integer, not a truncated buffer ...
+        raw.truncate(MAGIC.len() + 10);
+        assert_eq!(decode(&raw), Err(DecodeError::VarintOverflow));
+        // ... while one byte short of that is.
+        raw.truncate(MAGIC.len() + 9);
+        assert_eq!(decode(&raw), Err(DecodeError::UnexpectedEof));
+        // The same corruption inside a record id.
+        let mut raw = MAGIC.to_vec();
+        raw.push(1);
+        raw.extend([0x80u8; 11]);
+        assert_eq!(decode(&raw), Err(DecodeError::VarintOverflow));
+    }
+
+    #[test]
+    fn id_beyond_the_bound_is_an_error_not_an_allocation() {
+        // One event whose thread id is 2⁴⁹ − 1: recording it would size the
+        // chain table for 2⁴⁹ threads.
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        let mut thread = b"MVC\x01\x01".to_vec();
+        thread.extend(huge);
+        thread.extend([0, 0]);
+        assert_eq!(decode(&thread), Err(DecodeError::IdOutOfRange));
+        let mut object = b"MVC\x01\x01\x00".to_vec();
+        object.extend(huge);
+        object.push(0);
+        assert_eq!(decode(&object), Err(DecodeError::IdOutOfRange));
+        // The bound is inclusive.
+        let one_event_on = |object: u64| {
+            let mut encoder = StreamEncoder::new();
+            encoder.push(ThreadId(0), ObjectId(object as usize), OpKind::Op);
+            decode(&encoder.finish())
+        };
+        let at_bound = one_event_on(MAX_ID).unwrap();
+        assert_eq!(at_bound.object_index_bound(), MAX_ID as usize + 1);
+        assert_eq!(one_event_on(MAX_ID + 1), Err(DecodeError::IdOutOfRange));
     }
 
     proptest! {
@@ -542,164 +418,5 @@ mod tests {
             }
             prop_assert_eq!(decode(&encode(&c)).unwrap(), c);
         }
-
-        #[test]
-        fn prop_stream_encoder_is_byte_identical_to_batch_encode(
-            ops in proptest::collection::vec((0usize..900, 0usize..900, 0u8..5), 0..300),
-        ) {
-            // Id range crosses the 1-byte/2-byte varint boundary (128) so the
-            // equality is exercised on variable record widths.
-            let mut c = Computation::new();
-            let mut encoder = StreamEncoder::new();
-            for (t, o, k) in ops {
-                let kind = op_kind_from_tag(k).unwrap();
-                c.record_op(ThreadId(t), ObjectId(o), kind);
-                encoder.push(ThreadId(t), ObjectId(o), kind);
-            }
-            prop_assert_eq!(encoder.event_count(), c.len() as u64);
-            prop_assert_eq!(&encoder.finish()[..], &encode(&c)[..]);
-        }
-
-        #[test]
-        fn prop_stream_decoder_round_trips_under_arbitrary_chunking(
-            ops in proptest::collection::vec((0usize..300, 0usize..300, 0u8..5), 0..120),
-            chunk in 1usize..17,
-        ) {
-            let mut c = Computation::new();
-            for &(t, o, k) in &ops {
-                c.record_op(ThreadId(t), ObjectId(o), op_kind_from_tag(k).unwrap());
-            }
-            let encoded = encode(&c);
-            let mut decoder = StreamDecoder::new();
-            let mut decoded = Computation::new();
-            for piece in encoded.chunks(chunk) {
-                decoder.feed(piece);
-                while let Some((t, o, kind)) = decoder.try_next().unwrap() {
-                    decoded.record_op(t, o, kind);
-                }
-            }
-            prop_assert!(decoder.is_complete());
-            prop_assert_eq!(decoder.events_decoded(), c.len() as u64);
-            decoder.finish().unwrap();
-            prop_assert_eq!(decoded, c);
-        }
-    }
-
-    /// Drives a decoder over `bytes` one byte at a time and returns the
-    /// first error (from `try_next` or the final `finish`).
-    fn stream_decode_expecting_error(bytes: &[u8]) -> DecodeError {
-        let mut decoder = StreamDecoder::new();
-        for &b in bytes {
-            decoder.feed(&[b]);
-            loop {
-                match decoder.try_next() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break,
-                    Err(e) => return e,
-                }
-            }
-        }
-        decoder
-            .finish()
-            .expect_err("malformed stream must not finish cleanly")
-    }
-
-    #[test]
-    fn stream_decoder_rejects_bad_magic_as_soon_as_the_prefix_diverges() {
-        // Full wrong magic...
-        assert_eq!(
-            stream_decode_expecting_error(b"NOPE"),
-            DecodeError::BadMagic
-        );
-        // ...and a diverging partial prefix, before 4 bytes ever arrive.
-        let mut decoder = StreamDecoder::new();
-        decoder.feed(b"MX");
-        assert_eq!(decoder.try_next(), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn stream_decoder_reports_truncation_at_finish() {
-        let c = WorkloadBuilder::new(4, 4).operations(10).seed(1).build();
-        let encoded = encode(&c);
-        // Truncate at every prefix length: events before the cut still
-        // decode; finish must flag the missing tail.
-        for cut in 0..encoded.len() {
-            let mut decoder = StreamDecoder::new();
-            decoder.feed(&encoded[..cut]);
-            while let Ok(Some(_)) = decoder.try_next() {}
-            assert_eq!(
-                decoder.finish(),
-                Err(DecodeError::UnexpectedEof),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_decoder_rejects_bad_op_kind_mid_stream() {
-        let mut c = Computation::new();
-        c.record(ThreadId(0), ObjectId(0));
-        let mut raw = encode(&c).to_vec();
-        let last = raw.len() - 1;
-        raw[last] = 99; // corrupt the op-kind tag
-        assert_eq!(
-            stream_decode_expecting_error(&raw),
-            DecodeError::BadOpKind(99)
-        );
-    }
-
-    #[test]
-    fn stream_decoder_rejects_varint_overflow() {
-        // Header magic followed by an 11-byte all-continuation varint: the
-        // count can never fit a u64.
-        let mut raw = MAGIC.to_vec();
-        raw.extend([0x80u8; 11]);
-        assert_eq!(
-            stream_decode_expecting_error(&raw),
-            DecodeError::VarintOverflow
-        );
-        // Same corruption inside a record id.
-        let mut raw = MAGIC.to_vec();
-        raw.push(1); // one event
-        raw.extend([0x80u8; 11]); // thread id varint overflows
-        assert_eq!(
-            stream_decode_expecting_error(&raw),
-            DecodeError::VarintOverflow
-        );
-        // A 10-continuation-byte prefix is already overlong — the decoder
-        // must not wait for a terminating byte that cannot make it fit
-        // (and must not misreport truncation here).
-        let mut decoder = StreamDecoder::new();
-        decoder.feed(MAGIC);
-        decoder.feed(&[0x80u8; 10]);
-        assert_eq!(decoder.try_next(), Err(DecodeError::VarintOverflow));
-        // One byte short of that is still legitimately incomplete.
-        let mut decoder = StreamDecoder::new();
-        decoder.feed(MAGIC);
-        decoder.feed(&[0x80u8; 9]);
-        assert_eq!(decoder.try_next(), Ok(None));
-    }
-
-    #[test]
-    fn stream_decoder_ignores_trailing_bytes_after_completion() {
-        let mut encoder = StreamEncoder::new();
-        encoder.push(ThreadId(1), ObjectId(2), OpKind::Write);
-        assert_eq!(encoder.body_len(), 3);
-        let bytes = encoder.finish();
-        let mut decoder = StreamDecoder::new();
-        decoder.feed(&bytes);
-        decoder.feed(b"trailing garbage");
-        assert_eq!(
-            decoder.try_next().unwrap(),
-            Some((ThreadId(1), ObjectId(2), OpKind::Write))
-        );
-        assert_eq!(
-            decoder.try_next().unwrap(),
-            None,
-            "complete: no more events"
-        );
-        assert_eq!(decoder.expected_events(), Some(1));
-        assert!(decoder.is_complete());
-        decoder.finish().unwrap();
     }
 }

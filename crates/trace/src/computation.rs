@@ -84,11 +84,6 @@ impl Computation {
         id
     }
 
-    /// Records a whole slice of `(thread, object)` operations in order.
-    pub fn record_all(&mut self, ops: &[(ThreadId, ObjectId)]) -> Vec<EventId> {
-        ops.iter().map(|&(t, o)| self.record(t, o)).collect()
-    }
-
     /// Appends a whole batch of typed operations in order — the bulk
     /// counterpart of [`record_op`](Self::record_op), used by sinks and
     /// drains that already hold a stamped batch.  Event ids are assigned
@@ -325,13 +320,6 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(0, 0));
         assert!(g.has_edge(1, 0));
-    }
-
-    #[test]
-    fn record_all_returns_ids_in_order() {
-        let mut c = Computation::new();
-        let ids = c.record_all(&[(ThreadId(0), ObjectId(0)), (ThreadId(1), ObjectId(1))]);
-        assert_eq!(ids, vec![EventId(0), EventId(1)]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::ids::{ObjectId, ThreadId};
 /// * `T2` operates on `O1`, then `O2`, then `O3`, then `O4`.
 /// * `T3` operates on `O3` (after `T2`'s `O3` operation), then `O2`.
 /// * `T4` operates on `O3`.
-pub const FIGURE1_OPS: &[(usize, usize)] = &[
+const FIGURE1_OPS: &[(usize, usize)] = &[
     (1, 0), // T2 on O1
     (0, 1), // T1 on O2
     (1, 1), // T2 on O2

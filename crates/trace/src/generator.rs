@@ -163,9 +163,11 @@ pub struct WorkloadBuilder {
     objects: usize,
     operations: usize,
     kind: WorkloadKind,
-    write_fraction: f64,
     seed: u64,
 }
+
+/// The fraction of generated operations that are writes (the rest are reads).
+const WRITE_FRACTION: f64 = 0.5;
 
 impl WorkloadBuilder {
     /// Starts a builder for a workload over `threads` threads and `objects`
@@ -182,7 +184,6 @@ impl WorkloadBuilder {
             objects,
             operations: threads * objects,
             kind: WorkloadKind::Uniform,
-            write_fraction: 0.5,
             seed: 0,
         }
     }
@@ -199,20 +200,6 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Sets the fraction of operations that are writes (the rest are reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction is outside `[0, 1]`.
-    pub fn write_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "write fraction must be within [0, 1], got {fraction}"
-        );
-        self.write_fraction = fraction;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -225,7 +212,7 @@ impl WorkloadBuilder {
         let mut c = Computation::new();
         for step in 0..self.operations {
             let (t, o) = self.sample_pair(step, &mut rng);
-            let kind = if rng.gen_bool(self.write_fraction) {
+            let kind = if rng.gen_bool(WRITE_FRACTION) {
                 OpKind::Write
             } else {
                 OpKind::Read
@@ -417,12 +404,6 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let _ = WorkloadBuilder::new(0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "write fraction")]
-    fn invalid_write_fraction_rejected() {
-        let _ = WorkloadBuilder::new(2, 2).write_fraction(1.5);
     }
 
     #[test]

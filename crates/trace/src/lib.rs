@@ -51,11 +51,9 @@ pub mod event;
 pub mod examples;
 pub mod generator;
 pub mod ids;
-pub mod poset;
 
 pub use causality::CausalityOracle;
 pub use computation::Computation;
 pub use event::{Event, OpKind};
 pub use generator::{WorkloadBuilder, WorkloadKind};
 pub use ids::{EventId, ObjectId, ThreadId};
-pub use poset::PosetAnalysis;

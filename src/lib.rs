@@ -78,9 +78,8 @@ pub mod prelude {
         ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig, TcpTransport,
     };
     pub use mvc_online::{
-        mechanism_from_name, simulate_components, simulate_final_size, Adaptive, MechanismRegistry,
-        MechanismStats, Naive, NaiveSide, OnlineMechanism, OnlineRun, OnlineTimestamper,
-        Popularity, Random, UnknownMechanismError,
+        simulate_final_size, Adaptive, MechanismRegistry, MechanismStats, Naive, NaiveSide,
+        OnlineMechanism, OnlineRun, OnlineTimestamper, Popularity, Random, UnknownMechanismError,
     };
     pub use mvc_runtime::{
         ConflictAnalyzer, LiveRun, LiveSession, OnlineMonitor, PipelineError, SharedObject,
