@@ -2,7 +2,10 @@
 //!
 //! Given the full computation (or just its thread–object bipartite graph):
 //!
-//! 1. compute a maximum matching `M*` with Hopcroft–Karp;
+//! 1. compute a maximum matching `M*` with Hopcroft–Karp, started from a
+//!    Karp–Sipser matching (a degree-one sweep that, on sparse graphs,
+//!    leaves the phases almost nothing to find — which maximum matching
+//!    comes out depends on the start, step 2's cover does not);
 //! 2. convert `M*` into a minimum vertex cover `C*` using the constructive
 //!    Kőnig–Egerváry argument (`C* = (T − Z) ∪ (O ∩ Z)` where `Z` is the set
 //!    of vertices reachable from unmatched threads via alternating paths);
@@ -132,7 +135,8 @@ impl OfflinePlan {
 
 /// The offline optimizer: computes an [`OfflinePlan`] for a computation or a
 /// pre-built thread–object graph, matching with Hopcroft–Karp (`O(E √V)`, the
-/// paper's "simple and efficient" choice).
+/// paper's "simple and efficient" choice) from a Karp–Sipser start (`O(E)`;
+/// see [`mvc_graph::matching`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OfflineOptimizer;
 

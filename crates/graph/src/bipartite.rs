@@ -215,6 +215,11 @@ impl BipartiteGraph {
         &self.adj_left[left]
     }
 
+    /// Neighbours (left-side indices) of a right vertex.
+    pub(crate) fn neighbors_of_right(&self, right: usize) -> &[usize] {
+        &self.adj_right[right]
+    }
+
     /// Degree of a left vertex.
     pub fn degree_left(&self, left: usize) -> usize {
         self.adj_left[left].len()

@@ -14,14 +14,15 @@
 //! * [`BipartiteGraph`] — a compact adjacency-list bipartite graph with
 //!   incremental edge insertion (used both offline and online).
 //! * [`matching`] — maximum bipartite matching: the Hopcroft–Karp algorithm
-//!   (`O(E √V)`) and a simple augmenting-path baseline (`O(V·E)`).
+//!   (`O(E √V)`) from a Karp–Sipser start, and a simple augmenting-path
+//!   reference (`O(V·E)`) it is checked against.
 //! * [`incremental`] — maintenance of a maximum matching, Algorithm 1's
 //!   reachable set `Z` and the offline optimum under single edge insertions
 //!   (`O(1)` cover size between insertions; its module docs state what an
 //!   insertion costs) — the engine behind the competitive-trajectory
 //!   experiments.
 //! * [`cover`] — minimum vertex cover via the constructive Kőnig–Egerváry
-//!   proof, plus a greedy 2-approximation baseline.
+//!   proof.
 //! * [`generate`] — random graph generators for the paper's *Uniform* and
 //!   *Nonuniform* evaluation scenarios.
 //! * [`stats`] — density, degree and popularity statistics (popularity drives
