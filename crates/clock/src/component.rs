@@ -5,7 +5,6 @@
 //! thread–object bipartite graph; this module turns such a set into a dense
 //! index map the timestamping protocol can use.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -46,12 +45,42 @@ impl From<Vertex> for Component {
 /// built from a [`VertexCover`], threads in ascending id order followed by
 /// objects in ascending id order), so a given cover always produces the same
 /// layout.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Thread and object ids are dense: each side is a `u32` table indexed by
+/// id, so a lookup is one bounds-checked load and an id past the end of its
+/// table simply has no component.  The tables grow to the largest id added,
+/// as the engine's per-thread and per-object rows already do.  Two maps are
+/// equal when they hold the same components in the same order, whatever
+/// their table lengths.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ComponentMap {
     components: Vec<Component>,
-    thread_index: HashMap<usize, usize>,
-    object_index: HashMap<usize, usize>,
+    /// `thread_index[t]` is thread `t`'s component index, or `NONE`.
+    thread_index: Vec<u32>,
+    /// `object_index[o]` is object `o`'s component index, or `NONE`.
+    object_index: Vec<u32>,
 }
+
+/// "No component" in a [`ComponentMap`] table.
+const NONE: u32 = u32::MAX;
+
+/// The component index `table` holds for `id`, if any.
+fn lookup(table: &[u32], id: usize) -> Option<usize> {
+    table
+        .get(id)
+        .copied()
+        .filter(|&index| index != NONE)
+        .map(|index| index as usize)
+}
+
+impl PartialEq for ComponentMap {
+    fn eq(&self, other: &Self) -> bool {
+        // The tables are a function of `components`.
+        self.components == other.components
+    }
+}
+
+impl Eq for ComponentMap {}
 
 impl ComponentMap {
     /// Creates an empty component map.
@@ -65,7 +94,7 @@ impl ComponentMap {
     /// use mvc_graph::{BipartiteGraph, cover::minimum_vertex_cover_of};
     /// use mvc_clock::ComponentMap;
     /// let g = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 0)]);
-    /// let map = ComponentMap::from_cover(&minimum_vertex_cover_of(&g));
+    /// let map = ComponentMap::from_cover(&minimum_vertex_cover_of(&g).1);
     /// assert_eq!(map.len(), 1); // the single object O0 covers both edges
     /// ```
     pub fn from_cover(cover: &VertexCover) -> Self {
@@ -88,27 +117,29 @@ impl ComponentMap {
 
     /// Appends a component, returning its index. Adding a component that is
     /// already present returns the existing index and does not grow the map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map already holds `u32::MAX` components.
     pub fn push(&mut self, component: Component) -> usize {
-        match component {
-            Component::Thread(t) => {
-                if let Some(&i) = self.thread_index.get(&t.index()) {
-                    return i;
-                }
-                let i = self.components.len();
-                self.thread_index.insert(t.index(), i);
-                self.components.push(component);
-                i
-            }
-            Component::Object(o) => {
-                if let Some(&i) = self.object_index.get(&o.index()) {
-                    return i;
-                }
-                let i = self.components.len();
-                self.object_index.insert(o.index(), i);
-                self.components.push(component);
-                i
-            }
+        let (table, id) = match component {
+            Component::Thread(t) => (&mut self.thread_index, t.index()),
+            Component::Object(o) => (&mut self.object_index, o.index()),
+        };
+        if let Some(index) = lookup(table, id) {
+            return index;
         }
+        let index = self.components.len();
+        let entry = u32::try_from(index)
+            .ok()
+            .filter(|&entry| entry != NONE)
+            .expect("clock width fits in u32");
+        if id >= table.len() {
+            table.resize(id + 1, NONE);
+        }
+        table[id] = entry;
+        self.components.push(component);
+        index
     }
 
     /// Number of components (the size of the mixed vector clock).
@@ -128,22 +159,22 @@ impl ComponentMap {
 
     /// The component index assigned to a thread, if the thread is a component.
     pub fn thread_component(&self, thread: ThreadId) -> Option<usize> {
-        self.thread_index.get(&thread.index()).copied()
+        lookup(&self.thread_index, thread.index())
     }
 
     /// The component index assigned to an object, if the object is a component.
     pub fn object_component(&self, object: ObjectId) -> Option<usize> {
-        self.object_index.get(&object.index()).copied()
+        lookup(&self.object_index, object.index())
     }
 
     /// Returns `true` if the thread carries a component.
     pub fn contains_thread(&self, thread: ThreadId) -> bool {
-        self.thread_index.contains_key(&thread.index())
+        self.thread_component(thread).is_some()
     }
 
     /// Returns `true` if the object carries a component.
     pub fn contains_object(&self, object: ObjectId) -> bool {
-        self.object_index.contains_key(&object.index())
+        self.object_component(object).is_some()
     }
 
     /// Returns `true` if the event's thread or object (or both) carries a
@@ -218,6 +249,46 @@ mod tests {
     }
 
     #[test]
+    fn lookups_past_the_tables_are_none_and_grow_nothing() {
+        let mut m = ComponentMap::new();
+        m.push(Component::Thread(ThreadId(3)));
+        m.push(Component::Object(ObjectId(2)));
+        let tables = (m.thread_index.len(), m.object_index.len());
+        assert_eq!(m.thread_component(ThreadId(usize::MAX)), None);
+        assert_eq!(m.object_component(ObjectId(1 << 40)), None);
+        assert!(!m.contains_thread(ThreadId(usize::MAX)));
+        assert!(!m.contains_object(ObjectId(1 << 40)));
+        assert!(!m.covers_event(&event(usize::MAX, 1 << 40)));
+        assert_eq!(m.event_component(&event(usize::MAX, 1 << 40)), None);
+        // Covered through the object only, with a thread far past its table.
+        assert_eq!(m.event_component(&event(usize::MAX, 2)), Some(1));
+        assert_eq!((m.thread_index.len(), m.object_index.len()), tables);
+    }
+
+    #[test]
+    fn equality_is_by_components_not_table_length() {
+        let m: ComponentMap = [
+            Component::Object(ObjectId(1)),
+            Component::Thread(ThreadId(0)),
+        ]
+        .into_iter()
+        .collect();
+        let mut padded = m.clone();
+        padded.thread_index.resize(1000, NONE);
+        padded.object_index.resize(70, NONE);
+        assert_eq!(m, padded);
+        assert_eq!(padded.thread_component(ThreadId(999)), None);
+        // Same members, another order: another layout, so not equal.
+        let reordered: ComponentMap = [
+            Component::Thread(ThreadId(0)),
+            Component::Object(ObjectId(1)),
+        ]
+        .into_iter()
+        .collect();
+        assert_ne!(m, reordered);
+    }
+
+    #[test]
     fn all_threads_layout() {
         let t = ComponentMap::all_threads(3);
         assert_eq!(t.len(), 3);
@@ -228,7 +299,7 @@ mod tests {
     #[test]
     fn from_cover_is_deterministic_and_ordered() {
         let g = BipartiteGraph::from_edges(3, 3, &[(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]);
-        let cover = minimum_vertex_cover_of(&g);
+        let (_, cover) = minimum_vertex_cover_of(&g);
         let map = ComponentMap::from_cover(&cover);
         assert_eq!(map.len(), cover.size());
         // The layout is reproducible: building twice gives the same map.

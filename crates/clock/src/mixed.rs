@@ -102,7 +102,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn optimal_assigner(c: &Computation) -> MixedVectorClockAssigner {
-        let cover = minimum_vertex_cover_of(&c.bipartite_graph());
+        let (_, cover) = minimum_vertex_cover_of(&c.bipartite_graph());
         MixedVectorClockAssigner::new(ComponentMap::from_cover(&cover))
     }
 

@@ -8,7 +8,11 @@
 //!    comes out depends on the start, step 2's cover does not);
 //! 2. convert `M*` into a minimum vertex cover `C*` using the constructive
 //!    Kőnig–Egerváry argument (`C* = (T − Z) ∪ (O ∩ Z)` where `Z` is the set
-//!    of vertices reachable from unmatched threads via alternating paths);
+//!    of vertices reachable from unmatched threads via alternating paths).
+//!    No second search finds `Z`: Hopcroft–Karp's last BFS starts from every
+//!    unmatched thread and crosses exactly the alternating edges, and it
+//!    reaches no free object, or the matching would not be maximum.  What it
+//!    reached is `Z`, and the cover is read off its distances;
 //! 3. use the threads and objects of `C*` as the components of the mixed
 //!    vector clock.
 //!
@@ -20,9 +24,7 @@
 use serde::{Deserialize, Serialize};
 
 use mvc_clock::{ComponentMap, MixedVectorClockAssigner};
-use mvc_graph::{
-    cover::minimum_vertex_cover, matching::hopcroft_karp, BipartiteGraph, GraphStats, VertexCover,
-};
+use mvc_graph::{cover::minimum_vertex_cover_of, BipartiteGraph, GraphStats, VertexCover};
 use mvc_trace::Computation;
 
 /// The algorithmic output of Algorithm 1 on a *borrowed* graph: matching
@@ -163,11 +165,18 @@ impl OfflineOptimizer {
     /// Runs Algorithm 1 on a *borrowed* graph: the borrow path for callers
     /// that keep (or immediately discard) the graph and must not pay a
     /// clone per call — per-trial sweeps, benchmarks, prefix recomputes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side or the edge count of `graph` does not fit below
+    /// `u32::MAX` (see
+    /// [`hopcroft_karp_with_phases`](mvc_graph::matching::hopcroft_karp_with_phases)).
     pub fn solve(&self, graph: &BipartiteGraph) -> OfflineSolution {
-        let matching = hopcroft_karp(graph);
-        let cover = minimum_vertex_cover(graph, &matching);
+        let (matching, cover) = minimum_vertex_cover_of(graph);
         let components = ComponentMap::from_cover(&cover);
         OfflineSolution {
+            // Counted from the matching, never from the cover: the Kőnig
+            // certificate checks one against the other.
             matching_size: matching.size(),
             cover,
             components,
@@ -180,6 +189,8 @@ mod tests {
     use super::*;
     use mvc_clock::validate::satisfies_vector_clock_condition;
     use mvc_clock::TimestampAssigner;
+    use mvc_graph::cover::minimum_vertex_cover;
+    use mvc_graph::matching::{hopcroft_karp, simple_augmenting};
     use mvc_graph::{GraphScenario, RandomGraphBuilder};
     use mvc_trace::examples::paper_figure1;
     use mvc_trace::{ObjectId, ThreadId, WorkloadBuilder, WorkloadKind};
@@ -269,6 +280,28 @@ mod tests {
     }
 
     #[test]
+    fn solution_equality_is_by_members() {
+        // Isolated threads and objects at the high end: the solve's cover
+        // spans both whole sides, one rebuilt from its members does not.
+        let mut g = BipartiteGraph::new(500, 400);
+        for (l, r) in [(0, 0), (1, 0), (2, 1), (2, 2)] {
+            g.add_edge(l, r);
+        }
+        let solution = OfflineOptimizer::new().solve(&g);
+        let cover = VertexCover::from_sets(
+            (0..500).filter(|&l| solution.cover().contains_left(l)),
+            (0..400).filter(|&r| solution.cover().contains_right(r)),
+        );
+        let rebuilt = OfflineSolution {
+            matching_size: 2,
+            components: ComponentMap::from_cover(&cover),
+            cover,
+        };
+        assert_eq!(solution, rebuilt);
+        assert_eq!(solution.clock_size(), 2);
+    }
+
+    #[test]
     fn single_pair_plan() {
         let mut c = Computation::new();
         c.record(ThreadId(0), ObjectId(0));
@@ -293,6 +326,29 @@ mod tests {
             let stamps = plan.assigner().assign(&c);
             let oracle = c.causality_oracle();
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
+        }
+
+        /// The solve's cover is the reference search's cover member for
+        /// member, with isolated vertices at the high end of both sides, and
+        /// its matching size is the reference matcher's.
+        #[test]
+        fn prop_solve_agrees_with_the_reference_search(
+            n_left in 1usize..40,
+            n_right in 1usize..40,
+            extra_left in 0usize..70,
+            extra_right in 0usize..70,
+            density in 0.0f64..0.5,
+            seed in 0u64..300,
+        ) {
+            let drawn = RandomGraphBuilder::new(n_left, n_right).density(density).seed(seed).build();
+            let edges: Vec<_> = drawn.edges().collect();
+            let g = BipartiteGraph::from_edges(n_left + extra_left, n_right + extra_right, &edges);
+            let solution = OfflineOptimizer::new().solve(&g);
+            let reference = minimum_vertex_cover(&g, &hopcroft_karp(&g));
+            prop_assert_eq!(solution.cover(), &reference);
+            prop_assert!(solution.cover().covers_all_edges(&g));
+            prop_assert_eq!(solution.matching_size(), simple_augmenting(&g).size());
+            prop_assert_eq!(solution.components(), &ComponentMap::from_cover(&reference));
         }
 
         /// Kőnig–Egerváry inside the plan: cover size always equals matching size

@@ -5,6 +5,11 @@
 //! graph with O(1) amortised incremental edge insertion and O(1) edge-presence
 //! queries, which is exactly what both the offline optimizer (build once,
 //! solve once) and the online mechanisms (edges revealed one at a time) need.
+//!
+//! The graph keeps one growable list per vertex so that it can grow.  A
+//! solve does not walk those lists: Hopcroft–Karp copies them once per call
+//! into a frozen compressed-sparse-row view with `u32` offsets and targets
+//! (see [`crate::matching`]).
 
 use std::collections::HashSet;
 use std::fmt;

@@ -12,23 +12,126 @@
 //! is a minimum vertex cover whose size equals `|M*|`.  The threads and
 //! objects in the cover become the components of the optimal mixed vector
 //! clock.
+//!
+//! [`minimum_vertex_cover_of`] does not search for `Z` a second time, because
+//! Hopcroft–Karp's last BFS already did:
+//!
+//! 1. it starts from every free thread and crosses edges out of a thread and
+//!    matched edges out of an object, so it reaches exactly `Z`;
+//! 2. it reaches no free object, or the matching would not be maximum;
+//! 3. so every object in `Z` is matched, and is in `Z` iff its partner is.
+//!
+//! [`minimum_vertex_cover`] runs that search on its own, for any given
+//! maximum matching.
+//!
+//! A cover stores each side as a bitset, so its members come out in
+//! ascending order without a sort.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bipartite::{BipartiteGraph, Vertex};
-use crate::matching::{hopcroft_karp, Matching};
+use crate::matching::{Matching, MaximumMatching};
+
+/// A set of vertex indices of one side, one bit each.
+///
+/// Equality is by members: trailing zero words do not count.
+#[derive(Clone, Default, Eq)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// The set of `i < n` for which `member(i)` holds.
+    fn from_fn(n: usize, member: impl Fn(usize) -> bool) -> Self {
+        let words = (0..n.div_ceil(64))
+            .map(|k| {
+                (k * 64..n.min(k * 64 + 64))
+                    .filter(|&i| member(i))
+                    .fold(0u64, |word, i| word | 1 << (i % 64))
+            })
+            .collect();
+        Self { words }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    /// Adds `i`, returning `true` if it was not a member.
+    fn insert(&mut self, i: usize) -> bool {
+        let k = i / 64;
+        if k >= self.words.len() {
+            self.words.resize(k + 1, 0);
+        }
+        let bit = 1 << (i % 64);
+        let fresh = self.words[k] & bit == 0;
+        self.words[k] |= bit;
+        fresh
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| k * 64 + w.trailing_zeros() as usize)
+        })
+    }
+}
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl fmt::Debug for BitSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<usize> for BitSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut set = Self::default();
+        for i in iter {
+            set.insert(i);
+        }
+        set
+    }
+}
 
 /// A vertex cover of a bipartite graph: a set of vertices such that every
 /// edge has at least one endpoint in the set.
 ///
 /// In mixed-vector-clock terms: the set of threads and objects that will get
-/// a component in the clock.
+/// a component in the clock.  Each side is a bitset indexed by vertex, so
+/// its memory grows with the largest member, one bit per index below it.
+/// Two covers are equal when they have the same members.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VertexCover {
-    left: HashSet<usize>,
-    right: HashSet<usize>,
+    left: BitSet,
+    right: BitSet,
 }
 
 impl VertexCover {
@@ -60,25 +163,21 @@ impl VertexCover {
 
     /// All members of the cover as [`Vertex`] values, left side first,
     /// each side in ascending index order (deterministic).
-    pub fn members(&self) -> Vec<Vertex> {
-        let mut left: Vec<_> = self.left.iter().copied().collect();
-        left.sort_unstable();
-        let mut right: Vec<_> = self.right.iter().copied().collect();
-        right.sort_unstable();
-        left.into_iter()
+    pub fn members(&self) -> impl Iterator<Item = Vertex> + '_ {
+        self.left
+            .iter()
             .map(Vertex::Left)
-            .chain(right.into_iter().map(Vertex::Right))
-            .collect()
+            .chain(self.right.iter().map(Vertex::Right))
     }
 
     /// Returns `true` if the given left vertex is in the cover.
     pub fn contains_left(&self, l: usize) -> bool {
-        self.left.contains(&l)
+        self.left.contains(l)
     }
 
     /// Returns `true` if the given right vertex is in the cover.
     pub fn contains_right(&self, r: usize) -> bool {
-        self.right.contains(&r)
+        self.right.contains(r)
     }
 
     /// Returns `true` if the given vertex is in the cover.
@@ -120,8 +219,11 @@ impl FromIterator<Vertex> for VertexCover {
 /// constructive Kőnig–Egerváry argument (Algorithm 1 of the paper).
 ///
 /// `matching` **must** be a maximum matching of `graph` (e.g. the output of
-/// [`hopcroft_karp`]); otherwise the returned set is still a vertex cover but
-/// not necessarily minimum.
+/// [`hopcroft_karp`](crate::matching::hopcroft_karp)); otherwise the
+/// returned set is still a vertex cover but not necessarily minimum.
+///
+/// This is the standalone search for `Z`.  [`minimum_vertex_cover_of`] gets
+/// the same cover without it.
 ///
 /// ```
 /// use mvc_graph::{BipartiteGraph, matching::hopcroft_karp, cover::minimum_vertex_cover};
@@ -180,17 +282,43 @@ pub fn minimum_vertex_cover(graph: &BipartiteGraph, matching: &Matching) -> Vert
     VertexCover::from_sets(left, right)
 }
 
-/// Convenience: compute a maximum matching with Hopcroft–Karp and convert it
-/// to a minimum vertex cover in one call.
-pub fn minimum_vertex_cover_of(graph: &BipartiteGraph) -> VertexCover {
-    let matching = hopcroft_karp(graph);
-    minimum_vertex_cover(graph, &matching)
+/// Algorithm 1 in one pass: a maximum matching by Hopcroft–Karp, and the
+/// minimum vertex cover read off the BFS that proved it maximum (see the
+/// [module docs](self)).
+///
+/// The cover equals `minimum_vertex_cover(graph, &hopcroft_karp(graph))`
+/// member for member.
+///
+/// ```
+/// use mvc_graph::{BipartiteGraph, cover::minimum_vertex_cover_of};
+/// let g = BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]);
+/// let (matching, cover) = minimum_vertex_cover_of(&g);
+/// assert_eq!(matching.size(), 2);
+/// assert_eq!(cover.size(), 2);
+/// assert!(cover.covers_all_edges(&g));
+/// ```
+///
+/// # Panics
+///
+/// Panics if a side or the edge count of `graph` does not fit below
+/// `u32::MAX`, like
+/// [`hopcroft_karp_with_phases`](crate::matching::hopcroft_karp_with_phases).
+pub fn minimum_vertex_cover_of(graph: &BipartiteGraph) -> (Matching, VertexCover) {
+    let found = MaximumMatching::find(graph);
+    // C* = (T − Z) ∪ (O ∩ Z).  A thread with no edge is free, so the BFS
+    // started from it: it is in `Z`, and out of the cover.
+    let left = BitSet::from_fn(graph.n_left(), |l| !found.reached(l));
+    let right = BitSet::from_fn(graph.n_right(), |r| {
+        found.partner_of_right(r).is_some_and(|l| found.reached(l))
+    });
+    (found.matching(), VertexCover { left, right })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{GraphScenario, RandomGraphBuilder};
+    use crate::matching::hopcroft_karp;
     use proptest::prelude::*;
 
     fn cover_of(g: &BipartiteGraph) -> VertexCover {
@@ -287,11 +415,38 @@ mod tests {
     fn members_are_sorted_and_typed() {
         let cover = VertexCover::from_sets([2, 0], [1]);
         assert_eq!(
-            cover.members(),
+            cover.members().collect::<Vec<_>>(),
             vec![Vertex::Left(0), Vertex::Left(2), Vertex::Right(1)]
         );
         assert!(cover.contains(Vertex::Left(2)));
         assert!(!cover.contains(Vertex::Right(9)));
+    }
+
+    #[test]
+    fn equality_is_by_members_not_bitset_length() {
+        // The solve sizes its bitsets to the graph's sides; `from_sets`
+        // grows them to the largest member.
+        let mut g = BipartiteGraph::new(300, 200);
+        g.add_edge(1, 2);
+        g.add_edge(3, 2);
+        let (_, solved) = minimum_vertex_cover_of(&g);
+        let built = VertexCover::from_sets([], [2]);
+        assert_ne!(solved.right.words.len(), built.right.words.len());
+        assert_eq!(solved, built);
+        assert_eq!(built, solved);
+        assert_ne!(solved, VertexCover::from_sets([], [2, 130]));
+        assert_ne!(VertexCover::from_sets([], [2, 130]), solved);
+        assert_eq!(format!("{solved:?}"), format!("{built:?}"));
+        assert_eq!(VertexCover::new(), VertexCover::from_sets([], []));
+    }
+
+    #[test]
+    fn lookups_past_the_bitsets_are_absent() {
+        let cover = VertexCover::from_sets([5], [64]);
+        assert!(!cover.contains_left(usize::MAX));
+        assert!(!cover.contains_right(1 << 40));
+        assert!(cover.contains_right(64) && !cover.contains_right(0));
+        assert_eq!(cover.size(), 2);
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn cover_members_are_filled() {
         let g = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 0)]);
-        let cover = minimum_vertex_cover_of(&g);
+        let (_, cover) = minimum_vertex_cover_of(&g);
         let dot = to_dot(&g, Some(&cover));
         // The unique minimum cover is {O0}; it must be drawn filled.
         assert!(dot.contains("o0 [label=\"O0\",shape=ellipse,style=filled"));

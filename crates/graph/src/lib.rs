@@ -12,7 +12,10 @@
 //! This crate provides:
 //!
 //! * [`BipartiteGraph`] — a compact adjacency-list bipartite graph with
-//!   incremental edge insertion (used both offline and online).
+//!   incremental edge insertion (used both offline and online).  It keeps
+//!   growable lists so that edges can arrive one at a time; each offline
+//!   solve copies them once into a frozen `u32` compressed-sparse-row view
+//!   and runs on that.
 //! * [`matching`] — maximum bipartite matching: the Hopcroft–Karp algorithm
 //!   (`O(E √V)`) from a Karp–Sipser start, and a simple augmenting-path
 //!   reference (`O(V·E)`) it is checked against.
@@ -22,7 +25,7 @@
 //!   insertion costs) — the engine behind the competitive-trajectory
 //!   experiments.
 //! * [`cover`] — minimum vertex cover via the constructive Kőnig–Egerváry
-//!   proof.
+//!   proof, read off Hopcroft–Karp's last BFS in the offline solve.
 //! * [`generate`] — random graph generators for the paper's *Uniform* and
 //!   *Nonuniform* evaluation scenarios.
 //! * [`stats`] — density, degree and popularity statistics (popularity drives

@@ -27,18 +27,29 @@
 //! size; the Kőnig cover built from it does not depend on it either (the
 //! set `Z` it is read from is the same for every maximum matching).
 //!
+//! Hopcroft–Karp does not walk the graph's growable lists.  Each call copies
+//! them once into a frozen compressed-sparse-row view with `u32` offsets and
+//! targets, each list in insertion order, so the start and the phases choose
+//! the same edges they would on the lists.  The start, the phases and their
+//! partner and distance arrays all run on that view in `u32`.  The phase
+//! loop ends on a BFS that reaches no free object; its layering is kept, and
+//! [`minimum_vertex_cover_of`](crate::cover::minimum_vertex_cover_of) reads
+//! Algorithm 1's `Z` off it instead of searching a second time.
+//!
 //! All augmenting-path searches use explicit stacks rather than recursion:
 //! an adversarial alternating chain (e.g. a 2×n ladder with n in the tens of
 //! thousands) would otherwise overflow the call stack.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
-use crate::bipartite::{BipartiteGraph, Vertex};
+use crate::bipartite::BipartiteGraph;
 
 /// Sentinel meaning "unmatched" in the internal pair arrays.
 pub(crate) const NIL: usize = usize::MAX;
+
+/// Sentinel meaning "unmatched" in the `u32` partner arrays and "not
+/// reached" in the `u32` distance array of the frozen view.
+const NONE: u32 = u32::MAX;
 
 /// A matching in a bipartite graph: a set of edges no two of which share an
 /// endpoint.
@@ -164,24 +175,176 @@ pub fn hopcroft_karp(graph: &BipartiteGraph) -> Matching {
 /// augmenting paths, so the regression tests assert the count on adversarial
 /// graphs.  It is exact and deterministic: the start makes no random choice.
 /// It is 0 when the start is already maximum, as it always is on a forest.
+///
+/// # Panics
+///
+/// Panics if either side of `graph`, or its edge count, does not fit below
+/// `u32::MAX`: the search runs on a `u32` view of the graph (see the
+/// [module docs](self)) and never truncates an index.
 pub fn hopcroft_karp_with_phases(graph: &BipartiteGraph) -> (Matching, usize) {
-    // pair arrays use NIL for unmatched to keep the hot loops index-based.
-    let mut pair_left = vec![NIL; graph.n_left()];
-    let mut pair_right = vec![NIL; graph.n_right()];
-    karp_sipser(graph, &mut pair_left, &mut pair_right);
-    let phases = hk_phases(graph, &mut pair_left, &mut pair_right);
-    (matching_of(&pair_left, graph.n_right()), phases)
+    let found = MaximumMatching::find(graph);
+    (found.matching(), found.phases)
 }
 
-/// The [`Matching`] the partner array `pair_left` describes.
-fn matching_of(pair_left: &[usize], n_right: usize) -> Matching {
-    let mut matching = Matching::empty(pair_left.len(), n_right);
-    for (l, &r) in pair_left.iter().enumerate() {
-        if r != NIL {
-            matching.insert(l, r);
+/// A maximum matching found on a frozen view of a graph, together with the
+/// layering of the BFS that proved it maximum.
+///
+/// That BFS started from every free thread and reached no free object, so
+/// the threads it reached are exactly Algorithm 1's `Z ∩ T`.
+pub(crate) struct MaximumMatching {
+    pair_left: Vec<u32>,
+    pair_right: Vec<u32>,
+    /// The last BFS's distances: `NONE` iff the thread was not reached.
+    dist: Vec<u32>,
+    phases: usize,
+}
+
+impl MaximumMatching {
+    /// Hopcroft–Karp from a Karp–Sipser start on a fresh view of `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side or the edge count of `graph` does not fit below
+    /// `u32::MAX`.
+    pub(crate) fn find(graph: &BipartiteGraph) -> Self {
+        let view = Csr::of(graph);
+        let mut pair_left = vec![NONE; view.n_left()];
+        let mut pair_right = vec![NONE; view.n_right()];
+        let mut dist = vec![NONE; view.n_left()];
+        karp_sipser(&view, &mut pair_left, &mut pair_right);
+        let phases = hk_phases(&view, &mut pair_left, &mut pair_right, &mut dist);
+        Self {
+            pair_left,
+            pair_right,
+            dist,
+            phases,
         }
     }
-    matching
+
+    /// The matching as a [`Matching`].
+    pub(crate) fn matching(&self) -> Matching {
+        Matching::from_partners(&self.pair_left, &self.pair_right)
+    }
+
+    /// Whether the last BFS reached thread `l`: `l ∈ Z`.
+    pub(crate) fn reached(&self, l: usize) -> bool {
+        self.dist[l] != NONE
+    }
+
+    /// The thread matched with object `r`, if any.
+    pub(crate) fn partner_of_right(&self, r: usize) -> Option<usize> {
+        let l = self.pair_right[r];
+        (l != NONE).then_some(l as usize)
+    }
+}
+
+impl Matching {
+    /// The matching the `u32` partner arrays describe.
+    fn from_partners(pair_left: &[u32], pair_right: &[u32]) -> Self {
+        let partners = |pairs: &[u32]| {
+            pairs
+                .iter()
+                .map(|&v| (v != NONE).then_some(v as usize))
+                .collect()
+        };
+        Self {
+            pair_left: partners(pair_left),
+            pair_right: partners(pair_right),
+        }
+    }
+}
+
+/// A frozen compressed-sparse-row copy of a graph's adjacency: for each
+/// side, the neighbours of vertex `v` are `targets[offsets[v]..offsets[v +
+/// 1]]`, in the order the graph's own list holds them.
+#[derive(Debug)]
+struct Csr {
+    left_offsets: Vec<u32>,
+    left_targets: Vec<u32>,
+    right_offsets: Vec<u32>,
+    right_targets: Vec<u32>,
+}
+
+impl Csr {
+    /// Copies `graph`'s lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side or the edge count does not fit below `u32::MAX`.
+    fn of(graph: &BipartiteGraph) -> Self {
+        assert_fits_u32(graph.n_left(), "threads");
+        assert_fits_u32(graph.n_right(), "objects");
+        assert_fits_u32(graph.edge_count(), "edges");
+        let (left_offsets, left_targets) = flatten(graph.n_left(), graph.edge_count(), |l| {
+            graph.neighbors_of_left(l)
+        });
+        let (right_offsets, right_targets) = flatten(graph.n_right(), graph.edge_count(), |r| {
+            graph.neighbors_of_right(r)
+        });
+        Self {
+            left_offsets,
+            left_targets,
+            right_offsets,
+            right_targets,
+        }
+    }
+
+    fn n_left(&self) -> usize {
+        self.left_offsets.len() - 1
+    }
+
+    fn n_right(&self) -> usize {
+        self.right_offsets.len() - 1
+    }
+
+    /// Neighbours of thread `l`.
+    fn left(&self, l: usize) -> &[u32] {
+        &self.left_targets[self.left_offsets[l] as usize..self.left_offsets[l + 1] as usize]
+    }
+
+    /// Neighbours of object `r`.
+    fn right(&self, r: usize) -> &[u32] {
+        &self.right_targets[self.right_offsets[r] as usize..self.right_offsets[r + 1] as usize]
+    }
+}
+
+/// Checks that a count of `what` in the frozen view fits its `u32`s.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit below `u32::MAX`, which stays free as
+/// [`NONE`].
+fn assert_fits_u32(n: usize, what: &str) {
+    assert!(
+        u32::try_from(n).is_ok_and(|n| n != NONE),
+        "{n} {what} do not fit the u32 view of the graph"
+    );
+}
+
+/// The `n` lists `list(0)`, …, `list(n - 1)`, holding `edges` entries in
+/// all, as one offsets array and one targets array.
+fn flatten<'a>(
+    n: usize,
+    edges: usize,
+    list: impl Fn(usize) -> &'a [usize],
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(edges);
+    offsets.push(0);
+    for v in 0..n {
+        // Each target is a vertex of the other side, which `Csr::of`
+        // checked fits below `u32::MAX`.
+        targets.extend(list(v).iter().map(|&w| w as u32));
+        offsets.push(targets.len() as u32);
+    }
+    (offsets, targets)
+}
+
+/// A vertex on the Karp–Sipser stack of residual-degree-one vertices.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Left(u32),
+    Right(u32),
 }
 
 /// Karp–Sipser's greedy matching, made deterministic, into empty partner
@@ -196,19 +359,21 @@ fn matching_of(pair_left: &[usize], n_right: usize) -> Matching {
 /// neighbour is matched to its first free neighbour, and the rule resumes.
 /// Each vertex is matched at most once and each edge is looked at a bounded
 /// number of times: `O(V + E)`.
-fn karp_sipser(graph: &BipartiteGraph, pair_left: &mut [usize], pair_right: &mut [usize]) {
-    let n_left = graph.n_left();
-    let mut degree_left: Vec<usize> = (0..n_left).map(|l| graph.degree_left(l)).collect();
-    let mut degree_right: Vec<usize> = (0..graph.n_right())
-        .map(|r| graph.degree_right(r))
-        .collect();
-    let mut ones: Vec<Vertex> = (0..n_left)
-        .filter(|&l| degree_left[l] == 1)
-        .map(Vertex::Left)
+fn karp_sipser(view: &Csr, pair_left: &mut [u32], pair_right: &mut [u32]) {
+    let n_left = view.n_left();
+    let degrees =
+        |offsets: &[u32]| -> Vec<u32> { offsets.windows(2).map(|w| w[1] - w[0]).collect() };
+    let mut degree_left = degrees(&view.left_offsets);
+    let mut degree_right = degrees(&view.right_offsets);
+    let mut ones: Vec<Side> = (0..)
+        .zip(&degree_left)
+        .filter(|&(_, &d)| d == 1)
+        .map(|(l, _)| Side::Left(l))
         .chain(
-            (0..graph.n_right())
-                .filter(|&r| degree_right[r] == 1)
-                .map(Vertex::Right),
+            (0..)
+                .zip(&degree_right)
+                .filter(|&(_, &d)| d == 1)
+                .map(|(r, _)| Side::Right(r)),
         )
         .collect();
     // Threads below `next_free` are matched or have no free neighbour, and
@@ -219,43 +384,49 @@ fn karp_sipser(graph: &BipartiteGraph, pair_left: &mut [usize], pair_right: &mut
         let edge = match ones.pop() {
             // A stacked vertex is at residual degree one, or has since
             // dropped to zero or been matched: then it is skipped.
-            Some(Vertex::Left(l)) if pair_left[l] == NIL && degree_left[l] == 1 => {
-                first_free(graph.neighbors_of_left(l), pair_right).map(|r| (l, r))
+            Some(Side::Left(l))
+                if pair_left[l as usize] == NONE && degree_left[l as usize] == 1 =>
+            {
+                first_free(view.left(l as usize), pair_right).map(|r| (l, r))
             }
-            Some(Vertex::Right(r)) if pair_right[r] == NIL && degree_right[r] == 1 => {
-                first_free(graph.neighbors_of_right(r), pair_left).map(|l| (l, r))
+            Some(Side::Right(r))
+                if pair_right[r as usize] == NONE && degree_right[r as usize] == 1 =>
+            {
+                first_free(view.right(r as usize), pair_left).map(|l| (l, r))
             }
             Some(_) => None,
             None => {
                 let lowest = (next_free..n_left).find_map(|l| {
-                    if pair_left[l] != NIL || degree_left[l] == 0 {
+                    if pair_left[l] != NONE || degree_left[l] == 0 {
                         return None;
                     }
-                    first_free(graph.neighbors_of_left(l), pair_right).map(|r| (l, r))
+                    first_free(view.left(l), pair_right).map(|r| (l, r))
                 });
                 let Some((l, r)) = lowest else { break };
                 next_free = l;
-                Some((l, r))
+                Some((l as u32, r))
             }
         };
         let Some((l, r)) = edge else { continue };
-        pair_left[l] = r;
-        pair_right[r] = l;
+        pair_left[l as usize] = r;
+        pair_right[r as usize] = l;
         // `l` and `r` leave the free graph: their free neighbours each lose
         // one free neighbour.
-        for &other in graph.neighbors_of_left(l) {
-            if pair_right[other] == NIL {
-                degree_right[other] -= 1;
-                if degree_right[other] == 1 {
-                    ones.push(Vertex::Right(other));
+        for &other in view.left(l as usize) {
+            let o = other as usize;
+            if pair_right[o] == NONE {
+                degree_right[o] -= 1;
+                if degree_right[o] == 1 {
+                    ones.push(Side::Right(other));
                 }
             }
         }
-        for &other in graph.neighbors_of_right(r) {
-            if pair_left[other] == NIL {
-                degree_left[other] -= 1;
-                if degree_left[other] == 1 {
-                    ones.push(Vertex::Left(other));
+        for &other in view.right(r as usize) {
+            let o = other as usize;
+            if pair_left[o] == NONE {
+                degree_left[o] -= 1;
+                if degree_left[o] == 1 {
+                    ones.push(Side::Left(other));
                 }
             }
         }
@@ -263,82 +434,89 @@ fn karp_sipser(graph: &BipartiteGraph, pair_left: &mut [usize], pair_right: &mut
 }
 
 /// The first vertex of `neighbours` that `partner` marks free.
-fn first_free(neighbours: &[usize], partner: &[usize]) -> Option<usize> {
-    neighbours.iter().copied().find(|&v| partner[v] == NIL)
+fn first_free(neighbours: &[u32], partner: &[u32]) -> Option<u32> {
+    neighbours
+        .iter()
+        .copied()
+        .find(|&v| partner[v as usize] == NONE)
 }
 
 /// Runs Hopcroft–Karp phases from the matching in `pair_left`/`pair_right`
 /// until it is maximum, and returns how many phases ran.
-fn hk_phases(graph: &BipartiteGraph, pair_left: &mut [usize], pair_right: &mut [usize]) -> usize {
-    let n_left = graph.n_left();
-    let mut dist = vec![u64::MAX; n_left];
-    let mut queue = VecDeque::new();
+///
+/// The loop ends on a BFS that reaches no free object, and `dist` is left
+/// holding its layering: a thread is reached iff its distance is not
+/// `NONE`.
+fn hk_phases(view: &Csr, pair_left: &mut [u32], pair_right: &mut [u32], dist: &mut [u32]) -> usize {
+    let mut queue = Vec::with_capacity(view.n_left());
     let mut stack = Vec::new();
     let mut phases = 0usize;
 
     loop {
-        let dist_nil = hk_bfs(graph, pair_left, pair_right, &mut dist, &mut queue);
-        if dist_nil == u64::MAX {
-            break;
+        let dist_nil = hk_bfs(view, pair_left, pair_right, dist, &mut queue);
+        if dist_nil == NONE {
+            return phases;
         }
         phases += 1;
         let mut augmented = false;
-        for l in 0..n_left {
-            if pair_left[l] == NIL
+        for l in 0..view.n_left() {
+            if pair_left[l] == NONE
                 && hk_dfs(
-                    graph, l, pair_left, pair_right, &mut dist, dist_nil, &mut stack,
+                    view, l as u32, pair_left, pair_right, dist, dist_nil, &mut stack,
                 )
             {
                 augmented = true;
             }
         }
-        debug_assert!(augmented, "BFS promised an augmenting path");
-        if !augmented {
-            break;
-        }
+        // A BFS that reached a free object leaves the DFS a shortest
+        // augmenting path; without this, the loop would not end.
+        assert!(augmented, "BFS promised an augmenting path");
     }
-    phases
 }
 
 /// BFS phase: computes shortest alternating-path distances from unmatched
 /// left vertices.  Returns `dist_nil`, the level at which a free right vertex
-/// is first reached (`u64::MAX` when no augmenting path exists).  Left
-/// vertices at `dist_nil` or beyond are not expanded: paths through them
-/// cannot be shortest, and the DFS phase must not use them.
+/// is first reached (`NONE` when no augmenting path exists).  Left vertices
+/// at `dist_nil` or beyond are not expanded: paths through them cannot be
+/// shortest, and the DFS phase must not use them.
 fn hk_bfs(
-    graph: &BipartiteGraph,
-    pair_left: &[usize],
-    pair_right: &[usize],
-    dist: &mut [u64],
-    queue: &mut VecDeque<usize>,
-) -> u64 {
+    view: &Csr,
+    pair_left: &[u32],
+    pair_right: &[u32],
+    dist: &mut [u32],
+    queue: &mut Vec<u32>,
+) -> u32 {
     queue.clear();
-    for l in 0..graph.n_left() {
-        if pair_left[l] == NIL {
-            dist[l] = 0;
-            queue.push_back(l);
+    for (l, (&partner, d)) in pair_left.iter().zip(dist.iter_mut()).enumerate() {
+        if partner == NONE {
+            *d = 0;
+            queue.push(l as u32);
         } else {
-            dist[l] = u64::MAX;
+            *d = NONE;
         }
     }
-    let mut dist_nil = u64::MAX;
-    while let Some(l) = queue.pop_front() {
-        if dist[l] >= dist_nil {
-            // A free right vertex was already found at an earlier level:
-            // everything from here on is a non-shortest path.
-            continue;
+    let mut dist_nil = NONE;
+    let mut head = 0;
+    while let Some(&l) = queue.get(head) {
+        head += 1;
+        let level = dist[l as usize];
+        if level >= dist_nil {
+            // A free right vertex was already found at an earlier level,
+            // and the queue holds levels in order: everything from here on
+            // is a non-shortest path.
+            break;
         }
-        for &r in graph.neighbors_of_left(l) {
-            let next = pair_right[r];
-            if next == NIL {
+        for &r in view.left(l as usize) {
+            let next = pair_right[r as usize];
+            if next == NONE {
                 // First free right vertex: record the shortest augmenting
                 // path length; later levels must not extend past it.
-                if dist_nil == u64::MAX {
-                    dist_nil = dist[l] + 1;
+                if dist_nil == NONE {
+                    dist_nil = level + 1;
                 }
-            } else if dist[next] == u64::MAX {
-                dist[next] = dist[l] + 1;
-                queue.push_back(next);
+            } else if dist[next as usize] == NONE {
+                dist[next as usize] = level + 1;
+                queue.push(next);
             }
         }
     }
@@ -355,6 +533,14 @@ struct SearchFrame {
     next: usize,
 }
 
+/// A [`SearchFrame`] on the frozen view: `edge` is the position in
+/// `left_targets` of the next neighbour to try.
+#[derive(Debug, Clone, Copy)]
+struct ViewFrame {
+    vertex: u32,
+    edge: u32,
+}
+
 /// DFS phase: finds an augmenting path starting at unmatched left vertex `l`
 /// that respects the BFS layering and ends at a free right vertex at exactly
 /// level `dist_nil`, flipping matched edges along it.
@@ -363,39 +549,47 @@ struct SearchFrame {
 /// layering, but a single phase on a long alternating chain can still reach
 /// depths that overflow the call stack.
 fn hk_dfs(
-    graph: &BipartiteGraph,
-    l: usize,
-    pair_left: &mut [usize],
-    pair_right: &mut [usize],
-    dist: &mut [u64],
-    dist_nil: u64,
-    stack: &mut Vec<SearchFrame>,
+    view: &Csr,
+    l: u32,
+    pair_left: &mut [u32],
+    pair_right: &mut [u32],
+    dist: &mut [u32],
+    dist_nil: u32,
+    stack: &mut Vec<ViewFrame>,
 ) -> bool {
     stack.clear();
-    stack.push(SearchFrame { vertex: l, next: 0 });
+    stack.push(ViewFrame {
+        vertex: l,
+        edge: view.left_offsets[l as usize],
+    });
     while let Some(top) = stack.last_mut() {
-        let l = top.vertex;
-        let Some(&r) = graph.neighbors_of_left(l).get(top.next) else {
+        let l = top.vertex as usize;
+        if top.edge == view.left_offsets[l + 1] {
             // Every neighbour failed: this left vertex is off all shortest
             // augmenting paths for the rest of the phase.
-            dist[l] = u64::MAX;
+            dist[l] = NONE;
             stack.pop();
             continue;
-        };
-        top.next += 1;
-        let next = pair_right[r];
-        if next == NIL {
+        }
+        let r = view.left_targets[top.edge as usize];
+        top.edge += 1;
+        let next = pair_right[r as usize];
+        if next == NONE {
             // Accept a free right vertex only at exactly the first free
             // level; deeper free vertices would augment a non-shortest path
             // and void the phase bound.
             if dist[l].saturating_add(1) == dist_nil {
-                flip_stack(graph, stack, pair_left, pair_right);
+                for frame in stack.iter() {
+                    let r = view.left_targets[frame.edge as usize - 1];
+                    pair_left[frame.vertex as usize] = r;
+                    pair_right[r as usize] = frame.vertex;
+                }
                 return true;
             }
-        } else if dist[next] == dist[l].saturating_add(1) {
-            stack.push(SearchFrame {
+        } else if dist[next as usize] == dist[l].saturating_add(1) {
+            stack.push(ViewFrame {
                 vertex: next,
-                next: 0,
+                edge: view.left_offsets[next as usize],
             });
         }
     }
@@ -533,6 +727,7 @@ pub fn simple_augmenting(graph: &BipartiteGraph) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cover::{minimum_vertex_cover, minimum_vertex_cover_of};
     use crate::generate::{GraphScenario, RandomGraphBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -542,10 +737,12 @@ mod tests {
     /// BFS/DFS layering regressions must exercise, since the Karp–Sipser
     /// start would otherwise find most (on a chain, all) of their matches.
     fn phases_from_empty(graph: &BipartiteGraph) -> (Matching, usize) {
-        let mut pair_left = vec![NIL; graph.n_left()];
-        let mut pair_right = vec![NIL; graph.n_right()];
-        let phases = hk_phases(graph, &mut pair_left, &mut pair_right);
-        (matching_of(&pair_left, graph.n_right()), phases)
+        let view = Csr::of(graph);
+        let mut pair_left = vec![NONE; graph.n_left()];
+        let mut pair_right = vec![NONE; graph.n_right()];
+        let mut dist = vec![NONE; graph.n_left()];
+        let phases = hk_phases(&view, &mut pair_left, &mut pair_right, &mut dist);
+        (Matching::from_partners(&pair_left, &pair_right), phases)
     }
 
     fn perfect_matchable() -> BipartiteGraph {
@@ -867,6 +1064,25 @@ mod tests {
         assert!(!m.is_valid_for(&g));
     }
 
+    #[test]
+    fn view_counts_up_to_u32_max_minus_one_fit() {
+        assert_fits_u32(0, "threads");
+        assert_fits_u32(u32::MAX as usize - 1, "edges");
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967295 objects do not fit the u32 view")]
+    fn a_side_of_u32_max_stops_at_the_named_assert() {
+        // `u32::MAX` itself is the sentinel, so it is one past the range.
+        assert_fits_u32(u32::MAX as usize, "objects");
+    }
+
+    #[test]
+    #[should_panic(expected = "1099511627776 edges do not fit the u32 view")]
+    fn an_edge_count_past_u32_stops_at_the_named_assert() {
+        assert_fits_u32(1 << 40, "edges");
+    }
+
     /// One graph of family `family` (0..5): uniform, nonuniform, a star
     /// (around a thread for even seeds, an object for odd ones), complete
     /// bipartite, or the thread–object graph of the `Matching` workload of
@@ -954,6 +1170,31 @@ mod tests {
             for (l, r) in g.edges() {
                 prop_assert!(m.is_left_matched(l) || m.partner_of_right(r).is_some());
             }
+        }
+
+        /// The cover read off Hopcroft–Karp's last BFS is the reference
+        /// search's cover member for member, on every family and with
+        /// isolated vertices at the high end of either side.  The matching
+        /// it comes with is counted from its own partner arrays.
+        #[test]
+        fn prop_cover_of_the_last_bfs_is_the_reference_cover(
+            family in 0usize..5,
+            n_left in 1usize..40,
+            n_right in 1usize..40,
+            extra_left in 0usize..70,
+            extra_right in 0usize..70,
+            density in 0.0f64..1.0,
+            seed in 0u64..1000,
+        ) {
+            let drawn = drawn_graph(family, n_left, n_right, density, seed);
+            let edges: Vec<_> = drawn.edges().collect();
+            let g = BipartiteGraph::from_edges(n_left + extra_left, n_right + extra_right, &edges);
+            let (m, cover) = minimum_vertex_cover_of(&g);
+            prop_assert!(m.is_valid_for(&g));
+            prop_assert_eq!(&cover, &minimum_vertex_cover(&g, &hopcroft_karp(&g)));
+            prop_assert!(cover.covers_all_edges(&g));
+            prop_assert_eq!(m.size(), simple_augmenting(&g).size());
+            prop_assert_eq!(cover.size(), m.size());
         }
     }
 }

@@ -24,9 +24,6 @@ pub(crate) const CHUNK_EVENTS: usize = 4096;
 /// slice values instead of the whole batch.
 pub(crate) const PIPELINE_CHUNKS: usize = 4;
 
-/// Marks "no component" in the dense thread / object → component tables.
-const NO_COMPONENT: u32 = u32::MAX;
-
 /// Handles into the process-global metrics registry, resolved once per
 /// engine. All recording is chunk-granular (a chunk is up to
 /// [`CHUNK_EVENTS`] events), so the engine pays a few `Relaxed` atomics per
@@ -89,12 +86,6 @@ pub struct ShardedEngine {
     /// Process-global metric handles (resolved once, recorded per chunk).
     metrics: EngineMetrics,
     components: ComponentMap,
-    /// Dense thread → component-index table (`NO_COMPONENT` = none); the
-    /// router's replacement for the `ComponentMap`'s hash lookups on the
-    /// per-event hot path.
-    thread_comp: Vec<u32>,
-    /// Dense object → component-index table.
-    object_comp: Vec<u32>,
     /// One chunk queue per shard worker.
     inputs: Vec<Sender<Chunk>>,
     /// One reply channel per shard worker (slice values, event-major).
@@ -127,8 +118,6 @@ impl ShardedEngine {
         let mut engine = ShardedEngine {
             metrics: EngineMetrics::default(),
             components: ComponentMap::new(),
-            thread_comp: Vec::new(),
-            object_comp: Vec::new(),
             inputs,
             replies,
             handles,
@@ -155,14 +144,7 @@ impl ShardedEngine {
     /// Component `index` lands on shard `index % shard_count`; no existing
     /// slice data moves (see the `slicing` module).
     pub fn add_component(&mut self, component: Component) -> usize {
-        let index = self.components.push(component);
-        // mvc-lint: allow(hot-path-panic) — a clock wider than u32::MAX components would exhaust memory long before this fires
-        let index_u32 = u32::try_from(index).expect("clock width fits in u32");
-        match component {
-            Component::Thread(t) => set_dense(&mut self.thread_comp, t.index(), index_u32),
-            Component::Object(o) => set_dense(&mut self.object_comp, o.index(), index_u32),
-        }
-        index
+        self.components.push(component)
     }
 
     /// Returns `true` if an operation of `thread` on `object` could be
@@ -175,12 +157,11 @@ impl ShardedEngine {
     /// component if the object is in the clock, otherwise the thread's —
     /// the same preference as the sequential engine.
     fn route(&self, thread: ThreadId, object: ObjectId) -> Option<u32> {
-        let oc = dense_get(&self.object_comp, object.index());
-        if oc != NO_COMPONENT {
-            return Some(oc);
-        }
-        let tc = dense_get(&self.thread_comp, thread.index());
-        (tc != NO_COMPONENT).then_some(tc)
+        self.components
+            .object_component(object)
+            .or_else(|| self.components.thread_component(thread))
+            // `ComponentMap` holds fewer than `u32::MAX` components.
+            .map(|index| index as u32)
     }
 
     /// The batch pipeline: route → broadcast in chunks → apply per shard →
@@ -326,17 +307,6 @@ fn merge_into(width: usize, bufs: &[Vec<u64>], n_events: usize, out: &mut Vec<Ve
         }
         out.push(VectorTimestamp::from_components(v));
     }
-}
-
-fn dense_get(table: &[u32], index: usize) -> u32 {
-    table.get(index).copied().unwrap_or(NO_COMPONENT)
-}
-
-fn set_dense(table: &mut Vec<u32>, index: usize, value: u32) {
-    if index >= table.len() {
-        table.resize(index + 1, NO_COMPONENT);
-    }
-    table[index] = value;
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ mod tests {
     fn figure1_bipartite_graph_has_cover_of_size_three() {
         let c = paper_figure1();
         let g = c.bipartite_graph();
-        let cover = minimum_vertex_cover_of(&g);
+        let (_, cover) = minimum_vertex_cover_of(&g);
         assert_eq!(cover.size(), 3, "the paper's mixed clock has 3 components");
         assert!(cover.covers_all_edges(&g));
         // T2 (index 1) and O3 (index 2) are forced members of every minimum cover.

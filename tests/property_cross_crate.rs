@@ -25,7 +25,7 @@ proptest! {
             .operations(ops)
             .seed(seed)
             .build();
-        let cover = minimum_vertex_cover_of(&computation.bipartite_graph());
+        let (_, cover) = minimum_vertex_cover_of(&computation.bipartite_graph());
         let components = ComponentMap::from_cover(&cover);
         for event in computation.events() {
             prop_assert!(components.covers_event(event));
