@@ -19,9 +19,10 @@
 //!   so recording, persistence and monitoring compose.
 //!
 //! Sinks accept events in **batches** (one call per drained merge batch, not
-//! one per event); a sink that stores the batch takes it by value through
-//! [`EventSink::accept_owned`], so the hot path moves timestamps instead of
-//! cloning them.
+//! one per event) through [`EventSink::accept_columns`], the one body every
+//! sink implements: the operations arrive as a slice and their timestamps
+//! as a vector the sink consumes, so a sink that stores the batch moves
+//! timestamps instead of cloning them.
 
 use std::fmt;
 
@@ -63,14 +64,20 @@ impl std::error::Error for SinkError {}
 /// A destination for stamped events.
 ///
 /// The trait is dyn-compatible so sinks can be selected at runtime and
-/// composed through [`TeeSink`].  Contract: a batch is either accepted
-/// completely or the sink returns an error having (observably) stored
-/// nothing of the batch, and a caller that receives an error must re-offer
-/// the **identical batch** before sending any new events — the pipeline
-/// driver guarantees this by holding failed batches back and retrying them
-/// first.  The retry clause is what lets a combinator like [`TeeSink`]
-/// resume a partially fanned-out batch without duplicating events into
-/// children that already stored it.
+/// composed through [`TeeSink`].  A sink implements one batch body,
+/// [`accept_columns`](Self::accept_columns) — the shape the pipeline driver
+/// delivers; [`accept_batch`](Self::accept_batch) and
+/// [`accept_owned`](Self::accept_owned) are adapters onto it for callers
+/// holding [`StampedEvent`]s.
+///
+/// Contract: a batch is either accepted completely or the sink returns an
+/// error having (observably) stored nothing of it, and a caller that
+/// receives an error from `accept_columns` must re-offer the **identical
+/// columns** before sending any new events — the pipeline driver
+/// guarantees this by holding failed batches back and retrying them first.
+/// The retry clause is what lets a combinator like [`TeeSink`] resume a
+/// partially fanned-out batch without duplicating events into children
+/// that already stored it.
 ///
 /// Sinks are `Send` so a type-erased `Box<dyn EventSink>` can cross thread
 /// boundaries — the networked service (`mvc-net`) drains one shared sink
@@ -79,69 +86,63 @@ pub trait EventSink: Send {
     /// A short, stable name for reports and CLI selection.
     fn name(&self) -> &str;
 
-    /// Accepts one batch of stamped events, in stamping order.
+    /// Accepts one batch of stamped events, in stamping order, by cloning
+    /// their timestamps into columns for
+    /// [`accept_columns`](Self::accept_columns).
     ///
     /// # Errors
     ///
-    /// Returns a [`SinkError`] if the batch could not be stored; the batch
-    /// is then considered *not* accepted, and the caller must re-offer the
-    /// identical batch before any new events (see the trait docs).
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError>;
+    /// Same contract as [`accept_columns`](Self::accept_columns).
+    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
+        let events: Vec<_> = batch.iter().map(|e| (e.thread, e.object, e.kind)).collect();
+        let mut stamps = batch.iter().map(|e| e.timestamp.clone()).collect();
+        self.accept_columns(&events, &mut stamps)
+    }
 
-    /// Accepts a batch by value, draining `batch` on success.
-    ///
-    /// The default forwards to [`accept_batch`](Self::accept_batch) and
-    /// clears the vector; sinks that store the events (the
-    /// [`MemoryRecorder`]) override it to move timestamps instead of
-    /// cloning them.  On error the batch is left untouched for retry.
+    /// Accepts a batch by value, draining `batch` on success: its
+    /// timestamps are moved into columns for
+    /// [`accept_columns`](Self::accept_columns), and moved back on error,
+    /// so a refused batch is handed back identical for retry.
     ///
     /// # Errors
     ///
-    /// Same contract as [`accept_batch`](Self::accept_batch).
+    /// Same contract as [`accept_columns`](Self::accept_columns).
     fn accept_owned(&mut self, batch: &mut Vec<StampedEvent>) -> Result<(), SinkError> {
-        self.accept_batch(batch)?;
-        batch.clear();
-        Ok(())
+        let events: Vec<_> = batch.iter().map(|e| (e.thread, e.object, e.kind)).collect();
+        let mut stamps = batch
+            .iter_mut()
+            .map(|e| std::mem::take(&mut e.timestamp))
+            .collect();
+        match self.accept_columns(&events, &mut stamps) {
+            Ok(()) => {
+                batch.clear();
+                Ok(())
+            }
+            Err(e) => {
+                for (event, stamp) in batch.iter_mut().zip(stamps) {
+                    event.timestamp = stamp;
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Accepts a batch in column layout — the pipeline driver's native
     /// shape: one `(thread, object, kind)` tuple per event plus the
-    /// parallel vector of timestamps.  On success the stamps are consumed
-    /// (`stamps` is left empty); on error nothing is consumed and the same
-    /// retry contract as [`accept_batch`](Self::accept_batch) applies.
-    ///
-    /// The default zips the columns into [`StampedEvent`]s and forwards to
-    /// [`accept_owned`](Self::accept_owned); storage backends override it
-    /// to consume the columns directly, which keeps the hot path free of
-    /// per-event struct shuffling.
+    /// parallel vector of timestamps, in stamping order.  On success the
+    /// stamps are consumed (`stamps` is left empty).
     ///
     /// # Errors
     ///
-    /// Same contract as [`accept_batch`](Self::accept_batch).
+    /// Returns a [`SinkError`] if the batch could not be stored; nothing is
+    /// consumed, the batch is considered *not* accepted, and the caller
+    /// must re-offer the identical columns before any new events (see the
+    /// trait docs).
     fn accept_columns(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
         stamps: &mut Vec<VectorTimestamp>,
-    ) -> Result<(), SinkError> {
-        debug_assert_eq!(events.len(), stamps.len());
-        let mut batch: Vec<StampedEvent> = events
-            .iter()
-            .zip(stamps.drain(..))
-            .map(|(&(thread, object, kind), timestamp)| StampedEvent {
-                thread,
-                object,
-                kind,
-                timestamp,
-            })
-            .collect();
-        if let Err(e) = self.accept_owned(&mut batch) {
-            // Restore the stamps so the caller can re-offer the identical
-            // columns.
-            stamps.extend(batch.into_iter().map(|ev| ev.timestamp));
-            return Err(e);
-        }
-        Ok(())
-    }
+    ) -> Result<(), SinkError>;
 
     /// Pushes buffered state towards the sink's destination.
     ///
@@ -233,21 +234,6 @@ impl EventSink for MemoryRecorder {
         "mem"
     }
 
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        self.computation
-            .record_ops(batch.iter().map(|e| (e.thread, e.object, e.kind)));
-        self.timestamps
-            .extend(batch.iter().map(|e| e.timestamp.clone()));
-        Ok(())
-    }
-
-    fn accept_owned(&mut self, batch: &mut Vec<StampedEvent>) -> Result<(), SinkError> {
-        self.computation
-            .record_ops(batch.iter().map(|e| (e.thread, e.object, e.kind)));
-        self.timestamps.extend(batch.drain(..).map(|e| e.timestamp));
-        Ok(())
-    }
-
     fn accept_columns(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
@@ -296,13 +282,6 @@ impl CodecSink {
 impl EventSink for CodecSink {
     fn name(&self) -> &str {
         "codec"
-    }
-
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        for e in batch {
-            self.encoder.push(e.thread, e.object, e.kind);
-        }
-        Ok(())
     }
 
     fn accept_columns(
@@ -435,30 +414,13 @@ impl EventSink for StatsSink {
         "stats"
     }
 
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        // Tally into locals, hit the shared cells once per batch.
-        let mut kinds = [0u64; 5];
-        for e in batch {
-            kinds[kind_slot(e.kind)] += 1;
-            self.thread_index_bound = self.thread_index_bound.max(e.thread.index() + 1);
-            self.object_index_bound = self.object_index_bound.max(e.object.index() + 1);
-            self.max_clock_width = self.max_clock_width.max(e.timestamp.len());
-        }
-        self.events.add(batch.len() as u64);
-        for (slot, n) in kinds.into_iter().enumerate() {
-            if n > 0 {
-                self.per_kind[slot].add(n);
-            }
-        }
-        Ok(())
-    }
-
     fn accept_columns(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
         stamps: &mut Vec<VectorTimestamp>,
     ) -> Result<(), SinkError> {
         debug_assert_eq!(events.len(), stamps.len());
+        // Tally into locals, hit the shared cells once per batch.
         let mut kinds = [0u64; 5];
         for &(thread, object, kind) in events {
             kinds[kind_slot(kind)] += 1;
@@ -488,12 +450,13 @@ impl EventSink for StatsSink {
 }
 
 /// The fan-out combinator: forwards every batch to each child sink in
-/// order.
+/// order.  Every child but the last gets a clone of the stamps; the last
+/// consumes the originals.
 ///
 /// A child failure aborts the batch with that child's error.  Children
 /// earlier in the list have already accepted it, so the tee remembers how
-/// far it got: when the caller re-offers the batch (the retry contract —
-/// see [`EventSink::accept_batch`]), delivery resumes at the child that
+/// far it got: when the caller re-offers the columns (the retry contract —
+/// see [`EventSink::accept_columns`]), delivery resumes at the child that
 /// failed instead of duplicating events into the children that already
 /// stored them.
 pub struct TeeSink {
@@ -541,13 +504,22 @@ impl EventSink for TeeSink {
         "tee"
     }
 
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        while self.accepted_children < self.children.len() {
-            self.children[self.accepted_children].accept_batch(batch)?;
+    fn accept_columns(
+        &mut self,
+        events: &[(ThreadId, ObjectId, OpKind)],
+        stamps: &mut Vec<VectorTimestamp>,
+    ) -> Result<(), SinkError> {
+        let last = self.children.len().saturating_sub(1);
+        while self.accepted_children < last {
+            self.children[self.accepted_children].accept_columns(events, &mut stamps.clone())?;
             self.accepted_children += 1;
         }
+        match self.children.last_mut() {
+            Some(child) => child.accept_columns(events, stamps)?,
+            None => stamps.clear(),
+        }
         self.accepted_children = 0;
-        self.events += batch.len();
+        self.events += events.len();
         Ok(())
     }
 
@@ -675,12 +647,17 @@ mod tests {
             "flaky"
         }
 
-        fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
+        fn accept_columns(
+            &mut self,
+            events: &[(ThreadId, ObjectId, OpKind)],
+            stamps: &mut Vec<VectorTimestamp>,
+        ) -> Result<(), SinkError> {
             if self.failures > 0 {
                 self.failures -= 1;
                 return Err(SinkError::Io("transient".into()));
             }
-            self.accepted += batch.len();
+            self.accepted += events.len();
+            stamps.clear();
             Ok(())
         }
 
@@ -708,7 +685,7 @@ mod tests {
         ]);
         let mut batch = sample_batch();
         assert!(tee.accept_owned(&mut batch).is_err());
-        assert_eq!(batch.len(), 3, "failed batch is left for retry");
+        assert_eq!(batch, sample_batch(), "failed batch is handed back whole");
         assert!(tee.accept_owned(&mut batch).is_err(), "still flaky");
         tee.accept_owned(&mut batch).unwrap();
         assert!(batch.is_empty());
@@ -728,6 +705,23 @@ mod tests {
         for child in tee.children() {
             assert_eq!(child.events_accepted(), 6, "{}", child.name());
         }
+    }
+
+    #[test]
+    fn refused_adapters_count_nothing_and_hand_the_batch_back() {
+        let mut sink = FlakySink {
+            failures: 2,
+            accepted: 0,
+        };
+        let before = sample_batch();
+        assert!(sink.accept_batch(&before).is_err());
+        assert_eq!(sink.events_accepted(), 0, "a refused batch counts nothing");
+        let mut batch = before.clone();
+        assert!(sink.accept_owned(&mut batch).is_err());
+        assert_eq!(batch, before, "every stamp is moved back on refusal");
+        sink.accept_owned(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(sink.events_accepted(), 3);
     }
 
     #[test]

@@ -29,9 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mvc_clock::{Component, VectorTimestamp};
-use mvc_core::{
-    EventSink, SinkError, StampedEvent, TimestampReport, Timestamper, TimestampingEngine,
-};
+use mvc_core::{EventSink, SinkError, TimestampReport, Timestamper, TimestampingEngine};
 use mvc_runtime::{LiveSession, ThreadHandle, TraceSession};
 use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
@@ -146,25 +144,6 @@ impl RouterSink {
 impl EventSink for RouterSink {
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        let mark = self.queue.len();
-        for event in batch {
-            if self.wants(event.thread) {
-                self.queue.push((event.thread, event.timestamp.clone()));
-            }
-        }
-        match self.inner.accept_batch(batch) {
-            Ok(()) => {
-                self.accepted += batch.len();
-                Ok(())
-            }
-            Err(e) => {
-                self.queue.truncate(mark);
-                Err(e)
-            }
-        }
     }
 
     fn accept_columns(

@@ -17,10 +17,11 @@
 //! and measured as `tracked_edges_per_s` by the repo benchmark.
 
 use mvc_clock::ComponentMap;
-use mvc_graph::{BipartiteGraph, IncrementalOptimum};
+use mvc_graph::IncrementalOptimum;
 use mvc_trace::{ObjectId, ThreadId};
 
 use crate::mechanism::OnlineMechanism;
+use crate::timestamper::choose_covering;
 
 /// One point of a competitive trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,16 +98,6 @@ impl<M: OnlineMechanism> CompetitiveTracker<M> {
         }
     }
 
-    /// Current online clock size.
-    pub fn online_size(&self) -> usize {
-        self.components.len()
-    }
-
-    /// The thread–object graph revealed so far.
-    pub fn revealed_graph(&self) -> &BipartiteGraph {
-        self.optimum.graph()
-    }
-
     /// Reveals one event.  A trajectory point is appended only when the event
     /// introduces a new (thread, object) edge — repeats change nothing.
     fn reveal(&mut self, thread: ThreadId, object: ObjectId) {
@@ -115,8 +106,10 @@ impl<M: OnlineMechanism> CompetitiveTracker<M> {
             return;
         }
         if !self.components.contains_thread(thread) && !self.components.contains_object(object) {
-            self.components
-                .push(self.mechanism.choose(self.optimum.graph(), thread, object));
+            self.components.push(
+                choose_covering(&mut self.mechanism, self.optimum.graph(), thread, object)
+                    .unwrap_or_else(|e| panic!("{e}")),
+            );
         }
         self.trajectory.push(TrajectoryPoint {
             revealed_edges: self.optimum.graph().edge_count(),
@@ -126,6 +119,13 @@ impl<M: OnlineMechanism> CompetitiveTracker<M> {
     }
 
     /// Reveals a whole edge stream and returns the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`TimestampError::RogueComponent`]'s message when the
+    /// mechanism chooses a component covering neither endpoint.
+    ///
+    /// [`TimestampError::RogueComponent`]: mvc_core::TimestampError::RogueComponent
     pub fn run(mut self, edges: &[(usize, usize)]) -> CompetitiveReport {
         for &(t, o) in edges {
             self.reveal(ThreadId(t), ObjectId(o));

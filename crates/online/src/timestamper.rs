@@ -120,16 +120,7 @@ impl<M: OnlineMechanism> OnlineTimestamper<M> {
         self.revealed
             .add_edge_growing(thread.index(), object.index());
         if !self.engine.covers(thread, object) {
-            let component = self.mechanism.choose(&self.revealed, thread, object);
-            let covers_event =
-                component == Component::Thread(thread) || component == Component::Object(object);
-            if !covers_event {
-                return Err(TimestampError::RogueComponent {
-                    thread,
-                    object,
-                    component,
-                });
-            }
+            let component = choose_covering(&mut self.mechanism, &self.revealed, thread, object)?;
             match component {
                 Component::Thread(_) => self.stats.thread_components += 1,
                 Component::Object(_) => self.stats.object_components += 1,
@@ -188,6 +179,31 @@ impl<M: OnlineMechanism> Timestamper for OnlineTimestamper<M> {
     }
 }
 
+/// Asks `mechanism` for a component covering the uncovered event
+/// `(thread, object)`, whose edge `revealed` already holds.
+///
+/// # Errors
+///
+/// Returns [`TimestampError::RogueComponent`] when the chosen component
+/// covers neither endpoint.
+pub(crate) fn choose_covering<M: OnlineMechanism + ?Sized>(
+    mechanism: &mut M,
+    revealed: &BipartiteGraph,
+    thread: ThreadId,
+    object: ObjectId,
+) -> Result<Component, TimestampError> {
+    let component = mechanism.choose(revealed, thread, object);
+    if component == Component::Thread(thread) || component == Component::Object(object) {
+        Ok(component)
+    } else {
+        Err(TimestampError::RogueComponent {
+            thread,
+            object,
+            component,
+        })
+    }
+}
+
 /// Replays only the component-selection decisions over an edge-reveal stream
 /// and returns the selected components.
 ///
@@ -196,6 +212,11 @@ impl<M: OnlineMechanism> Timestamper for OnlineTimestamper<M> {
 /// can be omitted).  The cover bookkeeping is the same [`ComponentMap`] the
 /// full timestamping pipeline uses — only the engine's vector arithmetic is
 /// skipped.
+///
+/// # Panics
+///
+/// Panics with [`TimestampError::RogueComponent`]'s message when the
+/// mechanism chooses a component covering neither endpoint.
 fn simulate_components<M: OnlineMechanism + ?Sized>(
     mechanism: &mut M,
     edges: &[(usize, usize)],
@@ -208,7 +229,9 @@ fn simulate_components<M: OnlineMechanism + ?Sized>(
         if components.contains_thread(thread) || components.contains_object(object) {
             continue;
         }
-        components.push(mechanism.choose(&revealed, thread, object));
+        components.push(
+            choose_covering(mechanism, &revealed, thread, object).unwrap_or_else(|e| panic!("{e}")),
+        );
     }
     components
 }
@@ -217,6 +240,11 @@ fn simulate_components<M: OnlineMechanism + ?Sized>(
 /// and returns the final clock size — the quantity plotted on the y-axis of
 /// Figures 4–7.  `edges` is the order in which distinct `(thread, object)`
 /// pairs are first revealed; repeats never trigger a decision.
+///
+/// # Panics
+///
+/// Panics with [`TimestampError::RogueComponent`]'s message when the
+/// mechanism chooses a component covering neither endpoint.
 pub fn simulate_final_size<M: OnlineMechanism + ?Sized>(
     mechanism: &mut M,
     edges: &[(usize, usize)],
@@ -379,6 +407,18 @@ mod tests {
         let err = OnlineTimestamper::new(Rogue).run(&c).unwrap_err();
         assert!(matches!(err, TimestampError::RogueComponent { .. }));
         assert!(err.to_string().contains("T1000"));
+    }
+
+    #[test]
+    #[should_panic(expected = "mechanism chose T1000, which covers neither T0 nor O0")]
+    fn simulate_panics_on_a_rogue_mechanism() {
+        simulate_final_size(&mut Rogue, &[(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mechanism chose T1000, which covers neither T0 nor O0")]
+    fn competitive_tracker_panics_on_a_rogue_mechanism() {
+        crate::CompetitiveTracker::new(Rogue).run(&[(0, 0), (1, 1)]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use mvc_clock::{ClockOrd, VectorTimestamp};
-use mvc_core::sink::{EventSink, SinkError, StampedEvent};
+use mvc_core::sink::{EventSink, SinkError};
 use mvc_graph::IncrementalOptimum;
 use mvc_online::TrajectoryPoint;
 use mvc_trace::{EventId, ObjectId, OpKind, ThreadId};
@@ -199,13 +199,6 @@ impl ReachabilityIndexSink {
 impl EventSink for ReachabilityIndexSink {
     fn name(&self) -> &str {
         "reach"
-    }
-
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        for ev in batch {
-            self.ingest(ev.thread, ev.object, ev.timestamp.clone());
-        }
-        Ok(())
     }
 
     fn accept_columns(
@@ -644,14 +637,6 @@ impl EventSink for ConflictSink {
         "conflict"
     }
 
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        for ev in batch {
-            self.ingest(ev.thread, ev.object, ev.kind, &ev.timestamp);
-        }
-        self.prune_touched();
-        Ok(())
-    }
-
     fn accept_columns(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
@@ -807,17 +792,6 @@ impl EventSink for CompetitiveSink {
         "competitive"
     }
 
-    fn accept_batch(&mut self, batch: &[StampedEvent]) -> Result<(), SinkError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        for ev in batch {
-            self.ingest(ev.thread, ev.object, ev.timestamp.len());
-        }
-        self.sample();
-        Ok(())
-    }
-
     fn accept_columns(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
@@ -849,6 +823,7 @@ impl EventSink for CompetitiveSink {
 mod tests {
     use super::*;
     use crate::ConflictAnalyzer;
+    use mvc_core::sink::StampedEvent;
     use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
     use mvc_trace::Computation;
 

@@ -382,15 +382,16 @@ mod tests {
             "flaky-mem"
         }
 
-        fn accept_batch(
+        fn accept_columns(
             &mut self,
-            batch: &[mvc_core::StampedEvent],
+            events: &[(mvc_trace::ThreadId, mvc_trace::ObjectId, mvc_trace::OpKind)],
+            stamps: &mut Vec<VectorTimestamp>,
         ) -> Result<(), mvc_core::SinkError> {
             if self.failures > 0 {
                 self.failures -= 1;
                 return Err(mvc_core::SinkError::Io("transient".into()));
             }
-            self.inner.accept_batch(batch)
+            self.inner.accept_columns(events, stamps)
         }
 
         fn events_accepted(&self) -> usize {
