@@ -2,17 +2,35 @@
 //!
 //! Left vertices model threads and right vertices model objects, but the type
 //! is agnostic to that interpretation: it is a plain undirected bipartite
-//! graph with O(1) amortised incremental edge insertion and O(1) edge-presence
-//! queries, which is exactly what both the offline optimizer (build once,
-//! solve once) and the online mechanisms (edges revealed one at a time) need.
+//! graph with O(1) amortised incremental edge insertion and O(1) expected
+//! edge-presence queries, which is exactly what both the offline optimizer
+//! (build once, solve once) and the online mechanisms (edges revealed one at
+//! a time) need.
 //!
-//! The graph keeps one growable list per vertex so that it can grow.  A
-//! solve does not walk those lists: Hopcroft–Karp copies them once per call
-//! into a frozen compressed-sparse-row view with `u32` offsets and targets
-//! (see [`crate::matching`]).
+//! # Storage
+//!
+//! The graph is an *edge log*: every distinct edge in the order it was first
+//! added, one degree array per side, the active-vertex counts, and the set of
+//! pairs seen so far.  That is everything an insertion touches, and all the
+//! online mechanisms read.  No per-vertex list is stored.  A reader that needs
+//! adjacency groups the log once, by a stable counting sort, into compressed
+//! sparse rows with each list in insertion order: Hopcroft–Karp's frozen view
+//! and the reference searches (see [`crate::matching`]) and
+//! [`BipartiteGraph::edges`] do.
+//! [`IncrementalMatching`](crate::incremental::IncrementalMatching), which
+//! walks a thread's list after insertions, keeps lists of its own.
+//!
+//! The seen set is an open-addressing table of the pairs packed into `u64`
+//! keys, with linear probing under a multiplicative (Fibonacci) hash.  It is
+//! not SipHash: the keys are dense vertex indices, which a multiply spreads
+//! well, and a keyed hash would cost a reveal more than the rest of it.  The
+//! table is therefore not hardened against pairs crafted to collide; a
+//! caller that lets an untrusted party choose ids bounds them where they
+//! enter the process, as `mvc_trace::codec` does.  Indices are stored as
+//! `u32`, so a side holds at most `u32::MAX` vertices.
 
-use std::collections::HashSet;
 use std::fmt;
+use std::marker::PhantomData;
 
 use serde::{Deserialize, Serialize};
 
@@ -70,20 +88,26 @@ impl From<RightVertex> for Vertex {
 /// An undirected bipartite graph with `n_left` left vertices and `n_right`
 /// right vertices.
 ///
-/// Edges are stored as adjacency lists on both sides plus a hash set for O(1)
-/// membership tests, so that repeatedly "revealing" the same thread–object
-/// pair (as happens in an online computation where a thread touches the same
-/// object many times) does not create parallel edges.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Edges are stored as an insertion-ordered log plus a set of the pairs seen
+/// (see the [module docs](self)), so that repeatedly "revealing" the same
+/// thread–object pair (as happens in an online computation where a thread
+/// touches the same object many times) does not create parallel edges.
+///
+/// Two graphs are equal when they have the same sides and every vertex has
+/// the same neighbours in the same order; how the two logs interleave those
+/// lists does not matter.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BipartiteGraph {
-    n_left: usize,
-    n_right: usize,
-    adj_left: Vec<Vec<usize>>,
-    adj_right: Vec<Vec<usize>>,
-    edge_set: HashSet<(usize, usize)>,
+    /// Every distinct edge, in the order it was first added.
+    log: Vec<(u32, u32)>,
+    /// Edges at each left vertex; its length is `n_left`.
+    degree_left: Vec<u32>,
+    /// Edges at each right vertex; its length is `n_right`.
+    degree_right: Vec<u32>,
+    seen: EdgeSet,
     // Maintained incrementally so per-event consumers (the Adaptive online
-    // mechanism, the incremental matcher's augmentation guard) get O(1)
-    // active-vertex counts instead of O(V) scans.
+    // mechanism, `GraphStats`) get O(1) active-vertex counts instead of O(V)
+    // scans.
     active_left_count: usize,
     active_right_count: usize,
 }
@@ -99,16 +123,15 @@ impl BipartiteGraph {
     /// assert_eq!(g.n_right(), 5);
     /// assert_eq!(g.edge_count(), 0);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side has more than `u32::MAX` vertices.
     pub fn new(n_left: usize, n_right: usize) -> Self {
-        Self {
-            n_left,
-            n_right,
-            adj_left: vec![Vec::new(); n_left],
-            adj_right: vec![Vec::new(); n_right],
-            edge_set: HashSet::new(),
-            active_left_count: 0,
-            active_right_count: 0,
-        }
+        let mut g = Self::default();
+        g.ensure_left(n_left);
+        g.ensure_right(n_right);
+        g
     }
 
     /// Creates a graph from an explicit edge list.
@@ -129,38 +152,32 @@ impl BipartiteGraph {
 
     /// Number of left-side vertices (threads).
     pub fn n_left(&self) -> usize {
-        self.n_left
+        self.degree_left.len()
     }
 
     /// Number of right-side vertices (objects).
     pub fn n_right(&self) -> usize {
-        self.n_right
+        self.degree_right.len()
     }
 
     /// Number of distinct edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_set.len()
+        self.log.len()
     }
 
     /// Returns `true` if the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.edge_set.is_empty()
+        self.log.is_empty()
     }
 
     /// Grows the left side to at least `n` vertices (no-op if already larger).
     fn ensure_left(&mut self, n: usize) {
-        if n > self.n_left {
-            self.adj_left.resize_with(n, Vec::new);
-            self.n_left = n;
-        }
+        grow_side(&mut self.degree_left, n);
     }
 
     /// Grows the right side to at least `n` vertices (no-op if already larger).
     fn ensure_right(&mut self, n: usize) {
-        if n > self.n_right {
-            self.adj_right.resize_with(n, Vec::new);
-            self.n_right = n;
-        }
+        grow_side(&mut self.degree_right, n);
     }
 
     /// Adds the edge `(left, right)`, returning `true` if the edge was not
@@ -177,28 +194,26 @@ impl BipartiteGraph {
     /// graphs.
     pub fn add_edge(&mut self, left: usize, right: usize) -> bool {
         assert!(
-            left < self.n_left,
+            left < self.n_left(),
             "left vertex {left} out of range (n_left = {})",
-            self.n_left
+            self.n_left()
         );
         assert!(
-            right < self.n_right,
+            right < self.n_right(),
             "right vertex {right} out of range (n_right = {})",
-            self.n_right
+            self.n_right()
         );
-        if self.edge_set.insert((left, right)) {
-            if self.adj_left[left].is_empty() {
-                self.active_left_count += 1;
-            }
-            if self.adj_right[right].is_empty() {
-                self.active_right_count += 1;
-            }
-            self.adj_left[left].push(right);
-            self.adj_right[right].push(left);
-            true
-        } else {
-            false
+        // Both are below a side length, which `grow_side` keeps within u32.
+        let (l, r) = (left as u32, right as u32);
+        if !self.seen.insert(key(l, r), &self.log) {
+            return false;
         }
+        self.log.push((l, r));
+        self.active_left_count += (self.degree_left[left] == 0) as usize;
+        self.active_right_count += (self.degree_right[right] == 0) as usize;
+        self.degree_left[left] += 1;
+        self.degree_right[right] += 1;
+        true
     }
 
     /// Adds the edge `(left, right)`, growing either side as needed.
@@ -212,27 +227,19 @@ impl BipartiteGraph {
 
     /// Returns `true` if the edge `(left, right)` is present.
     pub fn has_edge(&self, left: usize, right: usize) -> bool {
-        self.edge_set.contains(&(left, right))
-    }
-
-    /// Neighbours (right-side indices) of a left vertex.
-    pub fn neighbors_of_left(&self, left: usize) -> &[usize] {
-        &self.adj_left[left]
-    }
-
-    /// Neighbours (left-side indices) of a right vertex.
-    pub(crate) fn neighbors_of_right(&self, right: usize) -> &[usize] {
-        &self.adj_right[right]
+        left < self.n_left()
+            && right < self.n_right()
+            && self.seen.contains(key(left as u32, right as u32))
     }
 
     /// Degree of a left vertex.
     pub fn degree_left(&self, left: usize) -> usize {
-        self.adj_left[left].len()
+        self.degree_left[left] as usize
     }
 
     /// Degree of a right vertex.
     pub fn degree_right(&self, right: usize) -> usize {
-        self.adj_right[right].len()
+        self.degree_right[right] as usize
     }
 
     /// Degree of an arbitrary vertex.
@@ -243,16 +250,44 @@ impl BipartiteGraph {
         }
     }
 
+    /// Every distinct edge as `(left, right)`, in the order it was first
+    /// added.
+    pub(crate) fn log(&self) -> &[(u32, u32)] {
+        &self.log
+    }
+
+    /// The edges grouped by left vertex: row `l` lists the right neighbours
+    /// of `l` in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge count does not fit a `u32`.
+    pub(crate) fn left_rows(&self) -> Rows {
+        Rows::group(&self.degree_left, self.log.iter().copied())
+    }
+
+    /// The edges grouped by right vertex: row `r` lists the left neighbours
+    /// of `r` in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge count does not fit a `u32`.
+    pub(crate) fn right_rows(&self) -> Rows {
+        Rows::group(&self.degree_right, self.log.iter().map(|&(l, r)| (r, l)))
+    }
+
     /// Iterator over all edges as `(left, right)` pairs.
     ///
     /// Edges are produced grouped by left vertex in insertion order, which
     /// makes the iteration deterministic (important for reproducible
-    /// evaluation runs).
+    /// evaluation runs).  Creating the iterator groups the log once (`O(V +
+    /// E)` time and memory).
     pub fn edges(&self) -> EdgeIter<'_> {
         EdgeIter {
-            graph: self,
+            rows: self.left_rows(),
             left: 0,
             pos: 0,
+            graph: PhantomData,
         }
     }
 
@@ -261,7 +296,7 @@ impl BipartiteGraph {
     /// This matches the paper's notion of "graph density" used on the x-axis
     /// of Figures 4 and 6. Returns 0.0 for a graph with an empty side.
     pub fn density(&self) -> f64 {
-        let cells = self.n_left * self.n_right;
+        let cells = self.n_left() * self.n_right();
         if cells == 0 {
             0.0
         } else {
@@ -283,12 +318,12 @@ impl BipartiteGraph {
 
     /// Left vertices with at least one incident edge.
     pub fn active_left(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n_left).filter(|&l| !self.adj_left[l].is_empty())
+        (0..self.n_left()).filter(|&l| self.degree_left[l] != 0)
     }
 
     /// Right vertices with at least one incident edge.
     pub fn active_right(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n_right).filter(|&r| !self.adj_right[r].is_empty())
+        (0..self.n_right()).filter(|&r| self.degree_right[r] != 0)
     }
 
     /// Number of left vertices with at least one incident edge, maintained
@@ -304,29 +339,170 @@ impl BipartiteGraph {
     }
 }
 
+impl PartialEq for BipartiteGraph {
+    fn eq(&self, other: &Self) -> bool {
+        // Equal degrees make equal sides and equal row offsets; the rows
+        // then compare the lists themselves.
+        self.degree_left == other.degree_left
+            && self.degree_right == other.degree_right
+            && self.left_rows() == other.left_rows()
+            && self.right_rows() == other.right_rows()
+    }
+}
+
+impl Eq for BipartiteGraph {}
+
+/// Grows a degree array to at least `n` vertices, the new ones isolated.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`: indices are stored as `u32`.
+fn grow_side(degree: &mut Vec<u32>, n: usize) {
+    if n > degree.len() {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a side of {n} vertices does not fit u32 indices"
+        );
+        degree.resize(n, 0);
+    }
+}
+
+/// The seen-set key of the edge `(l, r)`.
+fn key(l: u32, r: u32) -> u64 {
+    u64::from(l) << 32 | u64::from(r)
+}
+
+/// The graph's edges as a set of keys: open addressing with linear probing,
+/// at most half full.
+///
+/// A slot holds a key or [`EMPTY`](Self::EMPTY), which no edge packs to: an
+/// index is below `u32::MAX`.  A slot is found from the top bits of the key
+/// times `2^64 / φ` (Fibonacci hashing), which spreads stars, complete
+/// graphs and diagonals alike.  The set holds exactly the edges of the
+/// graph's log, which it grows from.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct EdgeSet {
+    /// Empty, or a power of two of at least 16 slots.
+    slots: Vec<u64>,
+}
+
+impl EdgeSet {
+    const EMPTY: u64 = u64::MAX;
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// Adds `key`, returning `true` if it was absent.  `log` holds the
+    /// edges already in the set.
+    fn insert(&mut self, key: u64, log: &[(u32, u32)]) -> bool {
+        // May grow one insertion early, on a repeat; that costs nothing.
+        if 2 * (log.len() + 1) > self.slots.len() {
+            self.grow(log);
+        }
+        let slot = self.slot(key);
+        let fresh = self.slots[slot] == Self::EMPTY;
+        self.slots[slot] = key;
+        fresh
+    }
+
+    fn contains(&self, key: u64) -> bool {
+        !self.slots.is_empty() && self.slots[self.slot(key)] == key
+    }
+
+    /// The slot holding `key`, or else the empty slot it would go in.
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = u64::BITS - self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(Self::MULTIPLIER) >> shift) as usize;
+        while self.slots[i] != key && self.slots[i] != Self::EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Quadruples the table and re-inserts `log`'s edges into it.
+    ///
+    /// The edges come from the dense log rather than the old slots, so no
+    /// empty slot is branched over.  Growing fourfold rather than twofold
+    /// re-inserts a third as many edges over the table's life, for a table
+    /// between 1/8 and 1/2 full instead of between 1/4 and 1/2.
+    fn grow(&mut self, log: &[(u32, u32)]) {
+        self.slots = vec![Self::EMPTY; (4 * self.slots.len()).max(16)];
+        for &(l, r) in log {
+            let slot = self.slot(key(l, r));
+            self.slots[slot] = key(l, r);
+        }
+    }
+}
+
+/// One side's adjacency as compressed sparse rows: row `v` is
+/// `targets[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rows {
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) targets: Vec<u32>,
+}
+
+impl Rows {
+    /// A stable counting sort of `edges` as `(v, w)` pairs by `v`, where
+    /// `degree[v]` of them have that `v`: row `v` lists their `w`s in the
+    /// order `edges` yields them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are `u32::MAX` or more edges.
+    fn group(degree: &[u32], edges: impl ExactSizeIterator<Item = (u32, u32)>) -> Self {
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "{} edges do not fit u32 rows",
+            edges.len()
+        );
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        let mut end = 0;
+        offsets.push(end);
+        for &d in degree {
+            end += d;
+            offsets.push(end);
+        }
+        let mut next = offsets[..degree.len()].to_vec();
+        let mut targets = vec![0; edges.len()];
+        for (v, w) in edges {
+            let slot = &mut next[v as usize];
+            targets[*slot as usize] = w;
+            *slot += 1;
+        }
+        Self { offsets, targets }
+    }
+
+    /// The number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `v`.
+    pub(crate) fn row(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
 /// Iterator over the edges of a [`BipartiteGraph`], created by
 /// [`BipartiteGraph::edges`].
 #[derive(Debug, Clone)]
 pub struct EdgeIter<'a> {
-    graph: &'a BipartiteGraph,
+    rows: Rows,
     left: usize,
     pos: usize,
+    graph: PhantomData<&'a BipartiteGraph>,
 }
 
 impl<'a> Iterator for EdgeIter<'a> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.left < self.graph.n_left {
-            if self.pos < self.graph.adj_left[self.left].len() {
-                let r = self.graph.adj_left[self.left][self.pos];
-                self.pos += 1;
-                return Some((self.left, r));
-            }
+        let r = *self.rows.targets.get(self.pos)?;
+        while self.rows.offsets[self.left + 1] as usize <= self.pos {
             self.left += 1;
-            self.pos = 0;
         }
-        None
+        self.pos += 1;
+        Some((self.left, r as usize))
     }
 }
 
@@ -342,6 +518,7 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.density(), 0.0);
         assert_eq!(g.edges().count(), 0);
+        assert!(!g.has_edge(0, 0));
     }
 
     #[test]
@@ -352,6 +529,7 @@ mod tests {
         assert!(!g.add_edge(0, 1), "duplicate edge must be ignored");
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 1));
+        assert!(!g.has_edge(7, 1), "past the side");
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.degree_left(0), 1);
         assert_eq!(g.degree_right(2), 1);
@@ -374,6 +552,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a side of 4294967296 vertices does not fit u32 indices")]
+    fn a_side_past_u32_stops_before_allocating() {
+        let mut g = BipartiteGraph::new(0, 0);
+        g.add_edge_growing(u32::MAX as usize, 0);
+    }
+
+    #[test]
     fn growing_insertion() {
         let mut g = BipartiteGraph::new(0, 0);
         assert!(g.add_edge_growing(2, 3));
@@ -386,6 +571,29 @@ mod tests {
     }
 
     #[test]
+    fn the_seen_set_survives_growth() {
+        // Enough edges for several rebuilds, on a star, a column and a
+        // diagonal: every edge stays findable, and no repeat is new.
+        let mut g = BipartiteGraph::new(0, 0);
+        let edges: Vec<_> = (0..3000)
+            .flat_map(|i| [(0, i), (i, 0), (i + 1, i + 2)])
+            .collect();
+        let fresh = edges
+            .iter()
+            .filter(|&&(l, r)| g.add_edge_growing(l, r))
+            .count();
+        assert_eq!(fresh, 3 * 3000 - 1, "(0, 0) is in the star and the column");
+        assert_eq!(g.edge_count(), fresh);
+        assert!(edges.iter().all(|&(l, r)| g.has_edge(l, r)));
+        assert!(edges.iter().all(|&(l, r)| !g.add_edge(l, r)));
+        assert!(!g.has_edge(5, 7));
+        assert!(
+            2 * g.edge_count() <= g.seen.slots.len(),
+            "at most half full"
+        );
+    }
+
+    #[test]
     fn from_edges_matches_manual_insertion() {
         let edges = [(0, 0), (0, 1), (1, 1), (2, 0)];
         let g = BipartiteGraph::from_edges(3, 2, &edges);
@@ -394,6 +602,26 @@ mod tests {
             h.add_edge(l, r);
         }
         assert_eq!(g, h);
+    }
+
+    #[test]
+    fn equality_is_per_vertex_lists_not_the_interleaving() {
+        // Thread 0 lists [0, 1], thread 1 [1, 0]; object 0 lists [0, 1],
+        // object 1 [1, 0] — in both logs, interleaved differently.
+        let a = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1), (0, 1), (1, 0)]);
+        let b = BipartiteGraph::from_edges(2, 2, &[(1, 1), (0, 0), (1, 0), (0, 1)]);
+        assert_ne!(a.log, b.log);
+        assert_eq!(a, b);
+        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
+        // The same thread lists, but object 1 now lists [0, 1].
+        let objects_differ = BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 1), (1, 0)]);
+        assert_ne!(a, objects_differ);
+        // The same object lists, but thread 0 now lists [1, 0].
+        let threads_differ = BipartiteGraph::from_edges(2, 2, &[(1, 1), (0, 1), (0, 0), (1, 0)]);
+        assert_ne!(a, threads_differ);
+        // The same lists on a wider side.
+        let wider = BipartiteGraph::from_edges(3, 2, &[(0, 0), (1, 1), (0, 1), (1, 0)]);
+        assert_ne!(a, wider);
     }
 
     #[test]

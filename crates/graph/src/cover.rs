@@ -200,8 +200,9 @@ impl VertexCover {
     /// endpoint in the cover.
     pub fn covers_all_edges(&self, graph: &BipartiteGraph) -> bool {
         graph
-            .edges()
-            .all(|(l, r)| self.contains_left(l) || self.contains_right(r))
+            .log()
+            .iter()
+            .all(|&(l, r)| self.contains_left(l as usize) || self.contains_right(r as usize))
     }
 }
 
@@ -222,8 +223,9 @@ impl FromIterator<Vertex> for VertexCover {
 /// [`hopcroft_karp`](crate::matching::hopcroft_karp)); otherwise the
 /// returned set is still a vertex cover but not necessarily minimum.
 ///
-/// This is the standalone search for `Z`.  [`minimum_vertex_cover_of`] gets
-/// the same cover without it.
+/// This is the standalone search for `Z`, over the graph's edges grouped by
+/// thread as in Hopcroft–Karp's frozen view.  [`minimum_vertex_cover_of`]
+/// gets the same cover without it.
 ///
 /// ```
 /// use mvc_graph::{BipartiteGraph, matching::hopcroft_karp, cover::minimum_vertex_cover};
@@ -233,7 +235,12 @@ impl FromIterator<Vertex> for VertexCover {
 /// assert_eq!(c.size(), 2);
 /// assert!(c.covers_all_edges(&g));
 /// ```
+///
+/// # Panics
+///
+/// Panics if the edge count of `graph` does not fit a `u32`.
 pub fn minimum_vertex_cover(graph: &BipartiteGraph, matching: &Matching) -> VertexCover {
+    let rows = graph.left_rows();
     let n_left = graph.n_left();
 
     // Z := unmatched left vertices, plus everything reachable from them via
@@ -255,7 +262,7 @@ pub fn minimum_vertex_cover(graph: &BipartiteGraph, matching: &Matching) -> Vert
     while let Some(v) = queue.pop_front() {
         match v {
             Vertex::Left(l) => {
-                for &r in graph.neighbors_of_left(l) {
+                for r in rows.row(l).iter().map(|&r| r as usize) {
                     // Alternating path: from a left vertex we may only follow
                     // *unmatched* edges.
                     if !matching.contains_edge(l, r) && !z_right[r] {

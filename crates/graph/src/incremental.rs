@@ -17,7 +17,10 @@
 //! — everything reachable from the unmatched threads by alternating paths —
 //! alive across insertions: an epoch mark and a `parent` thread per object
 //! (a matched thread is in `Z` iff its partner is, a free thread always), and
-//! the list of free threads `Z` is rooted at.  An augmenting path is an
+//! the list of free threads `Z` is rooted at.  It also keeps each thread's
+//! objects in insertion order, since growing `Z` walks them and the graph
+//! stores only an edge log (see [`crate::bipartite`]); the reports that
+//! maintain the matching fill these lists.  An augmenting path is an
 //! alternating path from a free thread to a free object, so the new edge
 //! `(l, r)` matters only if `l ∈ Z` and `r ∉ Z`:
 //!
@@ -64,7 +67,8 @@ use crate::matching::{Matching, NIL};
 /// The caller owns the graph; [`insert_edge`](Self::insert_edge) states the
 /// contract that comes with that.  [`IncrementalOptimum`] owns the graph and
 /// keeps the two in lock-step.  All buffers are reused across insertions, so
-/// a steady-state insertion allocates nothing.
+/// a steady-state insertion allocates nothing beyond the amortised growth of
+/// one thread's list.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalMatching {
     pair_left: Vec<usize>,
@@ -72,6 +76,10 @@ pub struct IncrementalMatching {
     size: usize,
     /// Edges reported so far; checked against the graph in debug builds.
     reported: usize,
+    /// Each thread's objects in the order their edges were reported, which
+    /// by the [`insert_edge`](Self::insert_edge) contract is the graph's
+    /// insertion order.
+    adj: Vec<Vec<usize>>,
     /// Object `r` is in `Z` iff `mark[r] == epoch` (and `valid`); it was
     /// reached over the non-matching edge `(parent[r], r)`.
     mark: Vec<u32>,
@@ -129,15 +137,22 @@ impl IncrementalMatching {
     /// # Contract
     ///
     /// `graph` must already contain `(l, r)`, and **every** edge of `graph`
-    /// must be reported here exactly once, as it is inserted.  `Z` is cached
-    /// between calls, so a skipped or repeated report does not cost time — it
-    /// silently corrupts the optimum.  Debug builds count the reports and
-    /// panic on a mismatch with `graph.edge_count()`.
+    /// must be reported here exactly once, as it is inserted.  `Z` and the
+    /// per-thread lists are kept between calls, so a skipped or repeated
+    /// report does not cost time — it silently corrupts the optimum.  Debug
+    /// builds count the reports and each thread's list, and panic on a
+    /// mismatch with `graph.edge_count()` or `graph.degree_left(l)`.
     pub fn insert_edge(&mut self, graph: &BipartiteGraph, l: usize, r: usize) -> bool {
         debug_assert!(graph.has_edge(l, r), "insert the edge into the graph first");
         self.reported += 1;
         debug_assert_eq!(self.reported, graph.edge_count(), "edge report mismatch");
         self.grow(graph.n_left(), graph.n_right());
+        self.adj[l].push(r);
+        debug_assert_eq!(
+            self.adj[l].len(),
+            graph.degree_left(l),
+            "thread list mismatch"
+        );
         if self.pair_left[l] == NIL {
             if self.pair_right[r] == NIL {
                 // The new edge is itself an augmenting path.  Unless this is
@@ -155,13 +170,13 @@ impl IncrementalMatching {
         if !self.valid {
             // Rebuilt over the graph *including* (l, r): the rebuild itself
             // finds the augmenting path if there is one.
-            return self.rebuild(graph);
+            return self.rebuild();
         }
         let l_in_z = self.pair_left[l] == NIL || self.in_z(self.pair_left[l]);
         if !l_in_z || self.in_z(r) {
             return false;
         }
-        self.reach(r, l) || self.expand(graph)
+        self.reach(r, l) || self.expand()
     }
 
     fn in_z(&self, r: usize) -> bool {
@@ -170,7 +185,7 @@ impl IncrementalMatching {
 
     /// Recomputes `Z` from the free threads.  Returns `true` if that found
     /// (and applied) an augmenting path, which leaves `Z` invalid again.
-    fn rebuild(&mut self, graph: &BipartiteGraph) -> bool {
+    fn rebuild(&mut self) -> bool {
         if self.epoch == u32::MAX {
             self.mark.fill(0);
             self.epoch = 0;
@@ -181,24 +196,32 @@ impl IncrementalMatching {
         self.roots.retain(|&t| pair_left[t] == NIL);
         self.stack.clear();
         self.stack.extend_from_slice(&self.roots);
-        self.expand(graph)
+        self.expand()
     }
 
     /// Visits the neighbours of every thread on the work stack, growing `Z`
     /// until it is closed or an augmenting path is found (`true`).
-    fn expand(&mut self, graph: &BipartiteGraph) -> bool {
-        while let Some(t) = self.stack.pop() {
-            #[cfg(test)]
-            {
-                self.expansions += 1;
-            }
-            for &r in graph.neighbors_of_left(t) {
-                if !self.in_z(r) && self.reach(r, t) {
-                    return true;
+    fn expand(&mut self) -> bool {
+        // The lists are moved out for the search, so that each thread's
+        // list is walked as one borrowed slice while `reach` takes `&mut
+        // self`, instead of `self.adj` being indexed again per neighbour.
+        let adj = std::mem::take(&mut self.adj);
+        let found = 'search: {
+            while let Some(t) = self.stack.pop() {
+                #[cfg(test)]
+                {
+                    self.expansions += 1;
+                }
+                for &r in &adj[t] {
+                    if !self.in_z(r) && self.reach(r, t) {
+                        break 'search true;
+                    }
                 }
             }
-        }
-        false
+            false
+        };
+        self.adj = adj;
+        found
     }
 
     /// Adds object `r`, reached from thread `from ∈ Z`, to `Z`.  A matched
@@ -226,9 +249,9 @@ impl IncrementalMatching {
     }
 
     /// Algorithm 1's `C* = (T − Z) ∪ (O ∩ Z)`, read off the marks (`O(V)`).
-    fn konig_cover(&mut self, graph: &BipartiteGraph) -> VertexCover {
+    fn konig_cover(&mut self) -> VertexCover {
         if !self.valid {
-            let augmented = self.rebuild(graph);
+            let augmented = self.rebuild();
             debug_assert!(!augmented, "the maintained matching was not maximum");
         }
         let unreached = |&l: &usize| self.pair_left[l] != NIL && !self.in_z(self.pair_left[l]);
@@ -240,6 +263,7 @@ impl IncrementalMatching {
     fn grow(&mut self, n_left: usize, n_right: usize) {
         if self.pair_left.len() < n_left {
             self.pair_left.resize(n_left, NIL);
+            self.adj.resize_with(n_left, Vec::new);
         }
         if self.pair_right.len() < n_right {
             self.pair_right.resize(n_right, NIL);
@@ -309,8 +333,8 @@ impl IncrementalOptimum {
     /// off the maintained `Z` — `O(V)`, plus one rebuild of `Z` if the last
     /// insertion augmented — and cached until the next insertion.
     pub fn cover(&mut self) -> &VertexCover {
-        let (graph, z) = (&self.graph, &mut self.matching);
-        self.cover.get_or_insert_with(|| z.konig_cover(graph))
+        self.cover
+            .get_or_insert_with(|| self.matching.konig_cover())
     }
 }
 
@@ -523,6 +547,20 @@ mod tests {
         let mut graph = BipartiteGraph::new(2, 2);
         let mut matching = IncrementalMatching::new();
         graph.add_edge(0, 0);
+        graph.add_edge(1, 1); // never reported
+        matching.insert_edge(&graph, 0, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "thread list mismatch")]
+    fn a_repeat_reported_in_place_of_a_skipped_edge_is_caught_in_debug_builds() {
+        // The report count matches, but thread 0's list gets (0, 0) twice
+        // while the graph gives it one edge.
+        let mut graph = BipartiteGraph::new(2, 2);
+        let mut matching = IncrementalMatching::new();
+        graph.add_edge(0, 0);
+        matching.insert_edge(&graph, 0, 0);
         graph.add_edge(1, 1); // never reported
         matching.insert_edge(&graph, 0, 0);
     }

@@ -11,11 +11,13 @@
 //!
 //! This crate provides:
 //!
-//! * [`BipartiteGraph`] — a compact adjacency-list bipartite graph with
-//!   incremental edge insertion (used both offline and online).  It keeps
-//!   growable lists so that edges can arrive one at a time; each offline
-//!   solve copies them once into a frozen `u32` compressed-sparse-row view
-//!   and runs on that.
+//! * [`BipartiteGraph`] — a bipartite graph with incremental edge insertion
+//!   (used both offline and online), stored as an insertion-ordered edge log,
+//!   two degree arrays and a set of the pairs seen, so that an edge revealed
+//!   online costs one probe of a multiplicative-hash table, one push and two
+//!   increments.  It keeps no per-vertex lists: each offline solve groups the
+//!   log once, by a stable counting sort, into a frozen `u32`
+//!   compressed-sparse-row view and runs on that.
 //! * [`matching`] — maximum bipartite matching: the Hopcroft–Karp algorithm
 //!   (`O(E √V)`) from a Karp–Sipser start, and a simple augmenting-path
 //!   reference (`O(V·E)`) it is checked against.

@@ -27,14 +27,17 @@
 //! size; the Kőnig cover built from it does not depend on it either (the
 //! set `Z` it is read from is the same for every maximum matching).
 //!
-//! Hopcroft–Karp does not walk the graph's growable lists.  Each call copies
-//! them once into a frozen compressed-sparse-row view with `u32` offsets and
-//! targets, each list in insertion order, so the start and the phases choose
-//! the same edges they would on the lists.  The start, the phases and their
-//! partner and distance arrays all run on that view in `u32`.  The phase
-//! loop ends on a BFS that reaches no free object; its layering is kept, and
-//! [`minimum_vertex_cover_of`](crate::cover::minimum_vertex_cover_of) reads
-//! Algorithm 1's `Z` off it instead of searching a second time.
+//! The graph stores no per-vertex lists, only an insertion-ordered edge log
+//! (see [`crate::bipartite`]).  Each call groups that log once, by a stable
+//! counting sort, into a frozen compressed-sparse-row view with `u32`
+//! offsets and targets: each list holds its vertex's neighbours in insertion
+//! order, so the start and the phases choose the same edges whatever order
+//! the log interleaves the lists in.  The start, the phases and their
+//! partner and distance arrays all run on that view in `u32`; the reference
+//! search [`simple_augmenting`] walks its thread side, grouped the same way.
+//! The phase loop ends on a BFS that reaches no free object; its layering is
+//! kept, and [`minimum_vertex_cover_of`](crate::cover::minimum_vertex_cover_of)
+//! reads Algorithm 1's `Z` off it instead of searching a second time.
 //!
 //! All augmenting-path searches use explicit stacks rather than recursion:
 //! an adversarial alternating chain (e.g. a 2×n ladder with n in the tens of
@@ -42,7 +45,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bipartite::BipartiteGraph;
+use crate::bipartite::{BipartiteGraph, Rows};
 
 /// Sentinel meaning "unmatched" in the internal pair arrays.
 pub(crate) const NIL: usize = usize::MAX;
@@ -254,19 +257,16 @@ impl Matching {
     }
 }
 
-/// A frozen compressed-sparse-row copy of a graph's adjacency: for each
-/// side, the neighbours of vertex `v` are `targets[offsets[v]..offsets[v +
-/// 1]]`, in the order the graph's own list holds them.
+/// A frozen compressed-sparse-row view of a graph: both sides' rows,
+/// grouped once from the graph's edge log with each list in insertion order.
 #[derive(Debug)]
 struct Csr {
-    left_offsets: Vec<u32>,
-    left_targets: Vec<u32>,
-    right_offsets: Vec<u32>,
-    right_targets: Vec<u32>,
+    by_left: Rows,
+    by_right: Rows,
 }
 
 impl Csr {
-    /// Copies `graph`'s lists.
+    /// Groups `graph`'s edges by either endpoint.
     ///
     /// # Panics
     ///
@@ -275,36 +275,28 @@ impl Csr {
         assert_fits_u32(graph.n_left(), "threads");
         assert_fits_u32(graph.n_right(), "objects");
         assert_fits_u32(graph.edge_count(), "edges");
-        let (left_offsets, left_targets) = flatten(graph.n_left(), graph.edge_count(), |l| {
-            graph.neighbors_of_left(l)
-        });
-        let (right_offsets, right_targets) = flatten(graph.n_right(), graph.edge_count(), |r| {
-            graph.neighbors_of_right(r)
-        });
         Self {
-            left_offsets,
-            left_targets,
-            right_offsets,
-            right_targets,
+            by_left: graph.left_rows(),
+            by_right: graph.right_rows(),
         }
     }
 
     fn n_left(&self) -> usize {
-        self.left_offsets.len() - 1
+        self.by_left.len()
     }
 
     fn n_right(&self) -> usize {
-        self.right_offsets.len() - 1
+        self.by_right.len()
     }
 
     /// Neighbours of thread `l`.
     fn left(&self, l: usize) -> &[u32] {
-        &self.left_targets[self.left_offsets[l] as usize..self.left_offsets[l + 1] as usize]
+        self.by_left.row(l)
     }
 
     /// Neighbours of object `r`.
     fn right(&self, r: usize) -> &[u32] {
-        &self.right_targets[self.right_offsets[r] as usize..self.right_offsets[r + 1] as usize]
+        self.by_right.row(r)
     }
 }
 
@@ -319,25 +311,6 @@ fn assert_fits_u32(n: usize, what: &str) {
         u32::try_from(n).is_ok_and(|n| n != NONE),
         "{n} {what} do not fit the u32 view of the graph"
     );
-}
-
-/// The `n` lists `list(0)`, …, `list(n - 1)`, holding `edges` entries in
-/// all, as one offsets array and one targets array.
-fn flatten<'a>(
-    n: usize,
-    edges: usize,
-    list: impl Fn(usize) -> &'a [usize],
-) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets = Vec::with_capacity(edges);
-    offsets.push(0);
-    for v in 0..n {
-        // Each target is a vertex of the other side, which `Csr::of`
-        // checked fits below `u32::MAX`.
-        targets.extend(list(v).iter().map(|&w| w as u32));
-        offsets.push(targets.len() as u32);
-    }
-    (offsets, targets)
 }
 
 /// A vertex on the Karp–Sipser stack of residual-degree-one vertices.
@@ -363,8 +336,8 @@ fn karp_sipser(view: &Csr, pair_left: &mut [u32], pair_right: &mut [u32]) {
     let n_left = view.n_left();
     let degrees =
         |offsets: &[u32]| -> Vec<u32> { offsets.windows(2).map(|w| w[1] - w[0]).collect() };
-    let mut degree_left = degrees(&view.left_offsets);
-    let mut degree_right = degrees(&view.right_offsets);
+    let mut degree_left = degrees(&view.by_left.offsets);
+    let mut degree_right = degrees(&view.by_right.offsets);
     let mut ones: Vec<Side> = (0..)
         .zip(&degree_left)
         .filter(|&(_, &d)| d == 1)
@@ -533,8 +506,8 @@ struct SearchFrame {
     next: usize,
 }
 
-/// A [`SearchFrame`] on the frozen view: `edge` is the position in
-/// `left_targets` of the next neighbour to try.
+/// A [`SearchFrame`] on the frozen view: `edge` is the position in the
+/// thread rows' targets of the next neighbour to try.
 #[derive(Debug, Clone, Copy)]
 struct ViewFrame {
     vertex: u32,
@@ -560,18 +533,18 @@ fn hk_dfs(
     stack.clear();
     stack.push(ViewFrame {
         vertex: l,
-        edge: view.left_offsets[l as usize],
+        edge: view.by_left.offsets[l as usize],
     });
     while let Some(top) = stack.last_mut() {
         let l = top.vertex as usize;
-        if top.edge == view.left_offsets[l + 1] {
+        if top.edge == view.by_left.offsets[l + 1] {
             // Every neighbour failed: this left vertex is off all shortest
             // augmenting paths for the rest of the phase.
             dist[l] = NONE;
             stack.pop();
             continue;
         }
-        let r = view.left_targets[top.edge as usize];
+        let r = view.by_left.targets[top.edge as usize];
         top.edge += 1;
         let next = pair_right[r as usize];
         if next == NONE {
@@ -580,7 +553,7 @@ fn hk_dfs(
             // and void the phase bound.
             if dist[l].saturating_add(1) == dist_nil {
                 for frame in stack.iter() {
-                    let r = view.left_targets[frame.edge as usize - 1];
+                    let r = view.by_left.targets[frame.edge as usize - 1];
                     pair_left[frame.vertex as usize] = r;
                     pair_right[r as usize] = frame.vertex;
                 }
@@ -589,7 +562,7 @@ fn hk_dfs(
         } else if dist[next as usize] == dist[l].saturating_add(1) {
             stack.push(ViewFrame {
                 vertex: next,
-                edge: view.left_offsets[next as usize],
+                edge: view.by_left.offsets[next as usize],
             });
         }
     }
@@ -600,13 +573,13 @@ fn hk_dfs(
 /// last-tried neighbour is the right vertex its left vertex ends up matched
 /// with.
 fn flip_stack(
-    graph: &BipartiteGraph,
+    rows: &Rows,
     stack: &[SearchFrame],
     pair_left: &mut [usize],
     pair_right: &mut [usize],
 ) {
     for frame in stack {
-        let r = graph.neighbors_of_left(frame.vertex)[frame.next - 1];
+        let r = rows.row(frame.vertex)[frame.next - 1] as usize;
         pair_left[frame.vertex] = r;
         pair_right[r] = frame.vertex;
     }
@@ -660,7 +633,7 @@ impl AugmentScratch {
     /// the marks.
     fn augment_from_left(
         &mut self,
-        graph: &BipartiteGraph,
+        rows: &Rows,
         root: usize,
         pair_left: &mut [usize],
         pair_right: &mut [usize],
@@ -675,16 +648,17 @@ impl AugmentScratch {
         let mut found = false;
         while let Some(top) = stack.last_mut() {
             let l = top.vertex;
-            let Some(&r) = graph.neighbors_of_left(l).get(top.next) else {
+            let Some(&r) = rows.row(l).get(top.next) else {
                 stack.pop();
                 continue;
             };
+            let r = r as usize;
             top.next += 1;
             if !self.mark(r) {
                 continue;
             }
             if pair_right[r] == NIL {
-                flip_stack(graph, &stack, pair_left, pair_right);
+                flip_stack(rows, &stack, pair_left, pair_right);
                 found = true;
                 break;
             }
@@ -702,8 +676,15 @@ impl AugmentScratch {
 /// (one explicit-stack DFS per left vertex, `O(V · E)`).
 ///
 /// Kept as the independent reference [`hopcroft_karp`] is checked against:
-/// conformance oracle 1 and this module's tests compare matching sizes.
+/// conformance oracle 1 and this module's tests compare matching sizes.  It
+/// shares only the grouping of the graph's edges with Hopcroft–Karp: it
+/// walks the edges grouped by thread, as the frozen view groups them.
+///
+/// # Panics
+///
+/// Panics if the edge count of `graph` does not fit a `u32`.
 pub fn simple_augmenting(graph: &BipartiteGraph) -> Matching {
+    let rows = graph.left_rows();
     let n_left = graph.n_left();
     let n_right = graph.n_right();
     let mut pair_left = vec![NIL; n_left];
@@ -712,7 +693,7 @@ pub fn simple_augmenting(graph: &BipartiteGraph) -> Matching {
 
     for l in 0..n_left {
         scratch.begin(n_right);
-        scratch.augment_from_left(graph, l, &mut pair_left, &mut pair_right);
+        scratch.augment_from_left(&rows, l, &mut pair_left, &mut pair_right);
     }
 
     let mut matching = Matching::empty(n_left, n_right);
@@ -1195,6 +1176,53 @@ mod tests {
             prop_assert!(cover.covers_all_edges(&g));
             prop_assert_eq!(m.size(), simple_augmenting(&g).size());
             prop_assert_eq!(cover.size(), m.size());
+        }
+
+        /// The rows Hopcroft–Karp, the reference searches and `edges()`
+        /// read are the insertion log filtered per vertex, in order: on
+        /// every family, revealed twice over in a shuffled order into a
+        /// graph that starts at `start_left × start_right` and grows past
+        /// it or keeps isolated vertices at the high end.
+        #[test]
+        fn prop_rows_are_the_log_filtered_per_vertex(
+            family in 0usize..5,
+            n_left in 1usize..40,
+            n_right in 1usize..40,
+            start_left in 0usize..70,
+            start_right in 0usize..70,
+            density in 0.0f64..1.0,
+            seed in 0u64..1000,
+        ) {
+            let drawn = drawn_graph(family, n_left, n_right, density, seed);
+            let mut stream: Vec<_> = drawn.edges().chain(drawn.edges()).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..stream.len()).rev() {
+                stream.swap(i, rng.gen_range(0..=i));
+            }
+            let mut g = BipartiteGraph::new(start_left, start_right);
+            let mut log = Vec::new();
+            for &(l, r) in &stream {
+                if g.add_edge_growing(l, r) {
+                    log.push((l, r));
+                }
+            }
+            let reached = |end: fn(&(usize, usize)) -> usize| stream.iter().map(|e| end(e) + 1).max();
+            prop_assert_eq!(g.n_left(), start_left.max(reached(|e| e.0).unwrap_or(0)));
+            prop_assert_eq!(g.n_right(), start_right.max(reached(|e| e.1).unwrap_or(0)));
+            prop_assert_eq!(log.len(), drawn.edge_count());
+            let view = Csr::of(&g);
+            let widen = |row: &[u32]| row.iter().map(|&v| v as usize).collect::<Vec<_>>();
+            let mut grouped = Vec::new();
+            for l in 0..g.n_left() {
+                let objects: Vec<_> = log.iter().filter(|e| e.0 == l).map(|e| e.1).collect();
+                prop_assert_eq!(widen(view.left(l)), objects.clone());
+                grouped.extend(objects.into_iter().map(|r| (l, r)));
+            }
+            for r in 0..g.n_right() {
+                let threads: Vec<_> = log.iter().filter(|e| e.1 == r).map(|e| e.0).collect();
+                prop_assert_eq!(widen(view.right(r)), threads);
+            }
+            prop_assert_eq!(g.edges().collect::<Vec<_>>(), grouped);
         }
     }
 }

@@ -34,10 +34,11 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for a graph.
+    /// Computes statistics for a graph.  The counts are the graph's
+    /// maintained ones; only the maximum degrees scan the sides.
     pub fn of(graph: &BipartiteGraph) -> Self {
-        let active_left = graph.active_left().count();
-        let active_right = graph.active_right().count();
+        let active_left = graph.active_left_count();
+        let active_right = graph.active_right_count();
         let max_degree_left = (0..graph.n_left())
             .map(|l| graph.degree_left(l))
             .max()
@@ -46,19 +47,19 @@ impl GraphStats {
             .map(|r| graph.degree_right(r))
             .max()
             .unwrap_or(0);
-        let total_degree_left: usize = (0..graph.n_left()).map(|l| graph.degree_left(l)).sum();
-        let total_degree_right: usize = (0..graph.n_right()).map(|r| graph.degree_right(r)).sum();
+        // Every edge adds one to the degree sum of each side.
+        let edges = graph.edge_count();
         GraphStats {
             n_left: graph.n_left(),
             n_right: graph.n_right(),
             active_left,
             active_right,
-            edges: graph.edge_count(),
+            edges,
             density: graph.density(),
             max_degree_left,
             max_degree_right,
-            mean_degree_left: mean(total_degree_left, active_left),
-            mean_degree_right: mean(total_degree_right, active_right),
+            mean_degree_left: mean(edges, active_left),
+            mean_degree_right: mean(edges, active_right),
         }
     }
 
@@ -123,6 +124,23 @@ mod tests {
         assert!((s.mean_degree_left - 1.5).abs() < 1e-12);
         assert!((s.density - 0.5).abs() < 1e-12);
         assert_eq!(s.naive_clock_size(), 2);
+    }
+
+    #[test]
+    fn stats_of_a_grown_graph_agree_with_a_scan() {
+        let mut g = BipartiteGraph::new(0, 0);
+        for (l, r) in [(4, 0), (4, 9), (1, 9), (4, 0), (7, 3)] {
+            g.add_edge_growing(l, r);
+        }
+        g.add_edge_growing(30, 40);
+        let s = GraphStats::of(&g);
+        assert_eq!((s.n_left, s.n_right), (31, 41));
+        assert_eq!(s.active_left, g.active_left().count());
+        assert_eq!(s.active_right, g.active_right().count());
+        assert_eq!((s.active_left, s.active_right, s.edges), (4, 4, 5));
+        let degree_sum: usize = g.active_right().map(|r| g.degree_right(r)).sum();
+        assert!((s.mean_degree_right - degree_sum as f64 / 4.0).abs() < 1e-12);
+        assert_eq!((s.max_degree_left, s.max_degree_right), (2, 2));
     }
 
     #[test]
