@@ -18,7 +18,8 @@
 //! and the reference searches (see [`crate::matching`]) and
 //! [`BipartiteGraph::edges`] do.
 //! [`IncrementalMatching`](crate::incremental::IncrementalMatching), which
-//! walks a thread's list after insertions, keeps lists of its own.
+//! walks single threads' and objects' edges between insertions, chains them
+//! through the log with two links per edge of its own.
 //!
 //! The seen set is an open-addressing table of the pairs packed into `u64`
 //! keys, with linear probing under a multiplicative (Fibonacci) hash.  It is

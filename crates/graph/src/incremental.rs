@@ -15,22 +15,34 @@
 //!
 //! Besides the matching, [`IncrementalMatching`] keeps Algorithm 1's set `Z`
 //! — everything reachable from the unmatched threads by alternating paths —
-//! alive across insertions: an epoch mark and a `parent` thread per object
-//! (a matched thread is in `Z` iff its partner is, a free thread always), and
-//! the list of free threads `Z` is rooted at.  It also keeps each thread's
-//! objects in insertion order, since growing `Z` walks them and the graph
-//! stores only an edge log (see [`crate::bipartite`]); the reports that
-//! maintain the matching fill these lists.  An augmenting path is an
+//! exact across insertions, as a forest of alternating trees.  A free thread
+//! is always in `Z` and roots its own tree; a matched thread is in `Z` iff
+//! its partner is.  Each object in `Z` records its root and the thread it was
+//! reached from, and each root chains its tree's objects, so one tree is
+//! listed without scanning `Z`.  The graph stores only an edge log (see
+//! [`crate::bipartite`]), so each thread's and each object's edges are
+//! chained through it by two `u32` links per edge: a report appends two
+//! links and allocates nothing per vertex.  An augmenting path is an
 //! alternating path from a free thread to a free object, so the new edge
 //! `(l, r)` matters only if `l ∈ Z` and `r ∉ Z`:
 //!
 //! * `l ∉ Z` or `r ∈ Z` — nothing becomes reachable: `O(1)`.
-//! * otherwise `Z` *grows* from `r`.  A vertex enters `Z` once between two
-//!   augmentations, so growth is amortised over that stretch.
-//! * growth that reaches a free object augments along the `parent` chain.
-//!   Whenever the matching grows, `Z` shrinks and is marked invalid; the next
-//!   insertion that needs it rebuilds it once from the surviving roots,
-//!   `O(|Z|)` — one rebuild per augmentation, never a scan of the thread side.
+//! * otherwise `Z` *grows* from `r` into `l`'s tree.  A vertex enters `Z`
+//!   once between two augmentations, so growth is amortised over that
+//!   stretch.
+//! * growth that reaches a free object augments along the tree path back to
+//!   its root `u`, and so does a free `l` whose new edge meets a free object
+//!   (a path of one edge).  The other trees are vertex-disjoint from that
+//!   path, so they stay alternating and keep their members.  Only `u`'s tree
+//!   is repaired: its objects leave `Z`, each one with an edge from a thread
+//!   still in `Z` is re-attached there, and growth from the re-attached
+//!   objects closes `Z` again.  An augmentation costs the edges of the one
+//!   tree it dissolves, never a walk over `Z` or the thread side.
+//!
+//! The new matching is maximum, so a repair never reaches a free object.  By
+//! Dulmage & Mendelsohn ("Coverings of bipartite graphs", 1958) `Z` does not
+//! depend on which maximum matching is found, so the maintained `Z` is the
+//! one a batch solve of the same graph reads its cover off.
 //!
 //! Measured figures: `graph.incremental_ns_per_edge` and
 //! `tracked_edges_per_s` of the repo benchmark's `plan-sparse` workload.
@@ -38,7 +50,7 @@
 //! By Kőnig–Egerváry the minimum-vertex-cover *size* is the matching size,
 //! `O(1)`; [`IncrementalOptimum`] bundles the growing graph with the
 //! maintained matching and reads the explicit cover (Algorithm 1's
-//! `C* = (T − Z) ∪ (O ∩ Z)`) off the maintained marks only when a caller asks
+//! `C* = (T − Z) ∪ (O ∩ Z)`) off the maintained `Z` only when a caller asks
 //! for the actual cover members.
 //!
 //! ```
@@ -60,6 +72,12 @@ use crate::bipartite::BipartiteGraph;
 use crate::cover::VertexCover;
 use crate::matching::{Matching, NIL};
 
+/// No vertex or edge: the root of an object outside `Z`, or the end of a
+/// chain.  Vertex indices are below a side length, which [`BipartiteGraph`]
+/// keeps within `u32`, so no vertex is `u32::MAX`, and
+/// [`IncrementalMatching::insert_edge`] refuses the edge that would be.
+const NONE: u32 = u32::MAX;
+
 /// A maximum matching of a growing bipartite graph, maintained under single
 /// edge insertions together with the alternating-reachable set `Z` (see the
 /// [module docs](self) for the cost of an insertion).
@@ -68,33 +86,37 @@ use crate::matching::{Matching, NIL};
 /// contract that comes with that.  [`IncrementalOptimum`] owns the graph and
 /// keeps the two in lock-step.  All buffers are reused across insertions, so
 /// a steady-state insertion allocates nothing beyond the amortised growth of
-/// one thread's list.
+/// the per-edge links.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalMatching {
     pair_left: Vec<usize>,
     pair_right: Vec<usize>,
     size: usize,
-    /// Edges reported so far; checked against the graph in debug builds.
-    reported: usize,
-    /// Each thread's objects in the order their edges were reported, which
-    /// by the [`insert_edge`](Self::insert_edge) contract is the graph's
-    /// insertion order.
-    adj: Vec<Vec<usize>>,
-    /// Object `r` is in `Z` iff `mark[r] == epoch` (and `valid`); it was
-    /// reached over the non-matching edge `(parent[r], r)`.
-    mark: Vec<u32>,
-    parent: Vec<usize>,
-    epoch: u32,
-    /// `false` after the matching grew: `Z` is then a stale superset.
-    valid: bool,
-    /// Threads that were free when their first edge arrived.  A matched
-    /// thread never becomes free again, so a rebuild prunes this in place.
-    roots: Vec<usize>,
+    /// Each thread's and each object's edges, newest first, chained through
+    /// the graph's edge log: the newest edge per vertex, then per edge the
+    /// next older edge of the same thread and of the same object.  Edge `e`
+    /// is the `e`-th report, which by the [`insert_edge`](Self::insert_edge)
+    /// contract is the log's `e`-th edge; the links count the reports.
+    thread_edges: Vec<u32>,
+    object_edges: Vec<u32>,
+    next_thread_edge: Vec<u32>,
+    next_object_edge: Vec<u32>,
+    /// Object `r` is in `Z` iff `root[r] != NONE`: it hangs in the tree of
+    /// the free thread `root[r]`, reached over the non-matching edge
+    /// `(parent[r], r)`.
+    root: Vec<u32>,
+    parent: Vec<u32>,
+    /// Each free thread's tree objects, chained: the first per thread, the
+    /// next per object.
+    first_member: Vec<u32>,
+    next_member: Vec<u32>,
     /// Threads in `Z` whose neighbours are still to be visited (empty
-    /// whenever `Z` is valid; a rebuild clears what an augmentation left).
+    /// between insertions).
     stack: Vec<usize>,
     #[cfg(test)]
     expansions: usize,
+    #[cfg(test)]
+    scans: usize,
 }
 
 impl IncrementalMatching {
@@ -138,140 +160,180 @@ impl IncrementalMatching {
     ///
     /// `graph` must already contain `(l, r)`, and **every** edge of `graph`
     /// must be reported here exactly once, as it is inserted.  `Z` and the
-    /// per-thread lists are kept between calls, so a skipped or repeated
+    /// per-vertex chains are kept between calls, so a skipped or repeated
     /// report does not cost time — it silently corrupts the optimum.  Debug
-    /// builds count the reports and each thread's list, and panic on a
-    /// mismatch with `graph.edge_count()` or `graph.degree_left(l)`.
+    /// builds count the reports and check that the report is the log's
+    /// newest edge, so that it chains into the right thread's and object's
+    /// list; they panic on a mismatch with `graph.edge_count()` or either
+    /// end.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph holds `u32::MAX` edges, which the links cannot
+    /// index.
     pub fn insert_edge(&mut self, graph: &BipartiteGraph, l: usize, r: usize) -> bool {
         debug_assert!(graph.has_edge(l, r), "insert the edge into the graph first");
-        self.reported += 1;
-        debug_assert_eq!(self.reported, graph.edge_count(), "edge report mismatch");
+        let e = self.next_thread_edge.len();
+        debug_assert_eq!(e + 1, graph.edge_count(), "edge report mismatch");
+        let log = graph.log();
+        debug_assert_eq!(log[e].0 as usize, l, "thread list mismatch");
+        debug_assert_eq!(log[e].1 as usize, r, "object list mismatch");
+        assert!(e < NONE as usize, "more edges than u32 links index");
         self.grow(graph.n_left(), graph.n_right());
-        self.adj[l].push(r);
-        debug_assert_eq!(
-            self.adj[l].len(),
-            graph.degree_left(l),
-            "thread list mismatch"
-        );
-        if self.pair_left[l] == NIL {
-            if self.pair_right[r] == NIL {
-                // The new edge is itself an augmenting path.  Unless this is
-                // l's first edge, Z just lost a root.
-                self.valid &= graph.degree_left(l) == 1;
-                self.pair_left[l] = r;
-                self.pair_right[r] = l;
-                self.size += 1;
-                return true;
-            }
-            if graph.degree_left(l) == 1 {
-                self.roots.push(l);
-            }
-        }
-        if !self.valid {
-            // Rebuilt over the graph *including* (l, r): the rebuild itself
-            // finds the augmenting path if there is one.
-            return self.rebuild();
-        }
-        let l_in_z = self.pair_left[l] == NIL || self.in_z(self.pair_left[l]);
-        if !l_in_z || self.in_z(r) {
-            return false;
-        }
-        self.reach(r, l) || self.expand()
-    }
-
-    fn in_z(&self, r: usize) -> bool {
-        self.mark[r] == self.epoch
-    }
-
-    /// Recomputes `Z` from the free threads.  Returns `true` if that found
-    /// (and applied) an augmenting path, which leaves `Z` invalid again.
-    fn rebuild(&mut self) -> bool {
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.valid = true;
-        let pair_left = &self.pair_left;
-        self.roots.retain(|&t| pair_left[t] == NIL);
-        self.stack.clear();
-        self.stack.extend_from_slice(&self.roots);
-        self.expand()
-    }
-
-    /// Visits the neighbours of every thread on the work stack, growing `Z`
-    /// until it is closed or an augmenting path is found (`true`).
-    fn expand(&mut self) -> bool {
-        // The lists are moved out for the search, so that each thread's
-        // list is walked as one borrowed slice while `reach` takes `&mut
-        // self`, instead of `self.adj` being indexed again per neighbour.
-        let adj = std::mem::take(&mut self.adj);
-        let found = 'search: {
-            while let Some(t) = self.stack.pop() {
-                #[cfg(test)]
-                {
-                    self.expansions += 1;
+        let e = e as u32;
+        let older = std::mem::replace(&mut self.thread_edges[l], e);
+        self.next_thread_edge.push(older);
+        let older = std::mem::replace(&mut self.object_edges[r], e);
+        self.next_object_edge.push(older);
+        let augmented_from = if self.pair_left[l] == NIL && self.pair_right[r] == NIL {
+            // The new edge is itself an augmenting path, from the root l.
+            self.pair_left[l] = r;
+            self.pair_right[r] = l;
+            self.size += 1;
+            Some(l)
+        } else {
+            match self.root_of(l) {
+                Some(root) if self.root[r] == NONE => {
+                    self.reach(r, l, root).or_else(|| self.expand(log))
                 }
-                for &r in &adj[t] {
-                    if !self.in_z(r) && self.reach(r, t) {
-                        break 'search true;
-                    }
-                }
+                _ => None,
             }
-            false
         };
-        self.adj = adj;
-        found
-    }
-
-    /// Adds object `r`, reached from thread `from ∈ Z`, to `Z`.  A matched
-    /// `r` brings its partner along; a free `r` ends an augmenting path,
-    /// which is applied along the `parent` chain (`true`).
-    fn reach(&mut self, mut r: usize, from: usize) -> bool {
-        self.mark[r] = self.epoch;
-        self.parent[r] = from;
-        if self.pair_right[r] != NIL {
-            self.stack.push(self.pair_right[r]);
+        let Some(u) = augmented_from else {
             return false;
-        }
-        loop {
-            let t = self.parent[r];
-            let previous = std::mem::replace(&mut self.pair_left[t], r);
-            self.pair_right[r] = t;
-            if previous == NIL {
-                break;
-            }
-            r = previous;
-        }
-        self.size += 1;
-        self.valid = false;
+        };
+        self.repair(u, log);
         true
     }
 
-    /// Algorithm 1's `C* = (T − Z) ∪ (O ∩ Z)`, read off the marks (`O(V)`).
-    fn konig_cover(&mut self) -> VertexCover {
-        if !self.valid {
-            let augmented = self.rebuild();
-            debug_assert!(!augmented, "the maintained matching was not maximum");
+    /// The root of thread `t`'s tree, or `None` if `t ∉ Z`.
+    fn root_of(&self, t: usize) -> Option<u32> {
+        match self.pair_left[t] {
+            NIL => Some(t as u32),
+            r => Some(self.root[r]).filter(|&root| root != NONE),
         }
-        let unreached = |&l: &usize| self.pair_left[l] != NIL && !self.in_z(self.pair_left[l]);
+    }
+
+    /// Visits the neighbours of every thread on the work stack, growing `Z`
+    /// until it is closed or an augmenting path is found (its root).  `log`
+    /// is the graph's edge log.
+    fn expand(&mut self, log: &[(u32, u32)]) -> Option<usize> {
+        while let Some(t) = self.stack.pop() {
+            #[cfg(test)]
+            {
+                self.expansions += 1;
+            }
+            // A stacked thread is matched, in the tree of its partner.
+            let root = self.root[self.pair_left[t]];
+            let mut e = self.thread_edges[t];
+            while e != NONE {
+                let r = log[e as usize].1 as usize;
+                if self.root[r] == NONE {
+                    if let Some(root) = self.reach(r, t, root) {
+                        return Some(root);
+                    }
+                }
+                e = self.next_thread_edge[e as usize];
+            }
+        }
+        None
+    }
+
+    /// Adds object `r`, reached from thread `from` in `root`'s tree, to `Z`.
+    /// A matched `r` joins the tree and brings its partner along; a free `r`
+    /// ends an augmenting path, which is applied along the `parent` chain
+    /// back to the root, returned.
+    fn reach(&mut self, mut r: usize, from: usize, root: u32) -> Option<usize> {
+        if self.pair_right[r] != NIL {
+            self.root[r] = root;
+            self.parent[r] = from as u32;
+            self.next_member[r] =
+                std::mem::replace(&mut self.first_member[root as usize], r as u32);
+            self.stack.push(self.pair_right[r]);
+            return None;
+        }
+        let mut t = from;
+        loop {
+            let previous = std::mem::replace(&mut self.pair_left[t], r);
+            self.pair_right[r] = t;
+            if previous == NIL {
+                self.size += 1;
+                return Some(t);
+            }
+            r = previous;
+            t = self.parent[r] as usize;
+        }
+    }
+
+    /// Restores `Z` after an augmentation from the free thread `u`, which is
+    /// matched now: `u`'s tree leaves `Z`, and each of its objects that a
+    /// thread still in `Z` reaches is re-attached before `Z` is closed again.
+    fn repair(&mut self, u: usize, log: &[(u32, u32)]) {
+        // What was left to visit belongs to the dissolved tree.
+        self.stack.clear();
+        let head = std::mem::replace(&mut self.first_member[u], NONE);
+        for r in chain(head, &self.next_member) {
+            self.root[r] = NONE;
+        }
+        let mut member = head;
+        while member != NONE {
+            let r = member as usize;
+            // Read before `reach` re-chains `r` into its new tree.
+            member = self.next_member[r];
+            #[cfg(test)]
+            {
+                self.scans += 1;
+            }
+            // A thread in `Z` cannot be matched to `r`, which is not.
+            let from = chain(self.object_edges[r], &self.next_object_edge).find_map(|e| {
+                let t = log[e].0 as usize;
+                self.root_of(t).map(|root| (t, root))
+            });
+            if let Some((t, root)) = from {
+                debug_assert_ne!(
+                    self.pair_right[r], NIL,
+                    "the augmentation left a tree object free"
+                );
+                self.reach(r, t, root);
+            }
+        }
+        let augmented = self.expand(log);
+        debug_assert!(
+            augmented.is_none(),
+            "the maintained matching was not maximum"
+        );
+    }
+
+    /// Algorithm 1's `C* = (T − Z) ∪ (O ∩ Z)`, read off the roots (`O(V)`).
+    fn konig_cover(&self) -> VertexCover {
+        let unreached =
+            |&l: &usize| self.pair_left[l] != NIL && self.root[self.pair_left[l]] == NONE;
         let left = (0..self.pair_left.len()).filter(unreached);
-        let right = (0..self.mark.len()).filter(|&r| self.in_z(r));
+        let right = (0..self.root.len()).filter(|&r| self.root[r] != NONE);
         VertexCover::from_sets(left, right)
     }
 
     fn grow(&mut self, n_left: usize, n_right: usize) {
         if self.pair_left.len() < n_left {
             self.pair_left.resize(n_left, NIL);
-            self.adj.resize_with(n_left, Vec::new);
+            self.thread_edges.resize(n_left, NONE);
+            self.first_member.resize(n_left, NONE);
         }
         if self.pair_right.len() < n_right {
             self.pair_right.resize(n_right, NIL);
-            // Epoch 0 is never current while `Z` is valid.
-            self.mark.resize(n_right, 0);
-            self.parent.resize(n_right, NIL);
+            self.object_edges.resize(n_right, NONE);
+            self.root.resize(n_right, NONE);
+            self.parent.resize(n_right, NONE);
+            self.next_member.resize(n_right, NONE);
         }
     }
+}
+
+/// The indices on the chain that starts at `first` and goes on through
+/// `next`, up to [`NONE`].
+fn chain(first: u32, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    let link = |i: u32| (i != NONE).then_some(i as usize);
+    std::iter::successors(link(first), move |&i| link(next[i]))
 }
 
 /// The offline optimum of a growing revealed graph, maintained per edge.
@@ -330,8 +392,7 @@ impl IncrementalOptimum {
     }
 
     /// The minimum vertex cover itself (Algorithm 1's component set), read
-    /// off the maintained `Z` — `O(V)`, plus one rebuild of `Z` if the last
-    /// insertion augmented — and cached until the next insertion.
+    /// off the maintained `Z` in `O(V)` and cached until the next insertion.
     pub fn cover(&mut self) -> &VertexCover {
         self.cover
             .get_or_insert_with(|| self.matching.konig_cover())
@@ -345,6 +406,44 @@ mod tests {
     use crate::generate::{GraphScenario, RandomGraphBuilder};
     use crate::matching::hopcroft_karp;
     use proptest::prelude::*;
+
+    impl IncrementalMatching {
+        /// The objects of `root`'s tree, newest first.
+        fn tree(&self, root: usize) -> Vec<usize> {
+            chain(self.first_member[root], &self.next_member).collect()
+        }
+
+        /// Holds the marks to the forest the module docs describe: every
+        /// marked object is matched, sits in the chain of its root, a free
+        /// thread, and was reached over a non-matching edge from a thread of
+        /// the same tree.
+        fn check_forest(&self, graph: &BipartiteGraph) {
+            let mut chained = 0;
+            for root in 0..self.pair_left.len() {
+                let members = self.tree(root);
+                assert!(
+                    members.is_empty() || self.pair_left[root] == NIL,
+                    "matched thread {root} roots a tree"
+                );
+                for &r in &members {
+                    assert_eq!(self.root[r], root as u32, "object {r} in the wrong chain");
+                    assert_ne!(self.pair_right[r], NIL, "free object {r} in Z");
+                    let from = self.parent[r] as usize;
+                    assert!(graph.has_edge(from, r), "no edge into {r}");
+                    assert_ne!(self.pair_left[from], r, "tree edge into {r} is matched");
+                    assert_eq!(
+                        self.root_of(from),
+                        Some(root as u32),
+                        "object {r} reached from outside its tree"
+                    );
+                }
+                chained += members.len();
+            }
+            let marked = self.root.iter().filter(|&&root| root != NONE).count();
+            assert_eq!(chained, marked, "a marked object is in no chain");
+            assert!(self.stack.is_empty(), "work left between insertions");
+        }
+    }
 
     /// Replays a stream through both the incremental matcher and per-prefix
     /// from-scratch Hopcroft–Karp, asserting equality at every step.
@@ -374,6 +473,7 @@ mod tests {
             assert!(cover.covers_all_edges(&scratch), "not a vertex cover");
             let matching = opt.matching().to_matching(&scratch);
             assert!(matching.is_valid_for(&scratch));
+            opt.matching.check_forest(&scratch);
             // Given the matching, Z is unique: the batch BFS is its reference.
             assert_eq!(cover, minimum_vertex_cover(&scratch, &matching));
         }
@@ -463,14 +563,19 @@ mod tests {
             opt.matching.expansions, n,
             "each chain thread enters Z once"
         );
+        assert_eq!(
+            opt.matching.scans, n,
+            "the repair lists the dissolved tree once"
+        );
     }
 
     #[test]
     fn a_rebuild_costs_what_its_roots_reach_not_the_thread_side() {
         // n matched pairs, then `rounds` times: a new thread hangs off a
-        // matched object (one rebuild, rooted at that thread alone) and its
-        // old partner gets a fresh object (one augmentation).  Each rebuild
-        // expands the root and one matched thread, however wide the graph.
+        // matched object (its tree: that object) and its old partner gets a
+        // fresh object (one augmentation, which dissolves the tree).  Each
+        // round expands one matched thread and lists one object's threads,
+        // however wide the graph.
         let (n, rounds) = (50_000, 1_000);
         let mut opt = IncrementalOptimum::new();
         for i in 0..n {
@@ -478,12 +583,56 @@ mod tests {
         }
         for k in 0..rounds {
             opt.insert_edge(n + k, k);
-            assert_eq!(opt.matching.roots, vec![n + k], "matched roots are pruned");
+            assert_eq!(opt.matching.tree(n + k), vec![k], "the new root's tree");
             opt.insert_edge(k, n + k);
             assert_eq!(opt.cover_size(), n + k + 1);
-            assert!(!opt.matching.valid, "an augmentation invalidates Z");
+            assert!(
+                opt.matching.tree(n + k).is_empty(),
+                "a matched root has no tree"
+            );
+            assert_eq!(opt.matching.root[k], NONE, "no thread in Z reaches k again");
         }
-        assert_eq!(opt.matching.expansions, 2 * rounds);
+        assert_eq!(opt.matching.expansions, rounds);
+        assert_eq!(opt.matching.scans, rounds);
+    }
+
+    #[test]
+    fn a_repair_costs_the_augmenting_tree_not_z() {
+        // `roots` free threads share m matched pairs, m / roots each, so Z
+        // holds every vertex.  Then `rounds` times: a new root x reaches a
+        // fresh pair (q, y), y gets a fresh object (x's one-thread tree
+        // augments), and a Z thread reaches another fresh pair (w, p).  A
+        // round expands y and w and lists q's threads, however large Z is;
+        // rebuilding Z from every root would expand all m + roots threads.
+        let (m, roots, rounds) = (20_000, 40, 500);
+        let mut opt = IncrementalOptimum::new();
+        for i in 0..m {
+            opt.insert_edge(i, i);
+        }
+        for i in 0..m {
+            opt.insert_edge(m + i % roots, i);
+        }
+        assert_eq!(opt.matching.tree(m).len(), m / roots);
+        let before = opt.matching.expansions + opt.matching.scans;
+        for k in 0..rounds {
+            let (t, o) = (m + roots + 3 * k, m + 3 * k);
+            let (x, y, w) = (t, t + 1, t + 2);
+            let (q, fresh, p) = (o, o + 1, o + 2);
+            opt.insert_edge(y, q);
+            opt.insert_edge(x, q);
+            assert_eq!(opt.matching.tree(x), vec![q]);
+            opt.insert_edge(y, fresh);
+            assert!(opt.matching.tree(x).is_empty(), "x is matched now");
+            opt.insert_edge(w, p);
+            opt.insert_edge(m, p);
+            assert_eq!(opt.cover_size(), m + 3 * (k + 1));
+            let work = opt.matching.expansions + opt.matching.scans - before;
+            assert_eq!(work, 3 * (k + 1), "round {k} cost more than its trees");
+        }
+        assert_eq!(opt.matching.tree(m).len(), m / roots + rounds);
+        let cover = opt.cover().clone();
+        let reference = minimum_vertex_cover(opt.graph(), &hopcroft_karp(opt.graph()));
+        assert_eq!(cover, reference);
     }
 
     #[test]
@@ -500,26 +649,29 @@ mod tests {
             }
         }
         assert_eq!(opt.matching.expansions, 0, "no free thread: Z is empty");
-        assert!(opt.matching.roots.is_empty());
+        assert!(opt.matching.root.iter().all(|&root| root == NONE));
+        assert!(opt.matching.first_member.iter().all(|&m| m == NONE));
     }
 
     #[test]
     fn edges_that_cannot_extend_z_cost_nothing_and_keep_it_valid() {
         let mut opt = IncrementalOptimum::new();
-        // Z = {t1, o0, t0} after the rebuild triggered by (1, 0).
+        // Z = {t1, o0, t0} after (1, 0): t1's tree holds o0.
         for (l, r) in [(0, 0), (1, 0), (2, 1)] {
             opt.insert_edge(l, r);
         }
-        assert!(opt.matching.valid);
+        assert_eq!(opt.matching.tree(1), vec![0]);
         let before = opt.matching.expansions;
         opt.insert_edge(2, 0); // leaves a thread outside Z
         opt.insert_edge(3, 0); // enters an object already in Z (new root t3)
         assert_eq!(opt.matching.expansions, before);
-        assert!(opt.matching.valid);
+        assert_eq!(opt.matching.tree(1), vec![0]);
+        assert!(opt.matching.tree(3).is_empty());
         assert_eq!(opt.cover_size(), 2);
         opt.insert_edge(0, 1); // t0 ∈ Z, o1 ∉ Z: Z grows by o1 and t2, no augment
         assert_eq!(opt.matching.expansions, before + 1);
-        assert!(opt.matching.valid);
+        assert_eq!(opt.matching.tree(1), vec![1, 0]);
+        assert_eq!(opt.matching.scans, 0, "nothing augmented inside a tree");
         assert_eq!(opt.cover_size(), hopcroft_karp(opt.graph()).size());
         let cover = opt.cover().clone();
         assert!(cover.contains_right(0) && cover.contains_right(1));
@@ -527,16 +679,18 @@ mod tests {
 
     #[test]
     fn epoch_wrap_clears_the_marks() {
+        // Marks are roots, not epochs: an augmentation unmarks the tree it
+        // dissolves and re-marks what is still reached, and `check_stream_on`
+        // holds the marks to the forest and to the batch cover after every
+        // insertion.
         let (_, stream) = RandomGraphBuilder::new(24, 24)
             .density(0.12)
             .seed(5)
             .build_edge_stream();
-        let mut opt = IncrementalOptimum::new();
-        opt.matching.epoch = u32::MAX - 2;
-        let opt = check_stream_on(opt, &stream);
+        let opt = check_stream_on(IncrementalOptimum::new(), &stream);
         assert!(
-            opt.matching.epoch < u32::MAX - 2,
-            "the stream crossed the wrap"
+            opt.matching.scans > 0,
+            "the stream dissolved a tree with objects"
         );
     }
 
@@ -578,7 +732,7 @@ mod tests {
 
     proptest! {
         /// Every prefix of a random stream: incremental == from-scratch, and
-        /// the lazily rebuilt cover is a genuine Kőnig cover.
+        /// the cover read off the maintained `Z` is a genuine Kőnig cover.
         #[test]
         fn prop_incremental_matches_scratch(
             n in 1usize..14,

@@ -11,10 +11,13 @@
 //! mechanism falls behind.
 //!
 //! The optimum of the revealed graph is maintained by
-//! [`IncrementalOptimum`] with an `O(1)` cover-size read and **no per-reveal
-//! allocation** — fit for production-scale monitoring, not just evaluation.
-//! What a reveal costs is stated in [`mvc_graph::incremental`]'s module docs
-//! and measured as `tracked_edges_per_s` by the repo benchmark.
+//! [`IncrementalOptimum`] with an `O(1)` cover-size read and no clone or
+//! replan per reveal — fit for production-scale monitoring, not just
+//! evaluation.  A reveal makes no per-vertex allocation: what grows is a few
+//! flat arrays (the revealed graph, two `u32` links per edge, the
+//! trajectory), amortised.  What a reveal costs is stated in
+//! [`mvc_graph::incremental`]'s module docs and measured as
+//! `tracked_edges_per_s` by the repo benchmark.
 
 use mvc_clock::ComponentMap;
 use mvc_graph::IncrementalOptimum;
@@ -77,8 +80,8 @@ impl CompetitiveReport {
 ///
 /// The optimum is maintained incrementally (see [`mvc_graph::incremental`]
 /// for the cost of a reveal; `O(1)` cover-size read between edges) and a
-/// tracked reveal allocates nothing: the tracker is safe to leave on in
-/// production monitoring, not only in evaluation runs.
+/// tracked reveal only grows flat arrays, amortised: the tracker is safe to
+/// leave on in production monitoring, not only in evaluation runs.
 #[derive(Debug)]
 pub struct CompetitiveTracker<M> {
     mechanism: M,

@@ -143,3 +143,62 @@ fn degenerate_computations_are_handled() {
     assert_eq!(plan.clock_size(), 0);
     assert!(plan.assigner().assign(&empty).is_empty());
 }
+
+/// `draws` edge draws over an n x n graph with the nonuniform scenario's pair
+/// weights: each endpoint is independently one of the hot fifth with the
+/// share of weight a boost of 8 gives it.  Repeats are left in, as a reveal
+/// stream has them.  `RandomGraphBuilder` draws n² Bernoullis instead, about
+/// 1.1 s per graph at n = 8192 in a debug build.
+fn nonuniform_stream(n: usize, draws: usize, seed: u64) -> Vec<(usize, usize)> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let hot = n / 5;
+    let hot_share = 8.0 * hot as f64 / (8.0 * hot as f64 + (n - hot) as f64);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut end = move || {
+        if rng.gen_bool(hot_share) {
+            rng.gen_range(0..hot)
+        } else {
+            rng.gen_range(hot..n)
+        }
+    };
+    (0..draws).map(|_| (end(), end())).collect()
+}
+
+/// The competitive tracker's optimum against the offline solve at
+/// `plan-sparse`'s shape: n = 8192 per side, mean degree 3, nonuniform.  At
+/// every 1 000th new edge and the last, the maintained size equals the
+/// solve's and the maintained Kőnig cover equals the batch one member for
+/// member.  Oracles 5 and 11 stream at most 48 vertices a side; these
+/// streams dissolve trees of up to about 60 objects and re-attach thousands
+/// of objects to other trees.
+#[test]
+fn incremental_optimum_equals_the_offline_solve_at_plan_sparse_shape() {
+    use mvc_graph::cover::minimum_vertex_cover_of;
+    use mvc_graph::IncrementalOptimum;
+
+    const N: usize = 8192;
+    for seed in [42, 7] {
+        let stream = nonuniform_stream(N, 3 * N, seed);
+        let mut optimum = IncrementalOptimum::new();
+        for (i, &(t, o)) in stream.iter().enumerate() {
+            let new = optimum.insert_edge(t, o);
+            let revealed = optimum.graph().edge_count();
+            if !(new && revealed.is_multiple_of(1_000) || i + 1 == stream.len()) {
+                continue;
+            }
+            let solved = OfflineOptimizer::new().solve(optimum.graph());
+            assert_eq!(
+                optimum.cover_size(),
+                solved.matching_size(),
+                "seed {seed}, {revealed} edges"
+            );
+            let (_, batch) = minimum_vertex_cover_of(optimum.graph());
+            assert!(
+                *optimum.cover() == batch,
+                "cover diverged at seed {seed}, {revealed} edges"
+            );
+        }
+    }
+}
