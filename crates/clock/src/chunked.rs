@@ -24,6 +24,8 @@
 //! derived equality is value equality, and `values.len()` is `CHUNK` times
 //! the number of set bits.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::compare::{self, ClockOrd, VectorTimestamp};
 
 /// Entries per chunk.  64 keeps a chunk one cache-line pair (512 bytes of

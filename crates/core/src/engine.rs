@@ -17,6 +17,8 @@
 //! copy of the thread's row, so an event costs `O(nonzero chunks)`, never
 //! `O(width)` — unless a consumer asks a stamp for `as_slice()`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fmt;
 
 use mvc_clock::chunked::{self, ChunkedRow};

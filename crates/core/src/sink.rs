@@ -24,6 +24,8 @@
 //! as a vector the sink consumes, so a sink that stores the batch moves
 //! timestamps instead of cloning them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fmt;
 
 use mvc_clock::VectorTimestamp;

@@ -3,9 +3,9 @@
 //! The workspace ships no TOML crate (offline shim policy), so this module
 //! parses the small subset the config actually uses: `[section]` tables,
 //! `[[section]]` arrays of tables, and `key = value` where value is a string,
-//! integer, boolean, or (possibly multiline) array of strings. `#` starts a
-//! comment outside of strings. Anything beyond that subset is a hard error —
-//! a config the linter half-understood would silently weaken the gate.
+//! integer, or (possibly multiline) array of strings. `#` starts a comment
+//! outside of strings. Anything beyond that subset is a hard error — a
+//! config the linter half-understood would silently weaken the gate.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,19 +16,10 @@ use std::path::Path;
 enum Value {
     Str(String),
     Int(i64),
-    Bool(bool),
     List(Vec<String>),
 }
 
 type Table = BTreeMap<String, Value>;
-
-/// A `SeqCst` allowlist entry: the one file/symbol pair that may use it,
-/// and why.
-#[derive(Debug, Clone)]
-pub struct SeqCstAllow {
-    pub file: String,
-    pub reason: String,
-}
 
 /// A declarative forbidden-pattern rule (the replacement for the old ad-hoc
 /// `include_str!` source-scan tests).
@@ -38,6 +29,9 @@ pub struct ForbiddenRule {
     pub id: String,
     /// Workspace-relative file the rule applies to.
     pub file: String,
+    /// Line of the rule's `[[forbidden]]` header (see
+    /// [`crate::rules::config_path`]).
+    pub line: u32,
     /// Token-wise patterns that must appear at most `max_count` times in
     /// non-test code of `file`.
     pub patterns: Vec<String>,
@@ -47,35 +41,13 @@ pub struct ForbiddenRule {
     pub reason: String,
 }
 
-/// A source file some entry of the config is keyed on, and where.
-#[derive(Debug, Clone)]
-pub struct NamedFile {
-    /// The workspace-relative path as written.
-    pub path: String,
-    /// The key naming it, e.g. `[hot_path] modules`.
-    pub key: &'static str,
-    /// Line of that entry's section header.
-    pub line: u32,
-}
-
 /// Parsed `lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Workspace-relative modules where panicking calls are banned.
-    pub hot_path_modules: Vec<String>,
     /// Declared lock-acquisition chains, outermost first.
     pub lock_chains: Vec<Vec<String>>,
-    /// Files allowed to use `Ordering::SeqCst`, with justification.
-    pub seqcst_allow: Vec<SeqCstAllow>,
-    /// Path prefixes exempt from the no-debug-output rule.
-    pub debug_output_allow: Vec<String>,
-    /// Require `#![forbid(unsafe_code)]` in every crate's `lib.rs`.
-    pub require_forbid_unsafe: bool,
     /// Declarative forbidden-pattern rules.
     pub forbidden: Vec<ForbiddenRule>,
-    /// Every file the entries above are keyed on (see
-    /// [`crate::rules::config_path`]).
-    pub named_files: Vec<NamedFile>,
 }
 
 /// Config-file problem, reported with a line number.
@@ -104,27 +76,10 @@ impl Config {
     /// Parse config text.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let doc = parse_document(text)?;
-        let mut cfg = Config {
-            require_forbid_unsafe: true,
-            ..Config::default()
-        };
+        let mut cfg = Config::default();
 
         for (section, line, table) in &doc {
-            let mut name_file = |key, path: &String| {
-                cfg.named_files.push(NamedFile {
-                    path: path.clone(),
-                    key,
-                    line: *line as u32,
-                });
-            };
             match section.as_str() {
-                "hot_path" => {
-                    let modules = take_list(table, "modules", *line)?;
-                    for module in &modules {
-                        name_file("[hot_path] modules", module);
-                    }
-                    cfg.hot_path_modules = modules;
-                }
                 "lock_order" => {
                     for chain in take_list(table, "chains", *line)? {
                         let locks: Vec<String> =
@@ -141,35 +96,11 @@ impl Config {
                         cfg.lock_chains.push(locks);
                     }
                 }
-                "atomic.allow_seqcst" => {
-                    let entry = SeqCstAllow {
-                        file: take_str(table, "file", *line)?,
-                        reason: take_str(table, "reason", *line)?,
-                    };
-                    if entry.reason.trim().is_empty() {
-                        return Err(ConfigError {
-                            line: *line,
-                            message: format!(
-                                "allow_seqcst for `{}` needs a non-empty reason",
-                                entry.file
-                            ),
-                        });
-                    }
-                    name_file("[[atomic.allow_seqcst]] file", &entry.file);
-                    cfg.seqcst_allow.push(entry);
-                }
-                "debug_output" => {
-                    cfg.debug_output_allow = take_list(table, "allow", *line)?;
-                }
-                "unsafe_code" => {
-                    if let Some(v) = table.get("require_forbid") {
-                        cfg.require_forbid_unsafe = as_bool(v, "require_forbid", *line)?;
-                    }
-                }
                 "forbidden" => {
                     let rule = ForbiddenRule {
                         id: take_str(table, "id", *line)?,
                         file: take_str(table, "file", *line)?,
+                        line: *line as u32,
                         patterns: take_list(table, "patterns", *line)?,
                         max_count: match table.get("max_count") {
                             Some(Value::Int(n)) if *n >= 0 => *n as usize,
@@ -189,7 +120,6 @@ impl Config {
                             message: format!("forbidden rule `{}` has no patterns", rule.id),
                         });
                     }
-                    name_file("[[forbidden]] file", &rule.file);
                     cfg.forbidden.push(rule);
                 }
                 other => {
@@ -228,16 +158,6 @@ fn take_str(table: &Table, key: &str, line: usize) -> Result<String, ConfigError
         None => Err(ConfigError {
             line,
             message: format!("missing required key `{key}`"),
-        }),
-    }
-}
-
-fn as_bool(v: &Value, key: &str, line: usize) -> Result<bool, ConfigError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(ConfigError {
-            line,
-            message: format!("`{key}` must be true or false"),
         }),
     }
 }
@@ -346,12 +266,6 @@ fn bracket_depth(s: &str) -> i32 {
 }
 
 fn parse_value(text: &str, line: usize) -> Result<Value, ConfigError> {
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(body) = text.strip_prefix('[') {
         let body = body.strip_suffix(']').ok_or_else(|| ConfigError {
             line,
@@ -437,4 +351,28 @@ fn unescape(s: &str) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sections of the rules rustc and clippy hold (docs/LINTS.md) are
+    /// rejected, not skipped: a stale config must not half-configure the gate.
+    #[test]
+    fn retired_sections_are_unknown() {
+        for (text, section) in [
+            ("[hot_path]\nmodules = [\"src/lib.rs\"]\n", "[hot_path]"),
+            ("[unsafe_code]\n", "[unsafe_code]"),
+            ("[debug_output]\nallow = []\n", "[debug_output]"),
+            (
+                "[[atomic.allow_seqcst]]\nfile = \"src/lib.rs\"\nreason = \"why\"\n",
+                "[atomic.allow_seqcst]",
+            ),
+        ] {
+            let err = Config::parse(text).expect_err(section);
+            assert_eq!(err.line, 1, "{section}: {err}");
+            assert_eq!(err.message, format!("unknown section `{section}`"));
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! A small hand-rolled Rust lexer.
 //!
 //! The linter never needs a full parse of Rust: every rule in this crate is a
-//! statement about token sequences ("`.unwrap` followed by `(`", "`unsafe`
-//! then `{`", "`.lock()` while another guard is live"). What it *does* need is
+//! statement about token sequences ("`SeqCst` outside test code",
+//! "`.lock()` while another guard is live"). What it *does* need is
 //! to be precise about the places where naive substring scans lie — string
 //! literals, comments (including nested block comments and raw strings), and
 //! `#[cfg(test)]` items. This lexer produces a flat token stream with

@@ -7,6 +7,8 @@
 //! `--deny` exits 1 when there are findings (the CI mode); without it the
 //! exit code is always 0 so the tool can be used exploratorily.
 
+#![allow(clippy::print_stdout, reason = "the findings are the tool's output")]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -1,120 +1,32 @@
-//! `atomic-ordering`: atomic operations must spell out their `Ordering`, and
-//! `SeqCst` is banned unless the file is allowlisted with a justification.
+//! `atomic-ordering`: `SeqCst` is banned.
 //!
 //! The pipeline's cross-thread handshakes (serialization tickets, shard
 //! replies, server shutdown flags) are all expressed through acquire/release
-//! pairs; an ordering-free call hides the synchronization contract from the
-//! reader, and a stray `SeqCst` hides the *absence* of a reasoned contract
-//! behind the strongest (and slowest) fence.
+//! pairs; a stray `SeqCst` hides the *absence* of a reasoned contract behind
+//! the strongest (and slowest) fence. That every atomic call names *some*
+//! ordering needs no rule: std's atomic methods take it as a required
+//! argument.
 
-use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 pub const RULE: &str = "atomic-ordering";
 
-/// Atomic methods that take an `Ordering` argument. `swap` is deliberately
-/// absent: `slice::swap(i, j)` is common and indistinguishable syntactically.
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_nand",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-pub fn check(file: &SourceFile, cfg: &Config) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let seqcst_allowed = cfg.seqcst_allow.iter().any(|a| a.file == file.path);
-    let toks = &file.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.in_test || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        // Any SeqCst mention outside the allowlist is a finding, wherever it
-        // appears — argument position, constant, or re-export.
-        if tok.text == "SeqCst" && !seqcst_allowed {
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: tok.line,
-                col: tok.col,
-                rule: RULE.to_string(),
-                message: "Ordering::SeqCst is banned; use an acquire/release pair or \
-                          allowlist this file in lint.toml [[atomic.allow_seqcst]] with a reason"
-                    .to_string(),
-            });
-            continue;
-        }
-        // `.method(` where method is atomic: the argument list must name an
-        // ordering (or pass a variable named `ordering`/`order`).
-        if !ATOMIC_METHODS.contains(&tok.text.as_str()) {
-            continue;
-        }
-        if i == 0 || !toks[i - 1].is_punct(".") {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut has_ordering = false;
-        let mut j = i + 1;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            } else if t.kind == TokenKind::Ident
-                && (ORDERINGS.contains(&t.text.as_str())
-                    || t.text == "Ordering"
-                    || t.text == "ordering"
-                    || t.text == "order")
-            {
-                has_ordering = true;
-            }
-            j += 1;
-        }
-        // Zero-argument calls (`rx.load()`) cannot be atomics misusing a
-        // default; only flag calls that take arguments yet name no ordering —
-        // except `load`/`store`, which always take one when atomic. For
-        // non-atomic receivers sharing a method name (`fetch_update` is rare,
-        // `load`/`store` rarer), the heuristic is: flag iff no ordering-like
-        // ident anywhere in the argument list AND the call has the arity an
-        // atomic would have (load: 1 arg, store: 2+, fetch_*: 2+).
-        if !has_ordering && call_has_args(toks, i + 1) {
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: tok.line,
-                col: tok.col,
-                rule: RULE.to_string(),
-                message: format!(
-                    "`.{}(..)` does not name an explicit memory Ordering",
-                    tok.text
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Does the parenthesized list starting at `toks[open]` contain any tokens?
-fn call_has_args(toks: &[crate::lexer::Token], open: usize) -> bool {
-    toks.get(open + 1).is_some_and(|t| !t.is_punct(")"))
+pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
+    // Any SeqCst mention is a finding, wherever it appears — argument
+    // position, constant, or re-export.
+    file.tokens
+        .iter()
+        .filter(|tok| !tok.in_test && tok.kind == TokenKind::Ident && tok.text == "SeqCst")
+        .map(|tok| Diagnostic {
+            path: file.path.clone(),
+            line: tok.line,
+            col: tok.col,
+            rule: RULE.to_string(),
+            message: "Ordering::SeqCst is banned; use an acquire/release pair or \
+                      justify it with an inline allow"
+                .to_string(),
+        })
+        .collect()
 }

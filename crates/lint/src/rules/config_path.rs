@@ -1,10 +1,10 @@
-//! `config-path`: every file `lint.toml` keys an entry on must be a file
-//! the run linted.
+//! `config-path`: every file a `lint.toml` `[[forbidden]]` entry names must
+//! be a file the run linted.
 //!
-//! `[hot_path] modules`, `[[forbidden]] file` and `[[atomic.allow_seqcst]]
-//! file` select by path equality, so an entry whose file was renamed or
-//! deleted selects nothing and its rule passes without having looked at any
-//! code. Reported against `lint.toml` itself, so no inline allow reaches it.
+//! `[[forbidden]] file` selects by path equality, so an entry whose file was
+//! renamed or deleted selects nothing and its rule passes without having
+//! looked at any code. Reported against `lint.toml` itself, so no inline
+//! allow reaches it.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
@@ -13,17 +13,17 @@ use crate::source::SourceFile;
 pub const RULE: &str = "config-path";
 
 pub fn check(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
-    cfg.named_files
+    cfg.forbidden
         .iter()
-        .filter(|named| !files.iter().any(|f| f.path == named.path))
-        .map(|named| Diagnostic {
+        .filter(|rule| !files.iter().any(|f| f.path == rule.file))
+        .map(|rule| Diagnostic {
             path: "lint.toml".to_string(),
-            line: named.line,
+            line: rule.line,
             col: 1,
             rule: RULE.to_string(),
             message: format!(
-                "{} names `{}`, which is not a linted file; the entry checks nothing",
-                named.key, named.path
+                "[[forbidden]] file names `{}`, which is not a linted file; the entry checks nothing",
+                rule.file
             ),
         })
         .collect()

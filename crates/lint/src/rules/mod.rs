@@ -4,8 +4,5 @@
 
 pub mod atomics;
 pub mod config_path;
-pub mod debug_output;
 pub mod forbidden;
-pub mod hot_path;
 pub mod lock_order;
-pub mod unsafety;

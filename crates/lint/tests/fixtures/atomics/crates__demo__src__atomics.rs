@@ -1,4 +1,4 @@
-//! Atomic-ordering fixture (not allowlisted for SeqCst).
+//! Atomic-ordering fixture.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -15,21 +15,6 @@ pub fn positive_seqcst(flag: &AtomicBool) {
 pub fn suppressed_seqcst(flag: &AtomicBool) {
     // mvc-lint: allow(atomic-ordering) — fixture: migration stepping stone
     flag.store(true, Ordering::SeqCst);
-}
-
-pub struct Store {
-    items: Vec<u32>,
-}
-
-impl Store {
-    /// Positive: a `store`-named call with arguments but no ordering. The
-    /// rule is name-based on purpose — if a non-atomic type grows a method
-    /// from the atomic vocabulary, passing the ordering spelled out (or
-    /// renaming the method) keeps the call unambiguous to readers.
-    pub fn positive_missing_ordering(&mut self, value: u32, flag: &AtomicBool) {
-        flag.store(value != 0);
-        self.items.push(value);
-    }
 }
 
 pub fn false_positives_do_not_fire() {

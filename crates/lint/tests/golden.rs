@@ -2,8 +2,8 @@
 //!
 //! Each directory under `tests/fixtures/` is one scenario: a `config.toml`,
 //! one or more `.rs` inputs whose filenames encode virtual workspace paths
-//! (`__` stands for `/`, so `crates__demo__src__hot.rs` is linted as
-//! `crates/demo/src/hot.rs`), and an `expected.txt` holding the exact
+//! (`__` stands for `/`, so `crates__demo__src__locks.rs` is linted as
+//! `crates/demo/src/locks.rs`), and an `expected.txt` holding the exact
 //! diagnostics, sorted, one per line (empty file = lints clean).
 //!
 //! Regenerate expectations after an intentional rule change with
@@ -72,11 +72,6 @@ fn check(name: &str) {
 }
 
 #[test]
-fn hot_path_fixture() {
-    check("hot_path");
-}
-
-#[test]
 fn lock_order_fixture() {
     check("lock_order");
 }
@@ -87,18 +82,8 @@ fn atomics_fixture() {
 }
 
 #[test]
-fn unsafety_fixture() {
-    check("unsafety");
-}
-
-#[test]
 fn forbidden_fixture() {
     check("forbidden");
-}
-
-#[test]
-fn debug_output_fixture() {
-    check("debug_output");
 }
 
 #[test]
@@ -110,15 +95,7 @@ fn config_path_fixture() {
 /// a new rule's fixture can't silently go unasserted.
 #[test]
 fn all_fixture_dirs_are_covered() {
-    let known = [
-        "hot_path",
-        "lock_order",
-        "atomics",
-        "unsafety",
-        "forbidden",
-        "debug_output",
-        "config_path",
-    ];
+    let known = ["lock_order", "atomics", "forbidden", "config_path"];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for entry in std::fs::read_dir(&root).unwrap() {
         let entry = entry.unwrap();

@@ -21,6 +21,8 @@
 //! therefore every stamp — is bit-for-bit identical to an uninterrupted
 //! run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;

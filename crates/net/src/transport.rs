@@ -11,6 +11,8 @@
 //!   can [sever](InProcTransport::sever_keeping) the link at an exact byte
 //!   position, which is how the test suite forces mid-frame disconnects.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

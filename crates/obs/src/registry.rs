@@ -11,6 +11,8 @@
 //! and a predictable branch until a harness opts in with
 //! [`Registry::set_enabled`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -33,6 +33,8 @@
 //! assert!(run.timestamps[0].strictly_less_than(&run.timestamps[1]));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::Arc;
 
 use mvc_clock::VectorTimestamp;

@@ -18,6 +18,8 @@
 //! caller recovers (adds a component, frees disk space) and simply pumps
 //! again.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fmt;
 
 use mvc_clock::VectorTimestamp;

@@ -1,5 +1,7 @@
 //! The sharded timestamping engine.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -211,6 +213,10 @@ impl ShardedEngine {
             while sent < windows.len() && sent < merged + PIPELINE_CHUNKS {
                 let (s, e) = windows[sent];
                 for (shard, input) in self.inputs.iter().enumerate() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "workers only exit after their input channel is dropped, which happens in our Drop"
+                    )]
                     input
                         .send(Chunk {
                             ln: local_width(width, shard, shards),
@@ -218,7 +224,6 @@ impl ShardedEngine {
                             start: s,
                             end: e,
                         })
-                        // mvc-lint: allow(hot-path-panic) — workers only exit after their input channel is dropped, which happens in our Drop
                         .expect("shard worker is alive");
                 }
                 sent += 1;
@@ -227,7 +232,10 @@ impl ShardedEngine {
             bufs.clear();
             let chunk_span = self.metrics.chunk_ns.span();
             for reply in &self.replies {
-                // mvc-lint: allow(hot-path-panic) — a worker replies once per chunk or the process is already panicking; see worker.rs
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a worker replies once per chunk or the process is already panicking; see worker.rs"
+                )]
                 bufs.push(reply.recv().expect("shard worker reply"));
             }
             chunk_span.stop();
@@ -245,6 +253,10 @@ impl Timestamper for ShardedEngine {
         "sharded-engine"
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "process_batch's contract is one stamp per input event; one event in, one stamp out"
+    )]
     fn observe(
         &mut self,
         thread: ThreadId,
@@ -252,7 +264,6 @@ impl Timestamper for ShardedEngine {
     ) -> Result<VectorTimestamp, TimestampError> {
         let mut out = Vec::with_capacity(1);
         self.process_batch(&[(thread, object)], &mut out)?;
-        // mvc-lint: allow(hot-path-panic) — process_batch's contract is one stamp per input event; one event in, one stamp out
         Ok(out.pop().expect("one stamp for one event"))
     }
 

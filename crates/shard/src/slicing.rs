@@ -25,6 +25,8 @@
 //! entire correctness argument for the sharded engine: shards never
 //! communicate, they only have to see the same events in the same order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Number of components shard `shard` owns when the clock has `width`
 /// components: the size of `{k < width : k % shards == shard}`.
 pub(crate) fn local_width(width: usize, shard: usize, shards: usize) -> usize {

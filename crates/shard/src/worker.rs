@@ -13,6 +13,8 @@
 //! merge consumes one reply per shard per chunk, which is exactly the
 //! epoch/watermark discipline described in the crate docs.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -39,6 +41,10 @@ pub(crate) struct Chunk {
 /// The worker exits when the router drops its `Sender` (every queued chunk
 /// is still processed first, because the channel drains before reporting
 /// disconnection) or when the router stops listening for replies.
+#[expect(
+    clippy::expect_used,
+    reason = "spawn fails only on OS thread exhaustion at engine construction, before any event flows"
+)]
 pub(crate) fn spawn(
     shard: usize,
     input: Receiver<Chunk>,
@@ -62,7 +68,6 @@ pub(crate) fn spawn(
                 }
             }
         })
-        // mvc-lint: allow(hot-path-panic) — spawn fails only on OS thread exhaustion at engine construction, before any event flows
         .expect("spawning a shard worker thread")
 }
 

@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example debug_race`.
 
+#![allow(clippy::print_stdout, reason = "an example reports on stdout")]
+
 use std::thread;
 
 use mixed_vector_clock::prelude::*;

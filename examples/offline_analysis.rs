@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example offline_analysis`.
 
+#![allow(clippy::print_stdout, reason = "an example reports on stdout")]
+
 use mixed_vector_clock::prelude::*;
 use mvc_trace::codec;
 use mvc_trace::{WorkloadBuilder, WorkloadKind};

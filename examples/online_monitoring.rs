@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --example online_monitoring`.
 
+#![allow(clippy::print_stdout, reason = "an example reports on stdout")]
+
 use mixed_vector_clock::prelude::*;
 use mvc_trace::generator::random_graph_computation;
 

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --example paper_example`.
 
+#![allow(clippy::print_stdout, reason = "an example reports on stdout")]
+
 use mixed_vector_clock::prelude::*;
 use mvc_clock::TimestampAssigner;
 use mvc_graph::dot::to_dot;

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+#![allow(clippy::print_stdout, reason = "an example reports on stdout")]
+
 use mixed_vector_clock::prelude::*;
 use mvc_clock::TimestampAssigner;
 

@@ -1,8 +1,11 @@
-//! Tier-1 gate: the root manifest's two member lists cannot drift.
+//! Tier-1 gate: the root manifest's two member lists cannot drift, and no
+//! package drops out of the workspace lints.
 //!
 //! `cargo test -q` covers the whole workspace only because `[workspace]
 //! default-members` repeats every entry of `members` after the root package;
 //! a crate missing from either list would silently drop out of tier-1.
+//! Likewise `[workspace.lints]` (no `unsafe`, no debug output) binds only the
+//! packages whose manifest opts in with `[lints] workspace = true`.
 
 use std::fs;
 use std::path::Path;
@@ -51,5 +54,25 @@ fn default_members_is_the_root_plus_every_member_and_every_crate_is_a_member() {
     assert_eq!(
         listed, on_disk,
         "`members` must list exactly the crates under crates/ and shims/"
+    );
+}
+
+#[test]
+fn the_root_package_and_every_member_opt_into_the_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let mut packages = vec![".".to_owned()];
+    packages.extend(string_array(&manifest, "members"));
+    let missing: Vec<_> = packages
+        .into_iter()
+        .filter(|package| {
+            let path = root.join(package).join("Cargo.toml");
+            let text = fs::read_to_string(&path).expect("member manifest");
+            !text.contains("\n[lints]\nworkspace = true\n")
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "these manifests lack `[lints] workspace = true`: {missing:?}"
     );
 }
