@@ -1000,6 +1000,9 @@ fn handle_conn<E: ServeEngine>(shared: &Shared<E>, mut transport: crate::TcpTran
                 }
             }
             Err(err) => {
+                // Lock order: `server`, then `fail`.  The guard on `server`
+                // was dropped above; nothing takes `server` while holding
+                // `fail`.
                 let mut fail = shared.fail.lock();
                 if fail.is_none() {
                     *fail = Some(err);

@@ -249,6 +249,9 @@ impl InProcTransport {
     /// are delivered; both directions then read as closed (after draining
     /// whatever was already "on the wire").
     pub fn sever_keeping(&self, keep: usize) {
+        // Lock order: `outgoing`, then `incoming`, never both at once.  The
+        // peer's `outgoing` is this half's `incoming`, so nesting them would
+        // deadlock against a peer severing at the same time.
         {
             let mut out = self.outgoing.lock();
             out.buf.truncate(keep);

@@ -227,10 +227,6 @@ mod tests {
         }
     }
 
-    // The reveal-path-neither-clones-nor-replans guard is enforced by
-    // mvc-lint's `competitive-no-replan` rule (see lint.toml and
-    // docs/LINTS.md), which replaced the source-scan test that lived here.
-
     #[test]
     fn ratios_are_finite_and_at_least_one() {
         let (_, stream) = RandomGraphBuilder::new(15, 15)

@@ -1067,9 +1067,4 @@ mod tests {
             .unwrap();
         assert!(comp.ratio() >= 1.0);
     }
-
-    // The guarantee that the streaming hot path never invokes the offline
-    // planner is enforced by mvc-lint's `analysis-no-offline-planner` rule
-    // (see lint.toml and docs/LINTS.md), which replaced the source-scan
-    // test that used to live here.
 }

@@ -96,7 +96,7 @@ impl ConflictAnalyzer {
         }
         // One offline solve serves every group: the plan depends only on the
         // computation, not on the groups, so it must stay outside the group
-        // loop (a source-scan test enforces this).
+        // loop.
         let plan = OfflineOptimizer::new().plan_for_computation(computation);
         let stamps = plan.assigner().assign(computation);
 
@@ -263,10 +263,6 @@ mod tests {
         assert_eq!(first, sorted, "emitted order is the derived pair order");
         assert_eq!(first, analyzer.analyze(&c), "runs are identical");
     }
-
-    // The one-offline-solve-serves-all-groups guard is enforced by
-    // mvc-lint's `conflict-single-solve` rule (see lint.toml and
-    // docs/LINTS.md), which replaced the source-scan test that lived here.
 
     #[test]
     fn multiple_groups_are_reported_independently() {

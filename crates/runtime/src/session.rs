@@ -113,7 +113,9 @@ impl SessionInner {
         names.threads.push(name.to_owned());
         // Register the buffer while still holding the names lock, so the
         // registry's slot `i` really is thread `i`'s buffer: the drain
-        // finds a listed thread's buffer by its id.
+        // finds a listed thread's buffer by its id.  Lock order: `names`,
+        // then the ingest registry's `buffers`; nothing takes `names` while
+        // holding `buffers`.
         let buffer = self.ingest.register_buffer();
         drop(names);
         ThreadHandle {

@@ -28,10 +28,10 @@
 //!    component map.
 //! 5. **Incremental optimum maintenance.**  After *every* insertion of a
 //!    random edge stream, the incrementally maintained matching equals a
-//!    from-scratch Hopcroft–Karp on the revealed prefix, and the lazily
-//!    rebuilt cover satisfies Kőnig (size equals matching size, covers all
-//!    edges) — the incremental engine is a pure optimisation, never a new
-//!    algorithm.
+//!    from-scratch Hopcroft–Karp on the revealed prefix, and the cover read
+//!    off the maintained `Z` on demand satisfies Kőnig (size equals
+//!    matching size, covers all edges) — the incremental engine is a pure
+//!    optimisation, never a new algorithm.
 //! 6. **Sharded timestamping parity.**  The sharded engine — any shard
 //!    count, with or without mid-run component additions — produces the
 //!    sequential engine's stamp stream bit for bit: sharding is a
@@ -70,7 +70,8 @@
 //!     no code shared with `mvc_graph`) equals, member for member, the Kőnig
 //!     cover of Hopcroft–Karp's matching and the cover `IncrementalOptimum`
 //!     reads off its maintained `Z`, at every prefix of streams long enough
-//!     to interleave growth of `Z`, augmentation and rebuild.
+//!     to interleave growth of `Z`, augmentation and the repair of the
+//!     augmenting path's tree.
 //! 12. **A stamp's storage is not observable.**  The engine emits a stamp as
 //!     a copy of its thread's packed row — or as the plain vector once every
 //!     chunk is nonzero — and either way it equals the dense-slice kernel's
@@ -1233,8 +1234,9 @@ proptest! {
 
     /// 16–48 vertices per side at mean degree 2–4, both scenarios: the
     /// regime where free threads survive long enough for insertions to be
-    /// rejected against `Z`, to grow it, to augment and to force a rebuild
-    /// within one stream (oracle 5's 2–12-vertex streams almost never do).
+    /// rejected against `Z`, to grow it, to augment and to force a tree
+    /// repair within one stream (oracle 5's 2–12-vertex streams almost
+    /// never do).
     /// The source side of the minimum cut closest to the source is unique,
     /// and so is `Z` across maximum matchings: all three covers must agree
     /// member for member after every insertion.

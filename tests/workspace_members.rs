@@ -5,7 +5,8 @@
 //! default-members` repeats every entry of `members` after the root package;
 //! a crate missing from either list would silently drop out of tier-1.
 //! Likewise `[workspace.lints]` (no `unsafe`, no debug output) binds only the
-//! packages whose manifest opts in with `[lints] workspace = true`.
+//! packages whose manifest opts in with `[lints] workspace = true`, and a
+//! crate's own `clippy.toml` replaces the root one rather than extending it.
 
 use std::fs;
 use std::path::Path;
@@ -74,5 +75,47 @@ fn the_root_package_and_every_member_opt_into_the_workspace_lints() {
     assert!(
         missing.is_empty(),
         "these manifests lack `[lints] workspace = true`: {missing:?}"
+    );
+}
+
+/// The top-level `key = value` lines of a clippy.toml, trimmed; the entries
+/// of a multi-line array are indented and so never read as keys.
+fn clippy_settings(path: &Path) -> Vec<(String, String)> {
+    fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        .lines()
+        .filter(|line| line.starts_with(|c: char| c.is_ascii_alphabetic()))
+        .filter_map(|line| line.split_once('='))
+        .map(|(key, value)| (key.trim().to_owned(), value.trim().to_owned()))
+        .collect()
+}
+
+#[test]
+fn every_member_clippy_toml_repeats_the_root_settings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let expected = clippy_settings(&root.join("clippy.toml"));
+    assert!(!expected.is_empty(), "root clippy.toml sets nothing");
+    let nested: Vec<_> = string_array(&manifest, "members")
+        .into_iter()
+        .map(|member| root.join(member).join("clippy.toml"))
+        .filter(|path| path.is_file())
+        .collect();
+    assert!(
+        !nested.is_empty(),
+        "no member has its own clippy.toml, yet mvc-net's `as_slice` ban lives in one"
+    );
+    let drifted: Vec<_> = nested
+        .iter()
+        .filter_map(|path| {
+            let have = clippy_settings(path);
+            let missing: Vec<_> = expected.iter().filter(|s| !have.contains(s)).collect();
+            (!missing.is_empty()).then(|| format!("{}: {missing:?}", path.display()))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "clippy reads only the nearest clippy.toml, so these drop root settings:\n{}",
+        drifted.join("\n")
     );
 }
