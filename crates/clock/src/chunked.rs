@@ -1,32 +1,41 @@
-//! Packed chunks: the one storage rule for rows and stamps.
+//! Packed chunks: the one storage rule for rows and stamps, and the protocol
+//! step over them.
 //!
 //! The paper makes timestamps *small* (a minimum vertex cover instead of one
 //! entry per thread plus one per object), but a dense `Vec<u64>` still pays
 //! O(width) per event even when almost every entry is zero — which is
 //! exactly the wide-clock regime (thousands of components, a handful touched
 //! per event) the Singhal–Kshemkalyani observation in the paper's Section VI
-//! predicts.  A [`ChunkedRow`] therefore stores only the [`CHUNK`]-entry
-//! chunks that hold a nonzero entry, packed in chunk order, plus one mask bit
-//! per chunk: a row that has touched one chunk of a width-4096 clock stores
-//! 64 words, not 4096.  The protocol's `max`-merge, increment and comparison
-//! visit stored chunks only.
+//! predicts.  A row therefore stores only the [`CHUNK`]-entry chunks that
+//! hold a nonzero entry, packed in chunk order, plus one mask bit per chunk,
+//! all in one buffer: a row that has touched one chunk of a width-4096 clock
+//! stores 64 words and one mask word, not 4096.  The protocol's `max`-merge,
+//! increment and comparison visit stored chunks only.
 //!
-//! A stamp is a copy of its thread's row under the same rule
-//! ([`step`] ends in one): mask and packed chunks, `O(nonzero chunks)` to
-//! emit, compare and pad.  When every chunk is stored the packed chunks *are*
-//! the dense vector, so narrow and fully occupied clocks emit a plain
-//! `Vec<u64>` — the same rule, not a second format.  See
-//! `docs/WIDE_CLOCKS.md` for the contract
-//! [`VectorTimestamp`] keeps on top of it.
+//! After the write-back step (`p.v = q.v = e.v`) the event's stamp *is* its
+//! thread's new row, so a stamp *shares* that row until the row's next
+//! write ([`ClockRows::step`] hands out the row itself, reference-counted).
+//! The next step of the thread writes the row in place when no stamp holds
+//! it any more and copies it first when one does: a stamp nobody keeps costs
+//! two reference-count operations, a kept one the copy it always cost.  When
+//! every chunk is stored the packed chunks *are* the dense vector, so narrow
+//! and fully occupied clocks emit a plain `Vec<u64>` — the same rule, not a
+//! second format — and a row that has only ever been full is never shared,
+//! so narrow clocks pay no reference count.  See `docs/WIDE_CLOCKS.md` for
+//! the contract [`VectorTimestamp`] keeps on top of it.
 //!
 //! Invariant maintained by every method: a mask bit is set ⇔ the chunk is
 //! stored ⇔ the chunk has a nonzero entry, so occupancy numbers are exact,
-//! derived equality is value equality, and `values.len()` is `CHUNK` times
-//! the number of set bits.
+//! derived equality is value equality, and a row's buffer is [`CHUNK`]
+//! times the number of set bits plus the mask words.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::compare::{self, ClockOrd, VectorTimestamp};
+use std::sync::{Arc, OnceLock};
+
+use mvc_trace::{ObjectId, ThreadId};
+
+use crate::compare::VectorTimestamp;
 
 /// Entries per chunk.  64 keeps a chunk one cache-line pair (512 bytes of
 /// `u64`s) and makes the bitmap arithmetic plain shifts.
@@ -37,14 +46,15 @@ static ZEROS: [u64; CHUNK] = [0; CHUNK];
 
 /// One mixed-vector row (a thread's or an object's clock) as packed chunks.
 ///
-/// The row covers `chunks` chunks; bit `c % 64` of `mask[c / 64]` is set iff
-/// chunk `c` contains a nonzero entry, and `values` holds exactly those
-/// chunks, [`CHUNK`] entries each, in chunk order.
+/// The row covers `chunks` chunks.  `words` is the stored chunks, [`CHUNK`]
+/// entries each in chunk order, followed by `chunks.div_ceil(64)` mask
+/// words; bit `c % 64` of mask word `c / 64` is set iff chunk `c` contains a
+/// nonzero entry.  The mask goes last so that widening the row appends to
+/// the buffer and a full row's entries start at word 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChunkedRow {
+pub(crate) struct ChunkedRow {
     chunks: usize,
-    mask: Vec<u64>,
-    values: Vec<u64>,
+    words: Vec<u64>,
 }
 
 /// Number of chunks needed to hold `width` entries.
@@ -74,6 +84,17 @@ impl<'a> ChunkView<'a> {
             mask: self.mask,
             values: self.values.chunks(CHUNK),
             chunk: 0,
+        }
+    }
+
+    /// Copies the stored chunks into `out`, which reads as zero elsewhere;
+    /// entries past `out`'s end are dropped.
+    pub(crate) fn scatter(self, out: &mut [u64]) {
+        for (chunk, src) in self.stored() {
+            if let Some(dst) = out.get_mut(chunk * CHUNK..) {
+                let n = dst.len().min(src.len());
+                dst[..n].copy_from_slice(&src[..n]);
+            }
         }
     }
 }
@@ -144,25 +165,29 @@ pub(crate) fn union<'a>(
 
 impl ChunkedRow {
     /// Creates an empty (zero-width) row.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an all-zero row covering at least `width` entries.
-    fn with_width(width: usize) -> Self {
-        let mut row = Self::default();
-        row.ensure_width(width);
-        row
+    /// A row of `chunks` chunks from its packed chunks and its mask.
+    fn from_parts(chunks: usize, mut values: Vec<u64>, mask: &[u64]) -> Self {
+        debug_assert_eq!(mask.len(), chunks.div_ceil(64));
+        values.extend_from_slice(mask);
+        ChunkedRow {
+            chunks,
+            words: values,
+        }
     }
 
     /// Grows the row (with zeros) so it covers at least `width` entries:
     /// `O(mask words)`, no chunk is stored for it.  Never shrinks: the
     /// clock only grows.
-    pub fn ensure_width(&mut self, width: usize) {
+    pub(crate) fn ensure_width(&mut self, width: usize) {
         let chunks = chunks_for(width);
         if chunks > self.chunks {
+            let grown = chunks.div_ceil(64) - self.mask_words();
             self.chunks = chunks;
-            self.mask.resize(chunks.div_ceil(64), 0);
+            self.words.resize(self.words.len() + grown, 0);
         }
     }
 
@@ -173,19 +198,19 @@ impl ChunkedRow {
     }
 
     /// Number of chunks the row currently covers.
-    pub fn chunk_count(&self) -> usize {
+    pub(crate) fn chunk_count(&self) -> usize {
         self.chunks
     }
 
     /// Number of chunks containing at least one nonzero entry — the chunks
     /// the row stores.
-    pub fn nonzero_chunks(&self) -> usize {
-        self.values.len() / CHUNK
+    pub(crate) fn nonzero_chunks(&self) -> usize {
+        self.values().len() / CHUNK
     }
 
     /// Fraction of chunks that are nonzero (0.0 for an empty row): the
     /// per-row sparsity number the wide-clock bench reports.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         if self.chunks == 0 {
             0.0
         } else {
@@ -195,136 +220,296 @@ impl ChunkedRow {
 
     /// `u64` words the row stores: its packed chunks plus its mask.
     pub(crate) fn stored_words(&self) -> usize {
-        self.values.len() + self.mask.len()
+        self.words.len()
+    }
+
+    fn mask_words(&self) -> usize {
+        self.chunks.div_ceil(64)
+    }
+
+    /// Where the mask starts in `words`.
+    fn mask_at(&self) -> usize {
+        self.words.len() - self.mask_words()
+    }
+
+    fn values(&self) -> &[u64] {
+        &self.words[..self.mask_at()]
+    }
+
+    fn mask(&self) -> &[u64] {
+        &self.words[self.mask_at()..]
     }
 
     pub(crate) fn view(&self) -> ChunkView<'_> {
+        let (values, mask) = self.words.split_at(self.mask_at());
         ChunkView {
-            mask: Some(&self.mask),
-            values: &self.values,
+            mask: Some(mask),
+            values,
         }
     }
 
     #[inline]
     fn has(&self, chunk: usize) -> bool {
-        let word = self.mask.get(chunk / 64).copied().unwrap_or(0);
+        let word = self.mask().get(chunk / 64).copied().unwrap_or(0);
         (word >> (chunk % 64)) & 1 != 0
     }
 
-    /// Offset in `values` at which a covered chunk is (or would be) stored.
+    /// Offset in `words` at which a covered chunk is (or would be) stored.
     #[inline]
     fn offset(&self, chunk: usize) -> usize {
-        let below = self.mask[chunk / 64] & ((1u64 << (chunk % 64)) - 1);
-        let before: u32 = self.mask[..chunk / 64].iter().map(|w| w.count_ones()).sum();
+        let mask = self.mask();
+        let below = mask[chunk / 64] & ((1u64 << (chunk % 64)) - 1);
+        let before: u32 = mask[..chunk / 64].iter().map(|w| w.count_ones()).sum();
         (before + below.count_ones()) as usize * CHUNK
     }
 
     /// Entry `k` by reference (a shared zero when its chunk is not stored).
     pub(crate) fn entry(&self, k: usize) -> &u64 {
         if self.has(k / CHUNK) {
-            &self.values[self.offset(k / CHUNK) + k % CHUNK]
+            &self.words[self.offset(k / CHUNK) + k % CHUNK]
         } else {
             &ZEROS[0]
         }
     }
 
-    /// Entry `k` (zero beyond the padded width).
-    pub fn get(&self, k: usize) -> u64 {
-        *self.entry(k)
-    }
-
     /// Increments entry `k`, growing the row if needed.  A chunk that was
     /// all-zero is inserted at its rank: one bounded `memmove`, at most
     /// once per chunk in the row's life.
-    pub fn increment(&mut self, k: usize) {
+    pub(crate) fn increment(&mut self, k: usize) {
         self.ensure_width(k + 1);
         let chunk = k / CHUNK;
         let at = self.offset(chunk);
         if !self.has(chunk) {
-            self.values.splice(at..at, ZEROS);
-            self.mask[chunk / 64] |= 1u64 << (chunk % 64);
+            self.words.splice(at..at, ZEROS);
+            let word = self.mask_at() + chunk / 64;
+            self.words[word] |= 1u64 << (chunk % 64);
         }
-        self.values[at + k % CHUNK] += 1;
+        self.words[at + k % CHUNK] += 1;
     }
 
     /// Elementwise `max` of `other` into `self`.  In place when both rows
     /// store the same chunks (the steady state — the object was last written
     /// from a row like this one — and always at full occupancy); otherwise
     /// the stored chunks are rebuilt by one union walk.
-    pub fn merge_max(&mut self, other: &ChunkedRow) {
+    pub(crate) fn merge_max(&mut self, other: &ChunkedRow) {
         self.ensure_width(other.padded_width());
-        if self.mask == other.mask {
+        let at = self.mask_at();
+        if self.words[at..] == *other.mask() {
             // The same chunks at the same offsets.
-            for (d, &s) in self.values.iter_mut().zip(&other.values) {
+            for (d, &s) in self.words[..at].iter_mut().zip(other.values()) {
                 *d = (*d).max(s);
             }
             return;
         }
-        let theirs = other.mask.iter().chain(std::iter::repeat(&0));
-        let stored = self
-            .mask
-            .iter()
-            .zip(theirs)
-            .map(|(s, o)| (s | o).count_ones());
-        let mut values = Vec::with_capacity(stored.sum::<u32>() as usize * CHUNK);
+        let theirs = other.mask().iter().chain(std::iter::repeat(&0));
+        let mask = self.mask().iter().zip(theirs).map(|(s, o)| s | o);
+        let stored: u32 = mask.clone().map(u64::count_ones).sum();
+        let mut words = Vec::with_capacity(stored as usize * CHUNK + self.mask_words());
         for (a, b) in union(self.view(), other.view()) {
-            values.extend(a.iter().zip(b).map(|(a, b)| *a.max(b)));
+            words.extend(a.iter().zip(b).map(|(a, b)| *a.max(b)));
         }
-        self.values = values;
-        for (s, o) in self.mask.iter_mut().zip(&other.mask) {
-            *s |= o;
-        }
+        words.extend(mask);
+        self.words = words;
     }
 
-    /// `self < other` in the vector-clock order: every entry `<=` and at
-    /// least one `<`.  Chunks stored on neither side are skipped.
-    pub fn strictly_less_than(&self, other: &ChunkedRow) -> bool {
-        compare::order(union(self.view(), other.view())) == ClockOrd::Before
-    }
-
-    /// Makes `self` identical to `src`, reusing `self`'s buffers.
+    /// Makes `self` identical to `src`, reusing `self`'s buffer.
     fn copy_from(&mut self, src: &ChunkedRow) {
         self.chunks = src.chunks;
-        self.mask.clone_from(&src.mask);
-        self.values.clone_from(&src.values);
+        self.words.clone_from(&src.words);
     }
 
     /// The row as a dense vector truncated/padded to exactly `width`
     /// entries: zero-fill, then scatter the stored chunks.
-    pub fn to_dense(&self, width: usize) -> Vec<u64> {
+    pub(crate) fn to_dense(&self, width: usize) -> Vec<u64> {
         let mut out = vec![0u64; width];
-        for (chunk, src) in self.view().stored() {
-            if let Some(dst) = out.get_mut(chunk * CHUNK..) {
-                let len = dst.len().min(CHUNK);
-                dst[..len].copy_from_slice(&src[..len]);
-            }
-        }
+        self.view().scatter(&mut out);
         out
     }
 
-    /// Builds a row from a dense slice.
-    pub fn from_dense(dense: &[u64]) -> Self {
-        let mut row = Self::with_width(dense.len());
-        for (chunk, window) in dense.chunks(CHUNK).enumerate() {
-            if window.iter().any(|&v| v != 0) {
-                row.values.extend_from_slice(window);
-                row.values.extend_from_slice(&ZEROS[window.len()..]);
-                row.mask[chunk / 64] |= 1u64 << (chunk % 64);
-            }
+    /// Whether every chunk is stored: the packed chunks are then the dense
+    /// vector.
+    fn is_full(&self) -> bool {
+        self.nonzero_chunks() == self.chunks
+    }
+}
+
+/// A version of a thread's row as stamps share it: the row, the width it
+/// was stamped at, and its dense form once a stamp asked for one.  The
+/// thread's [`ThreadRow`] and every stamp of this version hold the same
+/// `Arc`.
+#[derive(Debug)]
+pub(crate) struct Packed {
+    /// Components of the stamps of this version; the row covers exactly
+    /// `len` entries.
+    pub(crate) len: usize,
+    pub(crate) row: ChunkedRow,
+    /// The dense form, materialised by the first `as_slice()` of a stamp of
+    /// this version and dropped by the row's next write.
+    pub(crate) dense: OnceLock<Vec<u64>>,
+}
+
+impl Packed {
+    pub(crate) fn new(len: usize, row: ChunkedRow) -> Self {
+        Packed {
+            len,
+            row,
+            dense: OnceLock::new(),
         }
-        row
+    }
+}
+
+impl Clone for Packed {
+    /// Copies the packed form only: a copy is made to be written, and the
+    /// dense form would be stale after the write.
+    fn clone(&self) -> Self {
+        Packed::new(self.len, self.row.clone())
+    }
+}
+
+/// A thread's row: owned until its first step that leaves a chunk of it
+/// zero, shared with its stamps from then on.  A full row's stamps are plain
+/// copies, so sharing it would buy nothing, and the uniqueness check of a
+/// shared row (an atomic read-modify-write per step) measured ≈ 20 ns/event
+/// of `live-narrow`'s `core.stamp` (docs/WIDE_CLOCKS.md).
+#[derive(Debug, Clone)]
+enum ThreadRow {
+    Own(ChunkedRow),
+    Shared(Arc<Packed>),
+}
+
+impl PartialEq for ThreadRow {
+    /// By value, whichever way the row is held.
+    fn eq(&self, other: &Self) -> bool {
+        self.row() == other.row()
+    }
+}
+
+impl Eq for ThreadRow {}
+
+impl ThreadRow {
+    fn row(&self) -> &ChunkedRow {
+        match self {
+            ThreadRow::Own(row) => row,
+            ThreadRow::Shared(version) => &version.row,
+        }
     }
 
-    /// The row as a stamp of `width` components (the row must cover exactly
-    /// that): a copy of its mask and packed chunks — or, when every chunk is
-    /// stored, of the entries themselves, which then *are* the dense vector.
-    fn to_stamp(&self, width: usize) -> VectorTimestamp {
-        debug_assert_eq!(self.chunks, chunks_for(width));
-        if self.nonzero_chunks() == self.chunks {
-            VectorTimestamp::from_components(self.values[..width].to_vec())
-        } else {
-            VectorTimestamp::packed(width, self.clone())
+    /// The row to write for a stamp of `width` components: in place when no
+    /// stamp holds it any more; otherwise a copy without the dense form
+    /// (`Packed::clone`), and the stamps keep theirs.
+    fn row_mut(&mut self, width: usize) -> &mut ChunkedRow {
+        match self {
+            ThreadRow::Own(row) => row,
+            ThreadRow::Shared(version) => {
+                let version = Arc::make_mut(version);
+                version.dense.take();
+                version.len = width;
+                &mut version.row
+            }
         }
+    }
+
+    /// The row as the version its stamp of `width` components shares.
+    fn share(&mut self, width: usize) -> Arc<Packed> {
+        let version = match std::mem::replace(self, ThreadRow::Own(ChunkedRow::new())) {
+            ThreadRow::Own(row) => Arc::new(Packed::new(width, row)),
+            ThreadRow::Shared(version) => version,
+        };
+        *self = ThreadRow::Shared(Arc::clone(&version));
+        version
+    }
+}
+
+/// The protocol's state over packed rows: one row per thread and one per
+/// object, indexed by id and grown on first touch, and the write-back step
+/// that turns an event into its stamp.
+///
+/// A thread's row is shared with the stamps that [`step`](Self::step) emits
+/// for it (see the module docs); an object's row is never shared.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClockRows {
+    threads: Vec<ThreadRow>,
+    objects: Vec<ChunkedRow>,
+}
+
+impl ClockRows {
+    /// Creates empty tables (every row reads as zeros).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// One write-back protocol step (the paper's Section III-C update):
+    /// merge the object's row into the thread's, increment the event's
+    /// `component`, copy the result back to the object, and return the
+    /// event's stamp of `width` components — the thread's row itself, or,
+    /// when every chunk of it is stored, the plain vector.  All of it is
+    /// proportional to the rows' nonzero chunks; nothing is `O(width)`.
+    ///
+    /// `width` must not be below any width an earlier step was given, and
+    /// `component` must lie below it.
+    pub fn step(
+        &mut self,
+        thread: ThreadId,
+        object: ObjectId,
+        component: usize,
+        width: usize,
+    ) -> VectorTimestamp {
+        let (t, o) = (thread.index(), object.index());
+        if t >= self.threads.len() {
+            self.threads
+                .resize_with(t + 1, || ThreadRow::Own(ChunkedRow::new()));
+        }
+        if o >= self.objects.len() {
+            self.objects.resize_with(o + 1, ChunkedRow::new);
+        }
+        let slot = &mut self.threads[t];
+        let row = slot.row_mut(width);
+        let object = &mut self.objects[o];
+        row.ensure_width(width);
+        row.merge_max(object);
+        row.increment(component);
+        object.copy_from(row);
+        debug_assert_eq!(row.chunk_count(), chunks_for(width), "a width went down");
+        if row.is_full() {
+            VectorTimestamp::from_components(row.values()[..width].to_vec())
+        } else {
+            VectorTimestamp::shared(slot.share(width))
+        }
+    }
+
+    /// The current clock of a thread as a plain vector, padded to `width`
+    /// (not below the widths stepped so far).  A copy, so nothing done with
+    /// it reaches the row.
+    pub fn thread_clock(&self, thread: ThreadId, width: usize) -> VectorTimestamp {
+        padded(self.threads.get(thread.index()).map(ThreadRow::row), width)
+    }
+
+    /// The current clock of an object as a plain vector, padded to `width`
+    /// (not below the widths stepped so far).
+    pub fn object_clock(&self, object: ObjectId, width: usize) -> VectorTimestamp {
+        padded(self.objects.get(object.index()), width)
+    }
+
+    /// Mean fraction of nonzero 64-entry chunks across every touched row —
+    /// the measured sparsity of the clock.  `None` until the first row is
+    /// touched (a mean over zero rows).
+    pub fn occupancy(&self) -> Option<f64> {
+        let threads = self.threads.iter().map(ThreadRow::row);
+        let (mut sum, mut n) = (0.0, 0usize);
+        for row in threads.chain(&self.objects) {
+            if row.chunk_count() > 0 {
+                sum += row.occupancy();
+                n += 1;
+            }
+        }
+        (n > 0).then(|| sum / n as f64)
+    }
+}
+
+fn padded(row: Option<&ChunkedRow>, width: usize) -> VectorTimestamp {
+    match row {
+        Some(row) => VectorTimestamp::from_components(row.to_dense(width)),
+        None => VectorTimestamp::zeros(width),
     }
 }
 
@@ -347,6 +532,7 @@ pub struct StampPatch<'a> {
     /// timestamp that ends up dense ever sees (allocating it up front cost
     /// the width-64 frame decoder 17 ns of 98 per stamp).
     mask: Vec<u64>,
+    /// The kept chunks; a packed result appends its mask to this buffer.
     values: Vec<u64>,
     /// The chunk whose entries are the tail of `values`, not yet known to be
     /// nonzero.
@@ -461,42 +647,52 @@ impl<'a> StampPatch<'a> {
         if self.mask.is_empty() {
             self.start_mask(self.values.len() / CHUNK);
         }
-        VectorTimestamp::packed(
-            self.len,
-            ChunkedRow {
-                chunks,
-                mask: self.mask,
-                values: self.values,
-            },
-        )
+        let row = ChunkedRow::from_parts(chunks, self.values, &self.mask);
+        VectorTimestamp::shared(Arc::new(Packed::new(self.len, row)))
     }
-}
-
-/// One write-back protocol step (the paper's Section III-C update) over
-/// packed rows: merge the object's row into the thread's, increment the
-/// event's component, copy the result back to the object, and return the
-/// event's stamp — a copy of the thread's row.  All of it is proportional to
-/// the rows' nonzero chunks; nothing is `O(width)`.
-///
-/// `thread` and `object` must be distinct rows (they live in distinct
-/// per-thread / per-object tables), neither wider than `width`.
-pub fn step(
-    thread: &mut ChunkedRow,
-    object: &mut ChunkedRow,
-    component: usize,
-    width: usize,
-) -> VectorTimestamp {
-    thread.ensure_width(width);
-    thread.merge_max(object);
-    thread.increment(component);
-    object.copy_from(thread);
-    thread.to_stamp(width)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{self, ClockOrd};
     use proptest::prelude::*;
+
+    /// What only the tests ask of a row.
+    impl ChunkedRow {
+        /// Creates an all-zero row covering at least `width` entries.
+        fn with_width(width: usize) -> Self {
+            let mut row = Self::default();
+            row.ensure_width(width);
+            row
+        }
+
+        /// Builds a row from a dense slice.
+        pub(crate) fn from_dense(dense: &[u64]) -> Self {
+            let chunks = chunks_for(dense.len());
+            let mut mask = vec![0; chunks.div_ceil(64)];
+            let mut values = Vec::new();
+            for (chunk, window) in dense.chunks(CHUNK).enumerate() {
+                if window.iter().any(|&v| v != 0) {
+                    values.extend_from_slice(window);
+                    values.extend_from_slice(&ZEROS[window.len()..]);
+                    mask[chunk / 64] |= 1u64 << (chunk % 64);
+                }
+            }
+            Self::from_parts(chunks, values, &mask)
+        }
+
+        /// Entry `k` (zero beyond the padded width).
+        fn get(&self, k: usize) -> u64 {
+            *self.entry(k)
+        }
+
+        /// `self < other` in the vector-clock order: every entry `<=` and at
+        /// least one `<`.  Chunks stored on neither side are skipped.
+        fn strictly_less_than(&self, other: &ChunkedRow) -> bool {
+            compare::order(union(self.view(), other.view())) == ClockOrd::Before
+        }
+    }
 
     fn dense_strictly_less(a: &[u64], b: &[u64]) -> bool {
         let n = a.len().max(b.len());
@@ -507,11 +703,11 @@ mod tests {
     /// The strict invariant: bit set ⇔ chunk stored ⇔ chunk has a nonzero
     /// entry, and no storage beyond that.
     fn assert_mask_exact(row: &ChunkedRow) {
-        assert_eq!(row.mask.len(), row.chunks.div_ceil(64));
-        let set: Vec<usize> = (0..row.mask.len() * 64).filter(|&c| row.has(c)).collect();
+        assert_eq!(row.mask().len(), row.chunks.div_ceil(64));
+        let set: Vec<usize> = (0..row.mask().len() * 64).filter(|&c| row.has(c)).collect();
         assert!(set.iter().all(|&c| c < row.chunks), "bit beyond the row");
-        assert_eq!(row.values.len(), CHUNK * set.len(), "one chunk per bit");
-        for (stored, chunk) in row.values.chunks(CHUNK).zip(&set) {
+        assert_eq!(row.values().len(), CHUNK * set.len(), "one chunk per bit");
+        for (stored, chunk) in row.values().chunks(CHUNK).zip(&set) {
             assert!(stored.iter().any(|&v| v != 0), "chunk {chunk} is all zero");
         }
     }
@@ -573,9 +769,9 @@ mod tests {
         let mut b = a.clone();
         b.increment(131);
         b.increment(300);
-        let buffer = a.values.as_ptr();
+        let buffer = a.words.as_ptr();
         a.merge_max(&b);
-        assert_eq!(a.values.as_ptr(), buffer);
+        assert_eq!(a.words.as_ptr(), buffer);
         assert_eq!(a, b);
         // Different chunk sets, either way round: rebuilt, in chunk order.
         let mut c = ChunkedRow::with_width(320);
@@ -584,7 +780,7 @@ mod tests {
         c.merge_max(&b);
         assert_eq!(a, c);
         assert_eq!((a.get(3), a.get(131), a.get(200), a.get(300)), (1, 1, 1, 4));
-        assert_eq!(a.values.len(), 4 * CHUNK);
+        assert_eq!(a.values().len(), 4 * CHUNK);
         assert_mask_exact(&a);
     }
 
@@ -611,17 +807,40 @@ mod tests {
     fn step_matches_the_dense_protocol_by_hand() {
         // Same arithmetic as slicing's single-shard test: three events over
         // a width-2 clock.
-        let mut threads = vec![ChunkedRow::new(), ChunkedRow::new()];
-        let mut objects = vec![ChunkedRow::new(), ChunkedRow::new()];
-        let (t, o) = (&mut threads, &mut objects);
-        assert_eq!(step(&mut t[0], &mut o[0], 0, 2).as_slice(), [1, 0]);
-        assert_eq!(step(&mut t[1], &mut o[0], 0, 2).as_slice(), [2, 0]);
-        assert_eq!(step(&mut t[0], &mut o[1], 1, 2).as_slice(), [1, 1]);
-        assert_eq!(t[0].to_dense(2), vec![1, 1], "write-back reached the row");
-        assert_eq!(o[0].to_dense(2), vec![2, 0]);
-        for row in threads.iter().chain(objects.iter()) {
+        let mut rows = ClockRows::new();
+        let (t, o) = (ThreadId, ObjectId);
+        assert_eq!(rows.step(t(0), o(0), 0, 2).as_slice(), [1, 0]);
+        assert_eq!(rows.step(t(1), o(0), 0, 2).as_slice(), [2, 0]);
+        assert_eq!(rows.step(t(0), o(1), 1, 2).as_slice(), [1, 1]);
+        let thread = rows.threads[0].row();
+        assert_eq!(thread.to_dense(2), vec![1, 1], "write-back reached the row");
+        assert_eq!(rows.objects[0].to_dense(2), vec![2, 0]);
+        for row in rows.threads.iter().map(ThreadRow::row).chain(&rows.objects) {
             assert_mask_exact(row);
         }
+    }
+
+    #[test]
+    fn a_row_is_shared_from_its_first_step_that_leaves_a_chunk_zero() {
+        let mut rows = ClockRows::new();
+        let (t, o) = (ThreadId, ObjectId);
+        let shared = |rows: &ClockRows| matches!(rows.threads[0], ThreadRow::Shared(_));
+        rows.step(t(0), o(0), 3, 64);
+        assert!(!shared(&rows), "a full row's stamp is a plain copy");
+        let stamp = rows.step(t(0), o(0), 3, 128);
+        assert_eq!(
+            stamp.stored_words(),
+            CHUNK + 1,
+            "packed: one chunk, one mask word"
+        );
+        assert!(shared(&rows));
+        rows.step(t(0), o(0), 100, 128);
+        assert!(shared(&rows), "full again, and still shared");
+        assert_eq!(
+            stamp.component(3),
+            2,
+            "the kept stamp was copied, not written"
+        );
     }
 
     #[test]
@@ -677,12 +896,11 @@ mod tests {
             events in proptest::collection::vec((0usize..6, 0usize..6, 0usize..150), 1..60),
         ) {
             let width = 150;
-            let mut threads = vec![ChunkedRow::new(); 6];
-            let mut objects = vec![ChunkedRow::new(); 6];
+            let mut rows = ClockRows::new();
             let mut dt = vec![vec![0u64; width]; 6];
             let mut dobj = vec![vec![0u64; width]; 6];
             for &(t, o, c) in &events {
-                let stamp = step(&mut threads[t], &mut objects[o], c, width);
+                let stamp = rows.step(ThreadId(t), ObjectId(o), c, width);
                 let merged: Vec<u64> = (0..width)
                     .map(|k| dt[t][k].max(dobj[o][k]) + u64::from(k == c))
                     .collect();
@@ -690,8 +908,13 @@ mod tests {
                 dobj[o] = merged.clone();
                 prop_assert_eq!(stamp.as_slice(), &merged[..]);
             }
-            for (row, dense) in threads.iter().zip(&dt).chain(objects.iter().zip(&dobj)) {
-                prop_assert_eq!(row.to_dense(width), dense.clone());
+            for (t, dense) in dt.iter().enumerate() {
+                prop_assert_eq!(rows.thread_clock(ThreadId(t), width).as_slice().to_vec(), dense.clone());
+            }
+            for (o, dense) in dobj.iter().enumerate() {
+                prop_assert_eq!(rows.object_clock(ObjectId(o), width).as_slice().to_vec(), dense.clone());
+            }
+            for row in rows.threads.iter().map(ThreadRow::row).chain(&rows.objects) {
                 assert_mask_exact(row);
             }
         }

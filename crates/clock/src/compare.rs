@@ -1,17 +1,20 @@
 //! Vector timestamps and their partial order.
 //!
-//! A [`VectorTimestamp`] is a value: it may hold the plain vector or a copy
-//! of a packed row (see [`chunked`]), and no operation tells the two apart.
+//! A [`VectorTimestamp`] is a value: it may hold the plain vector or a
+//! packed row it shares with its thread until that row's next write (see
+//! [`chunked`]), and no operation tells the two apart.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Index;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunked::{self, ChunkView, ChunkedRow, StampPatch, CHUNK};
+use crate::chunked::{self, ChunkView, Packed, StampPatch, CHUNK};
 
 /// Outcome of comparing two vector timestamps under the component-wise
 /// partial order.
@@ -61,6 +64,8 @@ impl fmt::Display for ClockOrd {
 /// A timestamp is stored under the one rule of [`chunked`]:
 /// its nonzero 64-entry chunks plus a mask — or, when every chunk is nonzero
 /// (and always for one built from explicit components), the plain vector.
+/// A packed timestamp shares its storage with its clones and, until the
+/// row's next write, with the thread row it was stamped from.
 /// Which of the two a timestamp holds is not observable: equality, hashing,
 /// formatting and the order are by *value*.  Only [`as_slice`](Self::as_slice)
 /// (and what goes through it: `Hash`, `Display`, `Debug`) pays `O(width)` on
@@ -68,38 +73,19 @@ impl fmt::Display for ClockOrd {
 #[derive(Clone, Default)]
 pub struct VectorTimestamp(Repr);
 
-/// 24 bytes on the pinned toolchain (the `Box` fits `Vec`'s capacity niche):
+/// 24 bytes on the pinned toolchain (the `Arc` fits `Vec`'s capacity niche):
 /// a recorder holds one of these per event, and a wider one costs the narrow
 /// workloads throughput and memory (docs/WIDE_CLOCKS.md has the measurement).
+/// Cloning a packed one shares its row and its materialised form.
 #[derive(Clone)]
 enum Repr {
     Dense(Vec<u64>),
-    Packed(Box<Packed>),
+    Packed(Arc<Packed>),
 }
 
 impl Default for Repr {
     fn default() -> Self {
         Repr::Dense(Vec::new())
-    }
-}
-
-/// A copy of a row that covers exactly `len` entries.  (The engine packs a
-/// row only while some chunk of it is zero; nothing here relies on that.)
-struct Packed {
-    len: usize,
-    row: ChunkedRow,
-    /// The dense form, materialised by the first `as_slice()`.
-    dense: OnceLock<Vec<u64>>,
-}
-
-impl Clone for Packed {
-    /// Copies the packed form only; the clone materialises for itself.
-    fn clone(&self) -> Self {
-        Packed {
-            len: self.len,
-            row: self.row.clone(),
-            dense: OnceLock::new(),
-        }
     }
 }
 
@@ -136,14 +122,10 @@ impl VectorTimestamp {
         Self(Repr::Dense(components))
     }
 
-    /// A timestamp of `len` components holding `row`, which covers exactly
-    /// `len` entries.
-    pub(crate) fn packed(len: usize, row: ChunkedRow) -> Self {
-        Self(Repr::Packed(Box::new(Packed {
-            len,
-            row,
-            dense: OnceLock::new(),
-        })))
+    /// A timestamp sharing `version`.  (The engine packs a row only while
+    /// some chunk of it is zero; nothing here relies on that.)
+    pub(crate) fn shared(version: Arc<Packed>) -> Self {
+        Self(Repr::Packed(version))
     }
 
     fn chunks(&self) -> ChunkView<'_> {
@@ -153,11 +135,14 @@ impl VectorTimestamp {
         }
     }
 
-    /// Turns a packed timestamp into its dense form (reusing a materialised
-    /// one) and returns the vector either way.
+    /// Turns a packed timestamp into its dense form (taking over a
+    /// materialised one nothing else shares) and returns the vector either
+    /// way.
     fn dense_mut(&mut self) -> &mut Vec<u64> {
         if let Repr::Packed(p) = &mut self.0 {
-            let dense = p.dense.take().unwrap_or_else(|| p.row.to_dense(p.len));
+            let dense = Arc::get_mut(p)
+                .and_then(|own| own.dense.take())
+                .unwrap_or_else(|| p.row.to_dense(p.len));
             self.0 = Repr::Dense(dense);
         }
         match &mut self.0 {
@@ -191,12 +176,33 @@ impl VectorTimestamp {
     /// The components as a slice.
     ///
     /// On a packed timestamp the first call materialises the dense vector
-    /// (`O(width)`) and every later call serves it; the timestamp holds both
-    /// forms from then on.  A clone starts without it.
+    /// (`O(width)`) and every later call serves it, to this timestamp and to
+    /// every clone of it: they hold both forms from then on.  While the
+    /// timestamp still shares its thread's row, the dense form lives until
+    /// that row's next write even if the timestamp is dropped first — at
+    /// most one per thread row.  [`as_slice_in`](Self::as_slice_in) reads
+    /// the components without keeping anything.
     pub fn as_slice(&self) -> &[u64] {
         match &self.0 {
             Repr::Dense(v) => v,
             Repr::Packed(p) => p.dense.get_or_init(|| p.row.to_dense(p.len)),
+        }
+    }
+
+    /// The components as a slice, materialising nothing: a dense timestamp
+    /// lends its own vector; a packed one is scattered into `scratch`,
+    /// cleared and resized to [`len`](Self::len) — a zero-fill and a walk
+    /// over the stored chunks, with no allocation once `scratch` is that
+    /// long — and nothing is cached in the timestamp.
+    pub fn as_slice_in<'a>(&'a self, scratch: &'a mut Vec<u64>) -> &'a [u64] {
+        match &self.0 {
+            Repr::Dense(v) => v,
+            Repr::Packed(p) => {
+                scratch.clear();
+                scratch.resize(p.len, 0);
+                self.chunks().scatter(scratch);
+                scratch
+            }
         }
     }
 
@@ -321,7 +327,7 @@ impl VectorTimestamp {
     /// so a timestamp already at `width` — the common case when replaying
     /// with a fixed component map — passes through without cloning, and a
     /// packed one only widens its mask (`O(mask words)`, no chunk is stored
-    /// for zeros).
+    /// for zeros) — after copying its stored chunks if it shares them.
     ///
     /// # Panics
     ///
@@ -335,11 +341,13 @@ impl VectorTimestamp {
         );
         match &mut self.0 {
             Repr::Dense(v) => v.resize(width, 0),
-            Repr::Packed(p) => {
-                p.len = width;
-                p.row.ensure_width(width);
-                p.dense.take();
+            Repr::Packed(p) if p.len < width => {
+                let own = Arc::make_mut(p);
+                own.len = width;
+                own.row.ensure_width(width);
+                own.dense.take();
             }
+            Repr::Packed(_) => {}
         }
         self
     }
@@ -411,16 +419,22 @@ impl fmt::Display for VectorTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::ChunkedRow;
     use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
 
     /// `dense` the way the engine emits a row that is not full.
     fn packed(dense: &[u64]) -> VectorTimestamp {
-        VectorTimestamp::packed(dense.len(), ChunkedRow::from_dense(dense))
+        let row = ChunkedRow::from_dense(dense);
+        VectorTimestamp::shared(Arc::new(Packed::new(dense.len(), row)))
     }
 
     fn materialised(stamp: &VectorTimestamp) -> bool {
         matches!(&stamp.0, Repr::Packed(p) if p.dense.get().is_some())
+    }
+
+    fn shares(a: &VectorTimestamp, b: &VectorTimestamp) -> bool {
+        matches!((&a.0, &b.0), (Repr::Packed(x), Repr::Packed(y)) if Arc::ptr_eq(x, y))
     }
 
     fn hash_of(stamp: &VectorTimestamp) -> u64 {
@@ -530,19 +544,30 @@ mod tests {
     }
 
     #[test]
-    fn a_packed_stamp_materialises_once_and_its_clone_not_at_all() {
+    fn a_packed_stamp_materialises_once_and_its_clones_share_it() {
         let mut dense = vec![0u64; 4096];
         dense[2100] = 7;
         let stamp = packed(&dense);
         assert_eq!(stamp.stored_words(), CHUNK + 1, "one chunk, one mask word");
-        assert!(!materialised(&stamp));
+        let early = stamp.clone();
+        assert!(shares(&stamp, &early), "a clone shares the packed form");
+        assert_eq!(early, stamp);
+        let other = packed(&dense);
+        assert_eq!(other, stamp);
+        assert!(
+            !materialised(&stamp) && !materialised(&other),
+            "== reads masks"
+        );
         let first = stamp.as_slice().as_ptr();
         assert_eq!(stamp.as_slice().as_ptr(), first, "served from the cache");
         assert_eq!(stamp.as_slice(), &dense[..]);
-        let clone = stamp.clone();
-        assert!(materialised(&stamp) && !materialised(&clone));
-        assert_eq!(clone, stamp);
-        assert!(!materialised(&clone), "== reads masks");
+        let late = stamp.clone();
+        for clone in [&early, &late] {
+            assert!(shares(clone, &stamp) && materialised(clone));
+            assert_eq!(clone.as_slice().as_ptr(), first, "one dense form per value");
+        }
+        assert_eq!(other, stamp);
+        assert!(!materialised(&other), "== still reads masks");
 
         let plain = VectorTimestamp::from(dense);
         assert_eq!(plain.stored_words(), 4096);

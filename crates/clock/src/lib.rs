@@ -14,10 +14,11 @@
 //!   components.
 //! * [`mixed`] — the paper's mixed-vector-clock timestamping protocol
 //!   (Section III-C), parameterised by a [`ComponentMap`].
-//! * [`chunked`] — [`ChunkedRow`]: the storage rule rows and stamps share
-//!   (the nonzero 64-entry chunks, packed, plus a mask bit per chunk) and
-//!   the write-back protocol-step kernel that ends in a copy of the
-//!   thread's row.
+//! * [`chunked`] — the storage rule rows and stamps share (the nonzero
+//!   64-entry chunks, packed, plus a mask bit per chunk, in one buffer) and
+//!   [`ClockRows`]: the per-thread and per-object rows and the write-back
+//!   protocol step, whose stamp shares the thread's row until that row's
+//!   next write.
 //! * [`chain`] — a dynamic chain-clock baseline in the spirit of
 //!   Agarwal & Garg (PODC 2005), the closest related work (Section VI).
 //! * [`validate`] — checking the vector clock condition
@@ -47,7 +48,7 @@ pub mod mixed;
 pub mod validate;
 pub mod vector;
 
-pub use chunked::{ChunkedRow, StampPatch};
+pub use chunked::{ClockRows, StampPatch};
 pub use compare::{ClockOrd, VectorTimestamp};
 pub use component::{Component, ComponentMap};
 pub use mixed::MixedVectorClockAssigner;

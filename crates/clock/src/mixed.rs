@@ -23,7 +23,7 @@
 
 use mvc_trace::Computation;
 
-use crate::chunked::{self, ChunkedRow};
+use crate::chunked::ClockRows;
 use crate::compare::VectorTimestamp;
 use crate::component::ComponentMap;
 use crate::TimestampAssigner;
@@ -68,23 +68,17 @@ impl TimestampAssigner for MixedVectorClockAssigner {
     /// the component set is not a vertex cover of the computation's graph.
     fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
         let width = self.width();
-        let mut thread_clock = vec![ChunkedRow::new(); computation.thread_index_bound()];
-        let mut object_clock = vec![ChunkedRow::new(); computation.object_index_bound()];
+        let mut rows = ClockRows::new();
         let mut stamps = Vec::with_capacity(computation.len());
         for e in computation.events() {
             let component = self.components.event_component(e).unwrap_or_else(|| {
                 panic!("component map does not cover the computation: {}", e.id)
             });
-            let t = e.thread.index();
-            let o = e.object.index();
             // The shared write-back kernel: both rows mutate in place and
-            // the emitted stamp is a copy of the thread's packed row.
-            stamps.push(chunked::step(
-                &mut thread_clock[t],
-                &mut object_clock[o],
-                component,
-                width,
-            ));
+            // the emitted stamp shares the thread's packed row, which the
+            // thread's next step therefore copies before writing: every
+            // stamp here is kept.
+            stamps.push(rows.step(e.thread, e.object, component, width));
         }
         stamps
     }

@@ -13,16 +13,18 @@
 //!
 //! Rows and stamps share one storage rule (see [`mvc_clock::chunked`]): the
 //! nonzero 64-entry chunks, packed, plus a mask bit per chunk.  The protocol
-//! step mutates both rows in place (write-back) and the emitted stamp is a
-//! copy of the thread's row, so an event costs `O(nonzero chunks)`, never
-//! `O(width)` — unless a consumer asks a stamp for `as_slice()`.
+//! step ([`ClockRows::step`]) mutates both rows in place (write-back) and
+//! the emitted stamp *shares* the thread's row until that row's next write,
+//! which copies the row first if the stamp is still alive.  So an event
+//! costs `O(nonzero chunks)`, never `O(width)` — unless a consumer asks a
+//! stamp for `as_slice()` — and a stamp dropped before its thread's next
+//! event costs no allocation at all.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::fmt;
 
-use mvc_clock::chunked::{self, ChunkedRow};
-use mvc_clock::{Component, ComponentMap, VectorTimestamp};
+use mvc_clock::{ClockRows, Component, ComponentMap, VectorTimestamp};
 use mvc_trace::{ObjectId, ThreadId};
 
 /// Errors reported by the engine.
@@ -67,10 +69,8 @@ impl std::error::Error for EngineError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimestampingEngine {
     components: ComponentMap,
-    /// Per-thread rows, indexed by thread; materialised on first touch.
-    threads: Vec<ChunkedRow>,
-    /// Per-object rows, indexed by object.
-    objects: Vec<ChunkedRow>,
+    /// Per-thread and per-object rows; materialised on first touch.
+    rows: ClockRows,
     events_observed: usize,
 }
 
@@ -94,14 +94,7 @@ impl TimestampingEngine {
     /// row — the measured sparsity of the clock.  `None` until the first
     /// row is touched (a mean over zero rows).
     pub fn chunk_occupancy(&self) -> Option<f64> {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for row in self.threads.iter().chain(&self.objects) {
-            if row.chunk_count() > 0 {
-                sum += row.occupancy();
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+        self.rows.occupancy()
     }
 
     /// The current component map.
@@ -153,25 +146,19 @@ impl TimestampingEngine {
             .ok_or(EngineError::UncoveredOperation { thread, object })?;
 
         let width = self.components.len();
-        let (t, o) = (thread.index(), object.index());
-        // Write-back step: mutate both rows in place, emit a copy of the
-        // thread's packed row.  (The thread and object tables are distinct,
-        // so the two row borrows never alias.)
-        grow_rows(&mut self.threads, t);
-        grow_rows(&mut self.objects, o);
-        let stamp = chunked::step(&mut self.threads[t], &mut self.objects[o], component, width);
+        let stamp = self.rows.step(thread, object, component, width);
         self.events_observed += 1;
         Ok(stamp)
     }
 
     /// The current clock of a thread, padded to the current width.
     pub fn thread_clock(&self, thread: ThreadId) -> VectorTimestamp {
-        chunk_padded(self.threads.get(thread.index()), self.width())
+        self.rows.thread_clock(thread, self.width())
     }
 
     /// The current clock of an object, padded to the current width.
     pub fn object_clock(&self, object: ObjectId) -> VectorTimestamp {
-        chunk_padded(self.objects.get(object.index()), self.width())
+        self.rows.object_clock(object, self.width())
     }
 }
 
@@ -201,19 +188,6 @@ impl crate::timestamper::Timestamper for TimestampingEngine {
             events: self.events_observed,
             components: self.components.clone(),
         }
-    }
-}
-
-fn grow_rows(clocks: &mut Vec<ChunkedRow>, index: usize) {
-    if index >= clocks.len() {
-        clocks.resize_with(index + 1, ChunkedRow::new);
-    }
-}
-
-fn chunk_padded(row: Option<&ChunkedRow>, width: usize) -> VectorTimestamp {
-    match row {
-        Some(row) => VectorTimestamp::from_components(row.to_dense(width)),
-        None => VectorTimestamp::zeros(width),
     }
 }
 
@@ -352,12 +326,9 @@ mod tests {
             );
             assert_eq!(chunks, 1);
         }
-        // The rows hold what they touched, not `rows x width`.
-        let rows = || e.threads.iter().chain(&e.objects);
-        let stored: usize = rows().map(|row| 64 * row.nonzero_chunks()).sum();
-        let touched: usize = rows().map(|row| nonzero_chunks(&row.to_dense(4096))).sum();
-        assert_eq!(stored, 64 * touched);
-        assert_eq!(touched, rows().filter(|row| row.chunk_count() > 0).count());
+        // The rows hold what they touched, not `rows x width`: every touched
+        // row stores one of its 64 chunks.
+        assert_eq!(e.chunk_occupancy(), Some(1.0 / 64.0));
     }
 
     #[test]

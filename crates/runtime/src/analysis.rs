@@ -319,6 +319,10 @@ pub struct ConflictSink {
     conflicts: Vec<ConflictPair>,
     /// Reusable watermark buffer so pruning allocates nothing.
     watermark_scratch: Vec<u64>,
+    /// The current event's components when its stamp is packed, scattered
+    /// from the stored chunks: `as_slice()` would allocate a dense copy per
+    /// packed stamp (32 KiB at width 4096) and pin it in the thread's row.
+    stamp_scratch: Vec<u64>,
     metrics: ConflictMetrics,
 }
 
@@ -422,7 +426,8 @@ impl ConflictSink {
             // its frontier, so the event costs one table lookup.
             return;
         }
-        let s = stamp.as_slice();
+        let mut scratch = std::mem::take(&mut self.stamp_scratch);
+        let s = stamp.as_slice_in(&mut scratch);
         // Advance the frontier *before* scanning: the watermark then
         // includes this event's own stamp, and a mid-batch prune removes
         // exactly the retained events this scan would have found ordered
@@ -482,6 +487,7 @@ impl ConflictSink {
             group.stamps.resize(filled + stride, 0);
             group.touched = true;
         }
+        self.stamp_scratch = scratch;
     }
 
     /// Copies `s` into object `oi`'s frontier slot, widening the flat table

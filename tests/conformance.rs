@@ -72,16 +72,17 @@
 //!     reads off its maintained `Z`, at every prefix of streams long enough
 //!     to interleave growth of `Z`, augmentation and the repair of the
 //!     augmenting path's tree.
-//! 12. **A stamp's storage is not observable.**  The engine emits a stamp as
-//!     a copy of its thread's packed row — or as the plain vector once every
-//!     chunk is nonzero — and either way it equals the dense-slice kernel's
-//!     stamp three ways: `==` (which reads masks, not a materialised copy),
-//!     `as_slice()` and `Hash`.  Widths 70 and 150 put a truncated chunk at
-//!     the tail; a uniform workload fills rows mid-run, so one stream holds
-//!     both forms; an online mechanism grows the width mid-run.  The wire is
-//!     held to the same: a stamp decoded from a differential `Stamps` frame
-//!     equals the one sent and stores the same words — the decoder built
-//!     the packed form, it never saw a dense vector.
+//! 12. **A stamp's storage is not observable.**  The engine emits a stamp
+//!     that shares its thread's packed row until the row's next write — or
+//!     the plain vector once every chunk is nonzero — and either way it
+//!     equals the dense-slice kernel's stamp three ways: `==` (which reads
+//!     masks, not a materialised copy), `as_slice()` and `Hash`.  Widths 70
+//!     and 150 put a truncated chunk at the tail; a uniform workload fills
+//!     rows mid-run, so one stream holds both forms; an online mechanism
+//!     grows the width mid-run.  The wire is held to the same: a stamp
+//!     decoded from a differential `Stamps` frame equals the one sent and
+//!     stores the same words — the decoder built the packed form, it never
+//!     saw a dense vector.
 
 mod support;
 
