@@ -4,7 +4,13 @@
 //!
 //! The client is a state machine driven by [`step`](ProducerClient::step)
 //! — a single non-blocking-capable call that sends what credit allows and
-//! processes whatever frames have arrived.  Deterministic tests alternate
+//! processes whatever frames have arrived.  A step runs send, read, send,
+//! decode: it acts on control frames (`Credit`, `Goodbye`, …) as it reads
+//! them but only queues `Stamps` bodies, and decodes those after its second
+//! send, so that the next window of events is on its way to the server
+//! while the client rebuilds the last one's stamps.  The server writes
+//! `Credit` behind the `Stamps` it covers, so the client writes again only
+//! once the server's write has landed.  Deterministic tests alternate
 //! `step(Some(Duration::ZERO))` with the server's
 //! [`service`](crate::NetServer::service) over an in-process pair; the
 //! blocking [`finish`](ProducerClient::finish) convenience just loops
@@ -29,7 +35,9 @@ use std::time::{Duration, Instant};
 use mvc_clock::VectorTimestamp;
 use mvc_trace::OpKind;
 
-use crate::frame::{write_frame, write_stream_header, Frame, FrameReader};
+use crate::frame::{
+    decode_deferred, write_frame, write_stream_header, Frame, FrameReader, Incoming,
+};
 use crate::transport::{Recv, Transport, TransportError};
 use crate::NetError;
 
@@ -137,6 +145,9 @@ pub struct ProducerClient<T: Transport> {
     sent: u64,
     credit: u64,
     stamps: Vec<VectorTimestamp>,
+    /// `Stamps` payloads read in this step and not yet decoded, oldest
+    /// first.
+    deferred: Vec<Vec<u8>>,
     last_ack: u64,
     finishing: bool,
     goodbye_sent: bool,
@@ -193,6 +204,7 @@ impl<T: Transport> ProducerClient<T> {
             sent: 0,
             credit: 0,
             stamps: Vec::new(),
+            deferred: Vec::new(),
             last_ack: 0,
             finishing: false,
             goodbye_sent: false,
@@ -281,9 +293,13 @@ impl<T: Transport> ProducerClient<T> {
         self.finishing = true;
     }
 
-    /// One protocol round: send what credit allows, then read and process
-    /// incoming frames.  `wait` bounds the first read (`None` blocks,
+    /// One protocol round: send what credit allows, read and process
+    /// incoming frames, send what the credit just read allows, and decode
+    /// the stamps read.  `wait` bounds the first read (`None` blocks,
     /// `Some(Duration::ZERO)` polls).
+    ///
+    /// Stamps read before a failure are decoded and kept all the same, so a
+    /// [`reconnect`](Self::reconnect) resumes after them.
     ///
     /// Returns `true` if any bytes moved or frames were processed —
     /// `false` means the caller should wait (for credit, stamps, or the
@@ -296,12 +312,23 @@ impl<T: Transport> ProducerClient<T> {
     /// server reports a session error; [`NetError::Frame`] or
     /// [`NetError::Protocol`] on a corrupt or out-of-order stream.
     pub fn step(&mut self, wait: Option<Duration>) -> Result<bool, NetError> {
+        let exchanged = self.exchange(wait);
+        // Acknowledge only over a link that is still up.
+        let decoded = self.decode_stamps(exchanged.is_ok());
+        let progress = exchanged?;
+        decoded?;
+        Ok(progress)
+    }
+
+    /// The I/O half of a step: send, read, send.
+    fn exchange(&mut self, wait: Option<Duration>) -> Result<bool, NetError> {
         let mut progress = false;
         if self.phase == Phase::Streaming {
             progress |= self.send_ready()?;
         }
         progress |= self.read_frames(wait)?;
-        // The ack that opened the stream may have granted credit.
+        // The ack that opened the stream, or a `Credit`, may have granted
+        // credit.
         if self.phase == Phase::Streaming {
             progress |= self.send_ready()?;
         }
@@ -372,11 +399,52 @@ impl<T: Transport> ProducerClient<T> {
 
     fn process_buffered(&mut self) -> Result<bool, NetError> {
         let mut progress = false;
-        while let Some(frame) = self.reader.try_next()? {
-            self.handle_frame(frame)?;
+        while let Some(incoming) = self.reader.try_next_deferring_stamps()? {
+            match incoming {
+                Incoming::Frame(frame) => self.handle_frame(frame)?,
+                Incoming::Stamps(payload) => self.deferred.push(payload),
+            }
             progress = true;
         }
         Ok(progress)
+    }
+
+    /// Decodes the `Stamps` payloads read so far, in order, and sends a
+    /// `StampsAck` after each one that completes `ack_every` stamps, if
+    /// `ack`.
+    fn decode_stamps(&mut self, ack: bool) -> Result<(), NetError> {
+        for payload in std::mem::take(&mut self.deferred) {
+            let (first, stamps) = decode_deferred(&payload)?;
+            if first != self.stamps.len() as u64 {
+                return Err(NetError::Protocol(format!(
+                    "stamp stream jumped to {first}, expected {}",
+                    self.stamps.len()
+                )));
+            }
+            self.stamps.extend(stamps);
+            let received = self.stamps.len() as u64;
+            while let Some(&(end, sent_at)) = self.rtt_pending.front() {
+                if end > received {
+                    break;
+                }
+                self.rtt_pending.pop_front();
+                let ns = u64::try_from(sent_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                self.rtt.record(ns);
+                self.metrics.stamp_rtt.record(ns);
+            }
+            if ack && received - self.last_ack >= self.config.ack_every {
+                self.last_ack = received;
+                self.scratch.clear();
+                write_frame(
+                    &mut self.scratch,
+                    &Frame::StampsAck {
+                        received: self.last_ack,
+                    },
+                );
+                self.transport.send(&self.scratch)?;
+            }
+        }
+        Ok(())
     }
 
     fn handle_frame(&mut self, frame: Frame) -> Result<(), NetError> {
@@ -411,37 +479,6 @@ impl<T: Transport> ProducerClient<T> {
                 self.phase = Phase::Streaming;
                 Ok(())
             }
-            Frame::Stamps { first, stamps } => {
-                if first != self.stamps.len() as u64 {
-                    return Err(NetError::Protocol(format!(
-                        "stamp stream jumped to {first}, expected {}",
-                        self.stamps.len()
-                    )));
-                }
-                self.stamps.extend(stamps);
-                let received = self.stamps.len() as u64;
-                while let Some(&(end, sent_at)) = self.rtt_pending.front() {
-                    if end > received {
-                        break;
-                    }
-                    self.rtt_pending.pop_front();
-                    let ns = u64::try_from(sent_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.rtt.record(ns);
-                    self.metrics.stamp_rtt.record(ns);
-                }
-                if self.stamps.len() as u64 - self.last_ack >= self.config.ack_every {
-                    self.last_ack = self.stamps.len() as u64;
-                    self.scratch.clear();
-                    write_frame(
-                        &mut self.scratch,
-                        &Frame::StampsAck {
-                            received: self.last_ack,
-                        },
-                    );
-                    self.transport.send(&self.scratch)?;
-                }
-                Ok(())
-            }
             Frame::Credit { acked, more } => {
                 if acked < self.log_base || acked > self.total {
                     return Err(NetError::Protocol(format!(
@@ -468,9 +505,13 @@ impl<T: Transport> ProducerClient<T> {
                 Ok(())
             }
             Frame::Error { code, message } => Err(NetError::Remote(code, message)),
-            Frame::Hello { .. } | Frame::Events { .. } | Frame::StampsAck { .. } => Err(
-                NetError::Protocol("client received a client-only frame".to_owned()),
-            ),
+            // `Stamps` never gets here: the reader defers it.
+            Frame::Hello { .. }
+            | Frame::Events { .. }
+            | Frame::StampsAck { .. }
+            | Frame::Stamps { .. } => Err(NetError::Protocol(
+                "client received a client-only frame".to_owned(),
+            )),
         }
     }
 

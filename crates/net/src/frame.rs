@@ -51,12 +51,13 @@ use mvc_trace::OpKind;
 
 /// Wire-level counters, shared by every connection in the process.
 ///
-/// Instrumented here — at the single encode/decode choke point both roles
-/// go through — so that in one process `net.frames_sent` equals
-/// `net.frames_received` at quiescence: every frame written by one side
-/// is decoded by the other.  Byte counters cover framed bytes only
-/// (length prefix + body), not the 4-byte stream headers, so the same
-/// parity holds for them.
+/// Instrumented here — at the encode/decode choke point both roles go
+/// through, plus [`count_sent`] for the server's `Stamps` frames, which are
+/// counted when they enter an outbox — so that in one process
+/// `net.frames_sent` equals `net.frames_received` at quiescence: every
+/// frame written by one side is read by the other.  Byte counters cover
+/// framed bytes only (length prefix + body), not the 4-byte stream headers,
+/// so the same parity holds for them.
 struct WireMetrics {
     frames_sent: mvc_obs::Counter,
     frames_received: mvc_obs::Counter,
@@ -367,7 +368,9 @@ fn unzigzag(old: u64, code: u64) -> u64 {
     old.wrapping_add((code >> 1) ^ (code & 1).wrapping_neg())
 }
 
-fn count_sent(framed: usize) {
+/// Counts one frame of `framed` bytes on `net.frames_sent` and
+/// `net.bytes_sent`.
+pub(crate) fn count_sent(framed: usize) {
     let metrics = wire_metrics();
     metrics.frames_sent.inc();
     metrics.bytes_sent.add(framed as u64);
@@ -400,6 +403,10 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
 ///
 /// Nothing is cloned and nothing materialised: stamps are read where they
 /// lie and encoded straight into `out`.
+///
+/// Unlike [`write_frame`], this does not count the frame on the wire
+/// counters: the server encodes a `Stamps` frame once, keeps its bytes for
+/// replay, and counts it each time it enters an outbox.
 pub fn write_stamps_frame<'a>(
     out: &mut Vec<u8>,
     first: u64,
@@ -418,7 +425,6 @@ pub fn write_stamps_frame<'a>(
     put_varint(out, count as u64);
     let fields = out.len() - stamps_end;
     out[start..].rotate_right(fields);
-    count_sent(out.len() - start);
     count
 }
 
@@ -724,6 +730,30 @@ fn decode_stamp(
     Ok(stamp)
 }
 
+/// Decodes a `Stamps` payload — `first`, the count and the stamps — whose
+/// stamps store at most `max_words` words.
+fn decode_stamps(
+    c: &mut Cursor<'_>,
+    max_words: usize,
+) -> Result<(u64, Vec<VectorTimestamp>), FrameError> {
+    let first = c.varint()?;
+    let count = c.varint()?;
+    let mut stamps: Vec<VectorTimestamp> = Vec::with_capacity(c.capacity_for(count, 3));
+    let zero = VectorTimestamp::default();
+    let mut words = 0usize;
+    for _ in 0..count {
+        let back = c.varint()?;
+        let base = match usize::try_from(back) {
+            Ok(0) => &zero,
+            Ok(back) if back <= stamps.len() => &stamps[stamps.len() - back],
+            _ => return Err(FrameError::BadBackReference(back)),
+        };
+        let stamp = decode_stamp(c, base, &mut words, max_words)?;
+        stamps.push(stamp);
+    }
+    Ok((first, stamps))
+}
+
 /// Decodes one fully-buffered frame body (`tag payload`) whose stamps, if it
 /// has any, store at most `max_words` words.
 fn decode_body(body: &[u8], max_words: usize) -> Result<Frame, FrameError> {
@@ -786,21 +816,7 @@ fn decode_body(body: &[u8], max_words: usize) -> Result<Frame, FrameError> {
             Frame::Events { events }
         }
         TAG_STAMPS => {
-            let first = c.varint()?;
-            let count = c.varint()?;
-            let mut stamps: Vec<VectorTimestamp> = Vec::with_capacity(c.capacity_for(count, 3));
-            let zero = VectorTimestamp::default();
-            let mut words = 0usize;
-            for _ in 0..count {
-                let back = c.varint()?;
-                let base = match usize::try_from(back) {
-                    Ok(0) => &zero,
-                    Ok(back) if back <= stamps.len() => &stamps[stamps.len() - back],
-                    _ => return Err(FrameError::BadBackReference(back)),
-                };
-                let stamp = decode_stamp(&mut c, base, &mut words, max_words)?;
-                stamps.push(stamp);
-            }
+            let (first, stamps) = decode_stamps(&mut c, max_words)?;
             Frame::Stamps { first, stamps }
         }
         TAG_CREDIT => Frame::Credit {
@@ -823,6 +839,26 @@ fn decode_body(body: &[u8], max_words: usize) -> Result<Frame, FrameError> {
         return Err(FrameError::TrailingBytes(tag));
     }
     Ok(frame)
+}
+
+/// A frame as [`FrameReader::try_next_deferring_stamps`] yields it.
+pub(crate) enum Incoming {
+    /// Any frame but `Stamps`, decoded.
+    Frame(Frame),
+    /// A `Stamps` frame's payload (its body less the tag), not yet decoded.
+    Stamps(Vec<u8>),
+}
+
+/// Decodes a `Stamps` payload that [`FrameReader::try_next_deferring_stamps`]
+/// deferred, under the same limits as [`FrameReader::try_next`]: the
+/// frame's `first` and its stamps.
+pub(crate) fn decode_deferred(payload: &[u8]) -> Result<(u64, Vec<VectorTimestamp>), FrameError> {
+    let mut c = Cursor::new(payload);
+    let stamps = decode_stamps(&mut c, FRAME_LIMITS.words)?;
+    if c.remaining() != 0 {
+        return Err(FrameError::TrailingBytes(TAG_STAMPS));
+    }
+    Ok(stamps)
 }
 
 /// Incremental decoder for one direction of a connection: feed raw bytes in
@@ -864,6 +900,24 @@ impl FrameReader {
     /// Any [`FrameError`] is fatal for the connection: framing has lost
     /// sync and the stream cannot be resynchronised.
     pub fn try_next(&mut self) -> Result<Option<Frame>, FrameError> {
+        self.next_with(|body| decode_body(body, FRAME_LIMITS.words))
+    }
+
+    /// [`try_next`](Self::try_next), except that a `Stamps` frame comes out
+    /// as its undecoded body, for [`decode_deferred`] to decode later.
+    pub(crate) fn try_next_deferring_stamps(&mut self) -> Result<Option<Incoming>, FrameError> {
+        self.next_with(|body| match body.split_first() {
+            Some((&TAG_STAMPS, payload)) => Ok(Incoming::Stamps(payload.to_vec())),
+            _ => decode_body(body, FRAME_LIMITS.words).map(Incoming::Frame),
+        })
+    }
+
+    /// Takes the next complete frame body out of the buffer through
+    /// `decode`, or `Ok(None)` if more bytes are needed.
+    fn next_with<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, FrameError>,
+    ) -> Result<Option<T>, FrameError> {
         if !self.header_done {
             let unread = &self.buf[self.pos..];
             let probe = unread.len().min(NET_MAGIC.len());
@@ -891,7 +945,7 @@ impl FrameReader {
         if unread.len() < total {
             return Ok(None);
         }
-        let frame = decode_body(&unread[used..total], FRAME_LIMITS.words)?;
+        let frame = decode(&unread[used..total])?;
         self.pos += total;
         self.compact();
         let metrics = wire_metrics();

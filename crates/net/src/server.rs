@@ -13,13 +13,28 @@
 //!
 //! A *session* is a producer's logical stream of events; a *connection* is
 //! one transport carrying it.  Sessions survive connection loss: the
-//! server keeps the session's ingest watermark, undelivered stamps, and
-//! registrations, and a client that reconnects with its token resumes by
-//! replaying its log from the `HelloAck` watermark.  Because per-object
-//! serialization tickets are assigned once at first ingest and replayed
-//! events are dropped below the watermark, the merged interleaving — and
-//! therefore every stamp — is bit-for-bit identical to an uninterrupted
-//! run.
+//! server keeps the session's ingest watermark, unacknowledged stamp
+//! frames, and registrations, and a client that reconnects with its token
+//! resumes by replaying its log from the `HelloAck` watermark.  Because
+//! per-object serialization tickets are assigned once at first ingest and
+//! replayed events are dropped below the watermark, the merged
+//! interleaving — and therefore every stamp — is bit-for-bit identical to
+//! an uninterrupted run.
+//!
+//! ## Stamp return
+//!
+//! The sink the server wraps around the user's routes each window of
+//! stamps, once the user's sink has accepted it, back into its session's
+//! send order, and encodes a `Stamps` frame as soon as
+//! [`ServerConfig::stamps_per_frame`] contiguous stamps are ready, while
+//! they are still in cache; [`pump`](NetServer::pump) frames the rest at
+//! its end.  A session's retransmit log holds those encoded frames, not
+//! stamps: the outbox gets copies, `StampsAck` drops whole frames, and a
+//! resume replays the same bytes from the frame boundary the client
+//! reached.  In an outbox, `Credit` goes behind the `Stamps` it follows,
+//! which suits the client's step order — send, read, send, decode: the
+//! client sends its next window as soon as it has read the grant, and
+//! decodes the stamps while the server works on that window.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -37,7 +52,8 @@ use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
 
 use crate::frame::{
-    error_code, write_frame, write_stamps_frame, write_stream_header, Frame, FrameReader,
+    count_sent, error_code, write_frame, write_stamps_frame, write_stream_header, Frame,
+    FrameReader,
 };
 use crate::transport::{Recv, Transport, TransportError};
 use crate::NetError;
@@ -76,9 +92,10 @@ impl ServeEngine for Box<dyn ServeEngine> {
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Send-credit window granted to each session, in events.  Bounds the
-    /// server's per-session buffering: a client can never have more than
-    /// this many unstamped events in flight.
+    /// Send-credit window granted to each session, in events: a client can
+    /// never have more than this many unstamped events in flight.  (It does
+    /// not bound the stamp frames a session holds for replay; only
+    /// `StampsAck` prunes those.)
     pub credit_window: u64,
     /// Maximum stamps packed into one `Stamps` frame (a frame also closes
     /// at the protocol's byte and word limits, whichever comes first).
@@ -98,44 +115,246 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId(usize);
 
-/// The sink the server wraps around the user's sink: it forwards every
-/// stamped batch unchanged and, on success, queues `(thread, stamp)`
-/// pairs for threads whose session asked for stamps back.
+/// The sink the server wraps around the user's sink.  It forwards every
+/// stamped window unchanged and, once the inner sink has accepted it,
+/// routes the stamps of threads whose session asked for them back into
+/// their session's send order and frames them while they are hot.
 ///
-/// On sink error nothing is queued (the queue marker is rolled back), so
-/// the pipeline's retry contract keeps server-side stamp delivery exactly
-/// as reliable as the sink itself.
+/// On sink error nothing is routed, so the pipeline's retry contract keeps
+/// server-side stamp delivery exactly as reliable as the sink itself.
 struct RouterSink {
     inner: Box<dyn EventSink>,
-    /// `wants[global thread index]` — route this thread's stamps back.
-    wants: Vec<bool>,
-    queue: Vec<(ThreadId, VectorTimestamp)>,
+    /// `owner[global thread index]`: the session and lane (local thread)
+    /// whose stamps come back, or `None` for a session without stamps.
+    owner: Vec<Option<(usize, u32)>>,
+    /// Per session, in session order.
+    routes: Vec<StampRoute>,
+    /// The current window's returned stamps with their owners, cloned
+    /// before the inner sink may take the column.
+    window: Vec<((usize, u32), VectorTimestamp)>,
+    stamps_per_frame: usize,
+    /// Reused encode buffer; a frame keeps an exact-size copy.
+    scratch: Vec<u8>,
     accepted: usize,
+    /// The first stamp that could not be routed: fatal, surfaced by
+    /// [`NetServer::pump`].
+    fault: Option<String>,
+    /// `net.server.stamp_wire_bytes` (bytes): framed bytes per stamp of
+    /// each `Stamps` frame encoded.
+    stamp_wire_bytes: mvc_obs::Histogram,
+    /// `net.server.retransmit_bytes` (bytes), handed to each frame log.
+    retransmit_bytes: mvc_obs::Gauge,
+}
+
+/// One session's stamp return: merge order in, framed send order out.
+#[derive(Debug)]
+struct StampRoute {
+    /// Per lane: session-order indices of its events still awaiting
+    /// stamps.  Maps merge-order stamps (which arrive per thread in ingest
+    /// order) back to the client's send order.
+    pending_seq: Vec<VecDeque<u64>>,
+    /// Reorder window: stamps from `log.end + ready.len()` on that are not
+    /// yet contiguous, each with its lane.
+    slots: VecDeque<Option<(u32, VectorTimestamp)>>,
+    /// Contiguous stamps from `log.end` on, not yet framed.
+    ready: Vec<(u32, VectorTimestamp)>,
+    log: FrameLog,
+}
+
+impl StampRoute {
+    /// Files the stamp of session event `seq` and frames every full frame's
+    /// worth of contiguous stamps.
+    fn place(
+        &mut self,
+        seq: u64,
+        lane: u32,
+        stamp: VectorTimestamp,
+        per_frame: usize,
+        scratch: &mut Vec<u8>,
+        wire_bytes: &mvc_obs::Histogram,
+    ) {
+        let idx = (seq - self.log.end - self.ready.len() as u64) as usize;
+        if self.slots.len() <= idx {
+            self.slots.resize(idx + 1, None);
+        }
+        self.slots[idx] = Some((lane, stamp));
+        while let Some(next) = self.slots.front_mut().and_then(Option::take) {
+            self.slots.pop_front();
+            self.ready.push(next);
+            while self.ready.len() >= per_frame {
+                self.frame(per_frame, scratch, wire_bytes);
+            }
+        }
+    }
+
+    /// Encodes one frame from the front of `ready` into the log.
+    fn frame(&mut self, per_frame: usize, scratch: &mut Vec<u8>, wire_bytes: &mvc_obs::Histogram) {
+        scratch.clear();
+        let ready = self.ready.iter().map(|(lane, stamp)| (*lane, stamp));
+        let count = write_stamps_frame(scratch, self.log.end, ready, per_frame);
+        wire_bytes.record((scratch.len() / count) as u64);
+        self.ready.drain(..count);
+        self.log.push(count as u64, scratch.to_vec());
+    }
+
+    /// Frees everything a completed session held.
+    fn close(&mut self) {
+        self.log.drop_below(self.log.end);
+        self.pending_seq = Vec::new();
+        self.slots = VecDeque::new();
+        self.ready = Vec::new();
+    }
+}
+
+/// One encoded `Stamps` frame: stamps `first..first + count`.
+#[derive(Debug)]
+struct StampFrame {
+    first: u64,
+    count: u64,
+    /// The frame as it goes on the wire, length prefix included.
+    bytes: Vec<u8>,
+}
+
+/// A session's retransmit log: the `Stamps` frames not yet acknowledged,
+/// oldest first, kept as bytes so a replay resends exactly what was sent.
+/// Their bytes are on `net.server.retransmit_bytes` while they are held.
+#[derive(Debug)]
+struct FrameLog {
+    frames: VecDeque<StampFrame>,
+    /// Stamps framed so far (one past the newest frame's last stamp).
+    end: u64,
+    /// Bytes of `frames`.
+    bytes: u64,
+    gauge: mvc_obs::Gauge,
+}
+
+impl FrameLog {
+    fn new(gauge: mvc_obs::Gauge) -> Self {
+        FrameLog {
+            frames: VecDeque::new(),
+            end: 0,
+            bytes: 0,
+            gauge,
+        }
+    }
+
+    /// The first stamp still held (`end` when none is).
+    fn base(&self) -> u64 {
+        self.frames.front().map_or(self.end, |f| f.first)
+    }
+
+    fn push(&mut self, count: u64, bytes: Vec<u8>) {
+        self.move_bytes(bytes.len() as i64);
+        self.frames.push_back(StampFrame {
+            first: self.end,
+            count,
+            bytes,
+        });
+        self.end += count;
+    }
+
+    /// The frames from the one that starts at stamp `from` on.
+    fn since(&self, from: u64) -> impl Iterator<Item = &StampFrame> {
+        let at = self.frames.partition_point(|f| f.first < from);
+        self.frames.range(at..)
+    }
+
+    /// The held frame that has `stamp` strictly inside it, if any.
+    fn straddling(&self, stamp: u64) -> Option<&StampFrame> {
+        self.frames
+            .iter()
+            .find(|f| f.first < stamp && stamp < f.first + f.count)
+    }
+
+    /// Drops the frames whose stamps all lie below `received`.
+    fn drop_below(&mut self, received: u64) {
+        while let Some(frame) = self.frames.pop_front_if(|f| f.first + f.count <= received) {
+            self.move_bytes(-(frame.bytes.len() as i64));
+        }
+    }
+
+    fn move_bytes(&mut self, delta: i64) {
+        self.bytes = self.bytes.wrapping_add_signed(delta);
+        self.gauge.add(delta);
+    }
+}
+
+impl Drop for FrameLog {
+    fn drop(&mut self) {
+        self.gauge.add(-(self.bytes as i64));
+    }
 }
 
 impl RouterSink {
-    fn new(inner: Box<dyn EventSink>) -> Self {
+    fn new(inner: Box<dyn EventSink>, stamps_per_frame: usize) -> Self {
+        let registry = mvc_obs::global();
         RouterSink {
             inner,
-            wants: Vec::new(),
-            queue: Vec::new(),
+            owner: Vec::new(),
+            routes: Vec::new(),
+            window: Vec::new(),
+            stamps_per_frame: stamps_per_frame.max(1),
+            scratch: Vec::new(),
             accepted: 0,
+            fault: None,
+            stamp_wire_bytes: registry.histogram("net.server.stamp_wire_bytes"),
+            retransmit_bytes: registry.gauge("net.server.retransmit_bytes"),
         }
     }
 
-    fn set_wants(&mut self, thread: usize, want: bool) {
-        if self.wants.len() <= thread {
-            self.wants.resize(thread + 1, false);
+    /// Adds the route of the next session, whose threads have the global
+    /// indices `threads`.
+    fn open_route(&mut self, threads: &[usize], want_stamps: bool) {
+        let sid = self.routes.len();
+        let lanes = if want_stamps { threads.len() } else { 0 };
+        for (lane, &global) in threads[..lanes].iter().enumerate() {
+            if self.owner.len() <= global {
+                self.owner.resize(global + 1, None);
+            }
+            self.owner[global] = Some((sid, lane as u32));
         }
-        self.wants[thread] = want;
+        self.routes.push(StampRoute {
+            pending_seq: vec![VecDeque::new(); lanes],
+            slots: VecDeque::new(),
+            ready: Vec::new(),
+            log: FrameLog::new(self.retransmit_bytes.clone()),
+        });
     }
 
-    fn wants(&self, thread: ThreadId) -> bool {
-        self.wants.get(thread.index()).copied().unwrap_or(false)
+    /// Routes the accepted window's stamps to their sessions.
+    fn route_window(&mut self) {
+        let per_frame = self.stamps_per_frame;
+        for ((sid, lane), stamp) in self.window.drain(..) {
+            let route = &mut self.routes[sid];
+            let Some(seq) = route.pending_seq[lane as usize].pop_front() else {
+                self.fault.get_or_insert_with(|| {
+                    format!("stamp without a pending event on session {sid}")
+                });
+                continue;
+            };
+            route.place(
+                seq,
+                lane,
+                stamp,
+                per_frame,
+                &mut self.scratch,
+                &self.stamp_wire_bytes,
+            );
+        }
     }
 
-    fn drain_queue(&mut self) -> Vec<(ThreadId, VectorTimestamp)> {
-        std::mem::take(&mut self.queue)
+    /// Frames every session's remaining contiguous stamps, a partial frame
+    /// included: the end of a pump.
+    fn frame_ready(&mut self) {
+        for route in &mut self.routes {
+            while !route.ready.is_empty() {
+                route.frame(
+                    self.stamps_per_frame,
+                    &mut self.scratch,
+                    &self.stamp_wire_bytes,
+                );
+            }
+        }
     }
 
     fn into_inner(self) -> Box<dyn EventSink> {
@@ -153,22 +372,16 @@ impl EventSink for RouterSink {
         events: &[(ThreadId, ObjectId, OpKind)],
         stamps: &mut Vec<VectorTimestamp>,
     ) -> Result<(), SinkError> {
-        let mark = self.queue.len();
+        self.window.clear();
         for (&(thread, _, _), stamp) in events.iter().zip(stamps.iter()) {
-            if self.wants(thread) {
-                self.queue.push((thread, stamp.clone()));
+            if let Some(&Some(owner)) = self.owner.get(thread.index()) {
+                self.window.push((owner, stamp.clone()));
             }
         }
-        match self.inner.accept_columns(events, stamps) {
-            Ok(()) => {
-                self.accepted += events.len();
-                Ok(())
-            }
-            Err(e) => {
-                self.queue.truncate(mark);
-                Err(e)
-            }
-        }
+        self.inner.accept_columns(events, stamps)?;
+        self.accepted += events.len();
+        self.route_window();
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), SinkError> {
@@ -199,29 +412,10 @@ struct Session {
     goodbye_at: Option<u64>,
     done: bool,
     conn: Option<usize>,
-    /// Per local thread: session-order indices of its events still
-    /// awaiting stamps.  Maps merge-order stamps (which arrive per thread
-    /// in ingest order) back to the client's send order.
-    pending_seq: Vec<VecDeque<u64>>,
-    /// Reorder window: stamps for `slot_base..` not yet contiguous, each
-    /// with the local thread it belongs to (its lane on the wire).
-    slots: VecDeque<Option<(u32, VectorTimestamp)>>,
-    slot_base: u64,
-    /// Contiguous stamps awaiting delivery/acknowledgement;
-    /// `stamp_log[0]` is stamp number `stamp_base`.  Frames are encoded
-    /// straight from here, so a retransmission after a reconnect is simply
-    /// framed again.
-    stamp_log: VecDeque<(u32, VectorTimestamp)>,
-    stamp_base: u64,
-    /// Next stamp index to encode into the connection's outbox.
+    /// First stamp of the next frame to copy into the connection's outbox
+    /// (always a frame boundary).  The stamps themselves, framed, are the
+    /// session's route in the [`RouterSink`].
     next_send: u64,
-}
-
-impl Session {
-    /// Highest stamp index produced so far (exclusive).
-    fn stamps_ready(&self) -> u64 {
-        self.stamp_base + self.stamp_log.len() as u64
-    }
 }
 
 /// Registry handles for the server's session-layer metrics, resolved once
@@ -239,9 +433,6 @@ struct ServerMetrics {
     /// `net.server.credit_occupancy` (events): how much of a session's
     /// credit window was in flight when a refill fired.
     credit_occupancy: mvc_obs::Histogram,
-    /// `net.server.stamp_wire_bytes` (bytes): framed bytes per stamp of
-    /// each `Stamps` frame written.
-    stamp_wire_bytes: mvc_obs::Histogram,
 }
 
 impl Default for ServerMetrics {
@@ -252,7 +443,6 @@ impl Default for ServerMetrics {
             sessions_resumed: registry.counter("net.server.sessions_resumed"),
             events_ingested: registry.counter("net.server.events_ingested"),
             credit_occupancy: registry.histogram("net.server.credit_occupancy"),
-            stamp_wire_bytes: registry.histogram("net.server.stamp_wire_bytes"),
         }
     }
 }
@@ -304,8 +494,6 @@ pub struct NetServer<E: ServeEngine> {
     object_ids: HashMap<String, ObjectId>,
     /// Next serialization ticket per global object index.
     next_ticket: Vec<u64>,
-    /// Global thread index → (session, local thread).
-    thread_owner: Vec<(usize, usize)>,
     next_token: u64,
     metrics: ServerMetrics,
 }
@@ -315,14 +503,13 @@ impl<E: ServeEngine> NetServer<E> {
     pub fn new(engine: E, sink: Box<dyn EventSink>, config: ServerConfig) -> Self {
         let session = TraceSession::new();
         NetServer {
-            live: session.live_with_sink(engine, RouterSink::new(sink)),
+            live: session.live_with_sink(engine, RouterSink::new(sink, config.stamps_per_frame)),
             config,
             sessions: Vec::new(),
             conns: Vec::new(),
             tokens: HashMap::new(),
             object_ids: HashMap::new(),
             next_ticket: Vec::new(),
-            thread_owner: Vec::new(),
             next_token: 1,
             metrics: ServerMetrics::default(),
         }
@@ -493,17 +680,12 @@ impl<E: ServeEngine> NetServer<E> {
         let token = self.next_token;
         self.next_token += 1;
         self.tokens.insert(token, sid);
-        let mut handles = Vec::with_capacity(threads.len());
-        for (local, name) in threads.iter().enumerate() {
-            let handle = self.live.register_thread(&format!("s{token}/{name}"));
-            let global = handle.id().index();
-            if self.thread_owner.len() <= global {
-                self.thread_owner.resize(global + 1, (usize::MAX, 0));
-            }
-            self.thread_owner[global] = (sid, local);
-            self.live.sink_mut().set_wants(global, want_stamps);
-            handles.push(handle);
-        }
+        let handles: Vec<ThreadHandle> = threads
+            .iter()
+            .map(|name| self.live.register_thread(&format!("s{token}/{name}")))
+            .collect();
+        let globals: Vec<usize> = handles.iter().map(|h| h.id().index()).collect();
+        self.live.sink_mut().open_route(&globals, want_stamps);
         let mut object_ids = Vec::with_capacity(objects.len());
         for name in objects {
             let id = match self.object_ids.entry(name.clone()) {
@@ -530,11 +712,6 @@ impl<E: ServeEngine> NetServer<E> {
             goodbye_at: None,
             done: false,
             conn: None,
-            pending_seq: vec![VecDeque::new(); threads.len()],
-            slots: VecDeque::new(),
-            slot_base: 0,
-            stamp_log: VecDeque::new(),
-            stamp_base: 0,
             next_send: 0,
         });
         sid
@@ -567,24 +744,31 @@ impl<E: ServeEngine> NetServer<E> {
                 "session {token} resumed with different registrations"
             ));
         }
-        if stamps_received > session.stamps_ready() {
+        let log = &mut self.live.sink_mut().routes[sid].log;
+        if stamps_received > log.end {
             return Err(format!(
                 "session {token} claims {stamps_received} stamps received, only {} were produced",
-                session.stamps_ready()
+                log.end
             ));
         }
-        if stamps_received < session.stamp_base {
+        if stamps_received < log.base() {
             return Err(format!(
                 "session {token} claims {stamps_received} stamps received, already acknowledged {}",
-                session.stamp_base
+                log.base()
+            ));
+        }
+        // A client holds whole frames only.
+        if let Some(frame) = log.straddling(stamps_received) {
+            return Err(format!(
+                "session {token} claims {stamps_received} stamps received, inside the frame of \
+                 stamps {}..{}: a resume starts at a frame boundary",
+                frame.first,
+                frame.first + frame.count
             ));
         }
         // The client definitely holds everything below `stamps_received`:
-        // prune, and restart the stamp stream from there.
-        while session.stamp_base < stamps_received {
-            session.stamp_log.pop_front();
-            session.stamp_base += 1;
-        }
+        // prune, and replay the frames from there.
+        log.drop_below(stamps_received);
         session.next_send = stamps_received;
         // Credit in flight on the dead connection is void; grant a fresh
         // window (the HelloAck carries it).
@@ -599,6 +783,7 @@ impl<E: ServeEngine> NetServer<E> {
         if session.goodbye_at.is_some() {
             return Err("events after Goodbye".to_owned());
         }
+        let pending = &mut self.live.sink_mut().routes[sid].pending_seq;
         let n = events.len() as u64;
         if n > session.credit {
             return Err(format!(
@@ -623,7 +808,7 @@ impl<E: ServeEngine> NetServer<E> {
             self.next_ticket[object.index()] += 1;
             handle.record_sequenced(object, kind, ticket);
             if session.want_stamps {
-                session.pending_seq[local_thread as usize].push_back(session.ingested);
+                pending[local_thread as usize].push_back(session.ingested);
             }
             session.ingested += 1;
         }
@@ -634,17 +819,13 @@ impl<E: ServeEngine> NetServer<E> {
 
     fn handle_stamps_ack(&mut self, conn: ConnId, received: u64) -> Result<(), String> {
         let sid = self.session_of(conn)?;
-        let session = &mut self.sessions[sid];
-        if received > session.next_send {
+        let next_send = self.sessions[sid].next_send;
+        if received > next_send {
             return Err(format!(
-                "acknowledged {received} stamps, only {} were sent",
-                session.next_send
+                "acknowledged {received} stamps, only {next_send} were sent"
             ));
         }
-        while session.stamp_base < received {
-            session.stamp_log.pop_front();
-            session.stamp_base += 1;
-        }
+        self.live.sink_mut().routes[sid].log.drop_below(received);
         Ok(())
     }
 
@@ -677,70 +858,34 @@ impl<E: ServeEngine> NetServer<E> {
             .live
             .pump()
             .map_err(|e| NetError::Pipeline(e.to_string()))?;
-        self.route_stamps()?;
+        let router = self.live.sink_mut();
+        router.frame_ready();
+        if let Some(fault) = router.fault.take() {
+            return Err(NetError::Pipeline(fault));
+        }
         self.flush_sessions();
         Ok(drained)
     }
 
-    /// Demultiplexes stamps queued by the router back to their sessions,
-    /// reordering from merge order to each client's send order.
-    fn route_stamps(&mut self) -> Result<(), NetError> {
-        let routed = self.live.sink_mut().drain_queue();
-        for (thread, stamp) in routed {
-            let (sid, local_thread) = *self
-                .thread_owner
-                .get(thread.index())
-                .filter(|(sid, _)| *sid != usize::MAX)
-                .ok_or_else(|| {
-                    NetError::Pipeline(format!("stamp for unrouted thread {}", thread.index()))
-                })?;
-            let session = &mut self.sessions[sid];
-            let seq = session.pending_seq[local_thread]
-                .pop_front()
-                .ok_or_else(|| {
-                    NetError::Pipeline(format!("stamp without a pending event on session {sid}"))
-                })?;
-            let idx = (seq - session.slot_base) as usize;
-            if session.slots.len() <= idx {
-                session.slots.resize(idx + 1, None);
-            }
-            session.slots[idx] = Some((local_thread as u32, stamp));
-            while let Some(routed) = session.slots.front_mut().and_then(Option::take) {
-                session.slots.pop_front();
-                session.stamp_log.push_back(routed);
-                session.slot_base += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Encodes pending stamps, credit refills, and goodbye completions
-    /// into each connected session's outbox.
+    /// Copies unsent stamp frames, then credit refills and goodbye
+    /// completions, into each connected session's outbox.
     fn flush_sessions(&mut self) {
         let window = self.config.credit_window;
-        let per_frame = self.config.stamps_per_frame.max(1);
-        for session in &mut self.sessions {
+        let routes = &mut self.live.sink_mut().routes;
+        for (session, route) in self.sessions.iter_mut().zip(routes) {
             let Some(conn) = session.conn else { continue };
             let conn = &mut self.conns[conn];
             if !conn.open {
                 continue;
             }
-            // Stream newly produced stamps, encoded where they lie.
-            while session.next_send < session.stamps_ready() {
-                let start = (session.next_send - session.stamp_base) as usize;
-                let pending = session.stamp_log.range(start..);
-                let before = conn.outbox.len();
-                let count = write_stamps_frame(
-                    &mut conn.outbox,
-                    session.next_send,
-                    pending.map(|(lane, stamp)| (*lane, stamp)),
-                    per_frame,
-                );
-                let framed = (conn.outbox.len() - before) as u64;
-                self.metrics.stamp_wire_bytes.record(framed / count as u64);
-                session.next_send += count as u64;
+            for frame in route.log.since(session.next_send) {
+                conn.outbox.extend_from_slice(&frame.bytes);
+                count_sent(frame.bytes.len());
+                session.next_send = frame.first + frame.count;
             }
-            // Refill credit once half the window is consumed.
+            // Refill credit once half the window is consumed.  The grant
+            // goes behind the stamps: the client sends again only after it
+            // has read them.
             if session.goodbye_at.is_none() && session.credit < window / 2 {
                 let more = window - session.credit;
                 // `more` is exactly the occupancy (events in flight) at
@@ -756,7 +901,7 @@ impl<E: ServeEngine> NetServer<E> {
                 );
             }
             // Goodbye completion: everything ingested and (if requested)
-            // every stamp encoded for delivery.
+            // every stamp copied for delivery.
             if let Some(total) = session.goodbye_at {
                 let stamps_flushed = !session.want_stamps || session.next_send == total;
                 if session.ingested == total && stamps_flushed && !session.done {
@@ -765,6 +910,8 @@ impl<E: ServeEngine> NetServer<E> {
                     conn.open = false;
                     conn.session = None;
                     session.conn = None;
+                    // A completed session never resumes: nothing to replay.
+                    route.close();
                 }
             }
         }

@@ -31,9 +31,15 @@
 //!    shape — with one record per drain that visited any buffer, none for
 //!    an idle pump and none while the registry is disabled.
 //!
-//! Oracles 1, 2, 4, 5 and 6 share the process-global registry, so they are
-//! serialized behind one mutex; 1, 2, 5 and 6 assert on snapshot *deltas*
-//! only.
+//! 7. What the server holds for replay: `net.server.retransmit_bytes`
+//!    rises by exactly the `Stamps` bytes a server puts in its outboxes,
+//!    falls by a session's frames once `StampsAck` covers them, and is back
+//!    at its start value when every session has completed — before the
+//!    server itself goes away, since a completed session never resumes.
+//!
+//! Oracles 1, 2, 4, 5, 6 and 7 share the process-global registry, so they
+//! are serialized behind one mutex; 1, 2, 5 and 6 assert on snapshot
+//! *deltas* only, 7 on the gauge's moves from its start value.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -41,7 +47,9 @@ use std::time::Duration;
 
 use mvc_clock::{Component, ComponentMap};
 use mvc_core::{StatsSink, TimestampingEngine};
-use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
+use mvc_net::{
+    ClientConfig, ConnId, InProcTransport, NetServer, ProducerClient, Recv, ServerConfig, Transport,
+};
 use mvc_online::{OnlineTimestamper, Popularity};
 use mvc_runtime::{CompetitiveSink, TraceSession};
 use mvc_trace::{ObjectId, OpKind, WorkloadBuilder, WorkloadKind};
@@ -194,6 +202,98 @@ fn net_frames_sent_equal_frames_received_at_quiescence() {
     // The server-side ingest counter matches the 2 x 60 recorded events.
     assert_eq!(delta.counter("net.server.events_ingested"), Some(120));
     assert_eq!(delta.counter("net.server.sessions_opened"), Some(2));
+}
+
+/// One server round for one connection by hand: feed what the client sent,
+/// pump, and pass the outbox on — returned, so a test can weigh it.
+fn server_round(
+    server: &mut NetServer<TimestampingEngine>,
+    conn: ConnId,
+    far: &mut InProcTransport,
+) -> Vec<u8> {
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(Recv::Bytes(n)) = far.recv(&mut buf, Some(Duration::ZERO)) {
+        server.feed(conn, &buf[..n]).expect("feed");
+    }
+    server.pump().expect("pump");
+    let out = server.take_outgoing(conn);
+    far.send(&out).expect("send");
+    out
+}
+
+#[test]
+fn retransmit_bytes_gauge_holds_the_unacknowledged_frames() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+    registry.set_enabled(true);
+    let gauge = registry.gauge("net.server.retransmit_bytes");
+    let start = gauge.value();
+    let held = || gauge.value() - start;
+
+    let mut server = NetServer::new(
+        TimestampingEngine::new(),
+        Box::new(StatsSink::new()),
+        ServerConfig {
+            credit_window: 1 << 16,
+            stamps_per_frame: 25,
+        },
+    );
+    let zero = Some(Duration::ZERO);
+    // Client 0 acknowledges every 50 stamps; client 1 never does.
+    let mut links = Vec::new();
+    let mut clients = Vec::new();
+    for (c, ack_every) in [(0, 50), (1, u64::MAX)] {
+        let (near, far) = InProcTransport::pair();
+        let conn = server.connect();
+        let mut config = ClientConfig::new(vec![format!("t{c}")], vec!["x".into()], true);
+        config.ack_every = ack_every;
+        let mut client = ProducerClient::connect(near, config).expect("connect");
+        for _ in 0..100 {
+            client.record(0, 0, OpKind::Write);
+        }
+        clients.push(client);
+        links.push((conn, far));
+    }
+    for ((conn, far), client) in links.iter_mut().zip(&mut clients) {
+        server_round(&mut server, *conn, far); // HelloAck
+        client.step(zero).expect("the ack, then 100 events");
+    }
+    // Four frames of 25 stamps per session, all unacknowledged.
+    let mut sent = Vec::new();
+    for (conn, far) in &mut links {
+        sent.push(server_round(&mut server, *conn, far).len() as i64);
+    }
+    assert!(sent.iter().all(|&bytes| bytes > 0));
+    assert_eq!(held(), sent[0] + sent[1]);
+    // Client 0's acknowledgements of 50 and 100 drop its frames.
+    for ((conn, far), client) in links.iter_mut().zip(&mut clients) {
+        client.step(zero).expect("the stamps");
+        server_round(&mut server, *conn, far);
+    }
+    assert_eq!(held(), sent[1]);
+    // Client 1's frames go when its session completes.
+    for client in &mut clients {
+        client.request_finish();
+    }
+    for _ in 0..100 {
+        for ((conn, far), client) in links.iter_mut().zip(&mut clients) {
+            client.step(zero).expect("client step");
+            server_round(&mut server, *conn, far);
+        }
+        if clients.iter().all(|c| c.is_finished()) {
+            break;
+        }
+    }
+    assert!(
+        clients.iter().all(|c| c.is_finished()),
+        "sessions completed"
+    );
+    assert_eq!(held(), 0, "a completed session holds no frames");
+    let run = server.finish().expect("finish");
+    assert!(run.sessions.iter().all(|s| s.completed));
+    assert_eq!(held(), 0);
+    registry.set_enabled(was_enabled);
 }
 
 /// One live run into a fresh [`CompetitiveSink`]: four threads over three

@@ -1,7 +1,9 @@
 //! The networked service driven deterministically over the in-process
 //! transport: multi-client merging, stamp routing, backpressure,
 //! frame-boundary failure (truncation and corruption), version mismatch,
-//! and the mid-stream disconnect + reconnect-and-replay story.
+//! the mid-stream disconnect + reconnect-and-replay story, and the stamp
+//! retransmit log (resumes on frame boundaries, byte-identical replays,
+//! stamps kept across a cut).
 //!
 //! No sockets: every test runs single-threaded over
 //! [`InProcTransport`] pairs, alternating client
@@ -590,4 +592,240 @@ fn truncated_streams_pend_and_corrupted_padding_never_panics_the_server() {
         let run = server.finish().expect("pipeline intact");
         assert!(run.report.events <= 2);
     }
+}
+
+/// A server-side transport that keeps a copy of every byte the server sends.
+struct Spy {
+    inner: InProcTransport,
+    sent: Vec<u8>,
+}
+
+impl Transport for Spy {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+        self.sent.extend_from_slice(bytes);
+        self.inner.send(bytes)
+    }
+
+    fn recv(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Option<Duration>,
+    ) -> Result<mvc_net::Recv, TransportError> {
+        self.inner.recv(buf, timeout)
+    }
+}
+
+/// The `Stamps` frames of a server stream, each as its bytes on the wire
+/// (length prefix included).
+fn stamps_frames(stream: &[u8]) -> Vec<&[u8]> {
+    /// The `Stamps` tag (docs/PROTOCOL.md, "Frame types").
+    const TAG_STAMPS: u8 = 4;
+    let mut frames = Vec::new();
+    let mut at = 4; // the stream header
+    while at < stream.len() {
+        let (len, used) = mvc_trace::codec::peek_varint(&stream[at..])
+            .expect("a varint")
+            .expect("a whole length");
+        let end = at + used + len as usize;
+        if stream[at + used] == TAG_STAMPS {
+            frames.push(&stream[at..end]);
+        }
+        at = end;
+    }
+    frames
+}
+
+/// A raw client's stream header and `Hello` for one thread and one object,
+/// stamps wanted.
+fn raw_hello(token: u64, stamps_received: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    frame::write_stream_header(&mut bytes);
+    frame::write_frame(
+        &mut bytes,
+        &Frame::Hello {
+            token,
+            want_stamps: true,
+            stamps_received,
+            threads: vec!["t".into()],
+            objects: vec!["o".into()],
+        },
+    );
+    bytes
+}
+
+/// Opens a raw session whose ten events the server returns in `Stamps`
+/// frames of four — stamps 0..4, 4..8 and 8..10 — and severs it before the
+/// client reads any.  Returns the session token and what the server sent.
+fn raw_session_cut_after_ten_stamps(server: &mut Server) -> (u64, Vec<u8>) {
+    let conn = server.connect();
+    let (mut near, far) = InProcTransport::pair();
+    let mut spy = Spy {
+        inner: far,
+        sent: Vec::new(),
+    };
+    let mut bytes = raw_hello(0, 0);
+    frame::write_frame(
+        &mut bytes,
+        &Frame::Events {
+            events: vec![(0, 0, OpKind::Write); 10],
+        },
+    );
+    near.send(&bytes).unwrap();
+    server.service(conn, &mut spy).unwrap();
+    let mut reader = FrameReader::new();
+    let token = match read_frames(&mut near, &mut reader).first() {
+        Some(Frame::HelloAck { token, .. }) => *token,
+        other => panic!("expected HelloAck, got {other:?}"),
+    };
+    near.sever();
+    server.service(conn, &mut spy).unwrap();
+    assert!(!server.is_open(conn));
+    assert_eq!(stamps_frames(&spy.sent).len(), 3);
+    (token, spy.sent)
+}
+
+#[test]
+fn a_resume_inside_a_frame_is_refused_and_the_session_stays_resumable() {
+    let mut server = new_server(ServerConfig {
+        credit_window: 1 << 16,
+        stamps_per_frame: 4,
+    });
+    let (token, _) = raw_session_cut_after_ten_stamps(&mut server);
+
+    // Six stamps received: inside the frame of stamps 4..8.
+    let conn = server.connect();
+    let (mut near, mut far) = InProcTransport::pair();
+    near.send(&raw_hello(token, 6)).unwrap();
+    server.service(conn, &mut far).unwrap();
+    assert!(!server.is_open(conn));
+    let mut reader = FrameReader::new();
+    match &read_frames(&mut near, &mut reader)[..] {
+        [Frame::Error { code, message }] => {
+            assert_eq!(*code, frame::error_code::PROTOCOL);
+            assert!(message.contains("4..8"), "names the frame: {message}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    // On the boundary the session resumes, with everything from stamp 4.
+    let conn = server.connect();
+    let (mut near, mut far) = InProcTransport::pair();
+    near.send(&raw_hello(token, 4)).unwrap();
+    server.service(conn, &mut far).unwrap();
+    assert!(server.is_open(conn));
+    let mut reader = FrameReader::new();
+    let frames = read_frames(&mut near, &mut reader);
+    assert!(matches!(frames[0], Frame::HelloAck { watermark: 10, .. }));
+    let firsts: Vec<u64> = frames
+        .iter()
+        .filter_map(|f| match f {
+            Frame::Stamps { first, .. } => Some(*first),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(firsts, [4, 8]);
+}
+
+#[test]
+fn a_resume_on_a_frame_boundary_replays_the_same_bytes() {
+    let mut server = new_server(ServerConfig {
+        credit_window: 1 << 16,
+        stamps_per_frame: 4,
+    });
+    let (token, first_sent) = raw_session_cut_after_ten_stamps(&mut server);
+
+    let conn = server.connect();
+    let (mut near, far) = InProcTransport::pair();
+    let mut spy = Spy {
+        inner: far,
+        sent: Vec::new(),
+    };
+    near.send(&raw_hello(token, 4)).unwrap();
+    server.service(conn, &mut spy).unwrap();
+    let first = stamps_frames(&first_sent);
+    assert_eq!(stamps_frames(&spy.sent), first[1..]);
+}
+
+/// Runs a session up to the point where the client has `[Stamps…, Credit]`
+/// waiting, lets `cut` break the link, and checks that the client keeps the
+/// stamps it read before the break, then resumes after them and ends with
+/// the batch replay's stamps, none lost or repeated.  Returns the error the
+/// break raised.
+fn stamps_read_before_a_break_are_kept(
+    cut: impl FnOnce(&mut Server, &mut Link, &InProcTransport),
+) -> NetError {
+    let mut server = new_server(ServerConfig {
+        credit_window: 8,
+        stamps_per_frame: 3,
+    });
+    let (mut client, mut link, spy) = connect(
+        &mut server,
+        ClientConfig::new(vec!["t".into()], vec!["o".into()], true),
+    );
+    for _ in 0..20 {
+        client.record(0, 0, OpKind::Write);
+    }
+    server.service(link.conn, &mut link.far).unwrap();
+    client.step(ZERO).unwrap(); // the ack, then the first window of eight
+    server.service(link.conn, &mut link.far).unwrap(); // Stamps ×3, Credit
+    cut(&mut server, &mut link, &spy);
+    let err = client.step(ZERO).expect_err("the link is broken");
+    assert_eq!(client.stamps().len(), 8, "every stamp read is kept");
+
+    let (near2, far2) = InProcTransport::pair();
+    let conn2 = server.connect();
+    client.reconnect(near2).expect("reconnect");
+    let mut link2 = Link {
+        conn: conn2,
+        far: far2,
+    };
+    client.request_finish();
+    drive(
+        &mut server,
+        std::slice::from_mut(&mut link2),
+        &mut [&mut client],
+    );
+    let run = client.into_run().expect("finished");
+    let server_run = server.finish().expect("finish");
+    let mut computation = mvc_trace::Computation::new();
+    for _ in 0..20 {
+        computation.record_op(
+            mvc_trace::ThreadId(run.thread_ids[0] as usize),
+            mvc_trace::ObjectId(run.object_ids[0] as usize),
+            OpKind::Write,
+        );
+    }
+    let mut engine = TimestampingEngine::with_components(server_run.report.components.clone());
+    let reference = mvc_core::replay(&mut engine, &computation)
+        .unwrap()
+        .timestamps;
+    assert_eq!(run.stamps, reference);
+    err
+}
+
+#[test]
+fn stamps_read_before_a_sever_are_kept_across_the_reconnect() {
+    let err = stamps_read_before_a_break_are_kept(|server, link, spy| {
+        spy.sever();
+        server.service(link.conn, &mut link.far).unwrap();
+        assert!(!server.is_open(link.conn));
+    });
+    // The credit read behind the stamps sent the next window into the cut.
+    assert!(
+        matches!(err, NetError::Transport(TransportError::Closed)),
+        "got: {err:?}"
+    );
+}
+
+#[test]
+fn stamps_read_before_an_error_frame_are_kept_across_the_reconnect() {
+    let err = stamps_read_before_a_break_are_kept(|server, link, spy| {
+        spy.clone().send(&[0xff; 16]).unwrap();
+        server.service(link.conn, &mut link.far).unwrap();
+        assert!(!server.is_open(link.conn));
+    });
+    assert!(
+        matches!(err, NetError::Remote(code, _) if code == frame::error_code::PROTOCOL),
+        "got: {err:?}"
+    );
 }
