@@ -43,6 +43,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use mvc_clock::VectorTimestamp;
@@ -101,6 +102,7 @@ const MAX_FRAME_STAMP_WORDS: usize = 1 << 24;
 
 /// What one `Stamps` frame may hold.  (A parameter of the codec's inner
 /// functions only so that the tests can reach a limit with small inputs.)
+#[derive(Debug, Clone, Copy)]
 struct StampLimits {
     /// Bytes of encoded stamps.
     bytes: usize,
@@ -402,7 +404,7 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
 /// rejects).
 ///
 /// Nothing is cloned and nothing materialised: stamps are read where they
-/// lie and encoded straight into `out`.
+/// lie and encoded straight into the frame.
 ///
 /// Unlike [`write_frame`], this does not count the frame on the wire
 /// counters: the server encodes a `Stamps` frame once, keeps its bytes for
@@ -413,19 +415,7 @@ pub fn write_stamps_frame<'a>(
     stamps: impl Iterator<Item = (u32, &'a VectorTimestamp)>,
     max_stamps: usize,
 ) -> usize {
-    let start = out.len();
-    let count = encode_stamps(out, stamps, max_stamps, &FRAME_LIMITS);
-    // The count is known only now: the fields in front of the stamps are
-    // written behind them and rotated into place.
-    let stamps_end = out.len();
-    let body = 1 + varint_len(first) + varint_len(count as u64) + (stamps_end - start);
-    put_varint(out, body as u64);
-    out.push(TAG_STAMPS);
-    put_varint(out, first);
-    put_varint(out, count as u64);
-    let fields = out.len() - stamps_end;
-    out[start..].rotate_right(fields);
-    count
+    StampsWriter::holding(first, stamps, max_stamps, FRAME_LIMITS).close(out)
 }
 
 /// Appends the `stamp*` part of a `Stamps` body for a prefix of `stamps` and
@@ -437,44 +427,174 @@ fn encode_stamps<'a>(
     max_stamps: usize,
     limits: &StampLimits,
 ) -> usize {
-    let start = out.len();
-    let zero = VectorTimestamp::default();
-    let mut written: Vec<&VectorTimestamp> = Vec::new();
-    // Per lane, how many stamps the frame held once the lane's latest was
-    // written (0: none yet).
-    let mut latest: Vec<usize> = Vec::new();
-    let mut words = 0usize;
-    // Scratch for the short last chunk of a plain vector.
-    let mut pads = [[0; 64]; 2];
-    for (lane, stamp) in stamps.take(max_stamps) {
-        words = words.saturating_add(stamp.stored_words());
-        if !written.is_empty() && words > limits.words {
-            break;
+    let writer = StampsWriter::holding(0, stamps, max_stamps, *limits);
+    out.extend_from_slice(&writer.body);
+    writer.count
+}
+
+/// The one encoder of `Stamps` frames: a frame written a stamp at a time and
+/// held open for as long as its caller likes — across the server's stamp
+/// windows — that closes where [`write_stamps_frame`] would: at
+/// `max_stamps`, or before a stamp that would take it past [`MAX_FRAME_LEN`]
+/// or `MAX_FRAME_STAMP_WORDS`.  Fed the same lane-tagged stamps, it writes
+/// the same bytes however its input is split.
+///
+/// A stamp is encoded against its base as it is pushed.  The writer keeps
+/// only each lane's latest stamp, the one a later stamp of the open frame
+/// may be based on: borrowed for as long as `'a` lasts, and cloned by
+/// [`keep`](Self::keep) when it must outlive that.
+#[derive(Debug)]
+pub(crate) struct StampsWriter<'a> {
+    limits: StampLimits,
+    max_stamps: usize,
+    /// Number of the open frame's first stamp.
+    first: u64,
+    /// Stamps in the open frame.
+    count: usize,
+    /// Words the open frame's stamps store.
+    words: usize,
+    /// The open frame's stamps, encoded.
+    body: Vec<u8>,
+    /// Per lane, its latest stamp in the open frame, with how many stamps
+    /// the frame held once it was written.
+    latest: Vec<Option<(usize, Cow<'a, VectorTimestamp>)>>,
+    /// The lane of the open frame's newest stamp.
+    newest: usize,
+    /// Scratch for the short last chunk of a plain vector.
+    pads: [[u64; 64]; 2],
+}
+
+impl<'a> StampsWriter<'a> {
+    /// An empty frame numbered from `first` under the protocol's limits.
+    pub(crate) fn new(first: u64, max_stamps: usize) -> Self {
+        Self::within(first, max_stamps, FRAME_LIMITS)
+    }
+
+    /// A frame numbered from `first` that holds the prefix of `stamps` one
+    /// frame under `limits` takes.
+    fn holding(
+        first: u64,
+        stamps: impl Iterator<Item = (u32, &'a VectorTimestamp)>,
+        max_stamps: usize,
+        limits: StampLimits,
+    ) -> Self {
+        let mut writer = Self::within(first, max_stamps, limits);
+        for (lane, stamp) in stamps.take(max_stamps) {
+            if writer.push(lane, Cow::Borrowed(stamp)).is_err() {
+                break;
+            }
+        }
+        writer
+    }
+
+    fn within(first: u64, max_stamps: usize, limits: StampLimits) -> Self {
+        StampsWriter {
+            limits,
+            max_stamps,
+            first,
+            count: 0,
+            words: 0,
+            body: Vec::new(),
+            latest: Vec::new(),
+            newest: 0,
+            pads: [[0; 64]; 2],
+        }
+    }
+
+    /// One past the number of the open frame's last stamp.
+    pub(crate) fn end(&self) -> u64 {
+        self.first + self.count as u64
+    }
+
+    /// Whether the open frame holds no stamp.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Whether the open frame holds `max_stamps` stamps.
+    pub(crate) fn is_full(&self) -> bool {
+        self.count >= self.max_stamps
+    }
+
+    /// Encodes `stamp`, of `lane`, into the open frame, or hands it back when
+    /// it would take a frame that holds a stamp already past a limit: close
+    /// the frame, and push it again.  An empty frame takes any stamp.
+    pub(crate) fn push(
+        &mut self,
+        lane: u32,
+        stamp: Cow<'a, VectorTimestamp>,
+    ) -> Result<(), Cow<'a, VectorTimestamp>> {
+        let words = self.words.saturating_add(stamp.stored_words());
+        if self.count > 0 && words > self.limits.words {
+            return Err(stamp);
         }
         let lane = lane as usize;
-        if latest.len() <= lane {
-            latest.resize(lane + 1, 0);
+        if self.latest.len() <= lane {
+            self.latest.resize_with(lane + 1, || None);
         }
         // The lane's latest stamp, else the stamp before this one, else (or
         // if that one is wider: widths only grow along a base chain) zero.
-        let at = match latest[lane] {
-            0 => written.len(),
-            at => at,
+        let latest = match &self.latest[lane] {
+            Some(latest) => Some(latest),
+            None => self.latest.get(self.newest).and_then(Option::as_ref),
         };
-        let (back, base) = match written.get(at.wrapping_sub(1)) {
-            Some(base) if base.len() <= stamp.len() => (written.len() + 1 - at, *base),
+        let zero = VectorTimestamp::default();
+        let (back, base) = match latest {
+            Some((at, base)) if base.len() <= stamp.len() => (self.count + 1 - at, &**base),
             _ => (0, &zero),
         };
-        let before = out.len();
-        encode_stamp(out, stamp, back, base, &mut pads);
-        if !written.is_empty() && out.len() - start > limits.bytes {
-            out.truncate(before);
-            break;
+        let before = self.body.len();
+        encode_stamp(&mut self.body, &stamp, back, base, &mut self.pads);
+        if self.count > 0 && self.body.len() > self.limits.bytes {
+            self.body.truncate(before);
+            return Err(stamp);
         }
-        written.push(stamp);
-        latest[lane] = written.len();
+        self.words = words;
+        self.count += 1;
+        self.latest[lane] = Some((self.count, stamp));
+        self.newest = lane;
+        Ok(())
     }
-    written.len()
+
+    /// Appends the open frame to `out` as `varint(len) body`, opens the next
+    /// one, and returns how many stamps the closed frame holds.
+    pub(crate) fn close(&mut self, out: &mut Vec<u8>) -> usize {
+        let count = self.count;
+        let body = 1 + varint_len(self.first) + varint_len(count as u64) + self.body.len();
+        out.reserve(varint_len(body as u64) + body);
+        put_varint(out, body as u64);
+        out.push(TAG_STAMPS);
+        put_varint(out, self.first);
+        put_varint(out, count as u64);
+        out.extend_from_slice(&self.body);
+        self.first += count as u64;
+        self.count = 0;
+        self.words = 0;
+        self.body.clear();
+        self.latest.clear();
+        count
+    }
+
+    /// The writer with the stamps it still refers to — at most one per lane
+    /// — cloned where they are borrowed, so it outlives what they borrow
+    /// from.
+    pub(crate) fn keep(self) -> StampsWriter<'static> {
+        let latest = self
+            .latest
+            .into_iter()
+            .map(|latest| latest.map(|(at, stamp)| (at, Cow::Owned(stamp.into_owned()))));
+        StampsWriter {
+            limits: self.limits,
+            max_stamps: self.max_stamps,
+            first: self.first,
+            count: self.count,
+            words: self.words,
+            body: self.body,
+            latest: latest.collect(),
+            newest: self.newest,
+            pads: self.pads,
+        }
+    }
 }
 
 /// `entries` as a whole chunk: itself, or — the short last chunk of a plain
@@ -1454,6 +1574,53 @@ mod tests {
         );
     }
 
+    /// What [`lane_stamps`] builds a stamp from: its lane, an index into its
+    /// widths, its form (plain or as stored), and edits of its lane's vector.
+    type StampSpec = ((u32, usize, u8), Vec<(usize, u8, u64)>);
+
+    /// A strategy for [`lane_stamps`]: up to `max` stamps on four lanes.
+    fn stamp_specs(max: usize) -> impl proptest::strategy::Strategy<Value = Vec<StampSpec>> {
+        proptest::collection::vec(
+            (
+                (0u32..4, 0usize..7, 0u8..2),
+                proptest::collection::vec((0usize..4096, 0u8..4, 0u64..=u64::MAX), 0..6),
+            ),
+            1..max,
+        )
+    }
+
+    /// Lane-tagged stamps from `specs`.  Each lane edits its own vector, so
+    /// that successive stamps of a lane share most components, and resizes
+    /// it to the width drawn, so that widths grow and shrink inside a frame;
+    /// a wide vector as stored is packed.
+    fn lane_stamps(specs: &[StampSpec]) -> Vec<(u32, VectorTimestamp)> {
+        const WIDTHS: [usize; 7] = [0, 1, 64, 70, 150, 512, 4096];
+        let mut lanes = vec![Vec::<u64>::new(); 4];
+        specs
+            .iter()
+            .map(|((lane, width, form), edits)| {
+                let width = WIDTHS[*width];
+                let vector = &mut lanes[*lane as usize];
+                vector.resize(width, 0);
+                for &(at, kind, value) in edits {
+                    if width > 0 {
+                        vector[at % width] = match kind {
+                            0 => 0,
+                            1 => value % 8,
+                            2 => u64::MAX - value % 4,
+                            _ => value,
+                        };
+                    }
+                }
+                let stamp = match form {
+                    0 => VectorTimestamp::from_components(vector.clone()),
+                    _ => stored(vector),
+                };
+                (*lane, stamp)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -1462,43 +1629,10 @@ mod tests {
         /// form the storage rule gives it.
         #[test]
         fn prop_stamps_round_trip_by_value_and_by_form(
-            stamps in proptest::collection::vec(
-                (
-                    (0u32..4, 0usize..7, 0u8..2),
-                    proptest::collection::vec((0usize..4096, 0u8..4, 0u64..=u64::MAX), 0..6),
-                ),
-                1..24,
-            ),
+            stamps in stamp_specs(24),
             per_frame in 1usize..12,
         ) {
-            const WIDTHS: [usize; 7] = [0, 1, 64, 70, 150, 512, 4096];
-            // Each lane edits its own vector, so that successive stamps of
-            // a lane share most components, and resizes it to the width
-            // drawn, so that widths grow and shrink inside a frame.
-            let mut lanes = vec![Vec::<u64>::new(); 4];
-            let sent: Vec<(u32, VectorTimestamp)> = stamps
-                .iter()
-                .map(|((lane, width, form), edits)| {
-                    let width = WIDTHS[*width];
-                    let vector = &mut lanes[*lane as usize];
-                    vector.resize(width, 0);
-                    for &(at, kind, value) in edits {
-                        if width > 0 {
-                            vector[at % width] = match kind {
-                                0 => 0,
-                                1 => value % 8,
-                                2 => u64::MAX - value % 4,
-                                _ => value,
-                            };
-                        }
-                    }
-                    let stamp = match form {
-                        0 => VectorTimestamp::from_components(vector.clone()),
-                        _ => stored(vector),
-                    };
-                    (*lane, stamp)
-                })
-                .collect();
+            let sent = lane_stamps(&stamps);
 
             let mut wire = Vec::new();
             write_stream_header(&mut wire);
@@ -1541,6 +1675,72 @@ mod tests {
                 let dense = expect.as_slice();
                 proptest::prop_assert_eq!(stamp.stored_words(), stored(dense).stored_words());
             }
+        }
+
+        /// However the server's windows split the lane-tagged stamps it
+        /// writes — the column of each window borrowed, held-back stamps
+        /// cloned, every base the open frame still refers to cloned at a
+        /// window's end — the writer writes the bytes of one greedy pass of
+        /// `write_stamps_frame`: under the protocol's limits, and under
+        /// limits small enough to close frames on bytes and on words.
+        #[test]
+        fn prop_the_streaming_writer_ignores_how_its_input_is_split(
+            stamps in stamp_specs(48),
+            windows in proptest::collection::vec(1usize..12, 1..8),
+            held in proptest::collection::vec(0u8..4, 1..8),
+            per_frame in 1usize..12,
+            limits in (0u8..3, 16usize..400, 64usize..5000),
+        ) {
+            let sent = lane_stamps(&stamps);
+            let (limit, bytes, words) = limits;
+            let limits = match limit {
+                0 => FRAME_LIMITS,
+                1 => StampLimits { bytes, words: usize::MAX },
+                _ => StampLimits { bytes: usize::MAX, words },
+            };
+            let mut greedy = Vec::new();
+            let mut at = 0;
+            while at < sent.len() {
+                let pending = sent[at..].iter().map(|(lane, stamp)| (*lane, stamp));
+                at += StampsWriter::holding(at as u64, pending, per_frame, limits)
+                    .close(&mut greedy);
+            }
+
+            let mut streamed = Vec::new();
+            let mut writer = StampsWriter::within(0, per_frame, limits);
+            let mut at = 0;
+            for &window in windows.iter().cycle() {
+                if at == sent.len() {
+                    break;
+                }
+                let end = (at + window).min(sent.len());
+                let column: Vec<VectorTimestamp> =
+                    sent[at..end].iter().map(|(_, stamp)| stamp.clone()).collect();
+                let mut open = writer;
+                for (i, stamp) in column.iter().enumerate() {
+                    // One stamp in four, held back by the reorder window,
+                    // arrives as the clone the window's end made of it.
+                    let mut stamp = match held[(at + i) % held.len()] {
+                        0 => Cow::Owned(stamp.clone()),
+                        _ => Cow::Borrowed(stamp),
+                    };
+                    let lane = sent[at + i].0;
+                    while let Err(refused) = open.push(lane, stamp) {
+                        open.close(&mut streamed);
+                        stamp = refused;
+                    }
+                    if open.is_full() {
+                        open.close(&mut streamed);
+                    }
+                }
+                writer = open.keep();
+                drop(column);
+                at = end;
+            }
+            if !writer.is_empty() {
+                writer.close(&mut streamed);
+            }
+            proptest::prop_assert_eq!(streamed, greedy);
         }
     }
 }

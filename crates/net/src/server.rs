@@ -23,21 +23,30 @@
 //!
 //! ## Stamp return
 //!
-//! The sink the server wraps around the user's routes each window of
-//! stamps, once the user's sink has accepted it, back into its session's
-//! send order, and encodes a `Stamps` frame as soon as
-//! [`ServerConfig::stamps_per_frame`] contiguous stamps are ready, while
-//! they are still in cache; [`pump`](NetServer::pump) frames the rest at
-//! its end.  A session's retransmit log holds those encoded frames, not
-//! stamps: the outbox gets copies, `StampsAck` drops whole frames, and a
-//! resume replays the same bytes from the frame boundary the client
-//! reached.  In an outbox, `Credit` goes behind the `Stamps` it follows,
-//! which suits the client's step order — send, read, send, decode: the
-//! client sends its next window as soon as it has read the grant, and
-//! decodes the stamps while the server works on that window.
+//! The sink the server wraps around the user's frames each window's
+//! returned stamps before it hands the window on: it reads them where they
+//! lie in the window's stamp column, in their session's send order, and
+//! encodes them into the session's open `Stamps` frame.  A frame stays open
+//! across windows and closes at [`ServerConfig::stamps_per_frame`] stamps,
+//! at the protocol's byte and word limits, or at the end of a
+//! [`pump`](NetServer::pump).  Nothing is cloned per stamp: at a window's
+//! end the route clones only the stamps that arrived out of send order and
+//! still wait, and each lane's latest stamp in the open frame, which a
+//! later stamp of the frame may be based on.  A window the user's sink
+//! refuses is routed once; its re-offer is not routed again, and only a
+//! pump that succeeds copies frames into an outbox.
+//!
+//! A session's retransmit log holds the encoded frames, not stamps: the
+//! outbox gets copies, `StampsAck` drops whole frames, and a resume
+//! replays the same bytes from the frame boundary the client reached.  In
+//! an outbox, `Credit` goes behind the `Stamps` it follows, which suits the
+//! client's step order — send, read, send, decode: the client sends its
+//! next window as soon as it has read the grant, and decodes the stamps
+//! while the server works on that window.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
@@ -52,8 +61,7 @@ use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
 
 use crate::frame::{
-    count_sent, error_code, write_frame, write_stamps_frame, write_stream_header, Frame,
-    FrameReader,
+    count_sent, error_code, write_frame, write_stream_header, Frame, FrameReader, StampsWriter,
 };
 use crate::transport::{Recv, Transport, TransportError};
 use crate::NetError;
@@ -115,26 +123,37 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId(usize);
 
-/// The sink the server wraps around the user's sink.  It forwards every
-/// stamped window unchanged and, once the inner sink has accepted it,
-/// routes the stamps of threads whose session asked for them back into
-/// their session's send order and frames them while they are hot.
+/// The sink the server wraps around the user's sink.  It frames the stamps
+/// of threads whose session asked for them straight from each window's
+/// stamp column, in their session's send order, then forwards the window
+/// unchanged.
 ///
-/// On sink error nothing is routed, so the pipeline's retry contract keeps
-/// server-side stamp delivery exactly as reliable as the sink itself.
+/// Per returned stamp it resolves the column index to its session, lane and
+/// send-order number.  A stamp that is next in its session's send order is
+/// encoded into the session's open `Stamps` frame where it lies; one that
+/// is not waits in the session's reorder window.  At the window's end,
+/// before the inner sink may take the column, the route clones what it
+/// still refers to: the stamps left waiting, and each lane's latest stamp
+/// in the open frame (a later stamp of the frame may be based on it).
+///
+/// Routing comes first; the window is the inner sink's only afterwards.  If
+/// the inner sink refuses, the pipeline re-offers the identical window
+/// before anything new (the `EventSink` contract), and that re-offer is
+/// forwarded without routing it again: a stamp is framed exactly once.
+/// The frames it closed wait in the retransmit log, and only a pump that
+/// succeeds copies frames into an outbox, so no frame leaves before the
+/// inner sink has accepted every stamp in it.
 struct RouterSink {
     inner: Box<dyn EventSink>,
     /// `owner[global thread index]`: the session and lane (local thread)
     /// whose stamps come back, or `None` for a session without stamps.
     owner: Vec<Option<(usize, u32)>>,
     /// Per session, in session order.
-    routes: Vec<StampRoute>,
-    /// The current window's returned stamps with their owners, cloned
-    /// before the inner sink may take the column.
-    window: Vec<((usize, u32), VectorTimestamp)>,
+    routes: Vec<StampRoute<'static>>,
+    /// Whether the inner sink refused the last window offered: its re-offer
+    /// is routed already.
+    refused: bool,
     stamps_per_frame: usize,
-    /// Reused encode buffer; a frame keeps an exact-size copy.
-    scratch: Vec<u8>,
     accepted: usize,
     /// The first stamp that could not be routed: fatal, surfaced by
     /// [`NetServer::pump`].
@@ -147,54 +166,85 @@ struct RouterSink {
 }
 
 /// One session's stamp return: merge order in, framed send order out.
+/// Between windows it is a `StampRoute<'static>`; during one, its stamps
+/// may borrow from the window's column (`'a`).
 #[derive(Debug)]
-struct StampRoute {
+struct StampRoute<'a> {
     /// Per lane: session-order indices of its events still awaiting
     /// stamps.  Maps merge-order stamps (which arrive per thread in ingest
     /// order) back to the client's send order.
     pending_seq: Vec<VecDeque<u64>>,
-    /// Reorder window: stamps from `log.end + ready.len()` on that are not
-    /// yet contiguous, each with its lane.
-    slots: VecDeque<Option<(u32, VectorTimestamp)>>,
-    /// Contiguous stamps from `log.end` on, not yet framed.
-    ready: Vec<(u32, VectorTimestamp)>,
+    /// Reorder window: stamps from `writer.end()` on that are not yet
+    /// contiguous, each with its lane.
+    slots: VecDeque<Option<(u32, Cow<'a, VectorTimestamp>)>>,
+    /// The open frame: the contiguous stamps from `log.end` on.
+    writer: StampsWriter<'a>,
     log: FrameLog,
 }
 
-impl StampRoute {
-    /// Files the stamp of session event `seq` and frames every full frame's
-    /// worth of contiguous stamps.
+impl<'a> StampRoute<'a> {
+    /// Files the stamp of session event `seq`, and frames it and every
+    /// stamp it makes contiguous.
     fn place(
         &mut self,
         seq: u64,
         lane: u32,
-        stamp: VectorTimestamp,
-        per_frame: usize,
-        scratch: &mut Vec<u8>,
+        stamp: Cow<'a, VectorTimestamp>,
         wire_bytes: &mvc_obs::Histogram,
     ) {
-        let idx = (seq - self.log.end - self.ready.len() as u64) as usize;
-        if self.slots.len() <= idx {
-            self.slots.resize(idx + 1, None);
-        }
-        self.slots[idx] = Some((lane, stamp));
-        while let Some(next) = self.slots.front_mut().and_then(Option::take) {
-            self.slots.pop_front();
-            self.ready.push(next);
-            while self.ready.len() >= per_frame {
-                self.frame(per_frame, scratch, wire_bytes);
+        let idx = (seq - self.writer.end()) as usize;
+        if idx > 0 {
+            if self.slots.len() <= idx {
+                self.slots.resize(idx + 1, None);
             }
+            self.slots[idx] = Some((lane, stamp));
+            return;
+        }
+        self.slots.pop_front();
+        self.write(lane, stamp, wire_bytes);
+        while let Some((lane, stamp)) = self.slots.front_mut().and_then(Option::take) {
+            self.slots.pop_front();
+            self.write(lane, stamp, wire_bytes);
         }
     }
 
-    /// Encodes one frame from the front of `ready` into the log.
-    fn frame(&mut self, per_frame: usize, scratch: &mut Vec<u8>, wire_bytes: &mvc_obs::Histogram) {
-        scratch.clear();
-        let ready = self.ready.iter().map(|(lane, stamp)| (*lane, stamp));
-        let count = write_stamps_frame(scratch, self.log.end, ready, per_frame);
-        wire_bytes.record((scratch.len() / count) as u64);
-        self.ready.drain(..count);
-        self.log.push(count as u64, scratch.to_vec());
+    /// Writes the next stamp in send order into the open frame, closing
+    /// frames into the log as they fill.
+    fn write(
+        &mut self,
+        lane: u32,
+        mut stamp: Cow<'a, VectorTimestamp>,
+        wire_bytes: &mvc_obs::Histogram,
+    ) {
+        while let Err(refused) = self.writer.push(lane, stamp) {
+            self.close_frame(wire_bytes);
+            stamp = refused;
+        }
+        if self.writer.is_full() {
+            self.close_frame(wire_bytes);
+        }
+    }
+
+    /// Closes the open frame into the log.
+    fn close_frame(&mut self, wire_bytes: &mvc_obs::Histogram) {
+        let mut bytes = Vec::new();
+        let count = self.writer.close(&mut bytes);
+        wire_bytes.record((bytes.len() / count) as u64);
+        self.log.push(count as u64, bytes);
+    }
+
+    /// The route as it outlives its window: what it still borrows from the
+    /// column, cloned.
+    fn keep(self) -> StampRoute<'static> {
+        let slots = Vec::from(self.slots)
+            .into_iter()
+            .map(|slot| slot.map(|(lane, stamp)| (lane, Cow::Owned(stamp.into_owned()))));
+        StampRoute {
+            pending_seq: self.pending_seq,
+            slots: slots.collect::<Vec<_>>().into(),
+            writer: self.writer.keep(),
+            log: self.log,
+        }
     }
 
     /// Frees everything a completed session held.
@@ -202,7 +252,8 @@ impl StampRoute {
         self.log.drop_below(self.log.end);
         self.pending_seq = Vec::new();
         self.slots = VecDeque::new();
-        self.ready = Vec::new();
+        // Nothing is written to a completed session.
+        self.writer = StampsWriter::new(self.log.end, 1);
     }
 }
 
@@ -261,9 +312,11 @@ impl FrameLog {
 
     /// The held frame that has `stamp` strictly inside it, if any.
     fn straddling(&self, stamp: u64) -> Option<&StampFrame> {
+        // The last frame that starts below `stamp`.
+        let at = self.frames.partition_point(|f| f.first < stamp);
         self.frames
-            .iter()
-            .find(|f| f.first < stamp && stamp < f.first + f.count)
+            .get(at.checked_sub(1)?)
+            .filter(|f| stamp < f.first + f.count)
     }
 
     /// Drops the frames whose stamps all lie below `received`.
@@ -292,9 +345,8 @@ impl RouterSink {
             inner,
             owner: Vec::new(),
             routes: Vec::new(),
-            window: Vec::new(),
+            refused: false,
             stamps_per_frame: stamps_per_frame.max(1),
-            scratch: Vec::new(),
             accepted: 0,
             fault: None,
             stamp_wire_bytes: registry.histogram("net.server.stamp_wire_bytes"),
@@ -316,43 +368,42 @@ impl RouterSink {
         self.routes.push(StampRoute {
             pending_seq: vec![VecDeque::new(); lanes],
             slots: VecDeque::new(),
-            ready: Vec::new(),
+            writer: StampsWriter::new(0, self.stamps_per_frame),
             log: FrameLog::new(self.retransmit_bytes.clone()),
         });
     }
 
-    /// Routes the accepted window's stamps to their sessions.
-    fn route_window(&mut self) {
-        let per_frame = self.stamps_per_frame;
-        for ((sid, lane), stamp) in self.window.drain(..) {
-            let route = &mut self.routes[sid];
+    /// Frames the window's returned stamps in their sessions' send order,
+    /// reading them from `column`, and clones what the routes still refer
+    /// to once the window is done.
+    fn route_window(
+        &mut self,
+        events: &[(ThreadId, ObjectId, OpKind)],
+        column: &[VectorTimestamp],
+    ) {
+        let mut routes: Vec<StampRoute<'_>> = std::mem::take(&mut self.routes);
+        for (&(thread, _, _), stamp) in events.iter().zip(column) {
+            let Some(&Some((sid, lane))) = self.owner.get(thread.index()) else {
+                continue;
+            };
+            let route = &mut routes[sid];
             let Some(seq) = route.pending_seq[lane as usize].pop_front() else {
                 self.fault.get_or_insert_with(|| {
                     format!("stamp without a pending event on session {sid}")
                 });
                 continue;
             };
-            route.place(
-                seq,
-                lane,
-                stamp,
-                per_frame,
-                &mut self.scratch,
-                &self.stamp_wire_bytes,
-            );
+            route.place(seq, lane, Cow::Borrowed(stamp), &self.stamp_wire_bytes);
         }
+        self.routes = routes.into_iter().map(StampRoute::keep).collect();
     }
 
     /// Frames every session's remaining contiguous stamps, a partial frame
     /// included: the end of a pump.
     fn frame_ready(&mut self) {
         for route in &mut self.routes {
-            while !route.ready.is_empty() {
-                route.frame(
-                    self.stamps_per_frame,
-                    &mut self.scratch,
-                    &self.stamp_wire_bytes,
-                );
+            if !route.writer.is_empty() {
+                route.close_frame(&self.stamp_wire_bytes);
             }
         }
     }
@@ -372,15 +423,14 @@ impl EventSink for RouterSink {
         events: &[(ThreadId, ObjectId, OpKind)],
         stamps: &mut Vec<VectorTimestamp>,
     ) -> Result<(), SinkError> {
-        self.window.clear();
-        for (&(thread, _, _), stamp) in events.iter().zip(stamps.iter()) {
-            if let Some(&Some(owner)) = self.owner.get(thread.index()) {
-                self.window.push((owner, stamp.clone()));
-            }
+        if !std::mem::take(&mut self.refused) {
+            self.route_window(events, stamps);
         }
-        self.inner.accept_columns(events, stamps)?;
+        if let Err(e) = self.inner.accept_columns(events, stamps) {
+            self.refused = true;
+            return Err(e);
+        }
         self.accepted += events.len();
-        self.route_window();
         Ok(())
     }
 
@@ -791,15 +841,19 @@ impl<E: ServeEngine> NetServer<E> {
                 session.credit
             ));
         }
+        // All or nothing: every id is checked before the first ticket is
+        // drawn, so a refused frame leaves no event behind.
+        for &(local_thread, local_object, _) in events {
+            if local_thread as usize >= session.threads.len() {
+                return Err(format!("unknown local thread {local_thread}"));
+            }
+            if local_object as usize >= session.objects.len() {
+                return Err(format!("unknown local object {local_object}"));
+            }
+        }
         for &(local_thread, local_object, kind) in events {
-            let handle = session
-                .threads
-                .get(local_thread as usize)
-                .ok_or_else(|| format!("unknown local thread {local_thread}"))?;
-            let object = *session
-                .objects
-                .get(local_object as usize)
-                .ok_or_else(|| format!("unknown local object {local_object}"))?;
+            let handle = &session.threads[local_thread as usize];
+            let object = session.objects[local_object as usize];
             // Serialization ticket drawn at ingress, in arrival order —
             // the transport preserves each client's send order and the
             // server mutex serialises clients, so tickets are dense and

@@ -1,7 +1,7 @@
 //! Tier-1 metrics parity: the observability layer's counters must agree
 //! with ground truth the rest of the workspace already measures.
 //!
-//! Six oracles:
+//! Eight oracles:
 //!
 //! 1. An 8-thread contended `TraceSession` workload drained through the
 //!    live pipeline into a `StatsSink`: the global registry's
@@ -37,9 +37,14 @@
 //!    at its start value when every session has completed — before the
 //!    server itself goes away, since a completed session never resumes.
 //!
-//! Oracles 1, 2, 4, 5, 6 and 7 share the process-global registry, so they
-//! are serialized behind one mutex; 1, 2, 5 and 6 assert on snapshot
-//! *deltas* only, 7 on the gauge's moves from its start value.
+//! 8. What a refused frame leaves: an `Events` frame whose last event names
+//!    an unknown thread is refused whole — `net.server.events_ingested`
+//!    does not move, a resume is acknowledged at watermark 0, and the
+//!    events sent again draw the object's first tickets.
+//!
+//! Oracles 1, 2, 4, 5, 6, 7 and 8 share the process-global registry, so
+//! they are serialized behind one mutex; 1, 2, 5, 6 and 8 assert on
+//! snapshot *deltas* only, 7 on the gauge's moves from its start value.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -47,6 +52,7 @@ use std::time::Duration;
 
 use mvc_clock::{Component, ComponentMap};
 use mvc_core::{StatsSink, TimestampingEngine};
+use mvc_net::frame::{self, Frame, FrameReader};
 use mvc_net::{
     ClientConfig, ConnId, InProcTransport, NetServer, ProducerClient, Recv, ServerConfig, Transport,
 };
@@ -293,6 +299,109 @@ fn retransmit_bytes_gauge_holds_the_unacknowledged_frames() {
     let run = server.finish().expect("finish");
     assert!(run.sessions.iter().all(|s| s.completed));
     assert_eq!(held(), 0);
+    registry.set_enabled(was_enabled);
+}
+
+/// Sends a raw client's `frames` — behind a stream header and a `Hello` for
+/// session `token` (0: a new one) with one thread and one object, stamps
+/// wanted — over a fresh connection, runs one server round, and returns the
+/// frames the server answered with.
+fn raw_session_round(
+    server: &mut NetServer<TimestampingEngine>,
+    token: u64,
+    frames: &[Frame],
+) -> (ConnId, Vec<Frame>) {
+    let conn = server.connect();
+    let (mut near, mut far) = InProcTransport::pair();
+    let mut bytes = Vec::new();
+    frame::write_stream_header(&mut bytes);
+    let hello = Frame::Hello {
+        token,
+        want_stamps: true,
+        stamps_received: 0,
+        threads: vec!["t".into()],
+        objects: vec!["o".into()],
+    };
+    for frame in std::iter::once(&hello).chain(frames) {
+        frame::write_frame(&mut bytes, frame);
+    }
+    near.send(&bytes).expect("send");
+    server_round(server, conn, &mut far);
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(Recv::Bytes(n)) = near.recv(&mut buf, Some(Duration::ZERO)) {
+        reader.feed(&buf[..n]);
+    }
+    let mut answer = Vec::new();
+    while let Some(frame) = reader.try_next().expect("a well-formed server stream") {
+        answer.push(frame);
+    }
+    (conn, answer)
+}
+
+#[test]
+fn an_events_frame_with_an_unknown_id_ingests_nothing() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+    registry.set_enabled(true);
+    let before = registry.snapshot();
+    let ingested = || {
+        registry
+            .snapshot()
+            .delta(&before)
+            .counter("net.server.events_ingested")
+            .unwrap_or(0)
+    };
+
+    let mut server = NetServer::new(
+        TimestampingEngine::new(),
+        Box::new(mvc_core::MemoryRecorder::new()),
+        ServerConfig::default(),
+    );
+    let write = (0, 0, OpKind::Write);
+    let refused = Frame::Events {
+        events: vec![write, write, (1, 0, OpKind::Write)],
+    };
+    let (conn, answer) = raw_session_round(&mut server, 0, &[refused]);
+    let token = match &answer[..] {
+        [Frame::HelloAck { token, .. }, Frame::Error { code, message }] => {
+            assert_eq!(*code, frame::error_code::PROTOCOL);
+            assert!(message.contains("unknown local thread 1"), "got: {message}");
+            *token
+        }
+        other => panic!("expected HelloAck and Error, got {other:?}"),
+    };
+    assert!(!server.is_open(conn));
+    assert_eq!(ingested(), 0, "no event of the refused frame counts");
+
+    // The resume starts from nothing, and the two events sent again draw
+    // the object's first two tickets.
+    let resent = [
+        Frame::Events {
+            events: vec![write, write],
+        },
+        Frame::Goodbye { events: 2 },
+    ];
+    let (_, answer) = raw_session_round(&mut server, token, &resent);
+    assert!(
+        matches!(answer.first(), Some(Frame::HelloAck { watermark: 0, .. })),
+        "got: {answer:?}"
+    );
+    let stamps: Vec<_> = answer
+        .iter()
+        .filter_map(|frame| match frame {
+            Frame::Stamps { stamps, .. } => Some(stamps),
+            _ => None,
+        })
+        .flatten()
+        .map(|stamp| stamp.as_slice().to_vec())
+        .collect();
+    assert_eq!(stamps, [[1], [2]]);
+    assert_eq!(ingested(), 2);
+    let run = server.finish().expect("finish");
+    assert_eq!(run.report.events, 2);
+    assert!(run.sessions[0].completed);
     registry.set_enabled(was_enabled);
 }
 

@@ -3,7 +3,8 @@
 //! frame-boundary failure (truncation and corruption), version mismatch,
 //! the mid-stream disconnect + reconnect-and-replay story, and the stamp
 //! retransmit log (resumes on frame boundaries, byte-identical replays,
-//! stamps kept across a cut).
+//! stamps kept across a cut), and a user sink that refuses windows while
+//! stamps are on their way back.
 //!
 //! No sockets: every test runs single-threaded over
 //! [`InProcTransport`] pairs, alternating client
@@ -15,13 +16,13 @@
 use std::time::Duration;
 
 use mvc_clock::VectorTimestamp;
-use mvc_core::{MemoryRecorder, TimestampingEngine};
+use mvc_core::{EventSink, MemoryRecorder, SinkError, TimestampingEngine};
 use mvc_net::frame::{self, Frame, FrameReader};
 use mvc_net::{
     ClientConfig, ConnId, InProcTransport, NetError, NetServer, ProducerClient, ServerConfig,
     Transport, TransportError,
 };
-use mvc_trace::OpKind;
+use mvc_trace::{ObjectId, OpKind, ThreadId};
 
 const ZERO: Option<Duration> = Some(Duration::ZERO);
 
@@ -828,4 +829,146 @@ fn stamps_read_before_an_error_frame_are_kept_across_the_reconnect() {
         matches!(err, NetError::Remote(code, _) if code == frame::error_code::PROTOCOL),
         "got: {err:?}"
     );
+}
+
+/// A recorder that accepts its first `accept` windows and then refuses the
+/// next `refuse` offers (the pipeline re-offers a refused window until it is
+/// taken).
+struct Refusing {
+    inner: MemoryRecorder,
+    accept: usize,
+    refuse: usize,
+}
+
+impl EventSink for Refusing {
+    fn name(&self) -> &str {
+        "refusing"
+    }
+
+    fn accept_columns(
+        &mut self,
+        events: &[(ThreadId, ObjectId, OpKind)],
+        stamps: &mut Vec<VectorTimestamp>,
+    ) -> Result<(), SinkError> {
+        if self.accept == 0 && self.refuse > 0 {
+            self.refuse -= 1;
+            return Err(SinkError::Io("refused".into()));
+        }
+        self.accept = self.accept.saturating_sub(1);
+        self.inner.accept_columns(events, stamps)
+    }
+
+    fn events_accepted(&self) -> usize {
+        self.inner.events_accepted()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        &self.inner
+    }
+}
+
+/// The script of [`served_through_a_refusing_sink`]: three threads, two
+/// objects.
+fn refusal_script() -> Vec<(usize, usize, OpKind)> {
+    (0..10_000)
+        .map(|i| (i % 3, (i / 5) % 2, [OpKind::Read, OpKind::Write][i % 2]))
+        .collect()
+}
+
+/// Serves [`refusal_script`] — three stamp windows, returned in `Stamps`
+/// frames of 1 000 — to one client through a [`Refusing`] sink, and checks
+/// that every pump it refuses fails and puts nothing in the outbox.  Returns
+/// the client's run, the server's, and every byte the server sent.
+fn served_through_a_refusing_sink(
+    accept: usize,
+    refuse: usize,
+) -> (mvc_net::ClientRun, mvc_net::ServerRun, Vec<u8>) {
+    let sink = Refusing {
+        inner: MemoryRecorder::new(),
+        accept,
+        refuse,
+    };
+    let mut server = NetServer::new(
+        TimestampingEngine::new(),
+        Box::new(sink),
+        ServerConfig {
+            credit_window: 1 << 16,
+            stamps_per_frame: 1000,
+        },
+    );
+    let conn = server.connect();
+    let (near, far) = InProcTransport::pair();
+    let mut spy = Spy {
+        inner: far,
+        sent: Vec::new(),
+    };
+    let threads = (0..3).map(|t| format!("t{t}")).collect();
+    let config = ClientConfig::new(threads, vec!["x".into(), "y".into()], true);
+    let mut client = ProducerClient::connect(near, config).expect("connect");
+    for (t, o, kind) in refusal_script() {
+        client.record(t, o, kind);
+    }
+    server.service(conn, &mut spy).expect("the HelloAck");
+    client.step(ZERO).expect("the ack, then every event");
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(mvc_net::Recv::Bytes(n)) = spy.recv(&mut buf, ZERO) {
+        server.feed(conn, &buf[..n]).expect("feed");
+    }
+    for _ in 0..refuse {
+        let err = server.pump().expect_err("the sink refuses");
+        assert!(matches!(err, NetError::Pipeline(_)), "got: {err:?}");
+        assert!(
+            server.take_outgoing(conn).is_empty(),
+            "nothing, a Stamps frame least of all, leaves while the sink refuses"
+        );
+    }
+    server.pump().expect("the sink accepts");
+    spy.send(&server.take_outgoing(conn)).expect("send");
+    client.request_finish();
+    for _ in 0..100 {
+        if client.is_finished() {
+            break;
+        }
+        client.step(ZERO).expect("client step");
+        server.service(conn, &mut spy).expect("service");
+    }
+    let run = client.into_run().expect("finished");
+    (run, server.finish().expect("finish"), spy.sent)
+}
+
+#[test]
+fn stamps_wait_for_a_refusing_sink_and_then_match_an_uninterrupted_run() {
+    let (_, _, uninterrupted) = served_through_a_refusing_sink(0, 0);
+    let reference_frames = stamps_frames(&uninterrupted);
+    assert_eq!(reference_frames.len(), 10);
+    // Refused from the first window on, and from the second, mid-pump.
+    for (accept, refuse) in [(0, 3), (1, 2)] {
+        let (run, server_run, sent) = served_through_a_refusing_sink(accept, refuse);
+        let recorder = server_run
+            .sink
+            .as_any()
+            .downcast_ref::<MemoryRecorder>()
+            .expect("mem sink");
+        assert_eq!(recorder.computation().len(), 10_000, "each event sunk once");
+        // One client: its send order is every object's order, so the
+        // reference is a plain sequential replay of the script.
+        let mut computation = mvc_trace::Computation::new();
+        for (t, o, kind) in refusal_script() {
+            computation.record_op(
+                ThreadId(run.thread_ids[t] as usize),
+                ObjectId(run.object_ids[o] as usize),
+                kind,
+            );
+        }
+        let mut engine = TimestampingEngine::with_components(server_run.report.components.clone());
+        let reference = mvc_core::replay(&mut engine, &computation)
+            .unwrap()
+            .timestamps;
+        assert_eq!(run.stamps, reference, "accept {accept}, refuse {refuse}");
+        assert_eq!(
+            stamps_frames(&sent),
+            reference_frames,
+            "accept {accept}, refuse {refuse}"
+        );
+    }
 }
