@@ -1,12 +1,13 @@
 //! The paper's figures as the `mvc_eval` binary prints them, byte for byte.
 //!
 //! `tests/golden/` holds the stdout of `mvc_eval all --trials 1` and of
-//! `mvc_eval trajectory`, written by the binary of the commit before the
-//! Karp–Sipser start of Hopcroft–Karp.  A change that moves which maximum
-//! matching is found, or any other change that should not move a figure,
-//! must leave both outputs as they are.  The files are not regenerated by
-//! this test: a deliberate change to a figure replaces them by hand and says
-//! why in CHANGES.md.
+//! `mvc_eval trajectory`, written by the binary of the commit that made
+//! `RandomGraphBuilder` skip geometrically instead of drawing one Bernoulli
+//! per pair, which gave every seed a new graph.  A change that moves which
+//! maximum matching is found, or any other change that should not move a
+//! figure, must leave both outputs as they are.  The files are not
+//! regenerated by this test: a deliberate change to a figure writes them
+//! again from the changed binary and says why in CHANGES.md.
 
 use std::path::Path;
 use std::process::Command;

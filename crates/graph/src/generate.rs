@@ -10,8 +10,21 @@
 //!   vertices with a reduced probability, calibrated so the expected density
 //!   still matches the requested density.
 //!
-//! The generators are deterministic given a seed so that every figure in
-//! `EXPERIMENTS.md` can be regenerated bit-for-bit.
+//! Both are block models: every pair in a block is an edge independently
+//! with the block's probability.  The builder walks the pairs row by row and
+//! skips geometrically inside each run of equal probability (Batagelj &
+//! Brandes, "Efficient generation of large random networks", Phys. Rev. E 71,
+//! 036113, 2005): the gap to the next edge is drawn directly, from one random
+//! word, so a graph costs `O(n_left + m)` draws and time instead of one draw
+//! per pair.
+//!
+//! A seed fixes the graph, and with it every figure of `mvc_eval`
+//! (README's "Regenerating the paper's figures"; `crates/eval/tests/golden/`
+//! holds two of them byte for byte).  It does so within one version of this
+//! module only: the move from one Bernoulli draw per pair to geometric
+//! skipping gave every seed a new graph from the same distribution.
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,7 +117,26 @@ impl RandomGraphBuilder {
     }
 
     /// Selects the generation scenario (uniform / nonuniform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a nonuniform scenario's `hot_fraction` is not in `(0, 1]`
+    /// or its `hot_boost` is not finite and positive (NaN fails both).
     pub fn scenario(mut self, scenario: GraphScenario) -> Self {
+        if let GraphScenario::Nonuniform {
+            hot_fraction,
+            hot_boost,
+        } = scenario
+        {
+            assert!(
+                hot_fraction > 0.0 && hot_fraction <= 1.0,
+                "hot_fraction must be within (0, 1], got {hot_fraction}"
+            );
+            assert!(
+                hot_boost.is_finite() && hot_boost > 0.0,
+                "hot_boost must be finite and positive, got {hot_boost}"
+            );
+        }
         self.scenario = scenario;
         self
     }
@@ -121,19 +153,13 @@ impl RandomGraphBuilder {
         self.build_with_rng(&mut rng)
     }
 
-    /// Generates the graph from `rng`.
+    /// Generates the graph from `rng`, one row of pairs after another with
+    /// ascending objects, so edges are inserted row-major.
     fn build_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> BipartiteGraph {
         let mut g = BipartiteGraph::new(self.n_left, self.n_right);
-        match self.scenario {
-            GraphScenario::Uniform => {
-                for l in 0..self.n_left {
-                    for r in 0..self.n_right {
-                        if rng.gen_bool(self.density.clamp(0.0, 1.0)) {
-                            g.add_edge(l, r);
-                        }
-                    }
-                }
-            }
+        // A uniform graph is the nonuniform one with no hot vertex.
+        let (hot_left, hot_right, boost, base) = match self.scenario {
+            GraphScenario::Uniform => (0, 0, 1.0, self.density),
             GraphScenario::Nonuniform {
                 hot_fraction,
                 hot_boost,
@@ -142,7 +168,8 @@ impl RandomGraphBuilder {
                 let hot_right = hot_count(self.n_right, hot_fraction);
                 // Choose a base probability for cold-cold pairs such that the
                 // expected number of edges matches `density * n_left * n_right`.
-                // Pair weights: cold-cold 1, hot-cold hot_boost, hot-hot hot_boost².
+                // Pair weights: cold-cold 1, hot-cold hot_boost, hot-hot hot_boost²;
+                // their mean is positive because `scenario` checked the boost.
                 let f_l = if self.n_left == 0 {
                     0.0
                 } else {
@@ -156,25 +183,21 @@ impl RandomGraphBuilder {
                 let mean_weight = (1.0 - f_l) * (1.0 - f_r)
                     + (f_l * (1.0 - f_r) + f_r * (1.0 - f_l)) * hot_boost
                     + f_l * f_r * hot_boost * hot_boost;
-                let base = if mean_weight > 0.0 {
-                    self.density / mean_weight
-                } else {
-                    self.density
-                };
-                for l in 0..self.n_left {
-                    for r in 0..self.n_right {
-                        let mut p = base;
-                        if l < hot_left {
-                            p *= hot_boost;
-                        }
-                        if r < hot_right {
-                            p *= hot_boost;
-                        }
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            g.add_edge(l, r);
-                        }
-                    }
+                (hot_left, hot_right, hot_boost, self.density / mean_weight)
+            }
+        };
+        for l in 0..self.n_left {
+            let row = if l < hot_left { base * boost } else { base };
+            // The hot objects, then the cold ones; a uniform row has no hot
+            // object, so its first run is empty and draws nothing.
+            let mut start = 0;
+            for (end, p) in [(hot_right, row * boost), (self.n_right, row)] {
+                let mut r = start;
+                while let Some(edge) = first_edge(rng, r..end, p) {
+                    g.add_edge(l, edge);
+                    r = edge + 1;
                 }
+                start = end;
             }
         }
         g
@@ -196,6 +219,27 @@ impl RandomGraphBuilder {
         }
         (g, edges)
     }
+}
+
+/// The first index of `cells` that is an edge when each is one
+/// independently with probability `p`, or `None` if none of them is.
+///
+/// The number of misses before the first edge is geometric:
+/// `⌊ln(1 − U) / ln(1 − p)⌋` with `U` uniform in `[0, 1)` is at least `k`
+/// with probability `(1 − p)^k`.  That costs one draw; an empty run, `p ≤ 0`
+/// and `p ≥ 1` cost none.
+fn first_edge<R: Rng + ?Sized>(rng: &mut R, cells: Range<usize>, p: f64) -> Option<usize> {
+    if cells.is_empty() || p <= 0.0 {
+        return None;
+    }
+    if p >= 1.0 {
+        return Some(cells.start);
+    }
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let misses = (-u).ln_1p() / (-p).ln_1p();
+    // Compared with the run's length before it is added, so the index
+    // cannot overflow.
+    (misses < cells.len() as f64).then(|| cells.start + misses as usize)
 }
 
 fn hot_count(n: usize, fraction: f64) -> usize {
@@ -310,6 +354,153 @@ mod tests {
         assert_eq!(GraphScenario::Uniform.name(), "uniform");
         assert_eq!(GraphScenario::default_nonuniform().name(), "nonuniform");
         assert_eq!(GraphScenario::default(), GraphScenario::Uniform);
+    }
+
+    fn nonuniform(hot_fraction: f64, hot_boost: f64) -> RandomGraphBuilder {
+        let scenario = GraphScenario::Nonuniform {
+            hot_fraction,
+            hot_boost,
+        };
+        RandomGraphBuilder::new(5, 5).scenario(scenario)
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_boost must be finite and positive, got NaN")]
+    fn nan_boost_rejected() {
+        let _ = nonuniform(0.2, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_boost must be finite and positive, got inf")]
+    fn infinite_boost_rejected() {
+        let _ = nonuniform(0.2, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_boost must be finite and positive, got 0")]
+    fn zero_boost_rejected() {
+        let _ = nonuniform(0.2, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_fraction must be within (0, 1], got 0")]
+    fn zero_hot_fraction_rejected() {
+        let _ = nonuniform(0.0, 8.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_fraction must be within (0, 1], got 1.5")]
+    fn hot_fraction_above_one_rejected() {
+        let _ = nonuniform(1.5, 8.0);
+    }
+
+    /// Edge counts summed over `seeds` graphs of `builder`, one per block of
+    /// `hot_left` × `hot_right` (hot–hot, hot–cold, cold–hot, cold–cold);
+    /// asserts on the way that every graph's edges come out row-major.
+    fn block_counts(
+        builder: &RandomGraphBuilder,
+        (hot_left, hot_right): (usize, usize),
+        seeds: std::ops::Range<u64>,
+    ) -> [u64; 4] {
+        let mut counts = [0; 4];
+        for seed in seeds {
+            let g = builder.clone().seed(seed).build();
+            let edges: Vec<_> = g.edges().collect();
+            assert!(edges.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+            for (l, r) in edges {
+                counts[2 * usize::from(l >= hot_left) + usize::from(r >= hot_right)] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Asserts that `observed` edges over `graphs` graphs lie within 4
+    /// standard deviations of the binomial expectation of `cells` pairs a
+    /// graph at probability `p`.
+    fn assert_binomial(observed: u64, graphs: u64, cells: usize, p: f64, what: &str) {
+        let trials = (graphs * cells as u64) as f64;
+        let mean = trials * p;
+        let sd = (trials * p * (1.0 - p)).sqrt();
+        let z = (observed as f64 - mean) / sd;
+        assert!(
+            z.abs() <= 4.0,
+            "{what}: {observed} edges, expected {mean:.1} ± {sd:.1} (z = {z:.2})"
+        );
+    }
+
+    #[test]
+    fn block_edge_counts_match_their_probabilities() {
+        // 200 graphs of 200 threads × 300 objects per scenario.  Every block
+        // of pairs is binomial, so its total over the graphs must sit within
+        // 4 standard deviations of cells × p; the probabilities are derived
+        // here from the scenario's definition, not read from the builder.
+        let (n_left, n_right, density, graphs) = (200, 300, 0.02, 200);
+        let uniform = RandomGraphBuilder::new(n_left, n_right).density(density);
+        let [.., all] = block_counts(&uniform, (0, 0), 0..graphs);
+        assert_binomial(all, graphs, n_left * n_right, density, "uniform");
+
+        // A fifth hot on each side: 40 threads and 60 objects.  The mean
+        // pair weight is 0.8² + 2 × 0.8 × 0.2 × 8 + 0.2² × 8² = 5.76.
+        let nonuniform = uniform.scenario(GraphScenario::default_nonuniform());
+        let (hot_left, hot_right) = (40, 60);
+        let base = density / 5.76;
+        let counts = block_counts(&nonuniform, (hot_left, hot_right), 0..graphs);
+        let (cold_left, cold_right) = (n_left - hot_left, n_right - hot_right);
+        let blocks = [
+            (hot_left * hot_right, base * 64.0, "hot-hot"),
+            (hot_left * cold_right, base * 8.0, "hot-cold"),
+            (cold_left * hot_right, base * 8.0, "cold-hot"),
+            (cold_left * cold_right, base, "cold-cold"),
+        ];
+        for (observed, (cells, p, what)) in counts.into_iter().zip(blocks) {
+            assert_binomial(observed, graphs, cells, p, what);
+        }
+    }
+
+    #[test]
+    fn a_block_at_probability_one_or_more_is_complete() {
+        // 10 of 40 vertices hot on each side, boost 4: the mean pair weight
+        // is 0.75² + 2 × 0.75 × 0.25 × 4 + 0.25² × 16 = 3.0625, so hot–hot
+        // pairs get 0.5 / 3.0625 × 16 ≈ 2.6 before clamping.
+        let builder =
+            RandomGraphBuilder::new(40, 40)
+                .density(0.5)
+                .scenario(GraphScenario::Nonuniform {
+                    hot_fraction: 0.25,
+                    hot_boost: 4.0,
+                });
+        let base = 0.5 / 3.0625;
+        let graphs = 50;
+        let [hot_hot, hot_cold, cold_hot, cold_cold] = block_counts(&builder, (10, 10), 0..graphs);
+        assert_eq!(hot_hot, graphs * 100);
+        assert_binomial(hot_cold, graphs, 300, base * 4.0, "hot-cold");
+        assert_binomial(cold_hot, graphs, 300, base * 4.0, "cold-hot");
+        assert_binomial(cold_cold, graphs, 900, base, "cold-cold");
+    }
+
+    #[test]
+    fn empty_sides_and_a_single_pair() {
+        for scenario in [GraphScenario::Uniform, GraphScenario::default_nonuniform()] {
+            for (n_left, n_right) in [(0, 7), (7, 0), (0, 0)] {
+                let g = RandomGraphBuilder::new(n_left, n_right)
+                    .density(1.0)
+                    .scenario(scenario)
+                    .build();
+                assert_eq!((g.n_left(), g.n_right()), (n_left, n_right));
+                assert_eq!(g.edge_count(), 0, "{scenario:?} {n_left} x {n_right}");
+            }
+            let one = |density| {
+                RandomGraphBuilder::new(1, 1)
+                    .density(density)
+                    .scenario(scenario)
+            };
+            assert_eq!(one(1.0).build().edges().collect::<Vec<_>>(), [(0, 0)]);
+            assert_eq!(one(0.0).build().edge_count(), 0);
+            // The one pair is hot–hot in the nonuniform scenario, and its
+            // probability is the density either way.
+            let [.., edges] = block_counts(&one(0.3), (0, 0), 0..400);
+            assert_binomial(edges, 400, 1, 0.3, scenario.name());
+        }
     }
 
     #[test]

@@ -144,35 +144,38 @@ fn degenerate_computations_are_handled() {
     assert!(plan.assigner().assign(&empty).is_empty());
 }
 
-/// `draws` edge draws over an n x n graph with the nonuniform scenario's pair
-/// weights: each endpoint is independently one of the hot fifth with the
-/// share of weight a boost of 8 gives it.  Repeats are left in, as a reveal
-/// stream has them.  `RandomGraphBuilder` draws n² Bernoullis instead, about
-/// 1.1 s per graph at n = 8192 in a debug build.
-fn nonuniform_stream(n: usize, draws: usize, seed: u64) -> Vec<(usize, usize)> {
+/// `plan-sparse`'s nonuniform graph at `seed` as a reveal stream, with about
+/// one edge in eight revealed a second time (a seeded pick among the edges
+/// already revealed), as a computation touches a pair again.  Returns the
+/// stream and how many of its reveals are repeats.
+fn stream_with_repeats(n: usize, seed: u64) -> (Vec<(usize, usize)>, usize) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let hot = n / 5;
-    let hot_share = 8.0 * hot as f64 / (8.0 * hot as f64 + (n - hot) as f64);
+    let (_, edges) = RandomGraphBuilder::new(n, n)
+        .density(3.0 / n as f64)
+        .scenario(GraphScenario::default_nonuniform())
+        .seed(seed)
+        .build_edge_stream();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut end = move || {
-        if rng.gen_bool(hot_share) {
-            rng.gen_range(0..hot)
-        } else {
-            rng.gen_range(hot..n)
+    let mut stream = Vec::with_capacity(edges.len() + edges.len() / 4);
+    let mut repeats = 0;
+    for edge in edges {
+        stream.push(edge);
+        if rng.gen_bool(0.125) {
+            stream.push(stream[rng.gen_range(0..stream.len())]);
+            repeats += 1;
         }
-    };
-    (0..draws).map(|_| (end(), end())).collect()
+    }
+    (stream, repeats)
 }
 
 /// The competitive tracker's optimum against the offline solve at
-/// `plan-sparse`'s shape: n = 8192 per side, mean degree 3, nonuniform.  At
-/// every 1 000th new edge and the last, the maintained size equals the
-/// solve's and the maintained Kőnig cover equals the batch one member for
-/// member.  Oracles 5 and 11 stream at most 48 vertices a side; these
-/// streams dissolve trees of up to about 60 objects and re-attach thousands
-/// of objects to other trees.
+/// `plan-sparse`'s shape: n = 8192 per side, mean degree 3, nonuniform, the
+/// builder's reveal stream with repeats.  At every 1 000th new edge and the
+/// last, the maintained size equals the solve's and the maintained Kőnig
+/// cover equals the batch one member for member, and every repeat is
+/// refused.  Oracles 5 and 11 stream at most 48 vertices a side.
 #[test]
 fn incremental_optimum_equals_the_offline_solve_at_plan_sparse_shape() {
     use mvc_graph::cover::minimum_vertex_cover_of;
@@ -180,10 +183,12 @@ fn incremental_optimum_equals_the_offline_solve_at_plan_sparse_shape() {
 
     const N: usize = 8192;
     for seed in [42, 7] {
-        let stream = nonuniform_stream(N, 3 * N, seed);
+        let (stream, repeats) = stream_with_repeats(N, seed);
         let mut optimum = IncrementalOptimum::new();
+        let mut refused = 0;
         for (i, &(t, o)) in stream.iter().enumerate() {
             let new = optimum.insert_edge(t, o);
+            refused += usize::from(!new);
             let revealed = optimum.graph().edge_count();
             if !(new && revealed.is_multiple_of(1_000) || i + 1 == stream.len()) {
                 continue;
@@ -200,5 +205,6 @@ fn incremental_optimum_equals_the_offline_solve_at_plan_sparse_shape() {
                 "cover diverged at seed {seed}, {revealed} edges"
             );
         }
+        assert_eq!(refused, repeats, "seed {seed}: every repeat is refused");
     }
 }
