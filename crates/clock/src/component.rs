@@ -48,10 +48,10 @@ impl From<Vertex> for Component {
 ///
 /// Thread and object ids are dense: each side is a `u32` table indexed by
 /// id, so a lookup is one bounds-checked load and an id past the end of its
-/// table simply has no component.  The tables grow to the largest id added,
-/// as the engine's per-thread and per-object rows already do.  Two maps are
-/// equal when they hold the same components in the same order, whatever
-/// their table lengths.
+/// table simply has no component.  The tables grow geometrically to cover
+/// the largest id added, as the engine's per-thread and per-object rows
+/// grow to theirs.  Two maps are equal when they hold the same components
+/// in the same order, whatever their table lengths.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ComponentMap {
     components: Vec<Component>,
@@ -99,6 +99,7 @@ impl ComponentMap {
     /// ```
     pub fn from_cover(cover: &VertexCover) -> Self {
         let mut map = Self::new();
+        map.components.reserve(cover.size());
         for v in cover.members() {
             map.push(Component::from(v));
         }
@@ -135,7 +136,8 @@ impl ComponentMap {
             .filter(|&entry| entry != NONE)
             .expect("clock width fits in u32");
         if id >= table.len() {
-            table.resize(id + 1, NONE);
+            // Geometric, so ascending ids grow a table `O(log n)` times.
+            table.resize((id + 1).max(2 * table.len()), NONE);
         }
         table[id] = entry;
         self.components.push(component);

@@ -264,17 +264,43 @@ impl BipartiteGraph {
     ///
     /// Panics if the edge count does not fit a `u32`.
     pub(crate) fn left_rows(&self) -> Rows {
-        Rows::group(&self.degree_left, self.log.iter().copied())
+        self.group::<false>().0
     }
 
-    /// The edges grouped by right vertex: row `r` lists the left neighbours
-    /// of `r` in insertion order.
+    /// The edges grouped by left and by right vertex, in one pass over the
+    /// log: row `l` of the first lists the right neighbours of `l`, row `r`
+    /// of the second the left neighbours of `r`, each in insertion order.
     ///
     /// # Panics
     ///
     /// Panics if the edge count does not fit a `u32`.
-    pub(crate) fn right_rows(&self) -> Rows {
-        Rows::group(&self.degree_right, self.log.iter().map(|&(l, r)| (r, l)))
+    pub(crate) fn rows(&self) -> (Rows, Rows) {
+        self.group::<true>()
+    }
+
+    /// A stable counting sort of the log by left vertex and, if `BY_RIGHT`,
+    /// by right vertex too (the second rows are empty otherwise).
+    ///
+    /// Each side's offsets start as the row ends, the degree arrays' prefix
+    /// sums, and the log is scattered back to front, each edge one slot
+    /// below its row's last: that keeps each row in insertion order and
+    /// leaves the offsets at the row starts, with no cursor array.
+    fn group<const BY_RIGHT: bool>(&self) -> (Rows, Rows) {
+        let edges = u32::try_from(self.log.len())
+            .unwrap_or_else(|_| panic!("{} edges do not fit u32 rows", self.log.len()));
+        let mut by_left = Rows::ends(&self.degree_left, edges);
+        let mut by_right = if BY_RIGHT {
+            Rows::ends(&self.degree_right, edges)
+        } else {
+            Rows::ends(&[], 0)
+        };
+        for &(l, r) in self.log.iter().rev() {
+            by_left.place_before_end(l, r);
+            if BY_RIGHT {
+                by_right.place_before_end(r, l);
+            }
+        }
+        (by_left, by_right)
     }
 
     /// Iterator over all edges as `(left, right)` pairs.
@@ -346,8 +372,7 @@ impl PartialEq for BipartiteGraph {
         // then compare the lists themselves.
         self.degree_left == other.degree_left
             && self.degree_right == other.degree_right
-            && self.left_rows() == other.left_rows()
-            && self.right_rows() == other.right_rows()
+            && self.rows() == other.rows()
     }
 }
 
@@ -443,34 +468,28 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
-    /// A stable counting sort of `edges` as `(v, w)` pairs by `v`, where
-    /// `degree[v]` of them have that `v`: row `v` lists their `w`s in the
-    /// order `edges` yields them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are `u32::MAX` or more edges.
-    fn group(degree: &[u32], edges: impl ExactSizeIterator<Item = (u32, u32)>) -> Self {
-        assert!(
-            u32::try_from(edges.len()).is_ok(),
-            "{} edges do not fit u32 rows",
-            edges.len()
-        );
+    /// Rows of `degree[v]` slots each, `edges` in all, with every offset
+    /// still at its row's end: [`place_before_end`](Self::place_before_end)
+    /// fills a row from the back and leaves its offset at the start.
+    fn ends(degree: &[u32], edges: u32) -> Self {
         let mut offsets = Vec::with_capacity(degree.len() + 1);
         let mut end = 0;
-        offsets.push(end);
-        for &d in degree {
+        offsets.extend(degree.iter().map(|&d| {
             end += d;
-            offsets.push(end);
+            end
+        }));
+        offsets.push(edges);
+        Self {
+            offsets,
+            targets: vec![0; edges as usize],
         }
-        let mut next = offsets[..degree.len()].to_vec();
-        let mut targets = vec![0; edges.len()];
-        for (v, w) in edges {
-            let slot = &mut next[v as usize];
-            targets[*slot as usize] = w;
-            *slot += 1;
-        }
-        Self { offsets, targets }
+    }
+
+    /// Puts `w` in the last unfilled slot of row `v`.
+    fn place_before_end(&mut self, v: u32, w: u32) {
+        let slot = &mut self.offsets[v as usize];
+        *slot -= 1;
+        self.targets[*slot as usize] = w;
     }
 
     /// The number of rows.

@@ -33,7 +33,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::bipartite::{BipartiteGraph, Vertex};
-use crate::matching::{Matching, MaximumMatching};
+use crate::matching::{Matching, MaximumMatching, NONE};
 
 /// A set of vertex indices of one side, one bit each.
 ///
@@ -44,18 +44,6 @@ struct BitSet {
 }
 
 impl BitSet {
-    /// The set of `i < n` for which `member(i)` holds.
-    fn from_fn(n: usize, member: impl Fn(usize) -> bool) -> Self {
-        let words = (0..n.div_ceil(64))
-            .map(|k| {
-                (k * 64..n.min(k * 64 + 64))
-                    .filter(|&i| member(i))
-                    .fold(0u64, |word, i| word | 1 << (i % 64))
-            })
-            .collect();
-        Self { words }
-    }
-
     fn contains(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
@@ -312,13 +300,27 @@ pub fn minimum_vertex_cover(graph: &BipartiteGraph, matching: &Matching) -> Vert
 /// [`hopcroft_karp_with_phases`](crate::matching::hopcroft_karp_with_phases).
 pub fn minimum_vertex_cover_of(graph: &BipartiteGraph) -> (Matching, VertexCover) {
     let found = MaximumMatching::find(graph);
-    // C* = (T − Z) ∪ (O ∩ Z).  A thread with no edge is free, so the BFS
-    // started from it: it is in `Z`, and out of the cover.
-    let left = BitSet::from_fn(graph.n_left(), |l| !found.reached(l));
-    let right = BitSet::from_fn(graph.n_right(), |r| {
-        found.partner_of_right(r).is_some_and(|l| found.reached(l))
-    });
-    (found.matching(), VertexCover { left, right })
+    // C* = (T − Z) ∪ (O ∩ Z).  A thread is in `Z` iff the BFS reached it; one
+    // with no edge is free, so the BFS started from it: it is in `Z`, and out
+    // of the cover.
+    let unreached = |dist: &[u32]| {
+        (0..)
+            .zip(dist)
+            .fold(0, |w, (i, &d)| w | u64::from(d == NONE) << i)
+    };
+    let left = BitSet {
+        words: found.dist.chunks(64).map(unreached).collect(),
+    };
+    // An object is in `Z` iff its partner is (3. above).
+    let mut right = BitSet {
+        words: vec![0; graph.n_right().div_ceil(64)],
+    };
+    for (&d, &r) in found.dist.iter().zip(&found.pair_left) {
+        if d != NONE && r != NONE {
+            right.words[r as usize / 64] |= 1 << (r % 64);
+        }
+    }
+    (found.into_matching(), VertexCover { left, right })
 }
 
 #[cfg(test)]

@@ -70,7 +70,10 @@
 
 use crate::bipartite::BipartiteGraph;
 use crate::cover::VertexCover;
-use crate::matching::{Matching, NIL};
+use crate::matching::Matching;
+
+/// "Unmatched" in the partner arrays.
+const NIL: usize = usize::MAX;
 
 /// No vertex or edge: the root of an object outside `Z`, or the end of a
 /// chain.  Vertex indices are below a side length, which [`BipartiteGraph`]
