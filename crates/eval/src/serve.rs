@@ -4,7 +4,7 @@
 //! `serve` binds a TCP listener, runs the [`mvc_net`] session server over a
 //! sequential engine + memory recorder until the expected number of client
 //! sessions has completed, and then executes the **networked-equals-batch
-//! oracle** right there in the process: the recorded merged interleaving is
+//! oracle** right there in the process: the recorded interleaving is
 //! replayed through a fresh sequential engine under the server's own final
 //! component map and compared bit for bit.  The JSON summary carries the
 //! verdict (`"batch_equal"`), which is what CI gates on.
@@ -15,8 +15,8 @@
 //!
 //! `time_one_net` is the throughput harness's loopback slot: one server +
 //! N producer clients over `127.0.0.1`, memory sink, stamp return switched
-//! off — the cost under measurement is framing + transport + ingress
-//! ticketing + merge + stamping, not the echo path.
+//! off — the cost under measurement is framing + transport + ingest +
+//! stamping, not the echo path.
 
 use std::any::Any;
 use std::net::TcpListener;
@@ -42,7 +42,7 @@ pub struct ServeSummary {
     pub clock_width: usize,
     /// Every session ran to a clean `Goodbye`.
     pub completed: bool,
-    /// The networked-equals-batch oracle: the merged interleaving replayed
+    /// The networked-equals-batch oracle: the recorded interleaving replayed
     /// sequentially produces the identical stamp stream.
     pub batch_equal: bool,
     /// Registry snapshot delta covering the serve run — the `metrics`
@@ -267,8 +267,8 @@ pub fn render_produce_json(summary: &ProduceSummary) -> String {
 ///
 /// Events are recorded into the clients' local logs untimed — mirroring
 /// [`time_one_ingest`](crate::throughput)'s untimed staging — then the
-/// clock covers connect-to-goodbye streaming: framing, transport, ingress
-/// ticketing, merge, stamping and sink delivery.
+/// clock covers connect-to-goodbye streaming: framing, transport, ingest,
+/// stamping and sink delivery.
 pub(crate) fn time_one_net(
     computation: &Computation,
     threads: usize,

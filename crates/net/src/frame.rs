@@ -501,11 +501,6 @@ impl<'a> StampsWriter<'a> {
         }
     }
 
-    /// One past the number of the open frame's last stamp.
-    pub(crate) fn end(&self) -> u64 {
-        self.first + self.count as u64
-    }
-
     /// Whether the open frame holds no stamp.
     pub(crate) fn is_empty(&self) -> bool {
         self.count == 0

@@ -2,7 +2,7 @@
 //! service.
 //!
 //! Producer processes stream length-delimited event frames to a server
-//! that runs the library's merge → engine → sink pipeline and streams the
+//! that runs the library's engine → sink pipeline and streams the
 //! stamped results back.  The crate has three layers:
 //!
 //! * [`frame`] — the versioned wire format: `Hello`/`HelloAck` session
@@ -20,11 +20,11 @@
 //!
 //! ## Why the result is exactly the batch result
 //!
-//! The server draws each event's per-object serialization ticket at
-//! ingress, in arrival order, under one lock — so the ticket sequence of
-//! every object is dense and published in order, and the order-preserving
-//! merge reassembles one faithful interleaving no matter how many
-//! connections fed it.  Mixed-vector-clock stamps depend only on each
+//! The server stamps events in the order their `Events` frames arrive.
+//! One lock serialises the frames and each client sends its events in
+//! program order, so arrival order is one faithful interleaving — a linear
+//! extension of every thread's and every object's chain — no matter how
+//! many connections fed it.  Mixed-vector-clock stamps depend only on each
 //! event's causal history (its thread and object predecessors), so the
 //! stamps of that interleaving equal those of a sequential batch replay —
 //! bit for bit, including across a client disconnect, because replayed

@@ -1,5 +1,5 @@
 //! The timestamping server: N client sessions multiplexed into one
-//! merge → engine → sink pipeline.
+//! engine → sink pipeline.
 //!
 //! The core, [`NetServer`], is written *sans I/O*: it consumes raw bytes
 //! via [`feed`](NetServer::feed), advances the pipeline via
@@ -16,25 +16,28 @@
 //! server keeps the session's ingest watermark, unacknowledged stamp
 //! frames, and registrations, and a client that reconnects with its token
 //! resumes by replaying its log from the `HelloAck` watermark.  Because
-//! per-object serialization tickets are assigned once at first ingest and
-//! replayed events are dropped below the watermark, the merged
-//! interleaving — and therefore every stamp — is bit-for-bit identical to
-//! an uninterrupted run.
+//! events are stamped in the order they were first ingested and replayed
+//! events below the watermark are never ingested again, the interleaving —
+//! and therefore every stamp — is bit-for-bit identical to an
+//! uninterrupted run.
 //!
 //! ## Stamp return
 //!
+//! The server hands each `Events` frame to the pipeline whole, in arrival
+//! order: the server lock serialises the frames and each client sends its
+//! events in program order, so arrival order is a linear extension of both
+//! chain families and the stamps come back in each session's send order.
 //! The sink the server wraps around the user's frames each window's
 //! returned stamps before it hands the window on: it reads them where they
-//! lie in the window's stamp column, in their session's send order, and
-//! encodes them into the session's open `Stamps` frame.  A frame stays open
-//! across windows and closes at [`ServerConfig::stamps_per_frame`] stamps,
-//! at the protocol's byte and word limits, or at the end of a
-//! [`pump`](NetServer::pump).  Nothing is cloned per stamp: at a window's
-//! end the route clones only the stamps that arrived out of send order and
-//! still wait, and each lane's latest stamp in the open frame, which a
-//! later stamp of the frame may be based on.  A window the user's sink
-//! refuses is routed once; its re-offer is not routed again, and only a
-//! pump that succeeds copies frames into an outbox.
+//! lie in the window's stamp column and encodes them into their session's
+//! open `Stamps` frame.  A frame stays open across windows and closes at
+//! [`ServerConfig::stamps_per_frame`] stamps, at the protocol's byte and
+//! word limits, or at the end of a [`pump`](NetServer::pump).  Nothing is
+//! cloned per stamp: at a window's end the route clones only each lane's
+//! latest stamp in the open frame, which a later stamp of the frame may be
+//! based on.  A window the user's sink refuses is routed once; its re-offer
+//! is not routed again, and only a pump that succeeds copies frames into an
+//! outbox.
 //!
 //! A session's retransmit log holds the encoded frames, not stamps: the
 //! outbox gets copies, `StampsAck` drops whole frames, and a resume
@@ -56,7 +59,7 @@ use std::time::Duration;
 
 use mvc_clock::{Component, VectorTimestamp};
 use mvc_core::{EventSink, SinkError, TimestampReport, Timestamper, TimestampingEngine};
-use mvc_runtime::{LiveSession, ThreadHandle, TraceSession};
+use mvc_runtime::{LiveSession, TraceSession};
 use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
 
@@ -125,16 +128,15 @@ pub struct ConnId(usize);
 
 /// The sink the server wraps around the user's sink.  It frames the stamps
 /// of threads whose session asked for them straight from each window's
-/// stamp column, in their session's send order, then forwards the window
-/// unchanged.
+/// stamp column, then forwards the window unchanged.
 ///
-/// Per returned stamp it resolves the column index to its session, lane and
-/// send-order number.  A stamp that is next in its session's send order is
-/// encoded into the session's open `Stamps` frame where it lies; one that
-/// is not waits in the session's reorder window.  At the window's end,
-/// before the inner sink may take the column, the route clones what it
-/// still refers to: the stamps left waiting, and each lane's latest stamp
-/// in the open frame (a later stamp of the frame may be based on it).
+/// Events are stamped in arrival order, so a session's stamps arrive in its
+/// send order: per returned stamp the sink resolves the column index to its
+/// session and lane and encodes the stamp into the session's open `Stamps`
+/// frame where it lies.  At the window's end, before the inner sink may
+/// take the column, the route clones what it still refers to: each lane's
+/// latest stamp in the open frame (a later stamp of the frame may be based
+/// on it).
 ///
 /// Routing comes first; the window is the inner sink's only afterwards.  If
 /// the inner sink refuses, the pipeline re-offers the identical window
@@ -165,49 +167,19 @@ struct RouterSink {
     retransmit_bytes: mvc_obs::Gauge,
 }
 
-/// One session's stamp return: merge order in, framed send order out.
-/// Between windows it is a `StampRoute<'static>`; during one, its stamps
-/// may borrow from the window's column (`'a`).
+/// One session's stamp return, in send order.  Between windows it is a
+/// `StampRoute<'static>`; during one, its open frame may borrow from the
+/// window's column (`'a`).
 #[derive(Debug)]
 struct StampRoute<'a> {
-    /// Per lane: session-order indices of its events still awaiting
-    /// stamps.  Maps merge-order stamps (which arrive per thread in ingest
-    /// order) back to the client's send order.
-    pending_seq: Vec<VecDeque<u64>>,
-    /// Reorder window: stamps from `writer.end()` on that are not yet
-    /// contiguous, each with its lane.
-    slots: VecDeque<Option<(u32, Cow<'a, VectorTimestamp>)>>,
-    /// The open frame: the contiguous stamps from `log.end` on.
+    /// Events ingested whose stamps are not yet framed.
+    owed: u64,
+    /// The open frame: the stamps from `log.end` on.
     writer: StampsWriter<'a>,
     log: FrameLog,
 }
 
 impl<'a> StampRoute<'a> {
-    /// Files the stamp of session event `seq`, and frames it and every
-    /// stamp it makes contiguous.
-    fn place(
-        &mut self,
-        seq: u64,
-        lane: u32,
-        stamp: Cow<'a, VectorTimestamp>,
-        wire_bytes: &mvc_obs::Histogram,
-    ) {
-        let idx = (seq - self.writer.end()) as usize;
-        if idx > 0 {
-            if self.slots.len() <= idx {
-                self.slots.resize(idx + 1, None);
-            }
-            self.slots[idx] = Some((lane, stamp));
-            return;
-        }
-        self.slots.pop_front();
-        self.write(lane, stamp, wire_bytes);
-        while let Some((lane, stamp)) = self.slots.front_mut().and_then(Option::take) {
-            self.slots.pop_front();
-            self.write(lane, stamp, wire_bytes);
-        }
-    }
-
     /// Writes the next stamp in send order into the open frame, closing
     /// frames into the log as they fill.
     fn write(
@@ -236,12 +208,8 @@ impl<'a> StampRoute<'a> {
     /// The route as it outlives its window: what it still borrows from the
     /// column, cloned.
     fn keep(self) -> StampRoute<'static> {
-        let slots = Vec::from(self.slots)
-            .into_iter()
-            .map(|slot| slot.map(|(lane, stamp)| (lane, Cow::Owned(stamp.into_owned()))));
         StampRoute {
-            pending_seq: self.pending_seq,
-            slots: slots.collect::<Vec<_>>().into(),
+            owed: self.owed,
             writer: self.writer.keep(),
             log: self.log,
         }
@@ -250,8 +218,6 @@ impl<'a> StampRoute<'a> {
     /// Frees everything a completed session held.
     fn close(&mut self) {
         self.log.drop_below(self.log.end);
-        self.pending_seq = Vec::new();
-        self.slots = VecDeque::new();
         // Nothing is written to a completed session.
         self.writer = StampsWriter::new(self.log.end, 1);
     }
@@ -366,16 +332,14 @@ impl RouterSink {
             self.owner[global] = Some((sid, lane as u32));
         }
         self.routes.push(StampRoute {
-            pending_seq: vec![VecDeque::new(); lanes],
-            slots: VecDeque::new(),
+            owed: 0,
             writer: StampsWriter::new(0, self.stamps_per_frame),
             log: FrameLog::new(self.retransmit_bytes.clone()),
         });
     }
 
-    /// Frames the window's returned stamps in their sessions' send order,
-    /// reading them from `column`, and clones what the routes still refer
-    /// to once the window is done.
+    /// Frames the window's returned stamps, reading them from `column`, and
+    /// clones what the routes still refer to once the window is done.
     fn route_window(
         &mut self,
         events: &[(ThreadId, ObjectId, OpKind)],
@@ -387,19 +351,20 @@ impl RouterSink {
                 continue;
             };
             let route = &mut routes[sid];
-            let Some(seq) = route.pending_seq[lane as usize].pop_front() else {
+            if route.owed == 0 {
                 self.fault.get_or_insert_with(|| {
                     format!("stamp without a pending event on session {sid}")
                 });
                 continue;
-            };
-            route.place(seq, lane, Cow::Borrowed(stamp), &self.stamp_wire_bytes);
+            }
+            route.owed -= 1;
+            route.write(lane, Cow::Borrowed(stamp), &self.stamp_wire_bytes);
         }
         self.routes = routes.into_iter().map(StampRoute::keep).collect();
     }
 
-    /// Frames every session's remaining contiguous stamps, a partial frame
-    /// included: the end of a pump.
+    /// Frames every session's remaining stamps, a partial frame included:
+    /// the end of a pump.
     fn frame_ready(&mut self) {
         for route in &mut self.routes {
             if !route.writer.is_empty() {
@@ -451,7 +416,7 @@ impl EventSink for RouterSink {
 #[derive(Debug)]
 struct Session {
     token: u64,
-    threads: Vec<ThreadHandle>,
+    threads: Vec<ThreadId>,
     objects: Vec<ObjectId>,
     want_stamps: bool,
     /// Events ingested (the reconnect watermark and `Credit.acked` value).
@@ -542,8 +507,6 @@ pub struct NetServer<E: ServeEngine> {
     conns: Vec<Conn>,
     tokens: HashMap<u64, usize>,
     object_ids: HashMap<String, ObjectId>,
-    /// Next serialization ticket per global object index.
-    next_ticket: Vec<u64>,
     next_token: u64,
     metrics: ServerMetrics,
 }
@@ -559,7 +522,6 @@ impl<E: ServeEngine> NetServer<E> {
             conns: Vec::new(),
             tokens: HashMap::new(),
             object_ids: HashMap::new(),
-            next_ticket: Vec::new(),
             next_token: 1,
             metrics: ServerMetrics::default(),
         }
@@ -713,11 +675,7 @@ impl<E: ServeEngine> NetServer<E> {
             token: session.token,
             watermark: session.ingested,
             credit: session.credit,
-            thread_ids: session
-                .threads
-                .iter()
-                .map(|h| h.id().index() as u64)
-                .collect(),
+            thread_ids: session.threads.iter().map(|t| t.index() as u64).collect(),
             object_ids: session.objects.iter().map(|o| o.index() as u64).collect(),
         };
         write_frame(&mut self.conns[conn.0].outbox, &ack);
@@ -730,11 +688,11 @@ impl<E: ServeEngine> NetServer<E> {
         let token = self.next_token;
         self.next_token += 1;
         self.tokens.insert(token, sid);
-        let handles: Vec<ThreadHandle> = threads
+        let thread_ids: Vec<ThreadId> = threads
             .iter()
-            .map(|name| self.live.register_thread(&format!("s{token}/{name}")))
+            .map(|name| self.live.register_thread(&format!("s{token}/{name}")).id())
             .collect();
-        let globals: Vec<usize> = handles.iter().map(|h| h.id().index()).collect();
+        let globals: Vec<usize> = thread_ids.iter().map(|t| t.index()).collect();
         self.live.sink_mut().open_route(&globals, want_stamps);
         let mut object_ids = Vec::with_capacity(objects.len());
         for name in objects {
@@ -742,10 +700,6 @@ impl<E: ServeEngine> NetServer<E> {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
                     let id = self.live.register_object(name);
-                    // Objects get dense ids in registration order, so the
-                    // ticket table grows in lock-step.
-                    debug_assert_eq!(id.index(), self.next_ticket.len());
-                    self.next_ticket.push(0);
                     self.live.timestamper_mut().cover_object(id);
                     *e.insert(id)
                 }
@@ -754,7 +708,7 @@ impl<E: ServeEngine> NetServer<E> {
         }
         self.sessions.push(Session {
             token,
-            threads: handles,
+            threads: thread_ids,
             objects: object_ids,
             want_stamps,
             ingested: 0,
@@ -833,7 +787,6 @@ impl<E: ServeEngine> NetServer<E> {
         if session.goodbye_at.is_some() {
             return Err("events after Goodbye".to_owned());
         }
-        let pending = &mut self.live.sink_mut().routes[sid].pending_seq;
         let n = events.len() as u64;
         if n > session.credit {
             return Err(format!(
@@ -841,8 +794,8 @@ impl<E: ServeEngine> NetServer<E> {
                 session.credit
             ));
         }
-        // All or nothing: every id is checked before the first ticket is
-        // drawn, so a refused frame leaves no event behind.
+        // All or nothing: every id is checked before the first event is
+        // recorded, so a refused frame leaves no event behind.
         for &(local_thread, local_object, _) in events {
             if local_thread as usize >= session.threads.len() {
                 return Err(format!("unknown local thread {local_thread}"));
@@ -851,21 +804,17 @@ impl<E: ServeEngine> NetServer<E> {
                 return Err(format!("unknown local object {local_object}"));
             }
         }
-        for &(local_thread, local_object, kind) in events {
-            let handle = &session.threads[local_thread as usize];
-            let object = session.objects[local_object as usize];
-            // Serialization ticket drawn at ingress, in arrival order —
-            // the transport preserves each client's send order and the
-            // server mutex serialises clients, so tickets are dense and
-            // published in order (the merge can never stall).
-            let ticket = self.next_ticket[object.index()];
-            self.next_ticket[object.index()] += 1;
-            handle.record_sequenced(object, kind, ticket);
-            if session.want_stamps {
-                pending[local_thread as usize].push_back(session.ingested);
-            }
-            session.ingested += 1;
+        // Arrival order is the serialization: the transport keeps each
+        // client's send order and the server lock serialises frames.
+        let (threads, objects) = (&session.threads, &session.objects);
+        self.live
+            .record_serialized(events.iter().map(|&(thread, object, kind)| {
+                (threads[thread as usize], objects[object as usize], kind)
+            }));
+        if session.want_stamps {
+            self.live.sink_mut().routes[sid].owed += n;
         }
+        session.ingested += n;
         session.credit -= n;
         self.metrics.events_ingested.add(n);
         Ok(())
@@ -1210,6 +1159,73 @@ fn handle_conn<E: ServeEngine>(shared: &Shared<E>, mut transport: crate::TcpTran
                 }
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+    use super::*;
+    use mvc_core::MemoryRecorder;
+
+    fn write(thread: usize) -> (ThreadId, ObjectId, OpKind) {
+        (ThreadId(thread), ObjectId(0), OpKind::Write)
+    }
+
+    #[test]
+    fn a_stamp_for_a_session_that_owes_none_is_a_fault_not_a_frame() {
+        let mut router = RouterSink::new(Box::new(MemoryRecorder::new()), 4);
+        router.open_route(&[0], true);
+        let mut stamps = vec![VectorTimestamp::from(vec![1])];
+        router
+            .accept_columns(&[write(0)], &mut stamps)
+            .expect("the inner sink takes the window");
+        let fault = router.fault.take().expect("the stray stamp is a fault");
+        assert!(fault.contains("session 0"), "got: {fault}");
+        let route = &router.routes[0];
+        assert!(
+            route.writer.is_empty() && route.log.end == 0,
+            "nothing framed"
+        );
+        // Owed stamps route cleanly.
+        router.routes[0].owed = 1;
+        let mut stamps = vec![VectorTimestamp::from(vec![2])];
+        router.accept_columns(&[write(0)], &mut stamps).unwrap();
+        assert!(router.fault.is_none());
+        assert_eq!(router.routes[0].owed, 0);
+    }
+
+    #[test]
+    fn pump_reports_a_stray_stamp_as_a_pipeline_error() {
+        let mut server = NetServer::new(
+            TimestampingEngine::new(),
+            Box::new(MemoryRecorder::new()),
+            ServerConfig::default(),
+        );
+        let conn = server.connect();
+        let mut hello = Vec::new();
+        write_stream_header(&mut hello);
+        write_frame(
+            &mut hello,
+            &Frame::Hello {
+                token: 0,
+                want_stamps: true,
+                stamps_received: 0,
+                threads: vec!["t".into()],
+                objects: vec!["x".into()],
+            },
+        );
+        server.feed(conn, &hello).unwrap();
+        assert!(server.is_open(conn));
+        // An event that bypassed `handle_events`: its session owes no stamp.
+        server.live.record_serialized([write(0)]);
+        match server.pump() {
+            Err(NetError::Pipeline(msg)) => {
+                assert!(msg.contains("stamp without a pending event"), "got: {msg}");
+            }
+            other => panic!("expected a pipeline error, got {other:?}"),
         }
     }
 }

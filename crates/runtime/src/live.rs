@@ -40,7 +40,7 @@ use std::sync::Arc;
 use mvc_clock::VectorTimestamp;
 use mvc_core::sink::{EventSink, MemoryRecorder};
 use mvc_core::{TimestampReport, Timestamper};
-use mvc_trace::Computation;
+use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
 
 use crate::pipeline::{PipelineError, PipelineState};
 use crate::session::{SessionInner, ThreadHandle, TraceSession};
@@ -116,10 +116,28 @@ impl<T: Timestamper, S: EventSink> LiveSession<T, S> {
     }
 
     /// Registers an object *by name only* and returns its dense id, for
-    /// ingest paths that draw per-object tickets themselves (see
-    /// [`ThreadHandle::record_sequenced`]).
-    pub fn register_object(&self, name: &str) -> mvc_trace::ObjectId {
+    /// callers that serialise object access themselves (see
+    /// [`record_serialized`](Self::record_serialized)).
+    pub fn register_object(&self, name: &str) -> ObjectId {
         self.inner.register_object(name)
+    }
+
+    /// Appends events the caller has already serialised to the unstamped
+    /// backlog; the next [`pump`](Self::pump) stamps them in this order,
+    /// with no merge.
+    ///
+    /// The caller's order must be a linear extension of both chain
+    /// families: each thread's events in program order, each object's in
+    /// its serialization order.  A mixed-clock stamp depends only on the
+    /// event's causal past, so every such order gives the same stamps.  A
+    /// session uses one ingest scheme: events recorded here and events
+    /// published through [`ThreadHandle`]s or [`SharedObject`]s have no
+    /// order between them.
+    pub fn record_serialized(
+        &mut self,
+        events: impl IntoIterator<Item = (ThreadId, ObjectId, OpKind)>,
+    ) {
+        self.state.record(events);
     }
 
     /// Drains every event currently published to the ingest buffers through
@@ -328,6 +346,46 @@ mod tests {
             .map(|e| engine.observe(e.thread, e.object).unwrap())
             .collect();
         assert_eq!(streamed, plan.assigner().assign(&run.computation));
+    }
+
+    #[test]
+    fn serialized_events_are_stamped_in_their_order_behind_a_held_back_suffix() {
+        let session = TraceSession::new();
+        let mut live = session.live(TimestampingEngine::new());
+        let (a, b) = (
+            live.register_thread("a").id(),
+            live.register_thread("b").id(),
+        );
+        let (x, y) = (live.register_object("x"), live.register_object("y"));
+        live.timestamper_mut()
+            .add_component(mvc_clock::Component::Object(x));
+        live.record_serialized([(b, x, OpKind::Write), (a, y, OpKind::Read)]);
+        assert!(live.pump().is_err(), "y is not covered yet");
+        live.record_serialized([(a, x, OpKind::Write)]);
+        live.timestamper_mut()
+            .add_component(mvc_clock::Component::Object(y));
+        assert_eq!(
+            live.pump().unwrap(),
+            2,
+            "the held-back event, then the new one"
+        );
+        let run = live.finish().unwrap();
+        let order: Vec<_> = run
+            .computation
+            .events()
+            .map(|e| (e.thread, e.object, e.kind))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (b, x, OpKind::Write),
+                (a, y, OpKind::Read),
+                (a, x, OpKind::Write)
+            ]
+        );
+        let mut replay = BatchReplay::new(run.report.components.clone());
+        let batch = mvc_core::replay(&mut replay, &run.computation).unwrap();
+        assert_eq!(run.timestamps, batch.timestamps);
     }
 
     #[test]

@@ -135,10 +135,11 @@ pub(crate) struct PipelineState {
     /// Process-global metric handles (resolved once, recorded per window).
     metrics: PipelineMetrics,
     merge: OrderedMerge,
-    /// Merged interleaving not yet stamped (the failing event and its
-    /// suffix after a [`TimestampError`]).  `cursor` marks the consumed
-    /// prefix within a pump; it is compacted away before every return so
-    /// the backlog between pumps is exactly the unstamped events.
+    /// Interleaving not yet stamped, merged or recorded already serialised
+    /// (the failing event and its suffix after a [`TimestampError`]).
+    /// `cursor` marks the consumed prefix within a pump; it is compacted
+    /// away before every return so the backlog between pumps is exactly
+    /// the unstamped events.
     pending: Vec<RawEvent>,
     cursor: usize,
     /// Stamped batch a sink refused (events + parallel stamps), re-offered
@@ -162,6 +163,12 @@ const STAMP_WINDOW: usize = 4096;
 impl PipelineState {
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends events the caller serialised itself to the unstamped backlog,
+    /// behind whatever a failed pump left there.
+    pub(crate) fn record(&mut self, events: impl IntoIterator<Item = RawEvent>) {
+        self.pending.extend(events);
     }
 
     /// Pulls every currently available event through merge → stamp → sink,

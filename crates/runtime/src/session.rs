@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
 
-use crate::ingest::{IngestShared, OrderedMerge, SequencedEvent, ThreadBuffer, DRAIN_BUDGET};
+use crate::ingest::{IngestShared, OrderedMerge, ThreadBuffer, DRAIN_BUDGET};
 use crate::object::SharedObject;
 
 /// One recorded operation, as emitted by the order-preserving merge — the
@@ -51,32 +51,6 @@ impl ThreadHandle {
     /// The name given at registration.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Publishes one operation with a **caller-assigned** per-object
-    /// serialization ticket.
-    ///
-    /// This is the ingest hook for transports that serialize object access
-    /// themselves instead of going through a [`SharedObject`]'s lock — the
-    /// `mvc-net` server, for instance, assigns each object's tickets in
-    /// connection-arrival order.  The caller owns the two order contracts
-    /// the merge relies on:
-    ///
-    /// * per object, tickets `0, 1, 2, …` are each assigned exactly once,
-    ///   and an event is published only after every event holding a smaller
-    ///   ticket of the same object has been published;
-    /// * per handle, calls happen in the thread's program order.
-    ///
-    /// Mixing this with [`SharedObject`] operations *on the same object*
-    /// would run two independent ticket counters and stall the merge; use
-    /// one scheme per object.
-    pub fn record_sequenced(&self, object: ObjectId, kind: OpKind, object_seq: u64) {
-        self.buffer.push(SequencedEvent {
-            thread: self.id,
-            object,
-            kind,
-            object_seq,
-        });
     }
 }
 
@@ -173,16 +147,6 @@ impl TraceSession {
         SharedObject::new(id, name, value)
     }
 
-    /// Registers an object *by name only* and returns its dense id, without
-    /// creating a [`SharedObject`] around it.
-    ///
-    /// Pairs with [`ThreadHandle::record_sequenced`]: a transport that
-    /// serializes object access itself registers the id space here and
-    /// assigns the per-object tickets on its own.
-    pub fn register_object(&self, name: &str) -> ObjectId {
-        self.inner.register_object(name)
-    }
-
     /// Number of threads registered so far.
     pub fn thread_count(&self) -> usize {
         self.inner.thread_count()
@@ -261,28 +225,6 @@ mod tests {
         let mut ids: Vec<usize> = handles.iter().map(|h| h.id().index()).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..8).collect::<Vec<_>>(), "ids are dense");
-    }
-
-    #[test]
-    fn record_sequenced_feeds_the_merge_with_caller_assigned_tickets() {
-        // Two threads publish on one object with tickets assigned by the
-        // caller (the transport's role): the merge must reassemble the
-        // ticket order, not the buffer-scan order.
-        let session = TraceSession::new();
-        let a = session.register_thread("a");
-        let b = session.register_thread("b");
-        let o = session.register_object("remote-obj");
-        assert_eq!(o, ObjectId(0));
-        assert_eq!(session.object_count(), 1);
-        a.record_sequenced(o, OpKind::Write, 1);
-        b.record_sequenced(o, OpKind::Write, 0);
-        a.record_sequenced(o, OpKind::Read, 2);
-        let c = session.into_computation();
-        assert_eq!(c.len(), 3);
-        let events: Vec<_> = c.events().collect();
-        assert_eq!(events[0].thread, ThreadId(1), "ticket 0 first");
-        assert_eq!(events[1].thread, ThreadId(0));
-        assert_eq!(events[2].kind, OpKind::Read);
     }
 
     #[test]

@@ -972,3 +972,147 @@ fn stamps_wait_for_a_refusing_sink_and_then_match_an_uninterrupted_run() {
         );
     }
 }
+
+/// A server-side transport half that decodes every frame the server reads
+/// through it, so a test knows the order in which `feed` received events.
+struct Tap {
+    inner: InProcTransport,
+    reader: FrameReader,
+}
+
+impl Transport for Tap {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+        self.inner.send(bytes)
+    }
+
+    fn recv(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Option<Duration>,
+    ) -> Result<mvc_net::Recv, TransportError> {
+        let got = self.inner.recv(buf, timeout);
+        if let Ok(mvc_net::Recv::Bytes(n)) = got {
+            self.reader.feed(&buf[..n]);
+        }
+        got
+    }
+}
+
+#[test]
+fn the_served_interleaving_is_the_arrival_order() {
+    let mut server = new_server(ServerConfig::default());
+    // Both clients touch both objects, named in opposite local order.
+    let configs = [
+        ClientConfig::new(
+            vec!["a0".into(), "a1".into()],
+            vec!["x".into(), "y".into()],
+            true,
+        ),
+        ClientConfig::new(
+            vec!["b0".into(), "b1".into()],
+            vec!["y".into(), "x".into()],
+            true,
+        ),
+    ];
+    let mut clients = Vec::new();
+    let mut taps = Vec::new();
+    for mut config in configs {
+        // Small frames, so each client's events arrive in several pieces.
+        config.events_per_frame = 3;
+        let (near, far) = InProcTransport::pair();
+        taps.push((
+            server.connect(),
+            Tap {
+                inner: far,
+                reader: FrameReader::new(),
+            },
+        ));
+        clients.push(ProducerClient::connect(near, config).expect("connect"));
+    }
+    // Every `Events` frame the server was fed, as (client, local event).
+    let mut arrivals: Vec<(usize, (u32, u32, OpKind))> = Vec::new();
+    let mut serve = |server: &mut Server, c: usize, (conn, tap): &mut (ConnId, Tap)| {
+        server.service(*conn, tap).expect("service");
+        while let Some(frame) = tap.reader.try_next().expect("a well-formed client") {
+            if let Frame::Events { events } = frame {
+                arrivals.extend(events.into_iter().map(|e| (c, e)));
+            }
+        }
+    };
+    let mut script = 0..;
+    for round in 0..12 {
+        for (c, client) in clients.iter_mut().enumerate() {
+            for i in script.by_ref().take(4 + round % 3) {
+                client.record(
+                    i % 2,
+                    (i / 2 + c) % 2,
+                    [OpKind::Read, OpKind::Write][i % 3 % 2],
+                );
+            }
+            client.step(ZERO).expect("client step");
+            serve(&mut server, c, &mut taps[c]);
+        }
+    }
+    for client in &mut clients {
+        client.request_finish();
+    }
+    for _ in 0..100 {
+        if clients.iter().all(|c| c.is_finished()) {
+            break;
+        }
+        for (c, client) in clients.iter_mut().enumerate() {
+            if !client.is_finished() {
+                client.step(ZERO).expect("client step");
+            }
+            serve(&mut server, c, &mut taps[c]);
+        }
+    }
+    let runs: Vec<mvc_net::ClientRun> = clients
+        .into_iter()
+        .map(|c| c.into_run().expect("finished"))
+        .collect();
+    let server_run = server.finish().expect("finish");
+
+    // The frames interleave: the arrival order switches client many times.
+    let switches = arrivals.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    assert!(switches >= 20, "only {switches} switches between clients");
+    let arrived: Vec<(ThreadId, ObjectId, OpKind)> = arrivals
+        .iter()
+        .map(|&(c, (t, o, kind))| {
+            (
+                ThreadId(runs[c].thread_ids[t as usize] as usize),
+                ObjectId(runs[c].object_ids[o as usize] as usize),
+                kind,
+            )
+        })
+        .collect();
+    let recorder = server_run
+        .sink
+        .as_any()
+        .downcast_ref::<MemoryRecorder>()
+        .expect("mem sink");
+    let served: Vec<(ThreadId, ObjectId, OpKind)> = recorder
+        .computation()
+        .events()
+        .map(|e| (e.thread, e.object, e.kind))
+        .collect();
+    assert_eq!(served, arrived, "the server stamped in arrival order");
+
+    let mut engine = TimestampingEngine::with_components(server_run.report.components.clone());
+    let replayed = mvc_core::replay(&mut engine, recorder.computation())
+        .unwrap()
+        .timestamps;
+    assert_eq!(recorder.timestamps(), replayed);
+    // Each client's stamps are the batch replay's stamps of its events, in
+    // its send order.
+    for (c, run) in runs.iter().enumerate() {
+        let batch: Vec<VectorTimestamp> = arrivals
+            .iter()
+            .zip(&replayed)
+            .filter(|((from, _), _)| *from == c)
+            .map(|(_, stamp)| stamp.clone())
+            .collect();
+        assert_eq!(run.stamps.len(), run.events as usize);
+        assert_eq!(run.stamps, batch, "client {c}");
+    }
+}
