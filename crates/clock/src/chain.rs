@@ -21,15 +21,6 @@
 use mvc_trace::Computation;
 
 use crate::compare::VectorTimestamp;
-use crate::TimestampAssigner;
-
-/// Assigns chain-clock timestamps using greedy online chain decomposition.
-///
-/// Unlike the fixed-width assigners, the number of components is only known
-/// after a computation has been processed; [`ChainClockAssigner::decompose`]
-/// exposes both the timestamps and the chain assignment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainClockAssigner;
 
 /// Result of running the chain clock over a computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,73 +34,55 @@ pub struct ChainDecomposition {
     pub chains: usize,
 }
 
-impl ChainClockAssigner {
-    /// Creates the assigner.
-    pub fn new() -> Self {
-        Self
-    }
+/// Runs the greedy chain decomposition and timestamping.
+///
+/// The number of components is only known once the whole computation has
+/// been processed, so the stamps are padded to the final chain count.
+pub fn decompose(computation: &Computation) -> ChainDecomposition {
+    // Working timestamps grow in width as new chains appear; they are
+    // padded to the final width at the end.
+    let mut thread_clock: Vec<Vec<u64>> = vec![Vec::new(); computation.thread_index_bound()];
+    let mut object_clock: Vec<Vec<u64>> = vec![Vec::new(); computation.object_index_bound()];
+    // Last timestamp appended to each chain.
+    let mut chain_last: Vec<Vec<u64>> = Vec::new();
+    let mut raw_stamps: Vec<Vec<u64>> = Vec::with_capacity(computation.len());
+    let mut chain_of_event = Vec::with_capacity(computation.len());
 
-    /// Runs the greedy chain decomposition and timestamping.
-    pub fn decompose(&self, computation: &Computation) -> ChainDecomposition {
-        // Working timestamps grow in width as new chains appear; they are
-        // padded to the final width at the end.
-        let mut thread_clock: Vec<Vec<u64>> = vec![Vec::new(); computation.thread_index_bound()];
-        let mut object_clock: Vec<Vec<u64>> = vec![Vec::new(); computation.object_index_bound()];
-        // Last timestamp appended to each chain.
-        let mut chain_last: Vec<Vec<u64>> = Vec::new();
-        let mut raw_stamps: Vec<Vec<u64>> = Vec::with_capacity(computation.len());
-        let mut chain_of_event = Vec::with_capacity(computation.len());
+    for e in computation.events() {
+        let t = e.thread.index();
+        let o = e.object.index();
+        let mut v = merge(&thread_clock[t], &object_clock[o]);
 
-        for e in computation.events() {
-            let t = e.thread.index();
-            let o = e.object.index();
-            let mut v = merge(&thread_clock[t], &object_clock[o]);
+        // Find a chain whose last event happened before this event: since
+        // the last event's timestamp has already been incorporated into v
+        // only if it is causally below, "last <= v" is the test.
+        let chain = (0..chain_last.len())
+            .find(|&c| dominated(&chain_last[c], &v))
+            .unwrap_or_else(|| {
+                chain_last.push(Vec::new());
+                chain_last.len() - 1
+            });
 
-            // Find a chain whose last event happened before this event: since
-            // the last event's timestamp has already been incorporated into v
-            // only if it is causally below, "last <= v" is the test.
-            let chain = (0..chain_last.len())
-                .find(|&c| dominated(&chain_last[c], &v))
-                .unwrap_or_else(|| {
-                    chain_last.push(Vec::new());
-                    chain_last.len() - 1
-                });
-
-            if v.len() <= chain {
-                v.resize(chain + 1, 0);
-            }
-            v[chain] += 1;
-            chain_last[chain] = v.clone();
-            thread_clock[t] = v.clone();
-            object_clock[o] = v.clone();
-            chain_of_event.push(chain);
-            raw_stamps.push(v);
+        if v.len() <= chain {
+            v.resize(chain + 1, 0);
         }
-
-        let width = chain_last.len();
-        let timestamps = raw_stamps
-            .into_iter()
-            .map(|v| VectorTimestamp::from_components(v).padded_to(width))
-            .collect();
-        ChainDecomposition {
-            timestamps,
-            chain_of_event,
-            chains: width,
-        }
-    }
-}
-
-impl TimestampAssigner for ChainClockAssigner {
-    fn name(&self) -> &'static str {
-        "chain-clock"
+        v[chain] += 1;
+        chain_last[chain] = v.clone();
+        thread_clock[t] = v.clone();
+        object_clock[o] = v.clone();
+        chain_of_event.push(chain);
+        raw_stamps.push(v);
     }
 
-    fn clock_size(&self, computation: &Computation) -> usize {
-        self.decompose(computation).chains
-    }
-
-    fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
-        self.decompose(computation).timestamps
+    let width = chain_last.len();
+    let timestamps = raw_stamps
+        .into_iter()
+        .map(|v| VectorTimestamp::from_components(v).padded_to(width))
+        .collect();
+    ChainDecomposition {
+        timestamps,
+        chain_of_event,
+        chains: width,
     }
 }
 
@@ -143,7 +116,7 @@ mod tests {
 
     #[test]
     fn empty_computation() {
-        let d = ChainClockAssigner::new().decompose(&Computation::new());
+        let d = decompose(&Computation::new());
         assert_eq!(d.chains, 0);
         assert!(d.timestamps.is_empty());
         assert!(d.chain_of_event.is_empty());
@@ -155,7 +128,7 @@ mod tests {
         for o in 0..5 {
             c.record(ThreadId(0), ObjectId(o));
         }
-        let d = ChainClockAssigner::new().decompose(&c);
+        let d = decompose(&c);
         assert_eq!(d.chains, 1, "a totally ordered computation needs one chain");
         assert_eq!(d.chain_of_event, vec![0; 5]);
     }
@@ -166,18 +139,16 @@ mod tests {
         c.record(ThreadId(0), ObjectId(0));
         c.record(ThreadId(1), ObjectId(1));
         c.record(ThreadId(2), ObjectId(2));
-        let d = ChainClockAssigner::new().decompose(&c);
+        let d = decompose(&c);
         assert_eq!(d.chains, 3);
     }
 
     #[test]
     fn chain_clock_valid_on_figure1() {
         let c = paper_figure1();
-        let a = ChainClockAssigner::new();
-        let stamps = a.assign(&c);
+        let stamps = decompose(&c).timestamps;
         let oracle = c.causality_oracle();
         assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
-        assert_eq!(a.name(), "chain-clock");
     }
 
     #[test]
@@ -187,7 +158,7 @@ mod tests {
                 .operations(150)
                 .seed(seed)
                 .build();
-            let d = ChainClockAssigner::new().decompose(&c);
+            let d = decompose(&c);
             assert!(d.chains >= 1);
             assert!(d.chains <= c.len());
             // Every event must have been placed in a real chain.
@@ -198,7 +169,7 @@ mod tests {
     #[test]
     fn events_in_same_chain_are_totally_ordered() {
         let c = WorkloadBuilder::new(5, 5).operations(80).seed(4).build();
-        let d = ChainClockAssigner::new().decompose(&c);
+        let d = decompose(&c);
         let oracle = c.causality_oracle();
         for i in 0..c.len() {
             for j in (i + 1)..c.len() {
@@ -219,7 +190,7 @@ mod tests {
             seed in 0u64..200,
         ) {
             let c = WorkloadBuilder::new(threads, objects).operations(ops).seed(seed).build();
-            let stamps = ChainClockAssigner::new().assign(&c);
+            let stamps = decompose(&c).timestamps;
             let oracle = c.causality_oracle();
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
         }
@@ -234,7 +205,7 @@ mod tests {
             seed in 0u64..150,
         ) {
             let c = WorkloadBuilder::new(threads, objects).operations(ops).seed(seed).build();
-            let d = ChainClockAssigner::new().decompose(&c);
+            let d = decompose(&c);
             let oracle = c.causality_oracle();
             for i in 0..c.len() {
                 for j in (i + 1)..c.len() {

@@ -57,8 +57,8 @@ impl fmt::Display for ClockOrd {
 /// A vector timestamp: a fixed-length vector of event counters.
 ///
 /// The *meaning* of each component (which thread, object or chain it counts)
-/// is determined by the assigner that produced the timestamp; two timestamps
-/// may only be compared when they were produced by the same assigner over the
+/// is determined by the clock that produced the timestamp; two timestamps
+/// may only be compared when they were produced by the same clock over the
 /// same computation.
 ///
 /// A timestamp is stored under the one rule of [`chunked`]:

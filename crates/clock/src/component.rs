@@ -106,14 +106,18 @@ impl ComponentMap {
         map
     }
 
-    /// Builds the thread-based component map for threads `0..n` (the
-    /// traditional thread vector clock layout).
+    /// Builds the thread-based component map for threads `0..n`: under it
+    /// the mixed protocol is the traditional thread vector clock of
+    /// Section II, since every event bumps its thread's component.
     pub fn all_threads(n: usize) -> Self {
-        let mut map = Self::new();
-        for t in 0..n {
-            map.push(Component::Thread(ThreadId(t)));
-        }
-        map
+        (0..n).map(|t| Component::Thread(ThreadId(t))).collect()
+    }
+
+    /// Builds the object-based component map for objects `0..m`: under it
+    /// the mixed protocol is the traditional object vector clock of
+    /// Section II, since every event bumps its object's component.
+    pub fn all_objects(m: usize) -> Self {
+        (0..m).map(|o| Component::Object(ObjectId(o))).collect()
     }
 
     /// Appends a component, returning its index. Adding a component that is
@@ -189,6 +193,11 @@ impl ComponentMap {
     /// The component index the paper designates as `e.c` for an event:
     /// the event's *object* component if the object is in the clock, otherwise
     /// the event's *thread* component.
+    ///
+    /// When both endpoints are components the paper's pseudo-code increments
+    /// the event's component `e.c = e.q`, the object's.  Incrementing both
+    /// would also give a valid clock but would advance two counters per
+    /// event; following the paper, every event bumps exactly one component.
     ///
     /// Returns `None` when neither endpoint is a component (the event is not
     /// covered — the resulting clock would not be valid).
@@ -296,6 +305,14 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.thread_component(ThreadId(2)), Some(2));
         assert!(!t.contains_object(ObjectId(0)));
+        assert_eq!(t.event_component(&event(1, 0)), Some(1));
+
+        let o = ComponentMap::all_objects(4);
+        assert_eq!(o.len(), 4);
+        assert_eq!(o.object_component(ObjectId(3)), Some(3));
+        assert!(!o.contains_thread(ThreadId(0)));
+        assert_eq!(o.event_component(&event(2, 1)), Some(1));
+        assert!(ComponentMap::all_objects(0).is_empty());
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! * [`compare`] — [`VectorTimestamp`] (the vector value attached to an
 //!   event) and [`ClockOrd`], the four-way outcome of comparing two
 //!   timestamps.
-//! * [`vector`] — the traditional thread-based and object-based vector clock
-//!   assigners from Section II.
 //! * [`component`] — [`ComponentMap`]: the mapping from a chosen set of
-//!   threads/objects (a vertex cover of the thread–object graph) to vector
-//!   components.
-//! * [`mixed`] — the paper's mixed-vector-clock timestamping protocol
-//!   (Section III-C), parameterised by a [`ComponentMap`].
+//!   threads/objects to vector components.  The paper's mixed clock
+//!   (Section III-C) takes a vertex cover of the thread–object graph; the
+//!   traditional thread-based and object-based clocks of Section II are the
+//!   same protocol with every thread ([`ComponentMap::all_threads`]) or
+//!   every object ([`ComponentMap::all_objects`]) as a component.
 //! * [`chunked`] — the storage rule rows and stamps share (the nonzero
 //!   64-entry chunks, packed, plus a mask bit per chunk, in one buffer) and
 //!   [`ClockRows`]: the per-thread and per-object rows and the write-back
@@ -27,12 +26,20 @@
 //!
 //! # Example
 //!
+//! The thread-based vector clock of Figure 1, one [`ClockRows::step`] per
+//! event:
+//!
 //! ```
-//! use mvc_clock::{vector::ThreadVectorClockAssigner, TimestampAssigner, validate};
+//! use mvc_clock::{validate, ClockRows, ComponentMap};
 //! use mvc_trace::examples::paper_figure1;
 //!
 //! let computation = paper_figure1();
-//! let stamps = ThreadVectorClockAssigner::new().assign(&computation);
+//! let map = ComponentMap::all_threads(computation.thread_index_bound());
+//! let mut rows = ClockRows::new();
+//! let stamps: Vec<_> = computation
+//!     .events()
+//!     .map(|e| rows.step(e.thread, e.object, map.event_component(e).unwrap(), map.len()))
+//!     .collect();
 //! let oracle = computation.causality_oracle();
 //! assert!(validate::satisfies_vector_clock_condition(&computation, &stamps, &oracle));
 //! ```
@@ -44,31 +51,13 @@ pub mod chain;
 pub mod chunked;
 pub mod compare;
 pub mod component;
-pub mod mixed;
 pub mod validate;
-pub mod vector;
+
+#[cfg(test)]
+mod mixed;
+#[cfg(test)]
+mod vector;
 
 pub use chunked::{ClockRows, StampPatch};
 pub use compare::{ClockOrd, VectorTimestamp};
 pub use component::{Component, ComponentMap};
-pub use mixed::MixedVectorClockAssigner;
-
-use mvc_trace::Computation;
-
-/// A timestamping algorithm: walks a computation in append order and produces
-/// one [`VectorTimestamp`] per event.
-///
-/// Implementations must be deterministic: the same computation always yields
-/// the same timestamps.
-pub trait TimestampAssigner {
-    /// A short, stable name for reports and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// Number of components in the vectors this assigner produces for the
-    /// given computation.
-    fn clock_size(&self, computation: &Computation) -> usize;
-
-    /// Assigns a timestamp to every event of the computation, indexed by
-    /// [`mvc_trace::EventId`] order.
-    fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp>;
-}

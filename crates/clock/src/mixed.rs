@@ -1,120 +1,65 @@
-//! The paper's mixed-vector-clock timestamping protocol (Section III-C).
+//! Checks of the paper's mixed-vector-clock protocol (Section III-C), run
+//! on the write-back kernel [`ClockRows::step`] over a [`ComponentMap`].
 //!
-//! Given a set of components (threads and objects chosen as a vertex cover of
-//! the thread–object graph, represented by a [`ComponentMap`]), every thread
-//! and every object carries a mixed vector.  When thread `p` performs
-//! operation `e` on object `q`:
+//! Given a set of components (threads and objects chosen as a vertex cover
+//! of the thread–object graph), every thread and every object carries a
+//! mixed vector.  When thread `p` performs operation `e` on object `q`:
 //!
 //! ```text
 //! e.v = max(p.v, q.v)
-//! if q is a component: e.v[q]++
-//! if p is a component: e.v[p]++
+//! e.v[e.c]++          (e.c from ComponentMap::event_component)
 //! p.v = q.v = e.v
 //! ```
 //!
-//! (When both endpoints are components the paper's pseudo-code increments the
-//! event's component `e.c = e.q`; incrementing both is also correct but would
-//! advance two counters per event.  We follow the paper and bump exactly one
-//! component per event, preferring the object.)
-//!
-//! Validity requires every event to be *covered*: at least one endpoint must
-//! be a component.  [`MixedVectorClockAssigner`] panics on the first
-//! uncovered event instead of producing an invalid clock.
+//! The engine and the dense `BatchReplay` of `mvc-core` run this step; this
+//! crate cannot depend on them, so its tests drive the kernel directly.
 
 use mvc_trace::Computation;
 
 use crate::chunked::ClockRows;
 use crate::compare::VectorTimestamp;
 use crate::component::ComponentMap;
-use crate::TimestampAssigner;
 
-/// Assigns mixed vector clocks driven by an explicit [`ComponentMap`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MixedVectorClockAssigner {
-    components: ComponentMap,
+/// Stamps every event of `computation` under `map`.
+///
+/// # Panics
+///
+/// Panics if `map` covers neither endpoint of some event.
+pub(crate) fn stamp(computation: &Computation, map: &ComponentMap) -> Vec<VectorTimestamp> {
+    let mut rows = ClockRows::new();
+    computation
+        .events()
+        .map(|e| {
+            let component = map.event_component(e).expect("the map covers every event");
+            rows.step(e.thread, e.object, component, map.len())
+        })
+        .collect()
 }
 
-impl MixedVectorClockAssigner {
-    /// Creates an assigner over the given component map.
-    pub fn new(components: ComponentMap) -> Self {
-        Self { components }
-    }
-
-    /// The component map driving this assigner.
-    pub fn components(&self) -> &ComponentMap {
-        &self.components
-    }
-
-    /// Number of components in the mixed clock.
-    pub fn width(&self) -> usize {
-        self.components.len()
-    }
-}
-
-impl TimestampAssigner for MixedVectorClockAssigner {
-    fn name(&self) -> &'static str {
-        "mixed-vector-clock"
-    }
-
-    fn clock_size(&self, _computation: &Computation) -> usize {
-        self.width()
-    }
-
-    /// Assigns timestamps to every event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some event's thread *and* object both lack a component —
-    /// the component set is not a vertex cover of the computation's graph.
-    fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
-        let width = self.width();
-        let mut rows = ClockRows::new();
-        let mut stamps = Vec::with_capacity(computation.len());
-        for e in computation.events() {
-            let component = self.components.event_component(e).unwrap_or_else(|| {
-                panic!("component map does not cover the computation: {}", e.id)
-            });
-            // The shared write-back kernel: both rows mutate in place and
-            // the emitted stamp shares the thread's packed row, which the
-            // thread's next step therefore copies before writing: every
-            // stamp here is kept.
-            stamps.push(rows.step(e.thread, e.object, component, width));
-        }
-        stamps
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::Component;
     use crate::validate::satisfies_vector_clock_condition;
-    use crate::vector::ThreadVectorClockAssigner;
     use mvc_graph::cover::minimum_vertex_cover_of;
     use mvc_trace::examples::paper_figure1;
-    use mvc_trace::{ObjectId, ThreadId, WorkloadBuilder};
+    use mvc_trace::WorkloadBuilder;
     use proptest::prelude::*;
 
-    fn optimal_assigner(c: &Computation) -> MixedVectorClockAssigner {
+    fn optimal_map(c: &Computation) -> ComponentMap {
         let (_, cover) = minimum_vertex_cover_of(&c.bipartite_graph());
-        MixedVectorClockAssigner::new(ComponentMap::from_cover(&cover))
+        ComponentMap::from_cover(&cover)
     }
 
     #[test]
     fn empty_computation() {
-        let c = Computation::new();
-        let a = MixedVectorClockAssigner::new(ComponentMap::new());
-        assert!(a.assign(&c).is_empty());
-        assert_eq!(a.clock_size(&c), 0);
-        assert_eq!(a.name(), "mixed-vector-clock");
+        assert!(stamp(&Computation::new(), &ComponentMap::new()).is_empty());
     }
 
     #[test]
     fn paper_figure1_mixed_clock_is_size_three_and_valid() {
         let c = paper_figure1();
-        let a = optimal_assigner(&c);
-        assert_eq!(a.width(), 3, "Fig. 3 uses a 3-component mixed clock");
-        let stamps = a.assign(&c);
+        let map = optimal_map(&c);
+        assert_eq!(map.len(), 3, "Fig. 3 uses a 3-component mixed clock");
+        let stamps = stamp(&c, &map);
         let oracle = c.causality_oracle();
         assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
     }
@@ -124,33 +69,26 @@ mod tests {
         // The paper's §III-C argues [T2,O1] -> [T3,O3] is visible by comparing
         // mixed timestamps.
         let c = paper_figure1();
-        let stamps = optimal_assigner(&c).assign(&c);
+        let stamps = stamp(&c, &optimal_map(&c));
         let t2_o1 = 0; // first event in FIGURE1_OPS
         let t3_o3 = 4;
         assert!(stamps[t2_o1].strictly_less_than(&stamps[t3_o3]));
     }
 
     #[test]
-    #[should_panic(expected = "does not cover the computation: e1")]
-    fn assign_panics_on_uncovered_event() {
-        let mut c = Computation::new();
-        c.record(ThreadId(0), ObjectId(0));
-        c.record(ThreadId(1), ObjectId(1));
-        let mut map = ComponentMap::new();
-        map.push(Component::Thread(ThreadId(0)));
-        let _ = MixedVectorClockAssigner::new(map).assign(&c);
-    }
-
-    #[test]
     fn all_thread_components_reduce_to_thread_clock() {
         // With every thread as a component, the mixed protocol increments the
         // thread component of each event whenever the object is not a
-        // component — i.e. always — so it coincides with the thread clock.
+        // component — i.e. always — so it is the thread clock: a stamp's
+        // entry for its own thread counts that thread's events so far.
         let c = WorkloadBuilder::new(5, 5).operations(150).seed(3).build();
-        let mixed =
-            MixedVectorClockAssigner::new(ComponentMap::all_threads(c.thread_index_bound()));
-        let thread = ThreadVectorClockAssigner::new();
-        assert_eq!(mixed.assign(&c), thread.assign(&c));
+        let stamps = stamp(&c, &ComponentMap::all_threads(c.thread_index_bound()));
+        for e in c.events() {
+            assert_eq!(
+                stamps[e.id.index()].component(e.thread.index()),
+                e.thread_seq as u64 + 1
+            );
+        }
     }
 
     #[test]
@@ -160,8 +98,7 @@ mod tests {
                 .operations(120)
                 .seed(seed)
                 .build();
-            let a = optimal_assigner(&c);
-            assert!(a.width() <= c.thread_count().min(c.object_count()));
+            assert!(optimal_map(&c).len() <= c.thread_count().min(c.object_count()));
         }
     }
 
@@ -180,8 +117,7 @@ mod tests {
                 .operations(ops)
                 .seed(seed)
                 .build();
-            let a = optimal_assigner(&c);
-            let stamps = a.assign(&c);
+            let stamps = stamp(&c, &optimal_map(&c));
             let oracle = c.causality_oracle();
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
         }
@@ -199,8 +135,7 @@ mod tests {
                 .operations(ops)
                 .seed(seed)
                 .build();
-            let a = optimal_assigner(&c);
-            prop_assert!(a.width() <= c.thread_count().min(c.object_count()));
+            prop_assert!(optimal_map(&c).len() <= c.thread_count().min(c.object_count()));
         }
     }
 }

@@ -45,8 +45,6 @@ pub fn satisfies_vector_clock_condition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::ThreadVectorClockAssigner;
-    use crate::TimestampAssigner;
     use mvc_trace::{ObjectId, ThreadId};
 
     fn two_thread_computation() -> Computation {
@@ -59,7 +57,12 @@ mod tests {
     #[test]
     fn valid_assignment_passes() {
         let c = two_thread_computation();
-        let stamps = ThreadVectorClockAssigner::new().assign(&c);
+        // The thread-based vector clock, by hand: e1 reads e0 through O0,
+        // e3 reads e2 through O1.
+        let stamps: Vec<_> = [[1, 0], [1, 1], [2, 0], [2, 2]]
+            .into_iter()
+            .map(|v| VectorTimestamp::from_components(v.to_vec()))
+            .collect();
         let oracle = c.causality_oracle();
         assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
     }

@@ -1,6 +1,8 @@
-//! Traditional thread-based and object-based vector clocks (Section II).
+//! Checks of the traditional thread-based and object-based vector clocks
+//! (Section II) as the mixed protocol under [`ComponentMap::all_threads`]
+//! and [`ComponentMap::all_objects`].
 //!
-//! Both protocols keep one vector per thread and one per object.  When thread
+//! Both clocks keep one vector per thread and one per object.  When thread
 //! `p` performs operation `e` on object `q`:
 //!
 //! ```text
@@ -9,107 +11,38 @@
 //! p.v = q.v = e.v
 //! ```
 //!
-//! These are the two baselines the mixed clock is compared against: the
-//! thread-based clock has `n` components and the object-based clock has `m`
-//! components, whereas the mixed clock needs only a minimum vertex cover of
-//! the thread–object graph.
+//! With every thread (or every object) a component, `e.c` is always the
+//! event's thread (or object), so the mixed protocol is exactly this.  The
+//! thread-based clock has `n` components and the object-based clock `m`,
+//! whereas the mixed clock needs only a minimum vertex cover of the
+//! thread–object graph.
 
 use mvc_trace::Computation;
 
 use crate::compare::VectorTimestamp;
-use crate::TimestampAssigner;
+use crate::component::ComponentMap;
+use crate::mixed::stamp;
 
-/// Assigns classic thread-indexed vector clocks (one component per thread).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadVectorClockAssigner;
-
-impl ThreadVectorClockAssigner {
-    /// Creates the assigner.
-    pub fn new() -> Self {
-        Self
-    }
+fn thread_clock(c: &Computation) -> Vec<VectorTimestamp> {
+    stamp(c, &ComponentMap::all_threads(c.thread_index_bound()))
 }
 
-impl TimestampAssigner for ThreadVectorClockAssigner {
-    fn name(&self) -> &'static str {
-        "thread-vector-clock"
-    }
-
-    fn clock_size(&self, computation: &Computation) -> usize {
-        computation.thread_index_bound()
-    }
-
-    fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
-        assign_indexed(computation, self.clock_size(computation), |e| {
-            e.thread.index()
-        })
-    }
+fn object_clock(c: &Computation) -> Vec<VectorTimestamp> {
+    stamp(c, &ComponentMap::all_objects(c.object_index_bound()))
 }
 
-/// Assigns classic object-indexed vector clocks (one component per object).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObjectVectorClockAssigner;
-
-impl ObjectVectorClockAssigner {
-    /// Creates the assigner.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl TimestampAssigner for ObjectVectorClockAssigner {
-    fn name(&self) -> &'static str {
-        "object-vector-clock"
-    }
-
-    fn clock_size(&self, computation: &Computation) -> usize {
-        computation.object_index_bound()
-    }
-
-    fn assign(&self, computation: &Computation) -> Vec<VectorTimestamp> {
-        assign_indexed(computation, self.clock_size(computation), |e| {
-            e.object.index()
-        })
-    }
-}
-
-/// Shared protocol body: one vector per thread and per object, with the
-/// incremented component chosen by `component_of`.
-fn assign_indexed(
-    computation: &Computation,
-    width: usize,
-    component_of: impl Fn(&mvc_trace::Event) -> usize,
-) -> Vec<VectorTimestamp> {
-    let mut thread_clock = vec![VectorTimestamp::zeros(width); computation.thread_index_bound()];
-    let mut object_clock = vec![VectorTimestamp::zeros(width); computation.object_index_bound()];
-    let mut stamps = Vec::with_capacity(computation.len());
-    for e in computation.events() {
-        let t = e.thread.index();
-        let o = e.object.index();
-        let mut v = thread_clock[t].clone();
-        v.merge_max(&object_clock[o]);
-        v.increment(component_of(e));
-        thread_clock[t] = v.clone();
-        object_clock[o] = v.clone();
-        stamps.push(v);
-    }
-    stamps
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::satisfies_vector_clock_condition;
     use mvc_trace::examples::{paper_figure1, tiny};
-    use mvc_trace::{EventId, ObjectId, ThreadId, WorkloadBuilder, WorkloadKind};
+    use mvc_trace::{ObjectId, ThreadId, WorkloadBuilder, WorkloadKind};
     use proptest::prelude::*;
 
     #[test]
     fn empty_computation_yields_no_stamps() {
         let c = Computation::new();
-        assert!(ThreadVectorClockAssigner::new().assign(&c).is_empty());
-        assert!(ObjectVectorClockAssigner::new().assign(&c).is_empty());
-        assert_eq!(ThreadVectorClockAssigner::new().clock_size(&c), 0);
+        assert!(thread_clock(&c).is_empty());
+        assert!(object_clock(&c).is_empty());
     }
 
     #[test]
@@ -118,7 +51,7 @@ mod tests {
         for _ in 0..3 {
             c.record(ThreadId(0), ObjectId(0));
         }
-        let stamps = ThreadVectorClockAssigner::new().assign(&c);
+        let stamps = thread_clock(&c);
         assert_eq!(stamps[0].as_slice(), &[1]);
         assert_eq!(stamps[1].as_slice(), &[2]);
         assert_eq!(stamps[2].as_slice(), &[3]);
@@ -128,26 +61,20 @@ mod tests {
     fn thread_clock_width_is_thread_bound() {
         let mut c = Computation::new();
         c.record(ThreadId(4), ObjectId(0));
-        let a = ThreadVectorClockAssigner::new();
-        assert_eq!(a.clock_size(&c), 5);
-        assert_eq!(a.assign(&c)[0].len(), 5);
-        assert_eq!(a.name(), "thread-vector-clock");
+        assert_eq!(thread_clock(&c)[0].len(), 5);
     }
 
     #[test]
     fn object_clock_width_is_object_bound() {
         let mut c = Computation::new();
         c.record(ThreadId(0), ObjectId(7));
-        let a = ObjectVectorClockAssigner::new();
-        assert_eq!(a.clock_size(&c), 8);
-        assert_eq!(a.assign(&c)[0].len(), 8);
-        assert_eq!(a.name(), "object-vector-clock");
+        assert_eq!(object_clock(&c)[0].len(), 8);
     }
 
     #[test]
     fn concurrent_events_get_incomparable_stamps() {
         let c = tiny();
-        let stamps = ThreadVectorClockAssigner::new().assign(&c);
+        let stamps = thread_clock(&c);
         // Events 0 and 1 are on different threads and different objects.
         assert!(stamps[0].compare(&stamps[1]).is_concurrent());
     }
@@ -155,7 +82,7 @@ mod tests {
     #[test]
     fn ordered_events_get_ordered_stamps() {
         let c = tiny();
-        let stamps = ThreadVectorClockAssigner::new().assign(&c);
+        let stamps = thread_clock(&c);
         assert!(stamps[0].strictly_less_than(&stamps[2]));
         assert!(stamps[1].strictly_less_than(&stamps[3]));
     }
@@ -164,15 +91,10 @@ mod tests {
     fn paper_figure1_both_clocks_valid() {
         let c = paper_figure1();
         let oracle = c.causality_oracle();
-        for assigner in [
-            &ThreadVectorClockAssigner::new() as &dyn TimestampAssigner,
-            &ObjectVectorClockAssigner::new(),
-        ] {
-            let stamps = assigner.assign(&c);
+        for (name, stamps) in [("thread", thread_clock(&c)), ("object", object_clock(&c))] {
             assert!(
                 satisfies_vector_clock_condition(&c, &stamps, &oracle),
-                "{} is not valid on figure 1",
-                assigner.name()
+                "the {name} clock is not valid on figure 1"
             );
         }
     }
@@ -180,8 +102,8 @@ mod tests {
     #[test]
     fn thread_and_object_clocks_induce_identical_order() {
         let c = WorkloadBuilder::new(6, 6).operations(200).seed(5).build();
-        let t = ThreadVectorClockAssigner::new().assign(&c);
-        let o = ObjectVectorClockAssigner::new().assign(&c);
+        let t = thread_clock(&c);
+        let o = object_clock(&c);
         for i in 0..c.len() {
             for j in 0..c.len() {
                 if i == j {
@@ -199,7 +121,7 @@ mod tests {
     #[test]
     fn same_thread_events_always_ordered() {
         let c = WorkloadBuilder::new(4, 8).operations(100).seed(9).build();
-        let stamps = ObjectVectorClockAssigner::new().assign(&c);
+        let stamps = object_clock(&c);
         for t in c.threads() {
             let chain = c.thread_chain(t);
             for w in chain.windows(2) {
@@ -223,7 +145,7 @@ mod tests {
                 .seed(seed)
                 .build();
             let oracle = c.causality_oracle();
-            let stamps = ThreadVectorClockAssigner::new().assign(&c);
+            let stamps = thread_clock(&c);
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
         }
 
@@ -239,7 +161,7 @@ mod tests {
                 .seed(seed)
                 .build();
             let oracle = c.causality_oracle();
-            let stamps = ObjectVectorClockAssigner::new().assign(&c);
+            let stamps = object_clock(&c);
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
         }
 
@@ -251,7 +173,7 @@ mod tests {
             seed in 0u64..100,
         ) {
             let c = WorkloadBuilder::new(threads, objects).operations(ops).seed(seed).build();
-            let stamps = ThreadVectorClockAssigner::new().assign(&c);
+            let stamps = thread_clock(&c);
             for e in c.events() {
                 if let Some(p) = c.thread_predecessor(e.id) {
                     prop_assert!(stamps[p.index()].strictly_less_than(&stamps[e.id.index()]));
@@ -260,7 +182,6 @@ mod tests {
                     prop_assert!(stamps[p.index()].strictly_less_than(&stamps[e.id.index()]));
                 }
             }
-            let _ = EventId(0);
         }
     }
 }

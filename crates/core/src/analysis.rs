@@ -9,13 +9,12 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mvc_clock::chain::ChainClockAssigner;
-use mvc_clock::validate;
-use mvc_clock::vector::{ObjectVectorClockAssigner, ThreadVectorClockAssigner};
-use mvc_clock::{TimestampAssigner, VectorTimestamp};
+use mvc_clock::{chain, validate, ComponentMap, VectorTimestamp};
 use mvc_trace::Computation;
 
+use crate::engine::TimestampingEngine;
 use crate::offline::OfflineOptimizer;
+use crate::timestamper::replay;
 
 /// Clock sizes of the standard algorithms on one computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +41,7 @@ impl ClockSizeReport {
     /// Computes the report for a computation.
     pub fn analyze(computation: &Computation) -> Self {
         let plan = OfflineOptimizer::new().plan_for_computation(computation);
-        let chain = ChainClockAssigner::new().decompose(computation);
+        let chain = chain::decompose(computation);
         let threads = computation.thread_count();
         let objects = computation.object_count();
         ClockSizeReport {
@@ -101,40 +100,46 @@ pub fn verify_assignment(computation: &Computation, timestamps: &[VectorTimestam
     validate::satisfies_vector_clock_condition(computation, timestamps, &oracle)
 }
 
-/// Runs all standard assigners (thread, object, optimal mixed, chain) on a
+/// Runs all standard clocks (thread, object, optimal mixed, chain) on a
 /// computation and verifies each of them, returning `(name, size, valid)`
-/// triples.  Used by the examples and by integration tests to demonstrate
-/// that every clock in the repository agrees on the happened-before relation.
+/// triples.  The first three are one protocol, the [`TimestampingEngine`]'s,
+/// under three component maps: every thread, every object and the optimal
+/// cover.  Integration tests use it to show that every clock in the
+/// repository agrees on the happened-before relation.
 pub fn verify_all_clocks(computation: &Computation) -> Vec<(&'static str, usize, bool)> {
     let oracle = computation.causality_oracle();
     let plan = OfflineOptimizer::new().plan_for_computation(computation);
-    let mixed = plan.assigner();
-    let assigners: Vec<(&'static str, Box<dyn TimestampAssigner>)> = vec![
-        (
+    let replayed = |name, map: ComponentMap| {
+        let size = map.len();
+        let mut engine = TimestampingEngine::with_components(map);
+        let run = replay(&mut engine, computation).expect("each map covers every event");
+        (name, size, run.timestamps)
+    };
+    let chain = chain::decompose(computation);
+    [
+        replayed(
             "thread-vector-clock",
-            Box::new(ThreadVectorClockAssigner::new()),
+            ComponentMap::all_threads(computation.thread_index_bound()),
         ),
-        (
+        replayed(
             "object-vector-clock",
-            Box::new(ObjectVectorClockAssigner::new()),
+            ComponentMap::all_objects(computation.object_index_bound()),
         ),
-        ("mixed-vector-clock", Box::new(mixed)),
-        ("chain-clock", Box::new(ChainClockAssigner::new())),
-    ];
-    assigners
-        .into_iter()
-        .map(|(name, a)| {
-            let stamps = a.assign(computation);
-            let valid = validate::satisfies_vector_clock_condition(computation, &stamps, &oracle);
-            (name, a.clock_size(computation), valid)
-        })
-        .collect()
+        replayed("mixed-vector-clock", plan.components().clone()),
+        ("chain-clock", chain.chains, chain.timestamps),
+    ]
+    .into_iter()
+    .map(|(name, size, stamps)| {
+        let valid = validate::satisfies_vector_clock_condition(computation, &stamps, &oracle);
+        (name, size, valid)
+    })
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvc_clock::vector::ThreadVectorClockAssigner;
+    use crate::timestamper::BatchReplay;
     use mvc_trace::examples::paper_figure1;
     use mvc_trace::{ObjectId, ThreadId, WorkloadBuilder};
 
@@ -177,7 +182,8 @@ mod tests {
     #[test]
     fn verify_assignment_accepts_valid_and_rejects_invalid() {
         let c = paper_figure1();
-        let good = ThreadVectorClockAssigner::new().assign(&c);
+        let mut thread_clock = BatchReplay::new(ComponentMap::all_threads(c.thread_index_bound()));
+        let good = replay(&mut thread_clock, &c).unwrap().timestamps;
         assert!(verify_assignment(&c, &good));
         let bad = vec![mvc_clock::VectorTimestamp::zeros(4); c.len()];
         assert!(!verify_assignment(&c, &bad));

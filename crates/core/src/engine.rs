@@ -2,9 +2,9 @@
 //!
 //! [`TimestampingEngine`] maintains the per-thread and per-object mixed
 //! vectors of the paper's protocol and timestamps operations *as they are
-//! observed*, one at a time.  Unlike the batch
-//! [`MixedVectorClockAssigner`](mvc_clock::MixedVectorClockAssigner) it
-//! supports **growing the component set while the computation is running**,
+//! observed*, one at a time.  Unlike the dense
+//! [`BatchReplay`](crate::BatchReplay) it supports **growing the component
+//! set while the computation is running**,
 //! which is exactly what the online mechanisms of `mvc-online` need: when a
 //! new event is not covered by the current components, the mechanism picks a
 //! new component (the event's thread or object) and the engine widens every
@@ -195,11 +195,11 @@ impl crate::timestamper::Timestamper for TimestampingEngine {
 mod tests {
     use super::*;
     use mvc_clock::validate::satisfies_vector_clock_condition;
-    use mvc_clock::TimestampAssigner;
     use mvc_trace::{Computation, WorkloadBuilder};
     use proptest::prelude::*;
 
     use crate::offline::OfflineOptimizer;
+    use crate::replay;
 
     #[test]
     fn empty_engine_rejects_everything() {
@@ -251,12 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn object_component_preferred_like_batch_assigner() {
+    fn object_component_preferred_like_batch_replay() {
         // Replaying a computation through the engine with a fixed component map
-        // must give exactly the same stamps as the batch assigner.
+        // must give exactly the same stamps as the dense batch replay.
         let c = WorkloadBuilder::new(6, 6).operations(120).seed(42).build();
         let plan = OfflineOptimizer::new().plan_for_computation(&c);
-        let batch = plan.assigner().assign(&c);
+        let batch = replay(&mut plan.timestamper(), &c).unwrap().timestamps;
         let mut engine = TimestampingEngine::with_components(plan.components().clone());
         let streamed: Vec<_> = c
             .events()
@@ -372,7 +372,7 @@ mod tests {
                 .events()
                 .map(|e| engine.observe(e.thread, e.object).unwrap())
                 .collect();
-            prop_assert_eq!(&streamed, &plan.assigner().assign(&c));
+            prop_assert_eq!(&streamed, &replay(&mut plan.timestamper(), &c).unwrap().timestamps);
             let oracle = c.causality_oracle();
             prop_assert!(satisfies_vector_clock_condition(&c, &streamed, &oracle));
             prop_assert_eq!(engine.events_observed(), c.len());

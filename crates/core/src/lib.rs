@@ -17,7 +17,8 @@
 //!   as they are observed; supports growing the component set online, which
 //!   is what the `mvc-online` mechanisms need.
 //! * [`analysis`] — side-by-side clock size accounting and validity checking
-//!   across thread / object / mixed / chain clocks.
+//!   across thread / object / mixed / chain clocks; the first three are one
+//!   protocol under three component maps.
 //! * [`timestamper`] — [`Timestamper`]: the unified streaming interface over
 //!   the batch replay path ([`BatchReplay`]), the incremental engine, and the
 //!   online timestampers of `mvc-online`, plus [`replay`] to drive a whole
@@ -39,11 +40,12 @@
 //! assert_eq!(plan.clock_size(), 3); // T2, O2/T1, O3 — fewer than 4 threads or 4 objects
 //!
 //! // Timestamp every event with the optimal mixed clock and validate it.
-//! let stamps = plan.assigner().assign(&computation);
+//! let stamps = replay(&mut plan.timestamper(), &computation)?.timestamps;
 //! let oracle = computation.causality_oracle();
 //! assert!(mvc_clock::validate::satisfies_vector_clock_condition(
 //!     &computation, &stamps, &oracle
 //! ));
+//! # Ok::<(), TimestampError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,10 +78,7 @@ pub mod prelude {
     pub use crate::timestamper::{
         replay, BatchReplay, TimestampError, TimestampReport, TimestampedRun, Timestamper,
     };
-    pub use mvc_clock::{
-        ClockOrd, Component, ComponentMap, MixedVectorClockAssigner, TimestampAssigner,
-        VectorTimestamp,
-    };
+    pub use mvc_clock::{ClockOrd, Component, ComponentMap, VectorTimestamp};
     pub use mvc_graph::{BipartiteGraph, GraphScenario, RandomGraphBuilder, Vertex, VertexCover};
     pub use mvc_trace::{Computation, EventId, ObjectId, OpKind, ThreadId};
 }

@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mvc_clock::{ComponentMap, MixedVectorClockAssigner};
+use mvc_clock::ComponentMap;
 use mvc_graph::{cover::minimum_vertex_cover_of, BipartiteGraph, GraphStats, VertexCover};
 use mvc_trace::Computation;
 
@@ -123,11 +123,6 @@ impl OfflinePlan {
         self.naive_clock_size().saturating_sub(self.clock_size())
     }
 
-    /// Builds the timestamp assigner for this plan.
-    pub fn assigner(&self) -> MixedVectorClockAssigner {
-        MixedVectorClockAssigner::new(self.components.clone())
-    }
-
     /// Builds the streaming [`Timestamper`](crate::Timestamper) replaying the
     /// batch protocol over this plan's components.
     pub fn timestamper(&self) -> crate::BatchReplay {
@@ -188,13 +183,14 @@ impl OfflineOptimizer {
 mod tests {
     use super::*;
     use mvc_clock::validate::satisfies_vector_clock_condition;
-    use mvc_clock::TimestampAssigner;
     use mvc_graph::cover::minimum_vertex_cover;
     use mvc_graph::matching::{hopcroft_karp, simple_augmenting};
     use mvc_graph::{GraphScenario, RandomGraphBuilder};
     use mvc_trace::examples::paper_figure1;
     use mvc_trace::{ObjectId, ThreadId, WorkloadBuilder, WorkloadKind};
     use proptest::prelude::*;
+
+    use crate::replay;
 
     #[test]
     fn empty_computation_plan() {
@@ -307,7 +303,7 @@ mod tests {
         c.record(ThreadId(0), ObjectId(0));
         let plan = OfflineOptimizer::new().plan_for_computation(&c);
         assert_eq!(plan.clock_size(), 1);
-        let stamps = plan.assigner().assign(&c);
+        let stamps = replay(&mut plan.timestamper(), &c).unwrap().timestamps;
         assert_eq!(stamps[0].as_slice(), &[1]);
     }
 
@@ -323,7 +319,7 @@ mod tests {
         ) {
             let c = WorkloadBuilder::new(threads, objects).operations(ops).seed(seed).build();
             let plan = OfflineOptimizer::new().plan_for_computation(&c);
-            let stamps = plan.assigner().assign(&c);
+            let stamps = replay(&mut plan.timestamper(), &c).unwrap().timestamps;
             let oracle = c.causality_oracle();
             prop_assert!(satisfies_vector_clock_condition(&c, &stamps, &oracle));
         }

@@ -287,12 +287,14 @@ pub fn replay<T: Timestamper + ?Sized>(
 ///
 /// Runs the paper's Section III-C protocol over a component map fixed at
 /// construction (typically the minimum vertex cover computed by the
-/// [`OfflineOptimizer`](crate::OfflineOptimizer)), one event at a time.  The
-/// stream of timestamps is bit-identical to
-/// [`MixedVectorClockAssigner::assign`](mvc_clock::MixedVectorClockAssigner)
-/// over the same computation — this is the same protocol, decomposed into
-/// observations — but uncovered events surface as a [`TimestampError`]
-/// instead of a panic, and the width never changes.
+/// [`OfflineOptimizer`](crate::OfflineOptimizer)), one event at a time, on
+/// dense vectors.  It is the repository's dense reference for the protocol:
+/// [`TimestampingEngine`](crate::TimestampingEngine) runs the same step on
+/// chunked rows and must produce the same stamps.  Under
+/// [`ComponentMap::all_threads`] or [`ComponentMap::all_objects`] it is the
+/// traditional thread-based or object-based vector clock of Section II.
+/// Uncovered events surface as a [`TimestampError`], and the width never
+/// changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReplay {
     components: ComponentMap,
@@ -371,19 +373,20 @@ impl Timestamper for BatchReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvc_clock::TimestampAssigner;
     use mvc_trace::WorkloadBuilder;
 
+    use crate::engine::TimestampingEngine;
     use crate::offline::OfflineOptimizer;
 
     #[test]
-    fn batch_replay_matches_batch_assigner() {
+    fn batch_replay_matches_the_engine() {
         let c = WorkloadBuilder::new(6, 6).operations(150).seed(21).build();
         let plan = OfflineOptimizer::new().plan_for_computation(&c);
-        let batch = plan.assigner().assign(&c);
+        let mut engine = TimestampingEngine::with_components(plan.components().clone());
+        let streamed = replay(&mut engine, &c).unwrap().timestamps;
         let mut replayer = BatchReplay::new(plan.components().clone());
         let run = replay(&mut replayer, &c).unwrap();
-        assert_eq!(run.timestamps, batch);
+        assert_eq!(run.timestamps, streamed);
         assert_eq!(run.report.events, c.len());
         assert_eq!(run.report.width(), plan.clock_size());
         assert_eq!(run.report.name, "batch-replay");

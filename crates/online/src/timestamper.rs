@@ -257,7 +257,6 @@ mod tests {
     use super::*;
     use crate::mechanism::{Adaptive, Naive, NaiveSide, Popularity, Random};
     use mvc_clock::validate::satisfies_vector_clock_condition;
-    use mvc_clock::TimestampAssigner;
     use mvc_core::OfflineOptimizer;
     use mvc_graph::{GraphScenario, RandomGraphBuilder};
     use mvc_trace::{WorkloadBuilder, WorkloadKind};
@@ -428,7 +427,8 @@ mod tests {
         let run = OnlineTimestamper::with_components(Rogue, plan.components().clone())
             .run(&c)
             .expect("every event is covered by the seeded plan");
-        assert_eq!(run.timestamps, plan.assigner().assign(&c));
+        let batch = replay(&mut plan.timestamper(), &c).unwrap();
+        assert_eq!(run.timestamps, batch.timestamps);
         let stats = OnlineTimestamper::with_components(Rogue, plan.components().clone()).stats();
         assert_eq!(stats.clock_size(), 0, "stats count mechanism additions");
     }

@@ -18,8 +18,7 @@
 
 use std::collections::HashMap;
 
-use mvc_clock::TimestampAssigner;
-use mvc_core::OfflineOptimizer;
+use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
 use mvc_trace::{Computation, EventId, ObjectId};
 
 /// A pair of concurrent, conflicting operations within one object group.
@@ -98,7 +97,10 @@ impl ConflictAnalyzer {
         // computation, not on the groups, so it must stay outside the group
         // loop.
         let plan = OfflineOptimizer::new().plan_for_computation(computation);
-        let stamps = plan.assigner().assign(computation);
+        let mut engine = TimestampingEngine::with_components(plan.components().clone());
+        let stamps = replay(&mut engine, computation)
+            .expect("the optimal plan covers every event")
+            .timestamps;
 
         // Map each object to the groups it belongs to.
         let mut object_groups: HashMap<usize, Vec<usize>> = HashMap::new();

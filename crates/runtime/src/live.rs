@@ -268,9 +268,8 @@ mod tests {
     use super::*;
     use std::thread;
 
-    use mvc_clock::TimestampAssigner;
     use mvc_core::sink::{CodecSink, StatsSink, TeeSink};
-    use mvc_core::{BatchReplay, OfflineOptimizer, TimestampingEngine};
+    use mvc_core::{replay, BatchReplay, OfflineOptimizer, TimestampingEngine};
     use mvc_online::{MechanismRegistry, OnlineTimestamper, Popularity};
 
     #[test]
@@ -345,7 +344,8 @@ mod tests {
             .events()
             .map(|e| engine.observe(e.thread, e.object).unwrap())
             .collect();
-        assert_eq!(streamed, plan.assigner().assign(&run.computation));
+        let dense = replay(&mut plan.timestamper(), &run.computation).unwrap();
+        assert_eq!(streamed, dense.timestamps);
     }
 
     #[test]

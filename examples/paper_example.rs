@@ -7,11 +7,10 @@
 #![allow(clippy::print_stdout, reason = "an example reports on stdout")]
 
 use mixed_vector_clock::prelude::*;
-use mvc_clock::TimestampAssigner;
 use mvc_graph::dot::to_dot;
 use mvc_trace::examples::paper_figure1;
 
-fn main() {
+fn main() -> Result<(), TimestampError> {
     // Figure 1: the computation.
     let computation = paper_figure1();
     println!("=== Figure 1: computation ===");
@@ -48,7 +47,7 @@ fn main() {
 
     // Figure 3: timestamps of every event under the mixed clock.
     println!("=== Figure 3: mixed-vector-clock timestamps ===");
-    let stamps = plan.assigner().assign(&computation);
+    let stamps = replay(&mut plan.timestamper(), &computation)?.timestamps;
     for event in computation.events() {
         println!(
             "  [T{}, O{}]  ->  {}",
@@ -71,6 +70,7 @@ fn main() {
     assert_eq!(plan.clock_size(), 3);
     assert!(mvc_core::verify_assignment(&computation, &stamps));
     println!("\nreproduced: mixed clock of size 3 (< 4 threads, < 4 objects), valid ✔");
+    Ok(())
 }
 
 fn paper_name(component: &Component) -> String {

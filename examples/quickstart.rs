@@ -6,9 +6,8 @@
 #![allow(clippy::print_stdout, reason = "an example reports on stdout")]
 
 use mixed_vector_clock::prelude::*;
-use mvc_clock::TimestampAssigner;
 
-fn main() {
+fn main() -> Result<(), TimestampError> {
     // A small pipeline: producer -> queue -> consumer, plus an independent
     // logger thread writing to its own object.
     let mut computation = Computation::new();
@@ -43,7 +42,7 @@ fn main() {
     );
 
     // 2. Timestamp every event with the optimal mixed clock.
-    let stamps = plan.assigner().assign(&computation);
+    let stamps = replay(&mut plan.timestamper(), &computation)?.timestamps;
     for event in computation.events() {
         println!("  {event}  ->  {}", stamps[event.id.index()]);
     }
@@ -59,4 +58,5 @@ fn main() {
     println!("{report}");
     assert!(mvc_core::verify_assignment(&computation, &stamps));
     println!("mixed clock verified against the happened-before oracle ✔");
+    Ok(())
 }

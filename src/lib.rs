@@ -7,8 +7,9 @@
 //!   minimum vertex cover, random graph generators.
 //! * [`trace`] — the thread–object computation model, happened-before oracle
 //!   and synthetic workload generators.
-//! * [`clock`] — vector timestamps and the thread / object / mixed / chain
-//!   clock assigners.
+//! * [`clock`] — vector timestamps, component maps (every thread, every
+//!   object or a vertex cover: the paper's three clocks), the chunked
+//!   protocol rows and the chain-clock baseline.
 //! * [`core`] — the offline optimal algorithm (Algorithm 1) and the
 //!   incremental timestamping engine.
 //! * [`online`] — the Naive / Random / Popularity / Adaptive online

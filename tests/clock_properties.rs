@@ -90,16 +90,17 @@ proptest! {
         }
     }
 
-    /// The laws hold on timestamps a real assigner produces, not only on raw
+    /// The laws hold on timestamps a real clock produces, not only on raw
     /// vectors: comparison over the optimal mixed clock's output is
     /// antisymmetric pairwise across a generated computation.
     #[test]
     fn assigned_timestamps_obey_the_algebra(
         computation in ComputationStrategy { threads: 1..6, objects: 1..6, ops: 0..60 },
     ) {
-        use mvc_clock::TimestampAssigner;
         let plan = mvc_core::OfflineOptimizer::new().plan_for_computation(&computation);
-        let stamps = plan.assigner().assign(&computation);
+        let stamps = mvc_core::replay(&mut plan.timestamper(), &computation)
+            .unwrap()
+            .timestamps;
         for i in 0..stamps.len() {
             for j in 0..stamps.len() {
                 prop_assert_eq!(

@@ -10,10 +10,11 @@
 //!    thread–object bipartite graph — cross-checked against both matching
 //!    algorithms in `mvc_graph` and, on small graphs, against a brute-force
 //!    enumeration of *all* vertex covers.
-//! 2. **Order embedding (the vector clock condition).**  Every timestamp
-//!    assigner that claims to characterise happened-before must map vector
-//!    comparison exactly onto poset reachability: `s → t ⇔ s.v < t.v`,
-//!    with concurrency ⇔ incomparability.
+//! 2. **Order embedding (the vector clock condition).**  Every clock that
+//!    claims to characterise happened-before — the protocol under every
+//!    thread, every object or the optimal cover, and the chain clock — must
+//!    map vector comparison exactly onto poset reachability:
+//!    `s → t ⇔ s.v < t.v`, with concurrency ⇔ incomparability.
 //! 3. **Online lower bound and the Adaptive budget.**  Every online
 //!    mechanism's final clock is lower-bounded by the offline optimum of the
 //!    final revealed graph (its component set is a vertex cover too), and
@@ -86,11 +87,10 @@
 
 mod support;
 
-use mvc_clock::chain::ChainClockAssigner;
-use mvc_clock::vector::{ObjectVectorClockAssigner, ThreadVectorClockAssigner};
-use mvc_clock::{ClockOrd, TimestampAssigner, VectorTimestamp};
+use mvc_clock::{chain, ClockOrd, ComponentMap, VectorTimestamp};
 use mvc_core::{
-    replay, verify_assignment, EventSink, OfflineOptimizer, Timestamper, TimestampingEngine,
+    replay, verify_assignment, BatchReplay, EventSink, OfflineOptimizer, Timestamper,
+    TimestampingEngine,
 };
 use mvc_graph::matching::{hopcroft_karp, simple_augmenting};
 use mvc_graph::{
@@ -220,24 +220,36 @@ fn order_embeds(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The vector clock condition for every characterising assigner: thread
-    /// vector clocks, object vector clocks, the optimal mixed clock, and the
-    /// chain clock all order-embed the happened-before poset.
+    /// The vector clock condition for every characterising clock: the
+    /// protocol under every thread (the thread vector clock), every object
+    /// (the object vector clock) and the optimal cover (the mixed clock),
+    /// and the chain clock all order-embed the happened-before poset.
     #[test]
     fn timestamps_order_embed_happened_before(
         computation in ComputationStrategy::small(),
     ) {
         let oracle = computation.causality_oracle();
         let plan = OfflineOptimizer::new().plan_for_computation(&computation);
+        let stamp = |map: ComponentMap| {
+            replay(&mut BatchReplay::new(map), &computation).unwrap().timestamps
+        };
 
-        let assigners: [(&str, Vec<VectorTimestamp>); 4] = [
-            ("thread", ThreadVectorClockAssigner::new().assign(&computation)),
-            ("object", ObjectVectorClockAssigner::new().assign(&computation)),
-            ("mixed", plan.assigner().assign(&computation)),
-            ("chain", ChainClockAssigner::new().assign(&computation)),
+        let threads = computation.thread_index_bound();
+        let objects = computation.object_index_bound();
+        let chain = chain::decompose(&computation);
+
+        let clocks: [(&str, usize, Vec<VectorTimestamp>); 4] = [
+            ("thread", threads, stamp(ComponentMap::all_threads(threads))),
+            ("object", objects, stamp(ComponentMap::all_objects(objects))),
+            ("mixed", plan.clock_size(), stamp(plan.components().clone())),
+            ("chain", chain.chains, chain.timestamps),
         ];
-        for (name, stamps) in assigners {
+        for (name, width, stamps) in clocks {
             prop_assert_eq!(stamps.len(), computation.len());
+            prop_assert!(
+                stamps.iter().all(|s| s.len() == width),
+                "{name} clock is not {width} components wide"
+            );
             if let Err(msg) = order_embeds(&computation, &oracle, &stamps) {
                 prop_assert!(false, "{name} clock does not order-embed: {msg}");
             }
@@ -453,7 +465,7 @@ fn registry_mechanisms_match_their_concrete_counterparts_bit_for_bit() {
 
 /// With a fixed component map covering the whole computation, all three
 /// `Timestamper` implementations are the same protocol and must agree
-/// bit-for-bit — with each other and with the batch assigner.
+/// bit-for-bit with a fresh dense batch replay.
 #[test]
 fn all_three_timestamper_impls_agree_on_a_fixed_component_map() {
     for seed in 0..5u64 {
@@ -462,7 +474,7 @@ fn all_three_timestamper_impls_agree_on_a_fixed_component_map() {
             .seed(seed)
             .build();
         let plan = OfflineOptimizer::new().plan_for_computation(&c);
-        let reference = plan.assigner().assign(&c);
+        let reference = replay(&mut plan.timestamper(), &c).unwrap().timestamps;
 
         let mut timestampers: Vec<Box<dyn Timestamper>> = vec![
             Box::new(plan.timestamper()),
@@ -479,7 +491,7 @@ fn all_three_timestamper_impls_agree_on_a_fixed_component_map() {
                 .unwrap_or_else(|e| panic!("{}: {e}", timestamper.name()));
             assert_eq!(
                 run.timestamps, reference,
-                "{} disagrees with the batch assigner (seed {seed})",
+                "{} disagrees with the dense batch replay (seed {seed})",
                 run.report.name
             );
             assert_eq!(run.report.events, c.len());
@@ -492,17 +504,17 @@ fn all_three_timestamper_impls_agree_on_a_fixed_component_map() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property form of the three-way agreement, across workload families.
+    /// Property form of the three-way agreement, across workload families:
+    /// the engine's chunked kernel and the online timestamper against the
+    /// dense batch replay.
     #[test]
     fn prop_timestamper_impls_agree(computation in ComputationStrategy::small()) {
         let plan = OfflineOptimizer::new().plan_for_computation(&computation);
-        let reference = plan.assigner().assign(&computation);
+        let reference = replay(&mut plan.timestamper(), &computation).unwrap().timestamps;
 
-        let mut batch = plan.timestamper();
         let mut engine = TimestampingEngine::with_components(plan.components().clone());
         let mut online =
             OnlineTimestamper::with_components(Naive::threads(), plan.components().clone());
-        prop_assert_eq!(&replay(&mut batch, &computation).unwrap().timestamps, &reference);
         prop_assert_eq!(&replay(&mut engine, &computation).unwrap().timestamps, &reference);
         prop_assert_eq!(&replay(&mut online, &computation).unwrap().timestamps, &reference);
     }

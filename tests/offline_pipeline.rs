@@ -2,10 +2,8 @@
 //! → bipartite graph → matching → minimum cover → mixed clock → validity.
 
 use mixed_vector_clock::prelude::*;
-use mvc_clock::chain::ChainClockAssigner;
+use mvc_clock::chain;
 use mvc_clock::validate::satisfies_vector_clock_condition;
-use mvc_clock::vector::{ObjectVectorClockAssigner, ThreadVectorClockAssigner};
-use mvc_clock::TimestampAssigner;
 use mvc_core::analysis::verify_all_clocks;
 use mvc_trace::examples::paper_figure1;
 use mvc_trace::{WorkloadBuilder, WorkloadKind};
@@ -44,10 +42,15 @@ fn all_clock_kinds_induce_the_same_order_on_random_workloads() {
             .seed(seed)
             .build();
         let plan = OfflineOptimizer::new().plan_for_computation(&computation);
-        let thread = ThreadVectorClockAssigner::new().assign(&computation);
-        let object = ObjectVectorClockAssigner::new().assign(&computation);
-        let mixed = plan.assigner().assign(&computation);
-        let chain = ChainClockAssigner::new().assign(&computation);
+        let stamp = |map: ComponentMap| {
+            replay(&mut BatchReplay::new(map), &computation)
+                .unwrap()
+                .timestamps
+        };
+        let thread = stamp(ComponentMap::all_threads(computation.thread_index_bound()));
+        let object = stamp(ComponentMap::all_objects(computation.object_index_bound()));
+        let mixed = stamp(plan.components().clone());
+        let chain = chain::decompose(&computation).timestamps;
 
         for i in 0..computation.len() {
             for j in 0..computation.len() {
@@ -124,7 +127,9 @@ fn degenerate_computations_are_handled() {
     let single_thread = WorkloadBuilder::new(1, 20).operations(100).seed(1).build();
     let plan = OfflineOptimizer::new().plan_for_computation(&single_thread);
     assert_eq!(plan.clock_size(), 1);
-    let stamps = plan.assigner().assign(&single_thread);
+    let stamps = replay(&mut plan.timestamper(), &single_thread)
+        .unwrap()
+        .timestamps;
     let oracle = single_thread.causality_oracle();
     assert!(satisfies_vector_clock_condition(
         &single_thread,
@@ -141,7 +146,10 @@ fn degenerate_computations_are_handled() {
     let empty = Computation::new();
     let plan = OfflineOptimizer::new().plan_for_computation(&empty);
     assert_eq!(plan.clock_size(), 0);
-    assert!(plan.assigner().assign(&empty).is_empty());
+    assert!(replay(&mut plan.timestamper(), &empty)
+        .unwrap()
+        .timestamps
+        .is_empty());
 }
 
 /// `plan-sparse`'s nonuniform graph at `seed` as a reveal stream, with about

@@ -51,7 +51,9 @@ fn traced_execution_feeds_the_offline_optimizer() {
     // order, so the optimal mixed clock must be a valid vector clock.
     let plan = OfflineOptimizer::new().plan_for_computation(&computation);
     assert!(plan.clock_size() <= 4, "4 objects always form a cover here");
-    let stamps = plan.assigner().assign(&computation);
+    let stamps = replay(&mut plan.timestamper(), &computation)
+        .unwrap()
+        .timestamps;
     assert!(mvc_core::verify_assignment(&computation, &stamps));
 }
 

@@ -153,7 +153,7 @@ impl Strategy for EdgeStreamStrategy {
 
 /// Strategy yielding triples of equal-width vector timestamps, for testing
 /// the comparison algebra of `mvc_clock::compare` on raw vectors (not only
-/// on vectors an assigner happens to produce).
+/// on vectors a clock happens to produce).
 #[derive(Debug, Clone)]
 pub struct TimestampTripleStrategy {
     /// Range of vector widths.
