@@ -477,6 +477,16 @@ impl ClockRows {
         }
     }
 
+    /// Drops a thread's row, keeping its slot: an empty entry of fixed size
+    /// that reads as zeros, so thread ids stay dense and are never reused.
+    /// For a thread that will take no further step — stamps already
+    /// emitted keep the row they share.
+    pub fn release_thread(&mut self, thread: ThreadId) {
+        if let Some(slot) = self.threads.get_mut(thread.index()) {
+            *slot = ThreadRow::Own(ChunkedRow::new());
+        }
+    }
+
     /// The current clock of a thread as a plain vector, padded to `width`
     /// (not below the widths stepped so far).  A copy, so nothing done with
     /// it reaches the row.
@@ -841,6 +851,26 @@ mod tests {
             2,
             "the kept stamp was copied, not written"
         );
+    }
+
+    #[test]
+    fn a_released_thread_keeps_an_empty_slot_and_its_stamps_keep_their_row() {
+        let mut rows = ClockRows::new();
+        let (t, o) = (ThreadId, ObjectId);
+        rows.step(t(0), o(0), 0, 128);
+        let stamp = rows.step(t(1), o(0), 1, 128);
+        rows.release_thread(t(1));
+        assert_eq!(rows.threads.len(), 2, "the id stays taken");
+        assert_eq!(rows.threads[1].row().stored_words(), 0, "the row is gone");
+        assert_eq!(rows.thread_clock(t(1), 128), VectorTimestamp::zeros(128));
+        assert_eq!((stamp.component(0), stamp.component(1)), (1, 1));
+        assert_eq!(
+            rows.object_clock(o(0), 128),
+            stamp.clone().into_padded_to(128),
+            "the object's row stays"
+        );
+        rows.release_thread(t(9));
+        assert_eq!(rows.threads.len(), 2, "an untouched id allocates nothing");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mvc_clock::{chain, validate, ComponentMap, VectorTimestamp};
+use mvc_clock::{chain, validate, Component, ComponentMap, VectorTimestamp};
 use mvc_trace::Computation;
 
 use crate::engine::TimestampingEngine;
@@ -103,9 +103,10 @@ pub fn verify_assignment(computation: &Computation, timestamps: &[VectorTimestam
 /// Runs all standard clocks (thread, object, optimal mixed, chain) on a
 /// computation and verifies each of them, returning `(name, size, valid)`
 /// triples.  The first three are one protocol, the [`TimestampingEngine`]'s,
-/// under three component maps: every thread, every object and the optimal
-/// cover.  Integration tests use it to show that every clock in the
-/// repository agrees on the happened-before relation.
+/// under three component maps: every thread that has an event (the paper's
+/// `n`, as [`ClockSizeReport::thread_clock`] counts it), every such object
+/// (`m`) and the optimal cover.  Integration tests use it to show that
+/// every clock in the repository agrees on the happened-before relation.
 pub fn verify_all_clocks(computation: &Computation) -> Vec<(&'static str, usize, bool)> {
     let oracle = computation.causality_oracle();
     let plan = OfflineOptimizer::new().plan_for_computation(computation);
@@ -119,11 +120,11 @@ pub fn verify_all_clocks(computation: &Computation) -> Vec<(&'static str, usize,
     [
         replayed(
             "thread-vector-clock",
-            ComponentMap::all_threads(computation.thread_index_bound()),
+            computation.threads().map(Component::Thread).collect(),
         ),
         replayed(
             "object-vector-clock",
-            ComponentMap::all_objects(computation.object_index_bound()),
+            computation.objects().map(Component::Object).collect(),
         ),
         replayed("mixed-vector-clock", plan.components().clone()),
         ("chain-clock", chain.chains, chain.timestamps),
@@ -202,6 +203,32 @@ mod tests {
             .find(|(n, _, _)| *n == "mixed-vector-clock")
             .unwrap();
         assert_eq!(mixed.1, 3);
+    }
+
+    #[test]
+    fn the_report_and_the_verified_clocks_count_the_same_threads_and_objects() {
+        // The only event is on thread 4 and object 2: one active thread and
+        // one active object, whatever their ids.
+        let mut c = Computation::new();
+        c.record(ThreadId(4), ObjectId(2));
+        let report = ClockSizeReport::analyze(&c);
+        assert_eq!((report.thread_clock, report.object_clock), (1, 1));
+        let sizes: Vec<_> = verify_all_clocks(&c)
+            .into_iter()
+            .map(|(name, size, valid)| {
+                assert!(valid, "{name}");
+                (name, size)
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                ("thread-vector-clock", report.thread_clock),
+                ("object-vector-clock", report.object_clock),
+                ("mixed-vector-clock", report.optimal_mixed),
+                ("chain-clock", report.chain_clock),
+            ]
+        );
     }
 
     #[test]

@@ -151,6 +151,12 @@ impl TimestampingEngine {
         Ok(stamp)
     }
 
+    /// Frees the row of a thread that will observe nothing more (see
+    /// [`ClockRows::release_thread`]); its id stays taken.
+    pub fn release_thread(&mut self, thread: ThreadId) {
+        self.rows.release_thread(thread);
+    }
+
     /// The current clock of a thread, padded to the current width.
     pub fn thread_clock(&self, thread: ThreadId) -> VectorTimestamp {
         self.rows.thread_clock(thread, self.width())

@@ -26,6 +26,10 @@
 //! * [`sink`] — [`EventSink`]: pluggable egress for stamped events (memory
 //!   recorder, streaming codec writer, stats counters, tee fan-out), the
 //!   third stage of the runtime's ingest → stamp → sink pipeline.
+//! * [`stamp_loop`] — [`StampLoop`]: the one loop that drives a
+//!   [`Timestamper`] into an [`EventSink`] in bounded windows, holding back
+//!   whatever either stage refused ([`PipelineError`]); the runtime's live
+//!   sessions and the network server both feed it.
 //!
 //! # Quickstart
 //!
@@ -55,6 +59,7 @@ pub mod analysis;
 pub mod engine;
 pub mod offline;
 pub mod sink;
+pub mod stamp_loop;
 pub mod timestamper;
 
 pub use analysis::{verify_assignment, ClockSizeReport};
@@ -63,6 +68,7 @@ pub use offline::{OfflineOptimizer, OfflinePlan, OfflineSolution};
 pub use sink::{
     CodecSink, EventSink, MemoryRecorder, SinkError, SinkStats, StampedEvent, StatsSink, TeeSink,
 };
+pub use stamp_loop::{PipelineError, StampLoop};
 pub use timestamper::{
     replay, BatchReplay, TimestampError, TimestampReport, TimestampedRun, Timestamper,
 };

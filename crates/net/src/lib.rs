@@ -14,8 +14,10 @@
 //!   runtime) and an in-process duplex pair ([`InProcTransport`]) for
 //!   deterministic, network-free tests.
 //! * [`server`] / [`client`] — the sans-I/O session server
-//!   ([`NetServer`], multiplexing N clients into one pipeline drain loop,
-//!   with reconnect-and-replay) and the producer state machine
+//!   ([`NetServer`]: plain data around one engine and one
+//!   [`StampLoop`](mvc_core::StampLoop) that every client's `Events`
+//!   frames feed, with reconnect-and-replay, and a finished session
+//!   leaving only its summary) and the producer state machine
 //!   ([`ProducerClient`]).
 //!
 //! ## Why the result is exactly the batch result

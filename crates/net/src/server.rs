@@ -7,7 +7,9 @@
 //! [`take_outgoing`](NetServer::take_outgoing).  Tests drive it
 //! deterministically over [`InProcTransport`](crate::InProcTransport)
 //! pairs; [`serve_tcp`] wraps the same core in a thread-per-connection
-//! loop behind one mutex.
+//! loop behind one mutex.  Inside, it is plain data: the engine, a
+//! [`StampLoop`], the sink that routes stamps back, and slabs of sessions
+//! and connections.
 //!
 //! ## Session vs. connection
 //!
@@ -21,12 +23,21 @@
 //! and therefore every stamp — is bit-for-bit identical to an
 //! uninterrupted run.
 //!
+//! A session that completes its `Goodbye` never resumes, so it leaves only
+//! its [`SessionSummary`]; its route, frame log, token, slot and threads'
+//! rows go ([`ServeEngine::release_thread`]).  Thread ids are never reused,
+//! so each thread keeps a fixed-size empty row slot and owner slot; objects
+//! stay, being the clock's components.  A connection's slot is freed at
+//! [`disconnect`](NetServer::disconnect), or when the last bytes of a
+//! connection the server closed are taken; a stale [`ConnId`] is inert.
+//!
 //! ## Stamp return
 //!
-//! The server hands each `Events` frame to the pipeline whole, in arrival
-//! order: the server lock serialises the frames and each client sends its
-//! events in program order, so arrival order is a linear extension of both
-//! chain families and the stamps come back in each session's send order.
+//! The server records each `Events` frame into its stamp loop whole, in
+//! arrival order: the server lock serialises the frames and each client
+//! sends its events in program order, so arrival order is a linear
+//! extension of both chain families and the stamps come back in each
+//! session's send order.
 //! The sink the server wraps around the user's frames each window's
 //! returned stamps before it hands the window on: it reads them where they
 //! lie in the window's stamp column and encodes them into their session's
@@ -50,16 +61,18 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mvc_clock::{Component, VectorTimestamp};
-use mvc_core::{EventSink, SinkError, TimestampReport, Timestamper, TimestampingEngine};
-use mvc_runtime::{LiveSession, TraceSession};
+use mvc_core::{
+    EventSink, PipelineError, SinkError, StampLoop, TimestampReport, Timestamper,
+    TimestampingEngine,
+};
 use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind, ThreadId};
 
@@ -80,11 +93,20 @@ pub trait ServeEngine: Timestamper + Send {
     /// Ensures `object` is covered by the engine's component map (must be
     /// idempotent).
     fn cover_object(&mut self, object: ObjectId);
+
+    /// Frees what the engine holds for `thread`, whose session has
+    /// completed: it observes nothing more, and its id is never reused.
+    /// The default keeps everything.
+    fn release_thread(&mut self, _thread: ThreadId) {}
 }
 
 impl ServeEngine for TimestampingEngine {
     fn cover_object(&mut self, object: ObjectId) {
         self.add_component(Component::Object(object));
+    }
+
+    fn release_thread(&mut self, thread: ThreadId) {
+        TimestampingEngine::release_thread(self, thread);
     }
 }
 
@@ -97,6 +119,10 @@ impl ServeEngine for ShardedEngine {
 impl ServeEngine for Box<dyn ServeEngine> {
     fn cover_object(&mut self, object: ObjectId) {
         (**self).cover_object(object);
+    }
+
+    fn release_thread(&mut self, thread: ThreadId) {
+        (**self).release_thread(thread);
     }
 }
 
@@ -122,9 +148,76 @@ impl Default for ServerConfig {
     }
 }
 
-/// Handle to one server-side connection slot.
+/// Handle to one server-side connection: its slot and the slot's
+/// generation, so a handle outlived by its connection is inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ConnId(usize);
+pub struct ConnId(Key);
+
+/// A slot and the generation it was issued at.
+type Key = (usize, u64);
+
+/// Reusable slots, each with a generation that freeing it bumps, so a key
+/// issued before reads nothing, even once the slot holds another entry.
+/// The occupied count is mirrored on a gauge.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<(u64, Option<T>)>,
+    live: usize,
+    gauge: mvc_obs::Gauge,
+}
+
+impl<T> Slab<T> {
+    fn new(gauge: mvc_obs::Gauge) -> Self {
+        let slots = Vec::new();
+        Slab {
+            slots,
+            live: 0,
+            gauge,
+        }
+    }
+
+    fn insert(&mut self, value: T) -> Key {
+        let free = self.slots.iter().position(|(_, v)| v.is_none());
+        let slot = free.unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push((0, None));
+        }
+        self.slots[slot].1 = Some(value);
+        self.live += 1;
+        self.gauge.add(1);
+        (slot, self.slots[slot].0)
+    }
+
+    fn get(&self, (slot, generation): Key) -> Option<&T> {
+        let (g, value) = self.slots.get(slot)?;
+        value.as_ref().filter(|_| *g == generation)
+    }
+
+    fn get_mut(&mut self, (slot, generation): Key) -> Option<&mut T> {
+        let (g, value) = self.slots.get_mut(slot)?;
+        value.as_mut().filter(|_| *g == generation)
+    }
+
+    fn remove(&mut self, key: Key) -> Option<T> {
+        self.get(key)?;
+        let (generation, value) = &mut self.slots[key.0];
+        *generation += 1;
+        self.live -= 1;
+        self.gauge.add(-1);
+        value.take()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (Key, &mut T)> {
+        let slots = self.slots.iter_mut().enumerate();
+        slots.filter_map(|(slot, (g, value))| Some(((slot, *g), value.as_mut()?)))
+    }
+}
+
+impl<T> Drop for Slab<T> {
+    fn drop(&mut self) {
+        self.gauge.add(-(self.live as i64));
+    }
+}
 
 /// The sink the server wraps around the user's sink.  It frames the stamps
 /// of threads whose session asked for them straight from each window's
@@ -147,16 +240,18 @@ pub struct ConnId(usize);
 /// inner sink has accepted every stamp in it.
 struct RouterSink {
     inner: Box<dyn EventSink>,
-    /// `owner[global thread index]`: the session and lane (local thread)
-    /// whose stamps come back, or `None` for a session without stamps.
-    owner: Vec<Option<(usize, u32)>>,
-    /// Per session, in session order.
+    /// `owner[global thread index]`: the session slot and lane (local
+    /// thread) whose stamps come back, or `None` for a session without
+    /// stamps or one that has completed.  Both fit `u32` by far (a slot
+    /// per live session, a lane per thread of one `Hello`), and a finished
+    /// thread keeps its 12 bytes here.
+    owner: Vec<Option<(u32, u32)>>,
+    /// Per session slot; a free slot's route is empty.
     routes: Vec<StampRoute<'static>>,
     /// Whether the inner sink refused the last window offered: its re-offer
     /// is routed already.
     refused: bool,
     stamps_per_frame: usize,
-    accepted: usize,
     /// The first stamp that could not be routed: fatal, surfaced by
     /// [`NetServer::pump`].
     fault: Option<String>,
@@ -213,13 +308,6 @@ impl<'a> StampRoute<'a> {
             writer: self.writer.keep(),
             log: self.log,
         }
-    }
-
-    /// Frees everything a completed session held.
-    fn close(&mut self) {
-        self.log.drop_below(self.log.end);
-        // Nothing is written to a completed session.
-        self.writer = StampsWriter::new(self.log.end, 1);
     }
 }
 
@@ -313,29 +401,41 @@ impl RouterSink {
             routes: Vec::new(),
             refused: false,
             stamps_per_frame: stamps_per_frame.max(1),
-            accepted: 0,
             fault: None,
             stamp_wire_bytes: registry.histogram("net.server.stamp_wire_bytes"),
             retransmit_bytes: registry.gauge("net.server.retransmit_bytes"),
         }
     }
 
-    /// Adds the route of the next session, whose threads have the global
-    /// indices `threads`.
-    fn open_route(&mut self, threads: &[usize], want_stamps: bool) {
-        let sid = self.routes.len();
-        let lanes = if want_stamps { threads.len() } else { 0 };
-        for (lane, &global) in threads[..lanes].iter().enumerate() {
-            if self.owner.len() <= global {
-                self.owner.resize(global + 1, None);
+    /// Opens the route of the session in `slot`, whose lanes are the
+    /// global threads `threads`.
+    fn open_route(&mut self, slot: usize, threads: Range<usize>, want_stamps: bool) {
+        if want_stamps {
+            self.owner.resize(self.owner.len().max(threads.end), None);
+            for (lane, thread) in threads.enumerate() {
+                self.owner[thread] = Some((slot as u32, lane as u32));
             }
-            self.owner[global] = Some((sid, lane as u32));
         }
-        self.routes.push(StampRoute {
+        if slot == self.routes.len() {
+            self.routes.push(self.empty_route());
+        }
+    }
+
+    /// Frees everything the completed session in `slot` held: its frames,
+    /// its open frame and its threads' claims on their stamps.
+    fn close_route(&mut self, slot: usize, threads: Range<usize>) {
+        if let Some(owners) = self.owner.get_mut(threads) {
+            owners.fill(None);
+        }
+        self.routes[slot] = self.empty_route();
+    }
+
+    fn empty_route(&self) -> StampRoute<'static> {
+        StampRoute {
             owed: 0,
             writer: StampsWriter::new(0, self.stamps_per_frame),
             log: FrameLog::new(self.retransmit_bytes.clone()),
-        });
+        }
     }
 
     /// Frames the window's returned stamps, reading them from `column`, and
@@ -350,7 +450,7 @@ impl RouterSink {
             let Some(&Some((sid, lane))) = self.owner.get(thread.index()) else {
                 continue;
             };
-            let route = &mut routes[sid];
+            let route = &mut routes[sid as usize];
             if route.owed == 0 {
                 self.fault.get_or_insert_with(|| {
                     format!("stamp without a pending event on session {sid}")
@@ -372,10 +472,6 @@ impl RouterSink {
             }
         }
     }
-
-    fn into_inner(self) -> Box<dyn EventSink> {
-        self.inner
-    }
 }
 
 impl EventSink for RouterSink {
@@ -391,12 +487,9 @@ impl EventSink for RouterSink {
         if !std::mem::take(&mut self.refused) {
             self.route_window(events, stamps);
         }
-        if let Err(e) = self.inner.accept_columns(events, stamps) {
-            self.refused = true;
-            return Err(e);
-        }
-        self.accepted += events.len();
-        Ok(())
+        let accepted = self.inner.accept_columns(events, stamps);
+        self.refused = accepted.is_err();
+        accepted
     }
 
     fn flush(&mut self) -> Result<(), SinkError> {
@@ -404,7 +497,7 @@ impl EventSink for RouterSink {
     }
 
     fn events_accepted(&self) -> usize {
-        self.accepted
+        self.inner.events_accepted()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -412,11 +505,13 @@ impl EventSink for RouterSink {
     }
 }
 
-/// Per-session server state (survives connection loss).
+/// Per-session server state (survives connection loss; dropped when the
+/// session completes).
 #[derive(Debug)]
 struct Session {
     token: u64,
-    threads: Vec<ThreadId>,
+    /// The global thread ids of its local threads `0..`, in order.
+    threads: Range<usize>,
     objects: Vec<ObjectId>,
     want_stamps: bool,
     /// Events ingested (the reconnect watermark and `Credit.acked` value).
@@ -425,28 +520,33 @@ struct Session {
     credit: u64,
     /// Client's claimed total from its `Goodbye`, once received.
     goodbye_at: Option<u64>,
-    done: bool,
-    conn: Option<usize>,
+    conn: Option<ConnId>,
     /// First stamp of the next frame to copy into the connection's outbox
     /// (always a frame boundary).  The stamps themselves, framed, are the
     /// session's route in the [`RouterSink`].
     next_send: u64,
 }
 
+impl Session {
+    fn summary(&self, completed: bool) -> SessionSummary {
+        SessionSummary {
+            token: self.token,
+            ingested: self.ingested,
+            threads: self.threads.len(),
+            completed,
+        }
+    }
+}
+
 /// Registry handles for the server's session-layer metrics, resolved once
-/// at construction so the frame handlers never touch the registry (see
-/// docs/OBSERVABILITY.md for the catalogue).
+/// at construction so the frame handlers never touch the registry (names
+/// and meanings in docs/OBSERVABILITY.md).
 #[derive(Debug)]
 struct ServerMetrics {
-    /// `net.server.sessions_opened`: fresh sessions created by a Hello.
     sessions_opened: mvc_obs::Counter,
-    /// `net.server.sessions_resumed`: successful reconnect-and-replay
-    /// handshakes.
     sessions_resumed: mvc_obs::Counter,
-    /// `net.server.events_ingested`: events accepted across all sessions.
     events_ingested: mvc_obs::Counter,
-    /// `net.server.credit_occupancy` (events): how much of a session's
-    /// credit window was in flight when a refill fired.
+    /// Events in flight when a credit refill fired.
     credit_occupancy: mvc_obs::Histogram,
 }
 
@@ -467,8 +567,19 @@ impl Default for ServerMetrics {
 struct Conn {
     reader: FrameReader,
     outbox: Vec<u8>,
-    session: Option<usize>,
+    session: Option<Key>,
     open: bool,
+}
+
+impl Conn {
+    /// Marks the connection closed and detaches its session, which stays
+    /// resumable.
+    fn close(&mut self, sessions: &mut Slab<Session>) {
+        self.open = false;
+        if let Some(session) = self.session.take().and_then(|sid| sessions.get_mut(sid)) {
+            session.conn = None;
+        }
+    }
 }
 
 /// Summary of one session after [`NetServer::finish`].
@@ -495,76 +606,84 @@ pub struct ServerRun {
 }
 
 /// The sans-I/O server core: sessions, framing, backpressure, and the
-/// single shared pipeline.
+/// single shared stamp loop.
 ///
 /// All methods are synchronous and non-blocking; an I/O layer (the
 /// in-process test harness or [`serve_tcp`]) moves bytes between
 /// transports and this core.
 pub struct NetServer<E: ServeEngine> {
-    live: LiveSession<E, RouterSink>,
+    engine: E,
+    stamps: StampLoop,
+    router: RouterSink,
     config: ServerConfig,
-    sessions: Vec<Session>,
-    conns: Vec<Conn>,
-    tokens: HashMap<u64, usize>,
+    /// Live sessions (`net.server.sessions_live`); a session's slot is also
+    /// its route's index in the router.
+    sessions: Slab<Session>,
+    /// Connections not yet freed (`net.server.conns_live`).
+    conns: Slab<Conn>,
     object_ids: HashMap<String, ObjectId>,
     next_token: u64,
+    next_thread: usize,
+    /// One summary per completed session.
+    completed: Vec<SessionSummary>,
     metrics: ServerMetrics,
+}
+
+/// The session a connection said Hello for.
+fn session_of<'a>(
+    conns: &Slab<Conn>,
+    sessions: &'a mut Slab<Session>,
+    conn: ConnId,
+) -> Result<(Key, &'a mut Session), String> {
+    let sid = conns.get(conn.0).and_then(|c| c.session);
+    sid.and_then(|sid| Some((sid, sessions.get_mut(sid)?)))
+        .ok_or_else(|| "frame before Hello".to_owned())
 }
 
 impl<E: ServeEngine> NetServer<E> {
     /// Creates a server draining into `sink` through `engine`.
     pub fn new(engine: E, sink: Box<dyn EventSink>, config: ServerConfig) -> Self {
-        let session = TraceSession::new();
+        let registry = mvc_obs::global();
         NetServer {
-            live: session.live_with_sink(engine, RouterSink::new(sink, config.stamps_per_frame)),
+            engine,
+            stamps: StampLoop::new(),
+            router: RouterSink::new(sink, config.stamps_per_frame),
             config,
-            sessions: Vec::new(),
-            conns: Vec::new(),
-            tokens: HashMap::new(),
+            sessions: Slab::new(registry.gauge("net.server.sessions_live")),
+            conns: Slab::new(registry.gauge("net.server.conns_live")),
             object_ids: HashMap::new(),
             next_token: 1,
+            next_thread: 0,
+            completed: Vec::new(),
             metrics: ServerMetrics::default(),
         }
     }
 
     /// Registers a new connection and queues the server's stream header.
     pub fn connect(&mut self) -> ConnId {
-        let id = self.conns.len();
         let mut outbox = Vec::with_capacity(64);
         write_stream_header(&mut outbox);
-        self.conns.push(Conn {
+        ConnId(self.conns.insert(Conn {
             reader: FrameReader::new(),
             outbox,
             session: None,
             open: true,
-        });
-        ConnId(id)
+        }))
     }
 
     /// Whether the connection is still open (has not errored, closed, or
     /// finished its session).
     pub fn is_open(&self, conn: ConnId) -> bool {
-        self.conns[conn.0].open
+        self.conns.get(conn.0).is_some_and(|c| c.open)
     }
 
-    /// Sessions that have completed their goodbye handshake.
-    fn sessions_done(&self) -> usize {
-        self.sessions.iter().filter(|s| s.done).count()
-    }
-
-    /// Connections still open.
-    fn conns_open(&self) -> usize {
-        self.conns.iter().filter(|c| c.open).count()
-    }
-
-    /// Marks a connection dead (transport closed or failed).  Its
+    /// Forgets a connection whose transport closed or failed, and frees
+    /// its slot: nothing queued for it can be delivered any more.  Its
     /// session, if any, is detached and can be resumed by a reconnect;
     /// any half-received frame is discarded with the reader.
     pub fn disconnect(&mut self, conn: ConnId) {
-        let c = &mut self.conns[conn.0];
-        c.open = false;
-        if let Some(sid) = c.session.take() {
-            self.sessions[sid].conn = None;
+        if let Some(mut c) = self.conns.remove(conn.0) {
+            c.close(&mut self.sessions);
         }
     }
 
@@ -573,52 +692,40 @@ impl<E: ServeEngine> NetServer<E> {
     ///
     /// Protocol violations do not return an error: they queue an
     /// [`Frame::Error`] on the offending connection and close it (the
-    /// session stays resumable).  Only pipeline failures — which poison
-    /// the shared run — surface as [`NetError`].
+    /// session stays resumable).  Bytes for a closed connection are
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// [`NetError::Pipeline`] if the shared pipeline fails.
+    /// None today: events are stamped by [`pump`](Self::pump), whose
+    /// [`NetError::Pipeline`] is the server's only fatal error.
     pub fn feed(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), NetError> {
-        if !self.conns[conn.0].open {
+        let Some(c) = self.conns.get_mut(conn.0).filter(|c| c.open) else {
             return Ok(());
+        };
+        c.reader.feed(bytes);
+        // A frame may close the connection: read on only while it is open.
+        while let Some(c) = self.conns.get_mut(conn.0).filter(|c| c.open) {
+            let violation = match c.reader.try_next() {
+                Ok(Some(frame)) => match self.handle_frame(conn, frame) {
+                    Ok(()) => continue,
+                    Err(violation) => violation,
+                },
+                Ok(None) => break,
+                Err(e) => e.to_string(),
+            };
+            self.fail_conn(conn, error_code::PROTOCOL, &violation);
         }
-        self.conns[conn.0].reader.feed(bytes);
-        loop {
-            let next = self.conns[conn.0].reader.try_next();
-            match next {
-                Ok(Some(frame)) => {
-                    if let Err(violation) = self.handle_frame(conn, frame) {
-                        self.fail_conn(conn, error_code::PROTOCOL, &violation);
-                        return Ok(());
-                    }
-                }
-                Ok(None) => return Ok(()),
-                Err(e) => {
-                    self.fail_conn(conn, error_code::PROTOCOL, &e.to_string());
-                    return Ok(());
-                }
-            }
-        }
+        Ok(())
     }
 
     /// Queues an error frame on the connection and closes it, detaching
     /// (but keeping) its session.
     fn fail_conn(&mut self, conn: ConnId, code: u8, message: &str) {
-        let c = &mut self.conns[conn.0];
-        if !c.open {
-            return;
-        }
-        write_frame(
-            &mut c.outbox,
-            &Frame::Error {
-                code,
-                message: message.to_owned(),
-            },
-        );
-        c.open = false;
-        if let Some(sid) = c.session.take() {
-            self.sessions[sid].conn = None;
+        if let Some(c) = self.conns.get_mut(conn.0).filter(|c| c.open) {
+            let message = message.to_owned();
+            write_frame(&mut c.outbox, &Frame::Error { code, message });
+            c.close(&mut self.sessions);
         }
     }
 
@@ -645,12 +752,6 @@ impl<E: ServeEngine> NetServer<E> {
         }
     }
 
-    fn session_of(&self, conn: ConnId) -> Result<usize, String> {
-        self.conns[conn.0]
-            .session
-            .ok_or_else(|| "frame before Hello".to_owned())
-    }
-
     fn handle_hello(
         &mut self,
         conn: ConnId,
@@ -660,7 +761,7 @@ impl<E: ServeEngine> NetServer<E> {
         threads: Vec<String>,
         objects: Vec<String>,
     ) -> Result<(), String> {
-        if self.conns[conn.0].session.is_some() {
+        if self.conns.get(conn.0).is_some_and(|c| c.session.is_some()) {
             return Err("second Hello on one connection".to_owned());
         }
         let sid = if token == 0 {
@@ -668,56 +769,49 @@ impl<E: ServeEngine> NetServer<E> {
         } else {
             self.resume_session(token, want_stamps, stamps_received, &threads, &objects)?
         };
-        self.conns[conn.0].session = Some(sid);
-        self.sessions[sid].conn = Some(conn.0);
-        let session = &self.sessions[sid];
+        let (Some(c), Some(session)) = (self.conns.get_mut(conn.0), self.sessions.get_mut(sid))
+        else {
+            return Ok(());
+        };
+        c.session = Some(sid);
+        session.conn = Some(conn);
         let ack = Frame::HelloAck {
             token: session.token,
             watermark: session.ingested,
             credit: session.credit,
-            thread_ids: session.threads.iter().map(|t| t.index() as u64).collect(),
+            thread_ids: session.threads.clone().map(|t| t as u64).collect(),
             object_ids: session.objects.iter().map(|o| o.index() as u64).collect(),
         };
-        write_frame(&mut self.conns[conn.0].outbox, &ack);
+        write_frame(&mut c.outbox, &ack);
         Ok(())
     }
 
-    fn open_session(&mut self, want_stamps: bool, threads: &[String], objects: &[String]) -> usize {
+    fn open_session(&mut self, want_stamps: bool, threads: &[String], objects: &[String]) -> Key {
         self.metrics.sessions_opened.inc();
-        let sid = self.sessions.len();
         let token = self.next_token;
         self.next_token += 1;
-        self.tokens.insert(token, sid);
-        let thread_ids: Vec<ThreadId> = threads
-            .iter()
-            .map(|name| self.live.register_thread(&format!("s{token}/{name}")).id())
-            .collect();
-        let globals: Vec<usize> = thread_ids.iter().map(|t| t.index()).collect();
-        self.live.sink_mut().open_route(&globals, want_stamps);
-        let mut object_ids = Vec::with_capacity(objects.len());
-        for name in objects {
-            let id = match self.object_ids.entry(name.clone()) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let id = self.live.register_object(name);
-                    self.live.timestamper_mut().cover_object(id);
-                    *e.insert(id)
-                }
-            };
-            object_ids.push(id);
-        }
-        self.sessions.push(Session {
+        let threads = self.next_thread..self.next_thread + threads.len();
+        self.next_thread = threads.end;
+        // A new name gets the next object id and its own clock component.
+        let objects = objects.iter().map(|name| {
+            let next = ObjectId(self.object_ids.len());
+            *self.object_ids.entry(name.clone()).or_insert_with(|| {
+                self.engine.cover_object(next);
+                next
+            })
+        });
+        let sid = self.sessions.insert(Session {
             token,
-            threads: thread_ids,
-            objects: object_ids,
+            threads: threads.clone(),
+            objects: objects.collect(),
             want_stamps,
             ingested: 0,
             credit: self.config.credit_window,
             goodbye_at: None,
-            done: false,
             conn: None,
             next_send: 0,
         });
+        self.router.open_route(sid.0, threads, want_stamps);
         sid
     }
 
@@ -728,17 +822,18 @@ impl<E: ServeEngine> NetServer<E> {
         stamps_received: u64,
         threads: &[String],
         objects: &[String],
-    ) -> Result<usize, String> {
-        let sid = *self
-            .tokens
-            .get(&token)
-            .ok_or_else(|| format!("unknown session token {token}"))?;
-        let session = &mut self.sessions[sid];
+    ) -> Result<Key, String> {
+        let Some((sid, session)) = self.sessions.iter_mut().find(|(_, s)| s.token == token) else {
+            // Tokens are issued in order and only a completed session's
+            // token stops being live.
+            return Err(if token < self.next_token {
+                format!("session {token} already completed")
+            } else {
+                format!("unknown session token {token}")
+            });
+        };
         if session.conn.is_some() {
             return Err(format!("session {token} is already connected"));
-        }
-        if session.done {
-            return Err(format!("session {token} already completed"));
         }
         if session.threads.len() != threads.len()
             || session.objects.len() != objects.len()
@@ -748,7 +843,7 @@ impl<E: ServeEngine> NetServer<E> {
                 "session {token} resumed with different registrations"
             ));
         }
-        let log = &mut self.live.sink_mut().routes[sid].log;
+        let log = &mut self.router.routes[sid.0].log;
         if stamps_received > log.end {
             return Err(format!(
                 "session {token} claims {stamps_received} stamps received, only {} were produced",
@@ -782,8 +877,7 @@ impl<E: ServeEngine> NetServer<E> {
     }
 
     fn handle_events(&mut self, conn: ConnId, events: &[(u32, u32, OpKind)]) -> Result<(), String> {
-        let sid = self.session_of(conn)?;
-        let session = &mut self.sessions[sid];
+        let (sid, session) = session_of(&self.conns, &mut self.sessions, conn)?;
         if session.goodbye_at.is_some() {
             return Err("events after Goodbye".to_owned());
         }
@@ -806,13 +900,17 @@ impl<E: ServeEngine> NetServer<E> {
         }
         // Arrival order is the serialization: the transport keeps each
         // client's send order and the server lock serialises frames.
-        let (threads, objects) = (&session.threads, &session.objects);
-        self.live
-            .record_serialized(events.iter().map(|&(thread, object, kind)| {
-                (threads[thread as usize], objects[object as usize], kind)
+        let (first, objects) = (session.threads.start, &session.objects);
+        self.stamps
+            .record(events.iter().map(|&(thread, object, kind)| {
+                (
+                    ThreadId(first + thread as usize),
+                    objects[object as usize],
+                    kind,
+                )
             }));
         if session.want_stamps {
-            self.live.sink_mut().routes[sid].owed += n;
+            self.router.routes[sid.0].owed += n;
         }
         session.ingested += n;
         session.credit -= n;
@@ -821,20 +919,19 @@ impl<E: ServeEngine> NetServer<E> {
     }
 
     fn handle_stamps_ack(&mut self, conn: ConnId, received: u64) -> Result<(), String> {
-        let sid = self.session_of(conn)?;
-        let next_send = self.sessions[sid].next_send;
-        if received > next_send {
+        let (sid, session) = session_of(&self.conns, &mut self.sessions, conn)?;
+        if received > session.next_send {
             return Err(format!(
-                "acknowledged {received} stamps, only {next_send} were sent"
+                "acknowledged {received} stamps, only {} were sent",
+                session.next_send
             ));
         }
-        self.live.sink_mut().routes[sid].log.drop_below(received);
+        self.router.routes[sid.0].log.drop_below(received);
         Ok(())
     }
 
     fn handle_goodbye(&mut self, conn: ConnId, events: u64) -> Result<(), String> {
-        let sid = self.session_of(conn)?;
-        let session = &mut self.sessions[sid];
+        let (_, session) = session_of(&self.conns, &mut self.sessions, conn)?;
         if events != session.ingested {
             return Err(format!(
                 "goodbye claims {events} events, server ingested {}",
@@ -845,12 +942,11 @@ impl<E: ServeEngine> NetServer<E> {
         Ok(())
     }
 
-    /// Advances the shared pipeline and refreshes every connected
+    /// Stamps every event fed so far and refreshes every connected
     /// session's outbox: newly produced stamps, credit refills, and
     /// goodbye completions.
     ///
-    /// Returns the number of events drained through the pipeline by this
-    /// call.
+    /// Returns the number of events the user's sink accepted in this call.
     ///
     /// # Errors
     ///
@@ -858,12 +954,11 @@ impl<E: ServeEngine> NetServer<E> {
     /// for the whole server (the I/O layer should stop).
     pub fn pump(&mut self) -> Result<usize, NetError> {
         let drained = self
-            .live
-            .pump()
+            .stamps
+            .pump(&mut self.engine, &mut self.router, |_| 0)
             .map_err(|e| NetError::Pipeline(e.to_string()))?;
-        let router = self.live.sink_mut();
-        router.frame_ready();
-        if let Some(fault) = router.fault.take() {
+        self.router.frame_ready();
+        if let Some(fault) = self.router.fault.take() {
             return Err(NetError::Pipeline(fault));
         }
         self.flush_sessions();
@@ -871,16 +966,20 @@ impl<E: ServeEngine> NetServer<E> {
     }
 
     /// Copies unsent stamp frames, then credit refills and goodbye
-    /// completions, into each connected session's outbox.
+    /// completions, into each connected session's outbox, and lets every
+    /// completed session go.
     fn flush_sessions(&mut self) {
+        // A completed session's threads lose their rows: that is sound only
+        // once the loop holds none of their events, which every successful
+        // pump leaves behind.
+        debug_assert!(self.stamps.is_idle(), "flushed behind unstamped events");
         let window = self.config.credit_window;
-        let routes = &mut self.live.sink_mut().routes;
-        for (session, route) in self.sessions.iter_mut().zip(routes) {
-            let Some(conn) = session.conn else { continue };
-            let conn = &mut self.conns[conn];
-            if !conn.open {
+        let mut completed = Vec::new();
+        for (sid, session) in self.sessions.iter_mut() {
+            let Some(conn) = session.conn.and_then(|c| self.conns.get_mut(c.0)) else {
                 continue;
-            }
+            };
+            let route = &self.router.routes[sid.0];
             for frame in route.log.since(session.next_send) {
                 conn.outbox.extend_from_slice(&frame.bytes);
                 count_sent(frame.bytes.len());
@@ -907,22 +1006,44 @@ impl<E: ServeEngine> NetServer<E> {
             // every stamp copied for delivery.
             if let Some(total) = session.goodbye_at {
                 let stamps_flushed = !session.want_stamps || session.next_send == total;
-                if session.ingested == total && stamps_flushed && !session.done {
+                if session.ingested == total && stamps_flushed {
                     write_frame(&mut conn.outbox, &Frame::Goodbye { events: total });
-                    session.done = true;
                     conn.open = false;
                     conn.session = None;
-                    session.conn = None;
-                    // A completed session never resumes: nothing to replay.
-                    route.close();
+                    completed.push(sid);
                 }
             }
         }
+        for sid in completed {
+            self.complete(sid);
+        }
     }
 
-    /// Takes the bytes queued for a connection (empties its outbox).
+    /// Lets a completed session go: it never resumes, so nothing it held is
+    /// needed again but its summary.
+    fn complete(&mut self, sid: Key) {
+        let Some(session) = self.sessions.remove(sid) else {
+            return;
+        };
+        self.router.close_route(sid.0, session.threads.clone());
+        for thread in session.threads.clone() {
+            self.engine.release_thread(ThreadId(thread));
+        }
+        self.completed.push(session.summary(true));
+    }
+
+    /// Takes the bytes queued for a connection (empties its outbox).  A
+    /// connection the server closed is freed once its last bytes are
+    /// taken.
     pub fn take_outgoing(&mut self, conn: ConnId) -> Vec<u8> {
-        std::mem::take(&mut self.conns[conn.0].outbox)
+        let Some(c) = self.conns.get_mut(conn.0) else {
+            return Vec::new();
+        };
+        let out = std::mem::take(&mut c.outbox);
+        if !c.open {
+            self.conns.remove(conn.0);
+        }
+        out
     }
 
     /// One non-blocking I/O round for a connection: drain the transport
@@ -967,31 +1088,23 @@ impl<E: ServeEngine> NetServer<E> {
     }
 
     /// Drains everything still buffered and returns the sink, the
-    /// engine's report, and per-session summaries.
+    /// engine's report, and one summary per session, in creation order.
     ///
     /// # Errors
     ///
     /// [`NetError::Pipeline`] if the final drain fails.
     pub fn finish(mut self) -> Result<ServerRun, NetError> {
         self.pump()?;
-        let summaries: Vec<SessionSummary> = self
-            .sessions
-            .iter()
-            .map(|s| SessionSummary {
-                token: s.token,
-                ingested: s.ingested,
-                threads: s.threads.len(),
-                completed: s.done,
-            })
-            .collect();
-        let (router, report) = self
-            .live
-            .finish_into_sink()
-            .map_err(|(_, e)| NetError::Pipeline(e.to_string()))?;
+        self.router
+            .flush()
+            .map_err(|e| NetError::Pipeline(PipelineError::Sink(e).to_string()))?;
+        let mut sessions = std::mem::take(&mut self.completed);
+        sessions.extend(self.sessions.iter_mut().map(|(_, s)| s.summary(false)));
+        sessions.sort_by_key(|s| s.token);
         Ok(ServerRun {
-            sink: router.into_inner(),
-            report,
-            sessions: summaries,
+            report: self.engine.finish(),
+            sink: self.router.inner,
+            sessions,
         })
     }
 }
@@ -1036,7 +1149,7 @@ pub fn serve_tcp<E: ServeEngine + 'static>(
     loop {
         {
             let server = shared.server.lock();
-            if server.sessions_done() >= expected_sessions && server.conns_open() == 0 {
+            if server.completed.len() >= expected_sessions && server.conns.live == 0 {
                 break;
             }
         }
@@ -1177,7 +1290,7 @@ mod tests {
     #[test]
     fn a_stamp_for_a_session_that_owes_none_is_a_fault_not_a_frame() {
         let mut router = RouterSink::new(Box::new(MemoryRecorder::new()), 4);
-        router.open_route(&[0], true);
+        router.open_route(0, 0..1, true);
         let mut stamps = vec![VectorTimestamp::from(vec![1])];
         router
             .accept_columns(&[write(0)], &mut stamps)
@@ -1220,7 +1333,7 @@ mod tests {
         server.feed(conn, &hello).unwrap();
         assert!(server.is_open(conn));
         // An event that bypassed `handle_events`: its session owes no stamp.
-        server.live.record_serialized([write(0)]);
+        server.stamps.record([write(0)]);
         match server.pump() {
             Err(NetError::Pipeline(msg)) => {
                 assert!(msg.contains("stamp without a pending event"), "got: {msg}");

@@ -153,13 +153,6 @@ impl IngestShared {
     }
 }
 
-/// Default per-call emission budget for [`OrderedMerge::drain`].  Consumers
-/// process each drained batch (stamp it, record it) immediately, so a
-/// bounded batch is still cache-warm when it is consumed — unbounded drains
-/// of a large backlog would walk every event twice with the first pass long
-/// evicted.
-pub(crate) const DRAIN_BUDGET: usize = 4096;
-
 /// Capacity, in events, each of a thread's two circulating vectors may keep
 /// once consumed (4 KiB), so a drained backlog's high-water capacity does
 /// not stay with the thread for ever: memory follows the backlog down.
@@ -450,6 +443,7 @@ impl OrderedMerge {
 mod tests {
     use super::*;
     use crate::session::{SessionInner, ThreadHandle};
+    use mvc_core::stamp_loop::STAMP_WINDOW;
 
     fn ev(thread: usize, object: usize, seq: u64) -> SequencedEvent {
         SequencedEvent {
@@ -711,7 +705,7 @@ mod tests {
         }
         let mut merge = OrderedMerge::new();
         let mut out = Vec::new();
-        while merge.drain(&session.ingest, &mut out, DRAIN_BUDGET) > 0 {}
+        while merge.drain(&session.ingest, &mut out, STAMP_WINDOW) > 0 {}
         assert_eq!(out.len(), 100_000);
         let retained = |merge: &OrderedMerge| {
             t[0].buffer.events.lock().capacity() + merge.stash[0].events.capacity()
@@ -725,7 +719,7 @@ mod tests {
         }
         t[1].buffer.push(ev(1, 1, 0));
         out.clear();
-        while merge.drain(&session.ingest, &mut out, DRAIN_BUDGET) > 0 {}
+        while merge.drain(&session.ingest, &mut out, STAMP_WINDOW) > 0 {}
         assert_eq!(out.len(), 100_002);
         assert!(retained(&merge) + merge.spare.capacity() <= 3 * RETAINED_EVENTS);
     }

@@ -15,9 +15,9 @@
 //! * [`ingest`] — the per-thread buffers, the publish signal that lets a
 //!   drain visit only the buffers with something in them, and the
 //!   order-preserving merge that reassembles a faithful interleaving.
-//! * [`pipeline`] — the shared drain driver (ingest →
-//!   [`Timestamper`](mvc_core::Timestamper) → [`EventSink`](mvc_core::sink::EventSink))
-//!   and its [`PipelineError`].
+//! * [`pipeline`] — how a live session is put together (ingest → merge →
+//!   mvc-core's [`StampLoop`](mvc_core::StampLoop)) and its
+//!   [`PipelineError`].
 //! * [`live`] — [`LiveSession`]: the same session switched into live mode,
 //!   where any [`Timestamper`](mvc_core::Timestamper) stamps events as they
 //!   drain from the ingest buffers and any sink receives the stamped

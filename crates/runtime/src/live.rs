@@ -12,6 +12,11 @@
 //! interleaving as a computation, so a live run can always be cross-checked
 //! against a post-hoc batch replay of the identical event order.
 //!
+//! A live session is three parts: the ingest buffers its threads publish
+//! to, the ticket merge that reassembles one faithful interleaving from
+//! them, and mvc-core's [`StampLoop`], which the merge refills window by
+//! window and which stamps each window and hands it to the sink.
+//!
 //! ```
 //! use mvc_runtime::TraceSession;
 //! use mvc_online::{OnlineTimestamper, Popularity};
@@ -39,10 +44,12 @@ use std::sync::Arc;
 
 use mvc_clock::VectorTimestamp;
 use mvc_core::sink::{EventSink, MemoryRecorder};
+use mvc_core::stamp_loop::{StampLoop, STAMP_WINDOW};
 use mvc_core::{TimestampReport, Timestamper};
-use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
+use mvc_trace::Computation;
 
-use crate::pipeline::{PipelineError, PipelineState};
+use crate::ingest::OrderedMerge;
+use crate::pipeline::PipelineError;
 use crate::session::{SessionInner, ThreadHandle, TraceSession};
 use crate::SharedObject;
 
@@ -68,13 +75,15 @@ pub struct LiveRun {
 /// [`finish`](LiveSession::finish).  Per-object and per-thread orders are
 /// preserved exactly as in batch mode, because the order-preserving merge
 /// replays the serialization tickets drawn under each object's lock (see
-/// [`crate::ingest`]).
+/// [`crate::ingest`]).  The merge visits only the buffers that published
+/// since the last pump, so an idle pump is two uncontended locks.
 #[derive(Debug)]
 pub struct LiveSession<T, S = MemoryRecorder> {
     inner: Arc<SessionInner>,
     timestamper: T,
     sink: S,
-    state: PipelineState,
+    merge: OrderedMerge,
+    stamps: StampLoop,
 }
 
 impl TraceSession {
@@ -98,7 +107,8 @@ impl TraceSession {
             inner,
             timestamper,
             sink,
-            state: PipelineState::new(),
+            merge: OrderedMerge::new(),
+            stamps: StampLoop::new(),
         }
     }
 }
@@ -113,31 +123,6 @@ impl<T: Timestamper, S: EventSink> LiveSession<T, S> {
     pub fn shared_object<V>(&self, name: &str, value: V) -> SharedObject<V> {
         let id = self.inner.register_object(name);
         SharedObject::new(id, name, value)
-    }
-
-    /// Registers an object *by name only* and returns its dense id, for
-    /// callers that serialise object access themselves (see
-    /// [`record_serialized`](Self::record_serialized)).
-    pub fn register_object(&self, name: &str) -> ObjectId {
-        self.inner.register_object(name)
-    }
-
-    /// Appends events the caller has already serialised to the unstamped
-    /// backlog; the next [`pump`](Self::pump) stamps them in this order,
-    /// with no merge.
-    ///
-    /// The caller's order must be a linear extension of both chain
-    /// families: each thread's events in program order, each object's in
-    /// its serialization order.  A mixed-clock stamp depends only on the
-    /// event's causal past, so every such order gives the same stamps.  A
-    /// session uses one ingest scheme: events recorded here and events
-    /// published through [`ThreadHandle`]s or [`SharedObject`]s have no
-    /// order between them.
-    pub fn record_serialized(
-        &mut self,
-        events: impl IntoIterator<Item = (ThreadId, ObjectId, OpKind)>,
-    ) {
-        self.state.record(events);
     }
 
     /// Drains every event currently published to the ingest buffers through
@@ -164,8 +149,11 @@ impl<T: Timestamper, S: EventSink> LiveSession<T, S> {
     /// adding a component via [`timestamper_mut`](Self::timestamper_mut) —
     /// no operation is lost.
     pub fn pump(&mut self) -> Result<usize, PipelineError> {
-        self.state
-            .pump(&self.inner, &mut self.timestamper, &mut self.sink)
+        let (merge, ingest) = (&mut self.merge, &self.inner.ingest);
+        self.stamps
+            .pump(&mut self.timestamper, &mut self.sink, |out| {
+                merge.drain(ingest, out, STAMP_WINDOW)
+            })
     }
 
     /// The attached timestamper.
@@ -183,11 +171,6 @@ impl<T: Timestamper, S: EventSink> LiveSession<T, S> {
     /// The attached sink.
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    /// Mutable access to the attached sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// Current clock width.
@@ -346,46 +329,6 @@ mod tests {
             .collect();
         let dense = replay(&mut plan.timestamper(), &run.computation).unwrap();
         assert_eq!(streamed, dense.timestamps);
-    }
-
-    #[test]
-    fn serialized_events_are_stamped_in_their_order_behind_a_held_back_suffix() {
-        let session = TraceSession::new();
-        let mut live = session.live(TimestampingEngine::new());
-        let (a, b) = (
-            live.register_thread("a").id(),
-            live.register_thread("b").id(),
-        );
-        let (x, y) = (live.register_object("x"), live.register_object("y"));
-        live.timestamper_mut()
-            .add_component(mvc_clock::Component::Object(x));
-        live.record_serialized([(b, x, OpKind::Write), (a, y, OpKind::Read)]);
-        assert!(live.pump().is_err(), "y is not covered yet");
-        live.record_serialized([(a, x, OpKind::Write)]);
-        live.timestamper_mut()
-            .add_component(mvc_clock::Component::Object(y));
-        assert_eq!(
-            live.pump().unwrap(),
-            2,
-            "the held-back event, then the new one"
-        );
-        let run = live.finish().unwrap();
-        let order: Vec<_> = run
-            .computation
-            .events()
-            .map(|e| (e.thread, e.object, e.kind))
-            .collect();
-        assert_eq!(
-            order,
-            [
-                (b, x, OpKind::Write),
-                (a, y, OpKind::Read),
-                (a, x, OpKind::Write)
-            ]
-        );
-        let mut replay = BatchReplay::new(run.report.components.clone());
-        let batch = mvc_core::replay(&mut replay, &run.computation).unwrap();
-        assert_eq!(run.timestamps, batch.timestamps);
     }
 
     #[test]

@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use mvc_core::stamp_loop::STAMP_WINDOW;
 use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
 
-use crate::ingest::{IngestShared, OrderedMerge, ThreadBuffer, DRAIN_BUDGET};
+use crate::ingest::{IngestShared, OrderedMerge, ThreadBuffer};
 use crate::object::SharedObject;
 
 /// One recorded operation, as emitted by the order-preserving merge — the
@@ -170,7 +171,7 @@ impl TraceSession {
         let mut batch = Vec::new();
         // Bounded batches: each one is appended while still cache-warm
         // from the merge.
-        while merge.drain(&inner.ingest, &mut batch, DRAIN_BUDGET) > 0 {
+        while merge.drain(&inner.ingest, &mut batch, STAMP_WINDOW) > 0 {
             computation.record_ops(batch.drain(..));
         }
         computation

@@ -1,7 +1,7 @@
 //! Tier-1 metrics parity: the observability layer's counters must agree
 //! with ground truth the rest of the workspace already measures.
 //!
-//! Eight oracles:
+//! Nine oracles:
 //!
 //! 1. An 8-thread contended `TraceSession` workload drained through the
 //!    live pipeline into a `StatsSink`: the global registry's
@@ -42,9 +42,16 @@
 //!    does not move, a resume is acknowledged at watermark 0, and the
 //!    events sent again draw the object's first tickets.
 //!
-//! Oracles 1, 2, 4, 5, 6, 7 and 8 share the process-global registry, so
+//! 9. What a finished session leaves: across 2 000 sequential sessions
+//!    through one server, `net.server.sessions_live`, `net.server.conns_live`
+//!    and `net.server.retransmit_bytes` read after every session what they
+//!    read after the first — where they started — and `finish` still
+//!    returns every session's summary.
+//!
+//! Oracles 1, 2, 4, 5, 6, 7, 8 and 9 share the process-global registry, so
 //! they are serialized behind one mutex; 1, 2, 5, 6 and 8 assert on
-//! snapshot *deltas* only, 7 on the gauge's moves from its start value.
+//! snapshot *deltas* only, 7 and 9 on the gauges' moves from their start
+//! values.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -299,6 +306,57 @@ fn retransmit_bytes_gauge_holds_the_unacknowledged_frames() {
     let run = server.finish().expect("finish");
     assert!(run.sessions.iter().all(|s| s.completed));
     assert_eq!(held(), 0);
+    registry.set_enabled(was_enabled);
+}
+
+#[test]
+fn a_completed_session_leaves_the_structure_gauges_where_it_found_them() {
+    let _guard = global_registry_lock();
+    let registry = mvc_obs::global();
+    let was_enabled = registry.enabled();
+    registry.set_enabled(true);
+    let gauges = ["sessions_live", "conns_live", "retransmit_bytes"]
+        .map(|name| registry.gauge(&format!("net.server.{name}")));
+    let read = || gauges.each_ref().map(|g| g.value());
+    let start = read();
+
+    let mut server = NetServer::new(
+        TimestampingEngine::new(),
+        Box::new(StatsSink::new()),
+        ServerConfig::default(),
+    );
+    assert_eq!(read(), start, "an empty server holds nothing");
+    let mut after_first = None;
+    for session in 0..2_000 {
+        let (near, mut far) = InProcTransport::pair();
+        let conn = server.connect();
+        let threads = vec!["a".into(), "b".into()];
+        let config = ClientConfig::new(threads, vec!["x".into(), "y".into()], true);
+        let mut client = ProducerClient::connect(near, config).expect("connect");
+        for i in 0..16 {
+            client.record(i % 2, i / 3 % 2, OpKind::Write);
+        }
+        client.request_finish();
+        server_round(&mut server, conn, &mut far); // the Hello
+        let [sessions, conns, _] = read();
+        assert_eq!((sessions, conns), (start[0] + 1, start[1] + 1), "one live");
+        while !client.is_finished() {
+            client.step(Some(Duration::ZERO)).expect("client step");
+            server_round(&mut server, conn, &mut far);
+        }
+        let levels = read();
+        assert_eq!(
+            levels,
+            *after_first.get_or_insert(levels),
+            "after session {session}"
+        );
+    }
+    assert_eq!(after_first, Some(start), "nothing live between sessions");
+    let run = server.finish().expect("finish");
+    assert_eq!(run.sessions.len(), 2_000);
+    assert!(run.sessions.iter().all(|s| s.completed && s.ingested == 16));
+    assert!(run.sessions.windows(2).all(|w| w[0].token < w[1].token));
+    assert_eq!(read(), start);
     registry.set_enabled(was_enabled);
 }
 

@@ -3,8 +3,10 @@
 //! frame-boundary failure (truncation and corruption), version mismatch,
 //! the mid-stream disconnect + reconnect-and-replay story, and the stamp
 //! retransmit log (resumes on frame boundaries, byte-identical replays,
-//! stamps kept across a cut), and a user sink that refuses windows while
-//! stamps are on their way back.
+//! stamps kept across a cut), a user sink that refuses windows while
+//! stamps are on their way back, and what a finished session or connection
+//! leaves: a completed session cannot be resumed, and a stale connection
+//! id reaches nothing.
 //!
 //! No sockets: every test runs single-threaded over
 //! [`InProcTransport`] pairs, alternating client
@@ -950,6 +952,151 @@ fn stamps_wait_for_a_refusing_sink_and_then_match_an_uninterrupted_run() {
             "accept {accept}, refuse {refuse}"
         );
     }
+}
+
+#[test]
+fn a_stamp_less_session_completes_behind_a_refusing_sink_with_the_batch_stamps() {
+    let sink = Refusing {
+        inner: MemoryRecorder::new(),
+        accept: 0,
+        refuse: 3,
+    };
+    let mut server = NetServer::new(
+        TimestampingEngine::new(),
+        Box::new(sink),
+        ServerConfig::default(),
+    );
+    let conn = server.connect();
+    let (near, mut far) = InProcTransport::pair();
+    let threads = (0..3).map(|t| format!("t{t}")).collect();
+    let config = ClientConfig::new(threads, vec!["x".into(), "y".into()], false);
+    let mut client = ProducerClient::connect(near, config).expect("connect");
+    for (t, o, kind) in refusal_script() {
+        client.record(t, o, kind);
+    }
+    client.request_finish();
+    server.service(conn, &mut far).expect("the HelloAck");
+    client
+        .step(ZERO)
+        .expect("the ack, every event and the Goodbye");
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(mvc_net::Recv::Bytes(n)) = far.recv(&mut buf, ZERO) {
+        server.feed(conn, &buf[..n]).expect("feed");
+    }
+    // Everything is ingested and the Goodbye is in, but the session
+    // completes only behind a pump that delivered its events.
+    for _ in 0..3 {
+        server.pump().expect_err("the sink refuses");
+        assert!(server.is_open(conn), "no Goodbye while the sink refuses");
+        assert!(server.take_outgoing(conn).is_empty());
+    }
+    server.service(conn, &mut far).expect("the sink accepts");
+    assert!(!server.is_open(conn), "the session completed");
+    for _ in 0..10 {
+        if client.is_finished() {
+            break;
+        }
+        client.step(ZERO).expect("the Goodbye");
+    }
+    let run = client.into_run().expect("finished");
+    let server_run = server.finish().expect("finish");
+    assert_eq!(server_run.sessions.len(), 1);
+    assert!(server_run.sessions[0].completed);
+    let recorder = server_run
+        .sink
+        .as_any()
+        .downcast_ref::<MemoryRecorder>()
+        .expect("mem sink");
+    let mut computation = mvc_trace::Computation::new();
+    for (t, o, kind) in refusal_script() {
+        computation.record_op(
+            ThreadId(run.thread_ids[t] as usize),
+            ObjectId(run.object_ids[o] as usize),
+            kind,
+        );
+    }
+    let mut batch = BatchReplay::new(server_run.report.components.clone());
+    let reference = mvc_core::replay(&mut batch, &computation).unwrap();
+    assert_eq!(recorder.computation().len(), 10_000, "each event sunk once");
+    assert_eq!(recorder.timestamps(), reference.timestamps);
+}
+
+#[test]
+fn resuming_a_completed_session_is_refused_as_already_completed() {
+    let mut server = new_server(ServerConfig::default());
+    let (mut client, link, _) = connect(
+        &mut server,
+        ClientConfig::new(vec!["t".into()], vec!["o".into()], true),
+    );
+    for _ in 0..5 {
+        client.record(0, 0, OpKind::Write);
+    }
+    client.request_finish();
+    drive(&mut server, &mut [link], &mut [&mut client]);
+    let token = client.into_run().expect("finished").token;
+
+    let refusal = |server: &mut Server, token: u64| {
+        let conn = server.connect();
+        let (mut near, mut far) = InProcTransport::pair();
+        near.send(&raw_hello(token, 5)).unwrap();
+        server.service(conn, &mut far).unwrap();
+        assert!(!server.is_open(conn));
+        let mut reader = FrameReader::new();
+        match &read_frames(&mut near, &mut reader)[..] {
+            [Frame::Error { code, message }] => {
+                assert_eq!(*code, frame::error_code::PROTOCOL);
+                message.clone()
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+    };
+    let message = refusal(&mut server, token);
+    assert!(message.contains("already completed"), "got: {message}");
+    let message = refusal(&mut server, token + 1);
+    assert!(message.contains("unknown session token"), "got: {message}");
+    let run = server.finish().expect("finish");
+    assert_eq!(run.sessions.len(), 1);
+    assert!(run.sessions[0].completed);
+}
+
+#[test]
+fn a_stale_conn_id_is_inert_once_its_slot_serves_another_connection() {
+    let mut server = new_server(ServerConfig::default());
+    // Closed by the server behind an error frame: freed once it is taken.
+    let failed = server.connect();
+    server.feed(failed, &[0xff; 8]).unwrap();
+    assert!(!server.is_open(failed));
+    assert!(!server.take_outgoing(failed).is_empty(), "the Error frame");
+    // Disconnected: freed at once.
+    let old = server.connect();
+    server.disconnect(old);
+    let (first, second) = (server.connect(), server.connect());
+    for stale in [failed, old] {
+        assert!(stale != first && stale != second);
+        assert!(!server.is_open(stale));
+        assert!(server.take_outgoing(stale).is_empty());
+        // A Hello and a disconnect through the stale id reach nothing.
+        server.feed(stale, &raw_hello(0, 0)).unwrap();
+        server.disconnect(stale);
+    }
+    assert!(server.is_open(first) && server.is_open(second));
+    server.pump().unwrap();
+    // Both live connections have their stream header and nothing more.
+    for conn in [first, second] {
+        assert_eq!(server.take_outgoing(conn).len(), 4, "the header alone");
+    }
+    // The slot's new connection opens the server's first session.
+    let (mut near, mut far) = InProcTransport::pair();
+    near.send(&raw_hello(0, 0)).unwrap();
+    server.service(first, &mut far).unwrap();
+    let mut reader = FrameReader::new();
+    reader.feed(&frame::NET_MAGIC);
+    reader.feed(&[frame::NET_VERSION]);
+    match &read_frames(&mut near, &mut reader)[..] {
+        [Frame::HelloAck { token: 1, .. }] => {}
+        other => panic!("expected the first HelloAck, got {other:?}"),
+    }
+    assert_eq!(server.finish().expect("finish").sessions.len(), 1);
 }
 
 /// A server-side transport half that decodes every frame the server reads
