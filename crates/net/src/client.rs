@@ -10,11 +10,11 @@
 //! send, so that the next window of events is on its way to the server
 //! while the client rebuilds the last one's stamps.  The server writes
 //! `Credit` behind the `Stamps` it covers, so the client writes again only
-//! once the server's write has landed.  Deterministic tests alternate
-//! `step(Some(Duration::ZERO))` with the server's
-//! [`service`](crate::NetServer::service) over an in-process pair; the
-//! blocking [`finish`](ProducerClient::finish) convenience just loops
-//! `step` with a short wait until the server's goodbye arrives.
+//! once the server's write has landed.  Deterministic tests interleave
+//! `step(Some(Duration::ZERO))` with the server's sans-I/O calls over an
+//! in-process pair; the blocking [`finish`](ProducerClient::finish)
+//! convenience just loops `step` with a short wait until the server's
+//! goodbye arrives.
 //!
 //! ## Replay log and reconnect
 //!

@@ -32,9 +32,14 @@
 //! bit for bit, including across a client disconnect, because replayed
 //! events below the ingest watermark are never re-ingested.
 //!
+//! The server is sans I/O: whoever owns the transports moves the bytes.
+//! Here one loop plays the I/O layer for one in-process connection.
+//!
 //! ```
 //! use mvc_core::{MemoryRecorder, TimestampingEngine};
-//! use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
+//! use mvc_net::{
+//!     ClientConfig, InProcTransport, NetServer, ProducerClient, Recv, ServerConfig, Transport,
+//! };
 //! use mvc_trace::OpKind;
 //! use std::time::Duration;
 //!
@@ -49,12 +54,16 @@
 //!     near,
 //!     ClientConfig::new(vec!["t0".into()], vec!["x".into()], true),
 //! )?;
-//! let mut far = far;
+//! let (mut far, mut buf) = (far, [0u8; 4096]);
 //! client.record(0, 0, OpKind::Write);
 //! client.record(0, 0, OpKind::Read);
 //! client.request_finish();
 //! while !client.is_finished() {
-//!     server.service(conn, &mut far)?;
+//!     while let Recv::Bytes(n) = far.recv(&mut buf, Some(Duration::ZERO))? {
+//!         server.feed(conn, &buf[..n])?;
+//!     }
+//!     server.pump()?;
+//!     far.send(&server.take_outgoing(conn))?;
 //!     client.step(Some(Duration::ZERO))?;
 //! }
 //! let run = client.into_run()?;

@@ -4,9 +4,10 @@
 //! The core, [`NetServer`], is written *sans I/O*: it consumes raw bytes
 //! via [`feed`](NetServer::feed), advances the pipeline via
 //! [`pump`](NetServer::pump), and produces raw bytes via
-//! [`take_outgoing`](NetServer::take_outgoing).  Tests drive it
-//! deterministically over [`InProcTransport`](crate::InProcTransport)
-//! pairs; [`serve_tcp`] wraps the same core in a thread-per-connection
+//! [`take_outgoing`](NetServer::take_outgoing).  A test schedule is then
+//! just a sequence of those calls, which the root test suite draws from a
+//! seed and interleaves with client steps, holding the bytes in between
+//! itself; [`serve_tcp`] wraps the same core in a thread-per-connection
 //! loop behind one mutex.  Inside, it is plain data: the engine, a
 //! [`StampLoop`], the sink that routes stamps back, and slabs of sessions
 //! and connections.
@@ -608,9 +609,11 @@ pub struct ServerRun {
 /// The sans-I/O server core: sessions, framing, backpressure, and the
 /// single shared stamp loop.
 ///
-/// All methods are synchronous and non-blocking; an I/O layer (the
-/// in-process test harness or [`serve_tcp`]) moves bytes between
-/// transports and this core.
+/// All methods are synchronous and non-blocking; an I/O layer (a test
+/// schedule or [`serve_tcp`]) moves bytes between transports and this
+/// core: [`feed`](Self::feed) what a connection received,
+/// [`pump`](Self::pump), and send what [`take_outgoing`](Self::take_outgoing)
+/// returns.
 pub struct NetServer<E: ServeEngine> {
     engine: E,
     stamps: StampLoop,
@@ -835,8 +838,13 @@ impl<E: ServeEngine> NetServer<E> {
         if session.conn.is_some() {
             return Err(format!("session {token} is already connected"));
         }
+        // Object names are compared through the name table; thread names
+        // are not kept, so only their count is.
+        let same_objects = session.objects.len() == objects.len()
+            && (objects.iter().zip(&session.objects))
+                .all(|(name, id)| self.object_ids.get(name) == Some(id));
         if session.threads.len() != threads.len()
-            || session.objects.len() != objects.len()
+            || !same_objects
             || session.want_stamps != want_stamps
         {
             return Err(format!(
@@ -985,10 +993,11 @@ impl<E: ServeEngine> NetServer<E> {
                 count_sent(frame.bytes.len());
                 session.next_send = frame.first + frame.count;
             }
-            // Refill credit once half the window is consumed.  The grant
-            // goes behind the stamps: the client sends again only after it
-            // has read them.
-            if session.goodbye_at.is_none() && session.credit < window / 2 {
+            // Refill credit once more than half the window is consumed
+            // (rounding up, so that a window of one refills too).  The
+            // grant goes behind the stamps: the client sends again only
+            // after it has read them.
+            if session.goodbye_at.is_none() && session.credit < window.div_ceil(2) {
                 let more = window - session.credit;
                 // `more` is exactly the occupancy (events in flight) at
                 // the moment the refill fires.
@@ -1044,47 +1053,6 @@ impl<E: ServeEngine> NetServer<E> {
             self.conns.remove(conn.0);
         }
         out
-    }
-
-    /// One non-blocking I/O round for a connection: drain the transport
-    /// into [`feed`](Self::feed), [`pump`](Self::pump), and write the
-    /// outbox back.  The building block for single-threaded harnesses;
-    /// [`serve_tcp`] uses the same sequence with blocking reads.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Pipeline`] if the pipeline fails, or
-    /// [`NetError::Transport`] if writing the outbox fails for a reason
-    /// other than a close.
-    pub fn service(&mut self, conn: ConnId, transport: &mut dyn Transport) -> Result<(), NetError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match transport.recv(&mut buf, Some(Duration::ZERO)) {
-                Ok(Recv::Bytes(n)) => self.feed(conn, &buf[..n])?,
-                Ok(Recv::Empty) => break,
-                Ok(Recv::Closed) | Err(TransportError::Closed) => {
-                    self.disconnect(conn);
-                    break;
-                }
-                Err(e) => {
-                    self.disconnect(conn);
-                    return Err(NetError::Transport(e));
-                }
-            }
-        }
-        self.pump()?;
-        let out = self.take_outgoing(conn);
-        if !out.is_empty() {
-            match transport.send(&out) {
-                Ok(()) => {}
-                Err(TransportError::Closed) => self.disconnect(conn),
-                Err(e) => {
-                    self.disconnect(conn);
-                    return Err(NetError::Transport(e));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Drains everything still buffered and returns the sink, the

@@ -8,8 +8,8 @@
 //!   connection (the server runs thread-per-connection; no async runtime).
 //! * [`InProcTransport`] — an in-process duplex pair over plain mutexes
 //!   and condition variables, for deterministic, network-free tests.  It
-//!   can [sever](InProcTransport::sever_keeping) the link at an exact byte
-//!   position, which is how the test suite forces mid-frame disconnects.
+//!   can be [severed](InProcTransport::sever); a test that cuts a link at an
+//!   exact byte position holds the undelivered bytes itself and drops them.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -212,8 +212,8 @@ impl Pipe {
 /// One half of an in-process duplex byte pipe.
 ///
 /// Clones share the same underlying pipes, so a test can keep a clone of
-/// the client's half to [sever](Self::sever_keeping) the link while the
-/// client owns the original.
+/// the client's half to [sever](Self::sever) the link while the client
+/// owns the original.
 #[derive(Debug, Clone)]
 pub struct InProcTransport {
     /// Peer → us.
@@ -239,35 +239,16 @@ impl InProcTransport {
         )
     }
 
-    /// Bytes this half has sent that the peer has not yet read.
-    pub fn pending(&self) -> usize {
-        self.outgoing.lock().buf.len()
-    }
-
-    /// Severs the link as if the process died mid-write: of the bytes this
-    /// half has sent but the peer has not yet read, only the first `keep`
-    /// are delivered; both directions then read as closed (after draining
-    /// whatever was already "on the wire").
-    pub fn sever_keeping(&self, keep: usize) {
+    /// Closes the link: the bytes already sent stay deliverable, then both
+    /// directions read as closed and sends fail.
+    pub fn sever(&self) {
         // Lock order: `outgoing`, then `incoming`, never both at once.  The
         // peer's `outgoing` is this half's `incoming`, so nesting them would
         // deadlock against a peer severing at the same time.
-        {
-            let mut out = self.outgoing.lock();
-            out.buf.truncate(keep);
-            out.closed = true;
-            self.outgoing.ready.notify_all();
+        for pipe in [&self.outgoing, &self.incoming] {
+            pipe.lock().closed = true;
+            pipe.ready.notify_all();
         }
-        let mut inc = self.incoming.lock();
-        inc.closed = true;
-        self.incoming.ready.notify_all();
-    }
-
-    /// Orderly close: all sent bytes remain deliverable, then both
-    /// directions read as closed.
-    pub fn sever(&self) {
-        let pending = self.pending();
-        self.sever_keeping(pending);
     }
 }
 
@@ -338,11 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn sever_keeping_truncates_unread_bytes_and_closes() {
+    fn sever_delivers_the_bytes_already_sent_and_closes() {
         let (mut a, mut b) = InProcTransport::pair();
-        a.send(b"0123456789").unwrap();
-        assert_eq!(a.pending(), 10);
-        a.sever_keeping(4);
+        a.send(b"0123").unwrap();
+        a.sever();
         let mut buf = [0u8; 16];
         assert_eq!(b.recv(&mut buf, Some(Duration::ZERO)), Ok(Recv::Bytes(4)));
         assert_eq!(&buf[..4], b"0123");

@@ -195,13 +195,12 @@ impl Gauge {
         }
     }
 
-    /// Moves the level by `delta` (negative to decrease). A no-op while
-    /// disabled.
+    /// Moves the level by `delta` (negative to decrease), enabled or not:
+    /// a level kept by moves pairs each up-move with a down-move, and the
+    /// switch may flip between the two.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if self.enabled.load(Relaxed) {
-            self.cell.value.fetch_add(delta, Relaxed);
-        }
+        self.cell.value.fetch_add(delta, Relaxed);
     }
 
     /// Current level.
@@ -401,6 +400,16 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.value(), 7);
+    }
+
+    #[test]
+    fn a_gauge_moved_across_the_switch_returns_to_its_level() {
+        let registry = crate::Registry::disabled();
+        let live = registry.gauge("live");
+        live.add(1);
+        registry.set_enabled(true);
+        live.add(-1);
+        assert_eq!(live.value(), 0);
     }
 
     #[test]

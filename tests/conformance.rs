@@ -50,16 +50,15 @@
 //!    live stamps vs. a fresh offline-optimal plan — any valid cover
 //!    characterises happened-before), and the streaming reachability index
 //!    agrees with the bitset `CausalityOracle` on every in-window pair.
-//! 9. **Networked service faithfulness.**  A multi-client run through the
-//!    `mvc-net` framed protocol — N producer clients over in-process
-//!    transports, one of them forced through a mid-stream disconnect and
-//!    reconnect-and-replay — produces stamps bit-for-bit equal to a
-//!    sequential batch replay of the same merged interleaving, and every
-//!    client receives exactly its own threads' stamps in its own record
-//!    order: the network is a scheduling strategy too, never a semantic
-//!    change.  The severed connection is cut inside a `Stamps` frame, so
-//!    the stamps after the reconnect are differences re-framed against new
-//!    bases.
+//! 9. **Networked service faithfulness.**  Seeded schedules of the
+//!    `mvc-net` server (`support::schedule`) — 1–3 producer clients over
+//!    in-process transports, byte-split feeds and deliveries, a forced cut
+//!    of one client's link inside a `Stamps` frame, on a frame boundary or
+//!    off one, random cuts, corrupted frames and a refusing sink — produce
+//!    stamps bit-for-bit equal to a sequential batch replay of the arrival
+//!    order the schedule decoded from the bytes it fed, and every client
+//!    receives exactly its own threads' stamps in its own record order: the
+//!    network is a scheduling strategy too, never a semantic change.
 //! 10. **The wide-clock representation is invisible.**  The sequential
 //!     engine's chunked kernel and the sharded engine's dense-slice kernel
 //!     are each other's oracle: at widths 64, 512 and 4096, over 1, 2 and 4
@@ -954,219 +953,21 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 9: networked multi-client service == sequential batch replay of the
-// merged interleaving, including across a forced disconnect + reconnect
+// Oracle 9: networked multi-client service == batch replay of its arrival
+// order, under seeded schedules
 // ---------------------------------------------------------------------------
 
-/// Everything one networked proptest case produces: the per-client runs in
-/// client order, and the server's merged trace with its stamp stream and
-/// final component map.
-struct NetCase {
-    runs: Vec<mvc_net::ClientRun>,
-    computation: Computation,
-    timestamps: Vec<VectorTimestamp>,
-    components: mvc_clock::ComponentMap,
-    sessions: Vec<mvc_net::SessionSummary>,
-}
-
-/// Drives `clients` producer clients (two local threads each, scripts
-/// `scripts[2c]` / `scripts[2c + 1]` interleaved in record order) through a
-/// [`mvc_net::NetServer`] over in-process transports, single-threaded and
-/// deterministic.  When `disconnect` is set, client 0's link is severed
-/// mid-stream — in the middle of the first `Stamps` frame in flight — and the
-/// client reconnects on a fresh pair, replaying its un-acknowledged suffix.
-fn run_networked(
-    scripts: &[Vec<(usize, mvc_trace::OpKind)>],
-    objects: usize,
-    shards: usize,
-    disconnect: bool,
-) -> NetCase {
-    use mvc_net::{
-        ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig, Transport,
-    };
-    use std::time::Duration;
-
-    const ZERO: Option<Duration> = Some(Duration::ZERO);
-    /// The `Stamps` row of docs/PROTOCOL.md's frame table.
-    const STAMPS_TAG: u8 = 4;
-    let clients = scripts.len() / 2;
-    let engine = ShardedEngine::new(shards);
-    let mut server = NetServer::new(
-        engine,
-        Box::new(mvc_core::MemoryRecorder::new()),
-        ServerConfig::default(),
-    );
-
-    // Handshakes first, in client order: every client registers the *same*
-    // object list, so the server's (deduplicated) object table and the
-    // engine's cover are complete and deterministic before any event flows.
-    let object_names: Vec<String> = (0..objects).map(|o| format!("o{o}")).collect();
-    let mut conns = Vec::new();
-    let mut fars = Vec::new();
-    let mut nears = Vec::new();
-    let mut cs = Vec::new();
-    for c in 0..clients {
-        let (near, far) = InProcTransport::pair();
-        let conn = server.connect();
-        let config = ClientConfig::new(
-            vec![format!("c{c}-a"), format!("c{c}-b")],
-            object_names.clone(),
-            true,
-        );
-        nears.push(near.clone());
-        let client = ProducerClient::connect(near, config).unwrap();
-        conns.push(conn);
-        fars.push(far);
-        cs.push(client);
-    }
-    for c in 0..clients {
-        server.service(conns[c], &mut fars[c]).unwrap();
-        cs[c].step(ZERO).unwrap();
-    }
-
-    // Record everything up front (buffered client-side), each client
-    // interleaving its two local threads position by position.
-    for c in 0..clients {
-        let (a, b) = (&scripts[2 * c], &scripts[2 * c + 1]);
-        for i in 0..a.len().max(b.len()) {
-            if let Some(&(o, kind)) = a.get(i) {
-                cs[c].record(0, o, kind);
-            }
-            if let Some(&(o, kind)) = b.get(i) {
-                cs[c].record(1, o, kind);
-            }
-        }
-    }
-
-    if disconnect {
-        // Push client 0's whole stream, let the server ingest and send the
-        // stamps, then take what is in flight off the wire, put back as
-        // much as ends in the middle of the first `Stamps` frame, and kill
-        // the link.
-        cs[0].step(ZERO).unwrap();
-        server.service(conns[0], &mut fars[0]).unwrap();
-        let mut in_flight = vec![0u8; fars[0].pending()];
-        let taken = nears[0].recv(&mut in_flight, ZERO).unwrap();
-        assert_eq!(taken, mvc_net::Recv::Bytes(in_flight.len()));
-        // (Half of whatever there is when client 0 recorded nothing.)
-        let mut cut = in_flight.len() / 2;
-        let mut at = 0;
-        while let Ok(Some((len, used))) = mvc_trace::codec::peek_varint(&in_flight[at..]) {
-            if in_flight[at + used] == STAMPS_TAG {
-                cut = at + used + len as usize / 2;
-                break;
-            }
-            at += used + len as usize;
-        }
-        fars[0].send(&in_flight[..cut]).unwrap();
-        fars[0].sever();
-        server.service(conns[0], &mut fars[0]).unwrap();
-        cs[0]
-            .step(ZERO)
-            .expect_err("the severed link must surface as an error");
-
-        let (near, far) = InProcTransport::pair();
-        let conn = server.connect();
-        cs[0].reconnect(near).unwrap();
-        conns[0] = conn;
-        fars[0] = far;
-        server.service(conns[0], &mut fars[0]).unwrap();
-        cs[0].step(ZERO).unwrap();
-    }
-
-    for client in &mut cs {
-        client.request_finish();
-    }
-    let mut rounds = 0;
-    while !cs.iter().all(|c| c.is_finished()) {
-        for c in 0..clients {
-            if !cs[c].is_finished() {
-                cs[c].step(ZERO).unwrap();
-            }
-            server.service(conns[c], &mut fars[c]).unwrap();
-        }
-        rounds += 1;
-        assert!(rounds < 10_000, "networked drive loop did not converge");
-    }
-
-    let runs: Vec<_> = cs.into_iter().map(|c| c.into_run().unwrap()).collect();
-    let server_run = server.finish().unwrap();
-    let recorder = server_run
-        .sink
-        .as_any()
-        .downcast_ref::<mvc_core::MemoryRecorder>()
-        .unwrap();
-    NetCase {
-        runs,
-        computation: recorder.computation().clone(),
-        timestamps: recorder.timestamps().to_vec(),
-        components: server_run.report.components,
-        sessions: server_run.sessions,
-    }
-}
-
-const ORACLE9_CLIENTS: [usize; 3] = [1, 2, 3];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Conformance oracle 9: the networked multi-client run — including one
-    /// forced mid-stream disconnect + reconnect-and-replay — produces
-    /// stamps bit-for-bit equal to a sequential batch replay of the same
-    /// merged interleaving, and routes to each client exactly its own
-    /// threads' stamps in its own record order.  Swept over client count ×
-    /// shard count.
-    #[test]
-    fn networked_service_equals_sequential_batch_replay(
-        config_idx in (0usize..3, 0usize..3, 0usize..2),
-        seed_scripts in scripts_strategy(6, 4),
-    ) {
-        let (clients_idx, shards_idx, disconnect_idx) = config_idx;
-        let disconnect = disconnect_idx == 1;
-        let clients = ORACLE9_CLIENTS[clients_idx];
-        let shards = ORACLE7_SHARDS[shards_idx];
-        let scripts = &seed_scripts[..2 * clients];
-        let case = run_networked(scripts, 4, shards, disconnect);
-
-        // Every produced operation was ingested exactly once, and every
-        // session ran to a clean Goodbye.
-        let total: usize = scripts.iter().map(Vec::len).sum();
-        prop_assert_eq!(case.computation.len(), total);
-        prop_assert_eq!(case.sessions.len(), clients);
-        for s in &case.sessions {
-            prop_assert!(s.completed, "session {} incomplete", s.token);
-        }
-
-        // Bit-for-bit parity with a sequential batch replay of the merged
-        // interleaving under the server's own final component map.
-        let mut engine = TimestampingEngine::with_components(case.components.clone());
-        let reference = replay(&mut engine, &case.computation).unwrap().timestamps;
-        prop_assert_eq!(&case.timestamps, &reference);
-
-        // Stamp routing: walking each client's record order through its
-        // global thread chains reproduces, bit for bit, the stamp stream
-        // the client received over the wire.
-        for (c, run) in case.runs.iter().enumerate() {
-            if disconnect && c == 0 {
-                prop_assert_eq!(run.reconnects, 1);
-            }
-            let (a, b) = (&scripts[2 * c], &scripts[2 * c + 1]);
-            let mut cursors = [0usize; 2];
-            let mut expected = Vec::new();
-            for i in 0..a.len().max(b.len()) {
-                for (lt, script) in [a, b].iter().enumerate() {
-                    let Some(&(o, kind)) = script.get(i) else { continue };
-                    let global = ThreadId(run.thread_ids[lt] as usize);
-                    let id = case.computation.thread_chain(global)[cursors[lt]];
-                    cursors[lt] += 1;
-                    let event = case.computation.event(id);
-                    prop_assert_eq!(event.object.index(), run.object_ids[o] as usize);
-                    prop_assert_eq!(event.kind, kind);
-                    expected.push(case.timestamps[id.index()].clone());
-                }
-            }
-            prop_assert_eq!(&run.stamps, &expected);
-        }
+/// Conformance oracle 9: seeded schedules of the networked service
+/// (`support::schedule`) stamp bit for bit like a batch replay of the
+/// arrival order the schedule decoded, and route to each client exactly its
+/// own threads' stamps in its own record order.  Seeds `0..48` sweep client
+/// count (1–3) × engine (chunked, or sharded over oracle 7's 1, 2 and 4
+/// shards) × a forced cut of client 0's link (none, inside a `Stamps` frame,
+/// on a frame boundary, off one).
+#[test]
+fn networked_service_equals_sequential_batch_replay() {
+    for seed in 0..48 {
+        support::schedule::check(seed);
     }
 }
 

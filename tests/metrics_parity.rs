@@ -53,7 +53,8 @@
 //! snapshot *deltas* only, 7 and 9 on the gauges' moves from their start
 //! values.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+mod support;
+
 use std::thread;
 use std::time::Duration;
 
@@ -67,14 +68,7 @@ use mvc_online::{OnlineTimestamper, Popularity};
 use mvc_runtime::{CompetitiveSink, TraceSession};
 use mvc_trace::{ObjectId, OpKind, WorkloadBuilder, WorkloadKind};
 use proptest::prelude::*;
-
-/// Serializes the tests that touch the process-global registry.
-fn global_registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use support::global_registry_lock;
 
 #[test]
 fn live_pipeline_counters_match_sink_ground_truth() {
@@ -178,7 +172,7 @@ fn net_frames_sent_equal_frames_received_at_quiescence() {
             }
         }
         for (conn, far) in &mut links {
-            server.service(*conn, far).expect("service");
+            server_round(&mut server, *conn, far);
         }
         if clients.iter().all(|c| c.is_finished()) {
             break;

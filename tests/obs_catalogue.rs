@@ -25,7 +25,9 @@ use std::time::Duration;
 
 use mvc_clock::ComponentMap;
 use mvc_core::{EventSink, MemoryRecorder, StatsSink, TeeSink, TimestampingEngine};
-use mvc_net::{ClientConfig, InProcTransport, NetServer, ProducerClient, ServerConfig};
+use mvc_net::{
+    ClientConfig, InProcTransport, NetServer, ProducerClient, Recv, ServerConfig, Transport,
+};
 use mvc_obs::SnapshotValue;
 use mvc_runtime::{CompetitiveSink, ConflictSink, ReachabilityIndexSink, TraceSession};
 use mvc_shard::ShardedEngine;
@@ -171,7 +173,12 @@ fn net_session() {
             break;
         }
         client.step(Some(Duration::ZERO)).expect("client step");
-        server.service(conn, &mut far).expect("service");
+        let mut buf = [0u8; 4096];
+        while let Ok(Recv::Bytes(n)) = far.recv(&mut buf, Some(Duration::ZERO)) {
+            server.feed(conn, &buf[..n]).expect("feed");
+        }
+        server.pump().expect("pump");
+        far.send(&server.take_outgoing(conn)).expect("send");
     }
     assert_eq!(client.into_run().expect("run").stamps.len(), 20);
 }

@@ -1,17 +1,20 @@
 //! Shared proptest strategies for the workspace-level test suites.
 //!
 //! Lives in a subdirectory (not compiled as its own integration-test crate)
-//! and is pulled in with `mod support;` by `conformance.rs`,
-//! `clock_properties.rs` and `trace_roundtrip.rs`, so every suite draws its
-//! computations and graphs from the same distributions.  [`flow_cut`] is the
-//! independent minimum-vertex-cover oracle (conformance oracle 11).
+//! and is pulled in with `mod support;` by the suites that use it, so every
+//! suite draws its computations and graphs from the same distributions.
+//! [`flow_cut`] is the independent minimum-vertex-cover oracle (conformance
+//! oracle 11); [`schedule`] is the seeded explorer of the networked service
+//! (conformance oracle 9 and `net_service.rs`).
 
 // Each integration-test crate uses a subset of these strategies.
 #![allow(dead_code)]
 
 pub mod flow_cut;
+pub mod schedule;
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mvc_graph::{BipartiteGraph, GraphScenario, RandomGraphBuilder};
 use mvc_trace::generator::random_graph_computation;
@@ -19,6 +22,15 @@ use mvc_trace::{Computation, WorkloadBuilder, WorkloadKind};
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Serializes the tests of one suite that touch the process-global metrics
+/// registry, or read gauges every server in the process moves.
+pub fn global_registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// The workload families the paper's model covers, cycled through by
 /// [`ComputationStrategy`].
