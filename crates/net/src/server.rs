@@ -25,10 +25,12 @@
 //! uninterrupted run.
 //!
 //! A session that completes its `Goodbye` never resumes, so it leaves only
-//! its [`SessionSummary`]; its route, frame log, token, slot and threads'
-//! rows go ([`ServeEngine::release_thread`]).  Thread ids are never reused,
-//! so each thread keeps a fixed-size empty row slot and owner slot; objects
-//! stay, being the clock's components.  A connection's slot is freed at
+//! its [`SessionSummary`]; its route, frame log, token and slot go, and so
+//! do its threads' rows where the engine frees them
+//! ([`ServeEngine::release_thread`]: `TimestampingEngine` does, a served
+//! `ShardedEngine` keeps a finished thread's slice rows).  Thread ids are
+//! never reused, so each thread keeps a fixed-size empty row slot and owner
+//! slot; objects stay, being the clock's components.  A connection's slot is freed at
 //! [`disconnect`](NetServer::disconnect), or when the last bytes of a
 //! connection the server closed are taken; a stale [`ConnId`] is inert.
 //!

@@ -2,69 +2,30 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
 use mvc_clock::{Component, ComponentMap, VectorTimestamp};
 use mvc_core::{TimestampError, TimestampReport, Timestamper};
 use mvc_trace::{ObjectId, ThreadId};
 
-use crate::slicing::{local_width, EventRec};
-use crate::worker::{spawn, Chunk};
+use crate::slicing::{local_width, EventRec, ShardState};
 
-/// Events per chunk: the granularity at which batches are broadcast to the
-/// shards and merged back.  Large enough to amortise one channel round-trip
-/// per shard over thousands of events, small enough that the merge stage
-/// pipelines with the shards instead of waiting for the whole batch.
+/// Events per chunk: the granularity at which a batch is applied to the
+/// slices and merged back.  It bounds each shard's slice buffer to one
+/// chunk's values (`CHUNK_EVENTS × slice width`) instead of the whole batch.
 pub(crate) const CHUNK_EVENTS: usize = 4096;
-
-/// How many chunks may be in flight (sent to the shards but not yet merged)
-/// at once: deep enough that the merge never starves the workers, shallow
-/// enough that reply queues hold O(PIPELINE_CHUNKS × width × CHUNK_EVENTS)
-/// slice values instead of the whole batch.
-pub(crate) const PIPELINE_CHUNKS: usize = 4;
-
-/// Handles into the process-global metrics registry, resolved once per
-/// engine. All recording is chunk-granular (a chunk is up to
-/// [`CHUNK_EVENTS`] events), so the engine pays a few `Relaxed` atomics per
-/// chunk round-trip and nothing per event. Names are catalogued in
-/// `docs/OBSERVABILITY.md`.
-#[derive(Debug)]
-struct EngineMetrics {
-    /// `shard.chunk_ns` (histogram, ns): router-side latency of collecting
-    /// one chunk's replies from every shard.
-    chunk_ns: mvc_obs::Histogram,
-    /// `shard.inflight_chunks` (gauge, chunks): chunks broadcast to the
-    /// workers but not yet merged, sampled per merge step (bounded by
-    /// [`PIPELINE_CHUNKS`]).
-    inflight_chunks: mvc_obs::Gauge,
-}
-
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        let registry = mvc_obs::global();
-        Self {
-            chunk_ns: registry.histogram("shard.chunk_ns"),
-            inflight_chunks: registry.gauge("shard.inflight_chunks"),
-        }
-    }
-}
 
 /// The sharded counterpart of
 /// [`TimestampingEngine`](mvc_core::TimestampingEngine): the same incremental
 /// mixed-vector-clock protocol, with the clock's components striped across
-/// `N` worker threads (component `k` on shard `k % N`) that each own their
-/// slice of every per-thread / per-object vector (see the `slicing` module).
+/// `N` shards (component `k` on shard `k % N`) that each own their slice of
+/// every per-thread / per-object vector as dense rows (see the `slicing`
+/// module).  The shards run in turn on the caller's thread.
 ///
-/// The engine implements [`Timestamper`], so every existing driver —
-/// [`replay`](mvc_core::replay), `TraceSession::live`, the benches, the
-/// `mvc-eval` CLI — picks it up unchanged.  A batch
-/// ([`Timestamper::observe_batch`]) is routed once, broadcast to the shards
-/// in chunks, processed slice-parallel, and merged back in arrival order.
-/// Observing single events works and is bit-identical, but pays one full
-/// fan-out per event; drive the engine with batches.
+/// The engine implements [`Timestamper`], so every driver —
+/// [`replay`](mvc_core::replay), `TraceSession::live`, the network server —
+/// picks it up unchanged.  A batch ([`Timestamper::observe_batch`]) is
+/// routed once, applied chunk by chunk to every slice, and merged back in
+/// arrival order.  Observing single events works and is bit-identical, but
+/// pays one merge per event; drive the engine with batches.
 ///
 /// ```
 /// use mvc_core::{replay, Timestamper, TimestampingEngine};
@@ -85,20 +46,17 @@ impl Default for EngineMetrics {
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
-    /// Process-global metric handles (resolved once, recorded per chunk).
-    metrics: EngineMetrics,
     components: ComponentMap,
-    /// One chunk queue per shard worker.
-    inputs: Vec<Sender<Chunk>>,
-    /// One reply channel per shard worker (slice values, event-major).
-    replies: Vec<Receiver<Vec<u64>>>,
-    handles: Vec<JoinHandle<()>>,
+    /// One slice of the engine state per shard.
+    shards: Vec<ShardState>,
+    /// One reusable slice buffer per shard (slice values, event-major).
+    bufs: Vec<Vec<u64>>,
     events_observed: usize,
 }
 
 impl ShardedEngine {
-    /// Creates an engine with no components over `shards` worker threads
-    /// (clamped to at least 1).
+    /// Creates an engine with no components over `shards` slices (clamped
+    /// to at least 1).
     pub fn new(shards: usize) -> Self {
         Self::with_components(ComponentMap::new(), shards)
     }
@@ -107,22 +65,10 @@ impl ShardedEngine {
     /// by the offline optimizer).
     pub fn with_components(components: ComponentMap, shards: usize) -> Self {
         let shards = shards.max(1);
-        let mut inputs = Vec::with_capacity(shards);
-        let mut replies = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (to_shard, input) = unbounded();
-            let (output, reply) = unbounded();
-            handles.push(spawn(s, input, output));
-            inputs.push(to_shard);
-            replies.push(reply);
-        }
         let mut engine = ShardedEngine {
-            metrics: EngineMetrics::default(),
             components: ComponentMap::new(),
-            inputs,
-            replies,
-            handles,
+            shards: (0..shards).map(ShardState::new).collect(),
+            bufs: vec![Vec::new(); shards],
             events_observed: 0,
         };
         for &component in components.components() {
@@ -166,7 +112,7 @@ impl ShardedEngine {
             .map(|index| index as u32)
     }
 
-    /// The batch pipeline: route → broadcast in chunks → apply per shard →
+    /// The batch pipeline: route → apply each chunk to every slice →
     /// order-preserving merge.  See the crate docs for the merge invariant.
     fn process_batch(
         &mut self,
@@ -174,7 +120,7 @@ impl ShardedEngine {
         out: &mut Vec<VectorTimestamp>,
     ) -> Result<(), TimestampError> {
         let width = self.components.len();
-        let shards = self.inputs.len();
+        let shards = self.shards.len();
         // Route the batch's longest coverable prefix.  Coverage cannot change
         // inside the batch (`add_component` needs `&mut self`), so checking
         // up front is equivalent to the sequential engine's per-event check.
@@ -194,52 +140,14 @@ impl ShardedEngine {
                 }
             }
         }
-        let n = recs.len();
-        self.events_observed += n;
-        out.reserve(n);
-        let windows: Vec<(usize, usize)> = (0..n)
-            .step_by(CHUNK_EVENTS)
-            .map(|start| (start, (start + CHUNK_EVENTS).min(n)))
-            .collect();
-        // Keep a bounded window of chunks in flight: the shards work ahead of
-        // the merge, but the reply queues never buffer more than
-        // PIPELINE_CHUNKS chunks of slice data — without the bound, shards
-        // that outrun the merge would transiently hold the whole batch's
-        // slices (O(events × width)) in memory.
-        let shared = Arc::new(recs);
-        let mut sent = 0;
-        let mut bufs: Vec<Vec<u64>> = Vec::with_capacity(shards);
-        for (merged, &(start, end)) in windows.iter().enumerate() {
-            while sent < windows.len() && sent < merged + PIPELINE_CHUNKS {
-                let (s, e) = windows[sent];
-                for (shard, input) in self.inputs.iter().enumerate() {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "workers only exit after their input channel is dropped, which happens in our Drop"
-                    )]
-                    input
-                        .send(Chunk {
-                            ln: local_width(width, shard, shards),
-                            events: Arc::clone(&shared),
-                            start: s,
-                            end: e,
-                        })
-                        .expect("shard worker is alive");
-                }
-                sent += 1;
+        self.events_observed += recs.len();
+        out.reserve(recs.len());
+        for chunk in recs.chunks(CHUNK_EVENTS) {
+            for (s, (state, buf)) in self.shards.iter_mut().zip(&mut self.bufs).enumerate() {
+                buf.clear();
+                state.apply(local_width(width, s, shards), chunk, buf);
             }
-            self.metrics.inflight_chunks.set((sent - merged) as i64);
-            bufs.clear();
-            let chunk_span = self.metrics.chunk_ns.span();
-            for reply in &self.replies {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "a worker replies once per chunk or the process is already panicking; see worker.rs"
-                )]
-                bufs.push(reply.recv().expect("shard worker reply"));
-            }
-            chunk_span.stop();
-            merge_into(width, &bufs, end - start, out);
+            merge_into(width, &self.bufs, chunk.len(), out);
         }
         match failure {
             Some(e) => Err(e),
@@ -253,10 +161,6 @@ impl Timestamper for ShardedEngine {
         "sharded-engine"
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "process_batch's contract is one stamp per input event; one event in, one stamp out"
-    )]
     fn observe(
         &mut self,
         thread: ThreadId,
@@ -264,7 +168,10 @@ impl Timestamper for ShardedEngine {
     ) -> Result<VectorTimestamp, TimestampError> {
         let mut out = Vec::with_capacity(1);
         self.process_batch(&[(thread, object)], &mut out)?;
-        Ok(out.pop().expect("one stamp for one event"))
+        // A covered event gets exactly one stamp; an uncovered one has
+        // already returned its error above.
+        out.pop()
+            .ok_or(TimestampError::Uncovered { thread, object })
     }
 
     fn observe_batch(
@@ -284,19 +191,6 @@ impl Timestamper for ShardedEngine {
             name: "sharded-engine".to_owned(),
             events: self.events_observed,
             components: self.components.clone(),
-        }
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Dropping the senders lets every worker drain its queue and exit;
-        // dropping the reply receivers first would also work, but joining
-        // keeps thread teardown deterministic for tests.
-        self.inputs.clear();
-        self.replies.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -428,7 +322,7 @@ mod tests {
     #[test]
     fn zero_shards_clamps_to_one_and_empty_engine_rejects() {
         let mut e = ShardedEngine::new(0);
-        assert_eq!(e.inputs.len(), 1);
+        assert_eq!(e.shards.len(), 1);
         assert_eq!(e.width(), 0);
         assert!(!e.covers(ThreadId(0), ObjectId(0)));
         let err = Timestamper::observe(&mut e, ThreadId(0), ObjectId(0)).unwrap_err();
@@ -460,15 +354,5 @@ mod tests {
         assert_eq!(report.events, 1);
         assert_eq!(report.components, map);
         assert_eq!(e.name(), "sharded-engine");
-    }
-
-    #[test]
-    fn dropping_a_threaded_engine_joins_its_workers() {
-        // Nothing to assert beyond "this terminates": Drop joins every
-        // worker, so a hang here would fail the test by timeout.
-        for _ in 0..3 {
-            let mut e = ShardedEngine::with_components(thread_map(2), 4);
-            Timestamper::observe(&mut e, ThreadId(0), ObjectId(0)).unwrap();
-        }
     }
 }

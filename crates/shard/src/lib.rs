@@ -1,26 +1,27 @@
-//! Sharded timestamping runtime: multi-core event recording with an
-//! order-preserving merge.
+//! Sharded timestamping: the mixed-vector-clock protocol over striped
+//! dense slices, with an order-preserving merge.
 //!
 //! The sequential [`TimestampingEngine`](mvc_core::TimestampingEngine)
-//! processes one event at a time on one core.  [`ShardedEngine`] runs the
-//! same protocol slice-parallel without changing a single stamp: the clock's
-//! components are striped across `N` worker threads (component `k` belongs
+//! steps chunked protocol rows one event at a time.  [`ShardedEngine`] runs
+//! the same protocol slice by slice without changing a single stamp: the
+//! clock's components are striped across `N` shards (component `k` belongs
 //! to shard `k % N`), each shard owns its slice of every per-thread and
-//! per-object mixed vector as plain dense rows, and a merge stage
-//! reassembles full-width timestamps in arrival order.
+//! per-object mixed vector as plain dense rows, and a merge reassembles
+//! full-width timestamps in arrival order.  The shards run in turn on the
+//! caller's thread.
 //!
 //! # When to use it
 //!
-//! Measure first.  Every shard applies every event and the merge scatters
-//! every component of every stamp, so the fan-out, the per-chunk channel
-//! round-trip and the merge are pure overhead unless the slice arithmetic
-//! dominates them.  On the one host this has been measured on (2 shards on
-//! 2 cores, `shard.vs_engine_ratio` in the benchmark's trace run) the
-//! sharded engine ran at 0.59× the sequential engine at width 64 and 0.15×
-//! at width 4096.  Use `TimestampingEngine` unless you have measured
-//! otherwise on your hardware.  The dense-slice kernel here is also the
-//! independent reference the chunked kernel is checked against
-//! (conformance oracles 6 and 10).
+//! As a reference, not for speed.  Every shard applies every event and the
+//! merge scatters every component of every stamp into a dense vector, so
+//! the engine does strictly more work than the sequential one.  In the
+//! benchmark's trace run (`shard.vs_engine_ratio`, 2 shards on a 2-vCPU
+//! host, medians of six runs) it ran at 0.54× the sequential engine at
+//! width 64 and 0.009× at width 4096, where the sequential engine's packed
+//! stamps skip the untouched chunks a dense stamp must write.  Its dense-slice
+//! kernel shares no code with the chunked one, which makes it the
+//! independent reference the sequential engine is checked against
+//! (conformance oracles 6, 7, 9, 10 and 12).
 //!
 //! # Why slicing is exact
 //!
@@ -36,19 +37,16 @@
 //!
 //! # The merge invariant
 //!
-//! A batch of events is cut into chunks (epochs).  For every chunk boundary
-//! — the *watermark* — the following holds, and is what makes the merge
-//! order-preserving:
+//! A batch of events is routed once and cut into chunks of
+//! `CHUNK_EVENTS`.  Each chunk is applied to every shard's slice, in
+//! arrival order, and then merged; only then does the next chunk start.
+//! So at every chunk boundary:
 //!
 //! 1. **Same prefix everywhere.**  Every shard has applied exactly the
-//!    events before the watermark, in arrival order, to its slice.  Chunks
-//!    reach each shard over a FIFO queue and each shard processes its queue
-//!    in order, so no shard can run ahead or behind within a chunk.
-//! 2. **Stamps complete in order.**  The merge emits event `i`'s timestamp
-//!    only once every shard's slice for `i`'s chunk has arrived, and
-//!    component `k` of that timestamp is read from its owning shard's
-//!    buffer at `k`'s local index (shard `k % N`, local index `k / N`) —
-//!    each component is produced by exactly one shard.
+//!    events before the boundary, in arrival order, to its slice.
+//! 2. **Each component has one author.**  Component `k` of event `i`'s
+//!    timestamp is read from its owning shard's buffer at `k`'s local index
+//!    (shard `k % N`, local index `k / N`).
 //! 3. **Program and chain order are preserved.**  Because all shards see
 //!    the single arrival order (the faithful interleaving
 //!    [`TraceSession`](../mvc_runtime/struct.TraceSession.html)'s
@@ -60,14 +58,12 @@
 //!
 //! The engine implements [`Timestamper`](mvc_core::Timestamper), so
 //! `TraceSession::live`, [`replay`](mvc_core::replay) and the network
-//! server pick it up with zero call-site changes; batches fan out, single
-//! observations still work.
+//! server pick it up with zero call-site changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
 pub(crate) mod slicing;
-pub(crate) mod worker;
 
 pub use engine::ShardedEngine;

@@ -40,8 +40,8 @@ pub(crate) fn local_width(width: usize, shard: usize, shards: usize) -> usize {
 /// One routed event, as shipped to every shard: dense thread / object
 /// indices and the component the protocol increments (`e.c` in the paper —
 /// the object's component if the object is in the clock, otherwise the
-/// thread's), pre-resolved to the owning shard and its local index (the
-/// shard workers never see global indices).
+/// thread's), pre-resolved to the owning shard and its local index (a shard
+/// never sees global indices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EventRec {
     pub(crate) t: u32,
@@ -85,7 +85,7 @@ impl ShardState {
     /// appends each event's slice values (event-major: `events.len()` groups
     /// of `ln` values) to `out`.
     ///
-    /// `ln` is this shard's slice width for the whole chunk — the router
+    /// `ln` is this shard's slice width for the whole chunk — the engine
     /// never grows the clock inside a batch, so a single value suffices; new
     /// components appear to the shard as a larger `ln` on a later chunk and
     /// their counters start at zero, exactly like the sequential engine's

@@ -15,8 +15,9 @@
 //! * [`online`] — the Naive / Random / Popularity / Adaptive online
 //!   mechanisms.
 //! * [`shard`] — the sharded timestamping engine: components striped across
-//!   worker threads with an order-preserving merge (an independent dense
-//!   kernel the sequential engine is checked against).
+//!   dense slices, stamped in turn on the caller's thread and merged in
+//!   order (the independent dense kernel the sequential engine is checked
+//!   against).
 //! * [`runtime`] — traced shared objects, trace sessions, the live causality
 //!   monitor and the conflict analyzer.
 //! * [`net`] — the pipeline as a networked multi-client service: framed

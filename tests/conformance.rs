@@ -1005,8 +1005,8 @@ fn wide_case(width: usize, events: usize, seed: u64) -> (mvc_clock::ComponentMap
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The chunked sequential engine and the sharded engine's dense-slice
-    /// workers produce the same stamps bit for bit at every width and shard
+    /// The chunked sequential engine and the sharded engine's dense slices
+    /// produce the same stamps bit for bit at every width and shard
     /// count, and the chunked rows read back as the protocol's
     /// `T[t] = O[o] = v`: each thread's / object's clock is the last stamp
     /// emitted for it (all zeros if it never appeared).

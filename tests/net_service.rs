@@ -11,7 +11,8 @@
 //! reader can follow: two clients sharing an object, a tiny credit window, a
 //! corrupted frame, a cut inside an `Events` frame, stamps lost with the
 //! link, a byte-identical replay, stamps read before a break, a refusing
-//! sink, a stale connection id and the arrival order.  They alternate client
+//! sink, a stale connection id, the arrival order and the release of a
+//! completed session's threads.  They alternate client
 //! [`step`](ProducerClient::step)s with [`service`] rounds over
 //! [`InProcTransport`] pairs.  The rest are raw-frame tests of one error or
 //! limit each: a wrong protocol version, a credit overrun, truncated and
@@ -24,14 +25,18 @@
 
 mod support;
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mvc_clock::VectorTimestamp;
-use mvc_core::{BatchReplay, EventSink, MemoryRecorder, SinkError, TimestampingEngine};
+use mvc_clock::{Component, VectorTimestamp};
+use mvc_core::{
+    BatchReplay, EventSink, MemoryRecorder, SinkError, TimestampError, TimestampReport,
+    Timestamper, TimestampingEngine,
+};
 use mvc_net::frame::{self, Frame, FrameReader};
 use mvc_net::{
     ClientConfig, ClientRun, ConnId, InProcTransport, NetError, NetServer, ProducerClient, Recv,
-    ServerConfig, ServerRun, Transport, TransportError,
+    ServeEngine, ServerConfig, ServerRun, Transport, TransportError,
 };
 use mvc_trace::{Computation, ObjectId, OpKind, ThreadId};
 
@@ -141,7 +146,10 @@ struct Link {
 
 /// Connects a client; returns it, its link, and a clone of the client's
 /// transport half to cut the link or inject bytes through.
-fn connect(server: &mut Server, config: ClientConfig) -> (Client, Link, InProcTransport) {
+fn connect<E: ServeEngine>(
+    server: &mut NetServer<E>,
+    config: ClientConfig,
+) -> (Client, Link, InProcTransport) {
     let (near, far) = InProcTransport::pair();
     let spy = near.clone();
     let link = Link {
@@ -156,7 +164,7 @@ fn connect(server: &mut Server, config: ClientConfig) -> (Client, Link, InProcTr
 
 /// Feeds the server every byte the client has sent on `link`; a closed
 /// link disconnects.
-fn feed_received(server: &mut Server, link: &mut Link) {
+fn feed_received<E: ServeEngine>(server: &mut NetServer<E>, link: &mut Link) {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match link.far.recv(&mut buf, ZERO) {
@@ -173,7 +181,7 @@ fn feed_received(server: &mut Server, link: &mut Link) {
 
 /// One I/O round for `link`: feed the server what the client sent, pump,
 /// and send back what the server queued; a closed link disconnects.
-fn service(server: &mut Server, link: &mut Link) {
+fn service<E: ServeEngine>(server: &mut NetServer<E>, link: &mut Link) {
     feed_received(server, link);
     server.pump().expect("pump");
     let out = server.take_outgoing(link.conn);
@@ -186,7 +194,7 @@ fn service(server: &mut Server, link: &mut Link) {
 /// Alternates client steps and service rounds until the client finished
 /// (or panics after a generous round cap — the protocol is supposed to
 /// converge without any timing assumptions).
-fn drive(server: &mut Server, link: &mut Link, client: &mut Client) {
+fn drive<E: ServeEngine>(server: &mut NetServer<E>, link: &mut Link, client: &mut Client) {
     for _ in 0..10_000 {
         if !client.is_finished() {
             client.step(ZERO).expect("client step");
@@ -908,6 +916,122 @@ fn the_served_interleaving_is_the_arrival_order() {
         assert_eq!(run.stamps.len(), run.events as usize);
         assert_eq!(run.stamps, batch, "client {c}");
     }
+}
+
+/// What [`Spy`] saw the server ask of its engine, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Stamp(ThreadId),
+    Release(ThreadId),
+}
+
+/// A `TimestampingEngine` that logs each event it stamps and each thread
+/// the server releases.
+struct Spy {
+    engine: TimestampingEngine,
+    log: Arc<Mutex<Vec<Seen>>>,
+}
+
+impl Timestamper for Spy {
+    fn name(&self) -> &str {
+        "spy"
+    }
+
+    fn observe(
+        &mut self,
+        thread: ThreadId,
+        object: ObjectId,
+    ) -> Result<VectorTimestamp, TimestampError> {
+        let stamp = self.engine.observe(thread, object)?;
+        self.log.lock().unwrap().push(Seen::Stamp(thread));
+        Ok(stamp)
+    }
+
+    fn width(&self) -> usize {
+        self.engine.width()
+    }
+
+    fn finish(&self) -> TimestampReport {
+        self.engine.finish()
+    }
+}
+
+impl ServeEngine for Spy {
+    fn cover_object(&mut self, object: ObjectId) {
+        self.engine.add_component(Component::Object(object));
+    }
+
+    fn release_thread(&mut self, thread: ThreadId) {
+        self.log.lock().unwrap().push(Seen::Release(thread));
+        self.engine.release_thread(thread);
+    }
+}
+
+#[test]
+fn a_completed_session_releases_its_threads_once_after_their_last_stamp() {
+    let _lock = support::global_registry_lock();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let spy = Spy {
+        engine: TimestampingEngine::new(),
+        log: Arc::clone(&log),
+    };
+    let engine: Box<dyn ServeEngine> = Box::new(spy);
+    let mut server = NetServer::new(
+        engine,
+        Box::new(MemoryRecorder::new()),
+        ServerConfig::default(),
+    );
+    // Both clients name the same objects, so the clock never widens.
+    let config = |threads: [&str; 2]| {
+        let threads = threads.iter().map(|&t| t.to_owned()).collect();
+        ClientConfig::new(threads, vec!["x".into(), "y".into()], true)
+    };
+    let (mut done, mut done_link, _) = connect(&mut server, config(["a0", "a1"]));
+    let (mut cut, mut cut_link, _) = connect(&mut server, config(["b0", "b1"]));
+    for i in 0..30 {
+        done.record(i % 2, i % 3 % 2, OpKind::Write);
+        cut.record(i % 2, i % 2, OpKind::Read);
+        if i % 10 == 9 {
+            for (client, link) in [(&mut done, &mut done_link), (&mut cut, &mut cut_link)] {
+                client.step(ZERO).expect("client step");
+                service(&mut server, link);
+            }
+        }
+    }
+    done.request_finish();
+    drive(&mut server, &mut done_link, &mut done);
+    // The other session is only disconnected: it may still resume.
+    server.disconnect(cut_link.conn);
+    let done = done.into_run().expect("finished");
+    let server_run = server.finish().expect("finish");
+
+    let log = log.lock().unwrap().clone();
+    let released: Vec<ThreadId> = (log.iter())
+        .filter_map(|seen| match *seen {
+            Seen::Release(thread) => Some(thread),
+            Seen::Stamp(_) => None,
+        })
+        .collect();
+    let mut expected: Vec<ThreadId> = (done.thread_ids.iter())
+        .map(|&t| ThreadId(t as usize))
+        .collect();
+    expected.sort_unstable();
+    let mut sorted = released.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, expected, "each completed thread once, no other");
+    let last = |seen| log.iter().rposition(|s| *s == seen).unwrap();
+    for thread in released {
+        assert!(
+            last(Seen::Stamp(thread)) < last(Seen::Release(thread)),
+            "{thread:?} released before its last stamp"
+        );
+    }
+
+    let recorder = recorder(&server_run);
+    assert_eq!(recorder.computation().len(), 60, "both sessions stamped");
+    let mut batch = BatchReplay::new(server_run.report.components.clone());
+    let reference = mvc_core::replay(&mut batch, recorder.computation()).unwrap();
+    assert_eq!(recorder.timestamps(), reference.timestamps);
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! The catalogue says "a metric not listed here is a bug"; this makes the
 //! sentence executable, in both directions:
 //!
-//! 1. after an instrumented live run (sequential and sharded engines, every
-//!    analysis sink, a bound stats sink) and one in-process networked
-//!    session, every name the process-global registry holds is a catalogue
-//!    row of the same type — a metric cannot ship uncatalogued;
+//! 1. after an instrumented live run (every analysis sink, a bound stats
+//!    sink) and one in-process networked session, every name the
+//!    process-global registry holds is a catalogue row of the same type — a
+//!    metric cannot ship uncatalogued;
 //! 2. every catalogued name is a string literal in the source its section
 //!    heading names — a row cannot outlive its metric, nor drift to a
 //!    section that points at the wrong file.
@@ -30,7 +30,6 @@ use mvc_net::{
 };
 use mvc_obs::SnapshotValue;
 use mvc_runtime::{CompetitiveSink, ConflictSink, ReachabilityIndexSink, TraceSession};
-use mvc_shard::ShardedEngine;
 use mvc_trace::{ObjectId, OpKind};
 
 /// One catalogued metric: its type cell and the section it is listed in.
@@ -197,8 +196,7 @@ fn every_registered_metric_is_catalogued_with_its_type() {
         Box::new(CompetitiveSink::new()),
     ]);
     let map = ComponentMap::all_threads(4);
-    live_run(TimestampingEngine::with_components(map.clone()), analyses);
-    live_run(ShardedEngine::with_components(map, 2), StatsSink::new());
+    live_run(TimestampingEngine::with_components(map), analyses);
     net_session();
     let snapshot = registry.snapshot();
     registry.set_enabled(false);
