@@ -29,7 +29,8 @@
 //! derived equality is value equality, and a row's buffer is [`CHUNK`]
 //! times the number of set bits plus the mask words.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::{Arc, OnceLock};
 

@@ -4,7 +4,8 @@
 //! packed row it shares with its thread until that row's next write (see
 //! [`chunked`]), and no operation tells the two apart.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -20,7 +20,8 @@
 //! stamp for `as_slice()` — and a stamp dropped before its thread's next
 //! event costs no allocation at all.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::fmt;
 

@@ -24,7 +24,8 @@
 //! as a vector the sink consumes, so a sink that stores the batch moves
 //! timestamps instead of cloning them.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::fmt;
 

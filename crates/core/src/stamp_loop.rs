@@ -12,7 +12,8 @@
 //! re-offers the held window first — the caller recovers (adds a component,
 //! frees disk space) and simply pumps again.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::fmt;
 

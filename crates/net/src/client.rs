@@ -27,7 +27,8 @@
 //! server-side interleaving is exactly what an uninterrupted connection
 //! would have produced.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};

@@ -41,7 +41,8 @@
 //! See `docs/PROTOCOL.md` for the full wire specification, including the
 //! handshake and credit rules built on these frames.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::borrow::Cow;
 use std::sync::OnceLock;

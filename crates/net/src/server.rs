@@ -26,11 +26,10 @@
 //!
 //! A session that completes its `Goodbye` never resumes, so it leaves only
 //! its [`SessionSummary`]; its route, frame log, token and slot go, and so
-//! do its threads' rows where the engine frees them
-//! ([`ServeEngine::release_thread`]: `TimestampingEngine` does, a served
-//! `ShardedEngine` keeps a finished thread's slice rows).  Thread ids are
-//! never reused, so each thread keeps a fixed-size empty row slot and owner
-//! slot; objects stay, being the clock's components.  A connection's slot is freed at
+//! do its threads' rows ([`ServeEngine::release_thread`]: both engines
+//! free them, in every shard for a `ShardedEngine`).  Thread ids are never
+//! reused, so each thread keeps a fixed-size empty row slot and owner slot;
+//! objects stay, being the clock's components.  A connection's slot is freed at
 //! [`disconnect`](NetServer::disconnect), or when the last bytes of a
 //! connection the server closed are taken; a stale [`ConnId`] is inert.
 //!
@@ -61,7 +60,8 @@
 //! next window as soon as it has read the grant, and decodes the stamps
 //! while the server works on that window.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -116,6 +116,10 @@ impl ServeEngine for TimestampingEngine {
 impl ServeEngine for ShardedEngine {
     fn cover_object(&mut self, object: ObjectId) {
         self.add_component(Component::Object(object));
+    }
+
+    fn release_thread(&mut self, thread: ThreadId) {
+        ShardedEngine::release_thread(self, thread);
     }
 }
 
@@ -1248,8 +1252,6 @@ fn handle_conn<E: ServeEngine>(shared: &Shared<E>, mut transport: crate::TcpTran
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
     use super::*;
     use mvc_core::MemoryRecorder;
 

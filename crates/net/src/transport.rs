@@ -11,7 +11,8 @@
 //!   can be [severed](InProcTransport::sever); a test that cuts a link at an
 //!   exact byte position holds the undelivered bytes itself and drops them.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};

@@ -15,7 +15,8 @@
 //! handle's record path is one `Relaxed` load and a branch; span timers
 //! additionally skip the `Instant::now()` calls entirely.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering::Relaxed;

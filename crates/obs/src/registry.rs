@@ -11,7 +11,8 @@
 //! and a predictable branch until a harness opts in with
 //! [`Registry::set_enabled`].
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;

@@ -25,6 +25,15 @@
 //! only the component-selection decision over an edge stream, which is what
 //! the evaluation figures need.
 //!
+//! Both reveal an event's edge into the graph only while the mechanism
+//! [reads it](OnlineMechanism::reads_graph): once that returns `false` it
+//! stays `false`, and the driver stops revealing.  Revealing an edge is
+//! most of what a simulated decision costs, so a simulation of [`Naive`] or
+//! [`Random`] costs a cover lookup per edge, one of [`Adaptive`] costs that
+//! from the moment it switches, and one of [`Popularity`] pays the reveal
+//! for every edge.  [`CompetitiveTracker`] reveals every edge whatever the
+//! mechanism, because the offline optimum it tracks needs all of them.
+//!
 //! [`OnlineMechanism`] is dyn-compatible, and the [`MechanismRegistry`]
 //! builds any of the paper's mechanisms as a `Box<dyn OnlineMechanism>` from
 //! its stable name, so sweeps are configured with strings instead of type

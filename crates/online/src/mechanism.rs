@@ -14,8 +14,12 @@ use mvc_trace::{ObjectId, ThreadId};
 /// far; it must return one of the two endpoints, which is then added as a new
 /// clock component (components are never removed).
 ///
+/// While [`reads_graph`](OnlineMechanism::reads_graph) returns `true`,
 /// `graph` is the thread–object bipartite graph of the computation revealed
-/// so far, *including* the edge of the current event.
+/// so far, *including* the edge of the current event.  Once it returns
+/// `false` the mechanism has promised never to read `graph` again, and a
+/// driver stops revealing edges into it: a later `choose` gets a graph that
+/// may lack edges.
 ///
 /// The trait is dyn-compatible: every driver in the workspace accepts
 /// `Box<dyn OnlineMechanism>`, so mechanisms can be selected by name at
@@ -27,6 +31,14 @@ pub trait OnlineMechanism {
 
     /// Chooses which endpoint of the uncovered event becomes a component.
     fn choose(&mut self, graph: &BipartiteGraph, thread: ThreadId, object: ObjectId) -> Component;
+
+    /// Whether a later [`choose`](OnlineMechanism::choose) may read its
+    /// `graph`.  Once this returns `false` for an instance it stays `false`,
+    /// so a driver may stop revealing edges from then on: that reveal is
+    /// most of what a simulated decision costs.
+    fn reads_graph(&self) -> bool {
+        true
+    }
 }
 
 impl<M: OnlineMechanism + ?Sized> OnlineMechanism for Box<M> {
@@ -37,6 +49,10 @@ impl<M: OnlineMechanism + ?Sized> OnlineMechanism for Box<M> {
     fn choose(&mut self, graph: &BipartiteGraph, thread: ThreadId, object: ObjectId) -> Component {
         (**self).choose(graph, thread, object)
     }
+
+    fn reads_graph(&self) -> bool {
+        (**self).reads_graph()
+    }
 }
 
 impl<M: OnlineMechanism + ?Sized> OnlineMechanism for &mut M {
@@ -46,6 +62,10 @@ impl<M: OnlineMechanism + ?Sized> OnlineMechanism for &mut M {
 
     fn choose(&mut self, graph: &BipartiteGraph, thread: ThreadId, object: ObjectId) -> Component {
         (**self).choose(graph, thread, object)
+    }
+
+    fn reads_graph(&self) -> bool {
+        (**self).reads_graph()
     }
 }
 
@@ -104,6 +124,10 @@ impl OnlineMechanism for Naive {
             NaiveSide::Objects => Component::Object(object),
         }
     }
+
+    fn reads_graph(&self) -> bool {
+        false
+    }
 }
 
 /// Choose the thread or the object with probability ½ each.
@@ -133,6 +157,10 @@ impl OnlineMechanism for Random {
         } else {
             Component::Object(object)
         }
+    }
+
+    fn reads_graph(&self) -> bool {
+        false
     }
 }
 
@@ -169,7 +197,8 @@ impl OnlineMechanism for Popularity {
 /// only consulted once at least 16 vertices are active: a freshly revealed
 /// graph of a handful of nodes is always near density 1.0, and switching on
 /// that noise would collapse the mechanism into plain Naive from the first
-/// event.
+/// event.  Once switched it never reads the graph again, and
+/// [`reads_graph`](OnlineMechanism::reads_graph) says so.
 #[derive(Debug, Clone)]
 pub struct Adaptive {
     popularity: Popularity,
@@ -248,6 +277,11 @@ impl OnlineMechanism for Adaptive {
         } else {
             self.popularity.choose(graph, thread, object)
         }
+    }
+
+    /// Only until it switches: Naive never reads the graph.
+    fn reads_graph(&self) -> bool {
+        !self.switched
     }
 }
 

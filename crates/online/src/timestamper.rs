@@ -9,6 +9,16 @@
 //! only the component-selection decisions over an edge-reveal stream — the
 //! lightweight variant the evaluation figures need — using the same
 //! [`ComponentMap`] cover tracking as the full pipeline.
+//!
+//! Both drive one reveal step.  It reveals an event's edge only while the
+//! mechanism [reads the graph](OnlineMechanism::reads_graph), because
+//! revealing it (a seen-set probe, a log push, two degrees) is most of what a
+//! simulated decision costs.  A run of [`Naive`](crate::Naive) or
+//! [`Random`](crate::Random) therefore reveals nothing, one of
+//! [`Adaptive`](crate::Adaptive) stops revealing when it switches to Naive,
+//! and one of [`Popularity`](crate::Popularity) reveals every event.  A
+//! decision is the same either way, since a mechanism reads the graph only
+//! while it is complete.
 
 use mvc_clock::{Component, ComponentMap, VectorTimestamp};
 use mvc_core::{replay, TimestampError, TimestampReport, Timestamper, TimestampingEngine};
@@ -81,11 +91,6 @@ impl<M: OnlineMechanism> OnlineTimestamper<M> {
         &self.mechanism
     }
 
-    /// The thread–object graph revealed so far.
-    pub fn revealed_graph(&self) -> &BipartiteGraph {
-        &self.revealed
-    }
-
     /// Current clock width.
     pub fn clock_size(&self) -> usize {
         self.engine.width()
@@ -101,26 +106,31 @@ impl<M: OnlineMechanism> OnlineTimestamper<M> {
         &self.engine
     }
 
-    /// Observes one operation: reveals its edge, asks the mechanism for a
-    /// component if the operation is not covered, and returns its timestamp.
+    /// Observes one operation: reveals its edge while the mechanism reads
+    /// the graph, asks the mechanism for a component if the operation is not
+    /// covered, and returns its timestamp.
     ///
     /// # Errors
     ///
     /// Returns [`TimestampError::RogueComponent`] when the mechanism violates
     /// its contract and chooses a component covering neither endpoint.  The
     /// rogue component is discarded and neither the clock nor the stats
-    /// change (the event's edge stays revealed — it genuinely was observed —
-    /// but re-revealing it on a retry is a no-op), so the call is safe to
-    /// retry.
+    /// change (an edge revealed before the error stays revealed — it
+    /// genuinely was observed — and revealing it again on a retry is a
+    /// no-op), so the call is safe to retry.
     pub fn observe(
         &mut self,
         thread: ThreadId,
         object: ObjectId,
     ) -> Result<VectorTimestamp, TimestampError> {
-        self.revealed
-            .add_edge_growing(thread.index(), object.index());
-        if !self.engine.covers(thread, object) {
-            let component = choose_covering(&mut self.mechanism, &self.revealed, thread, object)?;
+        let chosen = reveal(
+            &mut self.mechanism,
+            &mut self.revealed,
+            self.engine.components(),
+            thread,
+            object,
+        )?;
+        if let Some(component) = chosen {
             match component {
                 Component::Thread(_) => self.stats.thread_components += 1,
                 Component::Object(_) => self.stats.object_components += 1,
@@ -179,8 +189,34 @@ impl<M: OnlineMechanism> Timestamper for OnlineTimestamper<M> {
     }
 }
 
+/// Section IV's reveal step: reveals the edge of the event
+/// `(thread, object)` into `revealed` while `mechanism` reads the graph and,
+/// if `components` covers neither endpoint, returns the component the
+/// mechanism chooses to cover it.
+///
+/// # Errors
+///
+/// Returns [`TimestampError::RogueComponent`] when the chosen component
+/// covers neither endpoint.
+fn reveal<M: OnlineMechanism + ?Sized>(
+    mechanism: &mut M,
+    revealed: &mut BipartiteGraph,
+    components: &ComponentMap,
+    thread: ThreadId,
+    object: ObjectId,
+) -> Result<Option<Component>, TimestampError> {
+    if mechanism.reads_graph() {
+        revealed.add_edge_growing(thread.index(), object.index());
+    }
+    if components.contains_thread(thread) || components.contains_object(object) {
+        return Ok(None);
+    }
+    choose_covering(mechanism, revealed, thread, object).map(Some)
+}
+
 /// Asks `mechanism` for a component covering the uncovered event
-/// `(thread, object)`, whose edge `revealed` already holds.
+/// `(thread, object)`, whose edge `revealed` already holds if the mechanism
+/// reads the graph.
 ///
 /// # Errors
 ///
@@ -224,14 +260,16 @@ fn simulate_components<M: OnlineMechanism + ?Sized>(
     let mut revealed = BipartiteGraph::new(0, 0);
     let mut components = ComponentMap::new();
     for &(t, o) in edges {
-        revealed.add_edge_growing(t, o);
-        let (thread, object) = (ThreadId(t), ObjectId(o));
-        if components.contains_thread(thread) || components.contains_object(object) {
-            continue;
-        }
-        components.push(
-            choose_covering(mechanism, &revealed, thread, object).unwrap_or_else(|e| panic!("{e}")),
+        let chosen = reveal(
+            mechanism,
+            &mut revealed,
+            &components,
+            ThreadId(t),
+            ObjectId(o),
         );
+        if let Some(component) = chosen.unwrap_or_else(|e| panic!("{e}")) {
+            components.push(component);
+        }
     }
     components
 }
@@ -353,7 +391,6 @@ mod tests {
         let b = ts.observe(ThreadId(5), ObjectId(0)).unwrap();
         assert_eq!(ts.clock_size(), 1);
         assert!(a.strictly_less_than(&b));
-        assert_eq!(ts.revealed_graph().edge_count(), 2);
         assert_eq!(ts.stats().events, 2);
         assert_eq!(ts.engine().events_observed(), 2);
         assert_eq!(ts.mechanism().name(), "popularity");
@@ -512,7 +549,136 @@ mod tests {
         assert_eq!(Timestamper::name(&ts), "popularity");
     }
 
+    /// What a run returns: the component map, the stamps padded to the
+    /// final width, and the stats.
+    type RunOutcome = (ComponentMap, Vec<VectorTimestamp>, MechanismStats);
+
+    /// Section IV's reveal loop with no gate: every event's edge is revealed
+    /// before coverage is checked, whatever the mechanism reads.
+    fn always_reveal<M: OnlineMechanism>(
+        mut mechanism: M,
+        events: &[(usize, usize)],
+    ) -> RunOutcome {
+        let mut revealed = BipartiteGraph::new(0, 0);
+        let mut engine = TimestampingEngine::new();
+        let mut stats = MechanismStats::default();
+        let mut stamps = Vec::new();
+        for &(t, o) in events {
+            let (thread, object) = (ThreadId(t), ObjectId(o));
+            revealed.add_edge_growing(t, o);
+            if !engine.covers(thread, object) {
+                let component = mechanism.choose(&revealed, thread, object);
+                match component {
+                    Component::Thread(_) => stats.thread_components += 1,
+                    Component::Object(_) => stats.object_components += 1,
+                }
+                engine.add_component(component);
+            }
+            stamps.push(engine.observe(thread, object).unwrap());
+            stats.events += 1;
+        }
+        let width = engine.width();
+        let stamps = stamps
+            .into_iter()
+            .map(|s| s.into_padded_to(width))
+            .collect();
+        (engine.components().clone(), stamps, stats)
+    }
+
+    fn computation_of(events: &[(usize, usize)]) -> Computation {
+        let mut c = Computation::new();
+        for &(t, o) in events {
+            c.record(ThreadId(t), ObjectId(o));
+        }
+        c
+    }
+
+    /// The gated drivers over `events`: `simulate_components` and
+    /// `OnlineTimestamper::run`, each with a fresh mechanism from `make`.
+    fn gated<M: OnlineMechanism>(make: impl Fn() -> M, events: &[(usize, usize)]) -> RunOutcome {
+        let simulated = simulate_components(&mut make(), events);
+        let run = OnlineTimestamper::new(make())
+            .run(&computation_of(events))
+            .unwrap();
+        (simulated, run.timestamps, run.stats)
+    }
+
+    #[test]
+    fn blanket_impls_forward_reads_graph() {
+        let registry = crate::MechanismRegistry::new().seed(3);
+        for (name, reads) in [
+            ("naive-threads", false),
+            ("naive-objects", false),
+            ("random", false),
+            ("popularity", true),
+            ("adaptive", true),
+        ] {
+            let boxed = registry.from_name(name).unwrap();
+            assert_eq!(OnlineMechanism::reads_graph(&boxed), reads, "{name}");
+        }
+        // A switched Adaptive, behind a box and behind `&mut`.
+        let mut adaptive = Adaptive::new(0.0, 0, NaiveSide::Threads);
+        simulate_final_size(&mut &mut adaptive, &[(0, 0)]);
+        assert!(adaptive.has_switched());
+        assert!(!OnlineMechanism::reads_graph(&&mut adaptive));
+        let mut boxed = registry.from_name("adaptive").unwrap();
+        let stream: Vec<_> = (0..40).map(|i| (i, i)).collect();
+        simulate_final_size(&mut boxed, &stream);
+        assert!(
+            !OnlineMechanism::reads_graph(&boxed),
+            "80 active nodes > 70"
+        );
+        assert!(OnlineMechanism::reads_graph(&&mut Popularity::new()));
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Revealing edges only while the mechanism reads them changes no
+        /// decision: the gated simulation and the gated timestamper return
+        /// exactly what the ungated loop does, for every mechanism, also
+        /// behind `Box<dyn OnlineMechanism>` and `&mut M`.
+        #[test]
+        fn prop_gated_reveal_matches_always_reveal(
+            pairs in collection::vec((0usize..30, 0usize..30), 1..120),
+            picks in collection::vec(0usize..10_000, 0..250),
+            span in 2usize..31,
+            seed in 0u64..1_000,
+            thresholds in (0.0f64..1.0, 0usize..40, 0usize..2),
+        ) {
+            // Ids below `span`: a narrow span draws a dense graph, which
+            // trips the paper's density threshold mid-stream.
+            let pairs: Vec<_> = pairs.iter().map(|&(t, o)| (t % span, o % span)).collect();
+            // At most 120 distinct pairs under up to 250 events: most
+            // events repeat a pair revealed before.
+            let events: Vec<_> = picks.iter().map(|&k| pairs[k % pairs.len()]).collect();
+            let (density, nodes, side) = thresholds;
+            let side = if side == 0 { NaiveSide::Threads } else { NaiveSide::Objects };
+            let drawn = move || Adaptive::new(density, nodes, side);
+            prop_assert_eq!(gated(Naive::threads, &events), always_reveal(Naive::threads(), &events));
+            prop_assert_eq!(gated(Naive::objects, &events), always_reveal(Naive::objects(), &events));
+            prop_assert_eq!(
+                gated(|| Random::seeded(seed), &events),
+                always_reveal(Random::seeded(seed), &events)
+            );
+            prop_assert_eq!(gated(Popularity::new, &events), always_reveal(Popularity::new(), &events));
+            prop_assert_eq!(
+                gated(Adaptive::with_paper_thresholds, &events),
+                always_reveal(Adaptive::with_paper_thresholds(), &events)
+            );
+            prop_assert_eq!(gated(drawn, &events), always_reveal(drawn(), &events));
+
+            let registry = crate::MechanismRegistry::new().seed(seed);
+            for &name in crate::MechanismRegistry::names() {
+                let boxed = || registry.from_name(name).unwrap();
+                prop_assert_eq!(gated(boxed, &events), always_reveal(boxed(), &events));
+            }
+            let (mut a, mut b) = (drawn(), drawn());
+            let simulated = simulate_components(&mut &mut a, &events);
+            let run = OnlineTimestamper::new(&mut b).run(&computation_of(&events)).unwrap();
+            prop_assert_eq!((simulated, run.timestamps, run.stats), always_reveal(drawn(), &events));
+        }
+
         /// Whatever the mechanism decides, the selected components always form a
         /// vertex cover of the revealed graph, so the online clock is valid.
         #[test]

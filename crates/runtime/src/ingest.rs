@@ -75,7 +75,8 @@
 //!
 //! [`SharedObject::apply`]: crate::SharedObject::apply
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -38,7 +38,8 @@
 //! assert!(run.timestamps[0].strictly_less_than(&run.timestamps[1]));
 //! ```
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::Arc;
 

@@ -13,7 +13,8 @@
 //! since the drain last visited it, a push onto the session's `published`
 //! list.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,7 +12,8 @@
 //! something for; the drain side visits the buffers it names and reassembles
 //! a faithful interleaving with an order-preserving merge.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::Arc;
 

@@ -1,6 +1,7 @@
 //! The sharded timestamping engine.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use mvc_clock::{Component, ComponentMap, VectorTimestamp};
 use mvc_core::{TimestampError, TimestampReport, Timestamper};
@@ -93,6 +94,16 @@ impl ShardedEngine {
     /// slice data moves (see the `slicing` module).
     pub fn add_component(&mut self, component: Component) -> usize {
         self.components.push(component)
+    }
+
+    /// Frees a thread that will observe nothing more: its row is emptied in
+    /// every shard and its slot kept, as
+    /// [`ClockRows::release_thread`](mvc_clock::ClockRows::release_thread)
+    /// does, so thread ids stay dense and are never reused.
+    pub fn release_thread(&mut self, thread: ThreadId) {
+        for shard in &mut self.shards {
+            shard.release_thread(thread.index());
+        }
     }
 
     /// Returns `true` if an operation of `thread` on `object` could be
@@ -217,7 +228,7 @@ fn merge_into(width: usize, bufs: &[Vec<u64>], n_events: usize, out: &mut Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvc_core::{replay, TimestampingEngine};
+    use mvc_core::{replay, BatchReplay, TimestampingEngine};
     use mvc_trace::WorkloadBuilder;
 
     fn thread_map(n: usize) -> ComponentMap {
@@ -303,6 +314,38 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sharded.width(), 10);
         assert_eq!(sharded.components(), sequential.components());
+    }
+
+    #[test]
+    fn a_released_thread_empties_its_rows_and_the_others_stamp_as_batch() {
+        let c = WorkloadBuilder::new(6, 6).operations(400).seed(29).build();
+        let events: Vec<_> = c.events().map(|e| (e.thread, e.object)).collect();
+        let mut map = thread_map(6);
+        map.push(Component::Object(ObjectId(0)));
+        let mut sharded = ShardedEngine::with_components(map.clone(), 3);
+        let mut batch = BatchReplay::new(map);
+        let (first, rest) = events.split_at(200);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        sharded.observe_batch(first, &mut a).unwrap();
+        batch.observe_batch(first, &mut b).unwrap();
+
+        let gone = ThreadId(2);
+        assert!(first.iter().any(|&(t, _)| t == gone));
+        sharded.release_thread(gone);
+        let rest: Vec<_> = rest.iter().copied().filter(|&(t, _)| t != gone).collect();
+        sharded.observe_batch(&rest, &mut a).unwrap();
+        batch.observe_batch(&rest, &mut b).unwrap();
+        assert_eq!(a, b, "the other threads stamp as the dense reference");
+        for shard in &sharded.shards {
+            assert_eq!(
+                shard.thread_row(gone.index()),
+                Some(&[][..]),
+                "slot kept, row gone"
+            );
+            assert!(shard.thread_row(3).is_some_and(|row| !row.is_empty()));
+        }
+        sharded.release_thread(ThreadId(99));
+        assert!(sharded.shards.iter().all(|s| s.thread_row(99).is_none()));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! entire correctness argument for the sharded engine: shards never
 //! communicate, they only have to see the same events in the same order.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 /// Number of components shard `shard` owns when the clock has `width`
 /// components: the size of `{k < width : k % shards == shard}`.
@@ -118,6 +119,20 @@ impl ShardState {
                 out[base + local_c] = m;
             }
         }
+    }
+
+    /// Empties a thread's slice row and keeps its slot, so thread ids stay
+    /// dense; for a thread that will apply no further event.
+    pub(crate) fn release_thread(&mut self, thread: usize) {
+        if let Some(row) = self.threads.get_mut(thread) {
+            *row = Vec::new();
+        }
+    }
+
+    /// A thread's slice row, if its slot exists.
+    #[cfg(test)]
+    pub(crate) fn thread_row(&self, thread: usize) -> Option<&[u64]> {
+        self.threads.get(thread).map(Vec::as_slice)
     }
 }
 
