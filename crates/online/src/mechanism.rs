@@ -18,8 +18,8 @@ use mvc_trace::{ObjectId, ThreadId};
 /// `graph` is the thread–object bipartite graph of the computation revealed
 /// so far, *including* the edge of the current event.  Once it returns
 /// `false` the mechanism has promised never to read `graph` again, and a
-/// driver stops revealing edges into it: a later `choose` gets a graph that
-/// may lack edges.
+/// driver may stop revealing edges into it: a later `choose` gets a graph
+/// that may lack edges.
 ///
 /// The trait is dyn-compatible: every driver in the workspace accepts
 /// `Box<dyn OnlineMechanism>`, so mechanisms can be selected by name at

@@ -4,6 +4,7 @@
     python3 tools/pairs.py PARENT_REV [CHANGE_REV] [--seeds 42,777] [--pairs 10]
                            [--workload W] [--seconds S] [--symdiff REGEX]
                            [--scratch DIR] [--out FILE]
+    python3 tools/pairs.py --check FILE...
     python3 tools/pairs.py --self-test
 
 From the repository root.  `git archive`s PARENT_REV and CHANGE_REV (default
@@ -15,7 +16,10 @@ even pairs and the change first in odd ones.  Before every run it times a
 host sentinel: `hashlib.sha256` over a fixed buffer, code that links nothing
 of the workspace, so a slow host episode shows in it as well.
 
-Every result line is kept (the JSON written to FILE, default DIR/pairs.json).
+Every run is kept in the JSON written to FILE (default DIR/pairs.json): its
+per-metric medians, sentinel, failed share and `correct` flag, next to the
+bounds it was judged by and the verdicts.  A claim commits that file as
+`BENCH_<pr>.json` at the repository root.
 Per workload, seed and end-to-end metric of BENCHMARK.json it prints the
 median of each side's per-run medians, the parent's interquartile range, the
 pairs the change won, the pairs flagged `host` (the sentinel moved at least
@@ -31,8 +35,11 @@ as much as the metric), and a verdict:
 
 A rise in the share of failed operations is always `worse`.  With
 `--symdiff REGEX` it appends `tools/symdiff.py`'s table for the two `bench`
-binaries.  `--self-test` recomputes the verdicts of a built-in set of runs
-and exits non-zero if one differs from what it should be.
+binaries.  `--check` validates the schema of each FILE and recomputes every
+verdict from its stored runs and bounds; it exits non-zero if a file is
+malformed, a run is not `correct`, or a stored verdict differs.
+`--self-test` recomputes the verdicts of a built-in set of runs and exits
+non-zero if one differs from what it should be.
 """
 
 import argparse
@@ -69,14 +76,22 @@ def quartiles(values):
     return q1, q3
 
 
-def judge(runs, spec):
+RUN_KEYS = {"side": str, "workload": str, "seed": int, "pair": int, "sentinel_ns": int,
+            "failed_share": (int, float), "correct": bool, "metrics": dict}
+REPORT_KEYS = {"parent": str, "change": str, "seeds": list, "pairs": int,
+               "seconds": (int, float, type(None)), "bounds": list, "runs": list,
+               "verdicts": list}
+
+
+def judge(runs, end_to_end):
     """Verdicts for every (workload, seed, metric) the runs carry.
 
     `runs` is a list of {"side", "workload", "seed", "pair", "sentinel_ns",
-    "failed_share", "metrics": {name: median}}.  Returns a list of dicts, one
+    "failed_share", "metrics": {name: median}}; `end_to_end` is
+    BENCHMARK.json's list of bounded metrics.  Returns a list of dicts, one
     per (workload, seed, metric), in a stable order.
     """
-    bounds = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in end_to_end}
     groups = {}
     for run in runs:
         groups.setdefault((run["workload"], run["seed"]), []).append(run)
@@ -191,14 +206,12 @@ def measure(args, spec):
                     run = {"side": side, "workload": workload, "seed": seed, "pair": pair,
                            "sentinel_ns": ns, "failed_share": result["failed_share"],
                            "correct": result["correct"],
-                           "metrics": {k: m["median"] for k, m in result["metrics"].items()},
-                           "result": result}
+                           "metrics": {k: m["median"] for k, m in result["metrics"].items()}}
                     runs.append(run)
-                    print(json.dumps({k: v for k, v in run.items() if k != "result"}),
-                          file=sys.stderr)
+                    print(json.dumps(run), file=sys.stderr)
     report = {"parent": parent_rev, "change": change_rev, "seeds": args.seeds,
-              "pairs": args.pairs, "seconds": args.seconds, "runs": runs,
-              "verdicts": judge(runs, spec)}
+              "pairs": args.pairs, "seconds": args.seconds, "bounds": spec["end_to_end"],
+              "runs": runs, "verdicts": judge(runs, spec["end_to_end"])}
     out = args.out or os.path.join(scratch, "pairs.json")
     with open(out, "w") as f:
         json.dump(report, f, indent=1)
@@ -212,15 +225,78 @@ def measure(args, spec):
     return 1 if any(v["verdict"] == "worse" for v in report["verdicts"]) else 0
 
 
+def check_report(report):
+    """The problems of one stored report (an empty list if it is sound)."""
+    def typed(obj, keys, where):
+        if not isinstance(obj, dict):
+            return [f"{where}: not an object"]
+        found = [f"{where}: missing {k!r}" for k in keys if k not in obj]
+        found += [f"{where}: unknown key {k!r}" for k in obj if k not in keys]
+        found += [f"{where}: {k!r} is not {t}" for k, t in keys.items()
+                  if k in obj and (not isinstance(obj[k], t) or
+                                   (t is int and isinstance(obj[k], bool)))]
+        return found
+
+    problems = typed(report, REPORT_KEYS, "report")
+    if problems:
+        return problems
+    for i, run in enumerate(report["runs"]):
+        where = f"run {i}"
+        found = typed(run, RUN_KEYS, where)
+        if not found:
+            if run["side"] not in ("parent", "change"):
+                found.append(f"{where}: side {run['side']!r}")
+            if not run["correct"]:
+                found.append(f"{where}: the benchmark run was not correct")
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in run["metrics"].values()):
+                found.append(f"{where}: a metric median is not a number")
+        problems += found
+    if problems:
+        return problems
+    sides = {}
+    for run in report["runs"]:
+        key = (run["workload"], run["seed"], run["pair"])
+        sides.setdefault(key, []).append(run["side"])
+    problems += [f"{key}: sides {found}" for key, found in sorted(sides.items())
+                 if sorted(found) != ["change", "parent"]]
+    if report["verdicts"] != judge(report["runs"], report["bounds"]):
+        problems.append("the stored verdicts differ from those its runs give")
+    return problems
+
+
+def check(paths):
+    failures = 0
+    for path in paths:
+        try:
+            with open(path) as f:
+                report = json.load(f)
+            problems = check_report(report)
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            problems = [f"unreadable: {err!r}"]
+        failures += bool(problems)
+        for problem in problems:
+            print(f"FAIL {path}: {problem}")
+        if not problems:
+            counts = {}
+            for v in report["verdicts"]:
+                counts[v["verdict"]] = counts.get(v["verdict"], 0) + 1
+            summary = ", ".join(f"{n} {name}" for name, n in sorted(counts.items()))
+            print(f"ok   {path}: {len(report['runs'])} runs, {summary}")
+    return 1 if failures else 0
+
+
 def self_test(spec):
     """Verdicts of a built-in set of runs: one workload, ten pairs."""
+    bounds = spec["end_to_end"]
+
     def runs_of(parent, change, sentinels=None, failed=(0.0, 0.0), metric="events_per_s"):
         runs = []
         for pair, (p, c) in enumerate(zip(parent, change)):
             sp, sc = sentinels[pair] if sentinels else (1000, 1000)
             for side, value, ns, share in (("parent", p, sp, failed[0]), ("change", c, sc, failed[1])):
                 runs.append({"side": side, "workload": "w", "seed": 1, "pair": pair,
-                             "sentinel_ns": ns, "failed_share": share,
+                             "sentinel_ns": ns, "failed_share": share, "correct": True,
                              "metrics": {metric: value}})
         return runs
 
@@ -237,19 +313,39 @@ def self_test(spec):
     ]
     failures = 0
     for label, runs, expected in cases:
-        got = [v for v in judge(runs, spec) if v["metric"] != "failed_share"][0]["verdict"]
+        got = [v for v in judge(runs, bounds) if v["metric"] != "failed_share"][0]["verdict"]
         ok = got == expected
         failures += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {label}: {got} (expected {expected})")
-    failed = judge(runs_of(steady, steady, failed=(0.0, 0.01)), spec)
+    failed = judge(runs_of(steady, steady, failed=(0.0, 0.01)), bounds)
     ok = any(v["metric"] == "failed_share" and v["verdict"] == "worse" for v in failed)
     failures += not ok
     print(f"{'ok  ' if ok else 'FAIL'} a higher failed share is worse")
     host = runs_of(steady, [v * 0.9 for v in steady], sentinels=[(1000, 1200)] * 5 + [(1000, 1000)] * 5)
-    flags = [v for v in judge(host, spec) if v["metric"] == "events_per_s"][0]["host"]
+    flags = [v for v in judge(host, bounds) if v["metric"] == "events_per_s"][0]["host"]
     ok = flags == 5
     failures += not ok
     print(f"{'ok  ' if ok else 'FAIL'} pairs whose sentinel moved as much as the metric: {flags} (expected 5)")
+    runs = runs_of(steady, [v * 1.10 for v in steady])
+    report = {"parent": "p", "change": "c", "seeds": [1], "pairs": 10, "seconds": None,
+              "bounds": bounds, "runs": runs, "verdicts": judge(runs, bounds)}
+    tampered = [
+        ("a stored verdict changed", lambda r: r["verdicts"][-1].update(verdict="ok")),
+        ("a run's median changed", lambda r: r["runs"][1]["metrics"].update(events_per_s=1)),
+        ("a run without its pair", lambda r: r["runs"].pop()),
+        ("a run that was not correct", lambda r: r["runs"][0].update(correct=False)),
+        ("a raw result kept", lambda r: r["runs"][0].update(result={})),
+        ("no bounds", lambda r: r.pop("bounds")),
+    ]
+    ok = not check_report(json.loads(json.dumps(report)))
+    failures += not ok
+    print(f"{'ok  ' if ok else 'FAIL'} a stored report checks")
+    for label, tamper in tampered:
+        copy = json.loads(json.dumps(report))
+        tamper(copy)
+        ok = bool(check_report(copy))
+        failures += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} --check refuses {label}")
     return 1 if failures else 0
 
 
@@ -265,8 +361,11 @@ def main():
     parser.add_argument("--symdiff", metavar="REGEX")
     parser.add_argument("--scratch", metavar="DIR")
     parser.add_argument("--out", metavar="FILE")
+    parser.add_argument("--check", nargs="+", metavar="FILE")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
+    if args.check:
+        return check(args.check)
     spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     if args.self_test:
         return self_test(spec)
