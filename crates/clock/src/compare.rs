@@ -13,13 +13,11 @@ use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunked::{self, ChunkView, Packed, StampPatch, CHUNK};
 
 /// Outcome of comparing two vector timestamps under the component-wise
 /// partial order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClockOrd {
     /// The left timestamp is strictly less than the right (`s.v < t.v`).
     Before,

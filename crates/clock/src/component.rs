@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mvc_graph::{Vertex, VertexCover};
 use mvc_trace::{Event, ObjectId, ThreadId};
 
 /// One component of a mixed vector clock: either a thread or an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// The component counts operations of this thread.
     Thread(ThreadId),
@@ -52,7 +50,7 @@ impl From<Vertex> for Component {
 /// the largest id added, as the engine's per-thread and per-object rows
 /// grow to theirs.  Two maps are equal when they hold the same components
 /// in the same order, whatever their table lengths.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ComponentMap {
     components: Vec<Component>,
     /// `thread_index[t]` is thread `t`'s component index, or `NONE`.

@@ -23,36 +23,10 @@
 #![forbid(clippy::expect_used)]
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use std::fmt;
-
 use mvc_clock::{ClockRows, Component, ComponentMap, VectorTimestamp};
 use mvc_trace::{ObjectId, ThreadId};
 
-/// Errors reported by the engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// An operation's thread and object both lack a component, so the event
-    /// cannot be timestamped without first adding a component.
-    UncoveredOperation {
-        /// The thread performing the operation.
-        thread: ThreadId,
-        /// The object operated on.
-        object: ObjectId,
-    },
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::UncoveredOperation { thread, object } => write!(
-                f,
-                "operation of {thread} on {object} is not covered by any clock component"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
+use crate::timestamper::{TimestampError, TimestampReport, Timestamper};
 
 /// Incremental mixed-vector-clock engine.
 ///
@@ -131,20 +105,20 @@ impl TimestampingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UncoveredOperation`] when neither the thread
-    /// nor the object carries a component.  The engine state is left
-    /// unchanged in that case, so the caller may add a component and retry
-    /// the same operation.
+    /// Returns [`TimestampError::Uncovered`] when neither the thread nor the
+    /// object carries a component.  The engine state is left unchanged in
+    /// that case, so the caller may add a component and retry the same
+    /// operation.
     pub fn observe(
         &mut self,
         thread: ThreadId,
         object: ObjectId,
-    ) -> Result<VectorTimestamp, EngineError> {
+    ) -> Result<VectorTimestamp, TimestampError> {
         let component = self
             .components
             .object_component(object)
             .or_else(|| self.components.thread_component(thread))
-            .ok_or(EngineError::UncoveredOperation { thread, object })?;
+            .ok_or(TimestampError::Uncovered { thread, object })?;
 
         let width = self.components.len();
         let stamp = self.rows.step(thread, object, component, width);
@@ -169,28 +143,25 @@ impl TimestampingEngine {
     }
 }
 
-impl crate::timestamper::Timestamper for TimestampingEngine {
+impl Timestamper for TimestampingEngine {
     fn name(&self) -> &str {
         "timestamping-engine"
     }
 
-    /// Observes one operation, like [`TimestampingEngine::observe`], but with
-    /// the error mapped into the unified
-    /// [`TimestampError`](crate::timestamper::TimestampError).
     fn observe(
         &mut self,
         thread: ThreadId,
         object: ObjectId,
-    ) -> Result<VectorTimestamp, crate::timestamper::TimestampError> {
-        TimestampingEngine::observe(self, thread, object).map_err(Into::into)
+    ) -> Result<VectorTimestamp, TimestampError> {
+        TimestampingEngine::observe(self, thread, object)
     }
 
     fn width(&self) -> usize {
         TimestampingEngine::width(self)
     }
 
-    fn finish(&self) -> crate::timestamper::TimestampReport {
-        crate::timestamper::TimestampReport {
+    fn finish(&self) -> TimestampReport {
+        TimestampReport {
             name: "timestamping-engine".to_owned(),
             events: self.events_observed,
             components: self.components.clone(),
@@ -214,7 +185,7 @@ mod tests {
         assert_eq!(e.width(), 0);
         assert!(!e.covers(ThreadId(0), ObjectId(0)));
         let err = e.observe(ThreadId(0), ObjectId(0)).unwrap_err();
-        assert!(matches!(err, EngineError::UncoveredOperation { .. }));
+        assert!(matches!(err, TimestampError::Uncovered { .. }));
         assert!(err.to_string().contains("T0"));
         assert_eq!(e.events_observed(), 0, "failed observation must not count");
     }

@@ -16,9 +16,9 @@
 //!   maintains per-thread and per-object mixed vectors and timestamps events
 //!   as they are observed; supports growing the component set online, which
 //!   is what the `mvc-online` mechanisms need.
-//! * [`analysis`] — side-by-side clock size accounting and validity checking
-//!   across thread / object / mixed / chain clocks; the first three are one
-//!   protocol under three component maps.
+//! * [`analysis`] — [`ClockSizeReport`]: side-by-side clock sizes of the
+//!   thread / object / mixed / chain clocks, and [`verify_assignment`]
+//!   against the exact happened-before oracle.
 //! * [`timestamper`] — [`Timestamper`]: the unified streaming interface over
 //!   the batch replay path ([`BatchReplay`]), the incremental engine, and the
 //!   online timestampers of `mvc-online`, plus [`replay`] to drive a whole
@@ -63,7 +63,7 @@ pub mod stamp_loop;
 pub mod timestamper;
 
 pub use analysis::{verify_assignment, ClockSizeReport};
-pub use engine::{EngineError, TimestampingEngine};
+pub use engine::TimestampingEngine;
 pub use offline::{OfflineOptimizer, OfflinePlan, OfflineSolution};
 pub use sink::{
     CodecSink, EventSink, MemoryRecorder, SinkError, SinkStats, StampedEvent, StatsSink, TeeSink,

@@ -21,8 +21,6 @@
 //! (Theorem 3), because any such component set must cover every edge of the
 //! bipartite graph.
 
-use serde::{Deserialize, Serialize};
-
 use mvc_clock::ComponentMap;
 use mvc_graph::{cover::minimum_vertex_cover_of, BipartiteGraph, GraphStats, VertexCover};
 use mvc_trace::Computation;
@@ -34,7 +32,7 @@ use mvc_trace::Computation;
 /// ownership of (or clone) the analysed graph, so per-prefix or per-trial
 /// sweeps that only need sizes can call [`OfflineOptimizer::solve`] in a loop
 /// without copying the graph every time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfflineSolution {
     matching_size: usize,
     cover: VertexCover,
@@ -76,7 +74,7 @@ impl OfflineSolution {
 
 /// The output of the offline optimizer: the graph it analysed, the optimal
 /// cover, and the component layout of the resulting mixed vector clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfflinePlan {
     graph: BipartiteGraph,
     matching_size: usize,

@@ -37,8 +37,6 @@ use std::fmt;
 use mvc_clock::{Component, ComponentMap, VectorTimestamp};
 use mvc_trace::{Computation, ObjectId, ThreadId};
 
-use crate::engine::EngineError;
-
 /// Errors reported by [`Timestamper::observe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimestampError {
@@ -83,16 +81,6 @@ impl fmt::Display for TimestampError {
 }
 
 impl std::error::Error for TimestampError {}
-
-impl From<EngineError> for TimestampError {
-    fn from(e: EngineError) -> Self {
-        match e {
-            EngineError::UncoveredOperation { thread, object } => {
-                TimestampError::Uncovered { thread, object }
-            }
-        }
-    }
-}
 
 /// Summary of a timestamping run: how many events were observed and which
 /// components the final clock uses.
@@ -419,22 +407,6 @@ mod tests {
         assert_eq!(report.thread_components(), 1);
         assert_eq!(report.object_components(), 2);
         assert_eq!(report.events, 0);
-    }
-
-    #[test]
-    fn engine_error_converts() {
-        let e = EngineError::UncoveredOperation {
-            thread: ThreadId(2),
-            object: ObjectId(3),
-        };
-        let t = TimestampError::from(e);
-        assert_eq!(
-            t,
-            TimestampError::Uncovered {
-                thread: ThreadId(2),
-                object: ObjectId(3),
-            }
-        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! the registry sweep over synthetic workload families (including the
 //! adversarial star stream).
 
-use serde::{Deserialize, Serialize};
-
 use mvc_core::{replay, OfflineOptimizer};
 use mvc_graph::{GraphScenario, RandomGraphBuilder};
 use mvc_online::{
@@ -16,7 +14,7 @@ use crate::runner::{average_size, AlgorithmKind, DataPoint, SweepConfig};
 
 /// One line of a figure: an algorithm (and scenario) with its measured
 /// points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Display name, e.g. `"popularity (nonuniform)"`.
     pub name: String,
@@ -36,7 +34,7 @@ impl Series {
 }
 
 /// A complete reproduced figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureData {
     /// Identifier, e.g. `"fig4"`.
     pub id: String,

@@ -7,14 +7,12 @@
 //! mechanism to the registry makes it sweepable here, in the `mvc_eval`
 //! binary and in the benchmarks without touching any of them.
 
-use serde::{Deserialize, Serialize};
-
 use mvc_core::OfflineOptimizer;
 use mvc_graph::{GraphScenario, RandomGraphBuilder};
 use mvc_online::{simulate_final_size, MechanismRegistry};
 
 /// Which clock-size algorithm a data point measures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgorithmKind {
     /// The paper's Naive baseline with one component per thread of the
     /// *system*, allocated up front ("a vector clock with size equal to the
@@ -52,7 +50,7 @@ impl AlgorithmKind {
 
 /// Configuration of a single measured point: a graph family plus an
 /// algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepConfig {
     /// Threads (left side) per graph.
     pub threads: usize,
@@ -80,7 +78,7 @@ impl SweepConfig {
 }
 
 /// One averaged measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataPoint {
     /// The value swept on the x axis (density or node count, set by the
     /// figure driver).

@@ -33,14 +33,12 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use serde::{Deserialize, Serialize};
-
 /// A vertex on the left side of a bipartite graph (a *thread* in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LeftVertex(pub usize);
 
 /// A vertex on the right side of a bipartite graph (an *object* in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RightVertex(pub usize);
 
 /// Either side of the bipartition.
@@ -48,7 +46,7 @@ pub struct RightVertex(pub usize);
 /// A [`crate::cover::VertexCover`] is a set of `Vertex` values; when the graph
 /// is a thread–object graph, `Left` members are threads chosen as clock
 /// components and `Right` members are objects chosen as clock components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Vertex {
     /// A left-side vertex (thread).
     Left(usize),
@@ -97,7 +95,7 @@ impl From<RightVertex> for Vertex {
 /// Two graphs are equal when they have the same sides and every vertex has
 /// the same neighbours in the same order; how the two logs interleave those
 /// lists does not matter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BipartiteGraph {
     /// Every distinct edge, in the order it was first added.
     log: Vec<(u32, u32)>,
@@ -406,7 +404,7 @@ fn key(l: u32, r: u32) -> u64 {
 /// times `2^64 / φ` (Fibonacci hashing), which spreads stars, complete
 /// graphs and diagonals alike.  The set holds exactly the edges of the
 /// graph's log, which it grows from.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct EdgeSet {
     /// Empty, or a power of two of at least 16 slots.
     slots: Vec<u64>,

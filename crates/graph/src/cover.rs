@@ -30,8 +30,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::{BipartiteGraph, Vertex};
 use crate::matching::{Matching, MaximumMatching, NONE};
 
@@ -116,7 +114,7 @@ impl FromIterator<usize> for BitSet {
 /// a component in the clock.  Each side is a bitset indexed by vertex, so
 /// its memory grows with the largest member, one bit per index below it.
 /// Two covers are equal when they have the same members.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VertexCover {
     left: BitSet,
     right: BitSet,

@@ -28,12 +28,11 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::bipartite::BipartiteGraph;
 
 /// Which of the paper's two evaluation scenarios to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GraphScenario {
     /// Every (thread, object) pair is an edge with the same probability.
     #[default]

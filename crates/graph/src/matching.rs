@@ -52,8 +52,6 @@
 //! an adversarial alternating chain (e.g. a 2×n ladder with n in the tens of
 //! thousands) would otherwise overflow the call stack.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::{BipartiteGraph, Rows};
 
 /// Sentinel meaning "unmatched" in the `u32` partner arrays and "not
@@ -66,7 +64,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// Stored as the searches' two `u32` partner arrays, `u32::MAX` for a free
 /// vertex: `pair_left[l] == r` iff edge `(l, r)` is in the matching (and then
 /// `pair_right[r] == l`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     pair_left: Vec<u32>,
     pair_right: Vec<u32>,

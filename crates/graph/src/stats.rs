@@ -4,12 +4,10 @@
 //! evaluation harness both need cheap access to aggregate graph statistics;
 //! this module centralises them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::{BipartiteGraph, Vertex};
 
 /// Aggregate statistics of a bipartite graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of left vertices (threads) declared in the graph.
     pub n_left: usize,

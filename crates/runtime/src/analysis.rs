@@ -831,6 +831,7 @@ mod tests {
     use crate::ConflictAnalyzer;
     use mvc_core::sink::StampedEvent;
     use mvc_core::{replay, OfflineOptimizer, TimestampingEngine};
+    use mvc_online::{Naive, OnlineTimestamper};
     use mvc_trace::Computation;
 
     /// Stamps `ops` with the offline-optimal clock and returns the
@@ -854,6 +855,42 @@ mod tests {
             })
             .collect();
         (c, events)
+    }
+
+    #[test]
+    fn different_width_timestamps_compare_correctly() {
+        // The first event is stamped at width 1, later ones at width 2+; the
+        // padded comparison must still order causally related operations.
+        let mut online = OnlineTimestamper::new(Naive::threads());
+        let a = online.observe(ThreadId(0), ObjectId(0)).unwrap();
+        let _ = online.observe(ThreadId(1), ObjectId(5)).unwrap();
+        let c = online.observe(ThreadId(1), ObjectId(0)).unwrap(); // sees a via object 0
+        assert!(a.len() < c.len());
+        assert_eq!(compare_padded(&a, &c), ClockOrd::Before);
+        assert_eq!(compare_padded(&c, &a), ClockOrd::After);
+    }
+
+    #[test]
+    fn packed_stamps_compare_with_narrower_wider_and_equal_ones() {
+        // 131 thread components; a thread that kept to its own object has
+        // seen one chunk of them, so its stamps are packed.
+        let mut online = OnlineTimestamper::new(Naive::threads());
+        let a = online.observe(ThreadId(0), ObjectId(0)).unwrap();
+        let own: Vec<_> = (1..=130)
+            .map(|t| online.observe(ThreadId(t), ObjectId(1000 + t)).unwrap())
+            .collect();
+        let c = online.observe(ThreadId(130), ObjectId(0)).unwrap(); // sees a via object 0
+        assert_eq!((a.len(), own[64].len(), c.len()), (1, 66, 131));
+        assert!(own[64].stored_words() < 66 && c.stored_words() < 131);
+        // Narrower against wider, both ways round.
+        assert_eq!(compare_padded(&a, &c), ClockOrd::Before);
+        assert_eq!(compare_padded(&c, &a), ClockOrd::After);
+        assert_eq!(compare_padded(&own[64], &c), ClockOrd::Concurrent);
+        assert_eq!(compare_padded(&own[129], &c), ClockOrd::Before);
+        // Equal widths: nothing is padded.
+        let d = online.observe(ThreadId(130), ObjectId(7)).unwrap();
+        assert_eq!(compare_padded(&c, &d), ClockOrd::Before);
+        assert_eq!(compare_padded(&d, &d.clone()), ClockOrd::Equal);
     }
 
     #[test]

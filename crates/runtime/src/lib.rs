@@ -24,9 +24,6 @@
 //!   batches, instead of waiting for a post-hoc batch replay.
 //! * [`object`] — [`SharedObject<T>`]: a value behind a `parking_lot` mutex
 //!   whose reads and writes are traced.
-//! * [`monitor`] — [`OnlineMonitor`]: a thread-safe live causality monitor
-//!   built on the online Popularity mechanism; it timestamps operations as
-//!   they happen and answers ordering queries without stopping the program.
 //! * [`conflict`] — [`ConflictAnalyzer`]: post-mortem detection of concurrent
 //!   conflicting operations across user-declared object groups (atomicity
 //!   violation candidates), the debugging use-case that motivates causality
@@ -60,7 +57,6 @@ pub mod analysis;
 pub mod conflict;
 pub mod ingest;
 pub mod live;
-pub mod monitor;
 pub mod object;
 pub mod pipeline;
 pub mod session;
@@ -68,7 +64,6 @@ pub mod session;
 pub use analysis::{CompetitiveSink, ConflictSink, ReachabilityIndexSink};
 pub use conflict::{ConflictAnalyzer, ConflictPair};
 pub use live::{LiveRun, LiveSession};
-pub use monitor::OnlineMonitor;
 pub use object::SharedObject;
 pub use pipeline::PipelineError;
 pub use session::{ThreadHandle, TraceSession};

@@ -6,8 +6,6 @@
 //! extension because each chain is appended in its own order) is enough to
 //! reconstruct the full happened-before relation.
 
-use serde::{Deserialize, Serialize};
-
 use mvc_graph::BipartiteGraph;
 
 use crate::causality::CausalityOracle;
@@ -27,7 +25,7 @@ use crate::ids::{EventId, ObjectId, ThreadId};
 /// by construction everywhere in this workspace), so the per-event append is
 /// two array indexes rather than two map lookups — `record` is on the hot
 /// path of every tracing backend.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Computation {
     events: Vec<Event>,
     /// `thread_chains[t]` is thread `t`'s chain; slots below the largest

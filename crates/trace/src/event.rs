@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{EventId, ObjectId, ThreadId};
 
 /// The kind of operation an event performed on its object.
@@ -18,7 +16,7 @@ use crate::ids::{EventId, ObjectId, ThreadId};
 /// The causality algorithms never branch on this — the happened-before
 /// relation only depends on the thread/object chains — but downstream
 /// consumers (race observer, examples) use it to classify conflicts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A read of the object's state.
     Read,
@@ -57,7 +55,7 @@ impl OpKind {
 
 /// A single event of a computation: thread `thread` performed an operation of
 /// kind `kind` on object `object`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event {
     /// Global identifier (position in the computation's append order).
     pub id: EventId,

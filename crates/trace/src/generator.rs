@@ -32,7 +32,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mvc_graph::{BipartiteGraph, GraphScenario, RandomGraphBuilder};
 
@@ -41,7 +40,7 @@ use crate::event::OpKind;
 use crate::ids::{ObjectId, ThreadId};
 
 /// The family of synthetic workload to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WorkloadKind {
     /// Uniformly random (thread, object) pairs.
     #[default]

@@ -52,39 +52,53 @@ fn main() {
         println!("  {name:<18} {size:>4}  {bar}");
     }
 
-    // Live monitoring: the same machinery wrapped in a thread-safe monitor.
-    let monitor = OnlineMonitor::new();
-    let enqueue = monitor.record(ThreadId(0), ObjectId(0)).unwrap();
-    let dequeue = monitor.record(ThreadId(1), ObjectId(0)).unwrap();
-    let unrelated = monitor.record(ThreadId(2), ObjectId(9)).unwrap();
-    println!("\nlive monitor demo:");
-    println!(
-        "  enqueue -> dequeue ordered:   {}",
-        monitor.happened_before(&enqueue, &dequeue)
-    );
-    println!(
-        "  enqueue || unrelated:         {}",
-        monitor.concurrent(&enqueue, &unrelated)
-    );
-    println!("  monitor clock size so far:    {}", monitor.clock_size());
-
     // Live session demo: a traced execution timestamped while it runs, via
-    // the unified Timestamper trait.
+    // the unified Timestamper trait, then asked ordering questions through
+    // its stamps.
     let session = TraceSession::new();
-    let worker = session.register_thread("worker");
+    let producer = session.register_thread("producer");
+    let consumer = session.register_thread("consumer");
+    let bystander = session.register_thread("bystander");
     let queue = session.shared_object("queue", Vec::<u64>::new());
+    let log = session.shared_object("log", 0u64);
     let mut live = session.live(OnlineTimestamper::new(
         registry.from_name("adaptive").expect("registry name"),
     ));
     for i in 0..5 {
-        queue.write(&worker, |q| q.push(i));
+        queue.write(&producer, |q| q.push(i));
     }
+    queue.write(&consumer, |q| q.pop());
+    log.write(&bystander, |n| *n += 1);
     live.pump().expect("adaptive covers its own events");
+    let width_so_far = live.clock_size();
     let run = live.finish().expect("drained");
+
+    // `LiveRun` pads every stamp to the final width, so any two compare.
+    let stamp_of = |thread: &ThreadHandle| {
+        let position = run
+            .computation
+            .events()
+            .position(|e| e.thread == thread.id())
+            .expect("the thread ran");
+        &run.timestamps[position]
+    };
+    let enqueue = stamp_of(&producer);
+    let dequeue = stamp_of(&consumer);
+    let unrelated = stamp_of(&bystander);
     println!(
         "\nlive session demo: {} events stamped live, final width {}",
         run.report.events,
         run.report.width()
     );
-    assert!(run.timestamps[0].strictly_less_than(&run.timestamps[4]));
+    println!(
+        "  enqueue -> dequeue ordered:   {}",
+        enqueue.compare(dequeue) == ClockOrd::Before
+    );
+    println!(
+        "  enqueue || unrelated:         {}",
+        enqueue.compare(unrelated) == ClockOrd::Concurrent
+    );
+    println!("  clock size so far:            {width_so_far}");
+    assert!(enqueue.strictly_less_than(dequeue));
+    assert_eq!(enqueue.compare(unrelated), ClockOrd::Concurrent);
 }

@@ -18,8 +18,8 @@
 //!   dense slices, stamped in turn on the caller's thread and merged in
 //!   order (the independent dense kernel the sequential engine is checked
 //!   against).
-//! * [`runtime`] — traced shared objects, trace sessions, the live causality
-//!   monitor and the conflict analyzer.
+//! * [`runtime`] — traced shared objects, trace sessions (batch or live,
+//!   stamped while the program runs) and the conflict analyzer.
 //! * [`net`] — the pipeline as a networked multi-client service: framed
 //!   protocol, TCP and in-process transports, session server with
 //!   credit-based backpressure and reconnect-and-replay.
@@ -84,8 +84,8 @@ pub mod prelude {
         OnlineMechanism, OnlineRun, OnlineTimestamper, Popularity, Random, UnknownMechanismError,
     };
     pub use mvc_runtime::{
-        ConflictAnalyzer, LiveRun, LiveSession, OnlineMonitor, PipelineError, SharedObject,
-        ThreadHandle, TraceSession,
+        ConflictAnalyzer, LiveRun, LiveSession, PipelineError, SharedObject, ThreadHandle,
+        TraceSession,
     };
     pub use mvc_shard::ShardedEngine;
     pub use mvc_trace::{WorkloadBuilder, WorkloadKind};

@@ -2,7 +2,6 @@
 //! real multithreaded executions are traced, analysed offline, and monitored
 //! online.
 
-use std::sync::Arc;
 use std::thread;
 
 use mixed_vector_clock::prelude::*;
@@ -58,26 +57,41 @@ fn traced_execution_feeds_the_offline_optimizer() {
 }
 
 #[test]
-fn online_monitor_orders_cross_thread_handoffs() {
-    let monitor = Arc::new(OnlineMonitor::new());
-    let flag_object = ObjectId(0);
+fn live_session_orders_cross_thread_handoffs() {
+    let session = TraceSession::new();
+    let flag = session.shared_object("flag", false);
+    let other = session.shared_object("other", 0u64);
+    let writer = session.register_thread("writer");
+    let reader = session.register_thread("reader");
+    let bystander = session.register_thread("bystander");
+    let ids = [writer.id(), reader.id(), bystander.id()];
+    let mut live = session.live(OnlineTimestamper::new(Popularity::new()));
 
-    // Thread 0 writes the flag, then thread 1 reads it: the monitor must see
-    // the ordering through the shared object even across OS threads.
-    let m0 = Arc::clone(&monitor);
-    let writer = thread::spawn(move || m0.record(ThreadId(0), flag_object).unwrap());
-    let write_stamp = writer.join().unwrap();
+    // The writer thread writes the flag, then the reader thread reads it: the live stamps must
+    // show the ordering through the shared object even across OS threads.
+    let writer_flag = flag.clone();
+    thread::spawn(move || writer_flag.write(&writer, |f| *f = true))
+        .join()
+        .unwrap();
+    thread::spawn(move || assert!(flag.read(&reader, |f| *f)))
+        .join()
+        .unwrap();
+    // An unrelated write, on another object by another thread.
+    other.write(&bystander, |n| *n += 1);
+    live.pump().unwrap();
+    let run = live.finish().unwrap();
 
-    let m1 = Arc::clone(&monitor);
-    let reader = thread::spawn(move || m1.record(ThreadId(1), flag_object).unwrap());
-    let read_stamp = reader.join().unwrap();
-
-    assert!(monitor.happened_before(&write_stamp, &read_stamp));
-    assert!(!monitor.happened_before(&read_stamp, &write_stamp));
-
-    // An unrelated operation stays concurrent with the write.
-    let other = monitor.record(ThreadId(2), ObjectId(9)).unwrap();
-    assert!(monitor.concurrent(&write_stamp, &other));
+    let [write_stamp, read_stamp, other_stamp] = ids.map(|thread| {
+        let position = run
+            .computation
+            .events()
+            .position(|e| e.thread == thread)
+            .unwrap();
+        &run.timestamps[position]
+    });
+    assert!(write_stamp.strictly_less_than(read_stamp));
+    assert!(!read_stamp.strictly_less_than(write_stamp));
+    assert_eq!(write_stamp.compare(other_stamp), ClockOrd::Concurrent);
 }
 
 #[test]
