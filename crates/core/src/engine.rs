@@ -114,16 +114,23 @@ impl TimestampingEngine {
         thread: ThreadId,
         object: ObjectId,
     ) -> Result<VectorTimestamp, TimestampError> {
+        self.try_step(thread, object)
+            .ok_or(TimestampError::Uncovered { thread, object })
+    }
+
+    /// The protocol step, or `None` (and no change) for an uncovered
+    /// operation.  An `Option` has the stamp's own layout, so the row step
+    /// writes its stamp straight into the value the caller receives; the
+    /// wider `Result` is built only around it.
+    fn try_step(&mut self, thread: ThreadId, object: ObjectId) -> Option<VectorTimestamp> {
         let component = self
             .components
             .object_component(object)
-            .or_else(|| self.components.thread_component(thread))
-            .ok_or(TimestampError::Uncovered { thread, object })?;
-
+            .or_else(|| self.components.thread_component(thread))?;
         let width = self.components.len();
         let stamp = self.rows.step(thread, object, component, width);
         self.events_observed += 1;
-        Ok(stamp)
+        Some(stamp)
     }
 
     /// Frees the row of a thread that will observe nothing more (see

@@ -1,12 +1,11 @@
 //! Offline shim for the `serde` crate.
 //!
-//! The build environment cannot reach crates.io, so this crate provides just
-//! enough surface for the workspace to compile: the `Serialize` /
-//! `Deserialize` traits as markers plus the no-op derive macros from the
-//! sibling `serde_derive` shim.  No code in the workspace serializes through
-//! serde yet (the trace codec is hand-rolled in `mvc_trace::codec`), so the
-//! traits carry no methods.  Replacing this shim with the real `serde` is a
-//! `Cargo.toml`-only change.
+//! The build environment cannot reach crates.io, so this crate provides the
+//! `Serialize` / `Deserialize` traits as markers plus the no-op derive macros
+//! from the sibling `serde_derive` shim.  No code in the workspace derives or
+//! calls them (the trace codec is hand-rolled in `mvc_trace::codec`); the
+//! crate stays only because the frozen `benchmark/Cargo.lock` records four
+//! crates' `serde` edges, and goes with those edges.
 
 #![forbid(unsafe_code)]
 

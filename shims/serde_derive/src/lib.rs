@@ -3,9 +3,8 @@
 //! The build environment has no access to crates.io, so the workspace vendors
 //! a minimal stand-in: the derives accept the same attribute grammar
 //! (`#[serde(...)]` container/field attributes are tolerated) but expand to
-//! nothing.  Nothing in this workspace bounds on `Serialize`/`Deserialize`,
-//! so empty expansions are sufficient for a correct build; swapping in the
-//! real crates later is a pure `Cargo.toml` change.
+//! nothing.  No code in the workspace uses them; see the `serde` shim for why
+//! the crate is still built.
 
 #![forbid(unsafe_code)]
 
